@@ -22,15 +22,26 @@
 module Scenario = Deltanet.Scenario
 module Additive = Deltanet.Additive
 module Classes = Scheduler.Classes
+module Diag = Deltanet.Diag
 
 let epsilon = 1e-9
 let s_points = 16
 
 let bound sc sched = Scenario.delay_bound ~s_points ~scheduler:sched sc
 
-let edf_bound sc ratio =
-  (Scenario.delay_bound_edf ~s_points sc ~spec:{ Scenario.cross_over_through = ratio })
-    .Scenario.bound
+(* The EDF fixed point of one figure cell.  A cell that does not converge
+   still prints its last iterate (the committed CSVs hold it), flagged on
+   stderr with its coordinates: that value is not a valid bound. *)
+let edf_bound ~cell sc ratio =
+  let o =
+    Scenario.delay_bound_edf_checked ~s_points sc
+      ~spec:{ Scenario.cross_over_through = ratio }
+  in
+  let d = o.Diag.diag in
+  if not (Diag.ok d) then
+    Fmt.epr "warning: %s EDF ratio %g: %s after %d iterations, final relative change %.3g@."
+      cell ratio (Diag.status_to_string d.Diag.status) d.Diag.iterations d.Diag.tolerance;
+  o.Diag.value.Scenario.bound
 
 let pr_cell v = if Float.is_finite v then Fmt.str "%10.2f" v else Fmt.str "%10s" "inf"
 
@@ -111,7 +122,7 @@ let fig2 ~short () =
           let sc = Scenario.of_utilization ~h ~u_through:0.15 ~u_cross:(u -. 0.15) in
           let b = bound sc Classes.Bmux in
           let f = bound sc Classes.Fifo in
-          let e = edf_bound sc 10. in
+          let e = edf_bound ~cell:(Fmt.str "fig2 H=%d U=%d%%" h u_pct) sc 10. in
           rows := [ float_of_int h; float_of_int u_pct; b; f; e ] :: !rows;
           Fmt.pr "  %5d %s %s %s@." u_pct (pr_cell b) (pr_cell f) (pr_cell e))
         us)
@@ -147,8 +158,9 @@ let fig3 ~short () =
           let sc = Scenario.of_utilization ~h ~u_through:(0.5 -. u_cross) ~u_cross in
           let b = bound sc Classes.Bmux in
           let f = bound sc Classes.Fifo in
-          let e_loose = edf_bound sc 2. in
-          let e_tight = edf_bound sc 0.5 in
+          let cell = Fmt.str "fig3 H=%d mix=%d%%" h mix_pct in
+          let e_loose = edf_bound ~cell sc 2. in
+          let e_tight = edf_bound ~cell sc 0.5 in
           rows := [ float_of_int h; float_of_int mix_pct; b; f; e_loose; e_tight ] :: !rows;
           Fmt.pr "  %5d %s %s %s %s@." mix_pct (pr_cell b) (pr_cell f) (pr_cell e_loose)
             (pr_cell e_tight))
@@ -182,7 +194,7 @@ let fig4 ~short () =
           let sc = Scenario.of_utilization ~h ~u_through:u ~u_cross:u in
           let b = bound sc Classes.Bmux in
           let f = bound sc Classes.Fifo in
-          let e = edf_bound sc 10. in
+          let e = edf_bound ~cell:(Fmt.str "fig4 U=%d%% H=%d" u_pct h) sc 10. in
           let a = Additive.delay_bound_scenario ~s_points sc in
           rows := [ float_of_int u_pct; float_of_int h; b; f; e; a ] :: !rows;
           Fmt.pr "  %4d %s %s %s %s@." h (pr_cell b) (pr_cell f) (pr_cell e) (pr_cell a))

@@ -59,7 +59,7 @@ let delay_bound ?(gamma_points = 40) ~capacity ~cross ~h ~epsilon through =
        [?work] hint is the true per-chunk cost.  The fold below is
        Grid.min_value's: seeded with the first value, strict-<, index
        order — bit-identical to the per-point fan-out. *)
-    let lo = gmax *. 1e-6 and hi = gmax *. 0.999 in
+    let lo, hi = E2e.gamma_bracket gmax in
     let ratio = (hi /. lo) ** (1. /. float_of_int (gamma_points - 1)) in
     let vals =
       Parallel.Grid.values_blocked ~work:((16 * h) + 32) ~block:10 (Array.map f)

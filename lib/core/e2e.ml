@@ -903,6 +903,13 @@ let backlog_given p ~gamma ~sigma =
     Float.infinity
     (x_candidates p ~gamma ~sigma)
 
+(* The γ range every search over this path probes: (0, gamma_max) pulled
+   in at both ends, since sigma diverges as γ -> 0 and the node margins
+   vanish as γ -> gamma_max.  One definition for every search, so the
+   bracket [delay_bound_floor] certifies is the one [delay_bound]
+   probes. *)
+let gamma_bracket gmax = (gmax *. 1e-6, gmax *. 0.999)
+
 let backlog_bound ?(gamma_points = 40) ~epsilon p =
   if epsilon <= 0. || epsilon >= 1. then invalid_arg "E2e.backlog_bound: epsilon out of range";
   let gmax = gamma_max p in
@@ -917,7 +924,7 @@ let backlog_bound ?(gamma_points = 40) ~epsilon p =
       let sigma = sigma_for p ~gamma ~epsilon in
       backlog_given p ~gamma ~sigma
     in
-    let lo = gmax *. 1e-6 and hi = gmax *. 0.999 in
+    let lo, hi = gamma_bracket gmax in
     let ratio = (hi /. lo) ** (1. /. float_of_int (gamma_points - 1)) in
     (* grid points fan out on the default pool; Grid keeps the abscissae
        and the running-minimum fold bit-identical to the sequential loop.
@@ -936,6 +943,13 @@ let golden_minimize f lo hi steps =
       if f x1 <= f x2 then go a x2 (n - 1) else go x1 b (n - 1)
   in
   go lo hi steps
+
+(* The coarse γ grid of [gamma_search] and its ratio: log-spaced from
+   [lo] by repeated multiplication, so the top point can overshoot [hi]
+   by a few ulps of accumulated rounding. *)
+let gamma_grid ~gamma_points ~lo ~hi =
+  let ratio = (hi /. lo) ** (1. /. float_of_int (gamma_points - 1)) in
+  (ratio, Parallel.Grid.log_spaced ~lo ~ratio ~points:gamma_points)
 
 (* The shared gamma-search skeleton: a log-spaced coarse grid handed
    whole to [grid_vals] (the batched scan of [delay_grid], or a
@@ -956,8 +970,7 @@ let golden_minimize f lo hi steps =
    the flat arrays keep the golden loop off the GC (the old [Hashtbl]
    keyed on [Int64.bits_of_float] boxed a key per probe). *)
 let gamma_search ~gamma_points ~grid_vals ~golden_eval ~lo ~hi =
-  let ratio = (hi /. lo) ** (1. /. float_of_int (gamma_points - 1)) in
-  let grid = Parallel.Grid.log_spaced ~lo ~ratio ~points:gamma_points in
+  let (ratio, grid) = gamma_grid ~gamma_points ~lo ~hi in
   let vals = grid_vals grid in
   let bi = ref 0 in
   for i = 1 to Array.length vals - 1 do
@@ -1029,7 +1042,11 @@ let delay_grid ~epsilon p gammas =
       (fun gamma -> delay_at_gamma p ~gamma ~epsilon)
       gammas
 
-let delay_bound ?(gamma_points = 40) ~epsilon p =
+(* [delay_bound]'s default γ-grid size: the search [delay_bound_floor]
+   certifies *)
+let default_gamma_points = 40
+
+let delay_bound ?(gamma_points = default_gamma_points) ~epsilon p =
   if epsilon <= 0. || epsilon >= 1. then invalid_arg "E2e.delay_bound: epsilon out of range";
   let gmax = gamma_max p in
   if gmax <= 0. then Float.infinity
@@ -1052,8 +1069,44 @@ let delay_bound ?(gamma_points = 40) ~epsilon p =
           Kernel.delay_at_gamma kern ~gamma ~epsilon
       end
     in
-    gamma_search ~gamma_points ~grid_vals:(delay_grid ~epsilon p) ~golden_eval
-      ~lo:(gmax *. 1e-6) ~hi:(gmax *. 0.999)
+    let lo, hi = gamma_bracket gmax in
+    gamma_search ~gamma_points ~grid_vals:(delay_grid ~epsilon p) ~golden_eval ~lo ~hi
+  end
+
+(* A lower bound on [delay_bound ~epsilon p] from one Eq.-38 evaluation.
+   Every value [delay_bound] returns is the Eq.-38 minimum at some probe
+   γ in [lo, top]: the bracket, stretched to the top γ-grid point when
+   rounding lands it past [hi].  At fixed X, each θ_h is the smallest
+   θ >= 0 with c_h (X + θ) - r_h (X + min(∆, θ))_+ >= σ, so it falls as
+   c_h (= C - hγ) or the margin c_h - r_h grows and rises with r_h
+   (= ρ_c + γ) and with σ, in every ∆ case.  c_h and the margin shrink,
+   r_h grows and σ shrinks as γ grows, so compiling the nodes at γ = lo
+   and taking σ at γ = top makes every θ_h(X), hence the X-minimum, no
+   larger than at any probe.  [floor_margin] absorbs the rounding of the
+   two evaluations (DESIGN.md, "Certified s-grid").  When σ is
+   non-finite at either end a probe could yield NaN, so the floor is
+   [neg_infinity] and certifies nothing; an overloaded path
+   ([gamma_max <= 0]) gets [infinity], as [delay_bound] returns. *)
+let floor_margin = 1. -. 1e-9
+
+let delay_bound_floor ~epsilon p =
+  if epsilon <= 0. || epsilon >= 1. then
+    invalid_arg "E2e.delay_bound_floor: epsilon out of range";
+  let gmax = gamma_max p in
+  if gmax <= 0. then Float.infinity
+  else begin
+    let lo, hi = gamma_bracket gmax in
+    let (_, grid) = gamma_grid ~gamma_points:default_gamma_points ~lo ~hi in
+    let top = Float.max hi grid.(default_gamma_points - 1) in
+    let k = Kernel.make p in
+    let sigma_lo = Kernel.sigma_for k ~gamma:lo ~epsilon
+    and sigma_top = Kernel.sigma_for k ~gamma:top ~epsilon in
+    if not (Float.is_finite sigma_lo && Float.is_finite sigma_top) then Float.neg_infinity
+    else begin
+      Kernel.set k ~gamma:lo ~sigma:sigma_top;
+      let v = Kernel.delay k in
+      if Float.is_nan v then Float.neg_infinity else v *. floor_margin
+    end
   end
 
 (* --------------------------------------------------------------- *)
@@ -1208,11 +1261,12 @@ let delay_bound_fast ?(gamma_points = 40) ~epsilon p =
         k_procedure p ~gamma ~sigma
       in
       let h = hop_count p in
+      let lo, hi = gamma_bracket gmax in
       (* the K-procedure has no per-point compile to amortize, so the
          grid stays a per-point fan-out *)
       gamma_search ~gamma_points
         ~grid_vals:(Parallel.Grid.values ~work:((8 * h) + 50) f)
-        ~golden_eval:f ~lo:(gmax *. 1e-6) ~hi:(gmax *. 0.999)
+        ~golden_eval:f ~lo ~hi
     end
   end
 
@@ -1234,7 +1288,7 @@ let delay_bound_cached ?(gamma_points = 12) ~batch ~epsilon p =
       if !Telemetry.on then Telemetry.Counter.incr c_gamma_evals;
       Batch.delay_at_gamma batch ~gamma ~epsilon
     in
-    let lo = gmax *. 1e-6 and hi = gmax *. 0.999 in
+    let lo, hi = gamma_bracket gmax in
     let ratio = (hi /. lo) ** (1. /. float_of_int (gamma_points - 1)) in
     let best = ref Float.infinity in
     let g = ref lo in

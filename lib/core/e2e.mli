@@ -245,6 +245,23 @@ val delay_bound : ?gamma_points:int -> epsilon:float -> path -> float
     (coarse grid plus golden-section refinement), as prescribed by the
     paper.  [infinity] when the path is overloaded. *)
 
+val gamma_bracket : float -> float * float
+(** [gamma_bracket gmax] is the [(lo, hi)] range that {!delay_bound}
+    (and every other γ search here) probes for a path with
+    [gamma_max = gmax]: [(gmax *. 1e-6, gmax *. 0.999)]. *)
+
+val delay_bound_floor : epsilon:float -> path -> float
+(** A certified lower bound on [delay_bound ~epsilon p] (its default
+    40-point γ grid) from one Eq.-38 evaluation: every node compiled at
+    the bracket's lowest γ (largest service rate and margin, smallest
+    cross rate), σ taken at the highest γ the search probes (smallest
+    σ), the minimum scaled by [1 -. 1e-9] against rounding.  [infinity]
+    when [gamma_max p <= 0.] (as {!delay_bound});
+    [neg_infinity] — certifying nothing — when σ is non-finite at either
+    end of the bracket or the evaluation is NaN.  Never NaN.  Lets the
+    s-grid of {!Scenario} skip points that cannot hold its minimum.
+    @raise Invalid_argument unless [0 < epsilon < 1]. *)
+
 (** {1 Closed forms and the paper's explicit procedure}
 
     These require a homogeneous path and are used to cross-validate

@@ -175,7 +175,7 @@ let delay_bound ?(gamma_points = 40) ~epsilon p =
       let sigma = sigma_for p ~gamma ~epsilon in
       delay_given p ~gamma ~sigma
     in
-    let lo = gmax *. 1e-6 and hi = gmax *. 0.999 in
+    let lo, hi = E2e.gamma_bracket gmax in
     let ratio = (hi /. lo) ** (1. /. float_of_int (gamma_points - 1)) in
     let best = ref (f lo) in
     let g = ref lo in

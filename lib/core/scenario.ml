@@ -75,40 +75,65 @@ let s_stable_max t =
     Some (bisect 1e-6 hi 60)
   end
 
-(* Minimize [f s] over the stable range of the effective-bandwidth
-   parameter: log grid plus a local geometric refinement.  Returns the
-   minimum with a typed diagnostic: [Unstable] when no stable [s] exists
-   (or every grid point is infeasible in gamma), [Non_finite] when a NaN
-   leaks out of the inner optimization. *)
 let c_s_evals = Telemetry.Counter.make "scenario.s_grid.evals"
+let c_s_pruned = Telemetry.Counter.make "scenario.s_grid.pruned"
 let c_edf_iters = Telemetry.Counter.make "scenario.edf.iterations"
 
-let minimize_over_s_checked ~s_points t f =
+(* One grid of the s-scan, best-first.  [floor s] is a lower bound on
+   [exact s] that is never NaN and is [neg_infinity] wherever [exact s]
+   could be NaN ({!E2e.delay_bound_floor}).  Points run in ascending-floor
+   order (index order among ties); a point is skipped when [prune] says
+   its floor cannot beat the running minimum, which starts at [cutoff].
+   A skipped point is recorded as [infinity]: its exact value is no
+   smaller than its floor, so it can neither hold the minimum nor be NaN,
+   and the index-order folds of [minimize_over_s_checked] read the same
+   argmin and minimum as over an exhaustive scan.  Once an exact value is
+   NaN ([nan_seen], shared by both grids) nothing more is skipped.
+   Returns the values and the number of exact evaluations run. *)
+let scan_best_first ~floor ~exact ~prune ~cutoff ~nan_seen grid =
+  let n = Array.length grid in
+  let floors = Array.map floor grid in
+  let order = Array.init n Fun.id in
+  Array.stable_sort (fun i j -> Float.compare floors.(i) floors.(j)) order;
+  let vals = Array.make n Float.infinity in
+  let best = ref cutoff and evals = ref 0 in
+  Array.iter
+    (fun i ->
+      if !nan_seen || not (prune floors.(i) !best) then begin
+        let v = exact grid.(i) in
+        incr evals;
+        vals.(i) <- v;
+        if Float.is_nan v then nan_seen := true else if v < !best then best := v
+      end)
+    order;
+  (vals, !evals)
+
+(* Minimize [exact s] over the stable range of the effective-bandwidth
+   parameter: log grid plus a local geometric refinement around the
+   first-index argmin, each scanned by [scan_best_first].  The coarse
+   grid prunes only on floor > minimum, since a tie could be the
+   first-index argmin that centres the refinement; the refinement keeps
+   only the minimum, so floor >= minimum suffices there.  Without
+   [?floor] nothing is pruned and the points run in index order.
+   Returns the minimum with a typed diagnostic: [Unstable] when no stable
+   [s] exists (or every grid point is infeasible in gamma), [Non_finite]
+   when a NaN leaks out of the inner optimization.  [iterations] counts
+   the grid points (evaluated or pruned), so it does not depend on the
+   pruning; the [scenario.s_grid.evals] / [.pruned] counters split it. *)
+let minimize_over_s_checked ?(floor = fun _ -> Float.neg_infinity) ~s_points t exact =
   Telemetry.span "scenario.s_grid"
     ~attrs:[ ("h", Telemetry.Int t.h); ("s_points", Telemetry.Int s_points) ]
   @@ fun () ->
   match s_stable_max t with
   | None -> Diag.outcome Diag.Unstable Float.infinity
   | Some s_max ->
-    (* Grid points are evaluated on the default pool, so eval counting and
-       NaN detection read the evaluated grids afterwards instead of
-       mutating shared refs from worker domains.  The totals are identical
-       to the old per-call counting: one eval per grid point. *)
     let lo = s_max *. 1e-4 and hi = s_max *. 0.999 in
     let ratio = (hi /. lo) ** (1. /. float_of_int (s_points - 1)) in
-    (* each s-point runs a full inner gamma search (~40 grid + golden
-       evaluations, each ~E2e.eval_cost node-steps — the grid half now
-       evaluated as E2e.Batch panels): the per-point [?work] hint lets
-       tiny scenarios (H = 2, few points) skip domain fan-out, and the
-       blocked scan hands the pool tasks of 4 s-points so its hint is
-       the true per-chunk cost.  Blocks preserve index order, so the
-       argmin folds below are unchanged bit for bit. *)
-    let s_work = 120 * ((3 * t.h * t.h) + (8 * t.h) + 50) in
-    let eval_grid g =
-      Parallel.Grid.values_blocked ~work:s_work ~block:4 (Array.map f) g
-    in
+    let nan_seen = ref false in
     let grid = Parallel.Grid.log_spaced ~lo ~ratio ~points:s_points in
-    let vals = eval_grid grid in
+    let (vals, coarse_evals) =
+      scan_best_first ~floor ~exact ~prune:( > ) ~cutoff:Float.infinity ~nan_seen grid
+    in
     let best = ref (grid.(0), vals.(0)) in
     for i = 1 to s_points - 1 do
       if vals.(i) < snd !best then best := (grid.(i), vals.(i))
@@ -118,34 +143,37 @@ let minimize_over_s_checked ~s_points t f =
     let refine_points = 12 in
     let rr = (b /. a) ** (1. /. float_of_int (refine_points - 1)) in
     let rgrid = Parallel.Grid.log_spaced ~lo:a ~ratio:rr ~points:refine_points in
-    let rvals = eval_grid rgrid in
+    let (rvals, refine_evals) =
+      scan_best_first ~floor ~exact ~prune:( >= ) ~cutoff:(snd !best) ~nan_seen rgrid
+    in
     let sbest = ref (snd !best) in
     for i = 0 to refine_points - 1 do
       if rvals.(i) < !sbest then sbest := rvals.(i)
     done;
-    let evals = s_points + refine_points in
-    let nan_seen =
-      Array.exists Float.is_nan vals || Array.exists Float.is_nan rvals
-    in
+    let points = s_points + refine_points in
+    let evals = coarse_evals + refine_evals in
     let status =
-      if nan_seen || Float.is_nan !sbest then Diag.Non_finite
+      if !nan_seen then Diag.Non_finite
       else if Float.is_finite !sbest then Diag.Converged
       else Diag.Unstable
     in
     Telemetry.Counter.add c_s_evals evals;
+    Telemetry.Counter.add c_s_pruned (points - evals);
     Telemetry.event "scenario.s_grid.result"
       ~attrs:
         [
           ("evals", Telemetry.Int evals);
+          ("pruned", Telemetry.Int (points - evals));
           ("status", Telemetry.Str (Diag.status_to_string status));
           ("best", Telemetry.Float !sbest);
         ];
-    Diag.outcome ~iterations:evals status !sbest
+    Diag.outcome ~iterations:points status !sbest
 
 let delay_bound_checked ?(s_points = 32) ~scheduler t =
   let delta = Scheduler.Classes.delta_through_cross scheduler in
-  minimize_over_s_checked ~s_points t (fun s ->
-      E2e.delay_bound ~epsilon:t.epsilon (path_at t ~s ~delta))
+  minimize_over_s_checked ~s_points t
+    ~floor:(fun s -> E2e.delay_bound_floor ~epsilon:t.epsilon (path_at t ~s ~delta))
+    (fun s -> E2e.delay_bound ~epsilon:t.epsilon (path_at t ~s ~delta))
 
 let backlog_bound_checked ?(s_points = 32) ~scheduler t =
   let delta = Scheduler.Classes.delta_through_cross scheduler in
@@ -196,9 +224,12 @@ let delay_bound_edf_checked ?(s_points = 32) ?(max_iter = 60) ~spec t =
       let d0 = d /. hf in
       d0 *. (1. -. spec.cross_over_through)
     in
-    (* (value, iterations, status, final relative change) *)
-    let rec iterate d n =
-      if n >= max_iter then (d, n, Diag.Diverged, Float.infinity)
+    let rel d d' = if d' > 0. then Float.abs (d' -. d) /. d' else 0. in
+    (* (value, iterations, status, final relative change); [last] is the
+       relative change of the latest iteration, what a Diverged outcome
+       reports *)
+    let rec iterate d n last =
+      if n >= max_iter then (d, n, Diag.Diverged, last)
       else
         let d' = bound_for (gap_of d) in
         if !Telemetry.on then Telemetry.Counter.incr c_edf_iters;
@@ -207,11 +238,10 @@ let delay_bound_edf_checked ?(s_points = 32) ?(max_iter = 60) ~spec t =
         if Float.is_nan d' then (d', n + 1, Diag.Non_finite, Float.infinity)
         else if not (Float.is_finite d') then (d', n + 1, Diag.Unstable, Float.infinity)
         else if Float.abs (d' -. d) <= edf_tolerance *. d' then
-          let rel = if d' > 0. then Float.abs (d' -. d) /. d' else 0. in
-          (d', n + 1, Diag.Converged, rel)
-        else iterate d' (n + 1)
+          (d', n + 1, Diag.Converged, rel d d')
+        else iterate d' (n + 1) (rel d d')
     in
-    let (bound, iterations, status, tolerance) = iterate seed 0 in
+    let (bound, iterations, status, tolerance) = iterate seed 0 Float.infinity in
     Diag.outcome ~iterations ~tolerance status (result bound iterations)
   end
 

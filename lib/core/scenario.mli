@@ -60,8 +60,10 @@ val delay_bound_checked :
 (** {!delay_bound} with a typed diagnostic instead of a silent [infinity]:
     [Unstable] when no stable [s] exists (or every grid point is
     gamma-infeasible), [Non_finite] when a NaN leaked out of the inner
-    optimization, [Converged] otherwise.  [diag.iterations] counts
-    objective evaluations across the grid and refinement. *)
+    optimization, [Converged] otherwise.  [diag.iterations] counts the
+    s-points of the grid and its refinement, including those skipped
+    because {!E2e.delay_bound_floor} proved they cannot hold the
+    minimum; skipping never changes the value or the diagnostic. *)
 
 val backlog_bound_checked :
   ?s_points:int -> scheduler:Scheduler.Classes.two_class -> t -> float Diag.outcome
@@ -90,7 +92,9 @@ val delay_bound_edf_checked :
     - [Unstable]: no finite FIFO seed, or the iteration fell into an
       infeasible gap — the scenario admits no finite EDF bound.
     - [Diverged]: [max_iter] iterations without meeting tolerance; the
-      returned value is the last iterate and is {e not} a valid bound.
+      returned value is the last iterate and is {e not} a valid bound,
+      and [diag.tolerance] is the last iteration's relative change
+      ([infinity] when [max_iter = 0]).
     - [Non_finite]: a NaN leaked out of the inner optimization.
 
     @raise Invalid_argument on a non-positive deadline ratio. *)

@@ -1,0 +1,345 @@
+(* The certified best-first s-grid of Scenario: the one-evaluation floor
+   E2e.delay_bound_floor must never exceed E2e.delay_bound, and the pruned
+   scan must return exactly what an exhaustive scan of the same grids
+   returns — value bits, Diag status and iteration counts, through the
+   EDF fixed point too. *)
+
+module E2e = Deltanet.E2e
+module Scenario = Deltanet.Scenario
+module Diag = Deltanet.Diag
+module Classes = Scheduler.Classes
+
+let bit_eq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* ---------------- the floor ---------------- *)
+
+(* One floor query: a paper scenario at a violation probability, a
+   scheduler and an s inside the stable range. *)
+type case = { sc : Scenario.t; sched : Classes.two_class; s : float }
+
+let path_of c = Scenario.path_at c.sc ~s:c.s ~delta:(Classes.delta_through_cross c.sched)
+
+let print_case c =
+  Fmt.str "H=%d n0=%h nc=%h eps=%g %a s=%h" c.sc.Scenario.h c.sc.Scenario.n_through
+    c.sc.Scenario.n_cross c.sc.Scenario.epsilon Classes.pp_two_class c.sched c.s
+
+(* The property, parameterized by the floor under test so the test below
+   can show it rejects a floor without the rounding margin. *)
+let floor_sound floor c =
+  let p = path_of c in
+  let epsilon = c.sc.Scenario.epsilon in
+  let f = floor ~epsilon p in
+  (not (Float.is_nan f)) && f <= E2e.delay_bound ~epsilon p
+
+(* The floor's evaluation without the (1 - 1e-9) margin, rebuilt from the
+   public kernel. *)
+let unmargined_floor ~epsilon p =
+  let gmax = E2e.gamma_max p in
+  if gmax <= 0. then Float.infinity
+  else begin
+    let lo, hi = E2e.gamma_bracket gmax in
+    (* the top of delay_bound's 40-point γ grid, which rounding can push
+       past [hi] *)
+    let ratio = (hi /. lo) ** (1. /. 39.) in
+    let top = Float.max hi (Parallel.Grid.log_spaced ~lo ~ratio ~points:40).(39) in
+    let k = E2e.Kernel.make p in
+    let sigma_lo = E2e.Kernel.sigma_for k ~gamma:lo ~epsilon
+    and sigma_top = E2e.Kernel.sigma_for k ~gamma:top ~epsilon in
+    if not (Float.is_finite sigma_lo && Float.is_finite sigma_top) then Float.neg_infinity
+    else begin
+      E2e.Kernel.set k ~gamma:lo ~sigma:sigma_top;
+      E2e.Kernel.delay k
+    end
+  end
+
+let sched_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return Classes.Bmux);
+        (1, return Classes.Fifo);
+        (1, return Classes.Sp_through_high);
+        (2, map (fun g -> Classes.Edf_gap g) (float_range (-40.) 40.));
+      ])
+
+(* A paper scenario: H in 1..max_h with H = 1 drawn often, total
+   utilization up to 97% split at random between through and cross
+   traffic, and one of three violation probabilities. *)
+let scenario_gen ~max_h =
+  QCheck.Gen.(
+    frequency [ (1, return 1); (4, int_range 2 max_h) ] >>= fun h ->
+    pair (float_range 0.05 0.97) (float_range 0.05 1.) >>= fun (u, share) ->
+    oneofl [ 1e-3; 1e-9; 1e-30 ] >>= fun epsilon ->
+    return
+      {
+        (Scenario.of_utilization ~h ~u_through:(u *. share) ~u_cross:(u -. (u *. share)))
+        with
+        Scenario.epsilon;
+      })
+
+(* The s fraction is log-uniform over (1e-4, 0.999) of the stable
+   maximum. *)
+let case_arb =
+  let gen =
+    QCheck.Gen.(
+      scenario_gen ~max_h:30 >>= fun sc ->
+      sched_gen >>= fun sched ->
+      float_range (log 1e-4) (log 0.999) >>= fun log_frac ->
+      let s =
+        match Scenario.s_stable_max sc with Some m -> m *. exp log_frac | None -> Float.nan
+      in
+      return { sc; sched; s })
+  in
+  QCheck.make ~print:print_case gen
+
+let prop_floor_sound =
+  QCheck.Test.make ~name:"delay_bound_floor <= delay_bound, exactly"
+    ~count:(Qc.count 300 ~cap:20000) case_arb (fun c ->
+      QCheck.assume (not (Float.is_nan c.s));
+      if floor_sound E2e.delay_bound_floor c then true
+      else
+        let p = path_of c in
+        let epsilon = c.sc.Scenario.epsilon in
+        QCheck.Test.fail_reportf "floor %h above delay_bound %h"
+          (E2e.delay_bound_floor ~epsilon p) (E2e.delay_bound ~epsilon p))
+
+(* Cases where the margin-free evaluation lands above delay_bound, by
+   5.5e-16 and 5.0e-16 relative: a few ulps of rounding between two
+   Eq.-38 evaluations at different (γ, σ).  Found by a 40k-case search
+   over [case_arb]'s distribution, which turned up five such cases.  The
+   property must reject the unmargined floor on them and accept the
+   shipped one. *)
+let margin_witnesses =
+  [
+    {
+      sc =
+        Scenario.paper_defaults ~h:12 ~n_through:0x1.36f8230b646b4p+3
+          ~n_cross:0x1.b8258ac55da27p+5;
+      sched = Classes.Fifo;
+      s = 0x1.c5fb620b0d899p+35;
+    };
+    {
+      sc =
+        {
+          (Scenario.paper_defaults ~h:14 ~n_through:0x1.da9e999061766p+1
+             ~n_cross:0x1.e882d1246430fp+5)
+          with
+          Scenario.epsilon = 1e-3;
+        };
+      sched = Classes.Fifo;
+      s = 0x1.332ae827b61edp+31;
+    };
+  ]
+
+let test_margin_is_needed () =
+  List.iter
+    (fun c ->
+      let p = path_of c in
+      let epsilon = c.sc.Scenario.epsilon in
+      (* the rebuilt evaluation is the shipped floor before its margin *)
+      Alcotest.(check bool)
+        (print_case c ^ ": floor = unmargined *. (1 - 1e-9)")
+        true
+        (bit_eq (E2e.delay_bound_floor ~epsilon p)
+           (unmargined_floor ~epsilon p *. (1. -. 1e-9)));
+      Alcotest.(check bool)
+        (print_case c ^ ": property rejects the unmargined floor")
+        false
+        (floor_sound unmargined_floor c);
+      Alcotest.(check bool)
+        (print_case c ^ ": property accepts the floor")
+        true
+        (floor_sound E2e.delay_bound_floor c))
+    margin_witnesses
+
+let test_floor_edges () =
+  let p = Scenario.path_at (Scenario.of_utilization ~h:3 ~u_through:0.3 ~u_cross:0.3)
+      ~s:1e-3 ~delta:(Classes.delta_through_cross Classes.Fifo) in
+  (* an overloaded path: infinity, as delay_bound *)
+  let over = { p with E2e.through = Envelope.Ebb.v ~m:1. ~rho:1000. ~alpha:1e-3 } in
+  Alcotest.(check bool) "overloaded: infinity" true
+    (Float.equal (E2e.delay_bound_floor ~epsilon:1e-9 over) Float.infinity
+     && Float.equal (E2e.delay_bound ~epsilon:1e-9 over) Float.infinity);
+  (* a NaN epsilon poisons sigma at both ends: certify nothing *)
+  Alcotest.(check bool) "NaN sigma: neg_infinity" true
+    (Float.equal (E2e.delay_bound_floor ~epsilon:Float.nan p) Float.neg_infinity);
+  Alcotest.check_raises "epsilon out of range"
+    (Invalid_argument "E2e.delay_bound_floor: epsilon out of range") (fun () ->
+      ignore (E2e.delay_bound_floor ~epsilon:1. p))
+
+(* ---------------- the scan vs an exhaustive oracle ---------------- *)
+
+(* The exhaustive s-scan, rebuilt from the public pieces: every grid point
+   evaluated in index order, the same first-strict-minimum fold, the same
+   12-point refinement and status rule. *)
+let exhaustive ~s_points t f =
+  match Scenario.s_stable_max t with
+  | None -> (Float.infinity, Diag.Unstable, 0)
+  | Some s_max ->
+    let lo = s_max *. 1e-4 and hi = s_max *. 0.999 in
+    let ratio = (hi /. lo) ** (1. /. float_of_int (s_points - 1)) in
+    let grid = Parallel.Grid.log_spaced ~lo ~ratio ~points:s_points in
+    let vals = Array.map f grid in
+    let bi = ref 0 in
+    for i = 1 to s_points - 1 do
+      if vals.(i) < vals.(!bi) then bi := i
+    done;
+    let center = grid.(!bi) in
+    let a = Float.max lo (center /. ratio) and b = Float.min hi (center *. ratio) in
+    let rr = (b /. a) ** (1. /. 11.) in
+    let rvals = Array.map f (Parallel.Grid.log_spaced ~lo:a ~ratio:rr ~points:12) in
+    let best = Array.fold_left (fun m v -> if v < m then v else m) vals.(!bi) rvals in
+    let nan_seen = Array.exists Float.is_nan vals || Array.exists Float.is_nan rvals in
+    let status =
+      if nan_seen || Float.is_nan best then Diag.Non_finite
+      else if Float.is_finite best then Diag.Converged
+      else Diag.Unstable
+    in
+    (best, status, s_points + 12)
+
+let exhaustive_delay ~s_points ~scheduler (t : Scenario.t) =
+  let delta = Classes.delta_through_cross scheduler in
+  exhaustive ~s_points t (fun s ->
+      E2e.delay_bound ~epsilon:t.Scenario.epsilon (Scenario.path_at t ~s ~delta))
+
+(* Scenario.delay_bound_edf_checked's fixed point over the exhaustive
+   scan: (bound, status, iterations, tolerance). *)
+let exhaustive_edf ~s_points ~max_iter ~ratio (t : Scenario.t) =
+  let hf = float_of_int t.Scenario.h in
+  let value sched =
+    let (v, _, _) = exhaustive_delay ~s_points ~scheduler:sched t in
+    v
+  in
+  let seed = value Classes.Fifo in
+  if Float.is_nan seed then (Float.nan, Diag.Non_finite, 0, 0.)
+  else if not (Float.is_finite seed) then (Float.infinity, Diag.Unstable, 0, 0.)
+  else
+    let rel d d' = if d' > 0. then Float.abs (d' -. d) /. d' else 0. in
+    let rec go d n last =
+      if n >= max_iter then (d, Diag.Diverged, n, last)
+      else
+        let d' = value (Classes.Edf_gap (d /. hf *. (1. -. ratio))) in
+        if Float.is_nan d' then (d', Diag.Non_finite, n + 1, Float.infinity)
+        else if not (Float.is_finite d') then (d', Diag.Unstable, n + 1, Float.infinity)
+        else if Float.abs (d' -. d) <= 1e-6 *. d' then (d', Diag.Converged, n + 1, rel d d')
+        else go d' (n + 1) (rel d d')
+    in
+    go seed 0 Float.infinity
+
+let check_delay ~what ~s_points ~scheduler t =
+  let (v, status, iterations) = exhaustive_delay ~s_points ~scheduler t in
+  let o = Scenario.delay_bound_checked ~s_points ~scheduler t in
+  if not (bit_eq o.Diag.value v) then
+    Alcotest.failf "%s: pruned %h, exhaustive %h" what o.Diag.value v;
+  if o.Diag.diag.Diag.status <> status then
+    Alcotest.failf "%s: status %s, exhaustive %s" what
+      (Diag.status_to_string o.Diag.diag.Diag.status)
+      (Diag.status_to_string status);
+  if o.Diag.diag.Diag.iterations <> iterations then
+    Alcotest.failf "%s: iterations %d, exhaustive %d" what o.Diag.diag.Diag.iterations
+      iterations
+
+let check_edf ~what ~s_points ?(max_iter = 60) ~ratio t =
+  let (v, status, iterations, tolerance) = exhaustive_edf ~s_points ~max_iter ~ratio t in
+  let o =
+    Scenario.delay_bound_edf_checked ~s_points ~max_iter
+      ~spec:{ Scenario.cross_over_through = ratio } t
+  in
+  let r = o.Diag.value in
+  if not (bit_eq r.Scenario.bound v) then
+    Alcotest.failf "%s: EDF pruned %h, exhaustive %h" what r.Scenario.bound v;
+  if o.Diag.diag.Diag.status <> status then
+    Alcotest.failf "%s: EDF status %s, exhaustive %s" what
+      (Diag.status_to_string o.Diag.diag.Diag.status)
+      (Diag.status_to_string status);
+  if o.Diag.diag.Diag.iterations <> iterations || r.Scenario.iterations <> iterations then
+    Alcotest.failf "%s: EDF iterations %d/%d, exhaustive %d" what
+      o.Diag.diag.Diag.iterations r.Scenario.iterations iterations;
+  if not (bit_eq o.Diag.diag.Diag.tolerance tolerance) then
+    Alcotest.failf "%s: EDF tolerance %h, exhaustive %h" what o.Diag.diag.Diag.tolerance
+      tolerance
+
+(* A scenario, a two-class scheduler for the delay scan, one of the
+   paper's EDF deadline ratios for the fixed point, and an s-grid size. *)
+let scan_arb ~max_h =
+  let gen =
+    QCheck.Gen.(
+      quad (scenario_gen ~max_h) sched_gen
+        (oneofl [ 0.5; 2.; 10. ])
+        (oneofl [ 2; 3; 16; 32 ]))
+  in
+  let print (sc, sched, ratio, s_points) =
+    Fmt.str "%s ratio=%g s_points=%d"
+      (print_case { sc; sched; s = Float.nan })
+      ratio s_points
+  in
+  QCheck.make ~print gen
+
+let prop_delay_matches_exhaustive =
+  QCheck.Test.make ~name:"delay_bound_checked = exhaustive s-scan, bitwise"
+    ~count:(Qc.count 100 ~cap:400) (scan_arb ~max_h:30)
+    (fun (sc, scheduler, _, s_points) ->
+      check_delay ~what:"delay" ~s_points ~scheduler sc;
+      true)
+
+let prop_edf_matches_exhaustive =
+  QCheck.Test.make ~name:"delay_bound_edf_checked = exhaustive fixed point, bitwise"
+    ~count:(Qc.count 20 ~cap:100) (scan_arb ~max_h:10)
+    (fun (sc, _, ratio, s_points) ->
+      check_edf ~what:"edf" ~s_points ~max_iter:12 ~ratio sc;
+      true)
+
+(* U -> 1, no stable s, a tiny epsilon, a NaN epsilon (Non_finite through
+   the scan), and max_iter caps that stop the fixed point early. *)
+let test_scan_edges () =
+  let with_eps epsilon t = { t with Scenario.epsilon } in
+  let near_one = Scenario.of_utilization ~h:5 ~u_through:0.4999 ~u_cross:0.4999 in
+  let overloaded = Scenario.paper_defaults ~h:4 ~n_through:5000. ~n_cross:100. in
+  let tiny = with_eps 1e-300 (Scenario.of_utilization ~h:6 ~u_through:0.2 ~u_cross:0.3) in
+  let poisoned =
+    with_eps Float.nan (Scenario.of_utilization ~h:3 ~u_through:0.2 ~u_cross:0.3)
+  in
+  let scenarios =
+    [
+      ("U->1", near_one);
+      ("unstable", overloaded);
+      ("eps=1e-300", tiny);
+      ("eps=nan", poisoned);
+    ]
+  in
+  List.iter
+    (fun (name, t) ->
+      List.iter
+        (fun s_points ->
+          List.iter
+            (fun scheduler ->
+              check_delay
+                ~what:
+                  (Fmt.str "%s s_points=%d %a" name s_points Classes.pp_two_class scheduler)
+                ~s_points ~scheduler t)
+            [ Classes.Bmux; Classes.Fifo; Classes.Sp_through_high; Classes.Edf_gap (-3.) ])
+        [ 2; 3; 16; 32 ])
+    scenarios;
+  let status t =
+    let o = Scenario.delay_bound_checked ~s_points:16 ~scheduler:Classes.Fifo t in
+    o.Diag.diag.Diag.status
+  in
+  Alcotest.(check string) "unstable stays Unstable" "unstable"
+    (Diag.status_to_string (status overloaded));
+  Alcotest.(check string) "NaN stays Non_finite" "non-finite"
+    (Diag.status_to_string (status poisoned));
+  List.iter
+    (fun (name, t, max_iter) ->
+      check_edf ~what:(Fmt.str "%s max_iter=%d" name max_iter) ~s_points:16 ~max_iter
+        ~ratio:10. t)
+    [ ("U->1", near_one, 3); ("unstable", overloaded, 60); ("eps=nan", poisoned, 60) ]
+
+let suite =
+  [
+    QCheck_alcotest.to_alcotest prop_floor_sound;
+    Alcotest.test_case "the margin is needed" `Quick test_margin_is_needed;
+    Alcotest.test_case "floor edge inputs" `Quick test_floor_edges;
+    QCheck_alcotest.to_alcotest prop_delay_matches_exhaustive;
+    QCheck_alcotest.to_alcotest prop_edf_matches_exhaustive;
+    Alcotest.test_case "scan edge inputs" `Quick test_scan_edges;
+  ]
