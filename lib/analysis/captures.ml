@@ -31,6 +31,7 @@ let fanout_sites =
     "Default.map_list";
     "Default.map_reduce";
     "Grid.values";
+    "Grid.values_blocked";
     "Grid.min_value";
     "Grid.argmin";
   ]

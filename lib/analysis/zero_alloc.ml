@@ -10,7 +10,7 @@
      - let-bound refs used only via ! / := / incr / decr / .contents
        (int refs in scan loops — the compiler keeps them in registers)
      - let-bound staging closures used only in application-head position
-       (the [push] idiom in E2e.Kernel.set — inlined, never materialized)
+       (the [push] idiom in E2e.Batch.set — inlined, never materialized)
      - Some/None/Ok/Error with a non-float payload (the Serve.Cache lookup
        contract returns [Some v]); float payloads are flagged as boxing
      - raise / failwith / invalid_arg argument subtrees (error paths)

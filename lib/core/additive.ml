@@ -54,22 +54,11 @@ let delay_bound ?(gamma_points = 40) ~capacity ~cross ~h ~epsilon through =
       snd (analyze ~capacity ~cross ~through ~h ~gamma ~epsilon)
     in
     (* the per-node recursion inside [analyze] is data-dependent and stays
-       sequential; the independent gamma grid points fan out instead, in
-       blocks of 10 per pool task (matching E2e.delay_grid) so the pool's
-       [?work] hint is the true per-chunk cost.  The fold below is
-       Grid.min_value's: seeded with the first value, strict-<, index
-       order — bit-identical to the per-point fan-out. *)
+       sequential; the independent gamma grid points fan out instead *)
     let lo, hi = E2e.gamma_bracket gmax in
     let ratio = (hi /. lo) ** (1. /. float_of_int (gamma_points - 1)) in
-    let vals =
-      Parallel.Grid.values_blocked ~work:((16 * h) + 32) ~block:10 (Array.map f)
-        (Parallel.Grid.log_spaced ~lo ~ratio ~points:gamma_points)
-    in
-    let best = ref vals.(0) in
-    for i = 1 to Array.length vals - 1 do
-      if vals.(i) < !best then best := vals.(i)
-    done;
-    !best
+    Parallel.Grid.min_value ~work:((16 * h) + 32) f
+      (Parallel.Grid.log_spaced ~lo ~ratio ~points:gamma_points)
   end
 
 let delay_bound_scenario ?(s_points = 32) (sc : Scenario.t) =
@@ -97,17 +86,9 @@ let delay_bound_scenario ?(s_points = 32) (sc : Scenario.t) =
     let lo = s_max *. 1e-4 and hi = s_max *. 0.5 in
     let ratio = (hi /. lo) ** (1. /. float_of_int (s_points - 1)) in
     let f s = if !Telemetry.on then Telemetry.Counter.incr c_s_evals; f s in
-    (* each s-point is a full inner gamma search over [analyze]; blocks
-       of 4 s-points per pool task, same index-order strict-< fold *)
-    let vals =
-      Parallel.Grid.values_blocked
-        ~work:(40 * ((16 * sc.Scenario.h) + 32))
-        ~block:4 (Array.map f)
-        (Parallel.Grid.log_spaced ~lo ~ratio ~points:s_points)
-    in
-    let best = ref vals.(0) in
-    for i = 1 to Array.length vals - 1 do
-      if vals.(i) < !best then best := vals.(i)
-    done;
-    !best
+    (* each s-point is a full inner gamma search over [analyze] *)
+    Parallel.Grid.min_value
+      ~work:(40 * ((16 * sc.Scenario.h) + 32))
+      f
+      (Parallel.Grid.log_spaced ~lo ~ratio ~points:s_points)
   end

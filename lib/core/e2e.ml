@@ -136,7 +136,7 @@ let x_candidates p ~gamma ~sigma =
   List.sort_uniq Float.compare !cands
 
 (* --------------------------------------------------------------- *)
-(* Compiled per-path solver kernel for Eq. (38)                      *)
+(* The compiled Eq.-38 evaluator                                     *)
 
 (* Bit-exact local forms of the [Stdlib.Float] comparisons used in the
    Eq.-38 hot loops.  Without flambda, [Float.max]/[Float.min] probe
@@ -145,9 +145,8 @@ let x_candidates p ~gamma ~sigma =
    [Float.is_finite]/[Float.compare] are cross-module calls that box
    both floats.  Those costs land on the innermost expression of the
    objective fold, once per (candidate, node) pair.  The forms below
-   compile to straight-line float compares and return the stdlib result
-   bit for bit on their stated domains; the sign-bit subtlety they must
-   preserve is the (-0., +0.) pair, resolved by [is_neg_zero].
+   compile to straight-line float compares; the sign-bit subtlety they
+   handle is the (-0., +0.) pair, resolved by [is_neg_zero].
 
    - [fmax0 d]     = [Float.max 0. d]   for every float [d];
    - [fmax_nz x y] = [Float.max x y]    when [y] is non-NaN (the ∆
@@ -155,9 +154,20 @@ let x_candidates p ~gamma ~sigma =
    - [fmin1 x y]   = [Float.min x y]    when at most one operand is NaN
      (the delay folds never hold two: a NaN objective only arises from
      a NaN sigma, which filters every candidate but 0.);
-   - [fgt a b]     = [Float.compare a b > 0], and
-     [fne a b]     = [Float.compare a b <> 0], both for non-NaN
-     operands (the candidate buffers: pushes are filtered finite). *)
+   - [fgt a b] is [a > b], except that -0. orders strictly before +0.;
+     [fne a b] is [a <> b], except that -0. and +0. differ.  Both are
+     for non-NaN operands (the candidate buffers: pushes are filtered
+     finite).  They are {e not} [Float.compare], which ranks the two
+     zeros equal.  The difference shows only when sigma = -0. (which
+     [delay_given]'s [sigma < 0.] guard admits): sigma /. c_h = -0.
+     passes the [x >= 0.] push filter, and the sort keeps both zeros as
+     candidates where [List.sort_uniq Float.compare] keeps one.  The
+     objective at either zero is the same float (each theta clamps
+     through [fmax0] or a [>=] test that cannot tell them apart), so
+     the extra candidate changes neither the minimum nor the argmin —
+     [optimal_thetas] seeds X with +0. and moves only on a strict <;
+     it costs one more evaluation.  The QCheck suite draws sigma = -0.
+     to pin this. *)
 let[@inline] is_neg_zero (x : float) = x = 0. && 1. /. x < 0.
 [@@lint.allow "float-equal"]
 let[@inline] fmax0 (d : float) = if d > 0. then d else if d <> d then d else 0.
@@ -183,19 +193,23 @@ let[@inline] fne (a : float) (b : float) =
   a <> b || (a = 0. && is_neg_zero a <> is_neg_zero b)
 [@@lint.allow "float-equal"]
 
-(* The zero-allocation core behind [delay_given] / [delay_bound]:
-   [make] flattens the path into plain arrays once, [set] compiles the
-   per-node constants (c_h, margin_h, clipped-∆ case tags) for one
-   (gamma, sigma) and writes the candidate abscissae into a reusable
-   scratch buffer sorted in place, and the theta/objective evaluations
-   dispatch on int case tags with no allocation, no variant matching
-   and no list sorting in the inner loop.  Every float expression
-   mirrors the list-based reference operation for operation — same
+(* The zero-allocation Eq.-38 solver behind [delay_given],
+   [delay_bound] and everything built on them.  [make] flattens the
+   path into plain arrays once; [set] compiles the per-node constants
+   (c_h, margin_h, clipped-∆ case tags) for one (gamma, sigma) and
+   writes the candidate abscissae into a reusable scratch buffer,
+   sorted in place; [delay] folds the objective node-major over
+   per-candidate accumulators, so each node's case tag is dispatched
+   once per point rather than once per (candidate, node) pair, with no
+   allocation and no variant matching in the inner loop.  Every float
+   expression mirrors [Reference] operation for operation — same
    operands, same order — so all results are bit-identical to
-   [Reference.delay_given]/[Reference.sigma_for]; the QCheck suite pins
-   this bit-for-bit. *)
-module Kernel = struct
+   [Reference.delay_given]/[Reference.sigma_for]/
+   [Reference.optimal_thetas]; the QCheck suite pins this bit for
+   bit. *)
+module Batch = struct
   type t = {
+    path : path;
     h : int;
     (* gamma-independent per-node inputs *)
     cap : float array;
@@ -210,15 +224,17 @@ module Kernel = struct
     log_a : float;     (* log alpha *)
     stoch_m : float array; (* cross_m of the stochastic nodes, in order *)
     (* per-(gamma, sigma) compiled state, overwritten by [set] *)
+    mutable gamma : float;
     mutable sigma : float;
     c : float array;    (* c_h = capacity -. h *. gamma *)
     mg : float array;   (* margin = c_h -. cross_rho -. gamma *)
     r : float array;    (* cross_rho +. gamma *)
     s_c : float array;  (* sigma /. c_h *)
     s_m : float array;  (* sigma /. margin *)
-    case : int array;   (* see [theta_at] *)
+    case : int array;   (* see [set] *)
     cand : float array; (* sorted unique candidate abscissae, first [ncand] *)
     mutable ncand : int;
+    acc : float array;  (* per-candidate objective accumulators *)
   }
 
   let make p =
@@ -250,6 +266,7 @@ module Kernel = struct
       Array.of_list !buf
     in
     {
+      path = p;
       h;
       cap;
       rho;
@@ -260,6 +277,7 @@ module Kernel = struct
       inv_a = 1. /. alpha;
       log_a = log alpha;
       stoch_m;
+      gamma = Float.nan;
       sigma = Float.nan;
       c = Array.make h 0.;
       mg = Array.make h 0.;
@@ -269,6 +287,7 @@ module Kernel = struct
       case = Array.make h 0;
       cand = Array.make ((3 * h) + 1) 0.;
       ncand = 0;
+      acc = Array.make ((3 * h) + 1) 0.;
     }
 
   (* [sigma_for] with the shared-decay algebra folded out: the reference
@@ -277,7 +296,7 @@ module Kernel = struct
      alpha] and [alpha *. w] are computed once and only the per-node [log
      m_i] remain (cached against the previous node — homogeneous paths
      pay a single log).  Each remaining float op replicates the reference
-     expression exactly; reads only immutable fields, so one kernel may
+     expression exactly; reads only immutable fields, so one batch may
      serve [sigma_for] from several domains concurrently. *)
   let sigma_for t ~gamma ~epsilon =
     if gamma <= 0. then invalid_arg "E2e.total_bound: non-positive gamma";
@@ -341,6 +360,7 @@ module Kernel = struct
      4 — Fin d >= 0, margin <= 0
      5 — Fin d < 0 *)
   let set t ~gamma ~sigma =
+    t.gamma <- gamma;
     t.sigma <- sigma;
     (* candidate multiset: 0. first, then per node in index order — the
        same pushes, filters and float expressions as [x_candidates] *)
@@ -389,7 +409,8 @@ module Kernel = struct
     done;
     (* in-place insertion sort + adjacent dedup: the candidate sets are
        tiny (<= 3H + 1), and the result equals List.sort_uniq
-       Float.compare on the same multiset *)
+       Float.compare on the same multiset, up to the signed zeros (see
+       [fgt]) *)
     for i = 1 to t.ncand - 1 do
       let x = t.cand.(i) in
       let j = ref (i - 1) in
@@ -411,263 +432,48 @@ module Kernel = struct
     end
   [@@zero_alloc_check]
 
-  let candidate_count t = t.ncand
-
-  (* [theta_of_x] over the compiled constants: int-tag dispatch, no
-     allocation.  The guards and both sides of every comparison are the
-     reference expressions with the invariant subterms precomputed. *)
-  let[@inline] theta_at t x i =
-    match t.case.(i) with
-    | 0 -> Float.infinity
-    | 1 -> fmax0 (t.s_c.(i) -. x)
-    | 2 -> fmax0 (t.s_m.(i) -. x)
-    | 3 ->
-      if t.mg.(i) *. x >= t.sigma then 0.
-      else if t.s_m.(i) -. x <= t.dv.(i) then t.s_m.(i) -. x
-      else begin
-        let theta2 = ((t.sigma +. (t.r.(i) *. (x +. t.dv.(i)))) /. t.c.(i)) -. x in
-        fmax_nz theta2 t.dv.(i)
-      end
-    | 4 ->
-      if t.mg.(i) *. x >= t.sigma then 0.
-      else begin
-        let theta2 = ((t.sigma +. (t.r.(i) *. (x +. t.dv.(i)))) /. t.c.(i)) -. x in
-        fmax_nz theta2 t.dv.(i)
-      end
-    | _ ->
-      fmax0 (((t.sigma +. (t.r.(i) *. fmax0 (x +. t.dv.(i)))) /. t.c.(i)) -. x)
-  [@@zero_alloc_check]
-
-  let objective_at t x =
-    let acc = ref x in
-    for i = 0 to t.h - 1 do
-      acc := !acc +. theta_at t x i
-    done;
-    !acc
-  [@@zero_alloc_check]
-
+  (* The Eq.-38 minimum over the compiled point.  The fold sweeps
+     node-major: each node's case tag is dispatched once and its
+     constants stay in registers across the whole candidate row, adding
+     that node's theta — [theta_of_x]'s expression for the case, with
+     the invariant subterms precomputed by [set] — into a per-candidate
+     accumulator.  Each accumulator starts at its candidate and receives
+     the thetas in node order, so every partial sum, and hence the final
+     [Float.min] fold in candidate order, is bit-identical to the
+     reference's candidate-major [objective] (QCheck-pinned). *)
   let delay t =
-    if !Telemetry.on then Telemetry.Counter.add c_objective_evals t.ncand;
-    let best = ref Float.infinity in
-    for i = 0 to t.ncand - 1 do
-      best := fmin1 !best (objective_at t t.cand.(i))
-    done;
-    !best
-  [@@zero_alloc_check]
-
-  let optimal_thetas t =
-    if !Telemetry.on then Telemetry.Counter.add c_objective_evals (t.ncand + 1);
-    let bx = ref 0. and bv = ref (objective_at t 0.) in
-    for i = 0 to t.ncand - 1 do
-      let x = t.cand.(i) in
-      let v = objective_at t x in
-      if v < !bv then begin
-        bx := x;
-        bv := v
-      end
-    done;
-    let x = !bx in
-    (Array.init t.h (fun i -> theta_at t x i), x)
-
-  let delay_at_gamma t ~gamma ~epsilon =
-    let sigma = sigma_for t ~gamma ~epsilon in
-    set t ~gamma ~sigma;
-    delay t
-  [@@zero_alloc_check]
-end
-
-(* --------------------------------------------------------------- *)
-(* Structure-of-arrays panel evaluation over a compiled kernel        *)
-
-(* [Batch] evaluates whole γ×s panels of Eq.-38 delays over the flat
-   arrays of one compiled {!Kernel}.  Three things make a panel cheaper
-   than a loop of [Kernel.set]/[Kernel.delay] calls:
-
-   - [Kernel.set] is split into a γ-dependent row compile ([set_row]:
-     c_h, margin, r and the case tags — none of which read sigma) and a
-     σ-dependent point compile ([set_sigma]: the sigma ratios and the
-     candidate multiset), so a row of σ values shares one γ compile;
-   - the candidate sort warm-starts from the previous point's sorted
-     permutation: the candidates are smooth functions of (γ, σ), so
-     adjacent grid points present an almost-sorted buffer and the
-     insertion sort runs in near-linear time instead of quadratic;
-   - the delay fold sweeps node-major over per-candidate accumulators
-     instead of candidate-major over [Kernel.objective_at], so each
-     node's case tag is dispatched once per point rather than once per
-     (candidate, node) pair (see [delay]).
-
-   None of this changes a single output bit.  [set_row]+[set_sigma]
-   evaluate exactly the float expressions of [Kernel.set] in the same
-   order, the sorted-unique candidate array is a pure function of the
-   candidate multiset (any Float.compare sort of the same multiset,
-   deduped by compare-equality, yields the same floats in the same
-   slots), and the interchanged fold adds the same thetas to the same
-   starting values in the same (node) order per candidate.  The QCheck
-   suite pins [Batch] ≡ [Kernel] ≡ [Reference] bitwise on random
-   panels. *)
-module Batch = struct
-  type t = {
-    k : Kernel.t;
-    raw : float array;   (* candidate multiset in push order *)
-    perm : int array;    (* sorted position -> push position, last point *)
-    mutable nperm : int; (* valid [perm] arity; -1 before the first point *)
-    acc : float array;   (* per-candidate objective accumulators *)
-  }
-
-  let make p =
-    let k = Kernel.make p in
-    let cap = (3 * hop_count p) + 1 in
-    {
-      k;
-      raw = Array.make cap 0.;
-      perm = Array.make cap 0;
-      nperm = -1;
-      acc = Array.make cap 0.;
-    }
-
-  let kernel t = t.k
-
-  (* The γ-dependent half of [Kernel.set]: per-node constants and case
-     tags.  Same expressions, same order; nothing here reads sigma. *)
-  let set_row t ~gamma =
-    let k = t.k in
-    for i = 0 to k.Kernel.h - 1 do
-      let c_h = k.Kernel.cap.(i) -. (float_of_int i *. gamma) in
-      let margin = c_h -. k.Kernel.rho.(i) -. gamma in
-      k.Kernel.c.(i) <- c_h;
-      k.Kernel.mg.(i) <- margin;
-      k.Kernel.r.(i) <- k.Kernel.rho.(i) +. gamma;
-      if c_h <= 0. then k.Kernel.case.(i) <- 0
-      else
-        match k.Kernel.tag.(i) with
-        | 0 -> k.Kernel.case.(i) <- 1
-        | 1 -> k.Kernel.case.(i) <- (if margin > 0. then 2 else 0)
-        | 2 -> k.Kernel.case.(i) <- (if margin > 0. then 3 else 4)
-        | _ -> k.Kernel.case.(i) <- 5
-    done
-  [@@zero_alloc_check]
-
-  (* The σ-dependent half: per-node sigma ratios and the candidate
-     multiset — the same pushes, filters and float expressions as
-     [Kernel.set], keyed off the case tags [set_row] compiled — then
-     the warm-started insertion sort.  Seeding the buffer through the
-     previous point's sorted permutation leaves it almost sorted for
-     adjacent grid points; the sort itself stays exact, so the sorted
-     array equals [List.sort_uniq Float.compare] on the same multiset
-     no matter how stale the permutation is. *)
-  let set_sigma t ~sigma =
-    let k = t.k in
-    k.Kernel.sigma <- sigma;
-    t.raw.(0) <- 0.;
-    let n = ref 1 in
-    for i = 0 to k.Kernel.h - 1 do
-      let s_c = sigma /. k.Kernel.c.(i) in
-      let s_m = sigma /. k.Kernel.mg.(i) in
-      k.Kernel.s_c.(i) <- s_c;
-      k.Kernel.s_m.(i) <- s_m;
-      let push x =
-        if ((x -. x = 0.) [@lint.allow "float-equal"]) && x >= 0. then begin
-          t.raw.(!n) <- x;
-          incr n
-        end
-      in
-      match k.Kernel.case.(i) with
-      | 1 -> push s_c
-      | 2 -> push s_m
-      | 3 ->
-        push s_m;
-        push (s_m -. k.Kernel.dv.(i))
-      | 5 ->
-        push (-.k.Kernel.dv.(i));
-        push s_c;
-        if k.Kernel.mg.(i) > 0. then
-          push ((sigma +. (k.Kernel.r.(i) *. k.Kernel.dv.(i))) /. k.Kernel.mg.(i))
-      | _ -> ()
-    done;
-    let n = !n in
-    let cand = k.Kernel.cand in
-    if t.nperm = n then
-      for j = 0 to n - 1 do
-        cand.(j) <- t.raw.(t.perm.(j))
-      done
-    else
-      for j = 0 to n - 1 do
-        cand.(j) <- t.raw.(j);
-        t.perm.(j) <- j
-      done;
-    for i = 1 to n - 1 do
-      let x = cand.(i) in
-      let px = t.perm.(i) in
-      let j = ref (i - 1) in
-      while !j >= 0 && fgt cand.(!j) x do
-        cand.(!j + 1) <- cand.(!j);
-        t.perm.(!j + 1) <- t.perm.(!j);
-        decr j
-      done;
-      cand.(!j + 1) <- x;
-      t.perm.(!j + 1) <- px
-    done;
-    t.nperm <- n;
-    (* adjacent dedup, exactly as [Kernel.set]; [perm] keeps the
-       pre-dedup arity — the next point rebuilds from [raw] anyway *)
-    k.Kernel.ncand <- n;
-    if n > 1 then begin
-      let w = ref 1 in
-      for i = 1 to n - 1 do
-        if fne cand.(i) cand.(!w - 1) then begin
-          cand.(!w) <- cand.(i);
-          incr w
-        end
-      done;
-      k.Kernel.ncand <- !w
-    end
-  [@@zero_alloc_check]
-
-  (* [Kernel.delay] with the candidate/node loops interchanged:
-     [Kernel.objective_at] re-dispatches the case tag and reloads the
-     per-node constants for every (candidate, node) pair; sweeping
-     node-major instead dispatches once per node, keeps that node's
-     constants in registers across the whole candidate row, and adds its
-     theta into a per-candidate accumulator.  Each accumulator still
-     starts at its candidate and receives the thetas in node order — the
-     theta expressions below are [Kernel.theta_at]'s, operation for
-     operation — so every partial sum, and hence the final [Float.min]
-     fold in candidate order, is bit-identical to [Kernel.delay]
-     (QCheck-pinned). *)
-  let delay t =
-    let k = t.k in
-    let n = k.Kernel.ncand in
-    let cand = k.Kernel.cand and acc = t.acc in
+    let n = t.ncand in
+    let cand = t.cand and acc = t.acc in
     (* [j < n = ncand <= 3H+1 = length cand = length acc] throughout —
        the unsafe accesses below drop the per-pair bounds checks only. *)
     for j = 0 to n - 1 do
       Array.unsafe_set acc j (Array.unsafe_get cand j)
     done;
-    for i = 0 to k.Kernel.h - 1 do
-      match k.Kernel.case.(i) with
+    for i = 0 to t.h - 1 do
+      match t.case.(i) with
       | 0 ->
         for j = 0 to n - 1 do
           Array.unsafe_set acc j (Array.unsafe_get acc j +. Float.infinity)
         done
       | 1 ->
-        let s = k.Kernel.s_c.(i) in
+        let s = t.s_c.(i) in
         for j = 0 to n - 1 do
           Array.unsafe_set acc j
             (Array.unsafe_get acc j +. fmax0 (s -. Array.unsafe_get cand j))
         done
       | 2 ->
-        let s = k.Kernel.s_m.(i) in
+        let s = t.s_m.(i) in
         for j = 0 to n - 1 do
           Array.unsafe_set acc j
             (Array.unsafe_get acc j +. fmax0 (s -. Array.unsafe_get cand j))
         done
       | 3 ->
-        let mg = k.Kernel.mg.(i)
-        and sg = k.Kernel.sigma
-        and s_m = k.Kernel.s_m.(i)
-        and dv = k.Kernel.dv.(i)
-        and r = k.Kernel.r.(i)
-        and c = k.Kernel.c.(i) in
+        let mg = t.mg.(i)
+        and sg = t.sigma
+        and s_m = t.s_m.(i)
+        and dv = t.dv.(i)
+        and r = t.r.(i)
+        and c = t.c.(i) in
         for j = 0 to n - 1 do
           let x = Array.unsafe_get cand j in
           let th =
@@ -678,11 +484,11 @@ module Batch = struct
           Array.unsafe_set acc j (Array.unsafe_get acc j +. th)
         done
       | 4 ->
-        let mg = k.Kernel.mg.(i)
-        and sg = k.Kernel.sigma
-        and dv = k.Kernel.dv.(i)
-        and r = k.Kernel.r.(i)
-        and c = k.Kernel.c.(i) in
+        let mg = t.mg.(i)
+        and sg = t.sigma
+        and dv = t.dv.(i)
+        and r = t.r.(i)
+        and c = t.c.(i) in
         for j = 0 to n - 1 do
           let x = Array.unsafe_get cand j in
           let th =
@@ -692,10 +498,10 @@ module Batch = struct
           Array.unsafe_set acc j (Array.unsafe_get acc j +. th)
         done
       | _ ->
-        let sg = k.Kernel.sigma
-        and dv = k.Kernel.dv.(i)
-        and r = k.Kernel.r.(i)
-        and c = k.Kernel.c.(i) in
+        let sg = t.sigma
+        and dv = t.dv.(i)
+        and r = t.r.(i)
+        and c = t.c.(i) in
         for j = 0 to n - 1 do
           let x = Array.unsafe_get cand j in
           Array.unsafe_set acc j
@@ -711,30 +517,33 @@ module Batch = struct
     !best
   [@@zero_alloc_check]
 
-  (* Diagonal points — gamma AND sigma both change — compile through
-     [Kernel.set]: the split row/σ compile walks the nodes twice and
-     maintains the warm-start permutation, which only pays off when the
-     γ half is reused across a row ([run_panel]).  On a diagonal the
-     fused single-pass compile is strictly cheaper, and the candidate
-     buffer it leaves behind is the same sorted array either way. *)
-  let delay_given_at t ~gamma ~sigma =
-    Kernel.set t.k ~gamma ~sigma;
-    t.nperm <- -1;
-    delay t
-  [@@zero_alloc_check]
+  (* The minimizing (thetas, X) over the compiled point.  [delay] leaves
+     the objective at every candidate in [acc]; the strict-< scan below,
+     seeded with X = +0. and its objective, is [Reference]'s fold over
+     the same values in the same order.  +0. is always a candidate: it
+     sits first, or second behind -0. (see [fgt]). *)
+  let optimal_thetas t =
+    ignore (delay t);
+    let bx = ref 0. and bv = ref t.acc.(if is_neg_zero t.cand.(0) then 1 else 0) in
+    for j = 0 to t.ncand - 1 do
+      if t.acc.(j) < !bv then begin
+        bx := t.cand.(j);
+        bv := t.acc.(j)
+      end
+    done;
+    let x = !bx in
+    (Array.init t.h (fun i -> theta_of_x t.path ~gamma:t.gamma ~sigma:t.sigma ~x i), x)
 
   let delay_at_gamma t ~gamma ~epsilon =
-    let sigma = Kernel.sigma_for t.k ~gamma ~epsilon in
-    Kernel.set t.k ~gamma ~sigma;
-    t.nperm <- -1;
+    let sigma = sigma_for t ~gamma ~epsilon in
+    set t ~gamma ~sigma;
     delay t
   [@@zero_alloc_check]
 
-  (* The panel drivers.  All hot-loop state lives in the compiled batch
-     and the caller's output buffer: nothing below allocates (enforced
-     by the zero_alloc analyzer), so a worker can stream panels of any
-     size without touching the GC. *)
-
+  (* One γ row into the caller's buffer.  All hot-loop state lives in
+     the compiled batch, so nothing here allocates (enforced by the
+     zero_alloc analyzer): a worker can stream rows of any length
+     without touching the GC. *)
   let run_gammas t ~epsilon ~gammas ~out =
     if Array.length out < Array.length gammas then
       invalid_arg "E2e.Batch.run_gammas: output buffer shorter than the grid";
@@ -742,36 +551,11 @@ module Batch = struct
       out.(i) <- delay_at_gamma t ~gamma:gammas.(i) ~epsilon
     done
   [@@zero_alloc_check]
-
-  let run_points t ~gammas ~sigmas ~out =
-    let n = Array.length gammas in
-    if Array.length sigmas <> n then
-      invalid_arg "E2e.Batch.run_points: gamma/sigma arity mismatch";
-    if Array.length out < n then
-      invalid_arg "E2e.Batch.run_points: output buffer shorter than the points";
-    for i = 0 to n - 1 do
-      out.(i) <- delay_given_at t ~gamma:gammas.(i) ~sigma:sigmas.(i)
-    done
-  [@@zero_alloc_check]
-
-  let run_panel t ~gammas ~sigmas ~out =
-    let ng = Array.length gammas and ns = Array.length sigmas in
-    if Array.length out < ng * ns then
-      invalid_arg "E2e.Batch.run_panel: output buffer shorter than the panel";
-    for i = 0 to ng - 1 do
-      set_row t ~gamma:gammas.(i);
-      let row = i * ns in
-      for j = 0 to ns - 1 do
-        set_sigma t ~sigma:sigmas.(j);
-        out.(row + j) <- delay t
-      done
-    done
-  [@@zero_alloc_check]
 end
 
-(* The pre-kernel list-based solver, retained verbatim: the oracle for
-   the QCheck bit-for-bit equivalence properties and the baseline side
-   of the ns/op benchmark. *)
+(* The list-based solver, retained verbatim: the oracle for the QCheck
+   bit-for-bit equivalence properties and the baseline side of the
+   ns/op benchmark. *)
 module Reference = struct
   let delay_given p ~gamma ~sigma =
     if sigma < 0. then invalid_arg "E2e.delay_given: negative sigma";
@@ -818,18 +602,16 @@ end
 
 let delay_given p ~gamma ~sigma =
   if sigma < 0. then invalid_arg "E2e.delay_given: negative sigma";
-  let k = Kernel.make p in
-  Kernel.set k ~gamma ~sigma;
-  Kernel.delay k
+  let b = Batch.make p in
+  Batch.set b ~gamma ~sigma;
+  Batch.delay b
 
-let delay_at_gamma p ~gamma ~epsilon =
-  let k = Kernel.make p in
-  Kernel.delay_at_gamma k ~gamma ~epsilon
+let delay_at_gamma p ~gamma ~epsilon = Batch.delay_at_gamma (Batch.make p) ~gamma ~epsilon
 
 let optimal_thetas p ~gamma ~sigma =
-  let k = Kernel.make p in
-  Kernel.set k ~gamma ~sigma;
-  Kernel.optimal_thetas k
+  let b = Batch.make p in
+  Batch.set b ~gamma ~sigma;
+  Batch.optimal_thetas b
 
 (* Estimated cost of one [delay_at_gamma] in abstract work units
    (~Eq.-38 node-steps): ~3H+1 candidates x H nodes, plus the
@@ -1009,38 +791,26 @@ let gamma_search ~gamma_points ~grid_vals ~golden_eval ~lo ~hi =
 (* Batched gamma-grid evaluation                                     *)
 
 (* Grid scans run through {!Batch} in contiguous blocks: one compiled
-   batch per block amortizes [Kernel.make] over [batch_block] points and
-   warm-starts the candidate sort across adjacent gammas, while the
-   per-task [?work] hint ([eval_cost] x block) shows the pool the true
-   per-chunk cost, so the sequential-vs-parallel decision matches the
-   per-point fan-out.  The per-point path is retained behind
-   [set_grid_batching false]: it is the differential oracle for the
-   QCheck equivalence pins and the unbatched side of the bench figure
-   sections.  Both paths are bit-identical point for point, so the
-   toggle can never change a published number. *)
-let grid_batching_on = ref true
-let set_grid_batching b = grid_batching_on := b
-let grid_batching () = !grid_batching_on
+   batch per block amortizes [Batch.make] over [batch_block] points,
+   while the per-task [?work] hint ([eval_cost] x block) shows the pool
+   the true per-chunk cost, so the sequential-vs-parallel decision
+   matches a per-point fan-out.  Entry [i] is [delay_at_gamma] at
+   [gammas.(i)] bit for bit, whatever the blocking. *)
 
 (* 4 blocks over the default 40-point gamma grid: enough tasks to feed
    a small pool when the grid fans out, rows long enough that the
-   amortized compile and the warm start pay when it does not *)
+   amortized compile pays when it does not *)
 let batch_block = 10
 
 let delay_grid ~epsilon p gammas =
   if !Telemetry.on then Telemetry.Counter.add c_gamma_evals (Array.length gammas);
-  if !grid_batching_on then
-    Parallel.Grid.values_blocked ~work:(eval_cost p) ~block:batch_block
-      (fun block ->
-        let bt = Batch.make p in
-        let out = Array.make (Array.length block) 0. in
-        Batch.run_gammas bt ~epsilon ~gammas:block ~out;
-        out)
-      gammas
-  else
-    Parallel.Grid.values ~work:(eval_cost p)
-      (fun gamma -> delay_at_gamma p ~gamma ~epsilon)
-      gammas
+  Parallel.Grid.values_blocked ~work:(eval_cost p) ~block:batch_block
+    (fun block ->
+      let bt = Batch.make p in
+      let out = Array.make (Array.length block) 0. in
+      Batch.run_gammas bt ~epsilon ~gammas:block ~out;
+      out)
+    gammas
 
 (* [delay_bound]'s default γ-grid size: the search [delay_bound_floor]
    certifies *)
@@ -1055,19 +825,10 @@ let delay_bound ?(gamma_points = default_gamma_points) ~epsilon p =
       ~attrs:[ ("h", Telemetry.Int (hop_count p)); ("points", Telemetry.Int gamma_points) ]
     @@ fun () ->
   begin
-    let golden_eval =
-      if !grid_batching_on then begin
-        let bt = Batch.make p in
-        fun gamma ->
-          if !Telemetry.on then Telemetry.Counter.incr c_gamma_evals;
-          Batch.delay_at_gamma bt ~gamma ~epsilon
-      end
-      else begin
-        let kern = Kernel.make p in
-        fun gamma ->
-          if !Telemetry.on then Telemetry.Counter.incr c_gamma_evals;
-          Kernel.delay_at_gamma kern ~gamma ~epsilon
-      end
+    let bt = Batch.make p in
+    let golden_eval gamma =
+      if !Telemetry.on then Telemetry.Counter.incr c_gamma_evals;
+      Batch.delay_at_gamma bt ~gamma ~epsilon
     in
     let lo, hi = gamma_bracket gmax in
     gamma_search ~gamma_points ~grid_vals:(delay_grid ~epsilon p) ~golden_eval ~lo ~hi
@@ -1098,13 +859,13 @@ let delay_bound_floor ~epsilon p =
     let lo, hi = gamma_bracket gmax in
     let (_, grid) = gamma_grid ~gamma_points:default_gamma_points ~lo ~hi in
     let top = Float.max hi grid.(default_gamma_points - 1) in
-    let k = Kernel.make p in
-    let sigma_lo = Kernel.sigma_for k ~gamma:lo ~epsilon
-    and sigma_top = Kernel.sigma_for k ~gamma:top ~epsilon in
+    let b = Batch.make p in
+    let sigma_lo = Batch.sigma_for b ~gamma:lo ~epsilon
+    and sigma_top = Batch.sigma_for b ~gamma:top ~epsilon in
     if not (Float.is_finite sigma_lo && Float.is_finite sigma_top) then Float.neg_infinity
     else begin
-      Kernel.set k ~gamma:lo ~sigma:sigma_top;
-      let v = Kernel.delay k in
+      Batch.set b ~gamma:lo ~sigma:sigma_top;
+      let v = Batch.delay b in
       if Float.is_nan v then Float.neg_infinity else v *. floor_margin
     end
   end
@@ -1232,12 +993,7 @@ let k_procedure p ~gamma ~sigma =
     objective p ~gamma ~sigma x
 
 (* --------------------------------------------------------------- *)
-(* Closed-form dispatch ahead of candidate enumeration               *)
-
-let delay_given_fast p ~gamma ~sigma =
-  if sigma < 0. then invalid_arg "E2e.delay_given_fast: negative sigma";
-  if is_homogeneous p then k_procedure p ~gamma ~sigma
-  else delay_given p ~gamma ~sigma
+(* Closed-form gamma search                                          *)
 
 let delay_bound_fast ?(gamma_points = 40) ~epsilon p =
   if epsilon <= 0. || epsilon >= 1. then
@@ -1252,12 +1008,12 @@ let delay_bound_fast ?(gamma_points = 40) ~epsilon p =
           [ ("h", Telemetry.Int (hop_count p)); ("points", Telemetry.Int gamma_points) ]
       @@ fun () ->
     begin
-      (* [Kernel.sigma_for] only reads immutable kernel state, so one
-         kernel serves the parallel grid and the golden phase alike. *)
-      let kern = Kernel.make p in
+      (* [Batch.sigma_for] only reads immutable batch state, so one
+         batch serves the parallel grid and the golden phase alike. *)
+      let bt = Batch.make p in
       let f gamma =
         if !Telemetry.on then Telemetry.Counter.incr c_gamma_evals;
-        let sigma = Kernel.sigma_for kern ~gamma ~epsilon in
+        let sigma = Batch.sigma_for bt ~gamma ~epsilon in
         k_procedure p ~gamma ~sigma
       in
       let h = hop_count p in
@@ -1271,10 +1027,8 @@ let delay_bound_fast ?(gamma_points = 40) ~epsilon p =
   end
 
 (* The serving hot path: gamma search over a caller-retained batch.  The
-   batch's [set_row]/[set_sigma]/[delay] scratch state is mutable, so
-   everything stays on the calling domain — no [Parallel.Grid] fan-out,
-   no [Kernel.make].  The grid walks gammas in log-spaced order, so the
-   warm-started candidate sort sees almost-sorted buffers throughout.
+   batch's [set]/[delay] scratch state is mutable, so everything stays
+   on the calling domain — no [Parallel.Grid] fan-out, no [Batch.make].
    Soundness does not depend on finding the optimum: every probed gamma
    yields a valid Eq.-38 bound, so a coarse grid only costs tightness. *)
 let delay_bound_cached ?(gamma_points = 12) ~batch ~epsilon p =

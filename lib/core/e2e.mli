@@ -59,32 +59,36 @@ val theta_of_x : path -> gamma:float -> sigma:float -> x:float -> int -> float
     0-indexed node [h] given [X = x]; [infinity] when node [h]'s constraint
     is infeasible at every [theta]. *)
 
-(** The compiled zero-allocation Eq.-38 solver.
+(** The compiled zero-allocation Eq.-38 evaluator.
 
     [make] flattens a path into plain float/int arrays once; [set]
     compiles the per-node constants ([c_h], [margin_h], clipped-∆ case
     tags) for one [(gamma, sigma)] and writes the candidate abscissae
-    into a reusable scratch buffer sorted in place; [delay] /
-    [optimal_thetas] then evaluate the objective with no allocation and
-    no variant matching in the inner loop.  Every float expression
-    mirrors the list-based reference operation for operation, so results
-    are {b bit-identical} to {!Reference.delay_given} /
-    {!Reference.sigma_for} (pinned by QCheck).
+    into a reusable scratch buffer sorted in place; [delay] then folds
+    the objective node-major over per-candidate accumulators — one case
+    dispatch per node, not per (candidate, node) pair — with no
+    allocation and no variant matching in the inner loop.  Every float
+    expression mirrors {!Reference} operation for operation, so results
+    are {b bit-identical} to {!Reference.delay_given},
+    {!Reference.sigma_for} and {!Reference.optimal_thetas} (pinned by
+    QCheck).
 
-    Concurrency: [set]/[delay]/[optimal_thetas] mutate the kernel, so a
-    kernel must be driven from one domain at a time; {!Kernel.sigma_for}
-    only reads immutable state and may be shared across domains. *)
-module Kernel : sig
+    Concurrency: [set]/[delay]/[optimal_thetas] mutate the batch, so a
+    batch must be driven from one domain at a time (build one per
+    worker, as {!delay_grid} does per block); {!Batch.sigma_for} only
+    reads immutable state and may be shared across domains. *)
+module Batch : sig
   type t
 
   val make : path -> t
 
+  val sigma_for : t -> gamma:float -> epsilon:float -> float
+  (** {!sigma_for} with the shared-decay geometric sums folded into one
+      exp / a handful of logs; bit-identical to the reference. *)
+
   val set : t -> gamma:float -> sigma:float -> unit
   (** Compile the solver state for [(gamma, sigma)], overwriting any
       previous state. *)
-
-  val candidate_count : t -> int
-  (** Number of (unique, sorted) candidate abscissae after {!set}. *)
 
   val delay : t -> float
   (** {!delay_given} over the compiled state. *)
@@ -92,102 +96,24 @@ module Kernel : sig
   val optimal_thetas : t -> float array * float
   (** The minimizing [(thetas, X)] over the compiled state. *)
 
-  val sigma_for : t -> gamma:float -> epsilon:float -> float
-  (** {!sigma_for} with the shared-decay geometric sums folded into one
-      exp / a handful of logs; bit-identical to the reference. *)
-
   val delay_at_gamma : t -> gamma:float -> epsilon:float -> float
   (** [sigma_for] then [set] then [delay], reusing the scratch state. *)
-end
-
-(** {1 Batched structure-of-arrays panel evaluation}
-
-    {!Batch} evaluates whole γ×s panels of Eq.-38 delays over the flat
-    arrays of one compiled {!Kernel}: [Kernel.set] is split into a
-    γ-dependent row compile ({!Batch.set_row}) and a σ-dependent point
-    compile ({!Batch.set_sigma}) so a row of abscissae shares one
-    compile, the candidate sort warm-starts from the previous point's
-    sorted permutation (adjacent grid points present almost-sorted
-    buffers), and the delay fold sweeps node-major so each node's case
-    dispatch and constants are shared across the whole candidate row.
-    Results are {b bit-identical} to
-    {!Kernel} and {!Reference} — the QCheck suite pins all three on
-    random panels — and the hot loop is allocation-free (enforced by the
-    [zero_alloc] analyzer), writing into caller-provided buffers.
-
-    Concurrency: like {!Kernel}, a batch mutates its scratch state and
-    must be driven from one domain at a time; build one batch per worker
-    (as [delay_grid]'s block driver does). *)
-module Batch : sig
-  type t
-
-  val make : path -> t
-  (** Compile the path once ({!Kernel.make}) plus the panel scratch. *)
-
-  val kernel : t -> Kernel.t
-  (** The underlying kernel — e.g. for {!Kernel.sigma_for} or for
-      inspecting the compiled state after a point evaluation. *)
-
-  val set_row : t -> gamma:float -> unit
-  (** The γ-dependent half of {!Kernel.set}: per-node constants and
-      case tags.  Valid until the next [set_row]. *)
-
-  val set_sigma : t -> sigma:float -> unit
-  (** The σ-dependent half: sigma ratios and the sorted candidate
-      abscissae for the current row.  Requires a preceding
-      {!set_row}. *)
-
-  val delay : t -> float
-  (** {!Kernel.delay} over the compiled point, with the candidate/node
-      loops interchanged (bit-identical; one case dispatch per node
-      instead of per (candidate, node) pair). *)
-
-  val delay_given_at : t -> gamma:float -> sigma:float -> float
-  (** [set_row]; [set_sigma]; [delay] — one (γ, σ) point. *)
-
-  val delay_at_gamma : t -> gamma:float -> epsilon:float -> float
-  (** [sigma_for] then one point — the batched {!Kernel.delay_at_gamma}. *)
 
   val run_gammas :
     t -> epsilon:float -> gammas:float array -> out:float array -> unit
-  (** One γ-row at a fixed [epsilon]: [out.(i)] receives the Eq.-38
-      delay at [gammas.(i)] (with [sigma = sigma_for gamma]).
-      Allocation-free.  @raise Invalid_argument if [out] is shorter
-      than [gammas]. *)
-
-  val run_points :
-    t -> gammas:float array -> sigmas:float array -> out:float array -> unit
-  (** Paired points: [out.(i) <- delay(gammas.(i), sigmas.(i))].
-      Allocation-free.  @raise Invalid_argument on arity mismatch or a
-      short output buffer. *)
-
-  val run_panel :
-    t -> gammas:float array -> sigmas:float array -> out:float array -> unit
-  (** The full γ×s panel, row-major: [out.(i * ns + j) <-
-      delay(gammas.(i), sigmas.(j))], compiling each γ row once.
-      Allocation-free.  @raise Invalid_argument if [out] is shorter
-      than the panel. *)
+  (** One γ-row at a fixed [epsilon]: [out.(i)] receives
+      [delay_at_gamma] at [gammas.(i)].  Allocation-free.
+      @raise Invalid_argument if [out] is shorter than [gammas]. *)
 end
 
-val set_grid_batching : bool -> unit
-(** Route the γ-grid scans of {!delay_bound} (and everything built on
-    it: Scenario, Additive s-grids, Scaling, serve) through {!Batch}
-    ([true], the default) or the retained per-point {!Kernel} path
-    ([false]).  Both paths are bit-identical point for point — the
-    toggle exists for differential tests and for benchmarking the
-    unbatched path, never to change results. *)
-
-val grid_batching : unit -> bool
-
 val delay_grid : epsilon:float -> path -> float array -> float array
-(** Evaluate {!delay_at_gamma} over a whole γ grid: blocked {!Batch}
-    panels on the pool when batching is on (one compiled batch per
-    block of 10 points), the per-point fan-out otherwise.  Entry [i] is
-    bit-identical either way. *)
+(** Evaluate {!delay_at_gamma} over a whole γ grid, in blocks of 10
+    points on the pool with one compiled {!Batch} per block.  Entry [i]
+    is bit-identical to [delay_at_gamma] at [gammas.(i)]. *)
 
-(** The pre-kernel list-based solver, retained verbatim as the oracle
-    for the QCheck bit-for-bit equivalence suite and the baseline side
-    of the ns/op benchmarks. *)
+(** The list-based solver, retained verbatim as the oracle for the
+    QCheck bit-for-bit equivalence suite and the baseline side of the
+    ns/op benchmarks. *)
 module Reference : sig
   val delay_given : path -> gamma:float -> sigma:float -> float
   val optimal_thetas : path -> gamma:float -> sigma:float -> float array * float
@@ -200,7 +126,7 @@ end
 
 val delay_given : path -> gamma:float -> sigma:float -> float
 (** Exact minimum of Eq. (38) over [X >= 0.] (piecewise-linear kink
-    enumeration, via a freshly compiled {!Kernel}); [infinity] when
+    enumeration, via a freshly compiled {!Batch}); [infinity] when
     infeasible. *)
 
 val delay_at_gamma : path -> gamma:float -> epsilon:float -> float
@@ -290,28 +216,23 @@ val k_procedure : path -> gamma:float -> sigma:float -> float
     exact [theta_h X]; an upper bound on {!delay_given} that is near-optimal
     in practice.  @raise Invalid_argument unless the path is homogeneous. *)
 
-val delay_given_fast : path -> gamma:float -> sigma:float -> float
-(** {!delay_given} with the closed-form dispatch in front: homogeneous
-    paths go to {!k_procedure} (O(H) [smallest_k] + closed forms, Eq.
-    40–44) before falling back to kernel candidate enumeration.  Always
-    a valid upper bound.  For SP ([Neg_inf]), BMUX ([Pos_inf]) and FIFO
-    ([Fin 0.]) deltas the K-procedure is exact to ~1e-9 relative (pinned
-    by QCheck); for general finite deltas it can exceed the exact
-    minimum (the paper's Eq. 40–42 choice of [K] is only near-optimal),
-    so this is an opt-in fast path — the bitwise-reproducible sweeps
-    keep using {!delay_given}. *)
-
 val delay_bound_fast : ?gamma_points:int -> epsilon:float -> path -> float
-(** {!delay_bound} evaluated through {!delay_given_fast}: on homogeneous
-    paths the whole gamma search costs O(H) per point instead of O(H^3).
-    Falls back to {!delay_bound} on heterogeneous paths. *)
+(** {!delay_bound} with {!k_procedure} (O(H) [smallest_k] + closed
+    forms, Eq. 40–44) in place of candidate enumeration on homogeneous
+    paths, so the whole gamma search costs O(H) per point instead of
+    O(H^2); falls back to {!delay_bound} on heterogeneous paths.
+    Always a valid upper bound.  For SP ([Neg_inf]), BMUX ([Pos_inf])
+    and FIFO ([Fin 0.]) deltas the K-procedure is exact to ~1e-9
+    relative (pinned by QCheck); for general finite deltas it can exceed
+    the exact minimum (the paper's choice of [K] is only near-optimal),
+    so this is an opt-in fast path — the bitwise-reproducible sweeps
+    keep using {!delay_bound}. *)
 
 val delay_bound_cached : ?gamma_points:int -> batch:Batch.t -> epsilon:float -> path -> float
 (** The gamma optimization of {!delay_bound} driven entirely through a
-    caller-retained compiled batch: no [Kernel.make], no allocation in
+    caller-retained compiled batch: no [Batch.make], no allocation in
     the inner loop, no domain fan-out (the batch is mutable, so the whole
-    search runs on the calling domain; the log-spaced grid walk keeps
-    its warm-started candidate sort near-linear).  [batch] must have
+    search runs on the calling domain).  [batch] must have
     been built with [Batch.make] from this same [path].  With the
     default 12-point grid the search costs ~32 [delay_at_gamma]
     evaluations — the serving hot path for repeat queries against a

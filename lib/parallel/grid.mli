@@ -38,7 +38,8 @@ val values_blocked :
     whenever [f] is a pointwise map.  [?work] stays the {e per-point}
     cost hint; the pool sees [work * block] per task — the true
     per-chunk cost — so the sequential-vs-parallel decision matches the
-    per-point fan-out.  Built for batched evaluators ([E2e.Batch]) that
-    amortize compilation and warm-start scratch state across a block.
+    per-point fan-out.  Built for compiled evaluators ([E2e.Batch]) that
+    amortize their compile across a block; a per-point [f] wrapped in
+    [Array.map] gains nothing here, so use {!values} or {!min_value}.
     A single-block grid is evaluated directly on the calling domain.
     @raise Invalid_argument on [block < 1]. *)

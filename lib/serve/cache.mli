@@ -7,7 +7,7 @@
     lookup (hash table) and O(1) recency maintenance (intrusive doubly
     linked list).  Single-domain by design: the serving driver owns the
     cache and workers never touch it, matching the mutability contract of
-    the cached {!E2e.Kernel}s themselves.
+    the cached {!E2e.Batch}es themselves.
 
     Instrumented via [telemetry]: counters [serve.cache.hits] /
     [serve.cache.misses] / [serve.cache.evictions], gauge

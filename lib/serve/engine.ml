@@ -501,7 +501,7 @@ let handle_batch t lines =
   (* exact jobs fan out on the default pool; each is pure (no cached
      batch) and individually supervised, so a poisoned request comes
      back as a value and the pool survives.  Inside each job the nested
-     gamma grids evaluate as E2e.Batch panels on the calling worker (the
+     gamma grids evaluate through E2e.Batch on the calling worker (the
      pool degrades nested maps to sequential), one compiled batch per
      grid block.  The large work hint reflects the true cost: a full
      s-grid optimization per job. *)

@@ -507,6 +507,35 @@ let test_grid_min_argmin () =
   check_invalid "empty grid min" (fun () -> Grid.min_value f [||]);
   check_invalid "empty grid argmin" (fun () -> Grid.argmin f [||])
 
+(* [values_blocked] over a pointwise [f] equals [values] bit for bit: 10
+   points in blocks of 3 (the last one ragged), at jobs 1 and 4, with
+   the block function seeing contiguous slices that tile the input. *)
+let test_grid_values_blocked () =
+  let f x = Float.abs (x -. 0.31) *. 1.7 in
+  let xs = Grid.log_spaced ~lo:0.01 ~ratio:1.3 ~points:10 in
+  List.iter
+    (fun jobs ->
+      with_jobs jobs (fun () ->
+          let want = Grid.values f xs in
+          let got = Grid.values_blocked ~block:3 (Array.map f) xs in
+          Alcotest.(check int) "length" (Array.length want) (Array.length got);
+          Array.iteri
+            (fun i v -> check_bitwise (Printf.sprintf "jobs=%d entry %d" jobs i) v got.(i))
+            want;
+          let sizes =
+            Grid.values_blocked ~block:3
+              (fun b -> Array.make (Array.length b) (float_of_int (Array.length b)))
+              xs
+          in
+          Alcotest.(check (array (float 0.)))
+            (Printf.sprintf "jobs=%d block sizes" jobs)
+            [| 3.; 3.; 3.; 3.; 3.; 3.; 3.; 3.; 3.; 1. |]
+            sizes))
+    [ 1; 4 ];
+  Alcotest.(check int) "empty input" 0
+    (Array.length (Grid.values_blocked ~block:3 (Array.map f) [||]));
+  check_invalid "block < 1" (fun () -> Grid.values_blocked ~block:0 (Array.map f) xs)
+
 (* ---------------- QCheck properties ---------------- *)
 
 let prop_map_matches_list_map =
@@ -821,6 +850,7 @@ let suite =
     Alcotest.test_case "DELTANET_JOBS parsing" `Quick test_jobs_from_env;
     Alcotest.test_case "grid abscissae match sequential" `Quick test_grid_log_spaced;
     Alcotest.test_case "grid min/argmin match sequential" `Quick test_grid_min_argmin;
+    Alcotest.test_case "grid values_blocked = values" `Quick test_grid_values_blocked;
     QCheck_alcotest.to_alcotest prop_map_matches_list_map;
     QCheck_alcotest.to_alcotest prop_map_reduce_jobs_invariant;
     QCheck_alcotest.to_alcotest prop_replicate_stats_jobs_invariant;

@@ -32,7 +32,7 @@ let floor_sound floor c =
   (not (Float.is_nan f)) && f <= E2e.delay_bound ~epsilon p
 
 (* The floor's evaluation without the (1 - 1e-9) margin, rebuilt from the
-   public kernel. *)
+   public evaluator. *)
 let unmargined_floor ~epsilon p =
   let gmax = E2e.gamma_max p in
   if gmax <= 0. then Float.infinity
@@ -42,13 +42,13 @@ let unmargined_floor ~epsilon p =
        past [hi] *)
     let ratio = (hi /. lo) ** (1. /. 39.) in
     let top = Float.max hi (Parallel.Grid.log_spaced ~lo ~ratio ~points:40).(39) in
-    let k = E2e.Kernel.make p in
-    let sigma_lo = E2e.Kernel.sigma_for k ~gamma:lo ~epsilon
-    and sigma_top = E2e.Kernel.sigma_for k ~gamma:top ~epsilon in
+    let b = E2e.Batch.make p in
+    let sigma_lo = E2e.Batch.sigma_for b ~gamma:lo ~epsilon
+    and sigma_top = E2e.Batch.sigma_for b ~gamma:top ~epsilon in
     if not (Float.is_finite sigma_lo && Float.is_finite sigma_top) then Float.neg_infinity
     else begin
-      E2e.Kernel.set k ~gamma:lo ~sigma:sigma_top;
-      E2e.Kernel.delay k
+      E2e.Batch.set b ~gamma:lo ~sigma:sigma_top;
+      E2e.Batch.delay b
     end
   end
 
