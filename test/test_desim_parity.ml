@@ -184,7 +184,14 @@ let prop_exact_parity =
               (Printf.sprintf "node %d: %.17g vs %.17g" i f
                  event.Tandem.fault_factor.(i)))
         slotted.Tandem.fault_factor;
-      if event.Tandem.events_processed <= 0 then
+      (* A Markov path with no flows and no faults has nothing to
+         schedule, and the engine must skip it entirely; anything else
+         must run at least one event. *)
+      let idle = s.kind = 0 && s.n_through = 0 && s.n_cross = 0 && s.fault = 0 in
+      if idle && event.Tandem.events_processed <> 0 then
+        fail_diff s "events_processed"
+          (Printf.sprintf "idle network processed %d events" event.Tandem.events_processed);
+      if (not idle) && event.Tandem.events_processed <= 0 then
         fail_diff s "events_processed" "event engine reported no events";
       true)
 
