@@ -16,6 +16,7 @@ let () =
       ("desim", Test_desim.suite);
       ("desim.parity", Test_desim_parity.suite);
       ("netsim", Test_netsim.suite);
+      ("netsim.golden", Test_sim_golden.suite);
       ("deltanet.theorems", Test_core_analysis.suite);
       ("deltanet.e2e", Test_e2e.suite);
       ("deltanet.s_grid", Test_s_grid.suite);
