@@ -3,8 +3,7 @@
    Stability: every pushed element carries a monotone sequence number used
    as the final tie-break, so elements that compare equal under [cmp] pop
    in insertion (FIFO) order.  The event engine relies on this for
-   deterministic processing of same-timestamp events, and the packetized
-   scheduler relies on it for same-key packet order. *)
+   deterministic processing of same-timestamp events. *)
 
 type 'a t = {
   cmp : 'a -> 'a -> int;
@@ -83,14 +82,3 @@ let pop h =
     end;
     Some top
   end
-
-let pop_exn h = match pop h with Some x -> x | None -> invalid_arg "Heap.pop_exn: empty"
-let clear h = h.size <- 0
-
-let to_list_unordered h = Array.to_list (Array.sub h.data 0 h.size)
-let fold_unordered f acc h =
-  let acc = ref acc in
-  for i = 0 to h.size - 1 do
-    acc := f !acc h.data.(i)
-  done;
-  !acc

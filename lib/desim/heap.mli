@@ -1,11 +1,12 @@
-(** Polymorphic binary min-heap with a caller-supplied comparison.
-    Used for precedence queues in the network simulator and for the
-    event queue of the event-driven engine.
+(** Polymorphic binary min-heap with a caller-supplied comparison: the
+    event queue of {!Engine}.  (Queueing nodes need no heap: their
+    disciplines are locally FIFO, so [Netsim.Queue_node] keeps one FIFO
+    per class.)
 
     The heap is {e stable}: elements that compare equal under [cmp] pop
     in insertion (FIFO) order.  Deterministic tie-breaking is load-bearing
-    — same-timestamp events and same-key packets must process in a fixed
-    order for the event engine to be bit-reproducible. *)
+    — same-timestamp events must process in a fixed order for the event
+    engine to be bit-reproducible. *)
 
 type 'a t
 
@@ -19,13 +20,3 @@ val peek : 'a t -> 'a option
 
 val pop : 'a t -> 'a option
 (** Remove and return the smallest element. *)
-
-val pop_exn : 'a t -> 'a
-(** @raise Invalid_argument when empty. *)
-
-val clear : 'a t -> unit
-
-val to_list_unordered : 'a t -> 'a list
-(** Current contents in internal (heap) order — for inspection only. *)
-
-val fold_unordered : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc

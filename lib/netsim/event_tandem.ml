@@ -13,7 +13,7 @@
      [slots * h].
 
    - Continuous (heterogeneous configs with propagation delay and/or
-     loss): [Desim.Node] servers work in continuous time with
+     loss): the same [Queue_node]s on their continuous clock, with
      per-node rates; service completions, per-hop propagation and Bernoulli
      link loss are events.  Statistically equivalent to — but not
      sample-identical with — a slotted run, which is what the
@@ -26,8 +26,7 @@ type source_kind =
 type params = {
   h : int;
   capacities : float array;  (* per node, length h *)
-  discipline : Queue_node.discipline;  (* lockstep path *)
-  node_discipline : Desim.Node.discipline;  (* continuous path *)
+  discipline : Queue_node.discipline;
   packet_size : float option;
   source : Envelope.Mmpp.t;
   through_kind : source_kind;
@@ -50,7 +49,6 @@ type outcome = {
   utilization : float array;
   fault_factor : float array;
   events_processed : int;
-  heap_high_water : int;
 }
 
 let slot_aligned p = Option.is_none p.prop_delay && Option.is_none p.loss
@@ -59,6 +57,9 @@ let through_class = 0
 let cross_class = 1
 let sweep_eps = 1e-6
 
+let c_events = Telemetry.Counter.make "netsim.desim.events"
+let g_heap_hwm = Telemetry.Gauge.make "netsim.desim.heap_hwm"
+
 type ev =
   | Tick  (* per-slot advance of every stochastic process *)
   | Cbr_emit
@@ -66,37 +67,85 @@ type ev =
   | Serve of int  (* lockstep: slot-serve of one node *)
   | Complete of { node : int; gen : int }  (* continuous *)
 
+type setup = {
+  nodes : Queue_node.t array;
+  through_src : Source.t option;
+  cross_srcs : Source.t array;
+  fault_procs : Faults.process option array;
+  rng : Desim.Prng.t;
+}
+
+(* A run's nodes and stochastic processes, with the RNG stream derivation
+   every engine shares.  The through stream is split off even for a CBR
+   or empty through aggregate, so the cross and fault streams do not
+   depend on the through-source kind; the fault streams come after the
+   sources, so a fault-free run draws exactly what it drew before faults
+   existed. *)
+let setup p =
+  let rng = Desim.Prng.create ~seed:p.seed in
+  let through_rng = Desim.Prng.split rng in
+  let through_src =
+    match p.through_kind with
+    | Markov when p.n_through > 0 ->
+      Some (Source.create p.source ~n:p.n_through ~rng:through_rng)
+    | Markov | Cbr _ -> None
+  in
+  let cross_srcs =
+    Array.init p.h (fun _ -> Source.create p.source ~n:p.n_cross ~rng:(Desim.Prng.split rng))
+  in
+  let fault_procs =
+    Array.init p.h (fun i ->
+        Option.map (fun spec -> Faults.make ~rng:(Desim.Prng.split rng) spec)
+          (List.assoc_opt i p.faults))
+  in
+  let nodes =
+    Array.init p.h (fun i ->
+        Queue_node.create ?packet_size:p.packet_size ~capacity:p.capacities.(i) ~classes:2
+          p.discipline)
+  in
+  { nodes; through_src; cross_srcs; fault_procs; rng }
+
+let mean_factors = Array.map (function None -> 1. | Some pr -> Faults.mean_factor pr)
+
 let validate p =
-  if p.h <= 0 then invalid_arg "Event_tandem.run: non-positive path length";
-  if p.slots <= 0 then invalid_arg "Event_tandem.run: non-positive horizon";
+  if p.h <= 0 then invalid_arg "Tandem.run: non-positive path length";
+  if p.slots <= 0 then invalid_arg "Tandem.run: non-positive horizon";
   if Array.length p.capacities <> p.h then
-    invalid_arg "Event_tandem.run: capacities arity mismatch";
+    invalid_arg "Tandem.run: capacities arity mismatch";
   Array.iter
-    (fun c -> if c <= 0. then invalid_arg "Event_tandem.run: non-positive capacity")
+    (fun c -> if c <= 0. then invalid_arg "Tandem.run: non-positive capacity")
     p.capacities;
   (match p.through_kind with
   | Markov -> ()
   | Cbr { period; burst } ->
-    if period <= 0 then invalid_arg "Event_tandem.run: non-positive CBR period";
-    if burst <= 0. then invalid_arg "Event_tandem.run: non-positive CBR burst");
+    if period <= 0 then invalid_arg "Tandem.run: non-positive CBR period";
+    if burst <= 0. then invalid_arg "Tandem.run: non-positive CBR burst");
   (match p.prop_delay with
   | None -> ()
   | Some d ->
-    if Array.length d <> p.h then invalid_arg "Event_tandem.run: prop_delay arity mismatch";
+    if Array.length d <> p.h then invalid_arg "Tandem.run: prop_delay arity mismatch";
     Array.iter
       (fun x ->
         if Float.is_nan x || x < 0. then
-          invalid_arg "Event_tandem.run: negative propagation delay")
+          invalid_arg "Tandem.run: negative propagation delay")
       d);
-  match p.loss with
+  (match p.loss with
   | None -> ()
   | Some l ->
-    if Array.length l <> p.h then invalid_arg "Event_tandem.run: loss arity mismatch";
+    if Array.length l <> p.h then invalid_arg "Tandem.run: loss arity mismatch";
     Array.iter
       (fun x ->
         if Float.is_nan x || x < 0. || x > 1. then
-          invalid_arg "Event_tandem.run: loss probability outside [0, 1]")
-      l
+          invalid_arg "Tandem.run: loss probability outside [0, 1]")
+      l);
+  List.iteri
+    (fun k (i, spec) ->
+      if i < 0 || i >= p.h then
+        invalid_arg (Printf.sprintf "Tandem.run: fault spec for node %d outside 0..%d" i (p.h - 1));
+      if List.exists (fun (j, _) -> j = i) (List.filteri (fun k' _ -> k' < k) p.faults) then
+        invalid_arg (Printf.sprintf "Tandem.run: duplicate fault spec for node %d" i);
+      Faults.validate spec)
+    p.faults
 
 (* Virtual delays by the same two-pointer threshold sweep as the slotted
    engine, over sparse cumulative-counter change points. *)
@@ -152,44 +201,72 @@ let backlog_trace ~slots ~in_pts ~out_pts =
   done;
   sample
 
+(* Slots during which the per-slot Tick runs: the through source's
+   arrival horizon, or the whole run while cross traffic or a fault
+   process is live. *)
+let tick_until p s =
+  Stdlib.max
+    (if Option.is_some s.through_src then p.slots else 0)
+    (if p.n_cross > 0 || Array.exists Option.is_some s.fault_procs then p.slots + p.drain_limit
+     else 0)
+
+(* The first Tick and the first CBR emission. *)
+let start eng p s =
+  if tick_until p s > 0 then
+    Desim.Engine.schedule eng ~time:0. ~kind:Desim.Engine.Source_change Tick;
+  match p.through_kind with
+  | Cbr _ -> Desim.Engine.schedule eng ~time:0. ~kind:Desim.Engine.Source_change Cbr_emit
+  | Markov -> ()
+
+(* The burst of the CBR emission at slot [t]; schedules the next one. *)
+let cbr_burst eng p t =
+  match p.through_kind with
+  | Cbr { period; burst } ->
+    if t + period < p.slots then
+      Desim.Engine.schedule eng ~time:(float_of_int (t + period))
+        ~kind:Desim.Engine.Source_change Cbr_emit;
+    burst
+  | Markov -> assert false
+
+(* Assemble (and report) a finished run from its change points. *)
+let outcome eng s ~in_pts ~out_pts ~through_backlog ~through_kb ~lost_kb ~utilization =
+  let (delays, censored_kb) = sweep_delays ~in_pts ~out_pts in
+  let events_processed = Desim.Engine.events_processed eng in
+  if Telemetry.is_enabled () then begin
+    let heap_hwm = Desim.Engine.heap_high_water eng in
+    Telemetry.Counter.add c_events events_processed;
+    Telemetry.Gauge.set g_heap_hwm (float_of_int heap_hwm);
+    Telemetry.event "tandem.done"
+      ~attrs:
+        [
+          ("engine", Telemetry.Str "event");
+          ("events", Telemetry.Int events_processed);
+          ("heap_hwm", Telemetry.Int heap_hwm);
+          ("through_kb", Telemetry.Float through_kb);
+          ("censored_kb", Telemetry.Float censored_kb);
+          ("delay_samples", Telemetry.Int (Desim.Stats.Sample.count delays));
+        ]
+  end;
+  {
+    delays;
+    through_backlog;
+    through_kb;
+    censored_kb;
+    lost_kb;
+    utilization;
+    fault_factor = mean_factors s.fault_procs;
+    events_processed;
+  }
+
 (* ------------------------------------------------------------------ *)
 (* Lockstep path: slot-quantized, bit-identical to the slotted engine. *)
 (* ------------------------------------------------------------------ *)
 
 let run_lockstep p =
-  let rng = Desim.Prng.create ~seed:p.seed in
-  (* RNG stream derivation order matches Tandem.run exactly: through
-     source, then one stream per cross source in node order, then one per
-     fault process in node order. *)
-  let through_rng = Desim.Prng.split rng in
-  let through_src =
-    match p.through_kind with
-    | Markov when p.n_through > 0 ->
-      Some (Source.create p.source ~n:p.n_through ~rng:through_rng)
-    | Markov | Cbr _ -> None
-  in
-  let cross_srcs =
-    Array.init p.h (fun _ -> Source.create p.source ~n:p.n_cross ~rng:(Desim.Prng.split rng))
-  in
-  let fault_procs =
-    Array.init p.h (fun i ->
-        match List.assoc_opt i p.faults with
-        | None -> None
-        | Some spec -> Some (Faults.make ~rng:(Desim.Prng.split rng) spec))
-  in
-  let nodes =
-    Array.init p.h (fun i ->
-        Queue_node.create ?packet_size:p.packet_size ~capacity:p.capacities.(i) ~classes:2
-          p.discipline)
-  in
+  let s = setup p in
+  let nodes = s.nodes in
   let total_slots = p.slots + p.drain_limit in
-  let any_fault = Array.exists Option.is_some fault_procs in
-  let cross_active = p.n_cross > 0 in
-  let tick_until =
-    Stdlib.max
-      (if Option.is_some through_src then p.slots else 0)
-      (if cross_active || any_fault then total_slots else 0)
-  in
+  let tick_until = tick_until p s in
   let factor_cache = Array.make p.h 1. in
   let serve_at = Array.make p.h (-1) in
   let served_total = Array.make p.h 0. in
@@ -255,10 +332,10 @@ let run_lockstep p =
     let t = int_of_float event.Desim.Engine.time in
     match event.Desim.Engine.payload with
     | Tick ->
-      if t < p.slots then begin
-        match through_src with Some src -> through_in t (Source.step src) | None -> ()
-      end;
-      if cross_active then
+      (match s.through_src with
+      | Some src when t < p.slots -> through_in t (Source.step src)
+      | _ -> ());
+      if p.n_cross > 0 then
         Array.iteri
           (fun i src ->
             let c = Source.step src in
@@ -266,29 +343,20 @@ let run_lockstep p =
               Queue_node.offer nodes.(i) ~now:(float_of_int t) ~cls:cross_class c;
               ensure_serve i t
             end)
-          cross_srcs;
-      if any_fault then
-        Array.iteri
-          (fun i proc ->
-            match proc with None -> () | Some pr -> factor_cache.(i) <- Faults.step pr)
-          fault_procs;
+          s.cross_srcs;
+      Array.iteri
+        (fun i proc ->
+          match proc with Some pr -> factor_cache.(i) <- Faults.step pr | None -> ())
+        s.fault_procs;
       if t + 1 < tick_until then
         Desim.Engine.schedule eng ~time:(float_of_int (t + 1)) ~kind:Desim.Engine.Source_change
           Tick
-    | Cbr_emit -> (
-      match p.through_kind with
-      | Cbr { period; burst } ->
-        through_in t burst;
-        if t + period < p.slots then
-          Desim.Engine.schedule eng ~time:(float_of_int (t + period))
-            ~kind:Desim.Engine.Source_change Cbr_emit
-      | Markov -> assert false)
+    | Cbr_emit -> through_in t (cbr_burst eng p t)
     | Offer { node; cls; size } ->
       Queue_node.offer nodes.(node) ~now:(float_of_int t) ~cls size;
       ensure_serve node t
     | Serve i ->
-      let factor = match fault_procs.(i) with None -> None | Some _ -> Some factor_cache.(i) in
-      let dep = Queue_node.serve_slot ?factor nodes.(i) in
+      let dep = Queue_node.serve_slot ~factor:factor_cache.(i) nodes.(i) in
       served_total.(i) <- served_total.(i) +. dep.(through_class) +. dep.(cross_class);
       if i < p.h - 1 then begin
         note_pending t (i + 1) dep.(through_class);
@@ -303,11 +371,7 @@ let run_lockstep p =
       if Queue_node.occupied nodes.(i) then ensure_serve i (t + 1)
     | Complete _ -> assert false
   in
-  if tick_until > 0 then
-    Desim.Engine.schedule eng ~time:0. ~kind:Desim.Engine.Source_change Tick;
-  (match p.through_kind with
-  | Cbr _ -> Desim.Engine.schedule eng ~time:0. ~kind:Desim.Engine.Source_change Cbr_emit
-  | Markov -> ());
+  start eng p s;
   let rec drain () =
     match Desim.Engine.next eng with
     | None -> ()
@@ -320,56 +384,22 @@ let run_lockstep p =
   in
   drain ();
   sample_upto (p.slots - 1);
-  let in_pts = List.rev !in_pts and out_pts = List.rev !out_pts in
-  let (delays, censored) = sweep_delays ~in_pts ~out_pts in
-  let utilization =
-    Array.mapi (fun i s -> s /. (p.capacities.(i) *. float_of_int total_slots)) served_total
-  in
-  let fault_factor =
-    Array.map (function None -> 1. | Some pr -> Faults.mean_factor pr) fault_procs
-  in
-  {
-    delays;
-    through_backlog;
-    through_kb = !acc_in;
-    censored_kb = censored;
-    lost_kb = 0.;
-    utilization;
-    fault_factor;
-    events_processed = Desim.Engine.events_processed eng;
-    heap_high_water = Desim.Engine.heap_high_water eng;
-  }
+  outcome eng s ~in_pts:(List.rev !in_pts) ~out_pts:(List.rev !out_pts) ~through_backlog
+    ~through_kb:!acc_in ~lost_kb:0.
+    ~utilization:
+      (Array.mapi (fun i x -> x /. (p.capacities.(i) *. float_of_int total_slots)) served_total)
 
 (* ------------------------------------------------------------------- *)
 (* Continuous path: heterogeneous rates, propagation delay, link loss.  *)
 (* ------------------------------------------------------------------- *)
 
 let run_continuous p =
-  let rng = Desim.Prng.create ~seed:p.seed in
-  (* Same leading stream order as the lockstep path; per-link loss
-     streams are derived after the fault streams (they only exist on
-     non-aligned configs, which have no exact-parity guarantee). *)
-  let through_rng = Desim.Prng.split rng in
-  let through_src =
-    match p.through_kind with
-    | Markov when p.n_through > 0 ->
-      Some (Source.create p.source ~n:p.n_through ~rng:through_rng)
-    | Markov | Cbr _ -> None
-  in
-  let cross_srcs =
-    Array.init p.h (fun _ -> Source.create p.source ~n:p.n_cross ~rng:(Desim.Prng.split rng))
-  in
-  let fault_procs =
-    Array.init p.h (fun i ->
-        match List.assoc_opt i p.faults with
-        | None -> None
-        | Some spec -> Some (Faults.make ~rng:(Desim.Prng.split rng) spec))
-  in
-  let loss =
-    match p.loss with None -> Array.make p.h 0. | Some l -> Array.copy l
-  in
+  let s = setup p in
+  let nodes = s.nodes in
+  let loss = match p.loss with None -> Array.make p.h 0. | Some l -> Array.copy l in
+  (* per-link loss streams are split after the canonical ones *)
   let loss_rngs =
-    Array.map (fun q -> if q > 0. then Some (Desim.Prng.split rng) else None) loss
+    Array.map (fun q -> if q > 0. then Some (Desim.Prng.split s.rng) else None) loss
   in
   let prop =
     match p.prop_delay with
@@ -378,32 +408,19 @@ let run_continuous p =
        hop, immediate delivery from the last node to the sink. *)
     | None -> Array.init p.h (fun i -> if i < p.h - 1 then 1. else 0.)
   in
-  let nodes =
-    Array.init p.h (fun i ->
-        Desim.Node.create ?packet_size:p.packet_size ~rate:p.capacities.(i) ~classes:2
-          p.node_discipline)
-  in
-  let total_slots = p.slots + p.drain_limit in
-  let horizon = float_of_int total_slots in
-  let any_fault = Array.exists Option.is_some fault_procs in
-  let cross_active = p.n_cross > 0 in
-  let tick_until =
-    Stdlib.max
-      (if Option.is_some through_src then p.slots else 0)
-      (if cross_active || any_fault then total_slots else 0)
-  in
+  let horizon = float_of_int (p.slots + p.drain_limit) in
+  let tick_until = tick_until p s in
   let acc_in = ref 0. and acc_out = ref 0. and lost = ref 0. in
   let in_pts = ref [] and out_pts = ref [] in
   let eng : ev Desim.Engine.t = Desim.Engine.create () in
   let reschedule i =
-    let g = Desim.Node.bump nodes.(i) in
-    match Desim.Node.next_completion nodes.(i) with
-    | Some tc when tc <= horizon ->
+    let g = Queue_node.bump nodes.(i) in
+    let tc = Queue_node.next_completion nodes.(i) in
+    if tc <= horizon then
       Desim.Engine.schedule eng
         ~time:(Float.max tc (Desim.Engine.now eng))
         ~kind:Desim.Engine.Service_completion
         (Complete { node = i; gen = g })
-    | _ -> ()
   in
   let deliver i now =
     List.iter
@@ -428,14 +445,15 @@ let run_continuous p =
             end
           end
         end)
-      (Desim.Node.take_completions nodes.(i))
+      (Queue_node.take_completions nodes.(i))
   in
   let touch i now =
     deliver i now;
     reschedule i
   in
   let offer_node i ~now ~cls size =
-    Desim.Node.offer nodes.(i) ~now ~cls size;
+    Queue_node.sync nodes.(i) ~now;
+    Queue_node.offer nodes.(i) ~now ~cls size;
     touch i now
   in
   let through_in t a =
@@ -448,82 +466,52 @@ let run_continuous p =
   in
   let handler _ (event : ev Desim.Engine.event) =
     let now = event.Desim.Engine.time in
+    let t = int_of_float now in
     match event.Desim.Engine.payload with
     | Tick ->
-      let t = int_of_float now in
-      if t < p.slots then begin
-        match through_src with Some src -> through_in t (Source.step src) | None -> ()
-      end;
-      if cross_active then
+      (match s.through_src with
+      | Some src when t < p.slots -> through_in t (Source.step src)
+      | _ -> ());
+      if p.n_cross > 0 then
         Array.iteri
           (fun i src ->
             let c = Source.step src in
             if c > 0. then offer_node i ~now ~cls:cross_class c)
-          cross_srcs;
-      if any_fault then
-        Array.iteri
-          (fun i proc ->
-            match proc with
-            | None -> ()
-            | Some pr ->
-              let f = Faults.step pr in
-              if not (Float.equal f (Desim.Node.factor nodes.(i))) then begin
-                Desim.Node.set_factor nodes.(i) ~now f;
-                touch i now
-              end)
-          fault_procs;
+          s.cross_srcs;
+      Array.iteri
+        (fun i proc ->
+          match proc with
+          | None -> ()
+          | Some pr ->
+            let f = Faults.step pr in
+            if not (Float.equal f (Queue_node.factor nodes.(i))) then begin
+              Queue_node.set_factor nodes.(i) ~now f;
+              touch i now
+            end)
+        s.fault_procs;
       if t + 1 < tick_until then
         Desim.Engine.schedule eng ~time:(float_of_int (t + 1)) ~kind:Desim.Engine.Source_change
           Tick
-    | Cbr_emit -> (
-      match p.through_kind with
-      | Cbr { period; burst } ->
-        let t = int_of_float now in
-        through_in t burst;
-        if t + period < p.slots then
-          Desim.Engine.schedule eng ~time:(float_of_int (t + period))
-            ~kind:Desim.Engine.Source_change Cbr_emit
-      | Markov -> assert false)
+    | Cbr_emit -> through_in t (cbr_burst eng p t)
     | Offer { node; cls; size } -> offer_node node ~now ~cls size
     | Complete { node; gen } ->
-      if gen = Desim.Node.gen nodes.(node) then begin
-        Desim.Node.sync nodes.(node) ~now;
+      if gen = Queue_node.gen nodes.(node) then begin
+        Queue_node.sync nodes.(node) ~now;
         touch node now
       end
     | Serve _ -> assert false
   in
-  if tick_until > 0 then
-    Desim.Engine.schedule eng ~time:0. ~kind:Desim.Engine.Source_change Tick;
-  (match p.through_kind with
-  | Cbr _ -> Desim.Engine.schedule eng ~time:0. ~kind:Desim.Engine.Source_change Cbr_emit
-  | Markov -> ());
+  start eng p s;
   Desim.Engine.run eng handler;
   let in_pts = List.rev !in_pts and out_pts = List.rev !out_pts in
-  let (delays, censored) = sweep_delays ~in_pts ~out_pts in
-  let through_backlog = backlog_trace ~slots:p.slots ~in_pts ~out_pts in
-  let utilization =
-    Array.mapi
-      (fun i node ->
-        (Desim.Node.served_of node ~cls:through_class
-        +. Desim.Node.served_of node ~cls:cross_class)
-        /. (p.capacities.(i) *. horizon))
-      nodes
-  in
-  let fault_factor =
-    Array.map (function None -> 1. | Some pr -> Faults.mean_factor pr) fault_procs
-  in
-  {
-    delays;
-    through_backlog;
-    through_kb = !acc_in;
-    censored_kb = censored;
-    lost_kb = !lost;
-    utilization;
-    fault_factor;
-    events_processed = Desim.Engine.events_processed eng;
-    heap_high_water = Desim.Engine.heap_high_water eng;
-  }
+  outcome eng s ~in_pts ~out_pts ~through_backlog:(backlog_trace ~slots:p.slots ~in_pts ~out_pts)
+    ~through_kb:!acc_in ~lost_kb:!lost
+    ~utilization:
+      (Array.mapi
+         (fun i node ->
+           (Queue_node.served_of node ~cls:through_class
+           +. Queue_node.served_of node ~cls:cross_class)
+           /. (p.capacities.(i) *. horizon))
+         nodes)
 
-let run p =
-  validate p;
-  if slot_aligned p then run_lockstep p else run_continuous p
+let run p = if slot_aligned p then run_lockstep p else run_continuous p

@@ -1,31 +1,112 @@
-(* Capacity-C node with pluggable scheduling. *)
+(* Capacity-C node with pluggable scheduling, shared by the slotted and
+   the continuous clock.
 
-type batch = {
-  key : Scheduler.Policy.key;
-  cls : int;
-  mutable size : float;
+   Every discipline is locally FIFO: within a class, precedence keys never
+   decrease in arrival order (checked on offer).  So the node keeps one
+   FIFO ring per class, and the globally most urgent batch is always one
+   of the <= K class heads: a ∆-policy serves the argmin over the heads
+   (key, then node-wide insertion order), GPS water-fills over the same
+   rings.  The rings are parallel unboxed columns, so a queued batch is
+   no heap-allocated record. *)
+
+(* One class's FIFO as parallel columns in a power-of-two ring. *)
+type ring = {
+  mutable major : float array;
+  mutable minor : float array;
+  mutable tie : int array;
+  mutable seq : int array;  (* node-wide insertion order *)
+  mutable left : float array;  (* remaining work *)
+  mutable total : float array;  (* size as offered; reported on completion *)
+  mutable head : int;  (* physical index of the oldest batch *)
+  mutable len : int;
 }
+
+let ring_create () =
+  let n = 16 in
+  {
+    major = Array.make n 0.;
+    minor = Array.make n 0.;
+    tie = Array.make n 0;
+    seq = Array.make n 0;
+    left = Array.make n 0.;
+    total = Array.make n 0.;
+    head = 0;
+    len = 0;
+  }
+
+(* Double a full ring, unrolling it so the oldest batch lands at index 0. *)
+let grow r =
+  let n = Array.length r.left in
+  let unroll a z =
+    let b = Array.make (2 * n) z in
+    Array.blit a r.head b 0 (n - r.head);
+    Array.blit a 0 b (n - r.head) r.head;
+    b
+  in
+  r.major <- unroll r.major 0.;
+  r.minor <- unroll r.minor 0.;
+  r.tie <- unroll r.tie 0;
+  r.seq <- unroll r.seq 0;
+  r.left <- unroll r.left 0.;
+  r.total <- unroll r.total 0.;
+  r.head <- 0
+
+let push r ~major ~minor ~tie ~seq size =
+  if r.len = Array.length r.left then grow r;
+  let i = (r.head + r.len) land (Array.length r.left - 1) in
+  r.major.(i) <- major;
+  r.minor.(i) <- minor;
+  r.tie.(i) <- tie;
+  r.seq.(i) <- seq;
+  r.left.(i) <- size;
+  r.total.(i) <- size;
+  r.len <- r.len + 1
+
+let drop r =
+  r.head <- (r.head + 1) land (Array.length r.left - 1);
+  r.len <- r.len - 1
+
+(* [Scheduler.Policy.compare_key] of the key (major, minor, tie) against
+   the key of batch [j] of ring [r]. *)
+let[@inline] compare_to (major : float) (minor : float) tie r j =
+  let c = Float.compare major r.major.(j) in
+  if c <> 0 then c
+  else
+    let c = Float.compare minor r.minor.(j) in
+    if c <> 0 then c else Int.compare tie r.tie.(j)
+
+(* Batch [i] of [ra] is served before batch [j] of [rb]: lower key, then
+   earlier insertion. *)
+let precedes ra i rb j =
+  let c = compare_to ra.major.(i) ra.minor.(i) ra.tie.(i) rb j in
+  if c <> 0 then c < 0 else ra.seq.(i) < rb.seq.(j)
 
 type discipline =
   | Delta_policy of Scheduler.Policy.t
   | Gps of Scheduler.Gps.t
 
-type state =
-  | Heap_state of Scheduler.Policy.t * batch Desim.Heap.t
-  | Gps_state of Scheduler.Gps.t * batch Queue.t array
+type shape =
+  | Fluid of Scheduler.Policy.t
+  | Packet of Scheduler.Policy.t * float
+  | Fair of Scheduler.Gps.t
 
 type t = {
   capacity : float;
-  classes : int;
-  packet_size : float option;
-  faults : Faults.process option;
-  state : state;
-  per_class_backlog : float array;
-  (* Non-preemptive mode: the packet currently on the wire, if any. *)
-  mutable in_service : batch option;
+  shape : shape;
+  rings : ring array;
+  backlog : float array;  (* per class, including the part in service *)
+  served : float array;  (* per class, cumulative *)
+  (* Packetized: the class whose head packet is on the wire, or -1. *)
+  mutable wire : int;
+  mutable next_seq : int;
   (* Queue-depth high-water mark (kb, all classes); always maintained — a
      float compare per offer — so telemetry can read it after the run. *)
   mutable high_water : float;
+  (* Continuous clock. *)
+  mutable factor : float;
+  mutable last : float;
+  mutable completed : (int * float) list;  (* (cls, total), reverse order *)
+  mutable gen : int;
 }
 
 let c_offers = Telemetry.Counter.make "netsim.node.offers"
@@ -33,169 +114,259 @@ let c_packets = Telemetry.Counter.make "netsim.node.packets"
 let c_slots = Telemetry.Counter.make "netsim.node.slots"
 let c_degraded_slots = Telemetry.Counter.make "netsim.node.degraded_slots"
 
-let create ?packet_size ?faults ~capacity ~classes discipline =
+let create ?packet_size ~capacity ~classes discipline =
   if capacity <= 0. then invalid_arg "Queue_node.create: non-positive capacity";
   if classes <= 0 then invalid_arg "Queue_node.create: non-positive class count";
-  (match packet_size with
-  | Some l when l <= 0. -> invalid_arg "Queue_node.create: non-positive packet size"
-  | _ -> ());
-  let state =
-    match discipline with
-    | Delta_policy p ->
-      Heap_state
-        (p, Desim.Heap.create ~cmp:(fun a b -> Scheduler.Policy.compare_key a.key b.key))
-    | Gps g ->
-      if packet_size <> None then
-        invalid_arg "Queue_node.create: GPS is fluid (no packet size)";
-      Gps_state (g, Array.init classes (fun _ -> Queue.create ()))
+  let shape =
+    match (discipline, packet_size) with
+    | (_, Some l) when l <= 0. -> invalid_arg "Queue_node.create: non-positive packet size"
+    | (Delta_policy p, None) -> Fluid p
+    | (Delta_policy p, Some l) -> Packet (p, l)
+    | (Gps g, None) -> Fair g
+    | (Gps _, Some _) -> invalid_arg "Queue_node.create: GPS is fluid (no packet size)"
   in
   {
     capacity;
-    classes;
-    packet_size;
-    faults;
-    state;
-    per_class_backlog = Array.make classes 0.;
-    in_service = None;
+    shape;
+    rings = Array.init classes (fun _ -> ring_create ());
+    backlog = Array.make classes 0.;
+    served = Array.make classes 0.;
+    wire = -1;
+    next_seq = 0;
     high_water = 0.;
+    factor = 1.;
+    last = 0.;
+    completed = [];
+    gen = 0;
   }
 
-let capacity t = t.capacity
+let check_class t fn cls =
+  if cls < 0 || cls >= Array.length t.rings then
+    invalid_arg (Printf.sprintf "Queue_node.%s: class out of range" fn)
+
+(* Queue one batch (or packet) under a ∆-policy. *)
+let enqueue t p r ~now ~cls size =
+  if !Telemetry.on then Telemetry.Counter.incr c_packets;
+  let { Scheduler.Policy.major; minor; tie } = Scheduler.Policy.key p ~arrival:now ~cls ~size in
+  let tail = (r.head + r.len - 1) land (Array.length r.left - 1) in
+  if r.len > 0 && compare_to major minor tie r tail < 0 then
+    invalid_arg "Queue_node.offer: key below the class's tail (policy not locally FIFO)";
+  push r ~major ~minor ~tie ~seq:t.next_seq size;
+  t.next_seq <- t.next_seq + 1
 
 let offer t ~now ~cls size =
-  if cls < 0 || cls >= t.classes then invalid_arg "Queue_node.offer: class out of range";
+  check_class t "offer" cls;
   if size < 0. then invalid_arg "Queue_node.offer: negative size";
   if size > 0. then begin
-    t.per_class_backlog.(cls) <- t.per_class_backlog.(cls) +. size;
-    let depth = Array.fold_left ( +. ) 0. t.per_class_backlog in
-    if depth > t.high_water then t.high_water <- depth;
+    t.backlog.(cls) <- t.backlog.(cls) +. size;
+    let depth = ref 0. in
+    for c = 0 to Array.length t.backlog - 1 do
+      depth := !depth +. t.backlog.(c)
+    done;
+    if !depth > t.high_water then t.high_water <- !depth;
     if !Telemetry.on then Telemetry.Counter.incr c_offers;
-    match t.state with
-    | Heap_state (p, heap) ->
-      let push size =
-        if !Telemetry.on then Telemetry.Counter.incr c_packets;
-        let key = Scheduler.Policy.key p ~arrival:now ~cls ~size in
-        Desim.Heap.push heap { key; cls; size }
+    let r = t.rings.(cls) in
+    match t.shape with
+    | Fluid p -> enqueue t p r ~now ~cls size
+    | Packet (p, l) ->
+      (* segment the batch into packets of at most l kb *)
+      let rec go remaining =
+        if remaining > 1e-12 then begin
+          enqueue t p r ~now ~cls (Float.min l remaining);
+          go (remaining -. l)
+        end
       in
-      (match t.packet_size with
-      | None -> push size
-      | Some l ->
-        (* segment the batch into packets of at most l kb *)
-        let rec go remaining =
-          if remaining > 1e-12 then begin
-            push (Float.min l remaining);
-            go (remaining -. l)
-          end
-        in
-        go size)
-    | Gps_state (_, queues) ->
-      let key = Scheduler.Policy.key Scheduler.Policy.fifo ~arrival:now ~cls ~size in
-      Queue.push { key; cls; size } queues.(cls)
+      go size
+    | Fair _ -> push r ~major:0. ~minor:0. ~tie:0 ~seq:0 size
   end
 
-(* Fluid (preemptive) service: always work on the globally most urgent
-   batch, splitting the head batch at the slot boundary. *)
-let serve_heap_fluid t ~capacity heap =
-  let departed = Array.make t.classes 0. in
-  let budget = ref capacity in
-  let continue_ = ref true in
-  while !continue_ && !budget > 1e-12 do
-    match Desim.Heap.pop heap with
-    | None -> continue_ := false
-    | Some b ->
-      let served = Float.min b.size !budget in
-      budget := !budget -. served;
-      departed.(b.cls) <- departed.(b.cls) +. served;
-      t.per_class_backlog.(b.cls) <- t.per_class_backlog.(b.cls) -. served;
-      if b.size -. served > 1e-12 then begin
-        b.size <- b.size -. served;
-        Desim.Heap.push heap b
+(* Class whose head batch is most urgent; -1 when every ring is empty. *)
+let most_urgent t =
+  let best = ref (-1) in
+  for c = 0 to Array.length t.rings - 1 do
+    let r = t.rings.(c) in
+    if r.len > 0 then
+      if !best < 0 then best := c
+      else
+        let b = t.rings.(!best) in
+        if precedes r r.head b b.head then best := c
+  done;
+  !best
+
+let[@inline] fmin (a : float) b = if b > a then a else b
+
+(* Serve [amount] (at most its remaining work) from the head batch of
+   class [c]; drop the batch once its remainder is dust.  [true] iff it
+   completed. *)
+let[@inline] take t ~eps ~record ~departed c amount =
+  let r = t.rings.(c) in
+  let i = r.head in
+  let left = r.left.(i) in
+  departed.(c) <- departed.(c) +. amount;
+  t.backlog.(c) <- t.backlog.(c) -. amount;
+  if left -. amount > eps then begin
+    r.left.(i) <- left -. amount;
+    false
+  end
+  else begin
+    if record then t.completed <- (c, r.total.(i)) :: t.completed;
+    drop r;
+    true
+  end
+
+(* The one service loop: spend [budget] kb in service order.  [eps] is the
+   dust threshold below which a budget or a batch remainder counts as
+   spent.  Each class's service is added to [departed]; completed batches
+   are logged when [record]. *)
+let serve t ~eps ~record ~departed budget =
+  match t.shape with
+  | Fluid _ ->
+    (* preemptive: always the most urgent head, split at the budget *)
+    let budget = ref budget and go = ref true in
+    while !go && !budget > eps do
+      let c = most_urgent t in
+      if c < 0 then go := false
+      else begin
+        let r = t.rings.(c) in
+        let served = fmin r.left.(r.head) !budget in
+        budget := !budget -. served;
+        ignore (take t ~eps ~record ~departed c served : bool)
       end
-  done;
-  departed
-
-(* Non-preemptive packetized service: finish the packet on the wire before
-   the next precedence decision. *)
-let serve_heap_packetized t ~capacity heap =
-  let departed = Array.make t.classes 0. in
-  let budget = ref capacity in
-  let serve_packet (b : batch) =
-    let served = Float.min b.size !budget in
-    budget := !budget -. served;
-    departed.(b.cls) <- departed.(b.cls) +. served;
-    t.per_class_backlog.(b.cls) <- t.per_class_backlog.(b.cls) -. served;
-    if b.size -. served > 1e-12 then begin
-      b.size <- b.size -. served;
-      t.in_service <- Some b
-    end
-    else t.in_service <- None
-  in
-  (match t.in_service with Some b -> serve_packet b | None -> ());
-  let continue_ = ref true in
-  while !continue_ && t.in_service = None && !budget > 1e-12 do
-    match Desim.Heap.pop heap with
-    | None -> continue_ := false
-    | Some b -> serve_packet b
-  done;
-  departed
-
-let serve_gps t ~capacity g queues =
-  let backlogs = Array.copy t.per_class_backlog in
-  let grants = Scheduler.Gps.allocate g ~capacity ~backlogs in
-  let departed = Array.make t.classes 0. in
-  Array.iteri
-    (fun cls grant ->
-      let remaining = ref grant in
-      while !remaining > 1e-12 && not (Queue.is_empty queues.(cls)) do
-        let b = Queue.peek queues.(cls) in
-        let served = Float.min b.size !remaining in
-        remaining := !remaining -. served;
-        departed.(cls) <- departed.(cls) +. served;
-        t.per_class_backlog.(cls) <- t.per_class_backlog.(cls) -. served;
-        if b.size -. served > 1e-12 then b.size <- b.size -. served
-        else ignore (Queue.pop queues.(cls))
-      done)
-    grants;
-  departed
+    done
+  | Packet _ ->
+    (* non-preemptive: finish the packet on the wire before the next
+       precedence decision *)
+    let budget = ref budget and go = ref true in
+    while !go && !budget > eps do
+      if t.wire < 0 then begin
+        let c = most_urgent t in
+        if c < 0 then go := false else t.wire <- c
+      end
+      else begin
+        let c = t.wire in
+        let r = t.rings.(c) in
+        let served = fmin r.left.(r.head) !budget in
+        budget := !budget -. served;
+        if take t ~eps ~record ~departed c served then t.wire <- -1
+      end
+    done
+  | Fair g ->
+    (* A class is backlogged iff its ring is non-empty — the same test
+       [next_completion] uses, so dust left in the backlog of an emptied
+       class never draws a share. *)
+    let backlogs =
+      Array.mapi (fun c b -> if t.rings.(c).len > 0 then b else 0.) t.backlog
+    in
+    let grants = Scheduler.Gps.allocate g ~capacity:budget ~backlogs in
+    Array.iteri
+      (fun c grant ->
+        let r = t.rings.(c) in
+        let remaining = ref grant in
+        while !remaining > eps && r.len > 0 do
+          let served = fmin r.left.(r.head) !remaining in
+          remaining := !remaining -. served;
+          ignore (take t ~eps ~record ~departed c served : bool)
+        done)
+      grants
 
 let serve_slot ?factor t =
-  (* A degraded slot serves at a scaled-down capacity — the fault process
-     advances one step per serve_slot call, unless the caller drives the
-     degradation externally (event engine) and passes [?factor]. *)
-  let capacity =
-    match (factor, t.faults) with
-    | (Some f, _) ->
+  (* A degraded slot serves at a scaled-down capacity. *)
+  let budget =
+    match factor with
+    | None -> t.capacity
+    | Some f ->
       if f < 1. && !Telemetry.on then Telemetry.Counter.incr c_degraded_slots;
       t.capacity *. f
-    | (None, None) -> t.capacity
-    | (None, Some p) ->
-      let factor = Faults.step p in
-      if factor < 1. && !Telemetry.on then Telemetry.Counter.incr c_degraded_slots;
-      t.capacity *. factor
   in
   if !Telemetry.on then Telemetry.Counter.incr c_slots;
-  match (t.state, t.packet_size) with
-  | (Heap_state (_, heap), None) -> serve_heap_fluid t ~capacity heap
-  | (Heap_state (_, heap), Some _) -> serve_heap_packetized t ~capacity heap
-  | (Gps_state (g, queues), _) -> serve_gps t ~capacity g queues
+  let departed = Array.make (Array.length t.rings) 0. in
+  serve t ~eps:1e-12 ~record:false ~departed budget;
+  for c = 0 to Array.length departed - 1 do
+    t.served.(c) <- t.served.(c) +. departed.(c)
+  done;
+  departed
 
-let occupied t =
-  Option.is_some t.in_service
-  ||
-  match t.state with
-  | Heap_state (_, heap) -> not (Desim.Heap.is_empty heap)
-  | Gps_state (_, queues) -> Array.exists (fun q -> not (Queue.is_empty q)) queues
+let occupied t = Array.exists (fun r -> r.len > 0) t.rings
 
-let fault_mean_factor t =
-  match t.faults with None -> 1. | Some p -> Faults.mean_factor p
+let backlog t = Array.fold_left ( +. ) 0. t.backlog
 
-let backlog t = Array.fold_left ( +. ) 0. t.per_class_backlog
+let backlog_of t ~cls =
+  check_class t "backlog_of" cls;
+  t.backlog.(cls)
 
 let high_water t = t.high_water
 
-let fault_transitions t =
-  match t.faults with None -> 0 | Some p -> Faults.transitions p
+let served_of t ~cls =
+  check_class t "served_of" cls;
+  t.served.(cls)
 
-let backlog_of t ~cls =
-  if cls < 0 || cls >= t.classes then invalid_arg "Queue_node.backlog_of: class out of range";
-  t.per_class_backlog.(cls)
+(* ------------------------- continuous clock ------------------------- *)
+
+let eps = 1e-9
+
+(* The engine fires an event at every predicted completion, so at most
+   one batch (per class, for GPS) drains per interval; the loop's dust
+   threshold only mops up float residue. *)
+(* A free packetized link starts its next packet at once. *)
+let start_wire t =
+  match t.shape with Packet _ when t.wire < 0 -> t.wire <- most_urgent t | _ -> ()
+
+let sync t ~now =
+  let dt = now -. t.last in
+  if dt < -.eps then invalid_arg "Queue_node.sync: time moved backwards";
+  t.last <- now;
+  (* the packet that went on the free link with the last offer: every
+     mutation follows a sync, so the queue is as that offer left it *)
+  start_wire t;
+  let budget = Float.max 0. dt *. t.capacity *. t.factor in
+  if budget > 0. then begin
+    serve t ~eps ~record:true ~departed:t.served budget;
+    start_wire t
+  end
+
+let set_factor t ~now factor =
+  if Float.is_nan factor || factor < 0. || factor > 1. then
+    invalid_arg "Queue_node.set_factor: factor outside [0, 1]";
+  sync t ~now;
+  t.factor <- factor
+
+let factor t = t.factor
+
+let next_completion t =
+  let rate = t.capacity *. t.factor in
+  if rate <= eps then Float.infinity
+  else
+    match t.shape with
+    | Fluid _ | Packet _ ->
+      let c = if t.wire >= 0 then t.wire else most_urgent t in
+      if c < 0 then Float.infinity
+      else
+        let r = t.rings.(c) in
+        t.last +. (r.left.(r.head) /. rate)
+    | Fair g ->
+      let weights = Scheduler.Gps.weights g in
+      let active = ref 0. in
+      Array.iteri (fun c r -> if r.len > 0 then active := !active +. weights.(c)) t.rings;
+      let best = ref Float.infinity in
+      Array.iteri
+        (fun c r ->
+          if r.len > 0 then begin
+            let share = rate *. weights.(c) /. !active in
+            if share > eps then begin
+              let dt = r.left.(r.head) /. share in
+              if dt < !best then best := dt
+            end
+          end)
+        t.rings;
+      t.last +. !best
+
+let take_completions t =
+  let out = List.rev t.completed in
+  t.completed <- [];
+  out
+
+let gen t = t.gen
+
+let bump t =
+  t.gen <- t.gen + 1;
+  t.gen

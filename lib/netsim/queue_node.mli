@@ -1,10 +1,22 @@
 (** A buffered link of fixed capacity serving traffic batches under a
-    pluggable scheduling discipline.
+    pluggable scheduling discipline — the one queueing node of both
+    simulation engines.
 
-    Time is slotted; each slot, [offer] enqueues the slot's arrivals and
-    [serve_slot] transmits up to [capacity] kb in precedence order (for a
-    ∆-policy) or by weighted fair shares (GPS).  Batches are fluid: the
-    head batch may be served partially.  All policies are locally FIFO. *)
+    Every discipline here is locally FIFO, so the node keeps one FIFO of
+    batches per class and serves, for a ∆-policy, the most urgent class
+    head (lowest {!Scheduler.Policy.key}, ties in arrival order), or, for
+    GPS, weighted fair shares of the backlogged classes.  Batches are
+    fluid: the head batch may be served partially.
+
+    Two clocks drive the same service loop:
+    - {b slotted}: [offer] the slot's arrivals, then [serve_slot] spends
+      one slot's capacity;
+    - {b continuous}: [sync ~now] replays the service of the elapsed
+      interval at [capacity *. factor] work per unit time and records
+      completed batches; the caller forwards [take_completions], [bump]s
+      the generation and schedules an event at [next_completion], which
+      fences any stale in-flight completion event.  Every mutation at
+      time [now] must follow a [sync ~now]. *)
 
 type discipline =
   | Delta_policy of Scheduler.Policy.t
@@ -12,16 +24,9 @@ type discipline =
 
 type t
 
-val create :
-  ?packet_size:float ->
-  ?faults:Faults.process ->
-  capacity:float ->
-  classes:int ->
-  discipline ->
-  t
-(** [faults] attaches a capacity-degradation process: every {!serve_slot}
-    steps it once and serves at [capacity *. factor] for that slot, so the
-    node behaves like a link whose leftover service shrinks during faults.
+val create : ?packet_size:float -> capacity:float -> classes:int -> discipline -> t
+(** [capacity] is the full service rate in kb per slot (per unit time on
+    the continuous clock).
 
     [packet_size] switches the node from fluid to packetized,
     {e non-preemptive} service: arrivals are segmented into packets of at
@@ -33,29 +38,23 @@ val create :
     @raise Invalid_argument on non-positive capacity, class count, or
     packet size, or when combining [packet_size] with [Gps]. *)
 
-val capacity : t -> float
-
 val offer : t -> now:float -> cls:int -> float -> unit
 (** Enqueue [size] kb of class [cls] arriving at time [now].  Zero-size
-    offers are ignored. *)
+    offers are ignored.
+    @raise Invalid_argument on a bad class or a negative size, or when a
+    ∆-policy hands out a key below the key of the class's last queued
+    batch (the policy is not locally FIFO, see {!Scheduler.Policy}). *)
 
 val serve_slot : ?factor:float -> t -> float array
-(** Transmit up to one slot's capacity (scaled by the fault process when
-    one is attached); returns the kb departed per class in this slot.
-    [?factor] overrides the attached fault process for this slot without
-    stepping it — the event engine steps fault processes itself (they must
-    advance on {e every} slot for RNG parity, served or not) and passes
-    the already-drawn factor here. *)
+(** Transmit up to one slot's capacity, scaled by [factor] (default [1.];
+    the caller steps the node's fault process and passes its factor);
+    returns the kb departed per class in this slot. *)
 
 val occupied : t -> bool
 (** [true] iff any batch is queued or in service — i.e. iff a
     {!serve_slot} call could transmit anything.  The event engine skips
     slot-serves of unoccupied nodes; because serving an unoccupied node is
     a no-op, the skip is exact. *)
-
-val fault_mean_factor : t -> float
-(** Realized mean capacity factor of the attached fault process over the
-    slots served so far; [1.] for a healthy node. *)
 
 val backlog : t -> float
 (** Total queued kb. *)
@@ -66,6 +65,33 @@ val high_water : t -> float
 (** Largest total backlog (kb, all classes) observed at this node so far —
     the queue-depth high-water mark surfaced by telemetry. *)
 
-val fault_transitions : t -> int
-(** Realized state transitions of the attached fault process ([0] for a
-    healthy node or a process that never changed state). *)
+val served_of : t -> cls:int -> float
+(** Cumulative kb served per class (utilization accounting). *)
+
+(** {2 Continuous clock} *)
+
+val sync : t -> now:float -> unit
+(** Replay service up to [now]; a packetized link starts its next packet
+    the moment it is free.  @raise Invalid_argument if [now] lies before
+    the last sync point. *)
+
+val set_factor : t -> now:float -> float -> unit
+(** Capacity-degradation multiplier in [0, 1] from [now] on (fault
+    injection); syncs first. *)
+
+val factor : t -> float
+
+val next_completion : t -> float
+(** Absolute time of the next predicted batch departure given the current
+    state, [infinity] when idle or stalled ([factor = 0]).  Only valid
+    immediately after a sync at the current time. *)
+
+val take_completions : t -> (int * float) list
+(** Batches that completed since the last call, as [(cls, size as
+    offered)] in completion order. *)
+
+val gen : t -> int
+
+val bump : t -> int
+(** Generation fence for completion events: [bump] invalidates every
+    previously scheduled completion event for this node. *)

@@ -51,10 +51,7 @@ let run cfg =
   let faults =
     Option.map (fun spec -> Faults.make ~rng:(Desim.Prng.split rng) spec) cfg.faults
   in
-  let node =
-    Queue_node.create ?faults ~capacity:cfg.capacity ~classes:k
-      (Queue_node.Delta_policy cfg.policy)
-  in
+  let node = Queue_node.create ~capacity:cfg.capacity ~classes:k (Queue_node.Delta_policy cfg.policy) in
   let total_slots = cfg.slots + cfg.drain_limit in
   let cum_in = Array.init k (fun _ -> Array.make cfg.slots 0.) in
   let cum_out = Array.init k (fun _ -> Array.make total_slots 0.) in
@@ -70,7 +67,7 @@ let run cfg =
           cum_in.(j).(t) <- acc_in.(j);
           Queue_node.offer node ~now ~cls:j a)
         sources;
-    let dep = Queue_node.serve_slot node in
+    let dep = Queue_node.serve_slot ?factor:(Option.map Faults.step faults) node in
     Array.iteri
       (fun j d ->
         acc_out.(j) <- acc_out.(j) +. d;
@@ -96,6 +93,7 @@ let run cfg =
         done;
         sample)
   in
+  let fault_factor = Option.fold ~none:1. ~some:Faults.mean_factor faults in
   if Telemetry.is_enabled () then begin
     Telemetry.Counter.add c_sim_slots total_slots;
     Telemetry.Gauge.set g_backlog_hwm (Queue_node.high_water node);
@@ -103,15 +101,15 @@ let run cfg =
       ~attrs:
         [
           ("backlog_hwm", Telemetry.Float (Queue_node.high_water node));
-          ("fault_factor", Telemetry.Float (Queue_node.fault_mean_factor node));
-          ("fault_transitions", Telemetry.Int (Queue_node.fault_transitions node));
+          ("fault_factor", Telemetry.Float fault_factor);
+          ("fault_transitions", Telemetry.Int (Option.fold ~none:0 ~some:Faults.transitions faults));
         ]
   end;
   {
     delays;
     utilization = !served /. (cfg.capacity *. float_of_int total_slots);
     offered_kb = acc_in;
-    fault_factor = Queue_node.fault_mean_factor node;
+    fault_factor;
   }
 
 let quantile r ~cls q = Desim.Stats.Sample.quantile r.delays.(cls) q

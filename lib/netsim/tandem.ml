@@ -57,7 +57,7 @@ let default_config =
     loss = None;
   }
 
-type result = {
+type result = Event_tandem.outcome = {
   delays : Desim.Stats.Sample.t;
   through_backlog : Desim.Stats.Sample.t;
   through_kb : float;
@@ -73,25 +73,6 @@ let cross_class = 1
 
 let c_sim_slots = Telemetry.Counter.make "netsim.tandem.slots"
 let g_backlog_hwm = Telemetry.Gauge.make "netsim.tandem.backlog_hwm"
-let c_events = Telemetry.Counter.make "netsim.desim.events"
-let g_heap_hwm = Telemetry.Gauge.make "netsim.desim.heap_hwm"
-
-let validate cfg =
-  if cfg.h <= 0 then invalid_arg "Tandem.run: non-positive path length";
-  if cfg.slots <= 0 then invalid_arg "Tandem.run: non-positive horizon";
-  (match cfg.capacities with
-  | Some caps when Array.length caps <> cfg.h ->
-    invalid_arg "Tandem.run: capacities arity mismatch"
-  | _ -> ());
-  List.iteri
-    (fun k (i, spec) ->
-      if i < 0 || i >= cfg.h then
-        invalid_arg (Printf.sprintf "Tandem.run: fault spec for node %d outside 0..%d" i (cfg.h - 1));
-      if List.exists (fun (j, _) -> j = i) (List.filteri (fun k' _ -> k' < k) cfg.faults)
-      then
-        invalid_arg (Printf.sprintf "Tandem.run: duplicate fault spec for node %d" i);
-      Faults.validate spec)
-    cfg.faults
 
 let node_capacities cfg =
   match cfg.capacities with
@@ -102,70 +83,66 @@ let policy_of cfg =
   Scheduler.Policy.of_two_class cfg.scheduler ~through_deadline:cfg.through_deadline
     ~cross_deadline:cfg.cross_deadline
 
-(* ------------------------------ slotted ------------------------------ *)
-
-let run_slotted cfg =
-  if Option.is_some cfg.prop_delay || Option.is_some cfg.loss then
-    invalid_arg
-      "Tandem.run: propagation delay / loss need the event engine (~engine:Event)";
-  let rng = Desim.Prng.create ~seed:cfg.seed in
+let params_of cfg =
   let discipline =
     match cfg.gps_weights with
     | Some (w_through, w_cross) ->
       Queue_node.Gps (Scheduler.Gps.v ~weights:[| w_through; w_cross |])
     | None -> Queue_node.Delta_policy (policy_of cfg)
   in
-  let caps = node_capacities cfg in
-  (* The through stream is split off even for a CBR source so the cross
-     and fault streams are independent of the through-source kind (and of
-     each other) — both engines derive identically. *)
-  let through_rng = Desim.Prng.split rng in
-  let through_src =
-    match cfg.through_kind with
-    | Markov -> Some (Source.create cfg.source ~n:cfg.n_through ~rng:through_rng)
-    | Cbr _ -> None
+  {
+    Event_tandem.h = cfg.h;
+    capacities = node_capacities cfg;
+    discipline;
+    packet_size = cfg.packet_size;
+    source = cfg.source;
+    through_kind = cfg.through_kind;
+    n_through = cfg.n_through;
+    n_cross = cfg.n_cross;
+    slots = cfg.slots;
+    drain_limit = cfg.drain_limit;
+    seed = cfg.seed;
+    faults = cfg.faults;
+    prop_delay = cfg.prop_delay;
+    loss = cfg.loss;
+  }
+
+(* ------------------------------ slotted ------------------------------ *)
+
+let run_slotted (p : Event_tandem.params) =
+  if not (Event_tandem.slot_aligned p) then
+    invalid_arg
+      "Tandem.run: propagation delay / loss need the event engine (~engine:Event)";
+  let { Event_tandem.nodes; through_src; cross_srcs; fault_procs; rng = _ } =
+    Event_tandem.setup p
   in
-  let cross_srcs =
-    Array.init cfg.h (fun _ -> Source.create cfg.source ~n:cfg.n_cross ~rng:(Desim.Prng.split rng))
-  in
-  (* Fault processes draw their rng streams after the sources so that a
-     fault-free run is bit-identical to the pre-fault simulator. *)
-  let nodes =
-    Array.init cfg.h (fun i ->
-        let faults =
-          match List.assoc_opt i cfg.faults with
-          | None -> None
-          | Some spec -> Some (Faults.make ~rng:(Desim.Prng.split rng) spec)
-        in
-        Queue_node.create ?packet_size:cfg.packet_size ?faults ~capacity:caps.(i)
-          ~classes:2 discipline)
-  in
-  let total_slots = cfg.slots + cfg.drain_limit in
+  let caps = p.capacities in
+  let total_slots = p.slots + p.drain_limit in
   (* Cumulative through arrivals into node 0 and departures from node h-1,
      indexed by slot. *)
-  let cum_in = Array.make cfg.slots 0. in
+  let cum_in = Array.make p.slots 0. in
   let cum_out = Array.make total_slots 0. in
-  let served_total = Array.make cfg.h 0. in
+  let served_total = Array.make p.h 0. in
   let through_backlog = Desim.Stats.Sample.create () in
   (* Data departing node i in slot t is offered to node i+1 at slot t+1. *)
-  let pending = Array.make cfg.h 0. in
+  let pending = Array.make p.h 0. in
   let acc_in = ref 0. and acc_out = ref 0. in
   for t = 0 to total_slots - 1 do
     let now = float_of_int t in
     (* Through arrivals (only during the arrival horizon). *)
-    if t < cfg.slots then begin
+    if t < p.slots then begin
       let a =
-        match (cfg.through_kind, through_src) with
-        | (Markov, Some src) -> Source.step src
+        match (p.through_kind, through_src) with
         | (Cbr { period; burst }, _) -> if t mod period = 0 then burst else 0.
-        | (Markov, None) -> assert false
+        | (Markov, Some src) -> Source.step src
+        | (Markov, None) -> 0.
       in
       acc_in := !acc_in +. a;
       cum_in.(t) <- !acc_in;
       Queue_node.offer nodes.(0) ~now ~cls:through_class a
     end;
     (* Forward last slot's inter-node departures. *)
-    for i = 1 to cfg.h - 1 do
+    for i = 1 to p.h - 1 do
       Queue_node.offer nodes.(i) ~now ~cls:through_class pending.(i);
       pending.(i) <- 0.
     done;
@@ -173,19 +150,20 @@ let run_slotted cfg =
     Array.iteri
       (fun i node -> Queue_node.offer node ~now ~cls:cross_class (Source.step cross_srcs.(i)))
       nodes;
-    (* Serve every node. *)
+    (* Serve every node, each fault process advancing once per slot. *)
     Array.iteri
       (fun i node ->
-        let dep = Queue_node.serve_slot node in
+        let factor = Option.map Faults.step fault_procs.(i) in
+        let dep = Queue_node.serve_slot ?factor node in
         served_total.(i) <- served_total.(i) +. dep.(through_class) +. dep.(cross_class);
-        if i < cfg.h - 1 then pending.(i + 1) <- dep.(through_class)
+        if i < p.h - 1 then pending.(i + 1) <- dep.(through_class)
         else begin
           acc_out := !acc_out +. dep.(through_class)
         end)
       nodes;
     cum_out.(t) <- !acc_out;
     (* total through data inside the network (queues + inter-node flight) *)
-    if t < cfg.slots then begin
+    if t < p.slots then begin
       let q =
         Array.fold_left
           (fun acc node -> acc +. Queue_node.backlog_of node ~cls:through_class)
@@ -200,7 +178,7 @@ let run_slotted cfg =
   let censored = ref 0. in
   let u = ref 0 in
   let eps = 1e-6 in
-  for t = 0 to cfg.slots - 1 do
+  for t = 0 to p.slots - 1 do
     let inc = cum_in.(t) -. (if t = 0 then 0. else cum_in.(t - 1)) in
     if inc > 0. then begin
       if !u < t then u := t;
@@ -214,7 +192,7 @@ let run_slotted cfg =
   let utilization =
     Array.mapi (fun i s -> s /. (caps.(i) *. float_of_int total_slots)) served_total
   in
-  let fault_factor = Array.map Queue_node.fault_mean_factor nodes in
+  let fault_factor = Event_tandem.mean_factors fault_procs in
   if Telemetry.is_enabled () then begin
     Telemetry.Counter.add c_sim_slots total_slots;
     Array.iteri
@@ -227,7 +205,8 @@ let run_slotted cfg =
               ("utilization", Telemetry.Float utilization.(i));
               ("backlog_hwm", Telemetry.Float (Queue_node.high_water node));
               ("fault_factor", Telemetry.Float fault_factor.(i));
-              ("fault_transitions", Telemetry.Int (Queue_node.fault_transitions node));
+              ( "fault_transitions",
+                Telemetry.Int (Option.fold ~none:0 ~some:Faults.transitions fault_procs.(i)) );
             ])
       nodes;
     Telemetry.event "tandem.done"
@@ -249,79 +228,24 @@ let run_slotted cfg =
     events_processed = 0;
   }
 
-(* ------------------------------- event ------------------------------- *)
-
-let run_event cfg =
-  let policy = policy_of cfg in
-  let (discipline, node_discipline) =
-    match cfg.gps_weights with
-    | Some (w_through, w_cross) ->
-      let g = Scheduler.Gps.v ~weights:[| w_through; w_cross |] in
-      (Queue_node.Gps g, Desim.Node.Gps g)
-    | None -> (Queue_node.Delta_policy policy, Desim.Node.Policy policy)
-  in
-  let params =
-    {
-      Event_tandem.h = cfg.h;
-      capacities = node_capacities cfg;
-      discipline;
-      node_discipline;
-      packet_size = cfg.packet_size;
-      source = cfg.source;
-      through_kind = cfg.through_kind;
-      n_through = cfg.n_through;
-      n_cross = cfg.n_cross;
-      slots = cfg.slots;
-      drain_limit = cfg.drain_limit;
-      seed = cfg.seed;
-      faults = cfg.faults;
-      prop_delay = cfg.prop_delay;
-      loss = cfg.loss;
-    }
-  in
-  let o = Event_tandem.run params in
-  if Telemetry.is_enabled () then begin
-    Telemetry.Counter.add c_events o.Event_tandem.events_processed;
-    Telemetry.Gauge.set g_heap_hwm (float_of_int o.Event_tandem.heap_high_water);
-    Telemetry.event "tandem.done"
-      ~attrs:
-        [
-          ("engine", Telemetry.Str "event");
-          ("events", Telemetry.Int o.Event_tandem.events_processed);
-          ("heap_hwm", Telemetry.Int o.Event_tandem.heap_high_water);
-          ("through_kb", Telemetry.Float o.Event_tandem.through_kb);
-          ("censored_kb", Telemetry.Float o.Event_tandem.censored_kb);
-          ("delay_samples", Telemetry.Int (Desim.Stats.Sample.count o.Event_tandem.delays));
-        ]
-  end;
-  {
-    delays = o.Event_tandem.delays;
-    through_backlog = o.Event_tandem.through_backlog;
-    through_kb = o.Event_tandem.through_kb;
-    censored_kb = o.Event_tandem.censored_kb;
-    lost_kb = o.Event_tandem.lost_kb;
-    utilization = o.Event_tandem.utilization;
-    fault_factor = o.Event_tandem.fault_factor;
-    events_processed = o.Event_tandem.events_processed;
-  }
+let engine_to_string = function Slotted -> "slotted" | Event -> "event"
 
 let run ?(engine = Slotted) cfg =
-  validate cfg;
+  let p = params_of cfg in
+  Event_tandem.validate p;
   Telemetry.span "netsim.tandem.run"
     ~attrs:
       [
         ("h", Telemetry.Int cfg.h);
         ("slots", Telemetry.Int cfg.slots);
-        ("engine", Telemetry.Str (match engine with Slotted -> "slotted" | Event -> "event"));
+        ("engine", Telemetry.Str (engine_to_string engine));
       ]
   @@ fun () ->
-  match engine with Slotted -> run_slotted cfg | Event -> run_event cfg
+  match engine with Slotted -> run_slotted p | Event -> Event_tandem.run p
 
 let engine_of_string = function
   | "slotted" -> Ok Slotted
   | "event" -> Ok Event
   | s -> Error (Printf.sprintf "unknown engine %S (slotted | event)" s)
-
-let engine_to_string = function Slotted -> "slotted" | Event -> "event"
 
 let delay_quantile r q = Desim.Stats.Sample.quantile r.delays q

@@ -2,9 +2,15 @@
 
     A policy maps a batch's class and arrival time at the node to a
     precedence key; the node serves backlogged batches in increasing key
-    order (ties broken by arrival time, then by class index, which keeps
-    every policy locally FIFO).  These are the operational counterparts of
-    the ∆-matrices in {!Classes}; {!of_two_class} connects the two. *)
+    order (ties broken by arrival time, then by class index).  These are
+    the operational counterparts of the ∆-matrices in {!Classes};
+    {!of_two_class} connects the two.
+
+    {b Every policy must be locally FIFO} (Def. 1): within one class, the
+    keys of successive arrivals never decrease.  The simulator's node
+    relies on it — it keeps one FIFO per class and only compares the
+    class heads — and [Netsim.Queue_node.offer] raises [Invalid_argument]
+    on a key below the key of its class's last queued batch. *)
 
 type key = { major : float; minor : float; tie : int }
 
@@ -28,7 +34,9 @@ val make :
   unit ->
   t
 (** General constructor for custom (possibly stateful) policies; [matrix]
-    defaults to [fun ~n:_ -> None] (not a ∆-scheduler, or unknown). *)
+    defaults to [fun ~n:_ -> None] (not a ∆-scheduler, or unknown).
+    [key] must be locally FIFO: for one class, a later call (later or
+    equal [arrival]) must never return a smaller key. *)
 
 val fifo : t
 (** Serve in global arrival order (classes interleaved). *)

@@ -205,14 +205,14 @@ let prop_exact_parity =
    model difference remains: the slotted oracle serves a burst within
    its arrival slot (zero transmission time on the slot grid) while the
    continuous server charges size/rate per hop, so the band allows an
-   additive shift that grows with the path length. *)
+   additive shift that grows with the path length.  Every scheduler of
+   the generator (FIFO, BMUX, SP, EDF, GPS, packetized) is in scope. *)
 
 let envelope_scenario s =
   {
     s with
     h = 1 + (s.h mod 5);
     slots = 200 + s.slots;
-    sched = s.sched mod 4;  (* continuous GPS/packetized covered below *)
     kind = 0;
     n_through = 10 + s.n_through;
     fault = 0;

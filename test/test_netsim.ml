@@ -161,6 +161,81 @@ let test_gps_rejects_packets () =
         (Node.create ~packet_size:1. ~capacity:5. ~classes:2
            (Node.Gps (Scheduler.Gps.v ~weights:[| 1.; 1. |]))))
 
+(* The class-queue design needs keys that never decrease within a class
+   in arrival order; a policy that breaks this must be refused, not
+   silently served out of order. *)
+let test_offer_rejects_non_locally_fifo () =
+  let lifo =
+    Policy.make ~name:"LIFO"
+      ~key:(fun ~arrival ~cls ~size:_ -> { Policy.major = -.arrival; minor = 0.; tie = cls })
+      ()
+  in
+  let node = Node.create ~capacity:1. ~classes:2 (Node.Delta_policy lifo) in
+  Node.offer node ~now:0. ~cls:0 5.;
+  (* another class has its own tail; equal keys are fine *)
+  Node.offer node ~now:1. ~cls:1 5.;
+  Node.offer node ~now:1. ~cls:1 5.;
+  Alcotest.check_raises "key below the class's tail"
+    (Invalid_argument "Queue_node.offer: key below the class's tail (policy not locally FIFO)")
+    (fun () -> Node.offer node ~now:2. ~cls:0 5.)
+
+(* Continuous clock: a class FIFO that wraps and grows past its initial
+   ring still completes batches in arrival order, at the predicted
+   instants. *)
+let test_continuous_fifo_order () =
+  let node = Node.create ~capacity:2. ~classes:2 (Node.Delta_policy Policy.fifo) in
+  let completed = ref [] in
+  let now = ref 0. in
+  let drain_until limit =
+    while Node.next_completion node < limit do
+      now := Node.next_completion node;
+      Node.sync node ~now:!now;
+      completed := List.rev_append (Node.take_completions node) !completed
+    done
+  in
+  for k = 1 to 40 do
+    Node.sync node ~now:!now;
+    Node.offer node ~now:!now ~cls:0 (float_of_int k);
+    (* serve a little between offers so the ring head moves before it grows *)
+    if k mod 10 = 0 then drain_until (!now +. 1.)
+  done;
+  drain_until Float.infinity;
+  let sizes = List.rev_map snd !completed in
+  Alcotest.(check (list (float 0.))) "arrival order" (List.init 40 (fun k -> float_of_int (k + 1))) sizes;
+  check_float ~tol:1e-9 "all work served at rate 2" (820. /. 2.) !now;
+  check_float ~tol:1e-9 "served_of" 820. (Node.served_of node ~cls:0);
+  Alcotest.(check bool) "idle" false (Node.occupied node)
+
+(* Regression: continuous GPS used to grant shares to a class whose queue
+   had emptied but whose backlog kept float dust, starving the real
+   backlog while re-predicting a completion ~1e-11 later forever.  Both
+   configs never returned. *)
+let test_continuous_gps_terminates () =
+  let base =
+    {
+      Tandem.default_config with
+      h = 2;
+      slots = 100;
+      drain_limit = 100;
+      n_through = 60;
+      n_cross = 150;
+      capacity = 40.;
+      gps_weights = Some (2., 1.);
+      seed = 3L;
+    }
+  in
+  List.iter
+    (fun (name, cfg) ->
+      let r = Tandem.run ~engine:Tandem.Event cfg in
+      if r.Tandem.events_processed > 20_000 then
+        Alcotest.failf "%s: %d events for a %d-slot run" name r.Tandem.events_processed
+          (cfg.Tandem.slots + cfg.Tandem.drain_limit);
+      Alcotest.(check bool) (name ^ " delivers") true (Desim.Stats.Sample.count r.Tandem.delays > 0))
+    [
+      ("prop", { base with prop_delay = Some [| 1.; 0. |] });
+      ("loss", { base with slots = 200; seed = 1L; loss = Some [| 0.02; 0.02 |] });
+    ]
+
 (* ---------------- tandem ---------------- *)
 
 let small_config scheduler =
@@ -327,6 +402,10 @@ let suite =
     Alcotest.test_case "fluid preempts" `Quick test_packet_preemptive_contrast;
     Alcotest.test_case "packet conservation" `Quick test_packet_conservation;
     Alcotest.test_case "gps rejects packets" `Quick test_gps_rejects_packets;
+    Alcotest.test_case "offer rejects non-locally-FIFO keys" `Quick
+      test_offer_rejects_non_locally_fifo;
+    Alcotest.test_case "continuous clock keeps FIFO order" `Quick test_continuous_fifo_order;
+    Alcotest.test_case "continuous gps terminates" `Quick test_continuous_gps_terminates;
     Alcotest.test_case "tandem runs" `Slow test_tandem_runs_and_measures;
     Alcotest.test_case "tandem path latency" `Slow test_tandem_min_delay_is_path_latency;
     Alcotest.test_case "tandem deterministic" `Slow test_tandem_deterministic_given_seed;
