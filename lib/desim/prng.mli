@@ -1,6 +1,13 @@
 (** Deterministic pseudo-random number generation for reproducible
     experiments: splitmix64 for seeding and xoshiro256++ as the main
-    generator, plus the samplers the network simulator needs. *)
+    generator, plus the samplers the network simulator needs.
+
+    {b State.} A generator is 32 bytes holding the four xoshiro256++
+    state words, read and written in native byte order.  A step costs a
+    handful of integer operations and allocates nothing.  [binomial],
+    [binomial_of_law] and [geometric] allocate nothing at all; [bits64],
+    [float] and [exponential] allocate only their boxed result, and
+    [create]/[split]/[copy] the new 32-byte state. *)
 
 type t
 
@@ -16,7 +23,7 @@ val bits64 : t -> int64
 (** Next 64 raw bits (xoshiro256++). *)
 
 val float : t -> float
-(** Uniform in [\[0., 1.)], 53-bit resolution. *)
+(** Uniform in [\[0., 1.)]: the top 53 bits of one step times 2{^-53}. *)
 
 val int : t -> bound:int -> int
 (** Uniform in [\[0, bound)].  @raise Invalid_argument on [bound <= 0]. *)
@@ -24,11 +31,36 @@ val int : t -> bound:int -> int
 val bernoulli : t -> p:float -> bool
 
 val binomial : t -> n:int -> p:float -> int
-(** Exact binomial sample by inversion on the smaller of [p] and
-    [1. -. p]; cost O(n *. min p (1. -. p)) expected, suitable for the
-    simulator's per-slot aggregate transitions. *)
+(** Exact binomial sample by inversion on q = [min p (1. -. p)]: it sums
+    {!geometric} gaps of parameter q until they pass [n], and reflects
+    when [p > 0.5].  One uniform per success plus one, so O(n q)
+    expected draws, each costing one [log1p]; suitable for the
+    simulator's per-slot aggregate transitions.  [p = 0.], [p = 1.] and
+    [n = 0] draw nothing.  Gaps saturate as in {!geometric}, so a q so
+    small that [log1p (-. u) /. log1p (-. q)] reaches 2{^62} counts no
+    success.  @raise Invalid_argument on [n < 0] or [p] outside
+    [\[0, 1\]] (NaN included). *)
+
+type binomial_law
+(** A binomial success probability with its reflection and
+    [log1p (-. q)] precomputed, for callers that draw many samples at
+    one [p]. *)
+
+val binomial_law : p:float -> binomial_law
+(** @raise Invalid_argument on [p] outside [\[0, 1\]] (NaN included). *)
+
+val binomial_of_law : t -> binomial_law -> n:int -> int
+(** [binomial_of_law t (binomial_law ~p) ~n] returns the same sample as
+    [binomial t ~n ~p] and leaves [t] in the same state: both run the
+    same loop on the same [log1p (-. q)]; this one skips recomputing it.
+    @raise Invalid_argument on [n < 0]. *)
 
 val exponential : t -> rate:float -> float
 
 val geometric : t -> p:float -> int
-(** Number of failures before the first success, [p] in (0, 1]. *)
+(** Number of failures before the first success, [p] in (0, 1]:
+    [floor (log1p (-. u) /. log1p (-. p))] for one uniform [u] ([p = 1.]
+    draws nothing).  The true gap can pass [max_int] once [p] is below
+    ~1e-17 (and does for every [u > 0.] once [p] is below ~2e-35): a
+    quotient of 2{^62} or more saturates at [max_int].
+    @raise Invalid_argument on [p] outside (0, 1] (NaN included). *)

@@ -5,19 +5,26 @@ type t = {
   n : int;
   mutable on : int;
   rng : Desim.Prng.t;
+  stay_on : Desim.Prng.binomial_law;
+  turn_on : Desim.Prng.binomial_law;
 }
 
 let create src ~n ~rng =
   if n < 0 then invalid_arg "Source.create: negative flow count";
   let on = Desim.Prng.binomial rng ~n ~p:(Envelope.Mmpp.stationary_on src) in
-  { src; n; on; rng }
+  {
+    src;
+    n;
+    on;
+    rng;
+    stay_on = Desim.Prng.binomial_law ~p:src.Envelope.Mmpp.p_stay_on;
+    turn_on = Desim.Prng.binomial_law ~p:(1. -. src.Envelope.Mmpp.p_stay_off);
+  }
 
 let step t =
   let emitted = float_of_int t.on *. t.src.Envelope.Mmpp.peak in
-  let stay_on = Desim.Prng.binomial t.rng ~n:t.on ~p:t.src.Envelope.Mmpp.p_stay_on in
-  let turn_on =
-    Desim.Prng.binomial t.rng ~n:(t.n - t.on) ~p:(1. -. t.src.Envelope.Mmpp.p_stay_off)
-  in
+  let stay_on = Desim.Prng.binomial_of_law t.rng t.stay_on ~n:t.on in
+  let turn_on = Desim.Prng.binomial_of_law t.rng t.turn_on ~n:(t.n - t.on) in
   t.on <- stay_on + turn_on;
   emitted
 

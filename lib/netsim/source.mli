@@ -9,7 +9,9 @@ val create : Envelope.Mmpp.t -> n:int -> rng:Desim.Prng.t -> t
     start in steady state. *)
 
 val step : t -> float
-(** Emit the current slot's data (kb) and advance the chain. *)
+(** Emit the current slot's data (kb) and advance the chain: two
+    binomial draws on laws precomputed by [create], allocating only the
+    boxed result. *)
 
 val on_count : t -> int
 val flows : t -> int

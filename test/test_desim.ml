@@ -77,6 +77,17 @@ let test_binomial_edges () =
   Alcotest.(check int) "p = 1" 10 (Prng.binomial t ~n:10 ~p:1.);
   Alcotest.(check int) "n = 0" 0 (Prng.binomial t ~n:0 ~p:0.5)
 
+let test_tiny_p_saturates () =
+  (* log1p (-. u) /. log1p (-. p) passes the int range for such p: the
+     gap saturates at max_int instead of wrapping to a zero gap, which
+     made every trial a success. *)
+  let t = Prng.create ~seed:13L in
+  for _ = 1 to 100 do
+    Alcotest.(check int) "binomial p = 1e-20" 0 (Prng.binomial t ~n:10 ~p:1e-20);
+    Alcotest.(check int) "binomial p = 1e-300" 0 (Prng.binomial t ~n:10 ~p:1e-300);
+    Alcotest.(check int) "geometric p = 1e-300" max_int (Prng.geometric t ~p:1e-300)
+  done
+
 let test_geometric_mean () =
   let t = Prng.create ~seed:11L in
   let p = 0.25 in
@@ -152,6 +163,139 @@ let test_exponential_mean () =
     Stats.Online.add acc (Prng.exponential t ~rate:2.)
   done;
   check_float ~tol:0.02 "exponential mean" 0.5 (Stats.Online.mean acc)
+
+(* The sampler as it stood with the state in a record of mutable [int64]
+   fields and closure-based [geometric]/[binomial]: the oracle that the
+   allocation-free version must reproduce draw for draw.  It keeps the
+   old zero-gap wrap for quotients past the int range, which the
+   generated [p] never reach (the smallest, 1e-12, stays below 4e13). *)
+module Oracle = struct
+  type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+
+  let splitmix64 x =
+    let open Int64 in
+    let z = add x 0x9E3779B97F4A7C15L in
+    let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
+    (z, logxor z (shift_right_logical z 31))
+
+  let create ~seed =
+    let (x1, s0) = splitmix64 seed in
+    let (x2, s1) = splitmix64 x1 in
+    let (x3, s2) = splitmix64 x2 in
+    let (_, s3) = splitmix64 x3 in
+    { s0; s1; s2; s3 }
+
+  let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+
+  let bits64 t =
+    let open Int64 in
+    let result = add (rotl (add t.s0 t.s3) 23) t.s0 in
+    let tmp = shift_left t.s1 17 in
+    t.s2 <- logxor t.s2 t.s0;
+    t.s3 <- logxor t.s3 t.s1;
+    t.s1 <- logxor t.s1 t.s2;
+    t.s0 <- logxor t.s0 t.s3;
+    t.s2 <- logxor t.s2 tmp;
+    t.s3 <- rotl t.s3 45;
+    result
+
+  let float t = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) *. 0x1.0p-53
+
+  let geometric t ~p =
+    if Float.equal p 1. then 0
+    else
+      let u = float t in
+      let g = Float.to_int (Float.floor (Float.log1p (-.u) /. Float.log1p (-.p))) in
+      if g < 0 then 0 else g
+
+  let binomial t ~n ~p =
+    let count_successes p =
+      let rec go i count =
+        let gap = geometric t ~p in
+        let j = i + gap + 1 in
+        if j >= n then count else go j (count + 1)
+      in
+      go (-1) 0
+    in
+    if n = 0 || Float.equal p 0. then 0
+    else if Float.equal p 1. then n
+    else if p > 0.5 then n - count_successes (1. -. p)
+    else count_successes p
+end
+
+let prop_sampler_matches_oracle =
+  let p_gen =
+    QCheck.Gen.(
+      oneof
+        [
+          oneofl [ 0.; 1.; 0.5; Float.pred 0.5; Float.succ 0.5; 1e-12 ];
+          float_bound_exclusive 1. |> map (fun p -> if p > 0. then p else 0.5);
+        ])
+  in
+  let gen = QCheck.Gen.(triple ui64 (int_range 0 500) p_gen) in
+  QCheck.Test.make ~name:"sampler = record-state oracle, bit for bit"
+    ~count:(Qc.count 100)
+    (QCheck.make ~print:(fun (s, n, p) -> Printf.sprintf "seed=%Ld n=%d p=%h" s n p) gen)
+    (fun (seed, n, p) ->
+      (* Four samples, then an 8-word bits64 tape: equal tapes mean equal
+         generator states. *)
+      let run draw =
+        let t = Prng.create ~seed in
+        let xs = Array.init 4 (fun _ -> draw t) in
+        (xs, Array.init 8 (fun _ -> Prng.bits64 t))
+      in
+      let oracle draw =
+        let o = Oracle.create ~seed in
+        let xs = Array.init 4 (fun _ -> draw o) in
+        (xs, Array.init 8 (fun _ -> Oracle.bits64 o))
+      in
+      let want = oracle (fun o -> Oracle.binomial o ~n ~p) in
+      let law = Prng.binomial_law ~p in
+      let samplers_ok =
+        run (fun t -> Prng.binomial t ~n ~p) = want
+        && run (fun t -> Prng.binomial_of_law t law ~n) = want
+        && (p <= 0. || run (fun t -> Prng.geometric t ~p) = oracle (fun o -> Oracle.geometric o ~p))
+      in
+      (* Source.step against the oracle aggregate over paper_source. *)
+      let src = Envelope.Mmpp.paper_source in
+      let source = Netsim.Source.create src ~n ~rng:(Prng.create ~seed) in
+      let o = Oracle.create ~seed in
+      let on = ref (Oracle.binomial o ~n ~p:(Envelope.Mmpp.stationary_on src)) in
+      let steps_ok = ref (Netsim.Source.on_count source = !on) in
+      for _ = 1 to 10_000 do
+        ignore (Netsim.Source.step source);
+        let stay_on = Oracle.binomial o ~n:!on ~p:src.Envelope.Mmpp.p_stay_on in
+        let turn_on = Oracle.binomial o ~n:(n - !on) ~p:(1. -. src.Envelope.Mmpp.p_stay_off) in
+        on := stay_on + turn_on;
+        if Netsim.Source.on_count source <> !on then steps_ok := false
+      done;
+      samplers_ok && !steps_ok)
+
+(* Gc.minor_words is unboxed and allocation-free, so the window counts
+   only the calls under test. *)
+let minor_words_per_call calls f =
+  let w0 = Gc.minor_words () in
+  for _ = 1 to calls do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int calls
+
+let test_sampler_allocates_nothing () =
+  let t = Prng.create ~seed:14L in
+  let sink = ref 0 in
+  let calls = 100_000 in
+  let words = minor_words_per_call calls (fun () -> sink := !sink + Prng.binomial t ~n:200 ~p:0.1) in
+  Alcotest.(check (float 0.)) "words per binomial (p < 1/2)" 0. words;
+  let words = minor_words_per_call calls (fun () -> sink := !sink + Prng.binomial t ~n:200 ~p:0.9) in
+  Alcotest.(check (float 0.)) "words per binomial (p > 1/2)" 0. words;
+  let law = Prng.binomial_law ~p:0.011 in
+  let words = minor_words_per_call calls (fun () -> sink := !sink + Prng.binomial_of_law t law ~n:200) in
+  Alcotest.(check (float 0.)) "words per binomial_of_law" 0. words;
+  let source = Netsim.Source.create Envelope.Mmpp.paper_source ~n:235 ~rng:t in
+  let words = minor_words_per_call calls (fun () -> ignore (Sys.opaque_identity (Netsim.Source.step source))) in
+  if words > 2. then Alcotest.failf "Source.step allocates %g words per call (> 2: the boxed result)" words;
+  ignore (Sys.opaque_identity !sink)
 
 (* ---------------- Heap ---------------- *)
 
@@ -318,6 +462,9 @@ let suite =
     Alcotest.test_case "binomial reflected" `Slow test_binomial_reflected;
     Alcotest.test_case "binomial edges" `Quick test_binomial_edges;
     Alcotest.test_case "geometric mean" `Slow test_geometric_mean;
+    Alcotest.test_case "tiny p saturates the gap" `Quick test_tiny_p_saturates;
+    QCheck_alcotest.to_alcotest prop_sampler_matches_oracle;
+    Alcotest.test_case "sampler allocates nothing" `Quick test_sampler_allocates_nothing;
     Alcotest.test_case "prng split independent" `Quick test_prng_split_independent;
     Alcotest.test_case "prng split streams distinct" `Quick test_prng_split_streams_distinct;
     Alcotest.test_case "seeds jobs-invariant" `Quick test_seeds_jobs_invariant;
