@@ -7,13 +7,16 @@
      simulate        packet-level tandem simulation with delay quantiles
      replicate       independent replications with CIs, retries and resume
      schedulability  deterministic single-node check (Theorem 2)
+     scaling         empirical growth exponents of the bounds in H
+     admission       largest admissible cross load under a delay guarantee
      check           validate domain contracts (∆ matrices, envelopes, load)
      serve           long-running admission-control daemon (JSON lines on stdin)
      loadgen         deterministic request-line generator for serve
+     report          offline analyzer for --metrics telemetry files
 
    The serve daemon reads one JSON request per line on stdin and writes
    one JSON response per line on stdout; SIGTERM/SIGINT drain the input
-   buffer, emit a final stats line and exit 0.
+   buffer, emit a final stats line and exit 0 (Serve.Daemon).
 
    Exit codes: 0 success; 1 runtime/numerical failure or partial results;
    2 invalid arguments; 3 unstable scenario (no finite bound exists).     *)
@@ -142,12 +145,7 @@ let setup_jobs jobs =
   let n =
     match jobs with Some n -> Some n | None -> Parallel.Default.jobs_from_env ()
   in
-  match n with
-  | None -> ()
-  | Some n when n < 0 ->
-    Fmt.epr "invalid --jobs %d (need 0 for auto or a positive count)@." n;
-    exit exit_usage
-  | Some n -> Parallel.Default.set_jobs n
+  Option.iter Parallel.Default.set_jobs n
 
 (* ---------------- telemetry flags (all subcommands) ---------------- *)
 
@@ -504,10 +502,6 @@ let replicate_cmd =
       jobs metrics trace =
     setup_jobs jobs;
     with_telemetry "replicate" metrics trace @@ fun () ->
-    if runs < 2 then begin
-      Fmt.epr "need at least two replications (got %d)@." runs;
-      exit exit_usage
-    end;
     let experiment ~seed =
       (Tandem.run ~engine (tandem_config ~h ~u0 ~uc ~slots ~sched ~edf_ratio ~faults ~seed))
         .Tandem.delays
@@ -519,9 +513,6 @@ let replicate_cmd =
     | exception Failure msg ->
       Fmt.epr "replication sweep failed: %s@." msg;
       exit exit_runtime
-    | exception Invalid_argument msg ->
-      Fmt.epr "invalid arguments: %s@." msg;
-      exit exit_usage
     | s ->
       Fmt.pr "delay quantile %g over %d/%d replications: %.2f ± %.2f ms (95%% CI)@." q
         s.Replicate.completed s.Replicate.requested s.Replicate.mean
@@ -937,18 +928,9 @@ let serve_cmd =
   let batch_arg =
     Arg.(
       value
-      & opt int 64
+      & opt int Serve.Daemon.default_config.batch
       & info [ "batch" ] ~docv:"N"
           ~doc:"Maximum request lines pulled into one processing batch.")
-  in
-  let debug_ops_arg =
-    Arg.(
-      value
-      & flag
-      & info [ "debug-ops" ]
-          ~doc:
-            "Accept the $(b,debug-fail) op (a deliberately poisoned request that \
-             exercises worker supervision).  For tests only.")
   in
   let prom_arg =
     Arg.(
@@ -964,11 +946,11 @@ let serve_cmd =
   let prom_interval_arg =
     Arg.(
       value
-      & opt float 5.
+      & opt float Serve.Daemon.default_config.prom_interval
       & info [ "prom-interval" ] ~docv:"SECS"
           ~doc:"Seconds between $(b,--prom) snapshot rewrites.")
   in
-  let run budget queue cache batch debug_ops prom prom_interval jobs metrics trace =
+  let run budget queue cache batch prom prom_interval jobs metrics trace =
     setup_jobs jobs;
     setup_telemetry metrics trace;
     (* recording entry points are load-and-branch no-ops until telemetry
@@ -977,175 +959,32 @@ let serve_cmd =
        streamed — the pool keeps its parallelism) *)
     if not (Telemetry.is_enabled ()) then Telemetry.configure ();
     Telemetry.span "cli.serve" @@ fun () ->
-    if batch < 1 then begin
-      Fmt.epr "invalid --batch %d (need >= 1)@." batch;
-      exit exit_usage
-    end;
-    if (not (Float.is_finite prom_interval)) || prom_interval <= 0. then begin
-      Fmt.epr "invalid --prom-interval %g (need a finite value > 0)@." prom_interval;
-      exit exit_usage
-    end;
-    let cfg =
+    (* The handlers only raise flags, overriding setup_telemetry's
+       flush-in-handler for SIGUSR1: the daemon loop drains, flushes and
+       writes snapshots outside signal context. *)
+    let stop = Atomic.make false in
+    let snapshot = Atomic.make false in
+    let raise_flag flag = Sys.Signal_handle (fun _ -> Atomic.set flag true) in
+    Sys.set_signal Sys.sigterm (raise_flag stop);
+    Sys.set_signal Sys.sigint (raise_flag stop);
+    (try Sys.set_signal Sys.sigusr1 (raise_flag snapshot)
+     with Invalid_argument _ | Sys_error _ -> ());
+    let engine =
       {
         Serve.Engine.default_config with
         Serve.Engine.budget_ms = budget;
         max_queue = queue;
         cache_entries = cache;
-        debug_ops;
       }
     in
-    let engine =
-      try Serve.Engine.create cfg
-      with Invalid_argument msg ->
-        Fmt.epr "%s@." msg;
-        exit exit_usage
-    in
-    (* SIGTERM/SIGINT only flip a flag; the loop notices at the next
-       select timeout (or EINTR), drains buffered requests and exits 0. *)
-    let stop = ref false in
-    let handler = Sys.Signal_handle (fun _ -> stop := true) in
-    Sys.set_signal Sys.sigterm handler;
-    Sys.set_signal Sys.sigint handler;
-    (* SIGUSR1 likewise only flips a flag here (overriding the generic
-       flush-in-handler installed by setup_telemetry): the loop does the
-       ring merge and snapshot write outside signal context. *)
-    let usr1 = ref false in
-    (try Sys.set_signal Sys.sigusr1 (Sys.Signal_handle (fun _ -> usr1 := true))
-     with Invalid_argument _ | Sys_error _ -> ());
-    let write_prom () =
-      match prom with
-      | None -> ()
-      | Some path -> (
-        try Telemetry.Prometheus.write_file path
-        with Sys_error msg -> Fmt.epr "serve: --prom write failed: %s@." msg)
-    in
-    let last_prom = ref (Unix.gettimeofday ()) in
-    (* an immediate first snapshot, so scrapers find the file as soon as
-       the daemon is up rather than one interval later *)
-    write_prom ();
-    let buf = Buffer.create 65_536 in
-    let chunk = Bytes.create 65_536 in
-    let eof = ref false in
-    (* An unbounded line would grow [buf] without limit; once the trailing
-       partial line passes twice the engine's line bound its prefix is
-       discarded and the eventual rest of that line (up to its newline) is
-       dropped on extraction.  Complete lines are never touched by the
-       cap — they are extracted and answered first, and an oversized
-       *complete* line is rejected per-line by the protocol's own
-       max_bytes check. *)
-    let overlong_cap = 2 * cfg.Serve.Engine.max_line_bytes in
-    let drop_next_line = ref false in
-    let respond_lines rs =
-      List.iter
-        (fun r ->
-          output_string stdout r;
-          output_char stdout '\n')
-        rs;
-      flush stdout
-    in
-    let extract_lines () =
-      let s = Buffer.contents buf in
-      let rec go start acc =
-        match String.index_from_opt s start '\n' with
-        | Some i -> go (i + 1) (String.sub s start (i - start) :: acc)
-        | None ->
-          Buffer.clear buf;
-          Buffer.add_substring buf s start (String.length s - start);
-          List.rev acc
-      in
-      let lines = go 0 [] in
-      match lines with
-      | first :: rest when !drop_next_line ->
-        ignore first;
-        drop_next_line := false;
-        rest
-      | lines -> lines
-    in
-    let read_some ~timeout =
-      match Unix.select [ Unix.stdin ] [] [] timeout with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | ([], _, _) -> ()
-      | (_ :: _, _, _) -> (
-        match Unix.read Unix.stdin chunk 0 (Bytes.length chunk) with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | 0 -> eof := true
-        | n -> Buffer.add_subbytes buf chunk 0 n)
-    in
-    let rec batches = function
-      | [] -> ()
-      | lines ->
-        let rec take n acc = function
-          | rest when n = 0 -> (List.rev acc, rest)
-          | [] -> (List.rev acc, [])
-          | l :: rest -> take (n - 1) (l :: acc) rest
-        in
-        let (head, rest) = take batch [] lines in
-        respond_lines (Serve.Engine.handle_batch engine head);
-        batches rest
-    in
-    (* Called after [extract_lines], so the buffer holds only the trailing
-       partial (newline-less) line.  A line long enough to trip the cap
-       may span many reads; the first trip answers it with one typed
-       error, later trips keep discarding silently until its newline
-       arrives — one line in, one response out. *)
-    let guard_overlong () =
-      if Buffer.length buf > overlong_cap then begin
-        Buffer.clear buf;
-        if not !drop_next_line then begin
-          drop_next_line := true;
-          respond_lines
-            [
-              Serve.Protocol.render_error ~kind:Serve.Protocol.Invalid_request
-                ~detail:"oversized request line discarded before parsing" ();
-            ]
-        end
-      end
-    in
-    while not (!stop || !eof) do
-      read_some ~timeout:0.2;
-      (* greedily pull everything already queued on the pipe, so backlog
-         becomes one batch and the shed policy sees real queue depth *)
-      let continue = ref true in
-      while !continue && not !eof do
-        match Unix.select [ Unix.stdin ] [] [] 0. with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> continue := false
-        | ([], _, _) -> continue := false
-        | (_ :: _, _, _) -> (
-          match Unix.read Unix.stdin chunk 0 (Bytes.length chunk) with
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> continue := false
-          | 0 -> eof := true
-          | n ->
-            Buffer.add_subbytes buf chunk 0 n;
-            if Buffer.length buf > overlong_cap then continue := false)
-      done;
-      batches (extract_lines ());
-      guard_overlong ();
-      if !usr1 then begin
-        usr1 := false;
-        Telemetry.flush ();
-        write_prom ();
-        last_prom := Unix.gettimeofday ()
-      end
-      else if Option.is_some prom && Unix.gettimeofday () -. !last_prom >= prom_interval
-      then begin
-        write_prom ();
-        last_prom := Unix.gettimeofday ()
-      end
-    done;
-    (* drain: answer every complete buffered line, plus a final partial
-       line if the writer was cut mid-request (it parses or it gets a
-       typed error — either way the client sees a response) *)
-    batches (extract_lines ());
-    if Buffer.length buf > 0 && not !drop_next_line then
-      batches [ Buffer.contents buf ];
-    respond_lines [ Serve.Engine.stats_response engine ];
-    write_prom ();
-    Telemetry.flush ()
+    Serve.Daemon.run ~stop ~snapshot
+      { Serve.Daemon.engine; batch; prom; prom_interval }
+      Unix.stdin stdout
   in
   let term =
     Term.(
-      const run $ budget_arg $ queue_arg $ cache_arg $ batch_arg $ debug_ops_arg
-      $ prom_arg $ prom_interval_arg $ jobs_arg $ metrics_arg $ trace_arg)
+      const run $ budget_arg $ queue_arg $ cache_arg $ batch_arg $ prom_arg
+      $ prom_interval_arg $ jobs_arg $ metrics_arg $ trace_arg)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1154,22 +993,24 @@ let serve_cmd =
           (ops admit/check/stats/health), one JSON response per line on stdout.  \
           Repeat path shapes hit a bounded LRU of compiled kernels; overload is \
           shed with retry-after hints or degraded to closed-form upper bounds \
-          (responses tagged exact/approx); SIGTERM/SIGINT drain and exit 0.")
+          (responses tagged exact/approx); SIGTERM/SIGINT drain and exit 0.  For per-outcome latency percentiles, run with $(b,--batch 1 --metrics) \
+          FILE and read FILE with $(b,deltanet report).")
     term
 
 (* ---------------- loadgen ---------------- *)
 
 let loadgen_cmd =
+  let d = Serve.Loadgen.default_config in
   let requests_arg =
     Arg.(
       value
-      & opt int 1000
+      & opt int d.requests
       & info [ "n"; "requests" ] ~docv:"N" ~doc:"Number of request lines to emit.")
   in
   let shapes_arg =
     Arg.(
       value
-      & opt int 50
+      & opt int d.shapes
       & info [ "shapes" ] ~docv:"N"
           ~doc:
             "Number of distinct path shapes to draw from; smaller means a hotter \
@@ -1178,162 +1019,44 @@ let loadgen_cmd =
   let malformed_arg =
     Arg.(
       value
-      & opt float 0.
+      & opt float d.malformed
       & info [ "malformed" ] ~docv:"FRAC"
           ~doc:
             "Fraction of deliberately malformed lines (truncated JSON, bad types, \
              unknown ops, oversized payloads) mixed into the stream.")
   in
   let seed_arg =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Deterministic stream seed.")
+    Arg.(value & opt int d.seed & info [ "seed" ] ~docv:"SEED" ~doc:"Deterministic stream seed.")
   in
   let deadline_arg =
     Arg.(
       value
-      & opt float 50.
+      & opt float d.deadline_ms
       & info [ "deadline" ] ~docv:"MS" ~doc:"Deadline (ms) carried by every admit request.")
   in
-  let measure_arg =
-    Arg.(
-      value
-      & flag
-      & info [ "measure" ]
-          ~doc:
-            "Instead of printing request lines, drive them through an in-process \
-             $(b,deltanet serve) engine, record per-request wall latency, and print \
-             count and p50/p95/p99 per outcome \
-             (exact/approx/shed/error/timeout).")
-  in
-  let latency_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "latency-out" ] ~docv:"CSV"
-          ~doc:
-            "With $(b,--measure) (implied), also write one \
-             $(i,request,outcome,latency_ms) CSV row per request to $(docv).")
-  in
-  let run n shapes malformed seed deadline sched measure latency_out =
-    if n < 0 || shapes < 1 || malformed < 0. || malformed > 1. || Float.is_nan malformed
-    then begin
-      Fmt.epr "invalid arguments: need requests >= 0, shapes >= 1, malformed in [0, 1]@.";
-      exit exit_usage
-    end;
-    let sched_name =
-      match sched with S_fifo -> "fifo" | S_bmux -> "bmux" | S_sp -> "sp" | S_edf -> "edf"
+  let run requests shapes malformed seed deadline_ms sched =
+    let scheduler =
+      match sched with
+      | S_fifo -> Serve.Protocol.Fifo
+      | S_bmux -> Serve.Protocol.Bmux
+      | S_sp -> Serve.Protocol.Sp
+      | S_edf -> Serve.Protocol.Edf { cross_over_through = 10. }
     in
-    let rng = Desim.Prng.create ~seed:(Int64.of_int seed) in
-    (* A fixed pool of shapes, sampled uniformly: with N requests over K
-       shapes the expected hit rate is 1 - K/N. *)
-    let shape i =
-      let g = Desim.Prng.create ~seed:(Int64.of_int ((seed * 65_599) + i)) in
-      let h = 2 + Desim.Prng.int g ~bound:9 in
-      let u0 = 0.05 +. (0.25 *. Desim.Prng.float g) in
-      let uc = 0.05 +. (0.5 *. Desim.Prng.float g) in
-      (h, u0, uc)
-    in
-    let malformed_line k =
-      match k mod 5 with
-      | 0 -> "{\"op\":\"admit\",\"h\":5"
-      | 1 -> "{\"op\":\"nonsense\"}"
-      | 2 -> "{\"op\":\"admit\",\"h\":\"five\",\"u0\":0.1,\"uc\":0.1,\"deadline\":50}"
-      | 3 -> "{\"op\":\"admit\",\"h\":5,\"u0\":1e999,\"uc\":0.1,\"deadline\":50}"
-      | _ -> "not json at all"
-    in
-    let line i =
-      if Desim.Prng.bernoulli rng ~p:malformed then malformed_line i
-      else begin
-        let (h, u0, uc) = shape (Desim.Prng.int rng ~bound:shapes) in
-        Printf.sprintf
-          "{\"op\":\"admit\",\"id\":\"r%d\",\"h\":%d,\"u0\":%.6f,\"uc\":%.6f,\"deadline\":%.17g,\"sched\":%S}"
-          i h u0 uc deadline sched_name
-      end
-    in
-    if not (measure || Option.is_some latency_out) then
-      for i = 0 to n - 1 do
-        print_endline (line i)
-      done
-    else begin
-      (* closed-loop measurement: same stream, but each line is answered by
-         an in-process engine and timed individually, so the percentiles
-         reflect pure service time with no pipe or batching effects *)
-      let engine = Serve.Engine.create Serve.Engine.default_config in
-      let contains s sub =
-        let ls = String.length s and lsub = String.length sub in
-        let rec go i =
-          i + lsub <= ls && (String.equal (String.sub s i lsub) sub || go (i + 1))
-        in
-        go 0
-      in
-      let outcome_of_response r =
-        if contains r "\"status\":\"shed\"" then "shed"
-        else if contains r "\"status\":\"timeout\"" then "timeout"
-        else if contains r "\"status\":\"error\"" then "error"
-        else if contains r "\"mode\":\"approx\"" then "approx"
-        else if contains r "\"mode\":\"exact\"" then "exact"
-        else "ok"
-      in
-      let lat = Array.make (max n 1) 0. in
-      let outcomes = Array.make (max n 1) "ok" in
-      for i = 0 to n - 1 do
-        let l = line i in
-        let t0 = Unix.gettimeofday () in
-        let resp =
-          match Serve.Engine.handle_batch engine [ l ] with
-          | [ r ] -> r
-          | rs -> String.concat "" rs
-        in
-        lat.(i) <- (Unix.gettimeofday () -. t0) *. 1e3;
-        outcomes.(i) <- outcome_of_response resp
-      done;
-      (match latency_out with
-      | None -> ()
-      | Some path ->
-        let oc = open_out path in
-        output_string oc "request,outcome,latency_ms\n";
-        for i = 0 to n - 1 do
-          Printf.fprintf oc "%d,%s,%.6f\n" i outcomes.(i) lat.(i)
-        done;
-        close_out oc);
-      (* nearest-rank percentile over the measured sample *)
-      let pct sorted q =
-        let m = Array.length sorted in
-        if m = 0 then 0.
-        else begin
-          let rank = int_of_float (Float.ceil (q *. float_of_int m)) in
-          sorted.(min (m - 1) (max 0 (rank - 1)))
-        end
-      in
-      let summarize label xs =
-        let a = Array.of_list xs in
-        Array.sort Float.compare a;
-        Printf.printf "%-8s n=%-6d p50=%.3fms p95=%.3fms p99=%.3fms\n" label
-          (Array.length a) (pct a 0.50) (pct a 0.95) (pct a 0.99)
-      in
-      summarize "all" (Array.to_list (Array.sub lat 0 n));
-      List.iter
-        (fun o ->
-          let xs = ref [] in
-          for i = n - 1 downto 0 do
-            if String.equal outcomes.(i) o then xs := lat.(i) :: !xs
-          done;
-          match !xs with [] -> () | xs -> summarize o xs)
-        [ "exact"; "approx"; "ok"; "shed"; "timeout"; "error" ]
-    end
+    Serve.Loadgen.iter
+      { Serve.Loadgen.requests; shapes; malformed; seed; deadline_ms; scheduler }
+      print_endline
   in
   let term =
     Term.(
       const run $ requests_arg $ shapes_arg $ malformed_arg $ seed_arg $ deadline_arg
-      $ sched_arg $ measure_arg $ latency_out_arg)
+      $ sched_arg)
   in
   Cmd.v
     (Cmd.info "loadgen"
        ~doc:
          "Emit a deterministic stream of serve-protocol request lines (optionally \
           salted with malformed input) on stdout, for piping into $(b,deltanet \
-          serve) — the CI smoke test and the bench load generator.  With \
-          $(b,--measure), answer the stream in-process instead and report \
-          per-outcome latency percentiles.")
+          serve) — the CI smoke test and the bench load generator.")
     term
 
 (* ---------------- report ---------------- *)
@@ -1382,24 +1105,38 @@ let report_cmd =
           — per-outcome request-latency percentiles and shed/timeout/error rates.")
     term
 
+(* Library code rejects out-of-range arguments with [Invalid_argument];
+   wherever that escapes a subcommand it is a usage error (exit 2), not a
+   crash.  Any other exception keeps cmdliner's internal-error exit. *)
 let () =
   let info =
     Cmd.info "deltanet" ~version:"1.0.0"
       ~doc:"Stochastic network-calculus delay bounds for ∆-schedulers on long paths."
   in
+  let cmd =
+    Cmd.group info
+      [
+        bound_cmd;
+        sweep_cmd;
+        simulate_cmd;
+        replicate_cmd;
+        schedulability_cmd;
+        scaling_cmd;
+        admission_cmd;
+        check_cmd;
+        serve_cmd;
+        loadgen_cmd;
+        report_cmd;
+      ]
+  in
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            bound_cmd;
-            sweep_cmd;
-            simulate_cmd;
-            replicate_cmd;
-            schedulability_cmd;
-            scaling_cmd;
-            admission_cmd;
-            check_cmd;
-            serve_cmd;
-            loadgen_cmd;
-            report_cmd;
-          ]))
+    (match Cmd.eval ~catch:false cmd with
+    | code -> code
+    | exception Invalid_argument msg ->
+      Fmt.epr "deltanet: %s@." msg;
+      exit_usage
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Fmt.epr "deltanet: internal error, uncaught exception:@.%s@." (Printexc.to_string e);
+      Printexc.print_raw_backtrace stderr bt;
+      Cmd.Exit.internal_error)

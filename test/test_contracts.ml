@@ -207,6 +207,30 @@ let test_cli_check () =
     check int "unparseable matrix is a cli error" 124 code
   end
 
+(* Out-of-range values that pass cmdliner's type check are rejected deep
+   in library code with Invalid_argument; the CLI must report them as a
+   usage error with one message line, not as an internal error (125). *)
+let test_cli_invalid_argument () =
+  if not (Sys.file_exists cli) then Alcotest.skip ()
+  else
+    List.iter
+      (fun args ->
+        let (code, text) = run_cli (args ^ " < /dev/null") in
+        check int (args ^ ": exit 2") 2 code;
+        check bool
+          (Printf.sprintf "%s: one message line, got %S" args text)
+          true
+          (String.starts_with ~prefix:"deltanet: " text
+          && String.index_opt text '\n' = Some (String.length text - 1)))
+      [
+        "simulate --slots 0";
+        "simulate -H 0";
+        "admission --u0 2";
+        "bound --s-points 0";
+        "loadgen -n 3 --deadline nan";
+        "serve --batch 0";
+      ]
+
 let suite =
   [
     test_case "builtin matrices pass" `Quick test_builtin_matrices_pass;
@@ -226,4 +250,5 @@ let suite =
     test_case "ensure and diag routing" `Quick test_ensure_and_diag;
     test_case "admission refuses unstable base" `Quick test_admission_gate;
     test_case "cli: check subcommand" `Quick test_cli_check;
+    test_case "cli: Invalid_argument exits 2" `Quick test_cli_invalid_argument;
   ]

@@ -1,7 +1,8 @@
 (* Tests for lib/serve: the total JSON reader, the wire protocol, the
    bounded LRU, the engine's degradation ladder (deadlines, shedding,
-   approx fallback, supervision) under an injected clock, and a live
-   daemon round trip through the CLI.  The fuzz section hammers the
+   approx fallback, supervision) under an injected clock, the daemon loop
+   and load generator in process, and a live daemon round trip through
+   the CLI.  The fuzz section hammers the
    protocol surface: any byte string must come back as a structured
    response, never an exception or a hang. *)
 
@@ -545,60 +546,229 @@ let test_daemon_round_trip () =
     check Alcotest.bool "stats counted the burst" true (num_field (nth 5) "served" >= 5.)
   end
 
+(* ---------------- daemon loop and load generator (in process) ---------------- *)
+
+module Daemon = Serve.Daemon
+module Loadgen = Serve.Loadgen
+
+let with_temp_file suffix f =
+  let path = Filename.temp_file "serve-daemon" suffix in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+(* [Daemon.run] from [fd] into a temp file; the response lines, parsed *)
+let run_daemon ?stop ?snapshot ?(cfg = Daemon.default_config) fd =
+  with_temp_file ".out" (fun out ->
+      let oc = open_out out in
+      Fun.protect
+        ~finally:(fun () -> close_out_noerr oc)
+        (fun () -> Daemon.run ?stop ?snapshot cfg fd oc);
+      let ic = open_in out in
+      let lines = Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> read_all ic) in
+      List.map parse_resp lines)
+
+(* the whole input is on disk before the loop starts: it ends at EOF *)
+let run_daemon_on ?snapshot ?cfg input =
+  with_temp_file ".in" (fun path ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc input);
+      let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+      Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> run_daemon ?snapshot ?cfg fd))
+
+let has_field j k v =
+  match Sjson.member k j with Some (Sjson.Str s) -> String.equal s v | _ -> false
+
+let last js = List.nth js (List.length js - 1)
+
 let test_daemon_burst_no_loss () =
   (* regression: a sustained burst whose buffered size passes the 2x
      line-bound cap (here ~260 KB of valid lines) must answer every
      request — the cap applies to the trailing partial line, never to
      complete buffered lines — and one multi-read oversized line must
      come back as exactly one typed error *)
-  let cli = Filename.concat Filename.parent_dir_name "bin/deltanet_cli.exe" in
-  if not (Sys.file_exists cli) then Alcotest.skip ()
-  else begin
-    let out = Filename.temp_file "serve-burst" ".jsonl" in
-    let cmd =
-      Printf.sprintf "%s serve > %s 2>/dev/null" (Filename.quote cli) (Filename.quote out)
-    in
-    let oc = Unix.open_process_out cmd in
-    let n = 3_000 in
-    for i = 1 to n do
-      Printf.fprintf oc
-        "{\"op\":\"admit\",\"id\":\"b%d\",\"h\":3,\"u0\":0.3,\"uc\":0.2,\"deadline\":500}\n" i
-    done;
-    (* one 200 KB line: larger than the cap, so it is discarded across
-       several reads — the client must still see exactly one response *)
-    output_string oc (String.make 200_000 'x');
-    output_char oc '\n';
-    output_string oc "{\"op\":\"health\",\"id\":\"tail\"}\n";
-    let status = Unix.close_process_out oc in
-    check Alcotest.int "daemon exits 0" 0
-      (match status with Unix.WEXITED n -> n | _ -> -1);
-    let ic = open_in out in
-    let lines = read_all ic in
-    close_in ic;
-    Sys.remove out;
-    let js = List.map parse_resp lines in
-    (* n admits + 1 oversized error + 1 health + the drain stats line *)
-    check Alcotest.int "one response per request" (n + 3) (List.length js);
-    let count pred = List.length (List.filter pred js) in
-    let has_field j k v =
-      match Sjson.member k j with Some (Sjson.Str s) -> String.equal s v | _ -> false
-    in
-    check Alcotest.int "exactly one oversized error" 1
-      (count (fun j -> has_field j "status" "error"));
-    check Alcotest.int "nothing shed" 0 (count (fun j -> has_field j "status" "shed"));
-    let stats = List.nth js (List.length js - 1) in
-    check Alcotest.string "drain stats" "stats" (str_field stats "op");
-    (* the oversized line is either discarded before parsing (never
-       reaches the engine: n + 1 served) or — when its newline lands in
-       the same read burst — extracted complete and rejected by the
-       protocol's max_bytes check (n + 2 served); both are one typed
-       error for one request *)
-    let served = num_field stats "served" in
-    check Alcotest.bool
-      (Printf.sprintf "served %g within [n+1, n+2]" served)
-      true
-      (served >= float_of_int (n + 1) && served <= float_of_int (n + 2))
-  end
+  let n = 3_000 in
+  let input = Buffer.create 300_000 in
+  for i = 1 to n do
+    Printf.bprintf input
+      "{\"op\":\"admit\",\"id\":\"b%d\",\"h\":3,\"u0\":0.3,\"uc\":0.2,\"deadline\":500}\n" i
+  done;
+  (* one 200 KB line: larger than the cap, so it is discarded across
+     several reads — the client must still see exactly one response *)
+  Buffer.add_string input (String.make 200_000 'x');
+  Buffer.add_string input "\n{\"op\":\"health\",\"id\":\"tail\"}\n";
+  let js = run_daemon_on (Buffer.contents input) in
+  (* n admits + 1 oversized error + 1 health + the drain stats line *)
+  check Alcotest.int "one response per request" (n + 3) (List.length js);
+  let count pred = List.length (List.filter pred js) in
+  check Alcotest.int "exactly one oversized error" 1
+    (count (fun j -> has_field j "status" "error"));
+  check Alcotest.int "nothing shed" 0 (count (fun j -> has_field j "status" "shed"));
+  let stats = last js in
+  check Alcotest.string "drain stats" "stats" (str_field stats "op");
+  (* the oversized line is either discarded before parsing (never
+     reaches the engine: n + 1 served) or — when its newline lands in
+     the same read burst — extracted complete and rejected by the
+     protocol's max_bytes check (n + 2 served); both are one typed
+     error for one request *)
+  let served = num_field stats "served" in
+  check Alcotest.bool
+    (Printf.sprintf "served %g within [n+1, n+2]" served)
+    true
+    (served >= float_of_int (n + 1) && served <= float_of_int (n + 2))
+
+let test_daemon_overlong_complete_line () =
+  (* over the line bound but under the 2x cap, newline in the same read:
+     the line reaches the engine whole and gets the protocol's max_bytes
+     error — one response, and the lines around it are untouched *)
+  let cfg =
+    {
+      Daemon.default_config with
+      Daemon.engine = { Engine.default_config with Engine.max_line_bytes = 1024 };
+    }
+  in
+  let input =
+    "{\"op\":\"health\",\"id\":\"before\"}\n" ^ String.make 1500 'a'
+    ^ "\n{\"op\":\"health\",\"id\":\"after\"}\n"
+  in
+  match run_daemon_on ~cfg input with
+  | [ before; err; after; stats ] ->
+    check Alcotest.string "before" "before" (str_field before "id");
+    check Alcotest.string "typed error" "invalid-request" (str_field err "code");
+    check Alcotest.string "max_bytes detail" "oversized request: 1500 bytes (limit 1024)"
+      (str_field err "detail");
+    check Alcotest.string "after" "after" (str_field after "id");
+    check (Alcotest.float 0.) "engine saw all three" 3. (num_field stats "served")
+  | js -> Alcotest.failf "expected 4 response lines, got %d" (List.length js)
+
+let test_daemon_unterminated_last_line () =
+  (* a writer cut before its last newline still gets an answer at drain;
+     the prom snapshot is written and a raised snapshot flag is lowered *)
+  with_temp_file ".prom" (fun prom ->
+      Sys.remove prom;
+      let cfg = { Daemon.default_config with Daemon.prom = Some prom } in
+      let snapshot = Atomic.make true in
+      let input = "{\"op\":\"health\",\"id\":\"h1\"}\n{\"op\":\"health\",\"id\":\"last\"}" in
+      (match run_daemon_on ~snapshot ~cfg input with
+      | [ h1; tail; stats ] ->
+        check Alcotest.string "h1" "h1" (str_field h1 "id");
+        check Alcotest.string "unterminated line answered" "last" (str_field tail "id");
+        check Alcotest.string "ok" "ok" (str_field tail "status");
+        check Alcotest.string "drain stats" "stats" (str_field stats "op")
+      | js -> Alcotest.failf "expected 3 response lines, got %d" (List.length js));
+      check Alcotest.bool "snapshot flag lowered" false (Atomic.get snapshot);
+      check Alcotest.bool "prom snapshot written" true (Sys.file_exists prom))
+
+let test_daemon_batch1_order () =
+  (* the load generator's own stream, salted with malformed lines, answered
+     one line per batch: response i answers request i *)
+  let lg = { Loadgen.default_config with Loadgen.requests = 40; shapes = 4; malformed = 0.2 } in
+  let lines = ref [] in
+  Loadgen.iter lg (fun l -> lines := l :: !lines);
+  let lines = List.rev !lines in
+  let cfg = { Daemon.default_config with Daemon.batch = 1 } in
+  let js = run_daemon_on ~cfg (String.concat "\n" lines ^ "\n") in
+  check Alcotest.int "one response per request + stats" 41 (List.length js);
+  List.iteri
+    (fun i (line, j) ->
+      let admit = String.starts_with ~prefix:"{\"op\":\"admit\",\"id\"" line in
+      if admit then
+        check Alcotest.string (Printf.sprintf "response %d id" i) (Printf.sprintf "r%d" i)
+          (str_field j "id")
+      else
+        check Alcotest.string (Printf.sprintf "response %d is an error" i) "error"
+          (str_field j "status"))
+    (List.combine lines (List.filteri (fun i _ -> i < 40) js));
+  check Alcotest.bool "stream salted with malformed lines" true
+    (List.exists (fun l -> not (String.starts_with ~prefix:"{\"op\":\"admit\",\"id\"" l)) lines)
+
+let test_daemon_stop_mid_stream () =
+  (* the writer never closes: only the stop flag — raised here by a signal
+     handler, as the CLI's SIGTERM handler does — ends the loop; the lines
+     already read are answered, then the cut-off partial line, then stats *)
+  let (rd, wr) = Unix.pipe () in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close rd;
+      Unix.close wr)
+    (fun () ->
+      let input =
+        "{\"op\":\"health\",\"id\":\"h1\"}\n{\"op\":\"health\",\"id\":\"h2\"}\n{\"op\":\"heal"
+      in
+      ignore (Unix.write_substring wr input 0 (String.length input));
+      let stop = Atomic.make false in
+      (* the first alarm raises stop; a second one, a second later, means
+         the loop ignored it and aborts the run instead of hanging *)
+      let alarms = ref 0 in
+      let previous =
+        Sys.signal Sys.sigalrm
+          (Sys.Signal_handle
+             (fun _ ->
+               incr alarms;
+               if !alarms = 1 then Atomic.set stop true else raise Exit))
+      in
+      let timer it_value it_interval =
+        ignore (Unix.setitimer Unix.ITIMER_REAL { Unix.it_interval; it_value })
+      in
+      timer 0.3 1.0;
+      let js =
+        Fun.protect
+          ~finally:(fun () ->
+            timer 0. 0.;
+            Sys.set_signal Sys.sigalrm previous)
+          (fun () ->
+            try run_daemon ~stop rd
+            with Exit -> Alcotest.fail "the loop kept running after stop was raised")
+      in
+      check Alcotest.bool "stop raised" true (Atomic.get stop);
+      match js with
+      | [ h1; h2; partial; stats ] ->
+        check Alcotest.string "h1" "h1" (str_field h1 "id");
+        check Alcotest.string "h2" "h2" (str_field h2 "id");
+        check Alcotest.string "partial line answered" "parse-error" (str_field partial "code");
+        check Alcotest.string "drain stats" "stats" (str_field stats "op");
+        check (Alcotest.float 0.) "served" 3. (num_field stats "served")
+      | js -> Alcotest.failf "expected 4 response lines, got %d" (List.length js))
+
+let test_daemon_loadgen_validation () =
+  let run cfg () = run_daemon_on ~cfg "" in
+  raises_invalid "batch" (run { Daemon.default_config with Daemon.batch = 0 });
+  raises_invalid "prom interval" (run { Daemon.default_config with Daemon.prom_interval = 0. });
+  raises_invalid "prom interval nan"
+    (run { Daemon.default_config with Daemon.prom_interval = Float.nan });
+  let gen cfg () = Loadgen.iter cfg (fun _ -> Alcotest.fail "emitted before validating") in
+  let d = Loadgen.default_config in
+  raises_invalid "requests" (gen { d with Loadgen.requests = -1 });
+  raises_invalid "shapes" (gen { d with Loadgen.shapes = 0 });
+  raises_invalid "malformed" (gen { d with Loadgen.malformed = 1.5 });
+  raises_invalid "malformed nan" (gen { d with Loadgen.malformed = Float.nan });
+  raises_invalid "deadline nan" (gen { d with Loadgen.deadline_ms = Float.nan });
+  raises_invalid "deadline inf" (gen { d with Loadgen.deadline_ms = Float.infinity });
+  raises_invalid "deadline 0" (gen { d with Loadgen.deadline_ms = 0. })
+
+let test_loadgen_golden () =
+  (* MD5 of the newline-terminated stream, pinned from the CLI's stdout
+     before the generator moved into the library; the first config is the
+     CI serve-smoke stream *)
+  let digest cfg =
+    let b = Buffer.create 65_536 in
+    Loadgen.iter cfg (fun l ->
+        Buffer.add_string b l;
+        Buffer.add_char b '\n');
+    Digest.to_hex (Digest.string (Buffer.contents b))
+  in
+  let d = Loadgen.default_config in
+  check Alcotest.string "-n 400 --shapes 40 --malformed 0.1 --seed 7"
+    "e984eaedecef5bc5c3243c8f8b95e184"
+    (digest { d with Loadgen.requests = 400; shapes = 40; malformed = 0.1; seed = 7 });
+  check Alcotest.string "defaults" "2a3f133ca19ddc15ef5da1469e827c12" (digest d);
+  check Alcotest.string "-n 2000 --shapes 50 --seed 7 -s edf"
+    "bfdd522ee715f52209fe9632eaf68f5d"
+    (digest
+       {
+         d with
+         Loadgen.requests = 2000;
+         shapes = 50;
+         seed = 7;
+         scheduler = P.Edf { cross_over_through = 10. };
+       })
 
 (* ---------------- observability: metrics verb, trace ids, SLO tallies ---------------- *)
 
@@ -678,6 +848,15 @@ let suite =
     Alcotest.test_case "daemon round trip" `Quick test_daemon_round_trip;
     Alcotest.test_case "daemon burst loses nothing past the cap" `Quick
       test_daemon_burst_no_loss;
+    Alcotest.test_case "daemon overlong complete line" `Quick
+      test_daemon_overlong_complete_line;
+    Alcotest.test_case "daemon answers an unterminated last line" `Quick
+      test_daemon_unterminated_last_line;
+    Alcotest.test_case "daemon batch 1 keeps request order" `Quick test_daemon_batch1_order;
+    Alcotest.test_case "daemon stop mid-stream drains" `Quick test_daemon_stop_mid_stream;
+    Alcotest.test_case "daemon + loadgen config validation" `Quick
+      test_daemon_loadgen_validation;
+    Alcotest.test_case "loadgen stream golden" `Quick test_loadgen_golden;
     Alcotest.test_case "engine metrics verb + per-request trace ids" `Quick
       test_engine_metrics_and_trace;
     Alcotest.test_case "engine records outcome SLO telemetry" `Quick
