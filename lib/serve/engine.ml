@@ -130,9 +130,29 @@ let create ?now:(clock = Unix.gettimeofday) cfg =
     ewma_approx_ms = 0.5;
   }
 
+let rec decimal_width n = if n < 10 then 1 else 1 + decimal_width (n / 10)
+
+(* [Printf.sprintf "%s-%06d" prefix seq] for seq >= 0, without the
+   format interpreter: the digits are written right to left over a run
+   of zeros at least six wide, so short numbers come out zero-padded. *)
+let trace_id prefix seq =
+  if seq < 0 then invalid_arg "Serve.Engine.trace_id: negative sequence number";
+  let np = String.length prefix in
+  let len = np + 1 + Int.max 6 (decimal_width seq) in
+  let b = Bytes.make len '0' in
+  Bytes.blit_string prefix 0 b 0 np;
+  Bytes.set b np '-';
+  let n = ref seq and i = ref (len - 1) in
+  while !n > 0 do
+    Bytes.set b !i (Char.chr (Char.code '0' + (!n mod 10)));
+    n := !n / 10;
+    decr i
+  done;
+  Bytes.unsafe_to_string b
+
 let next_trace t =
   t.trace_seq <- t.trace_seq + 1;
-  Printf.sprintf "%s-%06d" t.trace_prefix t.trace_seq
+  trace_id t.trace_prefix t.trace_seq
 
 (* Every finished response passes through here: the outcome-labelled
    latency histogram gets its sample and the access log gets one event,
@@ -167,17 +187,28 @@ let two_class_of (p : P.admit_params) =
        vector.  The fixed-point variant stays available offline via
        `deltanet admission`. *)
     let d0 = p.deadline /. float_of_int p.h in
-    Classes.Edf_gap (d0 *. (1. -. cross_over_through))
+    let gap = d0 *. (1. -. cross_over_through) in
+    (* an underflowed d0 can give -0: the same gap as 0, the same shape *)
+    Classes.Edf_gap (if Float.equal gap 0. then 0. else gap)
 
+(* The shape key: h, the scheduler tag and the bit patterns of the EDF
+   gap (0 for the other schedulers), u0, uc and epsilon, at fixed
+   offsets.  Bit patterns tell -0 from 0, so both loads and the gap
+   arrive here normalised to +0. *)
 let key_of (p : P.admit_params) two_class =
-  let tag =
-    match two_class with
-    | Classes.Fifo -> "f"
-    | Classes.Bmux -> "b"
-    | Classes.Sp_through_high -> "s"
-    | Classes.Edf_gap g -> Printf.sprintf "e%h" g
-  in
-  Printf.sprintf "%d|%s|%h|%h|%h" p.P.h tag p.P.u_through p.P.u_cross p.P.epsilon
+  let b = Bytes.make 41 '\000' in
+  Bytes.set_int64_le b 0 (Int64.of_int p.P.h);
+  (match two_class with
+  | Classes.Fifo -> Bytes.set b 8 'f'
+  | Classes.Bmux -> Bytes.set b 8 'b'
+  | Classes.Sp_through_high -> Bytes.set b 8 's'
+  | Classes.Edf_gap g ->
+    Bytes.set b 8 'e';
+    Bytes.set_int64_le b 9 (Int64.bits_of_float g));
+  Bytes.set_int64_le b 17 (Int64.bits_of_float p.P.u_through);
+  Bytes.set_int64_le b 25 (Int64.bits_of_float p.P.u_cross);
+  Bytes.set_int64_le b 33 (Int64.bits_of_float p.P.epsilon);
+  Bytes.unsafe_to_string b
 
 let scenario_of (p : P.admit_params) =
   let sc = Scenario.of_utilization ~h:p.P.h ~u_through:p.P.u_through ~u_cross:p.P.u_cross in

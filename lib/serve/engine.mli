@@ -89,3 +89,9 @@ val served : t -> int
     planner publishes the ["serve.queue_depth"] gauge per batch.  The
     [metrics] request verb renders the whole registry via
     {!Telemetry.Prometheus.render}. *)
+
+val trace_id : string -> int -> string
+(** [trace_id prefix seq] is the trace id of the [seq]-th request:
+    [Printf.sprintf "%s-%06d" prefix seq] for [seq >= 0], built without
+    the format interpreter.
+    @raise Invalid_argument on a negative [seq]. *)

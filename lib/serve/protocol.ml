@@ -1,9 +1,7 @@
 (* Wire protocol: field extraction/validation on the way in, one-line
-   JSON rendering (via Telemetry.Json) on the way out.  Every validation
+   JSON rendering (one buffer per response) on the way out.  Every validation
    failure is a typed [error]; the only exception here is the internal
    [Bad] carrier caught inside [parse]. *)
-
-module J = Telemetry.Json
 
 type scheduler_kind =
   | Fifo
@@ -105,15 +103,17 @@ let finite field v =
 let utilization json field =
   let u = finite field (get_num json field) in
   if u < 0. || u >= 1. then bad Invalid_request "field %S = %g outside [0, 1)" field u;
-  u
+  (* -0 is the load 0: one shape, one cache entry, one computation *)
+  if Float.equal u 0. then 0. else u
 
 let admit_params_of ~require_deadline json =
   let hf = finite "h" (get_num json "h") in
-  let h = int_of_float hf in
-  if not (Float.equal (float_of_int h) hf) then
+  if not (Float.is_integer hf) then
     bad Invalid_request "field \"h\" = %g is not an integer" hf;
-  if h < 1 || h > max_hops then
-    bad Invalid_request "field \"h\" = %d outside [1, %d]" h max_hops;
+  (* the range is checked on the float: [int_of_float] of 1e20 overflows *)
+  if hf < 1. || hf > float_of_int max_hops then
+    bad Invalid_request "field \"h\" = %.0f outside [1, %d]" hf max_hops;
+  let h = int_of_float hf in
   let u_through = utilization json "u0" in
   let u_cross = utilization json "uc" in
   if u_through +. u_cross >= 1. then
@@ -191,71 +191,158 @@ type mode = Exact | Approx
 
 let mode_label = function Exact -> "exact" | Approx -> "approx"
 
-let str s = "\"" ^ J.escape s ^ "\""
-let bool b = if b then "true" else "false"
+(* ---- the field writer ----
+   Every response is written into one [Buffer]: [open_reply] puts down
+   the echoed [id] (when there is one) and the leading ["status"] field,
+   each later field brings its own separating comma, and [close_reply]
+   adds the ["trace"] field last.  The bytes are exactly those of
+   [Telemetry.Json.obj] over the same fields: strings are escaped the
+   way [Telemetry.Json.escape] does it, and numbers read as
+   [Printf.sprintf "%.17g"] prints them, whose conversion is this same
+   [caml_format_float] call. *)
+
+external format_float : string -> float -> string = "caml_format_float"
+
+let needs_escape c = Char.equal c '"' || Char.equal c '\\' || Char.code c < 0x20
+
+(* [String.exists needs_escape], without the closure it allocates *)
+let rec has_escape s i =
+  i < String.length s && (needs_escape s.[i] || has_escape s (i + 1))
+
+let hex_digit n = "0123456789abcdef".[n]
+
+let add_escaped_char buf c =
+  match c with
+  | '"' -> Buffer.add_string buf "\\\""
+  | '\\' -> Buffer.add_string buf "\\\\"
+  | '\n' -> Buffer.add_string buf "\\n"
+  | '\r' -> Buffer.add_string buf "\\r"
+  | '\t' -> Buffer.add_string buf "\\t"
+  | c when Char.code c < 0x20 ->
+    Buffer.add_string buf "\\u00";
+    Buffer.add_char buf (hex_digit (Char.code c lsr 4));
+    Buffer.add_char buf (hex_digit (Char.code c land 0xf))
+  | c -> Buffer.add_char buf c
+
+let add_str buf s =
+  Buffer.add_char buf '"';
+  if has_escape s 0 then String.iter (add_escaped_char buf) s
+  else Buffer.add_string buf s;
+  Buffer.add_char buf '"'
+
+(* [string_of_int n] straight into the buffer; [add_digits] takes
+   n <= 0 so that [min_int] has no positive counterpart to overflow *)
+let rec add_digits buf n =
+  if n <= -10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.chr (Char.code '0' - (n mod 10)))
+
+let add_int buf n =
+  if n < 0 then begin
+    Buffer.add_char buf '-';
+    add_digits buf n
+  end
+  else add_digits buf (-n)
+
+(* An integral x with 1 <= |x| < 1e15 has at most 15 digits, all of
+   which "%.17g" prints and nothing else, so it skips the C formatter.
+   Zero stays there: "%.17g" writes -0 as "-0". *)
+let add_number buf x =
+  if not (Float.is_finite x) then Buffer.add_string buf "null"
+  else if Float.is_integer x && Float.abs x >= 1. && Float.abs x < 1e15 then
+    add_int buf (int_of_float x)
+  else Buffer.add_string buf (format_float "%.17g" x)
+
+(* Keys are the literal field names below, none of which needs escaping;
+   the stats counters, named at run time, go through [add_str]. *)
+let key buf k =
+  Buffer.add_string buf ",\"";
+  Buffer.add_string buf k;
+  Buffer.add_string buf "\":"
+
+let str_field buf k v =
+  key buf k;
+  add_str buf v
+
+let num_field buf k x =
+  key buf k;
+  add_number buf x
+
+let int_field buf k n =
+  key buf k;
+  add_int buf n
+
+let bool_field buf k b =
+  key buf k;
+  Buffer.add_string buf (if b then "true" else "false")
 
 (* [id] (echoed client correlation id) leads, [trace] (server-assigned
    request trace id, also in the access log) closes, so clients can join
    a response line against the daemon's own telemetry. *)
-let with_ids id trace fields =
-  let fields = match trace with None -> fields | Some s -> fields @ [ ("trace", str s) ] in
-  match id with None -> fields | Some i -> ("id", str i) :: fields
+let open_reply ?id status =
+  let buf = Buffer.create 192 in
+  Buffer.add_char buf '{';
+  (match id with
+  | None -> ()
+  | Some i ->
+    Buffer.add_string buf "\"id\":";
+    add_str buf i;
+    Buffer.add_char buf ',');
+  Buffer.add_string buf "\"status\":";
+  add_str buf status;
+  buf
+
+let close_reply ?trace buf =
+  (match trace with None -> () | Some s -> str_field buf "trace" s);
+  Buffer.add_char buf '}';
+  Buffer.contents buf
 
 let render_admit ?id ?trace ~admitted ~bound_ms ~deadline_ms ~mode ~cache_hit
     ~elapsed_ms () =
-  J.obj
-    (with_ids id trace
-       [
-         ("status", str "ok");
-         ("op", str "admit");
-         ("admit", bool admitted);
-         ("bound_ms", J.number bound_ms);
-         ("deadline_ms", J.number deadline_ms);
-         ("mode", str (mode_label mode));
-         ("cache", str (if cache_hit then "hit" else "miss"));
-         ("elapsed_ms", J.number elapsed_ms);
-       ])
+  let b = open_reply ?id "ok" in
+  str_field b "op" "admit";
+  bool_field b "admit" admitted;
+  num_field b "bound_ms" bound_ms;
+  num_field b "deadline_ms" deadline_ms;
+  str_field b "mode" (mode_label mode);
+  str_field b "cache" (if cache_hit then "hit" else "miss");
+  num_field b "elapsed_ms" elapsed_ms;
+  close_reply ?trace b
 
 let render_check ?id ?trace ~findings () =
-  J.obj
-    (with_ids id trace
-       [
-         ("status", str "ok");
-         ("op", str "check");
-         ("ok", bool (match findings with [] -> true | _ :: _ -> false));
-         ("findings", J.arr (List.map str findings));
-       ])
+  let b = open_reply ?id "ok" in
+  str_field b "op" "check";
+  bool_field b "ok" (match findings with [] -> true | _ :: _ -> false);
+  key b "findings";
+  Buffer.add_char b '[';
+  List.iteri
+    (fun i f ->
+      if i > 0 then Buffer.add_char b ',';
+      add_str b f)
+    findings;
+  Buffer.add_char b ']';
+  close_reply ?trace b
 
 let render_error ?id ?trace ~kind ~detail () =
-  J.obj
-    (with_ids id trace
-       [
-         ("status", str "error");
-         ("code", str (error_code kind));
-         ("detail", str detail);
-         ("exit_hint", string_of_int (exit_hint kind));
-       ])
+  let b = open_reply ?id "error" in
+  str_field b "code" (error_code kind);
+  str_field b "detail" detail;
+  int_field b "exit_hint" (exit_hint kind);
+  close_reply ?trace b
 
 let render_shed ?id ?trace ~retry_after_ms () =
-  J.obj
-    (with_ids id trace
-       [
-         ("status", str "shed");
-         ("code", str (error_code Overloaded));
-         ("retry_after_ms", J.number retry_after_ms);
-         ("exit_hint", string_of_int (exit_hint Overloaded));
-       ])
+  let b = open_reply ?id "shed" in
+  str_field b "code" (error_code Overloaded);
+  num_field b "retry_after_ms" retry_after_ms;
+  int_field b "exit_hint" (exit_hint Overloaded);
+  close_reply ?trace b
 
 let render_timeout ?id ?trace ~elapsed_ms ~budget_ms () =
-  J.obj
-    (with_ids id trace
-       [
-         ("status", str "timeout");
-         ("code", str (error_code Deadline_exceeded));
-         ("elapsed_ms", J.number elapsed_ms);
-         ("budget_ms", J.number budget_ms);
-         ("exit_hint", string_of_int (exit_hint Deadline_exceeded));
-       ])
+  let b = open_reply ?id "timeout" in
+  str_field b "code" (error_code Deadline_exceeded);
+  num_field b "elapsed_ms" elapsed_ms;
+  num_field b "budget_ms" budget_ms;
+  int_field b "exit_hint" (exit_hint Deadline_exceeded);
+  close_reply ?trace b
 
 let render_stats ?id ?trace ~uptime_s ~served ~cache_len ~cache_capacity
     ~cache_hits ~cache_misses ~shed ~timeouts ~errors ~counters () =
@@ -263,31 +350,38 @@ let render_stats ?id ?trace ~uptime_s ~served ~cache_len ~cache_capacity
   let hit_ratio =
     if lookups = 0 then 0. else float_of_int cache_hits /. float_of_int lookups
   in
-  J.obj
-    (with_ids id trace
-       [
-         ("status", str "ok");
-         ("op", str "stats");
-         ("uptime_s", J.number uptime_s);
-         ("served", string_of_int served);
-         ("cache_len", string_of_int cache_len);
-         ("cache_capacity", string_of_int cache_capacity);
-         ("cache_hits", string_of_int cache_hits);
-         ("cache_misses", string_of_int cache_misses);
-         ("cache_hit_ratio", J.number hit_ratio);
-         ("shed", string_of_int shed);
-         ("timeouts", string_of_int timeouts);
-         ("errors", string_of_int errors);
-         ( "counters",
-           J.obj (List.map (fun (k, v) -> (k, string_of_int v)) counters) );
-       ])
+  let b = open_reply ?id "ok" in
+  str_field b "op" "stats";
+  num_field b "uptime_s" uptime_s;
+  int_field b "served" served;
+  int_field b "cache_len" cache_len;
+  int_field b "cache_capacity" cache_capacity;
+  int_field b "cache_hits" cache_hits;
+  int_field b "cache_misses" cache_misses;
+  num_field b "cache_hit_ratio" hit_ratio;
+  int_field b "shed" shed;
+  int_field b "timeouts" timeouts;
+  int_field b "errors" errors;
+  key b "counters";
+  Buffer.add_char b '{';
+  List.iteri
+    (fun i (k, v) ->
+      if i > 0 then Buffer.add_char b ',';
+      add_str b k;
+      Buffer.add_char b ':';
+      add_int b v)
+    counters;
+  Buffer.add_char b '}';
+  close_reply ?trace b
 
 let render_health ?id ?trace ~uptime_s () =
-  J.obj
-    (with_ids id trace
-       [ ("status", str "ok"); ("op", str "health"); ("uptime_s", J.number uptime_s) ])
+  let b = open_reply ?id "ok" in
+  str_field b "op" "health";
+  num_field b "uptime_s" uptime_s;
+  close_reply ?trace b
 
 let render_metrics ?id ?trace ~prometheus () =
-  J.obj
-    (with_ids id trace
-       [ ("status", str "ok"); ("op", str "metrics"); ("prometheus", str prometheus) ])
+  let b = open_reply ?id "ok" in
+  str_field b "op" "metrics";
+  str_field b "prometheus" prometheus;
+  close_reply ?trace b

@@ -30,7 +30,8 @@
     trace after the fact.
 
     Parsing is total: every byte string maps to a request or to a typed
-    error, never an exception. *)
+    error, never an exception.  A load of [-0] is read as [0], so the
+    two spellings are one shape: one cache entry, one computation. *)
 
 type scheduler_kind =
   | Fifo
@@ -89,7 +90,18 @@ val scheduler_of_string : ratio:float -> string -> scheduler_kind option
 
 val scheduler_label : scheduler_kind -> string
 
-(** {1 Response rendering} — one line of JSON, no trailing newline. *)
+(** {1 Response rendering} — one line of JSON, no trailing newline.
+
+    Each response is written into one [Buffer].  The bytes are exactly
+    those of {!Telemetry.Json.obj} over the same fields, in the same
+    order.  Keys and strings are escaped as {!Telemetry.Json.escape}
+    does: only the double quote, the backslash and bytes below 0x20, and
+    a string that needs none is copied as is.  Non-finite numbers are
+    [null]; finite ones are what [Printf.sprintf "%.17g"] prints, through
+    the same [caml_format_float "%.17g"] call, except that an integral
+    value with 1 <= |x| < 1e15, whose "%.17g" form is just its digits,
+    is written as those digits.  A QCheck oracle in the test suite holds every
+    [render_*] to the [Telemetry.Json.obj] rendering byte for byte. *)
 
 type mode = Exact | Approx
 

@@ -17,7 +17,15 @@ exception Fail of string
 type state = { src : string; len : int; mutable pos : int }
 
 let fail st msg = raise (Fail (Printf.sprintf "%s at byte %d" msg st.pos))
-let peek st = if st.pos < st.len then Some st.src.[st.pos] else None
+
+(* One preallocated [Some c] per byte value: [peek] hands these out
+   instead of boxing a fresh option for every byte it looks at. *)
+let some_char = Array.init 256 (fun i -> Some (Char.chr i))
+
+let peek st =
+  if st.pos < st.len then some_char.(Char.code st.src.[st.pos]) else None
+  [@@zero_alloc_check]
+
 let advance st = st.pos <- st.pos + 1
 
 let expect st c =
@@ -33,12 +41,15 @@ let skip_ws st =
     | Some (' ' | '\t' | '\n' | '\r') -> advance st
     | _ -> continue := false
   done
+  [@@zero_alloc_check]
 
 let is_digit c = c >= '0' && c <= '9'
 
 (* literal [true] / [false] / [null] *)
 let expect_word st w v =
-  String.iter (fun c -> expect st c) w;
+  for i = 0 to String.length w - 1 do
+    expect st w.[i]
+  done;
   v
 
 let hex_digit st =
@@ -73,8 +84,8 @@ let add_utf8 buf cp =
     Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
   end
 
-let parse_string st =
-  expect st '"';
+(* Byte-by-byte string body, from just after the opening quote. *)
+let parse_string_escaped st =
   let buf = Buffer.create 16 in
   let rec go () =
     match peek st with
@@ -115,28 +126,53 @@ let parse_string st =
   in
   go ()
 
+let rec plain_run_end st i =
+  if i < st.len && match st.src.[i] with '"' | '\\' -> false | c -> Char.code c >= 0x20
+  then plain_run_end st (i + 1)
+  else i
+
+(* Fast path: a run of plain bytes up to the closing quote is one
+   [String.sub].  The scan does not move [st.pos], so on an escape, a
+   control byte or the end of input [parse_string_escaped] reads the
+   string from just after the opening quote, with the same values and
+   the same error positions as it always had. *)
+let parse_string st =
+  expect st '"';
+  let start = st.pos in
+  let stop = plain_run_end st start in
+  if stop < st.len && Char.equal st.src.[stop] '"' then begin
+    st.pos <- stop + 1;
+    String.sub st.src start (stop - start)
+  end
+  else parse_string_escaped st
+
+let rec digits_end st i = if i < st.len && is_digit st.src.[i] then digits_end st (i + 1) else i
+
+(* the value of the ASCII digits [src.[i .. j-1]] *)
+let rec int_value src i j acc =
+  if i >= j then acc else int_value src (i + 1) j ((10 * acc) + Char.code src.[i] - Char.code '0')
+
 (* JSON number grammar: -? int frac? exp?; the scan enforces the grammar
    shape (so "-", "01", "1." and "0x1" all fail) and [float_of_string]
-   does the value conversion.  Overflow to [infinity] is preserved. *)
+   does the value conversion.  Overflow to [infinity] is preserved.  A
+   plain integer of at most 15 digits is exact in a double, so it is
+   converted here, without the substring: the same value, -0 included. *)
 let parse_number st =
   let start = st.pos in
-  (match peek st with Some '-' -> advance st | _ -> ());
+  let neg = match peek st with Some '-' -> advance st; true | _ -> false in
+  let int_start = st.pos in
   (match peek st with
   | Some '0' -> advance st
-  | Some c when is_digit c ->
-    while (match peek st with Some d when is_digit d -> true | _ -> false) do
-      advance st
-    done
+  | Some c when is_digit c -> st.pos <- digits_end st st.pos
   | _ -> fail st "malformed number");
+  let int_end = st.pos in
   (match peek st with
   | Some '.' ->
     advance st;
     (match peek st with
     | Some c when is_digit c -> ()
     | _ -> fail st "malformed number: no digits after '.'");
-    while (match peek st with Some d when is_digit d -> true | _ -> false) do
-      advance st
-    done
+    st.pos <- digits_end st st.pos
   | _ -> ());
   (match peek st with
   | Some ('e' | 'E') ->
@@ -145,14 +181,17 @@ let parse_number st =
     (match peek st with
     | Some c when is_digit c -> ()
     | _ -> fail st "malformed number: empty exponent");
-    while (match peek st with Some d when is_digit d -> true | _ -> false) do
-      advance st
-    done
+    st.pos <- digits_end st st.pos
   | _ -> ());
-  let text = String.sub st.src start (st.pos - start) in
-  match float_of_string_opt text with
-  | Some v -> v
-  | None -> fail st "malformed number"
+  if st.pos = int_end && int_end - int_start <= 15 then begin
+    let v = float_of_int (int_value st.src int_start int_end 0) in
+    if neg then -.v else v
+  end
+  else
+    let text = String.sub st.src start (st.pos - start) in
+    match float_of_string_opt text with
+    | Some v -> v
+    | None -> fail st "malformed number"
 
 let rec parse_value st depth =
   if depth <= 0 then fail st "nesting too deep";
@@ -209,9 +248,11 @@ let parse ?(max_depth = 64) src =
     else Ok v
   | exception Fail msg -> Error msg
 
-let member key = function
-  | Obj fields -> List.find_map (fun (k, v) -> if String.equal k key then Some v else None) fields
-  | _ -> None
+let rec assoc_first key = function
+  | [] -> None
+  | (k, v) :: rest -> if String.equal k key then Some v else assoc_first key rest
+
+let member key = function Obj fields -> assoc_first key fields | _ -> None
 
 let to_float = function Num v -> Some v | _ -> None
 let to_string = function Str s -> Some s | _ -> None
