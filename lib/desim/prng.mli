@@ -42,9 +42,19 @@ val binomial : t -> n:int -> p:float -> int
     [\[0, 1\]] (NaN included). *)
 
 type binomial_law
-(** A binomial success probability with its reflection and
-    [log1p (-. q)] precomputed, for callers that draw many samples at
-    one [p]. *)
+(** A binomial success probability with its reflection,
+    [log1p (-. q)] and an exact inversion table for the geometric gap,
+    for callers that draw many samples at one [p].
+
+    The table holds the thresholds [T_k], the least 53-bit [m] whose gap
+    [floor (log1p (-. m 2{^-53}) /. log1p (-. q))] reaches [k], for
+    [k = 1, 2, ...] up to u = 1 - 2{^-8} or 1024 entries, plus a
+    1024-bucket guide over the top bits of [m].  A draw below the last
+    threshold reads its gap from the table (a guide lookup and a short
+    scan); above it, the sampler computes the same [log1p] gap as
+    {!binomial}.  Building the table costs a few [log1p] calls per
+    entry (tens of microseconds at the paper's laws), so build a law
+    once and share it. *)
 
 val binomial_law : p:float -> binomial_law
 (** @raise Invalid_argument on [p] outside [\[0, 1\]] (NaN included). *)
@@ -52,8 +62,19 @@ val binomial_law : p:float -> binomial_law
 val binomial_of_law : t -> binomial_law -> n:int -> int
 (** [binomial_of_law t (binomial_law ~p) ~n] returns the same sample as
     [binomial t ~n ~p] and leaves [t] in the same state: both run the
-    same loop on the same [log1p (-. q)]; this one skips recomputing it.
+    same loop and draw the same uniforms; this one reads each gap from
+    the law's table instead of computing its [log1p], and every table
+    entry equals the [log1p] gap it replaces.
     @raise Invalid_argument on [n < 0]. *)
+
+val law_cuts : binomial_law -> int array
+(** The table's thresholds [T_1 .. T_K] (a copy; empty for [p = 0.] or
+    [p = 1.]).  Each satisfies [gap (T_k - 1) < k <= gap T_k]. *)
+
+val law_gap : binomial_law -> int -> int
+(** The gap {!binomial_of_law} draws for the 53-bit uniform [m]: from
+    the table below the last threshold, from [log1p] above it.
+    @raise Invalid_argument on [m] outside [\[0, 2{^53})]. *)
 
 val exponential : t -> rate:float -> float
 

@@ -36,8 +36,8 @@ module Sample : sig
   val count : t -> int
   val quantile : t -> float -> float
   (** [quantile s q] with [q] in [\[0., 1.\]], by linear interpolation of
-      order statistics.  @raise Invalid_argument when empty or [q] out of
-      range. *)
+      order statistics.  @raise Invalid_argument when empty or [q] outside
+      [\[0., 1.\]] (NaN included). *)
 
   val ccdf_at : t -> float -> float
   (** Empirical [P (X > x)]. *)

@@ -84,14 +84,17 @@ type setup = {
 let setup p =
   let rng = Desim.Prng.create ~seed:p.seed in
   let through_rng = Desim.Prng.split rng in
+  (* every aggregate shares one source, so its gap tables are built once *)
+  let laws = Source.laws p.source in
   let through_src =
     match p.through_kind with
     | Markov when p.n_through > 0 ->
-      Some (Source.create p.source ~n:p.n_through ~rng:through_rng)
+      Some (Source.create ~laws p.source ~n:p.n_through ~rng:through_rng)
     | Markov | Cbr _ -> None
   in
   let cross_srcs =
-    Array.init p.h (fun _ -> Source.create p.source ~n:p.n_cross ~rng:(Desim.Prng.split rng))
+    Array.init p.h (fun _ ->
+        Source.create ~laws p.source ~n:p.n_cross ~rng:(Desim.Prng.split rng))
   in
   let fault_procs =
     Array.init p.h (fun i ->

@@ -51,8 +51,10 @@ let grow r =
   r.total <- unroll r.total 0.;
   r.head <- 0
 
-let push r ~major ~minor ~tie ~seq size =
-  if r.len = Array.length r.left then grow r;
+(* Room for one more batch; [push] assumes it. *)
+let[@inline] reserve r = if r.len = Array.length r.left then grow r
+
+let[@inline] push r ~major ~minor ~tie ~seq size =
   let i = (r.head + r.len) land (Array.length r.left - 1) in
   r.major.(i) <- major;
   r.minor.(i) <- minor;
@@ -102,10 +104,16 @@ type t = {
   (* Queue-depth high-water mark (kb, all classes); always maintained — a
      float compare per offer — so telemetry can read it after the run. *)
   mutable high_water : float;
+  departed : float array;  (* per class, this slot; returned by [serve_slot] *)
+  key : float array;  (* [Scheduler.Policy.write_key] scratch *)
   (* Continuous clock. *)
   mutable factor : float;
   mutable last : float;
-  mutable completed : (int * float) list;  (* (cls, total), reverse order *)
+  (* Batches completed since the last [take_completions], in order:
+     class and size as offered. *)
+  mutable done_cls : int array;
+  mutable done_total : float array;
+  mutable done_len : int;
   mutable gen : int;
 }
 
@@ -134,9 +142,13 @@ let create ?packet_size ~capacity ~classes discipline =
     wire = -1;
     next_seq = 0;
     high_water = 0.;
+    departed = Array.make classes 0.;
+    key = Array.make 2 0.;
     factor = 1.;
     last = 0.;
-    completed = [];
+    done_cls = Array.make 16 0;
+    done_total = Array.make 16 0.;
+    done_len = 0;
     gen = 0;
   }
 
@@ -144,19 +156,36 @@ let check_class t fn cls =
   if cls < 0 || cls >= Array.length t.rings then
     invalid_arg (Printf.sprintf "Queue_node.%s: class out of range" fn)
 
-(* Queue one batch (or packet) under a ∆-policy. *)
-let enqueue t p r ~now ~cls size =
+(* Queue one batch (or packet) with key (major, minor, tie) into ring
+   [r], which has room for it. *)
+let[@inline] enqueue_key t r ~major ~minor ~tie size =
   if !Telemetry.on then Telemetry.Counter.incr c_packets;
-  let { Scheduler.Policy.major; minor; tie } = Scheduler.Policy.key p ~arrival:now ~cls ~size in
   let tail = (r.head + r.len - 1) land (Array.length r.left - 1) in
   if r.len > 0 && compare_to major minor tie r tail < 0 then
     invalid_arg "Queue_node.offer: key below the class's tail (policy not locally FIFO)";
   push r ~major ~minor ~tie ~seq:t.next_seq size;
   t.next_seq <- t.next_seq + 1
 
+(* A built-in policy's key, written into the node's scratch: no key
+   record, no boxed float. *)
+let enqueue_builtin t b r ~now ~cls size =
+  Scheduler.Policy.write_key b ~arrival:now ~cls t.key;
+  enqueue_key t r ~major:t.key.(0) ~minor:t.key.(1) ~tie:cls size
+[@@zero_alloc_check]
+
+(* Queue one batch (or packet) under a ∆-policy. *)
+let enqueue t p r ~now ~cls size =
+  reserve r;
+  match Scheduler.Policy.rule p with
+  | Scheduler.Policy.Builtin b -> enqueue_builtin t b r ~now ~cls size
+  | Scheduler.Policy.Custom key ->
+    let { Scheduler.Policy.major; minor; tie } = key ~arrival:now ~cls ~size in
+    enqueue_key t r ~major ~minor ~tie size
+
 let offer t ~now ~cls size =
   check_class t "offer" cls;
   if size < 0. then invalid_arg "Queue_node.offer: negative size";
+  if not (size < Float.infinity) then invalid_arg "Queue_node.offer: NaN or infinite size";
   if size > 0. then begin
     t.backlog.(cls) <- t.backlog.(cls) +. size;
     let depth = ref 0. in
@@ -177,7 +206,9 @@ let offer t ~now ~cls size =
         end
       in
       go size
-    | Fair _ -> push r ~major:0. ~minor:0. ~tie:0 ~seq:0 size
+    | Fair _ ->
+      reserve r;
+      push r ~major:0. ~minor:0. ~tie:0 ~seq:0 size
   end
 
 (* Class whose head batch is most urgent; -1 when every ring is empty. *)
@@ -196,8 +227,8 @@ let most_urgent t =
 let[@inline] fmin (a : float) b = if b > a then a else b
 
 (* Serve [amount] (at most its remaining work) from the head batch of
-   class [c]; drop the batch once its remainder is dust.  [true] iff it
-   completed. *)
+   class [c]; drop the batch once its remainder is dust, logging it when
+   [record] (the log has room: see [serve]).  [true] iff it completed. *)
 let[@inline] take t ~eps ~record ~departed c amount =
   let r = t.rings.(c) in
   let i = r.head in
@@ -209,65 +240,99 @@ let[@inline] take t ~eps ~record ~departed c amount =
     false
   end
   else begin
-    if record then t.completed <- (c, r.total.(i)) :: t.completed;
+    if record then begin
+      t.done_cls.(t.done_len) <- c;
+      t.done_total.(t.done_len) <- r.total.(i);
+      t.done_len <- t.done_len + 1
+    end;
     drop r;
     true
   end
 
+(* Preemptive service: always the most urgent head, split at the
+   budget. *)
+let[@inline] serve_fluid t ~eps ~record ~departed budget =
+  let budget = ref budget and go = ref true in
+  while !go && !budget > eps do
+    let c = most_urgent t in
+    if c < 0 then go := false
+    else begin
+      let r = t.rings.(c) in
+      let served = fmin r.left.(r.head) !budget in
+      budget := !budget -. served;
+      ignore (take t ~eps ~record ~departed c served : bool)
+    end
+  done
+[@@zero_alloc_check]
+
+(* Non-preemptive service: finish the packet on the wire before the next
+   precedence decision. *)
+let[@inline] serve_packet t ~eps ~record ~departed budget =
+  let budget = ref budget and go = ref true in
+  while !go && !budget > eps do
+    if t.wire < 0 then begin
+      let c = most_urgent t in
+      if c < 0 then go := false else t.wire <- c
+    end
+    else begin
+      let c = t.wire in
+      let r = t.rings.(c) in
+      let served = fmin r.left.(r.head) !budget in
+      budget := !budget -. served;
+      if take t ~eps ~record ~departed c served then t.wire <- -1
+    end
+  done
+[@@zero_alloc_check]
+
+(* Room in the completion log for every queued batch, the most one
+   service call can complete. *)
+let reserve_log t =
+  let need = ref t.done_len in
+  for c = 0 to Array.length t.rings - 1 do
+    need := !need + t.rings.(c).len
+  done;
+  let need = !need in
+  let cap = Array.length t.done_cls in
+  if need > cap then begin
+    let cap = Stdlib.max need (2 * cap) in
+    let cls = Array.make cap 0 and total = Array.make cap 0. in
+    Array.blit t.done_cls 0 cls 0 t.done_len;
+    Array.blit t.done_total 0 total 0 t.done_len;
+    t.done_cls <- cls;
+    t.done_total <- total
+  end
+
+(* Weighted fair shares of the budget over the backlogged classes.  A
+   class is backlogged iff its ring is non-empty — the same test
+   [next_completion] uses, so dust left in the backlog of an emptied class
+   never draws a share. *)
+let serve_fair t g ~eps ~record ~departed budget =
+  let backlogs =
+    Array.mapi (fun c b -> if t.rings.(c).len > 0 then b else 0.) t.backlog
+  in
+  let grants = Scheduler.Gps.allocate g ~capacity:budget ~backlogs in
+  Array.iteri
+    (fun c grant ->
+      let r = t.rings.(c) in
+      let remaining = ref grant in
+      while !remaining > eps && r.len > 0 do
+        let served = fmin r.left.(r.head) !remaining in
+        remaining := !remaining -. served;
+        ignore (take t ~eps ~record ~departed c served : bool)
+      done)
+    grants
+
 (* The one service loop: spend [budget] kb in service order.  [eps] is the
    dust threshold below which a budget or a batch remainder counts as
    spent.  Each class's service is added to [departed]; completed batches
-   are logged when [record]. *)
-let serve t ~eps ~record ~departed budget =
+   are logged when [record].  Inlined, with the ∆-policy loops, so a
+   computed [budget] is never boxed. *)
+let[@inline] serve t ~eps ~record ~departed budget =
+  if record then reserve_log t;
   match t.shape with
-  | Fluid _ ->
-    (* preemptive: always the most urgent head, split at the budget *)
-    let budget = ref budget and go = ref true in
-    while !go && !budget > eps do
-      let c = most_urgent t in
-      if c < 0 then go := false
-      else begin
-        let r = t.rings.(c) in
-        let served = fmin r.left.(r.head) !budget in
-        budget := !budget -. served;
-        ignore (take t ~eps ~record ~departed c served : bool)
-      end
-    done
-  | Packet _ ->
-    (* non-preemptive: finish the packet on the wire before the next
-       precedence decision *)
-    let budget = ref budget and go = ref true in
-    while !go && !budget > eps do
-      if t.wire < 0 then begin
-        let c = most_urgent t in
-        if c < 0 then go := false else t.wire <- c
-      end
-      else begin
-        let c = t.wire in
-        let r = t.rings.(c) in
-        let served = fmin r.left.(r.head) !budget in
-        budget := !budget -. served;
-        if take t ~eps ~record ~departed c served then t.wire <- -1
-      end
-    done
-  | Fair g ->
-    (* A class is backlogged iff its ring is non-empty — the same test
-       [next_completion] uses, so dust left in the backlog of an emptied
-       class never draws a share. *)
-    let backlogs =
-      Array.mapi (fun c b -> if t.rings.(c).len > 0 then b else 0.) t.backlog
-    in
-    let grants = Scheduler.Gps.allocate g ~capacity:budget ~backlogs in
-    Array.iteri
-      (fun c grant ->
-        let r = t.rings.(c) in
-        let remaining = ref grant in
-        while !remaining > eps && r.len > 0 do
-          let served = fmin r.left.(r.head) !remaining in
-          remaining := !remaining -. served;
-          ignore (take t ~eps ~record ~departed c served : bool)
-        done)
-      grants
+  | Fluid _ -> serve_fluid t ~eps ~record ~departed budget
+  | Packet _ -> serve_packet t ~eps ~record ~departed budget
+  | Fair g -> serve_fair t g ~eps ~record ~departed budget
 
 let serve_slot ?factor t =
   (* A degraded slot serves at a scaled-down capacity. *)
@@ -279,7 +344,8 @@ let serve_slot ?factor t =
       t.capacity *. f
   in
   if !Telemetry.on then Telemetry.Counter.incr c_slots;
-  let departed = Array.make (Array.length t.rings) 0. in
+  let departed = t.departed in
+  Array.fill departed 0 (Array.length departed) 0.;
   serve t ~eps:1e-12 ~record:false ~departed budget;
   for c = 0 to Array.length departed - 1 do
     t.served.(c) <- t.served.(c) +. departed.(c)
@@ -361,8 +427,8 @@ let next_completion t =
       t.last +. !best
 
 let take_completions t =
-  let out = List.rev t.completed in
-  t.completed <- [];
+  let out = List.init t.done_len (fun i -> (t.done_cls.(i), t.done_total.(i))) in
+  t.done_len <- 0;
   out
 
 let gen t = t.gen

@@ -40,15 +40,19 @@ val create : ?packet_size:float -> capacity:float -> classes:int -> discipline -
 
 val offer : t -> now:float -> cls:int -> float -> unit
 (** Enqueue [size] kb of class [cls] arriving at time [now].  Zero-size
-    offers are ignored.
-    @raise Invalid_argument on a bad class or a negative size, or when a
-    ∆-policy hands out a key below the key of the class's last queued
-    batch (the policy is not locally FIFO, see {!Scheduler.Policy}). *)
+    offers are ignored.  A built-in {!Scheduler.Policy} key is computed in
+    place, so such an offer allocates nothing (beyond ring growth).
+    @raise Invalid_argument on a bad class or a negative, NaN or infinite
+    size, or when a ∆-policy hands out a key below the key of the class's
+    last queued batch (the policy is not locally FIFO, see
+    {!Scheduler.Policy}). *)
 
 val serve_slot : ?factor:float -> t -> float array
 (** Transmit up to one slot's capacity, scaled by [factor] (default [1.];
     the caller steps the node's fault process and passes its factor);
-    returns the kb departed per class in this slot. *)
+    returns the kb departed per class in this slot.  The array belongs to
+    the node and is overwritten by the next [serve_slot]: read it before
+    serving the node again. *)
 
 val occupied : t -> bool
 (** [true] iff any batch is queued or in service — i.e. iff a

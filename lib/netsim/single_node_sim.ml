@@ -42,9 +42,21 @@ let run cfg =
     ~attrs:[ ("classes", Telemetry.Int k); ("slots", Telemetry.Int cfg.slots) ]
   @@ fun () ->
   let rng = Desim.Prng.create ~seed:cfg.seed in
+  (* the gap tables of each distinct source, built once per run *)
+  let shared = ref [] in
+  let laws_of src =
+    match List.assoc_opt src !shared with
+    | Some laws -> laws
+    | None ->
+      let laws = Source.laws src in
+      shared := (src, laws) :: !shared;
+      laws
+  in
   let sources =
     Array.map
-      (fun spec -> Source.create spec.source ~n:spec.n_flows ~rng:(Desim.Prng.split rng))
+      (fun spec ->
+        Source.create ~laws:(laws_of spec.source) spec.source ~n:spec.n_flows
+          ~rng:(Desim.Prng.split rng))
       cfg.classes
   in
   (* fault rng drawn after the sources: fault-free runs stay bit-identical *)

@@ -147,30 +147,34 @@ let run_slotted (p : Event_tandem.params) =
       pending.(i) <- 0.
     done;
     (* Fresh cross traffic at every node. *)
-    Array.iteri
-      (fun i node -> Queue_node.offer node ~now ~cls:cross_class (Source.step cross_srcs.(i)))
-      nodes;
+    for i = 0 to p.h - 1 do
+      Queue_node.offer nodes.(i) ~now ~cls:cross_class (Source.step cross_srcs.(i))
+    done;
     (* Serve every node, each fault process advancing once per slot. *)
-    Array.iteri
-      (fun i node ->
-        let factor = Option.map Faults.step fault_procs.(i) in
-        let dep = Queue_node.serve_slot ?factor node in
-        served_total.(i) <- served_total.(i) +. dep.(through_class) +. dep.(cross_class);
-        if i < p.h - 1 then pending.(i + 1) <- dep.(through_class)
-        else begin
-          acc_out := !acc_out +. dep.(through_class)
-        end)
-      nodes;
-    cum_out.(t) <- !acc_out;
-    (* total through data inside the network (queues + inter-node flight) *)
-    if t < p.slots then begin
-      let q =
-        Array.fold_left
-          (fun acc node -> acc +. Queue_node.backlog_of node ~cls:through_class)
-          0. nodes
+    for i = 0 to p.h - 1 do
+      let node = nodes.(i) in
+      let dep =
+        match fault_procs.(i) with
+        | None -> Queue_node.serve_slot node
+        | Some pr -> Queue_node.serve_slot ~factor:(Faults.step pr) node
       in
-      let inflight = Array.fold_left ( +. ) 0. pending in
-      Desim.Stats.Sample.add through_backlog (q +. inflight)
+      served_total.(i) <- served_total.(i) +. dep.(through_class) +. dep.(cross_class);
+      if i < p.h - 1 then pending.(i + 1) <- dep.(through_class)
+      else acc_out := !acc_out +. dep.(through_class)
+    done;
+    cum_out.(t) <- !acc_out;
+    (* total through data inside the network (queues + inter-node flight),
+       each sum a left fold from 0. *)
+    if t < p.slots then begin
+      let q = ref 0. in
+      for i = 0 to p.h - 1 do
+        q := !q +. Queue_node.backlog_of nodes.(i) ~cls:through_class
+      done;
+      let inflight = ref 0. in
+      for i = 0 to p.h - 1 do
+        inflight := !inflight +. pending.(i)
+      done;
+      Desim.Stats.Sample.add through_backlog (!q +. !inflight)
     end
   done;
   (* Virtual delays by a two-pointer sweep over the cumulative counters. *)

@@ -8,30 +8,50 @@ let compare_key a b =
     match Float.compare a.minor b.minor with 0 -> Int.compare a.tie b.tie | c -> c)
   | c -> c
 
+type builtin =
+  | Fifo
+  | Static_priority of int array
+  | Edf of float array
+  | Bmux of int
+
+type rule =
+  | Builtin of builtin
+  | Custom of (arrival:float -> cls:int -> size:float -> key)
+
+let write_key b ~arrival ~cls k =
+  k.(0) <-
+    (match b with
+    | Fifo -> arrival
+    | Static_priority priorities -> -.float_of_int priorities.(cls)
+    | Edf deadlines -> arrival +. deadlines.(cls)
+    | Bmux tagged -> if cls = tagged then 1. else 0.);
+  k.(1) <- (match b with Fifo -> 0. | Static_priority _ | Edf _ | Bmux _ -> arrival)
+
 type t = {
   name : string;
-  key : arrival:float -> cls:int -> size:float -> key;
+  rule : rule;
   matrix : n:int -> Classes.matrix option;
 }
 
 let name p = p.name
-let key p = p.key
+let rule p = p.rule
 
-let make ~name ~key ?(matrix = fun ~n:_ -> None) () = { name; key; matrix }
+let key p ~arrival ~cls ~size =
+  match p.rule with
+  | Builtin b ->
+    let k = [| 0.; 0. |] in
+    write_key b ~arrival ~cls k;
+    { major = k.(0); minor = k.(1); tie = cls }
+  | Custom f -> f ~arrival ~cls ~size
 
-let fifo =
-  {
-    name = "FIFO";
-    key = (fun ~arrival ~cls ~size:_ -> { major = arrival; minor = 0.; tie = cls });
-    matrix = (fun ~n -> Some (Classes.fifo ~n));
-  }
+let make ~name ~key ?(matrix = fun ~n:_ -> None) () = { name; rule = Custom key; matrix }
+
+let fifo = { name = "FIFO"; rule = Builtin Fifo; matrix = (fun ~n -> Some (Classes.fifo ~n)) }
 
 let static_priority ~priorities =
   {
     name = "SP";
-    key =
-      (fun ~arrival ~cls ~size:_ ->
-        { major = -.float_of_int priorities.(cls); minor = arrival; tie = cls });
+    rule = Builtin (Static_priority priorities);
     matrix =
       (fun ~n ->
         if n <> Array.length priorities then None
@@ -41,9 +61,7 @@ let static_priority ~priorities =
 let edf ~deadlines =
   {
     name = "EDF";
-    key =
-      (fun ~arrival ~cls ~size:_ ->
-        { major = arrival +. deadlines.(cls); minor = arrival; tie = cls });
+    rule = Builtin (Edf deadlines);
     matrix =
       (fun ~n ->
         if n <> Array.length deadlines then None else Some (Classes.edf ~deadlines));
@@ -52,9 +70,7 @@ let edf ~deadlines =
 let bmux ~tagged =
   {
     name = "BMUX";
-    key =
-      (fun ~arrival ~cls ~size:_ ->
-        { major = (if cls = tagged then 1. else 0.); minor = arrival; tie = cls });
+    rule = Builtin (Bmux tagged);
     matrix = (fun ~n -> Some (Classes.bmux ~n ~tagged));
   }
 

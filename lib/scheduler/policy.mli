@@ -27,6 +27,32 @@ val key : t -> arrival:float -> cls:int -> size:float -> key
     of guaranteed service) do not.  Policies may carry per-node mutable
     state, so a fresh value must be used per node (see {!Sced.policy}). *)
 
+(** {1 Key rules}
+
+    How a policy computes its key.  The built-in policies are data, so
+    the node computes their keys with {!write_key}, without allocating;
+    a policy from {!make} carries its own function. *)
+
+type builtin =
+  | Fifo  (** [{ major = arrival; minor = 0.; tie = cls }] *)
+  | Static_priority of int array
+      (** [{ major = -. priority.(cls); minor = arrival; tie = cls }] *)
+  | Edf of float array  (** [{ major = arrival +. deadline.(cls); minor = arrival; tie = cls }] *)
+  | Bmux of int
+      (** [{ major = (if cls = tagged then 1. else 0.); minor = arrival; tie = cls }] *)
+
+type rule =
+  | Builtin of builtin
+  | Custom of (arrival:float -> cls:int -> size:float -> key)
+
+val rule : t -> rule
+
+val write_key : builtin -> arrival:float -> cls:int -> float array -> unit
+(** [write_key b ~arrival ~cls k] stores the [major] field of the rule's
+    key in [k.(0)] and its [minor] field in [k.(1)]; its [tie] is [cls].
+    A float array holds both unboxed, so a caller reusing one [k]
+    computes keys without allocating. *)
+
 val make :
   name:string ->
   key:(arrival:float -> cls:int -> size:float -> key) ->

@@ -272,6 +272,82 @@ let prop_sampler_matches_oracle =
       done;
       samplers_ok && !steps_ok)
 
+(* Exactness certificate of the gap table behind [binomial_of_law].  The
+   reference is the sampler's inversion formula computed afresh with
+   libm's [log1p].  Near a threshold the rounded and the true quotient
+   may fall on different sides of an integer cut, so every table entry
+   is checked against [log1p] for the 4096 neighbours on either side of
+   every threshold (DESIGN.md explains why that window is enough), and
+   on 10^6 uniform [m]. *)
+let log1p_gap ~p m =
+  let q = if p > 0.5 then 1. -. p else p in
+  let x = Float.log1p (-.(float_of_int m *. 0x1.0p-53)) /. Float.log1p (-.q) in
+  if x >= 0x1p62 then max_int else Float.to_int (Float.floor x)
+
+let certify_table ~seed p =
+  let law = Prng.binomial_law ~p in
+  let cuts = Prng.law_cuts law in
+  let m_end = 1 lsl 53 in
+  let check m =
+    let want = log1p_gap ~p m and got = Prng.law_gap law m in
+    if got <> want then Alcotest.failf "p = %h, m = %d: table gap %d, log1p gap %d" p m got want
+  in
+  Array.iteri
+    (fun i tk ->
+      let k = i + 1 in
+      if not (log1p_gap ~p (tk - 1) < k && k <= log1p_gap ~p tk) then
+        Alcotest.failf "p = %h: T_%d = %d does not cut the gap at %d" p k tk k)
+    cuts;
+  (* the windows, merged where neighbouring thresholds overlap *)
+  let checked = ref (-1) in
+  Array.iter
+    (fun tk ->
+      let hi = Stdlib.min (m_end - 1) (tk + 4096) in
+      for m = Stdlib.max (!checked + 1) (Stdlib.max 0 (tk - 4096)) to hi do
+        check m
+      done;
+      checked := Stdlib.max !checked hi)
+    cuts;
+  let rng = Prng.create ~seed in
+  for _ = 1 to 1_000_000 do
+    check (Int64.to_int (Int64.shift_right_logical (Prng.bits64 rng) 11))
+  done;
+  Array.length cuts
+
+let test_gap_table_exact () =
+  (* the paper's stay-ON and turn-ON laws, as [Source] builds them *)
+  let src = Envelope.Mmpp.paper_source in
+  let stay = certify_table ~seed:21L src.Envelope.Mmpp.p_stay_on in
+  let turn = certify_table ~seed:22L (1. -. src.Envelope.Mmpp.p_stay_off) in
+  if stay = 0 || turn = 0 then Alcotest.fail "the paper's laws have no table";
+  (* q <= 1e-9 (both sides), q = 1/2 and just below it, a q whose gaps
+     all saturate *)
+  List.iteri
+    (fun i p -> ignore (certify_table ~seed:(Int64.of_int (23 + i)) p : int))
+    [ 1e-9; 1. -. 1e-10; 0.5; Float.succ 0.5; 1e-300 ];
+  (* q = 0: no table, and the sampler draws nothing *)
+  List.iter
+    (fun p ->
+      let law = Prng.binomial_law ~p in
+      Alcotest.(check int) "no thresholds" 0 (Array.length (Prng.law_cuts law));
+      let t = Prng.create ~seed:30L and o = Prng.create ~seed:30L in
+      Alcotest.(check int) "count" (if p > 0.5 then 7 else 0) (Prng.binomial_of_law t law ~n:7);
+      Alcotest.(check bool) "no draw" true (Prng.bits64 t = Prng.bits64 o))
+    [ 0.; 1. ]
+
+let prop_gap_table_exact =
+  let gen =
+    QCheck.Gen.(
+      pair bool (oneof [ float_range (-12.) (Float.log10 0.5) |> map (fun e -> 10. ** e); float_range 0.3 0.5 ])
+      |> map (fun (reflect, q) -> if reflect then 1. -. q else q))
+  in
+  QCheck.Test.make ~name:"gap table = log1p gap near every threshold"
+    ~count:(Qc.count ~cap:50 4)
+    (QCheck.make ~print:(Printf.sprintf "p=%h") gen)
+    (fun p ->
+      ignore (certify_table ~seed:(Int64.bits_of_float p) p : int);
+      true)
+
 (* Gc.minor_words is unboxed and allocation-free, so the window counts
    only the calls under test. *)
 let minor_words_per_call calls f =
@@ -296,6 +372,57 @@ let test_sampler_allocates_nothing () =
   let words = minor_words_per_call calls (fun () -> ignore (Sys.opaque_identity (Netsim.Source.step source))) in
   if words > 2. then Alcotest.failf "Source.step allocates %g words per call (> 2: the boxed result)" words;
   ignore (Sys.opaque_identity !sink)
+
+(* A built-in policy's key is computed in the node, so queueing a batch
+   and serving a slot allocate nothing; [now] and the size are bound
+   outside the window, so no argument is boxed inside it. *)
+let test_node_allocates_nothing () =
+  let module Node = Netsim.Queue_node in
+  let module Policy = Scheduler.Policy in
+  let now = Sys.opaque_identity 3. and size = Sys.opaque_identity 1.25 in
+  List.iter
+    (fun policy ->
+      let node = Node.create ~capacity:5. ~classes:2 (Node.Delta_policy policy) in
+      let step () =
+        Node.offer node ~now ~cls:0 size;
+        Node.offer node ~now ~cls:1 size;
+        ignore (Sys.opaque_identity (Node.serve_slot node))
+      in
+      for _ = 1 to 100 do
+        step ()
+      done;
+      let words = minor_words_per_call 100_000 step in
+      if words > 0. then
+        Alcotest.failf "%s: offer + serve_slot allocate %g words" (Policy.name policy) words)
+    [
+      Policy.fifo;
+      Policy.static_priority ~priorities:[| 0; 1 |];
+      Policy.edf ~deadlines:[| 4.; 9. |];
+      Policy.bmux ~tagged:0;
+    ]
+
+(* The slotted loop at the simulate workload's shape (Example 1, H = 10,
+   U0 = 15%, U = 50%): every offer, serve and source step of a slot in
+   at most 130 minor words, setup included. *)
+let test_slotted_words_per_slot () =
+  let mean = Envelope.Mmpp.mean_rate Envelope.Mmpp.paper_source in
+  let flows u = int_of_float (Float.round (u *. 100. /. mean)) in
+  let cfg =
+    {
+      Netsim.Tandem.default_config with
+      Netsim.Tandem.h = 10;
+      n_through = flows 0.15;
+      n_cross = flows 0.35;
+      slots = 4_000;
+      drain_limit = 400;
+      seed = 5L;
+    }
+  in
+  let w0 = Gc.minor_words () in
+  let r = Netsim.Tandem.run cfg in
+  let words = (Gc.minor_words () -. w0) /. float_of_int (cfg.slots + cfg.drain_limit) in
+  ignore (Sys.opaque_identity r);
+  if words > 130. then Alcotest.failf "slotted run allocates %.1f words per slot (> 130)" words
 
 (* ---------------- Heap ---------------- *)
 
@@ -431,6 +558,14 @@ let test_sample_quantiles () =
   check_float "q1" 5. (Stats.Sample.quantile s 1.);
   check_float "interpolated" 1.4 (Stats.Sample.quantile s 0.1)
 
+(* [q < 0. || q > 1.] let a NaN through, and the interpolation then
+   returned NaN. *)
+let test_sample_quantile_rejects_nan () =
+  let s = Stats.Sample.create () in
+  List.iter (Stats.Sample.add s) [ 1.; 2.; 3. ];
+  Alcotest.check_raises "q = nan" (Invalid_argument "Stats.Sample.quantile: q out of range")
+    (fun () -> ignore (Stats.Sample.quantile s Float.nan : float))
+
 let test_sample_ccdf () =
   let s = Stats.Sample.create () in
   List.iter (Stats.Sample.add s) [ 1.; 2.; 3.; 4. ];
@@ -480,4 +615,9 @@ let suite =
     Alcotest.test_case "sample ccdf" `Quick test_sample_ccdf;
     Alcotest.test_case "histogram" `Quick test_histogram;
     Alcotest.test_case "batch means" `Quick test_batch_means;
+    Alcotest.test_case "node offer + serve allocate nothing" `Quick test_node_allocates_nothing;
+    Alcotest.test_case "slotted run words per slot" `Quick test_slotted_words_per_slot;
+    Alcotest.test_case "gap table = log1p gap" `Quick test_gap_table_exact;
+    QCheck_alcotest.to_alcotest prop_gap_table_exact;
+    Alcotest.test_case "sample quantile rejects NaN" `Quick test_sample_quantile_rejects_nan;
   ]

@@ -179,6 +179,15 @@ let test_offer_rejects_non_locally_fifo () =
     (Invalid_argument "Queue_node.offer: key below the class's tail (policy not locally FIFO)")
     (fun () -> Node.offer node ~now:2. ~cls:0 5.)
 
+(* A NaN size used to fail [size > 0.] and vanish without a trace, and
+   +inf was queued as an unservable backlog. *)
+let offer_rejects size () =
+  let node = Node.create ~capacity:1. ~classes:2 (Node.Delta_policy Policy.fifo) in
+  Alcotest.check_raises (Printf.sprintf "size %g" size)
+    (Invalid_argument "Queue_node.offer: NaN or infinite size") (fun () ->
+      Node.offer node ~now:0. ~cls:0 size);
+  check_float "backlog untouched" 0. (Node.backlog node)
+
 (* Continuous clock: a class FIFO that wraps and grows past its initial
    ring still completes batches in arrival order, at the predicted
    instants. *)
@@ -416,4 +425,6 @@ let suite =
     Alcotest.test_case "tandem utilization" `Slow test_tandem_utilization_matches_load;
     Alcotest.test_case "sim below bounds at every sweep point" `Slow
       test_sim_vs_bounds_every_h;
+    Alcotest.test_case "offer rejects a NaN size" `Quick (offer_rejects Float.nan);
+    Alcotest.test_case "offer rejects an infinite size" `Quick (offer_rejects Float.infinity);
   ]
