@@ -5,6 +5,10 @@ module Exp = Envelope.Exponential
 let c_objective_evals = Telemetry.Counter.make "e2e.eq38.objective_evals"
 let c_gamma_evals = Telemetry.Counter.make "e2e.gamma.evals"
 
+(* (candidate, node) pairs the Eq.-38 folds actually evaluate: below
+   objective_evals x H by what branch-and-bound drops *)
+let c_node_steps = Telemetry.Counter.make "e2e.eq38.node_steps"
+
 type node = {
   capacity : float;
   cross_rho : float;
@@ -151,9 +155,10 @@ let x_candidates p ~gamma ~sigma =
    - [fmax0 d]     = [Float.max 0. d]   for every float [d];
    - [fmax_nz x y] = [Float.max x y]    when [y] is non-NaN (the ∆
      values: [Delta.fin] rejects NaN);
-   - [fmin1 x y]   = [Float.min x y]    when at most one operand is NaN
-     (the delay folds never hold two: a NaN objective only arises from
-     a NaN sigma, which filters every candidate but 0.);
+   - [fmin1 x y]   = [Float.min x y]    when at most one operand is NaN;
+     when both are, both return a NaN, maybe with other payload bits
+     (a NaN objective arises from a NaN sigma, which filters every
+     candidate but 0., or from an infinite cross rate);
    - [fgt a b] is [a > b], except that -0. orders strictly before +0.;
      [fne a b] is [a <> b], except that -0. and +0. differ.  Both are
      for non-NaN operands (the candidate buffers: pushes are filtered
@@ -197,16 +202,15 @@ let[@inline] fne (a : float) (b : float) =
    [delay_bound] and everything built on them.  [make] flattens the
    path into plain arrays once; [set] compiles the per-node constants
    (c_h, margin_h, clipped-∆ case tags) for one (gamma, sigma) and
-   writes the candidate abscissae into a reusable scratch buffer,
-   sorted in place; [delay] folds the objective node-major over
-   per-candidate accumulators, so each node's case tag is dispatched
-   once per point rather than once per (candidate, node) pair, with no
-   allocation and no variant matching in the inner loop.  Every float
-   expression mirrors [Reference] operation for operation — same
-   operands, same order — so all results are bit-identical to
-   [Reference.delay_given]/[Reference.sigma_for]/
-   [Reference.optimal_thetas]; the QCheck suite pins this bit for
-   bit. *)
+   inserts the candidate abscissae, sorted and unique, into a reusable
+   scratch buffer; [delay] takes the objective's minimum over them by
+   branch-and-bound, dropping a candidate as soon as its partial sum
+   reaches the best complete one.  No allocation and no variant
+   matching in the inner loops.  Every float expression mirrors
+   [Reference] operation for operation — same operands, same order —
+   so all results are bit-identical to [Reference.delay_given]/
+   [Reference.sigma_for]/[Reference.optimal_thetas]; the QCheck suite
+   pins this bit for bit. *)
 module Batch = struct
   type t = {
     path : path;
@@ -220,21 +224,34 @@ module Batch = struct
        decay [alpha], so one exp and one log alpha serve them all *)
     alpha : float;
     m_thr : float;
-    inv_a : float;     (* 1. /. alpha *)
     log_a : float;     (* log alpha *)
     stoch_m : float array; (* cross_m of the stochastic nodes, in order *)
+    (* what [sigma_for] derives from the combined rate's [w = (stoch +
+       1) /. alpha], summed as [Exponential.combine] sums it: all
+       gamma-independent *)
+    aw : float;        (* alpha *. w *)
+    log_w : float;
+    a_c : float;       (* 1. /. w *)
     (* per-(gamma, sigma) compiled state, overwritten by [set] *)
     mutable gamma : float;
     mutable sigma : float;
     c : float array;    (* c_h = capacity -. h *. gamma *)
     mg : float array;   (* margin = c_h -. cross_rho -. gamma *)
     r : float array;    (* cross_rho +. gamma *)
-    s_c : float array;  (* sigma /. c_h *)
-    s_m : float array;  (* sigma /. margin *)
+    s : float array;    (* sigma /. c_h (case 1) or sigma /. margin (cases 2, 3) *)
     case : int array;   (* see [set] *)
+    mutable finite : bool; (* sigma and every c, mg, r, dv finite *)
     cand : float array; (* sorted unique candidate abscissae, first [ncand] *)
     mutable ncand : int;
-    acc : float array;  (* per-candidate objective accumulators *)
+    (* the candidates a fold carries, first [live]: abscissa, partial
+       objective sum, index into [cand] *)
+    ax : float array;
+    acc : float array;
+    ai : int array;
+    mutable live : int;
+    bound : float array; (* one slot: the pruning bound of [sweep] *)
+    mutable warm : int;  (* the last pruned fold's argmin; max_int when fresh *)
+    slack : float;       (* 1 + 4 H epsilon_float, see [delay] *)
   }
 
   let make p =
@@ -265,6 +282,13 @@ module Batch = struct
       done;
       Array.of_list !buf
     in
+    let w =
+      let inv_a = 1. /. alpha and w = ref 0. in
+      for _ = 0 to Array.length stoch_m do
+        w := !w +. inv_a
+      done;
+      !w
+    in
     {
       path = p;
       h;
@@ -274,30 +298,41 @@ module Batch = struct
       tag;
       alpha;
       m_thr = p.through.Envelope.Ebb.m;
-      inv_a = 1. /. alpha;
       log_a = log alpha;
       stoch_m;
+      aw = alpha *. w;
+      log_w = log w;
+      a_c = 1. /. w;
       gamma = Float.nan;
       sigma = Float.nan;
       c = Array.make h 0.;
       mg = Array.make h 0.;
       r = Array.make h 0.;
-      s_c = Array.make h 0.;
-      s_m = Array.make h 0.;
+      s = Array.make h 0.;
       case = Array.make h 0;
+      finite = false;
       cand = Array.make ((3 * h) + 1) 0.;
       ncand = 0;
+      ax = Array.make ((3 * h) + 1) 0.;
       acc = Array.make ((3 * h) + 1) 0.;
+      ai = Array.make ((3 * h) + 1) 0;
+      live = 0;
+      bound = [| Float.nan |];
+      warm = max_int;
+      slack = 1. +. (4. *. float_of_int h *. epsilon_float);
     }
 
   (* [sigma_for] with the shared-decay algebra folded out: the reference
      builds (stoch + 1) Exponential.t records through [geometric_sum] and
-     [combine], but all of them carry the same [a = alpha], so [q], [log
-     alpha] and [alpha *. w] are computed once and only the per-node [log
-     m_i] remain (cached against the previous node — homogeneous paths
-     pay a single log).  Each remaining float op replicates the reference
-     expression exactly; reads only immutable fields, so one batch may
-     serve [sigma_for] from several domains concurrently. *)
+     [combine], but all of them carry the same [a = alpha], so [q] is
+     computed once per call, [log alpha] and everything derived from
+     the combined rate once per batch, and only the per-node terms
+     [(log m_i +. log alpha) /. (alpha *. w)] remain.  Those depend on
+     the node's [cross_m] alone (and on whether it is the last
+     stochastic node), so each is cached against the previous node —
+     homogeneous paths pay two.  Each remaining float op replicates the
+     reference expression exactly; reads only immutable fields, so one
+     batch may serve [sigma_for] from several domains concurrently. *)
   let sigma_for t ~gamma ~epsilon =
     if gamma <= 0. then invalid_arg "E2e.total_bound: non-positive gamma";
     if t.m_thr < 0. || t.m_thr <> t.m_thr then
@@ -314,43 +349,80 @@ module Batch = struct
       fmax0 (log (m_g /. epsilon) /. t.alpha)
     end
     else begin
-      let w = ref 0. in
-      for _ = 0 to n do
-        w := !w +. t.inv_a
-      done;
-      let w = !w in
-      let aw = t.alpha *. w in
+      let aw = t.aw in
       let acc = ref 0. in
       acc := !acc +. ((log m_g +. t.log_a) /. aw);
-      let last_m = ref Float.nan and last_log = ref 0. in
+      let last_m = ref Float.nan and last_term = ref 0. in
       for i = 0 to n - 1 do
         let cm = t.stoch_m.(i) in
         if cm < 0. || cm <> cm then
           invalid_arg "Exponential.v: negative prefactor";
-        let mi = if i < n - 1 then cm /. omq /. omq else cm /. omq in
-        (* [=] as the log-memo key is sound and bit-exact: a fresh NaN
-           key always misses (NaN <> everything, and the seed is NaN),
-           and the one compare-equal bit-distinct pair, -0. and +0.,
-           has log(-0.) = log(+0.) = -inf, so a hit returns exactly
-           what the recompute would. *)
-        let lm =
-          if mi = !last_m then !last_log
+        (* [=] as the memo key is sound and bit-exact: a fresh NaN key
+           always misses (NaN <> everything, and the seed is NaN), and
+           the one compare-equal bit-distinct pair, -0. and +0., gives
+           m_i = -0. or +0. and log(-0.) = log(+0.) = -inf, so a hit
+           returns exactly what the recompute would. *)
+        let term =
+          if i = n - 1 then (log (cm /. omq) +. t.log_a) /. aw
+          else if cm = !last_m then !last_term
           else begin
-            let l = log mi in
-            last_m := mi;
-            last_log := l;
-            l
+            let v = (log (cm /. omq /. omq) +. t.log_a) /. aw in
+            last_m := cm;
+            last_term := v;
+            v
           end
         in
-        acc := !acc +. ((lm +. t.log_a) /. aw)
+        acc := !acc +. term
       done;
-      let log_m = log w +. !acc in
+      let log_m = t.log_w +. !acc in
       let m_c = exp log_m in
-      let a_c = 1. /. w in
       if epsilon <= 0. then invalid_arg "Exponential.invert: non-positive epsilon";
-      fmax0 (log (m_c /. epsilon) /. a_c)
+      fmax0 (log (m_c /. epsilon) /. t.a_c)
     end
   [@@zero_alloc_check]
+
+  (* Move the value staged at [cand.(ncand)] into the sorted unique
+     prefix [cand.(0 .. ncand - 1)] unless it is already there.  The
+     last entry is checked first: [set] pushes each node's candidates
+     in ascending order, and on homogeneous paths every kind of
+     candidate grows with the node index, so most pushes append or
+     repeat the last entry.  Anything else is placed by a binary search
+     for the first entry not below it in the [fgt] order and a one-slot
+     shift of the tail.  The prefix equals List.sort_uniq Float.compare
+     on the same multiset, up to the signed zeros (see [fgt]).  Staging
+     through the array keeps the float unboxed: a float argument to a
+     call that is not inlined is boxed. *)
+  let insert_staged t =
+    let cand = t.cand and n = t.ncand in
+    (* [0 < n]: cand.(0) = 0. is placed before any push *)
+    let x = cand.(n) and last = cand.(n - 1) in
+    if fgt x last then t.ncand <- n + 1
+    else if fne x last then begin
+      let lo = ref 0 and hi = ref (n - 1) in
+      while !lo < !hi do
+        let mid = (!lo + !hi) lsr 1 in
+        if fgt x cand.(mid) then lo := mid + 1 else hi := mid
+      done;
+      let k = !lo in
+      if fne cand.(k) x then begin
+        for j = n downto k + 1 do
+          cand.(j) <- cand.(j - 1)
+        done;
+        cand.(k) <- x;
+        t.ncand <- n + 1
+      end
+    end
+  [@@zero_alloc_check]
+
+  (* A candidate abscissa, kept if finite and >= 0. — the filter of
+     [x_candidates].  [x -. x = 0.] is [Float.is_finite] inlined (a
+     cross-module call otherwise): NaN and the infinities fail it
+     bit-exactly. *)
+  let[@inline] push t x =
+    if ((x -. x = 0.) [@lint.allow "float-equal"]) && x >= 0. then begin
+      t.cand.(t.ncand) <- x;
+      insert_staged t
+    end
 
   (* case tags compiled by [set]:
      0 — theta = +inf for every x (c_h <= 0, or BMUX with margin <= 0)
@@ -358,172 +430,257 @@ module Batch = struct
      2 — BMUX, margin > 0
      3 — Fin d >= 0, margin > 0
      4 — Fin d >= 0, margin <= 0
-     5 — Fin d < 0 *)
+     5 — Fin d < 0
+     Only the division a case reads is taken: [s] is sigma /. c_h for
+     case 1 and sigma /. margin for cases 2 and 3. *)
   let set t ~gamma ~sigma =
     t.gamma <- gamma;
     t.sigma <- sigma;
-    (* candidate multiset: 0. first, then per node in index order — the
+    (* candidate set: 0. first, then per node in index order — the
        same pushes, filters and float expressions as [x_candidates] *)
     t.cand.(0) <- 0.;
     t.ncand <- 1;
+    (* [z -. z] is 0. for finite [z] and NaN otherwise, so [fin] stays
+       0. when sigma and every node constant are finite, and turns NaN
+       when one is not (or when their sum overflows: a needless but
+       exact fallback in [delay]) *)
+    let fin = ref (sigma -. sigma) and negd = ref Float.nan in
     for i = 0 to t.h - 1 do
       let c_h = t.cap.(i) -. (float_of_int i *. gamma) in
       let margin = c_h -. t.rho.(i) -. gamma in
+      let r = t.rho.(i) +. gamma and dv = t.dv.(i) in
       t.c.(i) <- c_h;
       t.mg.(i) <- margin;
-      t.r.(i) <- t.rho.(i) +. gamma;
-      t.s_c.(i) <- sigma /. c_h;
-      t.s_m.(i) <- sigma /. margin;
-      let push x =
-        (* [x -. x = 0.] is [Float.is_finite] inlined (a cross-module
-           call otherwise): NaN and the infinities fail it bit-exactly. *)
-        if ((x -. x = 0.) [@lint.allow "float-equal"]) && x >= 0. then begin
-          t.cand.(t.ncand) <- x;
-          t.ncand <- t.ncand + 1
-        end
-      in
+      t.r.(i) <- r;
+      let z = c_h +. margin +. (r +. dv) in
+      fin := !fin +. (z -. z);
       if c_h <= 0. then t.case.(i) <- 0
       else
         match t.tag.(i) with
         | 0 ->
           t.case.(i) <- 1;
-          push t.s_c.(i)
+          let s = sigma /. c_h in
+          t.s.(i) <- s;
+          push t s
         | 1 ->
           if margin > 0. then begin
             t.case.(i) <- 2;
-            push t.s_m.(i)
+            let s = sigma /. margin in
+            t.s.(i) <- s;
+            push t s
           end
           else t.case.(i) <- 0
         | 2 ->
           if margin > 0. then begin
             t.case.(i) <- 3;
-            push t.s_m.(i);
-            push (t.s_m.(i) -. t.dv.(i))
+            let s = sigma /. margin in
+            t.s.(i) <- s;
+            push t (s -. dv);
+            push t s
           end
           else t.case.(i) <- 4
         | _ ->
           t.case.(i) <- 5;
-          push (-.t.dv.(i));
-          push t.s_c.(i);
-          if margin > 0. then push ((sigma +. (t.r.(i) *. t.dv.(i))) /. margin)
+          (* -.d is the same at every node of a homogeneous path: a
+             repeat of the last node's is already in the set *)
+          if Float.compare (-.dv) !negd <> 0 then begin
+            negd := -.dv;
+            push t (-.dv)
+          end;
+          push t (sigma /. c_h);
+          if margin > 0. then push t ((sigma +. (r *. dv)) /. margin)
     done;
-    (* in-place insertion sort + adjacent dedup: the candidate sets are
-       tiny (<= 3H + 1), and the result equals List.sort_uniq
-       Float.compare on the same multiset, up to the signed zeros (see
-       [fgt]) *)
-    for i = 1 to t.ncand - 1 do
-      let x = t.cand.(i) in
-      let j = ref (i - 1) in
-      while !j >= 0 && fgt t.cand.(!j) x do
-        t.cand.(!j + 1) <- t.cand.(!j);
-        decr j
-      done;
-      t.cand.(!j + 1) <- x
-    done;
-    if t.ncand > 1 then begin
-      let w = ref 1 in
-      for i = 1 to t.ncand - 1 do
-        if fne t.cand.(i) t.cand.(!w - 1) then begin
-          t.cand.(!w) <- t.cand.(i);
-          incr w
-        end
-      done;
-      t.ncand <- !w
-    end
+    t.finite <- not (!fin <> !fin)
   [@@zero_alloc_check]
 
-  (* The Eq.-38 minimum over the compiled point.  The fold sweeps
-     node-major: each node's case tag is dispatched once and its
-     constants stay in registers across the whole candidate row, adding
-     that node's theta — [theta_of_x]'s expression for the case, with
-     the invariant subterms precomputed by [set] — into a per-candidate
-     accumulator.  Each accumulator starts at its candidate and receives
-     the thetas in node order, so every partial sum, and hence the final
-     [Float.min] fold in candidate order, is bit-identical to the
-     reference's candidate-major [objective] (QCheck-pinned). *)
-  let delay t =
+  (* Fold the [live] staged candidates — abscissa [ax.(a)], partial sum
+     [acc.(a)], candidate index [ai.(a)] — through the nodes, in index
+     order or, when [rev], in reverse.  Each node's case tag and
+     constants are loaded once per node and shared by its whole row;
+     each step adds that node's theta ([theta_of_x]'s expression for
+     the case, with the invariant subterms precomputed by [set]) and
+     keeps the candidate, in order, only while its partial sum is not
+     >= [bound.(0)].  A NaN bound keeps every candidate.  Returns the
+     (candidate, node) pairs folded. *)
+  let sweep t rev =
+    let ax = t.ax and av = t.acc and ai = t.ai in
+    let sg = t.sigma and lim = t.bound.(0) in
+    let steps = ref 0 and i = ref 0 in
+    while !i < t.h && t.live > 0 do
+      let ii = if rev then t.h - 1 - !i else !i and m = t.live in
+      let cs = t.case.(ii)
+      and s = t.s.(ii)
+      and mg = t.mg.(ii)
+      and dv = t.dv.(ii)
+      and r = t.r.(ii)
+      and c = t.c.(ii) in
+      let k = ref 0 in
+      (* [k <= a < m = live <= 3H+1 = length ax = length acc = length
+         ai] throughout — the unsafe accesses drop bounds checks only *)
+      for a = 0 to m - 1 do
+        let x = Array.unsafe_get ax a in
+        let th =
+          match cs with
+          | 0 -> Float.infinity
+          | 1 | 2 -> fmax0 (s -. x)
+          | 3 ->
+            if mg *. x >= sg then 0.
+            else if s -. x <= dv then s -. x
+            else fmax_nz (((sg +. (r *. (x +. dv))) /. c) -. x) dv
+          | 4 ->
+            if mg *. x >= sg then 0.
+            else fmax_nz (((sg +. (r *. (x +. dv))) /. c) -. x) dv
+          | _ -> fmax0 (((sg +. (r *. fmax0 (x +. dv))) /. c) -. x)
+        in
+        let v = Array.unsafe_get av a +. th in
+        if not (v >= lim) then begin
+          let kk = !k in
+          Array.unsafe_set ax kk x;
+          Array.unsafe_set av kk v;
+          Array.unsafe_set ai kk (Array.unsafe_get ai a);
+          k := kk + 1
+        end
+      done;
+      t.live <- !k;
+      steps := !steps + m;
+      incr i
+    done;
+    !steps
+  [@@zero_alloc_check]
+
+  let[@inline] count_fold ~evals ~steps =
+    if !Telemetry.on then begin
+      Telemetry.Counter.add c_objective_evals evals;
+      Telemetry.Counter.add c_node_steps steps
+    end
+
+  (* The objective at every candidate, into [acc] (in candidate order:
+     nothing is dropped under a NaN bound), and its minimum by the
+     [fmin1] fold in candidate order.  Each accumulator starts at its
+     candidate and receives the thetas in node order, so every sum, and
+     hence the minimum, is bit-identical to the reference's
+     candidate-major [objective] (QCheck-pinned). *)
+  let fold_all t =
     let n = t.ncand in
-    let cand = t.cand and acc = t.acc in
-    (* [j < n = ncand <= 3H+1 = length cand = length acc] throughout —
-       the unsafe accesses below drop the per-pair bounds checks only. *)
     for j = 0 to n - 1 do
-      Array.unsafe_set acc j (Array.unsafe_get cand j)
+      let x = t.cand.(j) in
+      t.ax.(j) <- x;
+      t.acc.(j) <- x;
+      t.ai.(j) <- j
     done;
-    for i = 0 to t.h - 1 do
-      match t.case.(i) with
-      | 0 ->
-        for j = 0 to n - 1 do
-          Array.unsafe_set acc j (Array.unsafe_get acc j +. Float.infinity)
-        done
-      | 1 ->
-        let s = t.s_c.(i) in
-        for j = 0 to n - 1 do
-          Array.unsafe_set acc j
-            (Array.unsafe_get acc j +. fmax0 (s -. Array.unsafe_get cand j))
-        done
-      | 2 ->
-        let s = t.s_m.(i) in
-        for j = 0 to n - 1 do
-          Array.unsafe_set acc j
-            (Array.unsafe_get acc j +. fmax0 (s -. Array.unsafe_get cand j))
-        done
-      | 3 ->
-        let mg = t.mg.(i)
-        and sg = t.sigma
-        and s_m = t.s_m.(i)
-        and dv = t.dv.(i)
-        and r = t.r.(i)
-        and c = t.c.(i) in
-        for j = 0 to n - 1 do
-          let x = Array.unsafe_get cand j in
-          let th =
-            if mg *. x >= sg then 0.
-            else if s_m -. x <= dv then s_m -. x
-            else fmax_nz (((sg +. (r *. (x +. dv))) /. c) -. x) dv
-          in
-          Array.unsafe_set acc j (Array.unsafe_get acc j +. th)
-        done
-      | 4 ->
-        let mg = t.mg.(i)
-        and sg = t.sigma
-        and dv = t.dv.(i)
-        and r = t.r.(i)
-        and c = t.c.(i) in
-        for j = 0 to n - 1 do
-          let x = Array.unsafe_get cand j in
-          let th =
-            if mg *. x >= sg then 0.
-            else fmax_nz (((sg +. (r *. (x +. dv))) /. c) -. x) dv
-          in
-          Array.unsafe_set acc j (Array.unsafe_get acc j +. th)
-        done
-      | _ ->
-        let sg = t.sigma
-        and dv = t.dv.(i)
-        and r = t.r.(i)
-        and c = t.c.(i) in
-        for j = 0 to n - 1 do
-          let x = Array.unsafe_get cand j in
-          Array.unsafe_set acc j
-            (Array.unsafe_get acc j
-            +. fmax0 (((sg +. (r *. fmax0 (x +. dv))) /. c) -. x))
-        done
-    done;
-    if !Telemetry.on then Telemetry.Counter.add c_objective_evals n;
+    t.live <- n;
+    t.bound.(0) <- Float.nan;
+    let steps = sweep t false in
+    count_fold ~evals:n ~steps;
     let best = ref Float.infinity in
     for j = 0 to n - 1 do
-      best := fmin1 !best (Array.unsafe_get acc j)
+      best := fmin1 !best t.acc.(j)
     done;
     !best
   [@@zero_alloc_check]
 
-  (* The minimizing (thetas, X) over the compiled point.  [delay] leaves
-     the objective at every candidate in [acc]; the strict-< scan below,
-     seeded with X = +0. and its objective, is [Reference]'s fold over
-     the same values in the same order.  +0. is always a candidate: it
-     sits first, or second behind -0. (see [fgt]). *)
+  (* The Eq.-38 minimum by branch-and-bound, in three node-major
+     passes.  (1) The warm candidate — the last call's argmin, or the
+     second-largest candidate on a fresh batch, where the minimum
+     mostly sits — folds in full; its objective is the bound [best].
+     (2) Every other candidate with X < [best] folds in reverse node
+     order, where the largest thetas (the slowest nodes, on the paper's
+     paths) come first, and is dropped once its partial sum reaches
+     [best *. slack].  (3) The survivors fold again from X in node
+     order, dropped once their partial sum reaches [best]; what is left
+     holds the minimum.  Each pass folds only the candidates the one
+     before kept.
+
+     Exactness.  With sigma and every compiled constant finite
+     ([t.finite]), every theta is >= 0. or +inf, never NaN.  A rounded
+     addition of a non-negative term never lowers the sum, so a
+     candidate dropped in pass 3 has objective >= [best] and cannot
+     undercut the minimum.  Pass 2 sums a subset of the same thetas in
+     another order.  A rounded sum of non-negatives is within a factor
+     (1 +- u), u = 2^-53, of the exact one (exactly so when it is
+     subnormal), so the node-order objective is at least the reverse
+     partial sum times ((1 - u) / (1 + u))^H, and [slack] = 1 + 4 H
+     epsilon_float (that is, 1 + 8 H u) more than covers this and the
+     rounding of [best *. slack]: a candidate dropped in pass 2 also
+     has objective >= [best] (overflow only strengthens this).  Pass 2
+     keeps everything when [best] is subnormal, where the product's
+     rounding is not relative, or [best *. slack] overflows.  Each
+     candidate left after pass 3 has its sum formed in node order, as
+     in the reference, and equal positive floats have equal bits, so
+     the minimum's bits are the full fold's.  Two cases take the full
+     fold, which orders signed zeros and propagates NaN exactly as
+     [fmin1] does: a non-finite constant (a NaN sigma, or an infinite
+     cross rate, where a theta can be NaN at some candidates only), and
+     an objective that is not > 0. (sigma = +-0.). *)
+  let delay t =
+    if not t.finite then fold_all t
+    else begin
+      let n = t.ncand in
+      let w = if t.warm < n then t.warm else Int.max 0 (n - 2) in
+      let xw = t.cand.(w) in
+      t.ax.(0) <- xw;
+      t.acc.(0) <- xw;
+      t.ai.(0) <- w;
+      t.live <- 1;
+      t.bound.(0) <- Float.infinity;
+      let steps = sweep t false in
+      (* an infinite warm objective is dropped at the infinite bound *)
+      let best = if t.live = 1 then t.acc.(0) else Float.infinity in
+      if not (best > 0.) then begin
+        count_fold ~evals:0 ~steps;
+        fold_all t
+      end
+      else begin
+        let m = ref 0 in
+        for j = 0 to n - 1 do
+          let x = t.cand.(j) in
+          if j <> w && x < best then begin
+            t.ax.(!m) <- x;
+            t.acc.(!m) <- x;
+            t.ai.(!m) <- j;
+            incr m
+          end
+        done;
+        t.live <- !m;
+        let lim = best *. t.slack in
+        t.bound.(0) <-
+          (if best >= Float.min_float && lim < Float.infinity then lim else Float.nan);
+        let steps = steps + sweep t true in
+        for a = 0 to t.live - 1 do
+          t.acc.(a) <- t.ax.(a)
+        done;
+        t.bound.(0) <- best;
+        let steps = steps + sweep t false in
+        let b = ref best and arg = ref w and pos = ref true in
+        for a = 0 to t.live - 1 do
+          let v = t.acc.(a) in
+          if not (v > 0.) then pos := false;
+          if v < !b then begin
+            b := v;
+            arg := t.ai.(a)
+          end
+        done;
+        if !pos then begin
+          t.warm <- !arg;
+          count_fold ~evals:n ~steps;
+          !b
+        end
+        else begin
+          count_fold ~evals:0 ~steps;
+          fold_all t
+        end
+      end
+    end
+  [@@zero_alloc_check]
+
+  (* The minimizing (thetas, X) over the compiled point.  The full fold
+     leaves the objective at every candidate in [acc]; the strict-<
+     scan below, seeded with X = +0. and its objective, is
+     [Reference]'s fold over the same values in the same order.  +0. is
+     always a candidate: it sits first, or second behind -0. (see
+     [fgt]). *)
   let optimal_thetas t =
-    ignore (delay t);
+    ignore (fold_all t);
     let bx = ref 0. and bv = ref t.acc.(if is_neg_zero t.cand.(0) then 1 else 0) in
     for j = 0 to t.ncand - 1 do
       if t.acc.(j) < !bv then begin
@@ -692,6 +849,9 @@ let backlog_given p ~gamma ~sigma =
    probes. *)
 let gamma_bracket gmax = (gmax *. 1e-6, gmax *. 0.999)
 
+(* The ratio of a [gamma_points]-point log-spaced grid over [lo, hi] *)
+let gamma_ratio ~gamma_points ~lo ~hi = (hi /. lo) ** (1. /. float_of_int (gamma_points - 1))
+
 let backlog_bound ?(gamma_points = 40) ~epsilon p =
   if epsilon <= 0. || epsilon >= 1. then invalid_arg "E2e.backlog_bound: epsilon out of range";
   let gmax = gamma_max p in
@@ -707,7 +867,7 @@ let backlog_bound ?(gamma_points = 40) ~epsilon p =
       backlog_given p ~gamma ~sigma
     in
     let lo, hi = gamma_bracket gmax in
-    let ratio = (hi /. lo) ** (1. /. float_of_int (gamma_points - 1)) in
+    let ratio = gamma_ratio ~gamma_points ~lo ~hi in
     (* grid points fan out on the default pool; Grid keeps the abscissae
        and the running-minimum fold bit-identical to the sequential loop.
        Curve construction dominates each evaluation, hence the h^3 hint. *)
@@ -730,8 +890,17 @@ let golden_minimize f lo hi steps =
    [lo] by repeated multiplication, so the top point can overshoot [hi]
    by a few ulps of accumulated rounding. *)
 let gamma_grid ~gamma_points ~lo ~hi =
-  let ratio = (hi /. lo) ** (1. /. float_of_int (gamma_points - 1)) in
+  let ratio = gamma_ratio ~gamma_points ~lo ~hi in
   (ratio, Parallel.Grid.log_spaced ~lo ~ratio ~points:gamma_points)
+
+(* The grid's top point by the same multiplications, without the grid *)
+let gamma_grid_top ~gamma_points ~lo ~hi =
+  let ratio = gamma_ratio ~gamma_points ~lo ~hi in
+  let g = ref lo in
+  for _ = 2 to gamma_points do
+    g := !g *. ratio
+  done;
+  !g
 
 (* The shared gamma-search skeleton: a log-spaced coarse grid handed
    whole to [grid_vals] (the batched scan of [delay_grid], or a
@@ -857,8 +1026,7 @@ let delay_bound_floor ~epsilon p =
   if gmax <= 0. then Float.infinity
   else begin
     let lo, hi = gamma_bracket gmax in
-    let (_, grid) = gamma_grid ~gamma_points:default_gamma_points ~lo ~hi in
-    let top = Float.max hi grid.(default_gamma_points - 1) in
+    let top = Float.max hi (gamma_grid_top ~gamma_points:default_gamma_points ~lo ~hi) in
     let b = Batch.make p in
     let sigma_lo = Batch.sigma_for b ~gamma:lo ~epsilon
     and sigma_top = Batch.sigma_for b ~gamma:top ~epsilon in
@@ -1035,6 +1203,9 @@ let delay_bound_cached ?(gamma_points = 12) ~batch ~epsilon p =
   if epsilon <= 0. || epsilon >= 1. then
     invalid_arg "E2e.delay_bound_cached: epsilon out of range";
   if gamma_points < 2 then invalid_arg "E2e.delay_bound_cached: gamma_points < 2";
+  (* the batch's compiled nodes would silently answer for another path *)
+  if batch.Batch.path != p then
+    invalid_arg "E2e.delay_bound_cached: batch was not made from this path";
   let gmax = gamma_max p in
   if gmax <= 0. then Float.infinity
   else begin
@@ -1043,7 +1214,7 @@ let delay_bound_cached ?(gamma_points = 12) ~batch ~epsilon p =
       Batch.delay_at_gamma batch ~gamma ~epsilon
     in
     let lo, hi = gamma_bracket gmax in
-    let ratio = (hi /. lo) ** (1. /. float_of_int (gamma_points - 1)) in
+    let ratio = gamma_ratio ~gamma_points ~lo ~hi in
     let best = ref Float.infinity in
     let g = ref lo in
     let center = ref lo in

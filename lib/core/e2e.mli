@@ -63,15 +63,32 @@ val theta_of_x : path -> gamma:float -> sigma:float -> x:float -> int -> float
 
     [make] flattens a path into plain float/int arrays once; [set]
     compiles the per-node constants ([c_h], [margin_h], clipped-∆ case
-    tags) for one [(gamma, sigma)] and writes the candidate abscissae
-    into a reusable scratch buffer sorted in place; [delay] then folds
-    the objective node-major over per-candidate accumulators — one case
-    dispatch per node, not per (candidate, node) pair — with no
-    allocation and no variant matching in the inner loop.  Every float
-    expression mirrors {!Reference} operation for operation, so results
-    are {b bit-identical} to {!Reference.delay_given},
+    tags, and only the division each case reads) for one
+    [(gamma, sigma)] and inserts the candidate abscissae, sorted and
+    deduplicated as they arrive, into a reusable scratch buffer.
+    [delay] then takes the minimum by branch-and-bound over the
+    candidates, node-major (one case dispatch per node, not per pair):
+    the last call's argmin (the warm start) folds in full; every other
+    candidate folds in reverse node order and is dropped once its
+    partial sum reaches that objective times [1 + 4 H epsilon_float];
+    the few survivors fold again in node order, dropped once they reach
+    the best objective.
+
+    The pruning is exact.  When sigma and every compiled constant are
+    finite, each theta is [>= 0.] or [+inf], so rounded partial sums
+    never fall, and the slack bounds the rounding between the two
+    summation orders; a dropped candidate therefore cannot undercut the
+    minimum.  Every candidate that can hold it is summed in node order,
+    exactly as the reference does.  A non-finite constant (NaN sigma,
+    an infinite cross rate) or an objective that is not [> 0.] (sigma
+    [= +-0.]) takes the full fold instead.  Every float expression
+    mirrors {!Reference} operation for operation, so results are
+    {b bit-identical} to {!Reference.delay_given},
     {!Reference.sigma_for} and {!Reference.optimal_thetas} (pinned by
-    QCheck).
+    QCheck on random, long and figures-shaped paths, over search-ordered
+    and shuffled γ sequences).  The [e2e.eq38.node_steps] counter
+    records the (candidate, node) pairs actually folded;
+    [e2e.eq38.objective_evals] keeps counting candidates.
 
     Concurrency: [set]/[delay]/[optimal_thetas] mutate the batch, so a
     batch must be driven from one domain at a time (build one per
@@ -91,10 +108,11 @@ module Batch : sig
       previous state. *)
 
   val delay : t -> float
-  (** {!delay_given} over the compiled state. *)
+  (** {!delay_given} over the compiled state, by the pruned fold. *)
 
   val optimal_thetas : t -> float array * float
-  (** The minimizing [(thetas, X)] over the compiled state. *)
+  (** The minimizing [(thetas, X)] over the compiled state, by the full
+      fold. *)
 
   val delay_at_gamma : t -> gamma:float -> epsilon:float -> float
   (** [sigma_for] then [set] then [delay], reusing the scratch state. *)
@@ -232,11 +250,13 @@ val delay_bound_cached : ?gamma_points:int -> batch:Batch.t -> epsilon:float -> 
 (** The gamma optimization of {!delay_bound} driven entirely through a
     caller-retained compiled batch: no [Batch.make], no allocation in
     the inner loop, no domain fan-out (the batch is mutable, so the whole
-    search runs on the calling domain).  [batch] must have
-    been built with [Batch.make] from this same [path].  With the
+    search runs on the calling domain).  [batch] must have been built
+    by [Batch.make] from this very [path] value (physical equality).  With the
     default 12-point grid the search costs ~32 [delay_at_gamma]
     evaluations — the serving hot path for repeat queries against a
     cached shape.  Coarser than the 40-point {!delay_bound} grid, so the
     result can exceed the optimum, but every probed [gamma] yields a
     valid Eq.-38 bound, hence the returned value is always a sound (if
-    slightly loose) upper bound. *)
+    slightly loose) upper bound.
+    @raise Invalid_argument unless [0 < epsilon < 1], [gamma_points >= 2]
+    and [batch] was made from [path]. *)

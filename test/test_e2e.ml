@@ -612,6 +612,254 @@ let test_additive_per_node_increasing () =
   in
   Alcotest.(check bool) "per-node delays nondecreasing" true (nondecr ds)
 
+(* ---------------- the pruned evaluator ---------------- *)
+
+(* Long paths: H in 1..40, past the figures' H = 30 and the 20 of
+   [path_gen]. *)
+let long_path_gen =
+  let through = Ebb.v ~m:1. ~rho:15. ~alpha:0.8 in
+  QCheck.Gen.(
+    int_range 1 40 >>= fun h ->
+    array_repeat h node_gen >|= fun nodes -> { E2e.nodes; through })
+
+(* γ fractions of gamma_max up to the top of the search bracket,
+   0.999, which is drawn exactly now and then. *)
+let gamma_frac_gen = QCheck.Gen.(frequency [ (1, return 0.999); (6, float_range 1e-6 0.999) ])
+
+(* On one batch, a γ sequence at σ = sigma_for γ and then at arbitrary
+   σ: [Batch.delay_at_gamma], [Batch.delay] and [optimal_thetas] all
+   equal the reference bit for bit. *)
+let prop_batch_long_paths =
+  let gen =
+    QCheck.Gen.(
+      triple long_path_gen (list_size (int_range 1 6) gamma_frac_gen)
+        (list_size (int_range 0 3) sigma_gen))
+  in
+  let print (p, us, sigmas) =
+    Fmt.str "us=[%s] sigmas=[%s] %s"
+      (String.concat "; " (List.map (Fmt.str "%h") us))
+      (String.concat "; " (List.map (Fmt.str "%h") sigmas))
+      (print_path p)
+  in
+  QCheck.Test.make ~name:"long paths: batch = reference (H to 40, gamma to 0.999 gamma_max)"
+    ~count:(Qc.count 200) (QCheck.make ~print gen)
+    (fun (p, us, sigmas) ->
+      let epsilon = 1e-9 in
+      let gmax = E2e.gamma_max p in
+      let bt = E2e.Batch.make p in
+      List.iteri
+        (fun i u ->
+          let gamma = gmax *. u in
+          let sref = E2e.Reference.sigma_for p ~gamma ~epsilon in
+          check_bits (Fmt.str "delay_at_gamma %d" i)
+            (E2e.Batch.delay_at_gamma bt ~gamma ~epsilon)
+            (E2e.Reference.delay_given p ~gamma ~sigma:sref);
+          List.iteri
+            (fun j sigma ->
+              let at what = Fmt.str "%s (%d,%d)" what i j in
+              E2e.Batch.set bt ~gamma ~sigma;
+              check_bits (at "delay") (E2e.Batch.delay bt)
+                (E2e.Reference.delay_given p ~gamma ~sigma);
+              let (tref, xref) = E2e.Reference.optimal_thetas p ~gamma ~sigma in
+              let (tb, xb) = E2e.Batch.optimal_thetas bt in
+              check_bits (at "optimal X") xb xref;
+              Array.iteri (fun h v -> check_bits (at (Fmt.str "theta %d" h)) tb.(h) v) tref)
+            sigmas)
+        us;
+      true)
+
+(* A figures-shaped path: [Scenario.path_at] on a paper scenario, every
+   node alike, with EDF gaps of both signs among the schedulers. *)
+let figure_path_gen =
+  QCheck.Gen.(
+    int_range 1 30 >>= fun h ->
+    pair (float_range 0.1 0.95) (float_range 0.1 0.9) >>= fun (u, share) ->
+    frequency
+      [
+        (1, return Classes.Bmux);
+        (1, return Classes.Fifo);
+        (1, return Classes.Sp_through_high);
+        (3, map (fun g -> Classes.Edf_gap g) (float_range (-40.) 40.));
+      ]
+    >>= fun sched ->
+    float_range (log 1e-4) (log 0.999) >>= fun log_frac ->
+    let sc = Scenario.of_utilization ~h ~u_through:(u *. share) ~u_cross:(u -. (u *. share)) in
+    match Scenario.s_stable_max sc with
+    | None -> return None
+    | Some m ->
+      let p = Scenario.path_at sc ~s:(m *. exp log_frac) ~delta:(Classes.delta_through_cross sched) in
+      return (Some (p, sched)))
+
+(* The γ probes of a search shaped like [delay_bound_cached]'s: a
+   12-point log grid over the bracket, then 20 golden-section steps
+   around its best point.  Consecutive probes mostly share their
+   argmin, so the warm start hits. *)
+let search_probes bt ~epsilon p =
+  let gmax = E2e.gamma_max p in
+  let lo, hi = E2e.gamma_bracket gmax in
+  let ratio = (hi /. lo) ** (1. /. 11.) in
+  let grid = Array.to_list (Parallel.Grid.log_spaced ~lo ~ratio ~points:12) in
+  let f g = E2e.Batch.delay_at_gamma bt ~gamma:g ~epsilon in
+  let best = List.fold_left (fun b g -> if f g < f b then g else b) lo grid in
+  let phi = (sqrt 5. -. 1.) /. 2. in
+  let rec golden a b n acc =
+    if n = 0 then List.rev (0.5 *. (a +. b) :: acc)
+    else
+      let x1 = b -. (phi *. (b -. a)) and x2 = a +. (phi *. (b -. a)) in
+      if f x1 <= f x2 then golden a x2 (n - 1) (x2 :: x1 :: acc)
+      else golden x1 b (n - 1) (x2 :: x1 :: acc)
+  in
+  grid @ golden (Float.max lo (best /. ratio)) (Float.min hi (best *. ratio)) 20 []
+
+(* On figures-shaped paths, one batch walks a search's probe sequence
+   in order (the warm start hits) and then shuffled (it mostly
+   misses); every value equals the reference's at σ = sigma_for γ. *)
+let prop_batch_search_sequences =
+  let gen = QCheck.Gen.(pair figure_path_gen (int_range 0 1_000_000)) in
+  let print (c, seed) =
+    match c with
+    | None -> "unstable scenario"
+    | Some (p, sched) ->
+      Fmt.str "seed=%d %a %s" seed Classes.pp_two_class sched (print_path p)
+  in
+  QCheck.Test.make ~name:"search sequences: batch = reference (in order and shuffled)"
+    ~count:(Qc.count 100 ~cap:500) (QCheck.make ~print gen)
+    (fun (c, seed) ->
+      match c with
+      | None -> QCheck.assume_fail ()
+      | Some (p, _) ->
+        let epsilon = 1e-9 in
+        let probes = Array.of_list (search_probes (E2e.Batch.make p) ~epsilon p) in
+        let rng = Desim.Prng.create ~seed:(Int64.of_int seed) in
+        let shuffled = Array.copy probes in
+        for i = Array.length shuffled - 1 downto 1 do
+          let j = Desim.Prng.int rng ~bound:(i + 1) in
+          let tmp = shuffled.(i) in
+          shuffled.(i) <- shuffled.(j);
+          shuffled.(j) <- tmp
+        done;
+        let bt = E2e.Batch.make p in
+        Array.iteri
+          (fun i gamma ->
+            let sigma = E2e.Reference.sigma_for p ~gamma ~epsilon in
+            check_bits (Fmt.str "probe %d (%s) gamma=%h" (i mod Array.length probes)
+                          (if i < Array.length probes then "in order" else "shuffled") gamma)
+              (E2e.Batch.delay_at_gamma bt ~gamma ~epsilon)
+              (E2e.Reference.delay_given p ~gamma ~sigma))
+          (Array.append probes shuffled);
+        true)
+
+let same_float a b = bit_eq a b || (Float.is_nan a && Float.is_nan b)
+
+(* The fallbacks of the pruned fold, value for value against the
+   reference: a NaN σ, σ = ±0, a path where every node is infeasible,
+   and an infinite cross rate, whose thetas are NaN at some candidates
+   and +inf at others — also behind a node that is +inf at every
+   candidate. *)
+let test_batch_exact_edges () =
+  let gamma = 0.5 in
+  let check name p sigma =
+    let bt = E2e.Batch.make p in
+    E2e.Batch.set bt ~gamma ~sigma;
+    let got = E2e.Batch.delay bt and want = E2e.Reference.delay_given p ~gamma ~sigma in
+    if not (same_float got want) then
+      Alcotest.failf "%s: batch %h reference %h" name got want;
+    got
+  in
+  let fifo = mk_path ~h:6 ~delta:(Delta.Fin 0.) in
+  Alcotest.(check bool) "NaN sigma: NaN" true (Float.is_nan (check "NaN sigma" fifo Float.nan));
+  List.iter
+    (fun delta ->
+      let p = mk_path ~h:6 ~delta in
+      List.iter
+        (fun sigma ->
+          ignore (check (Fmt.str "sigma %h, delta %a" sigma Delta.pp delta) p sigma))
+        [ 0.; -0. ])
+    [ Delta.Fin 0.; Delta.Fin (-5.); Delta.Fin 5.; Delta.Pos_inf; Delta.Neg_inf ];
+  (* BMUX with the cross rate above capacity: no node can serve *)
+  let through = Ebb.v ~m:1. ~rho:15. ~alpha:0.8 in
+  let node delta cross_rho = { E2e.capacity = 100.; cross_rho; cross_m = 1.; delta } in
+  let dead = { E2e.nodes = Array.make 4 (node Delta.Pos_inf 120.); through } in
+  check_float "all nodes infeasible: +inf" Float.infinity (check "all infeasible" dead 300.);
+  let inf_cross delta = node delta Float.infinity in
+  List.iter
+    (fun (name, nodes) ->
+      let p = { E2e.nodes; through } in
+      Alcotest.(check bool) (name ^ ": NaN") true (Float.is_nan (check name p 300.)))
+    [
+      ("infinite cross rate, FIFO", [| node (Delta.Fin 0.) 35.; inf_cross (Delta.Fin 0.) |]);
+      ("infinite cross rate, EDF d < 0", [| node (Delta.Fin 0.) 35.; inf_cross (Delta.Fin (-5.)) |]);
+      ( "infinite cross rate behind an infeasible node",
+        [| node Delta.Pos_inf 120.; inf_cross (Delta.Fin (-5.)) |] );
+    ]
+
+(* Pruning is visible in the ledger: over a search on a figures path,
+   fewer (candidate, node) pairs are folded than candidates x H, while
+   [optimal_thetas]' full fold adds exactly candidates x H. *)
+let test_node_steps_counter () =
+  let sc = Scenario.of_utilization ~h:10 ~u_through:0.25 ~u_cross:0.25 in
+  let s = Option.get (Scenario.s_stable_max sc) *. 0.3 in
+  let p = Scenario.path_at sc ~s ~delta:(Classes.delta_through_cross (Classes.Edf_gap (-5.))) in
+  let evals = Telemetry.Counter.make "e2e.eq38.objective_evals"
+  and steps = Telemetry.Counter.make "e2e.eq38.node_steps" in
+  Telemetry.reset ();
+  Telemetry.configure ~sink:Telemetry.Sink.null ();
+  Fun.protect ~finally:Telemetry.shutdown (fun () ->
+      let bt = E2e.Batch.make p in
+      ignore (search_probes bt ~epsilon:1e-9 p);
+      let e = Telemetry.Counter.value evals and n = Telemetry.Counter.value steps in
+      Alcotest.(check bool)
+        (Fmt.str "pruned: %d node steps < %d candidates x H=10" n e)
+        true
+        (0 < n && n < e * 10);
+      E2e.Batch.set bt ~gamma:(E2e.gamma_max p *. 0.5) ~sigma:100.;
+      let e0 = Telemetry.Counter.value evals and n0 = Telemetry.Counter.value steps in
+      ignore (E2e.Batch.optimal_thetas bt);
+      let de = Telemetry.Counter.value evals - e0 and dn = Telemetry.Counter.value steps - n0 in
+      Alcotest.(check int) "full fold: candidates x H" (de * 10) dn)
+
+(* [set] allocates nothing — no closure per node, no boxed float per
+   candidate push — so one γ evaluation allocates only its two boxed
+   floats, σ and the delay. *)
+let test_batch_eval_allocation () =
+  let sc = Scenario.of_utilization ~h:30 ~u_through:0.25 ~u_cross:0.25 in
+  let s = Option.get (Scenario.s_stable_max sc) *. 0.3 in
+  List.iter
+    (fun sched ->
+      let p = Scenario.path_at sc ~s ~delta:(Classes.delta_through_cross sched) in
+      let bt = E2e.Batch.make p in
+      let gamma = E2e.gamma_max p *. 0.3 in
+      (* the closure holds γ boxed once, as a caller's batch loop does *)
+      let eval () = ignore (Sys.opaque_identity (E2e.Batch.delay_at_gamma bt ~gamma ~epsilon:1e-9)) in
+      eval ();
+      let w0 = Gc.minor_words () in
+      for _ = 1 to 1000 do
+        eval ()
+      done;
+      let words = (Gc.minor_words () -. w0) /. 1000. in
+      Alcotest.(check bool)
+        (Fmt.str "%a H=30: %.1f words per evaluation <= 4" Classes.pp_two_class sched words)
+        true (words <= 4.))
+    [ Classes.Fifo; Classes.Bmux; Classes.Sp_through_high; Classes.Edf_gap 5.; Classes.Edf_gap (-5.) ]
+
+(* [delay_bound_cached] answers only for the path its batch was made
+   from: a structurally equal copy is refused, since nothing short of
+   physical equality shows the batch's compiled nodes are the path's. *)
+let test_cached_rejects_foreign_batch () =
+  let p = mk_path ~h:5 ~delta:(Delta.Fin 0.) in
+  let batch = E2e.Batch.make p in
+  let d = E2e.delay_bound_cached ~batch ~epsilon:1e-9 p in
+  Alcotest.(check bool) (Fmt.str "own batch: finite %g" d) true (Float.is_finite d);
+  List.iter
+    (fun (name, q) ->
+      Alcotest.check_raises name
+        (Invalid_argument "E2e.delay_bound_cached: batch was not made from this path")
+        (fun () -> ignore (E2e.delay_bound_cached ~batch ~epsilon:1e-9 q)))
+    [
+      ("another path", mk_path ~h:3 ~delta:Delta.Pos_inf);
+      ("an equal copy", { p with E2e.nodes = Array.copy p.E2e.nodes });
+    ]
+
 let suite =
   [
     Alcotest.test_case "Eq. 34 closed form" `Quick test_total_bound_matches_eq34;
@@ -645,4 +893,13 @@ let suite =
     QCheck_alcotest.to_alcotest prop_k_procedure_vs_enumeration;
     Alcotest.test_case "smallest_k O(H) = reference up to H=1000" `Quick
       test_smallest_k_matches_reference;
+    QCheck_alcotest.to_alcotest prop_batch_long_paths;
+    QCheck_alcotest.to_alcotest prop_batch_search_sequences;
+    Alcotest.test_case "batch fallbacks = reference (NaN, +-0, infeasible, infinite cross)"
+      `Quick test_batch_exact_edges;
+    Alcotest.test_case "node_steps counter shows the pruning" `Quick test_node_steps_counter;
+    Alcotest.test_case "gamma evaluation allocates only its results" `Quick
+      test_batch_eval_allocation;
+    Alcotest.test_case "delay_bound_cached rejects a batch of another path" `Quick
+      test_cached_rejects_foreign_batch;
   ]
