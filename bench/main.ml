@@ -7,7 +7,7 @@
 
    Usage:  dune exec bench/main.exe
              [-- [short] [--jobs=N]
-              fig2|fig3|fig4|extension|ablation|sweep-seq|sweep-par|eq38|micro|all ...]
+              fig2|fig3|fig4|ablation|sweep-seq|sweep-par|eq38|micro|all ...]
 
    Several section names may be given; "short" shrinks every section to a
    seconds-scale smoke run (CI); "--jobs=N" (or DELTANET_JOBS) sets the
@@ -185,50 +185,6 @@ let fig4 ~short () =
   report_ns "fig4.ns_per_cell"
     (1e9 *. (Unix.gettimeofday () -. t0) /. float_of_int cells);
   csv_out "fig4" "u_percent,h,bmux_ms,fifo_ms,edf_ms,additive_ms" (List.rev !rows)
-
-(* ---------------------------------------------------------------- *)
-(* Extension experiment (not in the paper): several cross classes with
-   differentiated EDF deadline tiers at every node, via the Multiclass
-   generalization of Theorem 1 / Eq. 38. *)
-
-let extension ~short () =
-  Fmt.pr "@.== Extension: deadline-tiered cross traffic (Multiclass) ==@.";
-  Fmt.pr "   (through 15%%; cross 35%% split urgent/normal/bulk 10/15/10;@.";
-  Fmt.pr "    deltas +5 / 0 / -20 ms; eps = 1e-9)@.@.";
-  Fmt.pr "  %4s %12s %12s %12s@." "H" "tiered" "all-FIFO" "all-BMUX";
-  let rows = ref [] in
-  List.iter
-    (fun h ->
-      let rho u = u *. 100. in
-      let mk cross =
-        Deltanet.Multiclass.v ~h ~capacity:100. ~cross
-          ~through:(Envelope.Ebb.v ~m:1. ~rho:(rho 0.15) ~alpha:1.)
-      in
-      (* use a fixed EBB decay for comparability across schedulers *)
-      let tiered =
-        Deltanet.Multiclass.delay_bound ~epsilon:1e-9
-          (mk
-             [
-               { Deltanet.Multiclass.rho = rho 0.10; m = 1.; delta = Scheduler.Delta.Fin 5. };
-               { Deltanet.Multiclass.rho = rho 0.15; m = 1.; delta = Scheduler.Delta.Fin 0. };
-               { Deltanet.Multiclass.rho = rho 0.10; m = 1.; delta = Scheduler.Delta.Fin (-20.) };
-             ])
-      in
-      let uniform delta =
-        Deltanet.Multiclass.delay_bound ~epsilon:1e-9
-          (mk [ { Deltanet.Multiclass.rho = rho 0.35; m = 1.; delta } ])
-      in
-      let fifo = uniform (Scheduler.Delta.Fin 0.) in
-      let bmux = uniform Scheduler.Delta.Pos_inf in
-      rows := [ float_of_int h; tiered; fifo; bmux ] :: !rows;
-      Fmt.pr "  %4d %s %s %s@." h (pr_cell tiered) (pr_cell fifo) (pr_cell bmux))
-    (if short then [ 2; 5 ] else [ 2; 5; 10; 20 ]);
-  csv_out "extension_multiclass" "h,tiered_ms,fifo_ms,bmux_ms" (List.rev !rows);
-  Fmt.pr "@.   The tiered bound exceeds both uniform cases: the urgent tier@.";
-  Fmt.pr "   preempts the through traffic, and every extra class pays its own@.";
-  Fmt.pr "   sample-path slack and union bound — the price of per-class@.";
-  Fmt.pr "   accounting.  Machinery is the paper's Theorem 1; the sweep is an@.";
-  Fmt.pr "   extension (generic EBB workload at fixed decay 1/kb).@."
 
 (* ---------------------------------------------------------------- *)
 (* Ablations of the design choices called out in DESIGN.md:
@@ -507,18 +463,6 @@ let micro ~short () =
       ~rates:[| 0.; 1.; 4. |]
   in
   run "markov_eb" light (fun () -> Envelope.Markov.effective_bandwidth chain ~s:1.);
-  let mp =
-    Deltanet.Multiclass.v ~h:5 ~capacity:100.
-      ~cross:
-        [
-          { Deltanet.Multiclass.rho = 10.; m = 1.; delta = Scheduler.Delta.Fin 5. };
-          { Deltanet.Multiclass.rho = 15.; m = 1.; delta = Scheduler.Delta.Fin 0. };
-          { Deltanet.Multiclass.rho = 10.; m = 1.; delta = Scheduler.Delta.Fin (-20.) };
-        ]
-      ~through:(Envelope.Ebb.v ~m:1. ~rho:15. ~alpha:0.8)
-  in
-  run "multiclass_h5" light (fun () ->
-      Deltanet.Multiclass.delay_given mp ~gamma:0.5 ~sigma:300.);
   run "backlog_curve_h5" mid (fun () ->
       Deltanet.E2e.backlog_given path ~gamma:0.5 ~sigma)
 
@@ -1120,7 +1064,6 @@ let sections ~short =
     ("fig2", fig2 ~short);
     ("fig3", fig3 ~short);
     ("fig4", fig4 ~short);
-    ("extension", extension ~short);
     ("ablation", ablation ~short);
     ("sweep-seq", sweep_seq ~short);
     ("sweep-par", sweep_par ~short);
@@ -1199,7 +1142,7 @@ let () =
   if bad <> [] then begin
     Fmt.epr
       "unknown section %S (expected \
-       fig2|fig3|fig4|extension|ablation|sweep-seq|sweep-par|eq38|micro|serve|telemetry|desim|all)@."
+       fig2|fig3|fig4|ablation|sweep-seq|sweep-par|eq38|micro|serve|telemetry|desim|all)@."
       (List.hd bad);
     (exit [@lint.allow "raw-exit"]) 2
   end;

@@ -51,10 +51,7 @@ let () =
     end;
     let files = List.concat_map cmt_files paths in
     let findings =
-      List.concat_map
-        (Analysis.Engine.analyze_cmt ~warn_unused_allow ~load_prefix)
-        files
-      |> List.sort_uniq Lint.Finding.compare
+      Analysis.Engine.analyze_cmts ~warn_unused_allow ~load_prefix files
     in
     List.iter (fun f -> print_endline (Lint.Finding.to_string f)) findings;
     Printf.eprintf "deltanet_analyze: %d cmt(s), %d finding(s)\n"

@@ -7,6 +7,8 @@
                             domain boundary (Parallel fan-out, Domain.spawn)
      zero-alloc             allocating constructs reachable from
                             [@@zero_alloc_check] bindings
+     unreachable-module     a module no executable imports (one pass over
+                            the whole scanned set, see Unreachable)
      unused-allow           [@lint.allow] that suppresses nothing (only
                             with ~warn_unused_allow, only for typed rules)
      cmt-error              the .cmt could not be read
@@ -28,6 +30,11 @@ let catalogue =
        record, array literal, allocating stdlib call, string concat, \
        partial application, float boxing) is reachable from a \
        [@@zero_alloc_check] binding" );
+    ( "unreachable-module",
+      "no executable (dune's Dune__exe__* units) imports the module, \
+       directly or transitively through cmt imports; library alias \
+       modules are not edges.  Exempt with a file-level \
+       [@@@lint.allow \"unreachable-module\"]" );
     ( "unused-allow",
       "[@lint.allow] attribute that suppresses no finding of this tool; \
        remove it (reported only with --warn-unused-allow)" );
@@ -100,15 +107,17 @@ let check_structure ?(warn_unused_allow = false) ~file
 
 (* [load_prefix] prepends directories from which the cmt's recorded
    (relative) load path should also be tried — needed when the analyzer
-   does not run from the build-context root, e.g. the test runner. *)
-let analyze_cmt ?(warn_unused_allow = false) ?(load_prefix = []) path :
-    F.t list =
+   does not run from the build-context root, e.g. the test runner.
+   Returns the per-file findings and, for a readable implementation, the
+   unit's entry for the whole-set unreachable-module pass. *)
+let load_cmt ~warn_unused_allow ~load_prefix path =
   match Cmt_format.read_cmt path with
   | exception exn ->
-    [
-      F.v ~file:path ~line:1 ~col:0 ~rule:"cmt-error"
-        (Printexc.to_string exn);
-    ]
+    ( [
+        F.v ~file:path ~line:1 ~col:0 ~rule:"cmt-error"
+          (Printexc.to_string exn);
+      ],
+      None )
   | cmt -> (
     let file = Option.value cmt.cmt_sourcefile ~default:path in
     let dirs = cmt.cmt_loadpath in
@@ -126,5 +135,19 @@ let analyze_cmt ?(warn_unused_allow = false) ?(load_prefix = []) path :
     Envaux.reset_cache ();
     match cmt.cmt_annots with
     | Cmt_format.Implementation str ->
-      check_structure ~warn_unused_allow ~file str
-    | _ -> [])
+      ( check_structure ~warn_unused_allow ~file str,
+        Some (Unreachable.of_cmt ~file cmt) )
+    | _ -> ([], None))
+
+let analyze_cmt ?(warn_unused_allow = false) ?(load_prefix = []) path :
+    F.t list =
+  fst (load_cmt ~warn_unused_allow ~load_prefix path)
+
+(* Every per-file rule over each cmt, then unreachable-module once over
+   the whole set. *)
+let analyze_cmts ?(warn_unused_allow = false) ?(load_prefix = []) paths :
+    F.t list =
+  let per_file = List.map (load_cmt ~warn_unused_allow ~load_prefix) paths in
+  List.concat_map fst per_file
+  @ Unreachable.check ~warn_unused_allow (List.filter_map snd per_file)
+  |> List.sort_uniq F.compare

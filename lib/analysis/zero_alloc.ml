@@ -9,8 +9,6 @@
    them or the repo's hot paths rely on them:
      - let-bound refs used only via ! / := / incr / decr / .contents
        (int refs in scan loops — the compiler keeps them in registers)
-     - let-bound staging closures used only in application-head position
-       (the [push] idiom in E2e.Batch.set — inlined, never materialized)
      - Some/None/Ok/Error with a non-float payload (the Serve.Cache lookup
        contract returns [Some v]); float payloads are flagged as boxing
      - raise / failwith / invalid_arg argument subtrees (error paths)
@@ -69,25 +67,6 @@ let is_float env (ty : Types.type_expr) =
   match Types.get_desc ty with
   | Types.Tconstr (p, [], _) -> Paths.matches p "float"
   | _ -> false
-
-(* Every occurrence of [id] in [exprs] is in application-head position. *)
-let only_applied id exprs =
-  let ok = ref true in
-  let rec scan e =
-    match e.exp_desc with
-    | Texp_apply ({ exp_desc = Texp_ident (Path.Pident i, _, _); _ }, args)
-      when Ident.same i id ->
-      List.iter (fun (_, a) -> Option.iter scan a) args
-    | Texp_ident (Path.Pident i, _, _) when Ident.same i id -> ok := false
-    | _ -> iter_children scan e
-  and iter_children f e =
-    let it =
-      { Tast_iterator.default_iterator with expr = (fun _ e -> f e) }
-    in
-    Tast_iterator.default_iterator.expr it e
-  in
-  List.iter scan exprs;
-  !ok
 
 (* Every occurrence of [id] is a deref / assignment (! := incr decr,
    .contents access): the compiler never materializes the ref cell's
@@ -177,18 +156,8 @@ let check ctx ~(root_name : string) (root : expression) =
       Tast_iterator.default_iterator.expr it e
     and walk_vb (vb : value_binding) scope =
       Ctx.with_allows ctx vb.vb_attributes (fun () ->
-          match (vb.vb_pat.pat_desc, vb.vb_expr.exp_desc) with
-          | Tpat_var (id, _), Texp_function { cases; _ }
-            when only_applied id (vb.vb_expr :: scope) ->
-            (* Staging closure: applied immediately everywhere, so the
-               compiler inlines it; walk its body for real allocations. *)
-            Hashtbl.replace visited (Ident.unique_name id) ();
-            List.iter
-              (fun c ->
-                Option.iter walk c.c_guard;
-                walk c.c_rhs)
-              cases
-          | Tpat_var (id, _), _
+          match vb.vb_pat.pat_desc with
+          | Tpat_var (id, _)
             when is_ref_alloc vb.vb_expr && only_ref_ops id scope -> (
             (* Non-escaping local ref. *)
             match vb.vb_expr.exp_desc with
@@ -202,10 +171,7 @@ let check ctx ~(root_name : string) (root : expression) =
         List.iter (fun vb -> walk_vb vb scope) vbs;
         walk body
       | Texp_function _ ->
-        bad ~loc:e.exp_loc
-          "closure allocation%s"
-          "; hoist it to the top level or bind it to a let applied \
-           immediately (staging idiom)"
+        bad ~loc:e.exp_loc "closure allocation; hoist it to the top level"
       | Texp_tuple _ ->
         bad ~loc:e.exp_loc "tuple allocation";
         walk_children e

@@ -1070,22 +1070,20 @@ let bmux_closed_form p ~gamma ~sigma =
    order, so each [suffix.(k)] is bit-identical to the
    [Reference.smallest_k] recomputation (pinned by a test up to H = 10^3). *)
 let smallest_k ~extra_ok ~h ~c ~rho_c ~gamma =
-  let term k =
-    (c -. rho_c -. (float_of_int k *. gamma))
-    /. (c -. (float_of_int (k - 1) *. gamma))
-  in
   (* entry cost, not per-candidate cost: one scratch array sized by the
      hop count, filled by the backward pass below *)
   let suffix = (Array.make (h + 2) 0. [@lint.allow "zero-alloc"]) in
   for k = h downto 1 do
-    suffix.(k) <- term k +. suffix.(k + 1)
+    suffix.(k) <-
+      ((c -. rho_c -. (float_of_int k *. gamma))
+       /. (c -. (float_of_int (k - 1) *. gamma)))
+      +. suffix.(k + 1)
   done;
-  let rec find k =
-    if k > h then h
-    else if suffix.(k + 1) < 1. && extra_ok k then k
-    else find (k + 1)
-  in
-  find 0
+  let k = ref 0 in
+  while !k <= h && not (suffix.(!k + 1) < 1. && extra_ok !k) do
+    incr k
+  done;
+  if !k > h then h else !k
   [@@zero_alloc_check]
 
 let fifo_closed_form p ~gamma ~sigma =

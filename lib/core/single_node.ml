@@ -1,5 +1,8 @@
 (* Section III-B: probabilistic single-node delay bounds. *)
 
+(* paper content; ROADMAP item 5 gives it a user *)
+[@@@lint.allow "unreachable-module"]
+
 type flow = {
   envelope : Minplus.Curve.t;
   bound : Envelope.Exponential.t;

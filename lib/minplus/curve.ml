@@ -193,21 +193,16 @@ let merged_xs_arr (f : t) (g : t) =
   (* entry cost: one scratch sized for the worst-case union *)
   let out = (Array.make (nf + ng) 0. [@lint.allow "zero-alloc"]) in
   let i = ref 0 and j = ref 0 and k = ref 0 in
-  let push x =
+  while !i < nf || !j < ng do
+    let from_f =
+      !j >= ng || (!i < nf && Float.compare f.(!i).x g.(!j).x <= 0)
+    in
+    let x = if from_f then f.(!i).x else g.(!j).x in
     if !k = 0 || Float.compare out.(!k - 1) x <> 0 then begin
       out.(!k) <- x;
       incr k
-    end
-  in
-  while !i < nf || !j < ng do
-    if !j >= ng || (!i < nf && Float.compare f.(!i).x g.(!j).x <= 0) then begin
-      push f.(!i).x;
-      incr i
-    end
-    else begin
-      push g.(!j).x;
-      incr j
-    end
+    end;
+    if from_f then incr i else incr j
   done;
   if !k = nf + ng then out
   else (Array.sub out 0 !k [@lint.allow "zero-alloc"] (* shrink once at exit *))

@@ -14,10 +14,6 @@ type summary = {
   failures : failure list;
 }
 
-let seeds ~runs ~base_seed =
-  let rng = Desim.Prng.create ~seed:base_seed in
-  Array.init runs (fun _ -> Desim.Prng.bits64 rng)
-
 (* The k-th retry of a replication reruns it under a fresh seed derived
    from the replication's own seed, so retries stay reproducible. *)
 let retry_seed seed ~attempt =
@@ -222,7 +218,7 @@ let statistic_ci ?jobs ?(max_retries = 0) ?max_wall ?checkpoint ~runs ~base_seed
         ("jobs", Telemetry.Int (Parallel.Pool.effective_jobs pool));
       ]
   @@ fun () ->
-  let seeds = seeds ~runs ~base_seed in
+  let seeds = Parallel.Seeds.derive ~base_seed runs in
   let done_ = match checkpoint with
     | None -> Hashtbl.create 0
     | Some path -> load_checkpoint path ~base_seed ~runs

@@ -33,7 +33,7 @@ val statistic_ci :
   (seed:int64 -> float) ->
   summary
 (** [statistic_ci ~runs ~base_seed experiment] runs [experiment] with
-    [runs] seeds derived from [base_seed] (splitmix64 stream) and
+    [runs] seeds derived from [base_seed] ({!Parallel.Seeds.derive}) and
     summarizes the per-run statistics.
 
     [jobs]: replications are fanned out on a domain pool — the

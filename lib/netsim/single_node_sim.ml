@@ -1,5 +1,8 @@
 (* Multi-class single-node simulation with per-class virtual delays. *)
 
+(* paper content; ROADMAP item 5 gives it a user *)
+[@@@lint.allow "unreachable-module"]
+
 type class_spec = { n_flows : int; source : Envelope.Mmpp.t }
 
 type config = {

@@ -1,13 +1,5 @@
 let derive ~base_seed n =
   if n < 0 then invalid_arg "Parallel.Seeds.derive: negative count";
   let rng = Desim.Prng.create ~seed:base_seed in
-  let seeds = Array.make n 0L in
-  (* explicit loop: the draw order must be 0..n-1, and Array.init's
-     evaluation order is not part of its contract *)
-  for i = 0 to n - 1 do
-    seeds.(i) <- Desim.Prng.bits64 rng
-  done;
-  seeds
-
-let generators ~base_seed n =
-  Array.map (fun seed -> Desim.Prng.create ~seed) (derive ~base_seed n)
+  (* the draw order is 0..n-1: Array.init applies its function in order *)
+  Array.init n (fun _ -> Desim.Prng.bits64 rng)

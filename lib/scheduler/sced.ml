@@ -1,5 +1,8 @@
 (* SCED with rate-latency targets via per-class virtual-finish clocks. *)
 
+(* paper content; ROADMAP item 5 gives it a user *)
+[@@@lint.allow "unreachable-module"]
+
 type target = { rate : float; latency : float }
 
 let policy ~targets () =

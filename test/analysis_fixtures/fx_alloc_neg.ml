@@ -13,13 +13,6 @@ let sum arr =
   !acc
   [@@zero_alloc_check]
 
-(* Staging closure: let-bound, only ever in application-head position. *)
-let bump_both a =
-  let bump = fun i -> Array.unsafe_set a i (Array.unsafe_get a i + 1) in
-  bump 0;
-  bump 1
-  [@@zero_alloc_check]
-
 (* Some with an immediate payload is exempt (the Serve.Cache contract). *)
 let find_pos (x : int) = if x > 0 then Some x else None [@@zero_alloc_check]
 

@@ -4,7 +4,8 @@
    known-safe idioms (Atomic, monitor records, DLS, per-index slots,
    read-only derefs, spawn single-writer) must stay silent, and
    suppressed violations must neither fire nor leave a stale
-   [@lint.allow].  The CLI output format is covered by the golden diff
+   [@lint.allow].  The whole-set unreachable-module rule is driven both
+   over hand-built import graphs and over the fixtures' executable root.  The CLI output format is covered by the golden diff
    rule in test/dune (analyze_fixtures.expected). *)
 
 open Alcotest
@@ -53,9 +54,10 @@ let test_race_neg () =
 let test_alloc_pos () =
   let fs = analyze "Fx_alloc_pos" in
   check (list string) "all zero-alloc"
-    (List.init 8 (fun _ -> "zero-alloc"))
+    (List.init 9 (fun _ -> "zero-alloc"))
     (rules_of fs);
-  check (list int) "one finding per seeded site" [ 5; 7; 9; 11; 14; 18; 22; 30 ]
+  check (list int) "one finding per seeded site"
+    [ 5; 7; 9; 11; 14; 18; 22; 30; 40 ]
     (lines_of fs);
   List.iter
     (fun sub -> check bool (sub ^ " reported") true (mentions fs sub))
@@ -67,6 +69,7 @@ let test_alloc_pos () =
       "closure allocation";
       "partial application of +";
       "(via helper)";
+      "in [@@zero_alloc_check] bump_both";
     ]
 
 let test_alloc_neg () =
@@ -93,11 +96,109 @@ let test_cmt_error () =
   | [ f ] -> check string "rule" "cmt-error" f.Lint.Finding.rule
   | fs -> failf "expected one cmt-error finding, got %d" (List.length fs)
 
+(* ---------------- unreachable-module (whole set) ---------------- *)
+
+module U = Analysis.Unreachable
+
+let unit_ ?allow ?(file = "") name imports =
+  let file = if file = "" then String.lowercase_ascii name ^ ".ml" else file in
+  { U.name; file; imports; allow }
+
+let allow_at line =
+  let pos = { Lexing.pos_fname = ""; pos_lnum = line; pos_bol = 0; pos_cnum = 0 } in
+  { Location.loc_start = pos; loc_end = pos; loc_ghost = false }
+
+let files_of fs = List.map (fun f -> f.Lint.Finding.file) fs
+
+(* Root -> Lib__A -> Lib__B; Lib__C has no importer; the alias module
+   Lib imports every module of its library, Lib__D included. *)
+let graph =
+  [
+    unit_ "Dune__exe__Main" [ "Lib"; "Lib__A"; "Stdlib" ];
+    unit_ "Lib__A" [ "Lib"; "Lib__B" ];
+    unit_ "Lib__B" [];
+    unit_ "Lib__C" [ "Lib__B" ];
+    unit_ ~file:"lib.ml-gen" "Lib" [ "Lib__A"; "Lib__B"; "Lib__C"; "Lib__D" ];
+    unit_ "Lib__D" [];
+  ]
+
+let test_unreachable_graph () =
+  let fs = U.check graph in
+  check (list string) "only the unimported modules fire"
+    [ "lib__c.ml"; "lib__d.ml" ]
+    (List.sort compare (files_of fs));
+  check (list string) "all unreachable-module"
+    [ "unreachable-module"; "unreachable-module" ]
+    (rules_of fs);
+  check bool "names the module" true (mentions fs "no executable imports Lib.C")
+
+let test_unreachable_alias_not_edge () =
+  (* Lib__D is imported only by the alias module: reaching Lib does not
+     reach it, and the alias itself is never reported. *)
+  let fs = U.check graph in
+  check bool "alias-only module fires" true (List.mem "lib__d.ml" (files_of fs));
+  check bool "alias module silent" false (List.mem "lib.ml-gen" (files_of fs));
+  (* the same module becomes reached once a real unit imports it *)
+  let fs' =
+    U.check (unit_ "Dune__exe__Tool" [ "Lib__D"; "Lib__C" ] :: graph)
+  in
+  check (list string) "reached through a second root" [] (files_of fs')
+
+let test_unreachable_allow () =
+  let exempt reached =
+    graph
+    @ [ unit_ ~allow:(allow_at 3) "Lib__E" [] ]
+    @ if reached then [ unit_ "Dune__exe__Tool" [ "Lib__E" ] ] else []
+  in
+  let on_e fs = List.filter (fun f -> f.Lint.Finding.file = "lib__e.ml") fs in
+  check (list string) "allow suppresses the finding" []
+    (rules_of (on_e (U.check ~warn_unused_allow:true (exempt false))));
+  let stale = on_e (U.check ~warn_unused_allow:true (exempt true)) in
+  check (list string) "allow goes stale once reached" [ "unused-allow" ]
+    (rules_of stale);
+  check (list int) "at the attribute's line" [ 3 ] (lines_of stale);
+  check bool "names the stale rule id" true
+    (mentions stale "stale: unreachable-module");
+  check (list string) "stale allows only with warn_unused_allow" []
+    (rules_of (on_e (U.check (exempt true))))
+
+let test_unreachable_fixtures () =
+  (* The fixture library plus its executable root, through the same entry
+     point as the CLI: only Fx_unreached fires; Fx_exempt's file-level
+     allow is honoured and not stale. *)
+  let cmts dir =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".cmt")
+    |> List.map (Filename.concat dir)
+  in
+  let fs =
+    Analysis.Engine.analyze_cmts ~warn_unused_allow:true ~load_prefix:[ ".." ]
+      (cmts "analysis_fixtures/.analysis_fixtures.objs/byte"
+      @ cmts "analysis_fixtures/.fx_root.eobjs/byte")
+  in
+  let ours =
+    List.filter
+      (fun f ->
+        f.Lint.Finding.rule = "unreachable-module"
+        || Filename.basename f.Lint.Finding.file = "fx_exempt.ml")
+      fs
+  in
+  check (list string) "only the unreached fixture"
+    [ "test/analysis_fixtures/fx_unreached.ml" ]
+    (files_of ours);
+  check (list int) "at line 1" [ 1 ] (lines_of ours)
+
 let test_catalogue () =
   let ids = List.map fst Analysis.Engine.catalogue in
   List.iter
     (fun r -> check bool (r ^ " is catalogued") true (List.mem r ids))
-    [ "cross-domain-capture"; "zero-alloc"; "unused-allow"; "cmt-error" ]
+    [
+      "cross-domain-capture";
+      "zero-alloc";
+      "unreachable-module";
+      "unused-allow";
+      "cmt-error";
+    ]
 
 let () =
   run "analysis"
@@ -112,5 +213,15 @@ let () =
           test_case "stale allow is reported" `Quick test_stale_allow;
           test_case "unreadable cmt becomes a finding" `Quick test_cmt_error;
           test_case "catalogue covers every rule" `Quick test_catalogue;
+        ] );
+      ( "unreachable",
+        [
+          test_case "reached modules stay silent" `Quick test_unreachable_graph;
+          test_case "alias module is not an edge" `Quick
+            test_unreachable_alias_not_edge;
+          test_case "file-level allow, stale once reached" `Quick
+            test_unreachable_allow;
+          test_case "fixture root and unreached module" `Quick
+            test_unreachable_fixtures;
         ] );
     ]

@@ -1,9 +1,8 @@
-(* Tests for EBB, MMPP effective bandwidth, and deterministic envelopes. *)
+(* Tests for EBB and MMPP effective bandwidth. *)
 
 module Ebb = Envelope.Ebb
 module Mmpp = Envelope.Mmpp
 module Exp = Envelope.Exponential
-module Det = Envelope.Deterministic
 module Curve = Minplus.Curve
 
 let check_float ?(tol = 1e-9) name expected got =
@@ -115,31 +114,6 @@ let test_ebb_bound_holds_empirically () =
   if empirical > bound then
     Alcotest.failf "EBB bound violated empirically: %g > %g" empirical bound
 
-(* ---------------- deterministic envelopes ---------------- *)
-
-let test_leaky_bucket_curve () =
-  let b = Det.leaky_bucket ~rate:2. ~burst:5. in
-  let c = Det.lb_curve b in
-  check_float "burst at origin" 5. (Curve.eval c 0.);
-  check_float "slope" 9. (Curve.eval c 2.)
-
-let test_buckets_concave () =
-  let c = Det.of_buckets [ Det.leaky_bucket ~rate:1. ~burst:10.; Det.leaky_bucket ~rate:5. ~burst:2. ] in
-  Alcotest.(check bool) "concave" true (Curve.is_concave c);
-  Alcotest.(check bool) "valid" true (Det.is_valid_envelope c)
-
-let test_sum_envelopes () =
-  let c1 = Det.lb_curve (Det.leaky_bucket ~rate:1. ~burst:2.) in
-  let c2 = Det.lb_curve (Det.leaky_bucket ~rate:3. ~burst:4.) in
-  let s = Det.sum [ c1; c2 ] in
-  check_float "sum at 1" 10. (Curve.eval s 1.)
-
-let test_deterministic_limit () =
-  let e = Ebb.v ~m:1. ~rho:2. ~alpha:1. in
-  let c = Det.of_ebb_deterministic e ~burst:7. in
-  check_float "burst" 7. (Curve.eval c 0.);
-  check_float "rate" 2. (Curve.ultimate_rate c)
-
 let suite =
   [
     Alcotest.test_case "ebb aggregate" `Quick test_ebb_aggregate;
@@ -153,8 +127,4 @@ let suite =
     Alcotest.test_case "mmpp validation" `Quick test_mmpp_validation;
     Alcotest.test_case "autocovariance decay" `Quick test_autocovariance;
     Alcotest.test_case "EBB bound holds empirically" `Slow test_ebb_bound_holds_empirically;
-    Alcotest.test_case "leaky bucket curve" `Quick test_leaky_bucket_curve;
-    Alcotest.test_case "buckets concave" `Quick test_buckets_concave;
-    Alcotest.test_case "sum envelopes" `Quick test_sum_envelopes;
-    Alcotest.test_case "deterministic limit of EBB" `Quick test_deterministic_limit;
   ]

@@ -24,7 +24,6 @@ let () =
       ("envelope.sources+output", Test_sources_output.suite);
       ("deltanet.golden", Test_golden.suite);
       ("extensions", Test_extensions.suite);
-      ("deltanet.multiclass", Test_multiclass.suite);
       ("deltanet.properties", Test_properties.suite);
       ("edge-cases", Test_edge_cases.suite);
       ("robustness", Test_robustness.suite);

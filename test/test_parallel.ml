@@ -426,18 +426,17 @@ let test_seeds_distinct () =
   Array.iter (fun s -> Hashtbl.replace tbl s ()) a;
   Alcotest.(check int) "no collisions in 256 draws" 256 (Hashtbl.length tbl)
 
-let test_seeds_invalid_and_generators () =
+let test_seeds_invalid_and_order () =
   check_invalid "negative count" (fun () -> Seeds.derive ~base_seed:1L (-1));
   Alcotest.(check int) "zero seeds" 0 (Array.length (Seeds.derive ~base_seed:1L 0));
-  let seeds = Seeds.derive ~base_seed:5L 8 in
-  let gens = Seeds.generators ~base_seed:5L 8 in
+  (* seed i is the i-th draw of the base stream *)
+  let rng = Desim.Prng.create ~seed:5L in
   Array.iteri
-    (fun i g ->
-      check_bitwise
-        (Printf.sprintf "generator %d matches its seed" i)
-        (Desim.Prng.float (Desim.Prng.create ~seed:seeds.(i)))
-        (Desim.Prng.float g))
-    gens
+    (fun i seed ->
+      Alcotest.(check int64)
+        (Printf.sprintf "seed %d is draw %d" i i)
+        (Desim.Prng.bits64 rng) seed)
+    (Seeds.derive ~base_seed:5L 8)
 
 (* ---------------- default pool and env ---------------- *)
 
@@ -845,7 +844,7 @@ let suite =
     Alcotest.test_case "DELTANET_PAR_CUTOFF parsing" `Quick test_cutoff_from_env;
     Alcotest.test_case "seed derivation deterministic" `Quick test_seeds_deterministic;
     Alcotest.test_case "seeds distinct" `Quick test_seeds_distinct;
-    Alcotest.test_case "seeds validation and generators" `Quick test_seeds_invalid_and_generators;
+    Alcotest.test_case "seeds validation and draw order" `Quick test_seeds_invalid_and_order;
     Alcotest.test_case "default pool set_jobs" `Quick test_default_set_jobs;
     Alcotest.test_case "DELTANET_JOBS parsing" `Quick test_jobs_from_env;
     Alcotest.test_case "grid abscissae match sequential" `Quick test_grid_log_spaced;

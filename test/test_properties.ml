@@ -138,18 +138,6 @@ let prop_fifo_closed_form =
         let c = E2e.fifo_closed_form p ~gamma ~sigma in
         (not (Float.is_finite d)) || Float.abs (d -. c) <= 1e-6 *. (1. +. c))
 
-let prop_multiclass_matches_e2e =
-  QCheck.Test.make ~name:"Multiclass agrees with E2e on random single-class paths"
-    ~count:(Qc.count 200) arb_path (fun p ->
-      match gamma_sigma p with
-      | None -> QCheck.assume_fail ()
-      | Some (gamma, sigma) ->
-        let pm = Deltanet.Multiclass.of_two_class p in
-        let d2 = E2e.delay_given p ~gamma ~sigma in
-        let dm = Deltanet.Multiclass.delay_given pm ~gamma ~sigma in
-        (Float.equal d2 Float.infinity && Float.equal dm Float.infinity)
-        || Float.abs (d2 -. dm) <= 1e-5 *. (1. +. Float.abs d2))
-
 (* ---------------- scaling laws ---------------- *)
 
 let test_growth_exponent_exact () =
@@ -179,7 +167,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_monotone_in_delta;
     QCheck_alcotest.to_alcotest prop_bmux_closed_form;
     QCheck_alcotest.to_alcotest prop_fifo_closed_form;
-    QCheck_alcotest.to_alcotest prop_multiclass_matches_e2e;
     Alcotest.test_case "growth exponent exact" `Quick test_growth_exponent_exact;
     Alcotest.test_case "network bound near-linear" `Slow test_network_bound_near_linear;
     Alcotest.test_case "additive super-linear" `Slow test_additive_superlinear_exponent;

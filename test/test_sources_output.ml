@@ -1,8 +1,6 @@
-(* Tests for CBR / compound-Poisson traffic models and the output
-   (deconvolution) characterization. *)
+(* Tests for the output (deconvolution) characterization, empirical
+   envelope estimation from traces, and admission control. *)
 
-module Cbr = Envelope.Cbr
-module Poisson = Envelope.Poisson
 module Ebb = Envelope.Ebb
 module Exp = Envelope.Exponential
 module Curve = Minplus.Curve
@@ -14,104 +12,6 @@ let check_float ?(tol = 1e-9) name expected got =
     <= tol *. (1. +. Float.max (Float.abs expected) (Float.abs got))
   in
   if not ok then Alcotest.failf "%s: expected %.12g, got %.12g" name expected got
-
-(* ---------------- CBR ---------------- *)
-
-let test_cbr_staircase () =
-  let src = Cbr.v ~period:2. ~burst:3. in
-  let e = Cbr.deterministic_envelope ~steps:4 src in
-  check_float "one burst in first period" 3. (Curve.eval e 1.);
-  check_float "two bursts after one period" 6. (Curve.eval e 2.5);
-  check_float "three bursts" 9. (Curve.eval e 4.5);
-  (* beyond the exact steps: affine relaxation *)
-  check_float "affine tail" (3. +. (1.5 *. 20.)) (Curve.eval e 20.)
-
-let test_cbr_staircase_below_bucket () =
-  let src = Cbr.v ~period:2. ~burst:3. in
-  let stair = Cbr.deterministic_envelope ~steps:8 src in
-  let bucket = Cbr.leaky_bucket_envelope src in
-  List.iter
-    (fun t ->
-      if Curve.eval stair t > Curve.eval bucket t +. 1e-9 then
-        Alcotest.failf "staircase above bucket at t=%g" t)
-    [ 0.1; 0.5; 1.; 1.9; 2.1; 3.; 5.5; 7.9; 14.; 100. ]
-
-let test_cbr_ebb_mean_rate () =
-  let src = Cbr.v ~period:2. ~burst:3. in
-  let e = Cbr.ebb src ~n:10. ~s:0.1 in
-  check_float "rate is n x mean" 15. e.Ebb.rho;
-  check_float "decay is s" 0.1 e.Ebb.alpha;
-  Alcotest.(check bool) "Hoeffding prefactor > 1" true (e.Ebb.m > 1.)
-
-let test_cbr_ebb_bound_empirical () =
-  (* Monte-Carlo check of the Hoeffding EBB bound for phase-randomized CBR:
-     P(A(0,t) > n rate t + sigma) <= M e^{-s sigma}. *)
-  let src = Cbr.v ~period:5. ~burst:2. in
-  let n = 30 and t = 17. and s = 0.5 in
-  let e = Cbr.ebb src ~n:(float_of_int n) ~s in
-  let rng = Desim.Prng.create ~seed:99L in
-  let trials = 20_000 in
-  let sigma = 12. in
-  let threshold = (e.Ebb.rho *. t) +. sigma in
-  let violations = ref 0 in
-  for _ = 1 to trials do
-    let total = ref 0. in
-    for _ = 1 to n do
-      let phase = Desim.Prng.float rng *. 5. in
-      (* emissions at phase, phase + 5, ... in [0, t) *)
-      let count = Float.to_int (Float.floor ((t -. phase) /. 5.)) + (if phase < t then 1 else 0) in
-      total := !total +. (2. *. float_of_int (max 0 count))
-    done;
-    if !total > threshold then incr violations
-  done;
-  let empirical = float_of_int !violations /. float_of_int trials in
-  let bound = Exp.eval (Ebb.bounding e) sigma in
-  if empirical > bound then
-    Alcotest.failf "CBR EBB bound violated: %g > %g" empirical bound
-
-(* ---------------- Poisson ---------------- *)
-
-let test_poisson_eb_limits () =
-  let src = Poisson.v ~lambda:2. ~batch:0.5 in
-  check_float "mean rate" 1. (Poisson.mean_rate src);
-  check_float ~tol:1e-4 "eb -> mean as s -> 0" 1. (Poisson.effective_bandwidth src ~s:1e-6);
-  Alcotest.(check bool) "eb increasing" true
-    (Poisson.effective_bandwidth src ~s:2. > Poisson.effective_bandwidth src ~s:1.)
-
-let test_poisson_ebb_chernoff_empirical () =
-  let src = Poisson.v ~lambda:1.5 ~batch:1. in
-  let s = 0.7 and t = 20. in
-  let e = Poisson.ebb src ~n:1. ~s in
-  let rng = Desim.Prng.create ~seed:123L in
-  let trials = 30_000 in
-  let sigma = 9. in
-  let threshold = (e.Ebb.rho *. t) +. sigma in
-  let violations = ref 0 in
-  for _ = 1 to trials do
-    (* Poisson(lambda t) batches via exponential gaps *)
-    let clock = ref (Desim.Prng.exponential rng ~rate:1.5) in
-    let count = ref 0 in
-    while !clock < t do
-      incr count;
-      clock := !clock +. Desim.Prng.exponential rng ~rate:1.5
-    done;
-    if float_of_int !count *. 1. > threshold then incr violations
-  done;
-  let empirical = float_of_int !violations /. float_of_int trials in
-  let bound = Exp.eval (Ebb.bounding e) sigma in
-  if empirical > bound then
-    Alcotest.failf "Poisson EBB bound violated: %g > %g" empirical bound
-
-let test_poisson_e2e_bound () =
-  (* The whole end-to-end machinery runs on Poisson traffic too. *)
-  let through = Poisson.ebb (Poisson.v ~lambda:10. ~batch:1.) ~n:1. ~s:0.4 in
-  let cross = Poisson.ebb (Poisson.v ~lambda:30. ~batch:1.) ~n:1. ~s:0.4 in
-  let p =
-    Deltanet.E2e.homogeneous ~h:4 ~capacity:100. ~cross
-      ~delta:(Scheduler.Delta.Fin 0.) ~through
-  in
-  let d = Deltanet.E2e.delay_bound ~epsilon:1e-9 p in
-  Alcotest.(check bool) (Fmt.str "finite Poisson bound %g" d) true (Float.is_finite d)
 
 (* ---------------- output characterization ---------------- *)
 
@@ -254,13 +154,6 @@ let test_admission_consistency () =
 
 let suite =
   [
-    Alcotest.test_case "cbr staircase" `Quick test_cbr_staircase;
-    Alcotest.test_case "cbr staircase below bucket" `Quick test_cbr_staircase_below_bucket;
-    Alcotest.test_case "cbr ebb constants" `Quick test_cbr_ebb_mean_rate;
-    Alcotest.test_case "cbr ebb bound empirically" `Slow test_cbr_ebb_bound_empirical;
-    Alcotest.test_case "poisson eb limits" `Quick test_poisson_eb_limits;
-    Alcotest.test_case "poisson chernoff empirically" `Slow test_poisson_ebb_chernoff_empirical;
-    Alcotest.test_case "poisson e2e bound" `Quick test_poisson_e2e_bound;
     Alcotest.test_case "output rate/decay" `Quick test_output_rate_and_decay;
     Alcotest.test_case "output unstable" `Quick test_output_unstable_rejected;
     Alcotest.test_case "output deterministic" `Quick test_output_deterministic;
