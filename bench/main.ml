@@ -10,11 +10,12 @@
               fig2|fig3|fig4|ablation|sweep-seq|sweep-par|eq38|micro|all ...]
 
    Several section names may be given; "short" shrinks every section to a
-   seconds-scale smoke run (CI); "--jobs=N" (or DELTANET_JOBS) sets the
-   worker-domain count for the parallel sweep paths (0 = all cores) —
-   results are bit-for-bit identical at every setting, which the
-   sweep-seq/sweep-par section pair verifies while recording the
-   sequential and parallel wall times.  Each invocation also writes
+   seconds-scale smoke run (CI) that leaves results/*.csv untouched;
+   "--jobs=N" (or DELTANET_JOBS) sets the worker-domain count for the
+   parallel sweep paths (0 = all cores) — results are bit-for-bit
+   identical at every setting, which the sweep-seq/sweep-par section
+   pair verifies while recording the sequential and parallel wall
+   times.  Each invocation also writes
    BENCH_deltanet.json: per-section wall time plus the telemetry counter
    deltas (objective evaluations, convolution segment counts, simulated
    slots, ...) accumulated while the section ran.  *)
@@ -48,18 +49,21 @@ let pr_cell v = if Float.is_finite v then Fmt.str "%10.2f" v else Fmt.str "%10s"
 (* CSV artifacts alongside the printed tables, under results/.  Rows go
    through Telemetry.Csv.row, which renders non-finite values (unstable
    utilizations yield [inf] bounds) as empty cells instead of "inf"/"nan"
-   literals that break downstream CSV consumers. *)
-let csv_out name header rows =
-  let dir = "results" in
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let oc = open_out (Filename.concat dir (name ^ ".csv")) in
-  output_string oc (header ^ "\n");
-  List.iter
-    (fun row ->
-      output_string oc (Telemetry.Csv.row row);
-      output_string oc "\n")
-    rows;
-  close_out oc
+   literals that break downstream CSV consumers.  A short run covers a
+   subset of the grid, so it leaves the committed full-size CSVs alone. *)
+let csv_out ~short name header rows =
+  if not short then begin
+    let dir = "results" in
+    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+    let oc = open_out (Filename.concat dir (name ^ ".csv")) in
+    output_string oc (header ^ "\n");
+    List.iter
+      (fun row ->
+        output_string oc (Telemetry.Csv.row row);
+        output_string oc "\n")
+      rows;
+    close_out oc
+  end
 
 (* ns-per-op samples reported by the running section, drained into the
    section report by [timed] *)
@@ -114,7 +118,7 @@ let fig2 ~short () =
   let cells = List.length hs * List.length us in
   report_ns "fig2.ns_per_cell"
     (1e9 *. (Unix.gettimeofday () -. t0) /. float_of_int cells);
-  csv_out "fig2" "h,u_percent,bmux_ms,fifo_ms,edf_ms" (List.rev !rows)
+  csv_out ~short "fig2" "h,u_percent,bmux_ms,fifo_ms,edf_ms" (List.rev !rows)
 
 (* ---------------------------------------------------------------- *)
 (* Fig. 3 / Example 2: delay bound vs traffic mix Uc/U at fixed U = 50%.
@@ -150,7 +154,7 @@ let fig3 ~short () =
   let cells = List.length hs * List.length mixes in
   report_ns "fig3.ns_per_cell"
     (1e9 *. (Unix.gettimeofday () -. t0) /. float_of_int cells);
-  csv_out "fig3" "h,mix_percent,bmux_ms,fifo_ms,edf_loose_ms,edf_tight_ms" (List.rev !rows)
+  csv_out ~short "fig3" "h,mix_percent,bmux_ms,fifo_ms,edf_loose_ms,edf_tight_ms" (List.rev !rows)
 
 (* ---------------------------------------------------------------- *)
 (* Fig. 4 / Example 3: delay bound vs path length H at U = 10/50/90%,
@@ -184,7 +188,7 @@ let fig4 ~short () =
   let cells = List.length us * List.length hs in
   report_ns "fig4.ns_per_cell"
     (1e9 *. (Unix.gettimeofday () -. t0) /. float_of_int cells);
-  csv_out "fig4" "u_percent,h,bmux_ms,fifo_ms,edf_ms,additive_ms" (List.rev !rows)
+  csv_out ~short "fig4" "u_percent,h,bmux_ms,fifo_ms,edf_ms,additive_ms" (List.rev !rows)
 
 (* ---------------------------------------------------------------- *)
 (* Ablations of the design choices called out in DESIGN.md:
@@ -241,9 +245,8 @@ let sweep_kernel ~short () =
   let mixes = if short then [ 10; 50; 90 ] else [ 10; 20; 30; 40; 50; 60; 70; 80; 90 ] in
   let points = List.concat_map (fun h -> List.map (fun m -> (h, m)) mixes) hs in
   (* Fan out across scenario points — the only grain here whose task cost
-     (two full gamma searches) pays for waking a domain; the grid maps
-     inside each bound are below the cutoff and stay sequential (inside a
-     worker they would degrade to sequential anyway).  The [?work] hint
+     (two full gamma searches) pays for waking a domain; the s and γ
+     searches inside each bound run on the worker that computes it.  The [?work] hint
      (~s_points x gamma-grid x node-steps at the largest H) keeps the
      short variant under the default cutoff, so it runs sequentially
      instead of paying fan-out overhead on 3 small points. *)
@@ -377,7 +380,7 @@ let eq38 ~short () =
       let gmax = Deltanet.E2e.gamma_max p in
       let lo = gmax *. 1e-6 and points = 40 in
       let ratio = (0.999 /. 1e-6) ** (1. /. float_of_int (points - 1)) in
-      let grid = Parallel.Grid.log_spaced ~lo ~ratio ~points in
+      let grid = Deltanet.E2e.log_spaced ~lo ~ratio ~points in
       let r_sweep =
         time_ns_per_op
           (fun () ->
@@ -391,9 +394,9 @@ let eq38 ~short () =
           sweep_reps
         /. float_of_int points
       in
-      (* the compiled sweep: the exact delay_grid block shape — one
-         retained batch walks the whole grid into a caller-provided
-         buffer *)
+      (* the compiled sweep: one retained batch walks the whole grid
+         into a caller-provided buffer, as [delay_bound]'s grid phase
+         walks it through one batch *)
       let out = Array.make points 0. in
       let b_sweep =
         time_ns_per_op
@@ -641,7 +644,7 @@ let telemetry_bench ~short () =
   let gmax = Deltanet.E2e.gamma_max p in
   let lo = gmax *. 1e-6 and points = 40 in
   let ratio = (0.999 /. 1e-6) ** (1. /. float_of_int (points - 1)) in
-  let grid = Parallel.Grid.log_spaced ~lo ~ratio ~points in
+  let grid = Deltanet.E2e.log_spaced ~lo ~ratio ~points in
   (* the pool would split this grid into [min n (4*jobs)] chunks whose
      per-chunk records run spread across the domains; one event per 16
      grid steps matches that per-domain record density on one domain *)

@@ -1,7 +1,7 @@
 (* cross-domain-capture: at every closure that crosses a domain boundary —
-   arguments of Parallel.Pool / Parallel.Default / Parallel.Grid fan-out
-   calls and of Domain.spawn — compute the free variables from the
-   typedtree and flag captured mutable state that is not synchronized.
+   arguments of Parallel.Pool / Parallel.Default fan-out calls and of
+   Domain.spawn — compute the free variables from the typedtree and flag
+   captured mutable state that is not synchronized.
 
    Known-safe idioms are recognized structurally, not suppressed:
      - Atomic.t / Mutex.t / DLS captures (Mutability.Safe)
@@ -30,10 +30,6 @@ let fanout_sites =
     "Default.map";
     "Default.map_list";
     "Default.map_reduce";
-    "Grid.values";
-    "Grid.values_blocked";
-    "Grid.min_value";
-    "Grid.argmin";
   ]
 
 let spawn_sites = [ "Domain.spawn" ]

@@ -21,9 +21,9 @@ module F = Lint.Finding
 let catalogue =
   [
     ( "cross-domain-capture",
-      "a closure passed to Parallel.Pool / Parallel.Default / Parallel.Grid \
-       or Domain.spawn captures mutable state (ref, array, mutable record \
-       field, Hashtbl/Buffer/Queue) that is not Atomic, Mutex-guarded, \
+      "a closure passed to Parallel.Pool / Parallel.Default or Domain.spawn \
+       captures mutable state (ref, array, mutable record field, \
+       Hashtbl/Buffer/Queue) that is not Atomic, Mutex-guarded, \
        domain-local, or a recognized single-writer idiom" );
     ( "zero-alloc",
       "an allocating construct (closure, tuple, constructor with arguments, \

@@ -39,7 +39,9 @@ let analyze ~capacity ~cross ~through ~h ~gamma ~epsilon =
   in
   go through 0 [] 0.
 
-let delay_bound ?(gamma_points = 40) ~capacity ~cross ~h ~epsilon through =
+let gamma_points = 40
+
+let delay_bound ~capacity ~cross ~h ~epsilon through =
   (* Stability over the whole path needs rho +. h * gamma +. gamma below the
      leftover rate; reuse the Eq.-32-style cap. *)
   let gmax = (capacity -. cross.Ebb.rho -. through.Ebb.rho) /. float_of_int (h + 1) in
@@ -53,12 +55,8 @@ let delay_bound ?(gamma_points = 40) ~capacity ~cross ~h ~epsilon through =
       if !Telemetry.on then Telemetry.Counter.incr c_gamma_evals;
       snd (analyze ~capacity ~cross ~through ~h ~gamma ~epsilon)
     in
-    (* the per-node recursion inside [analyze] is data-dependent and stays
-       sequential; the independent gamma grid points fan out instead *)
     let lo, hi = E2e.gamma_bracket gmax in
-    let ratio = (hi /. lo) ** (1. /. float_of_int (gamma_points - 1)) in
-    Parallel.Grid.min_value ~work:((16 * h) + 32) f
-      (Parallel.Grid.log_spaced ~lo ~ratio ~points:gamma_points)
+    E2e.minimize_log_grid ~points:gamma_points ~golden:0 ~lo ~hi f
   end
 
 let delay_bound_scenario ?(s_points = 32) (sc : Scenario.t) =
@@ -84,11 +82,6 @@ let delay_bound_scenario ?(s_points = 32) (sc : Scenario.t) =
     in
     let s_max = grow 1e-6 60 in
     let lo = s_max *. 1e-4 and hi = s_max *. 0.5 in
-    let ratio = (hi /. lo) ** (1. /. float_of_int (s_points - 1)) in
     let f s = if !Telemetry.on then Telemetry.Counter.incr c_s_evals; f s in
-    (* each s-point is a full inner gamma search over [analyze] *)
-    Parallel.Grid.min_value
-      ~work:(40 * ((16 * sc.Scenario.h) + 32))
-      f
-      (Parallel.Grid.log_spaced ~lo ~ratio ~points:s_points)
+    E2e.minimize_log_grid ~points:s_points ~golden:0 ~lo ~hi f
   end

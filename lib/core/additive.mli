@@ -30,14 +30,14 @@ val analyze :
     at this [gamma]. *)
 
 val delay_bound :
-  ?gamma_points:int ->
   capacity:float ->
   cross:Envelope.Ebb.t ->
   h:int ->
   epsilon:float ->
   Envelope.Ebb.t ->
   float
-(** The additive bound optimized numerically over [gamma]. *)
+(** The additive bound minimized over a 40-point [gamma] grid
+    ({!E2e.minimize_log_grid}, no golden steps). *)
 
 val delay_bound_scenario : ?s_points:int -> Scenario.t -> float
 (** The additive BMUX bound for a paper scenario, optimized over both [s]

@@ -58,17 +58,12 @@ let delay_bound_uniform_theta ?(theta_points = 64) ~nodes through =
      horizon burst/(C - rates), scaled off the theta = 0 bound. *)
   let d0 = f 0. in
   let hi = Float.max 1. (if Float.is_finite d0 then 4. *. d0 else 1.) in
-  (* The grid points are independent: fan them out on the default pool
-     (convolution per evaluation dominates, hence the [?work] hint) and
-     keep the running-minimum fold on the calling domain in index order,
-     seeded with [d0] — the same comparisons as the sequential loop. *)
+  (* a uniform grid up to [hi], folded in index order from [d0] *)
   let thetas =
     Array.init theta_points (fun i ->
         hi *. float_of_int (i + 1) /. float_of_int theta_points)
   in
-  let vals =
-    Parallel.Grid.values ~work:(500 * List.length nodes) f thetas
-  in
+  let vals = Array.map f thetas in
   let best = ref d0 in
   for i = 0 to theta_points - 1 do
     if vals.(i) < !best then best := vals.(i)

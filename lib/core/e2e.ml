@@ -770,14 +770,6 @@ let optimal_thetas p ~gamma ~sigma =
   Batch.set b ~gamma ~sigma;
   Batch.optimal_thetas b
 
-(* Estimated cost of one [delay_at_gamma] in abstract work units
-   (~Eq.-38 node-steps): ~3H+1 candidates x H nodes, plus the
-   transcendentals of [sigma_for].  Feeds the [?work] cutoff hints of
-   the parallel grid scans here and in Scenario/Additive/Scaling. *)
-let eval_cost p =
-  let h = hop_count p in
-  (3 * h * h) + (8 * h) + 50
-
 (* --------------------------------------------------------------- *)
 (* The network service curve as an explicit min-plus object          *)
 
@@ -849,32 +841,19 @@ let backlog_given p ~gamma ~sigma =
    probes. *)
 let gamma_bracket gmax = (gmax *. 1e-6, gmax *. 0.999)
 
-(* The ratio of a [gamma_points]-point log-spaced grid over [lo, hi] *)
-let gamma_ratio ~gamma_points ~lo ~hi = (hi /. lo) ** (1. /. float_of_int (gamma_points - 1))
+(* [points] abscissae from [lo] by repeated multiplication, not
+   [lo *. ratio ** k]: [minimize_log_grid] walks its grid the same way,
+   so the two agree bit for bit *)
+let log_spaced ~lo ~ratio ~points =
+  if points < 1 then invalid_arg "E2e.log_spaced: points must be >= 1";
+  let xs = Array.make points lo in
+  for i = 1 to points - 1 do
+    xs.(i) <- xs.(i - 1) *. ratio
+  done;
+  xs
 
-let backlog_bound ?(gamma_points = 40) ~epsilon p =
-  if epsilon <= 0. || epsilon >= 1. then invalid_arg "E2e.backlog_bound: epsilon out of range";
-  let gmax = gamma_max p in
-  if gmax <= 0. then Float.infinity
-  else
-    Telemetry.span "e2e.backlog_gamma_search"
-      ~attrs:[ ("h", Telemetry.Int (hop_count p)); ("points", Telemetry.Int gamma_points) ]
-    @@ fun () ->
-  begin
-    let f gamma =
-      if !Telemetry.on then Telemetry.Counter.incr c_gamma_evals;
-      let sigma = sigma_for p ~gamma ~epsilon in
-      backlog_given p ~gamma ~sigma
-    in
-    let lo, hi = gamma_bracket gmax in
-    let ratio = gamma_ratio ~gamma_points ~lo ~hi in
-    (* grid points fan out on the default pool; Grid keeps the abscissae
-       and the running-minimum fold bit-identical to the sequential loop.
-       Curve construction dominates each evaluation, hence the h^3 hint. *)
-    let h = hop_count p in
-    Parallel.Grid.min_value ~work:((32 * h * h * h) + 200) f
-      (Parallel.Grid.log_spaced ~lo ~ratio ~points:gamma_points)
-  end
+(* The ratio of a [points]-point log-spaced grid over [lo, hi] *)
+let grid_ratio ~points ~lo ~hi = (hi /. lo) ** (1. /. float_of_int (points - 1))
 
 let golden_minimize f lo hi steps =
   let phi = (sqrt 5. -. 1.) /. 2. in
@@ -886,122 +865,111 @@ let golden_minimize f lo hi steps =
   in
   go lo hi steps
 
-(* The coarse γ grid of [gamma_search] and its ratio: log-spaced from
-   [lo] by repeated multiplication, so the top point can overshoot [hi]
-   by a few ulps of accumulated rounding. *)
-let gamma_grid ~gamma_points ~lo ~hi =
-  let ratio = gamma_ratio ~gamma_points ~lo ~hi in
-  (ratio, Parallel.Grid.log_spaced ~lo ~ratio ~points:gamma_points)
-
-(* The grid's top point by the same multiplications, without the grid *)
-let gamma_grid_top ~gamma_points ~lo ~hi =
-  let ratio = gamma_ratio ~gamma_points ~lo ~hi in
-  let g = ref lo in
-  for _ = 2 to gamma_points do
-    g := !g *. ratio
-  done;
-  !g
-
-(* The shared gamma-search skeleton: a log-spaced coarse grid handed
-   whole to [grid_vals] (the batched scan of [delay_grid], or a
-   [Parallel.Grid.values] fan-out — either way the index-order strict-<
-   fold below is exactly [Parallel.Grid.argmin]), then sequential
-   golden-section refinement around the best grid point.  [golden_eval]
-   runs on the calling domain only, so it may reuse one compiled batch.
-   Both are pure functions of gamma, so the golden phase memoizes per
-   gamma value.  The memo is a small ring of recent probes scanned by
-   primitive float [=] (gammas are positive and non-NaN, so value
-   equality is bit equality): golden-section probes cluster as the
-   bracket shrinks, so collisions — when the narrowed bracket re-lands
-   on a recent abscissa, or the final midpoint repeats a probe — are
-   always with the last few evaluations, and a fixed window catches
-   them at constant scan cost where a full history scan of every probe
-   paid its whole length on each miss.  A hit and a recomputation
-   return the same float, so memo policy can never change the result;
-   the flat arrays keep the golden loop off the GC (the old [Hashtbl]
-   keyed on [Int64.bits_of_float] boxed a key per probe). *)
-let gamma_search ~gamma_points ~grid_vals ~golden_eval ~lo ~hi =
-  let (ratio, grid) = gamma_grid ~gamma_points ~lo ~hi in
-  let vals = grid_vals grid in
-  let bi = ref 0 in
-  for i = 1 to Array.length vals - 1 do
-    if vals.(i) < vals.(!bi) then bi := i
-  done;
-  let win = 8 in
-  (* NaN keys never match a (positive) probe, so empty slots are inert *)
-  let mg = Array.make win Float.nan and mv = Array.make win 0. in
-  let mw = ref 0 in
-  let fm gamma =
-    let found = ref Float.nan in
-    let hit = ref false in
-    let i = ref 0 in
-    while (not !hit) && !i < win do
-      if mg.(!i) = gamma then begin
-        found := mv.(!i);
-        hit := true
-      end;
-      incr i
-    done;
-    if !hit then !found
-    else begin
-      let v = golden_eval gamma in
-      mg.(!mw) <- gamma;
-      mv.(!mw) <- v;
-      mw := (!mw + 1) mod win;
-      v
+(* The one grid search: a [points]-point log-spaced grid over [lo, hi]
+   walked in index order on the calling domain, keeping the first strict
+   minimum (a NaN at index 0 therefore sticks), then [golden]
+   golden-section steps around that point ([0] = none).  [f] must be a
+   pure function of its argument: the golden phase memoizes it in a
+   small ring of recent probes scanned by primitive float [=] (probes
+   are positive and non-NaN, so value equality is bit equality).
+   Golden-section probes cluster as the bracket shrinks, so collisions —
+   the narrowed bracket re-landing on a recent abscissa, or the final
+   midpoint repeating a probe — are always with the last few
+   evaluations, and a fixed window catches them at constant scan cost.
+   A hit returns the stored float, so the memo never changes the
+   result. *)
+let minimize_log_grid ~points ~golden ~lo ~hi f =
+  if points < 1 then invalid_arg "E2e.minimize_log_grid: points must be >= 1";
+  let ratio = grid_ratio ~points ~lo ~hi in
+  let best = ref (f lo) and center = ref lo and g = ref lo in
+  for _ = 2 to points do
+    g := !g *. ratio;
+    let v = f !g in
+    if v < !best then begin
+      best := v;
+      center := !g
     end
-  in
-  let center = grid.(!bi) in
-  let a = Float.max lo (center /. ratio) and b = Float.min hi (center *. ratio) in
-  let gstar = golden_minimize fm a b 40 in
-  Float.min vals.(!bi) (fm gstar)
+  done;
+  if golden = 0 then !best
+  else begin
+    let win = 8 in
+    (* NaN keys never match a (positive) probe, so empty slots are inert *)
+    let mg = Array.make win Float.nan and mv = Array.make win 0. in
+    let mw = ref 0 in
+    let fm x =
+      let found = ref Float.nan in
+      let hit = ref false in
+      let i = ref 0 in
+      while (not !hit) && !i < win do
+        if mg.(!i) = x then begin
+          found := mv.(!i);
+          hit := true
+        end;
+        incr i
+      done;
+      if !hit then !found
+      else begin
+        let v = f x in
+        mg.(!mw) <- x;
+        mv.(!mw) <- v;
+        mw := (!mw + 1) mod win;
+        v
+      end
+    in
+    let a = Float.max lo (!center /. ratio) and b = Float.min hi (!center *. ratio) in
+    Float.min !best (fm (golden_minimize fm a b golden))
+  end
 
-(* --------------------------------------------------------------- *)
-(* Batched gamma-grid evaluation                                     *)
+(* Search shapes, (grid points, golden-section steps).  [delay_points]
+   is the grid [delay_bound_floor] certifies, so it is not a knob. *)
+let delay_points = 40
+let delay_golden = 40
+let cached_points = 12
+let cached_golden = 20
+let fast_points = 8
+let fast_golden = 40
+let backlog_points = 40
 
-(* Grid scans run through {!Batch} in contiguous blocks: one compiled
-   batch per block amortizes [Batch.make] over [batch_block] points,
-   while the per-task [?work] hint ([eval_cost] x block) shows the pool
-   the true per-chunk cost, so the sequential-vs-parallel decision
-   matches a per-point fan-out.  Entry [i] is [delay_at_gamma] at
-   [gammas.(i)] bit for bit, whatever the blocking. *)
+let backlog_bound ~epsilon p =
+  if epsilon <= 0. || epsilon >= 1. then invalid_arg "E2e.backlog_bound: epsilon out of range";
+  let gmax = gamma_max p in
+  if gmax <= 0. then Float.infinity
+  else
+    Telemetry.span "e2e.backlog_gamma_search"
+      ~attrs:[ ("h", Telemetry.Int (hop_count p)); ("points", Telemetry.Int backlog_points) ]
+    @@ fun () ->
+  begin
+    let f gamma =
+      if !Telemetry.on then Telemetry.Counter.incr c_gamma_evals;
+      let sigma = sigma_for p ~gamma ~epsilon in
+      backlog_given p ~gamma ~sigma
+    in
+    let lo, hi = gamma_bracket gmax in
+    minimize_log_grid ~points:backlog_points ~golden:0 ~lo ~hi f
+  end
 
-(* 4 blocks over the default 40-point gamma grid: enough tasks to feed
-   a small pool when the grid fans out, rows long enough that the
-   amortized compile pays when it does not *)
-let batch_block = 10
+(* One Eq.-38 evaluation through [batch], counted *)
+let batch_eval batch ~epsilon gamma =
+  if !Telemetry.on then Telemetry.Counter.incr c_gamma_evals;
+  Batch.delay_at_gamma batch ~gamma ~epsilon
 
-let delay_grid ~epsilon p gammas =
-  if !Telemetry.on then Telemetry.Counter.add c_gamma_evals (Array.length gammas);
-  Parallel.Grid.values_blocked ~work:(eval_cost p) ~block:batch_block
-    (fun block ->
-      let bt = Batch.make p in
-      let out = Array.make (Array.length block) 0. in
-      Batch.run_gammas bt ~epsilon ~gammas:block ~out;
-      out)
-    gammas
-
-(* [delay_bound]'s default γ-grid size: the search [delay_bound_floor]
-   certifies *)
-let default_gamma_points = 40
-
-let delay_bound ?(gamma_points = default_gamma_points) ~epsilon p =
-  if epsilon <= 0. || epsilon >= 1. then invalid_arg "E2e.delay_bound: epsilon out of range";
+(* The exact γ search over one compiled batch: [delay_bound]'s shape,
+   or [delay_bound_fast]'s on a heterogeneous path *)
+let delay_search ~points ~golden ~epsilon p =
   let gmax = gamma_max p in
   if gmax <= 0. then Float.infinity
   else
     Telemetry.span "e2e.gamma_search"
-      ~attrs:[ ("h", Telemetry.Int (hop_count p)); ("points", Telemetry.Int gamma_points) ]
+      ~attrs:[ ("h", Telemetry.Int (hop_count p)); ("points", Telemetry.Int points) ]
     @@ fun () ->
   begin
-    let bt = Batch.make p in
-    let golden_eval gamma =
-      if !Telemetry.on then Telemetry.Counter.incr c_gamma_evals;
-      Batch.delay_at_gamma bt ~gamma ~epsilon
-    in
     let lo, hi = gamma_bracket gmax in
-    gamma_search ~gamma_points ~grid_vals:(delay_grid ~epsilon p) ~golden_eval ~lo ~hi
+    minimize_log_grid ~points ~golden ~lo ~hi (batch_eval (Batch.make p) ~epsilon)
   end
+
+let delay_bound ~epsilon p =
+  if epsilon <= 0. || epsilon >= 1. then invalid_arg "E2e.delay_bound: epsilon out of range";
+  delay_search ~points:delay_points ~golden:delay_golden ~epsilon p
 
 (* A lower bound on [delay_bound ~epsilon p] from one Eq.-38 evaluation.
    Every value [delay_bound] returns is the Eq.-38 minimum at some probe
@@ -1026,7 +994,8 @@ let delay_bound_floor ~epsilon p =
   if gmax <= 0. then Float.infinity
   else begin
     let lo, hi = gamma_bracket gmax in
-    let top = Float.max hi (gamma_grid_top ~gamma_points:default_gamma_points ~lo ~hi) in
+    let ratio = grid_ratio ~points:delay_points ~lo ~hi in
+    let top = Float.max hi (log_spaced ~lo ~ratio ~points:delay_points).(delay_points - 1) in
     let b = Batch.make p in
     let sigma_lo = Batch.sigma_for b ~gamma:lo ~epsilon
     and sigma_top = Batch.sigma_for b ~gamma:top ~epsilon in
@@ -1161,70 +1130,43 @@ let k_procedure p ~gamma ~sigma =
 (* --------------------------------------------------------------- *)
 (* Closed-form gamma search                                          *)
 
-let delay_bound_fast ?(gamma_points = 40) ~epsilon p =
+let delay_bound_fast ~epsilon p =
   if epsilon <= 0. || epsilon >= 1. then
     invalid_arg "E2e.delay_bound_fast: epsilon out of range";
-  if not (is_homogeneous p) then delay_bound ~gamma_points ~epsilon p
+  if not (is_homogeneous p) then delay_search ~points:fast_points ~golden:fast_golden ~epsilon p
   else begin
     let gmax = gamma_max p in
     if gmax <= 0. then Float.infinity
     else
       Telemetry.span "e2e.gamma_search_fast"
-        ~attrs:
-          [ ("h", Telemetry.Int (hop_count p)); ("points", Telemetry.Int gamma_points) ]
+        ~attrs:[ ("h", Telemetry.Int (hop_count p)); ("points", Telemetry.Int fast_points) ]
       @@ fun () ->
     begin
-      (* [Batch.sigma_for] only reads immutable batch state, so one
-         batch serves the parallel grid and the golden phase alike. *)
       let bt = Batch.make p in
       let f gamma =
         if !Telemetry.on then Telemetry.Counter.incr c_gamma_evals;
         let sigma = Batch.sigma_for bt ~gamma ~epsilon in
         k_procedure p ~gamma ~sigma
       in
-      let h = hop_count p in
       let lo, hi = gamma_bracket gmax in
-      (* the K-procedure has no per-point compile to amortize, so the
-         grid stays a per-point fan-out *)
-      gamma_search ~gamma_points
-        ~grid_vals:(Parallel.Grid.values ~work:((8 * h) + 50) f)
-        ~golden_eval:f ~lo ~hi
+      minimize_log_grid ~points:fast_points ~golden:fast_golden ~lo ~hi f
     end
   end
 
-(* The serving hot path: gamma search over a caller-retained batch.  The
-   batch's [set]/[delay] scratch state is mutable, so everything stays
-   on the calling domain — no [Parallel.Grid] fan-out, no [Batch.make].
-   Soundness does not depend on finding the optimum: every probed gamma
-   yields a valid Eq.-38 bound, so a coarse grid only costs tightness. *)
-let delay_bound_cached ?(gamma_points = 12) ~batch ~epsilon p =
+(* The serving hot path: the γ search over a caller-retained batch, with
+   no [Batch.make].  Soundness does not depend on finding the optimum:
+   every probed gamma yields a valid Eq.-38 bound, so a coarse grid only
+   costs tightness. *)
+let delay_bound_cached ~batch ~epsilon p =
   if epsilon <= 0. || epsilon >= 1. then
     invalid_arg "E2e.delay_bound_cached: epsilon out of range";
-  if gamma_points < 2 then invalid_arg "E2e.delay_bound_cached: gamma_points < 2";
   (* the batch's compiled nodes would silently answer for another path *)
   if batch.Batch.path != p then
     invalid_arg "E2e.delay_bound_cached: batch was not made from this path";
   let gmax = gamma_max p in
   if gmax <= 0. then Float.infinity
   else begin
-    let f gamma =
-      if !Telemetry.on then Telemetry.Counter.incr c_gamma_evals;
-      Batch.delay_at_gamma batch ~gamma ~epsilon
-    in
     let lo, hi = gamma_bracket gmax in
-    let ratio = gamma_ratio ~gamma_points ~lo ~hi in
-    let best = ref Float.infinity in
-    let g = ref lo in
-    let center = ref lo in
-    for _ = 0 to gamma_points - 1 do
-      let v = f !g in
-      if v < !best then begin
-        best := v;
-        center := !g
-      end;
-      g := !g *. ratio
-    done;
-    let a = Float.max lo (!center /. ratio) and b = Float.min hi (!center *. ratio) in
-    let gstar = golden_minimize f a b 20 in
-    Float.min !best (f gstar)
+    minimize_log_grid ~points:cached_points ~golden:cached_golden ~lo ~hi
+      (batch_eval batch ~epsilon)
   end

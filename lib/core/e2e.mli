@@ -92,8 +92,8 @@ val theta_of_x : path -> gamma:float -> sigma:float -> x:float -> int -> float
 
     Concurrency: [set]/[delay]/[optimal_thetas] mutate the batch, so a
     batch must be driven from one domain at a time (build one per
-    worker, as {!delay_grid} does per block); {!Batch.sigma_for} only
-    reads immutable state and may be shared across domains. *)
+    worker); {!Batch.sigma_for} only reads immutable state and may be
+    shared across domains. *)
 module Batch : sig
   type t
 
@@ -124,11 +124,6 @@ module Batch : sig
       @raise Invalid_argument if [out] is shorter than [gammas]. *)
 end
 
-val delay_grid : epsilon:float -> path -> float array -> float array
-(** Evaluate {!delay_at_gamma} over a whole γ grid, in blocks of 10
-    points on the pool with one compiled {!Batch} per block.  Entry [i]
-    is bit-identical to [delay_at_gamma] at [gammas.(i)]. *)
-
 (** The list-based solver, retained verbatim as the oracle for the
     QCheck bit-for-bit equivalence suite and the baseline side of the
     ns/op benchmarks. *)
@@ -148,11 +143,6 @@ val delay_given : path -> gamma:float -> sigma:float -> float
     infeasible. *)
 
 val delay_at_gamma : path -> gamma:float -> epsilon:float -> float
-
-val eval_cost : path -> int
-(** Estimated cost of one {!delay_at_gamma} in abstract work units
-    (~Eq.-38 node-steps), used as the [?work] hint for parallel grid
-    scans over this path. *)
 
 (** {1 The network service curve as an explicit min-plus object}
 
@@ -176,23 +166,46 @@ val backlog_given : path -> gamma:float -> sigma:float -> float
     (plus [sigma]) against the network service curve, minimized over the
     same candidate [X] values as {!delay_given}. *)
 
-val backlog_bound : ?gamma_points:int -> epsilon:float -> path -> float
+val backlog_bound : epsilon:float -> path -> float
 (** Probabilistic end-to-end backlog bound
-    [P (B > backlog_bound) <= epsilon], optimized over [gamma]. *)
+    [P (B > backlog_bound) <= epsilon], minimized over a 40-point [gamma]
+    grid ({!minimize_log_grid}, no golden steps). *)
 
 val optimal_thetas : path -> gamma:float -> sigma:float -> float array * float
 (** The minimizing [(thetas, X)] of Eq. (38) — the witness behind
     {!delay_given}. *)
 
-val delay_bound : ?gamma_points:int -> epsilon:float -> path -> float
-(** End-to-end delay bound with numerical optimization over [gamma]
-    (coarse grid plus golden-section refinement), as prescribed by the
-    paper.  [infinity] when the path is overloaded. *)
+val delay_bound : epsilon:float -> path -> float
+(** End-to-end delay bound with numerical optimization over [gamma], as
+    prescribed by the paper: {!minimize_log_grid} with a 40-point grid
+    and 40 golden-section steps, all through one compiled {!Batch} —
+    93 [delay_at_gamma] evaluations on the Fig.-2 path the tests pin.
+    [infinity] when the path is overloaded. *)
 
 val gamma_bracket : float -> float * float
 (** [gamma_bracket gmax] is the [(lo, hi)] range that {!delay_bound}
     (and every other γ search here) probes for a path with
     [gamma_max = gmax]: [(gmax *. 1e-6, gmax *. 0.999)]. *)
+
+val log_spaced : lo:float -> ratio:float -> points:int -> float array
+(** [[| lo; lo *. ratio; (lo *. ratio) *. ratio; ... |]] ([points]
+    entries), by repeated multiplication — the abscissae
+    {!minimize_log_grid} walks, bit for bit.
+    @raise Invalid_argument on [points < 1]. *)
+
+val minimize_log_grid :
+  points:int -> golden:int -> lo:float -> hi:float -> (float -> float) -> float
+(** The one grid search behind every γ optimization here and in
+    [Additive]: [f] over the [points]-point log-spaced grid from [lo] to
+    [hi] (ratio [(hi /. lo) ** (1 /. (points - 1))]), in index order on
+    the calling domain, keeping the first strict minimum ([v < best]: a
+    tie keeps the earlier point, a NaN at index 0 propagates, an
+    all-[infinity] grid gives [infinity]); then [golden] golden-section
+    steps over one grid ratio either side of that point, whose final
+    midpoint is evaluated and [Float.min]'d in.  [golden = 0] returns
+    the grid minimum after exactly [points] evaluations.  The golden
+    phase memoizes [f] over its last 8 probes, so [f] must be pure.
+    @raise Invalid_argument on [points < 1]. *)
 
 val delay_bound_floor : epsilon:float -> path -> float
 (** A certified lower bound on [delay_bound ~epsilon p] (its default
@@ -234,11 +247,12 @@ val k_procedure : path -> gamma:float -> sigma:float -> float
     exact [theta_h X]; an upper bound on {!delay_given} that is near-optimal
     in practice.  @raise Invalid_argument unless the path is homogeneous. *)
 
-val delay_bound_fast : ?gamma_points:int -> epsilon:float -> path -> float
-(** {!delay_bound} with {!k_procedure} (O(H) [smallest_k] + closed
-    forms, Eq. 40–44) in place of candidate enumeration on homogeneous
-    paths, so the whole gamma search costs O(H) per point instead of
-    O(H^2); falls back to {!delay_bound} on heterogeneous paths.
+val delay_bound_fast : epsilon:float -> path -> float
+(** A coarse γ search (8 grid points, 40 golden-section steps) with
+    {!k_procedure} (O(H) [smallest_k] + closed forms, Eq. 40–44) in
+    place of candidate enumeration on homogeneous paths, so it costs
+    O(H) per point instead of O(H^2); heterogeneous paths take the same
+    search shape through the exact Eq.-38 {!Batch}.
     Always a valid upper bound.  For SP ([Neg_inf]), BMUX ([Pos_inf])
     and FIFO ([Fin 0.]) deltas the K-procedure is exact to ~1e-9
     relative (pinned by QCheck); for general finite deltas it can exceed
@@ -246,17 +260,16 @@ val delay_bound_fast : ?gamma_points:int -> epsilon:float -> path -> float
     so this is an opt-in fast path — the bitwise-reproducible sweeps
     keep using {!delay_bound}. *)
 
-val delay_bound_cached : ?gamma_points:int -> batch:Batch.t -> epsilon:float -> path -> float
-(** The gamma optimization of {!delay_bound} driven entirely through a
-    caller-retained compiled batch: no [Batch.make], no allocation in
-    the inner loop, no domain fan-out (the batch is mutable, so the whole
-    search runs on the calling domain).  [batch] must have been built
-    by [Batch.make] from this very [path] value (physical equality).  With the
-    default 12-point grid the search costs ~32 [delay_at_gamma]
-    evaluations — the serving hot path for repeat queries against a
-    cached shape.  Coarser than the 40-point {!delay_bound} grid, so the
-    result can exceed the optimum, but every probed [gamma] yields a
-    valid Eq.-38 bound, hence the returned value is always a sound (if
+val delay_bound_cached : batch:Batch.t -> epsilon:float -> path -> float
+(** A coarser {!delay_bound} (12 grid points, 20 golden-section steps)
+    driven entirely through a caller-retained compiled batch, with no
+    [Batch.make]: the serving approx path against a cached shape.
+    [batch] must have been built by [Batch.make] from this very [path]
+    value (physical equality).  The search costs at most
+    12 + 2 x 20 + 1 = 53 [delay_at_gamma] evaluations, fewer as the
+    golden memo hits (40 on the Fig.-2 path the tests pin).  The result
+    can exceed the optimum, but every probed [gamma] yields a valid
+    Eq.-38 bound, hence the returned value is always a sound (if
     slightly loose) upper bound.
-    @raise Invalid_argument unless [0 < epsilon < 1], [gamma_points >= 2]
-    and [batch] was made from [path]. *)
+    @raise Invalid_argument unless [0 < epsilon < 1] and [batch] was
+    made from [path]. *)

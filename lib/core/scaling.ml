@@ -18,10 +18,9 @@ let growth_exponent points =
 let default_hs = [ 2; 4; 8; 16; 32 ]
 
 (* Per-H fan-out on the default pool.  Each H is independent, results
-   come back in input order, and a bound computed on a worker degrades
-   its own inner s/γ grids to sequential — the γ grids still evaluate
-   through E2e.Batch on that worker, one compiled batch per block —
-   so the numbers are identical at every jobs setting. *)
+   come back in input order, and each bound's s and γ searches run on
+   the worker that computes it, so the numbers are identical at every
+   jobs setting. *)
 (* per-H [?work] hint: 16 s-points, each a full gamma search over the
    largest H in the batch (chunk cost is dominated by the big hops) *)
 let scaling_work hs =

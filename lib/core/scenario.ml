@@ -130,7 +130,7 @@ let minimize_over_s_checked ?(floor = fun _ -> Float.neg_infinity) ~s_points t e
     let lo = s_max *. 1e-4 and hi = s_max *. 0.999 in
     let ratio = (hi /. lo) ** (1. /. float_of_int (s_points - 1)) in
     let nan_seen = ref false in
-    let grid = Parallel.Grid.log_spaced ~lo ~ratio ~points:s_points in
+    let grid = E2e.log_spaced ~lo ~ratio ~points:s_points in
     let (vals, coarse_evals) =
       scan_best_first ~floor ~exact ~prune:( > ) ~cutoff:Float.infinity ~nan_seen grid
     in
@@ -142,7 +142,7 @@ let minimize_over_s_checked ?(floor = fun _ -> Float.neg_infinity) ~s_points t e
     let a = Float.max lo (center /. ratio) and b = Float.min hi (center *. ratio) in
     let refine_points = 12 in
     let rr = (b /. a) ** (1. /. float_of_int (refine_points - 1)) in
-    let rgrid = Parallel.Grid.log_spaced ~lo:a ~ratio:rr ~points:refine_points in
+    let rgrid = E2e.log_spaced ~lo:a ~ratio:rr ~points:refine_points in
     let (rvals, refine_evals) =
       scan_best_first ~floor ~exact ~prune:( >= ) ~cutoff:(snd !best) ~nan_seen rgrid
     in

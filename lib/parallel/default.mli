@@ -1,7 +1,7 @@
 (** The process-wide default pool, shared by every library hot path.
 
-    Library code (E2e γ-grids, Scenario s-grids, Scaling per-H fan-out)
-    parallelizes through this module so one [--jobs N] /
+    Library code (Scaling's per-H fan-out, the replication harness,
+    serve's exact batches) parallelizes through this module so one [--jobs N] /
     [DELTANET_JOBS] setting governs the whole process.  The default is
     {b sequential} ([jobs = 1]): a library must never spawn domains
     unless the application asked for them, so plain [dune utop] use,

@@ -32,7 +32,6 @@ type config = {
   cache_entries : int;
   degrade_ratio : float;
   s_points : int;
-  gamma_points : int;
   max_line_bytes : int;
   debug_ops : bool;
 }
@@ -44,7 +43,6 @@ let default_config =
     cache_entries = 4096;
     degrade_ratio = 0.5;
     s_points = 16;
-    gamma_points = 12;
     max_line_bytes = 65_536;
     debug_ops = false;
   }
@@ -105,8 +103,7 @@ let create ?now:(clock = Unix.gettimeofday) cfg =
   if cfg.max_queue < 1 then invalid_arg "Serve.Engine.create: max_queue < 1";
   if cfg.degrade_ratio <= 0. || cfg.degrade_ratio > 1. then
     invalid_arg "Serve.Engine.create: degrade_ratio outside (0, 1]";
-  if cfg.s_points < 2 || cfg.gamma_points < 2 then
-    invalid_arg "Serve.Engine.create: grids need at least 2 points";
+  if cfg.s_points < 2 then invalid_arg "Serve.Engine.create: s_points < 2";
   {
     cfg;
     now = clock;
@@ -229,10 +226,7 @@ let make_entry (p : P.admit_params) two_class =
     let best = ref Float.infinity and s_best = ref lo in
     let s = ref lo in
     for _ = 0 to points - 1 do
-      let d =
-        E2e.delay_bound_fast ~gamma_points:8 ~epsilon:p.P.epsilon
-          (Scenario.path_at sc ~s:!s ~delta)
-      in
+      let d = E2e.delay_bound_fast ~epsilon:p.P.epsilon (Scenario.path_at sc ~s:!s ~delta) in
       if d < !best then begin
         best := d;
         s_best := !s
@@ -276,11 +270,10 @@ let run_exact cfg (p : P.admit_params) two_class =
       let d = Admission.decide ~s_points:cfg.s_points r ~scheduler:two_class in
       R_bound { bound = d.Admission.bound; ok = Diag.ok d.Admission.diag })
 
-let run_approx cfg entry (p : P.admit_params) =
+let run_approx entry (p : P.admit_params) =
   supervise (fun () ->
       let b =
-        E2e.delay_bound_cached ~gamma_points:cfg.gamma_points ~batch:entry.e_batch
-          ~epsilon:p.P.epsilon entry.e_path
+        E2e.delay_bound_cached ~batch:entry.e_batch ~epsilon:p.P.epsilon entry.e_path
       in
       entry.e_approx <- Some b;
       R_bound { bound = b; ok = Float.is_finite b })
@@ -531,11 +524,10 @@ let handle_batch t lines =
   Telemetry.Gauge.set g_queue (float_of_int !compute_pending);
   (* exact jobs fan out on the default pool; each is pure (no cached
      batch) and individually supervised, so a poisoned request comes
-     back as a value and the pool survives.  Inside each job the nested
-     gamma grids evaluate through E2e.Batch on the calling worker (the
-     pool degrades nested maps to sequential), one compiled batch per
-     grid block.  The large work hint reflects the true cost: a full
-     s-grid optimization per job. *)
+     back as a value and the pool survives.  Inside each job the s and γ
+     searches run on the calling worker, each γ search through one
+     compiled E2e.Batch.  The large work hint reflects the true cost: a
+     full s-grid optimization per job. *)
   let exact_jobs =
     List.filter_map (function Exact j -> Some j | _ -> None) plans |> Array.of_list
   in
@@ -579,7 +571,7 @@ let handle_batch t lines =
           let t0 = t.now () in
           let res =
             match j.j_entry with
-            | Some e -> run_approx t.cfg e j.j_params
+            | Some e -> run_approx e j.j_params
             | None -> R_error { kind = P.Internal; detail = "missing cache entry" }
           in
           let service_ms = (t.now () -. t0) *. 1000. in

@@ -42,14 +42,13 @@ type config = {
       (** fraction of the remaining budget the predicted exact cost may
           use before the request degrades to [approx] *)
   s_points : int;  (** s-grid resolution of the exact path *)
-  gamma_points : int;  (** gamma-grid resolution of the approx path *)
   max_line_bytes : int;  (** request size bound *)
   debug_ops : bool;  (** accept [debug-fail] (tests only) *)
 }
 
 val default_config : config
 (** [budget_ms = 250.], [max_queue = 512], [cache_entries = 4096],
-    [degrade_ratio = 0.5], [s_points = 16], [gamma_points = 12],
+    [degrade_ratio = 0.5], [s_points = 16],
     [max_line_bytes = 65536], [debug_ops = false]. *)
 
 type t

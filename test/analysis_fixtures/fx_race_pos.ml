@@ -26,9 +26,3 @@ let via_local xs =
   let hits = ref 0 in
   let bump x = incr hits; x in
   Parallel.Default.map (fun x -> bump x) xs
-
-(* A blocked grid fan-out: the closure receives a whole slice, but the
-   slices still run on pool domains. *)
-let blocked_counter xs =
-  let hits = ref 0 in
-  Parallel.Grid.values_blocked ~block:2 (fun b -> incr hits; b) xs

@@ -35,9 +35,9 @@ let mentions fs sub =
 let test_race_pos () =
   let fs = analyze "Fx_race_pos" in
   check (list string) "all cross-domain-capture"
-    (List.init 6 (fun _ -> "cross-domain-capture"))
+    (List.init 5 (fun _ -> "cross-domain-capture"))
     (rules_of fs);
-  check (list int) "one finding per seeded site" [ 7; 11; 15; 21; 27; 34 ]
+  check (list int) "one finding per seeded site" [ 7; 11; 15; 21; 27 ]
     (lines_of fs);
   check bool "ref mutation names the ref" true (mentions fs "captured ref hits");
   check bool "fixed-index write explains the slot idiom" true

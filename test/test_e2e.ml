@@ -466,29 +466,6 @@ let prop_batch_rows_match_reference =
       E2e.Batch.run_gammas bt ~epsilon ~gammas:[||] ~out:[||];
       true)
 
-(* [delay_grid]'s blocked scan is a pointwise map: over 23 γ points —
-   three blocks, the last one ragged — every entry equals the reference
-   evaluation at its γ, bit for bit. *)
-let prop_delay_grid_pointwise =
-  QCheck.Test.make ~name:"delay_grid = reference per point" ~count:(Qc.count 60)
-    path_arb
-    (fun p ->
-      let epsilon = 1e-9 in
-      let gmax = E2e.gamma_max p in
-      let gammas = Array.init 23 (fun i -> gmax *. (0.04 +. (0.04 *. float_of_int i))) in
-      let grid = E2e.delay_grid ~epsilon p gammas in
-      if Array.length grid <> Array.length gammas then
-        QCheck.Test.fail_reportf "delay_grid arity %d" (Array.length grid);
-      Array.iteri
-        (fun i gamma ->
-          let sigma = E2e.Reference.sigma_for p ~gamma ~epsilon in
-          let want = E2e.Reference.delay_given p ~gamma ~sigma in
-          if not (bit_eq grid.(i) want) then
-            QCheck.Test.fail_reportf "delay_grid %d: %.17g reference %.17g" i grid.(i)
-              want)
-        gammas;
-      true)
-
 (* Homogeneous path + (gamma, sigma) for the K-procedure properties. *)
 let homog_arb =
   let through = Ebb.v ~m:1. ~rho:15. ~alpha:0.8 in
@@ -698,7 +675,7 @@ let search_probes bt ~epsilon p =
   let gmax = E2e.gamma_max p in
   let lo, hi = E2e.gamma_bracket gmax in
   let ratio = (hi /. lo) ** (1. /. 11.) in
-  let grid = Array.to_list (Parallel.Grid.log_spaced ~lo ~ratio ~points:12) in
+  let grid = Array.to_list (E2e.log_spaced ~lo ~ratio ~points:12) in
   let f g = E2e.Batch.delay_at_gamma bt ~gamma:g ~epsilon in
   let best = List.fold_left (fun b g -> if f g < f b then g else b) lo grid in
   let phi = (sqrt 5. -. 1.) /. 2. in
@@ -860,6 +837,96 @@ let test_cached_rejects_foreign_batch () =
       ("an equal copy", { p with E2e.nodes = Array.copy p.E2e.nodes });
     ]
 
+(* ---------------- the one grid search ---------------- *)
+
+let check_bitwise name a b =
+  if not (bit_eq a b) then Alcotest.failf "%s: %.17g and %.17g differ bitwise" name a b
+
+let test_log_spaced () =
+  let lo = 1e-6 and ratio = 1.7 in
+  let xs = E2e.log_spaced ~lo ~ratio ~points:40 in
+  Alcotest.(check int) "length" 40 (Array.length xs);
+  (* exactly the repeated-multiplication sequence, not lo *. ratio ** k *)
+  let g = ref lo in
+  Array.iteri
+    (fun i x ->
+      check_bitwise (Printf.sprintf "abscissa %d" i) !g x;
+      g := !g *. ratio)
+    xs;
+  Alcotest.check_raises "points < 1"
+    (Invalid_argument "E2e.log_spaced: points must be >= 1")
+    (fun () -> ignore (E2e.log_spaced ~lo ~ratio ~points:0))
+
+(* [minimize_log_grid] over a scripted [f]: the i-th grid call returns
+   [vals.(i)], every golden probe returns [probe]; the calls are
+   recorded in order. *)
+let test_minimize_log_grid () =
+  let points = 9 and lo = 1e-3 and hi = 10. in
+  let grid = E2e.log_spaced ~lo ~ratio:((hi /. lo) ** (1. /. 8.)) ~points in
+  let run ~golden ?(probe = 3.) vals =
+    let calls = ref [] in
+    let f g =
+      let i = List.length !calls in
+      calls := g :: !calls;
+      if i < points then vals.(i) else probe
+    in
+    let v = E2e.minimize_log_grid ~points ~golden ~lo ~hi f in
+    (v, Array.of_list (List.rev !calls))
+  in
+  let tied = [| 4.; 2.; 1.; 2.; 1.; 2.; 2.; 2.; 2. |] in
+  let (v, calls) = run ~golden:0 tied in
+  check_bitwise "golden = 0: the grid minimum" 1. v;
+  Alcotest.(check int) "golden = 0: no evaluation past the grid" points (Array.length calls);
+  Array.iteri (fun i g -> check_bitwise (Printf.sprintf "grid call %d" i) grid.(i) g) calls;
+  (* a tie keeps the first index: the golden bracket is one ratio
+     either side of grid point 2, never around point 4 *)
+  let (v, calls) = run ~golden:5 ~probe:0.5 tied in
+  check_bitwise "golden probes can only lower the minimum" 0.5 v;
+  Alcotest.(check bool) "golden probes ran" true (Array.length calls > points);
+  Array.iteri
+    (fun i g ->
+      if i >= points then
+        Alcotest.(check bool)
+          (Printf.sprintf "probe %d = %g in [grid.(1), grid.(3)]" i g)
+          true
+          (grid.(1) <= g && g <= grid.(3)))
+    calls;
+  let (v, _) = run ~golden:5 ~probe:Float.infinity (Array.make points Float.infinity) in
+  check_bitwise "an all-infinite search gives infinity" Float.infinity v;
+  let with_nan = Array.copy tied in
+  with_nan.(0) <- Float.nan;
+  List.iter
+    (fun golden ->
+      let (v, _) = run ~golden with_nan in
+      Alcotest.(check bool) (Printf.sprintf "NaN at index 0 propagates (golden %d)" golden)
+        true (Float.is_nan v))
+    [ 0; 5 ];
+  Alcotest.check_raises "points < 1"
+    (Invalid_argument "E2e.minimize_log_grid: points must be >= 1")
+    (fun () -> ignore (E2e.minimize_log_grid ~points:0 ~golden:0 ~lo ~hi Fun.id))
+
+(* The γ evaluations one search costs, read off [e2e.gamma.evals] on the
+   Fig. 2 path H = 10, U = 50% (FIFO, s at 30% of its stable range):
+   the grid, then the golden probes the memo does not catch. *)
+let test_gamma_eval_counts () =
+  let sc = Scenario.of_utilization ~h:10 ~u_through:0.15 ~u_cross:0.35 in
+  let s = Option.get (Scenario.s_stable_max sc) *. 0.3 in
+  let p = Scenario.path_at sc ~s ~delta:(Classes.delta_through_cross Classes.Fifo) in
+  let evals = Telemetry.Counter.make "e2e.gamma.evals" in
+  let count f =
+    let e0 = Telemetry.Counter.value evals in
+    ignore (f ());
+    Telemetry.Counter.value evals - e0
+  in
+  Telemetry.reset ();
+  Telemetry.configure ~sink:Telemetry.Sink.null ();
+  Fun.protect ~finally:Telemetry.shutdown (fun () ->
+      Alcotest.(check int) "delay_bound: 40 grid + golden" 93
+        (count (fun () -> E2e.delay_bound ~epsilon:1e-9 p));
+      let batch = E2e.Batch.make p in
+      Alcotest.(check int) "delay_bound_cached: 12 grid + golden" 40
+        (count (fun () -> E2e.delay_bound_cached ~batch ~epsilon:1e-9 p)))
+
 let suite =
   [
     Alcotest.test_case "Eq. 34 closed form" `Quick test_total_bound_matches_eq34;
@@ -889,7 +956,6 @@ let suite =
     Alcotest.test_case "additive per-node increasing" `Quick test_additive_per_node_increasing;
     QCheck_alcotest.to_alcotest prop_batch_matches_reference;
     QCheck_alcotest.to_alcotest prop_batch_rows_match_reference;
-    QCheck_alcotest.to_alcotest prop_delay_grid_pointwise;
     QCheck_alcotest.to_alcotest prop_k_procedure_vs_enumeration;
     Alcotest.test_case "smallest_k O(H) = reference up to H=1000" `Quick
       test_smallest_k_matches_reference;
@@ -902,4 +968,7 @@ let suite =
       test_batch_eval_allocation;
     Alcotest.test_case "delay_bound_cached rejects a batch of another path" `Quick
       test_cached_rejects_foreign_batch;
+    Alcotest.test_case "log_spaced abscissae match sequential" `Quick test_log_spaced;
+    Alcotest.test_case "minimize_log_grid fold" `Quick test_minimize_log_grid;
+    Alcotest.test_case "gamma evaluation counts" `Quick test_gamma_eval_counts;
   ]

@@ -1,6 +1,6 @@
 (* The parallel execution layer: pool semantics (ordering, chunk
    boundaries, error propagation, lifecycle), seed derivation, the
-   default pool, grid helpers — and the load-bearing determinism
+   default pool — and the load-bearing determinism
    guarantee: bit-for-bit identical results at every jobs setting, for
    the pure maps, the sweep drivers, and the replication harness
    (including checkpoint/resume after a partial parallel run).  The
@@ -10,7 +10,6 @@
 module Pool = Parallel.Pool
 module Seeds = Parallel.Seeds
 module Default = Parallel.Default
-module Grid = Parallel.Grid
 module Replicate = Netsim.Replicate
 module Tandem = Netsim.Tandem
 module Scenario = Deltanet.Scenario
@@ -474,67 +473,6 @@ let test_jobs_from_env () =
       Unix.putenv "DELTANET_JOBS" "many";
       Alcotest.(check (option int)) "garbage rejected" None (Default.jobs_from_env ()))
 
-(* ---------------- grid helpers ---------------- *)
-
-let test_grid_log_spaced () =
-  let lo = 1e-6 and ratio = 1.7 in
-  let xs = Grid.log_spaced ~lo ~ratio ~points:40 in
-  Alcotest.(check int) "length" 40 (Array.length xs);
-  (* exactly the repeated-multiplication sequence of the sequential scans *)
-  let g = ref lo in
-  Array.iteri
-    (fun i x ->
-      check_bitwise (Printf.sprintf "abscissa %d" i) !g x;
-      g := !g *. ratio)
-    xs;
-  check_invalid "points < 1" (fun () -> Grid.log_spaced ~lo ~ratio ~points:0)
-
-let test_grid_min_argmin () =
-  let f x = Float.abs (x -. 0.31) in
-  let xs = Grid.log_spaced ~lo:0.01 ~ratio:1.3 ~points:20 in
-  (* sequential reference folds *)
-  let seq_best = ref (f xs.(0)) in
-  Array.iter (fun x -> let v = f x in if v < !seq_best then seq_best := v) xs;
-  List.iter
-    (fun jobs ->
-      with_jobs jobs (fun () ->
-          check_bitwise (Printf.sprintf "min jobs=%d" jobs) !seq_best (Grid.min_value f xs);
-          let (x, v) = Grid.argmin f xs in
-          check_bitwise "argmin value" !seq_best v;
-          check_bitwise "argmin abscissa evaluates to the min" !seq_best (f x)))
-    [ 1; 4 ];
-  check_invalid "empty grid min" (fun () -> Grid.min_value f [||]);
-  check_invalid "empty grid argmin" (fun () -> Grid.argmin f [||])
-
-(* [values_blocked] over a pointwise [f] equals [values] bit for bit: 10
-   points in blocks of 3 (the last one ragged), at jobs 1 and 4, with
-   the block function seeing contiguous slices that tile the input. *)
-let test_grid_values_blocked () =
-  let f x = Float.abs (x -. 0.31) *. 1.7 in
-  let xs = Grid.log_spaced ~lo:0.01 ~ratio:1.3 ~points:10 in
-  List.iter
-    (fun jobs ->
-      with_jobs jobs (fun () ->
-          let want = Grid.values f xs in
-          let got = Grid.values_blocked ~block:3 (Array.map f) xs in
-          Alcotest.(check int) "length" (Array.length want) (Array.length got);
-          Array.iteri
-            (fun i v -> check_bitwise (Printf.sprintf "jobs=%d entry %d" jobs i) v got.(i))
-            want;
-          let sizes =
-            Grid.values_blocked ~block:3
-              (fun b -> Array.make (Array.length b) (float_of_int (Array.length b)))
-              xs
-          in
-          Alcotest.(check (array (float 0.)))
-            (Printf.sprintf "jobs=%d block sizes" jobs)
-            [| 3.; 3.; 3.; 3.; 3.; 3.; 3.; 3.; 3.; 1. |]
-            sizes))
-    [ 1; 4 ];
-  Alcotest.(check int) "empty input" 0
-    (Array.length (Grid.values_blocked ~block:3 (Array.map f) [||]));
-  check_invalid "block < 1" (fun () -> Grid.values_blocked ~block:0 (Array.map f) xs)
-
 (* ---------------- QCheck properties ---------------- *)
 
 let prop_map_matches_list_map =
@@ -847,9 +785,6 @@ let suite =
     Alcotest.test_case "seeds validation and draw order" `Quick test_seeds_invalid_and_order;
     Alcotest.test_case "default pool set_jobs" `Quick test_default_set_jobs;
     Alcotest.test_case "DELTANET_JOBS parsing" `Quick test_jobs_from_env;
-    Alcotest.test_case "grid abscissae match sequential" `Quick test_grid_log_spaced;
-    Alcotest.test_case "grid min/argmin match sequential" `Quick test_grid_min_argmin;
-    Alcotest.test_case "grid values_blocked = values" `Quick test_grid_values_blocked;
     QCheck_alcotest.to_alcotest prop_map_matches_list_map;
     QCheck_alcotest.to_alcotest prop_map_reduce_jobs_invariant;
     QCheck_alcotest.to_alcotest prop_replicate_stats_jobs_invariant;

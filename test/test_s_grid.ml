@@ -41,7 +41,7 @@ let unmargined_floor ~epsilon p =
     (* the top of delay_bound's 40-point γ grid, which rounding can push
        past [hi] *)
     let ratio = (hi /. lo) ** (1. /. 39.) in
-    let top = Float.max hi (Parallel.Grid.log_spaced ~lo ~ratio ~points:40).(39) in
+    let top = Float.max hi (E2e.log_spaced ~lo ~ratio ~points:40).(39) in
     let b = E2e.Batch.make p in
     let sigma_lo = E2e.Batch.sigma_for b ~gamma:lo ~epsilon
     and sigma_top = E2e.Batch.sigma_for b ~gamma:top ~epsilon in
@@ -178,7 +178,7 @@ let exhaustive ~s_points t f =
   | Some s_max ->
     let lo = s_max *. 1e-4 and hi = s_max *. 0.999 in
     let ratio = (hi /. lo) ** (1. /. float_of_int (s_points - 1)) in
-    let grid = Parallel.Grid.log_spaced ~lo ~ratio ~points:s_points in
+    let grid = E2e.log_spaced ~lo ~ratio ~points:s_points in
     let vals = Array.map f grid in
     let bi = ref 0 in
     for i = 1 to s_points - 1 do
@@ -187,7 +187,7 @@ let exhaustive ~s_points t f =
     let center = grid.(!bi) in
     let a = Float.max lo (center /. ratio) and b = Float.min hi (center *. ratio) in
     let rr = (b /. a) ** (1. /. 11.) in
-    let rvals = Array.map f (Parallel.Grid.log_spaced ~lo:a ~ratio:rr ~points:12) in
+    let rvals = Array.map f (E2e.log_spaced ~lo:a ~ratio:rr ~points:12) in
     let best = Array.fold_left (fun m v -> if v < m then v else m) vals.(!bi) rvals in
     let nan_seen = Array.exists Float.is_nan vals || Array.exists Float.is_nan rvals in
     let status =

@@ -315,7 +315,7 @@ let test_engine_validation () =
   raises_invalid "degrade ratio" (fun () ->
       mk_engine ~cfg:{ Engine.default_config with Engine.degrade_ratio = 1.5 } ());
   raises_invalid "grids" (fun () ->
-      mk_engine ~cfg:{ Engine.default_config with Engine.gamma_points = 1 } ())
+      mk_engine ~cfg:{ Engine.default_config with Engine.s_points = 1 } ())
 
 let test_engine_admit_and_cache () =
   let e = mk_engine () in
