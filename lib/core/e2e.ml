@@ -5,6 +5,9 @@ module Exp = Envelope.Exponential
 let c_objective_evals = Telemetry.Counter.make "e2e.eq38.objective_evals"
 let c_gamma_evals = Telemetry.Counter.make "e2e.gamma.evals"
 
+(* interval floors the pruned γ grid takes in place of evaluations *)
+let c_gamma_floors = Telemetry.Counter.make "e2e.gamma.floors"
+
 (* (candidate, node) pairs the Eq.-38 folds actually evaluate: below
    objective_evals x H by what branch-and-bound drops *)
 let c_node_steps = Telemetry.Counter.make "e2e.eq38.node_steps"
@@ -138,6 +141,12 @@ let x_candidates p ~gamma ~sigma =
       end)
     p.nodes;
   List.sort_uniq Float.compare !cands
+
+(* The rounding allowance of every certified floor: the floors compare
+   two Eq.-38 evaluations at different (γ, σ), a few ulps apart at
+   worst, so each is scaled down by this factor (DESIGN.md, "Certified
+   s-grid"). *)
+let floor_margin = 1. -. 1e-9
 
 (* --------------------------------------------------------------- *)
 (* The compiled Eq.-38 evaluator                                     *)
@@ -697,6 +706,28 @@ module Batch = struct
     delay t
   [@@zero_alloc_check]
 
+  (* A lower bound on [delay_at_gamma t ~gamma ~epsilon] at every γ in
+     [a, b] (0 < a <= b), from one Eq.-38 evaluation.  At fixed X each
+     θ_h is the smallest θ >= 0 with c_h (X + θ) - r_h (X + min(∆, θ))_+
+     >= σ, so it falls as c_h (= C - hγ) or the margin c_h - r_h grows
+     and rises with r_h (= ρ_c + γ) and with σ, in every ∆ case.  c_h
+     and the margin shrink, r_h grows and σ shrinks as γ grows, so
+     compiling the nodes at γ = a and taking σ at γ = b makes every
+     θ_h(X), hence the X-minimum, no larger than at any γ in [a, b].
+     [floor_margin] absorbs the rounding of the two evaluations.  When σ
+     is non-finite at either end a γ inside could yield NaN, and a NaN
+     evaluation bounds nothing, so both give [neg_infinity]: the floor
+     is never NaN.  Overwrites the compiled state, like [set]. *)
+  let interval_floor t ~epsilon ~a ~b =
+    let sigma_a = sigma_for t ~gamma:a ~epsilon and sigma_b = sigma_for t ~gamma:b ~epsilon in
+    if not (Float.is_finite sigma_a && Float.is_finite sigma_b) then Float.neg_infinity
+    else begin
+      set t ~gamma:a ~sigma:sigma_b;
+      let v = delay t in
+      if Float.is_nan v then Float.neg_infinity else v *. floor_margin
+    end
+  [@@zero_alloc_check]
+
   (* One γ row into the caller's buffer.  All hot-loop state lives in
      the compiled batch, so nothing here allocates (enforced by the
      zero_alloc analyzer): a worker can stream rows of any length
@@ -865,9 +896,48 @@ let golden_minimize f lo hi steps =
   in
   go lo hi steps
 
+(* The grid phase with an interval floor: [floor a b] is a lower bound,
+   never NaN, on every non-NaN [f g] with [a <= g <= b].  The two ends
+   of the grid are the anchors, evaluated exactly; the points between
+   them form one block.  A block is skipped when its floor is above the
+   running minimum of the exact values, and otherwise bisected: its
+   middle point evaluated, each half treated the same way, a single
+   point evaluated outright.  (More anchors — every 8th point, say —
+   cost more evaluations and floors on the figures' searches, not
+   fewer: the bisection's first midpoints already probe the interior.)
+   A skipped point is read as [infinity].  Its exact value is above an
+   evaluated one, so it is not the first strict minimum and is not NaN;
+   a NaN elsewhere than at index 0 never wins [<] anyway.  So the
+   index-order fold of [minimize_log_grid] returns the exhaustive
+   fold's minimum and argmin bit for bit, and a NaN at index 0 still
+   sticks. *)
+let pruned_values ~floor ~grid f =
+  let n = Array.length grid in
+  let vals = Array.make n Float.infinity and m = ref Float.infinity in
+  let eval i =
+    let v = f grid.(i) in
+    vals.(i) <- v;
+    if v < !m then m := v
+  in
+  let rec block i j =
+    if i = j then eval i
+    else if i < j && not (floor grid.(i) grid.(j) > !m) then begin
+      let k = (i + j) / 2 in
+      eval k;
+      block i (k - 1);
+      block (k + 1) j
+    end
+  in
+  eval 0;
+  if n > 1 then eval (n - 1);
+  block 1 (n - 2);
+  vals
+
 (* The one grid search: a [points]-point log-spaced grid over [lo, hi]
-   walked in index order on the calling domain, keeping the first strict
-   minimum (a NaN at index 0 therefore sticks), then [golden]
+   walked in index order on the calling domain — or, with [?floor],
+   evaluated only where [pruned_values] cannot rule a point out —
+   keeping the first strict minimum (a NaN at index 0 therefore
+   sticks), then [golden]
    golden-section steps around that point ([0] = none).  [f] must be a
    pure function of its argument: the golden phase memoizes it in a
    small ring of recent probes scanned by primitive float [=] (probes
@@ -878,19 +948,38 @@ let golden_minimize f lo hi steps =
    evaluations, and a fixed window catches them at constant scan cost.
    A hit returns the stored float, so the memo never changes the
    result. *)
-let minimize_log_grid ~points ~golden ~lo ~hi f =
+let minimize_log_grid ?floor ~points ~golden ~lo ~hi f =
   if points < 1 then invalid_arg "E2e.minimize_log_grid: points must be >= 1";
   let ratio = grid_ratio ~points ~lo ~hi in
-  let best = ref (f lo) and center = ref lo and g = ref lo in
-  for _ = 2 to points do
-    g := !g *. ratio;
-    let v = f !g in
-    if v < !best then begin
-      best := v;
-      center := !g
-    end
-  done;
-  if golden = 0 then !best
+  let best, center =
+    match floor with
+    | Some floor ->
+      let grid = log_spaced ~lo ~ratio ~points in
+      let vals = pruned_values ~floor ~grid f in
+      let best = ref vals.(0) and center = ref grid.(0) in
+      for i = 1 to points - 1 do
+        if vals.(i) < !best then begin
+          best := vals.(i);
+          center := grid.(i)
+        end
+      done;
+      (!best, !center)
+    | None ->
+      (* no arrays here: allocating the grid and its values on every
+         floorless search (Additive's nested ones, the backlog search)
+         measurably raised the figures' peak RSS *)
+      let best = ref (f lo) and center = ref lo and g = ref lo in
+      for _ = 2 to points do
+        g := !g *. ratio;
+        let v = f !g in
+        if v < !best then begin
+          best := v;
+          center := !g
+        end
+      done;
+      (!best, !center)
+  in
+  if golden = 0 then best
   else begin
     let win = 8 in
     (* NaN keys never match a (positive) probe, so empty slots are inert *)
@@ -916,8 +1005,8 @@ let minimize_log_grid ~points ~golden ~lo ~hi f =
         v
       end
     in
-    let a = Float.max lo (!center /. ratio) and b = Float.min hi (!center *. ratio) in
-    Float.min !best (fm (golden_minimize fm a b golden))
+    let a = Float.max lo (center /. ratio) and b = Float.min hi (center *. ratio) in
+    Float.min best (fm (golden_minimize fm a b golden))
   end
 
 (* Search shapes, (grid points, golden-section steps).  [delay_points]
@@ -953,6 +1042,11 @@ let batch_eval batch ~epsilon gamma =
   if !Telemetry.on then Telemetry.Counter.incr c_gamma_evals;
   Batch.delay_at_gamma batch ~gamma ~epsilon
 
+(* One interval floor through [batch], counted *)
+let batch_floor batch ~epsilon a b =
+  if !Telemetry.on then Telemetry.Counter.incr c_gamma_floors;
+  Batch.interval_floor batch ~epsilon ~a ~b
+
 (* The exact γ search over one compiled batch: [delay_bound]'s shape,
    or [delay_bound_fast]'s on a heterogeneous path *)
 let delay_search ~points ~golden ~epsilon p =
@@ -964,29 +1058,21 @@ let delay_search ~points ~golden ~epsilon p =
     @@ fun () ->
   begin
     let lo, hi = gamma_bracket gmax in
-    minimize_log_grid ~points ~golden ~lo ~hi (batch_eval (Batch.make p) ~epsilon)
+    let batch = Batch.make p in
+    minimize_log_grid ~floor:(batch_floor batch ~epsilon) ~points ~golden ~lo ~hi
+      (batch_eval batch ~epsilon)
   end
 
 let delay_bound ~epsilon p =
   if epsilon <= 0. || epsilon >= 1. then invalid_arg "E2e.delay_bound: epsilon out of range";
   delay_search ~points:delay_points ~golden:delay_golden ~epsilon p
 
-(* A lower bound on [delay_bound ~epsilon p] from one Eq.-38 evaluation.
-   Every value [delay_bound] returns is the Eq.-38 minimum at some probe
-   γ in [lo, top]: the bracket, stretched to the top γ-grid point when
-   rounding lands it past [hi].  At fixed X, each θ_h is the smallest
-   θ >= 0 with c_h (X + θ) - r_h (X + min(∆, θ))_+ >= σ, so it falls as
-   c_h (= C - hγ) or the margin c_h - r_h grows and rises with r_h
-   (= ρ_c + γ) and with σ, in every ∆ case.  c_h and the margin shrink,
-   r_h grows and σ shrinks as γ grows, so compiling the nodes at γ = lo
-   and taking σ at γ = top makes every θ_h(X), hence the X-minimum, no
-   larger than at any probe.  [floor_margin] absorbs the rounding of the
-   two evaluations (DESIGN.md, "Certified s-grid").  When σ is
-   non-finite at either end a probe could yield NaN, so the floor is
-   [neg_infinity] and certifies nothing; an overloaded path
-   ([gamma_max <= 0]) gets [infinity], as [delay_bound] returns. *)
-let floor_margin = 1. -. 1e-9
-
+(* A lower bound on [delay_bound ~epsilon p]: every value [delay_bound]
+   returns is the Eq.-38 minimum at some probe γ in [lo, top] — the
+   bracket, stretched to the top γ-grid point when rounding lands it
+   past [hi] — so the interval floor over [lo, top] bounds it.  An
+   overloaded path ([gamma_max <= 0]) gets [infinity], as [delay_bound]
+   returns. *)
 let delay_bound_floor ~epsilon p =
   if epsilon <= 0. || epsilon >= 1. then
     invalid_arg "E2e.delay_bound_floor: epsilon out of range";
@@ -996,15 +1082,7 @@ let delay_bound_floor ~epsilon p =
     let lo, hi = gamma_bracket gmax in
     let ratio = grid_ratio ~points:delay_points ~lo ~hi in
     let top = Float.max hi (log_spaced ~lo ~ratio ~points:delay_points).(delay_points - 1) in
-    let b = Batch.make p in
-    let sigma_lo = Batch.sigma_for b ~gamma:lo ~epsilon
-    and sigma_top = Batch.sigma_for b ~gamma:top ~epsilon in
-    if not (Float.is_finite sigma_lo && Float.is_finite sigma_top) then Float.neg_infinity
-    else begin
-      Batch.set b ~gamma:lo ~sigma:sigma_top;
-      let v = Batch.delay b in
-      if Float.is_nan v then Float.neg_infinity else v *. floor_margin
-    end
+    Batch.interval_floor (Batch.make p) ~epsilon ~a:lo ~b:top
   end
 
 (* --------------------------------------------------------------- *)

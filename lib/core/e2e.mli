@@ -117,6 +117,15 @@ module Batch : sig
   val delay_at_gamma : t -> gamma:float -> epsilon:float -> float
   (** [sigma_for] then [set] then [delay], reusing the scratch state. *)
 
+  val interval_floor : t -> epsilon:float -> a:float -> b:float -> float
+  (** A lower bound on [delay_at_gamma t ~gamma ~epsilon] at every γ in
+      [[a, b]] ([0 < a <= b]), from one Eq.-38 evaluation: the nodes
+      compiled at γ = [a] (largest service rate and margin, smallest
+      cross rate), σ taken at γ = [b] (smallest σ), the minimum scaled
+      by [1 -. 1e-9] against rounding.  [neg_infinity] — certifying
+      nothing — when σ is non-finite at either end or the evaluation is
+      NaN; never NaN.  Overwrites the compiled state, like [set]. *)
+
   val run_gammas :
     t -> epsilon:float -> gammas:float array -> out:float array -> unit
   (** One γ-row at a fixed [epsilon]: [out.(i)] receives
@@ -178,8 +187,10 @@ val optimal_thetas : path -> gamma:float -> sigma:float -> float array * float
 val delay_bound : epsilon:float -> path -> float
 (** End-to-end delay bound with numerical optimization over [gamma], as
     prescribed by the paper: {!minimize_log_grid} with a 40-point grid
-    and 40 golden-section steps, all through one compiled {!Batch} —
-    93 [delay_at_gamma] evaluations on the Fig.-2 path the tests pin.
+    and 40 golden-section steps, all through one compiled {!Batch},
+    the grid pruned by {!Batch.interval_floor} — 64 [delay_at_gamma]
+    evaluations and 9 floors on the Fig.-2 path the tests pin, where
+    the floorless search takes 93, with the same result bit for bit.
     [infinity] when the path is overloaded. *)
 
 val gamma_bracket : float -> float * float
@@ -193,27 +204,40 @@ val log_spaced : lo:float -> ratio:float -> points:int -> float array
     {!minimize_log_grid} walks, bit for bit.
     @raise Invalid_argument on [points < 1]. *)
 
+val grid_ratio : points:int -> lo:float -> hi:float -> float
+(** [(hi /. lo) ** (1 /. (points - 1))]: the ratio of the
+    [points]-point log-spaced grid from [lo] to [hi] that
+    {!minimize_log_grid} walks.  The one definition for every log grid
+    here, in {!Scenario}'s s-grids and in the serving engine. *)
+
 val minimize_log_grid :
+  ?floor:(float -> float -> float) ->
   points:int -> golden:int -> lo:float -> hi:float -> (float -> float) -> float
 (** The one grid search behind every γ optimization here and in
     [Additive]: [f] over the [points]-point log-spaced grid from [lo] to
-    [hi] (ratio [(hi /. lo) ** (1 /. (points - 1))]), in index order on
-    the calling domain, keeping the first strict minimum ([v < best]: a
-    tie keeps the earlier point, a NaN at index 0 propagates, an
-    all-[infinity] grid gives [infinity]); then [golden] golden-section
-    steps over one grid ratio either side of that point, whose final
-    midpoint is evaluated and [Float.min]'d in.  [golden = 0] returns
-    the grid minimum after exactly [points] evaluations.  The golden
-    phase memoizes [f] over its last 8 probes, so [f] must be pure.
+    [hi] (ratio {!grid_ratio}), in index order on the calling domain,
+    keeping the first strict minimum ([v < best]: a tie keeps the
+    earlier point, a NaN at index 0 propagates, an all-[infinity] grid
+    gives [infinity]); then [golden] golden-section steps over one grid
+    ratio either side of that point, whose final midpoint is evaluated
+    and [Float.min]'d in.  [golden = 0] returns the grid minimum after
+    exactly [points] evaluations.  The golden phase memoizes [f] over
+    its last 8 probes, so [f] must be pure.
+
+    With [?floor], where [floor a b] is a lower bound, never NaN, on
+    every non-NaN [f g] with [a <= g <= b], the grid phase evaluates
+    the two ends and skips each block of points between evaluated ones
+    whose floor is above the running minimum, bisecting the others
+    (DESIGN.md §7).  The minimum and its first index — hence the golden
+    phase and the result — are the floorless search's, bit for bit;
+    only the evaluations differ.
     @raise Invalid_argument on [points < 1]. *)
 
 val delay_bound_floor : epsilon:float -> path -> float
 (** A certified lower bound on [delay_bound ~epsilon p] (its default
-    40-point γ grid) from one Eq.-38 evaluation: every node compiled at
-    the bracket's lowest γ (largest service rate and margin, smallest
-    cross rate), σ taken at the highest γ the search probes (smallest
-    σ), the minimum scaled by [1 -. 1e-9] against rounding.  [infinity]
-    when [gamma_max p <= 0.] (as {!delay_bound});
+    40-point γ grid) from one Eq.-38 evaluation: {!Batch.interval_floor}
+    from the bracket's lowest γ to the highest γ the search probes.
+    [infinity] when [gamma_max p <= 0.] (as {!delay_bound});
     [neg_infinity] — certifying nothing — when σ is non-finite at either
     end of the bracket or the evaluation is NaN.  Never NaN.  Lets the
     s-grid of {!Scenario} skip points that cannot hold its minimum.

@@ -78,6 +78,7 @@ let s_stable_max t =
 let c_s_evals = Telemetry.Counter.make "scenario.s_grid.evals"
 let c_s_pruned = Telemetry.Counter.make "scenario.s_grid.pruned"
 let c_edf_iters = Telemetry.Counter.make "scenario.edf.iterations"
+let c_edf_memo_hits = Telemetry.Counter.make "scenario.edf.memo_hits"
 
 (* One grid of the s-scan, best-first.  [floor s] is a lower bound on
    [exact s] that is never NaN and is [neg_infinity] wherever [exact s]
@@ -128,7 +129,7 @@ let minimize_over_s_checked ?(floor = fun _ -> Float.neg_infinity) ~s_points t e
   | None -> Diag.outcome Diag.Unstable Float.infinity
   | Some s_max ->
     let lo = s_max *. 1e-4 and hi = s_max *. 0.999 in
-    let ratio = (hi /. lo) ** (1. /. float_of_int (s_points - 1)) in
+    let ratio = E2e.grid_ratio ~points:s_points ~lo ~hi in
     let nan_seen = ref false in
     let grid = E2e.log_spaced ~lo ~ratio ~points:s_points in
     let (vals, coarse_evals) =
@@ -141,7 +142,7 @@ let minimize_over_s_checked ?(floor = fun _ -> Float.neg_infinity) ~s_points t e
     let center = fst !best in
     let a = Float.max lo (center /. ratio) and b = Float.min hi (center *. ratio) in
     let refine_points = 12 in
-    let rr = (b /. a) ** (1. /. float_of_int (refine_points - 1)) in
+    let rr = E2e.grid_ratio ~points:refine_points ~lo:a ~hi:b in
     let rgrid = E2e.log_spaced ~lo:a ~ratio:rr ~points:refine_points in
     let (rvals, refine_evals) =
       scan_best_first ~floor ~exact ~prune:( >= ) ~cutoff:(snd !best) ~nan_seen rgrid
@@ -225,13 +226,42 @@ let delay_bound_edf_checked ?(s_points = 32) ?(max_iter = 60) ~spec t =
       d0 *. (1. -. spec.cross_over_through)
     in
     let rel d d' = if d' > 0. then Float.abs (d' -. d) /. d' else 0. in
+    (* F(d) = bound_for (gap_of d) is pure, so an iterate seen before
+       repeats its answer: the memo holds every (d, F d) pair computed
+       here, keyed by the bits of d, at most one per loop step.  A cell
+       in an exact cycle (a 2-cycle until max_iter, say) then costs one
+       evaluation per distinct iterate, not one per step; [iterations],
+       the [scenario.edf.iter] events and the [scenario.edf.iterations]
+       counter still count steps.  ROADMAP item 1's fixed-point solver
+       replaces plain iteration, and this memo goes with it. *)
+    let memo_d = Array.make (Int.max 0 max_iter) 0L
+    and memo_f = Array.make (Int.max 0 max_iter) 0.
+    and memo_n = ref 0 in
+    let f d =
+      let key = Int64.bits_of_float d in
+      let i = ref 0 in
+      while !i < !memo_n && not (Int64.equal memo_d.(!i) key) do
+        incr i
+      done;
+      if !i < !memo_n then begin
+        if !Telemetry.on then Telemetry.Counter.incr c_edf_memo_hits;
+        memo_f.(!i)
+      end
+      else begin
+        let v = bound_for (gap_of d) in
+        memo_d.(!memo_n) <- key;
+        memo_f.(!memo_n) <- v;
+        incr memo_n;
+        v
+      end
+    in
     (* (value, iterations, status, final relative change); [last] is the
        relative change of the latest iteration, what a Diverged outcome
        reports *)
     let rec iterate d n last =
       if n >= max_iter then (d, n, Diag.Diverged, last)
       else
-        let d' = bound_for (gap_of d) in
+        let d' = f d in
         if !Telemetry.on then Telemetry.Counter.incr c_edf_iters;
         Telemetry.event "scenario.edf.iter"
           ~attrs:[ ("n", Telemetry.Int (n + 1)); ("bound", Telemetry.Float d') ];

@@ -97,6 +97,11 @@ val delay_bound_edf_checked :
       ([infinity] when [max_iter = 0]).
     - [Non_finite]: a NaN leaked out of the inner optimization.
 
+    An iterate seen before is answered from a memo of the bounds this
+    call computed (the map is pure), so a cycle costs one s-search per
+    distinct iterate; [iterations] still counts every step, and the
+    [scenario.edf.memo_hits] counter the answered ones.
+
     @raise Invalid_argument on a non-positive deadline ratio. *)
 
 val delay_bound_edf : ?s_points:int -> ?max_iter:int -> spec:edf_spec -> t -> edf_result

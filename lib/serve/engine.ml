@@ -222,17 +222,20 @@ let make_entry (p : P.admit_params) two_class =
   | Some s_max ->
     let points = 8 in
     let lo = s_max *. 1e-4 and hi = s_max *. 0.999 in
-    let ratio = (hi /. lo) ** (1. /. float_of_int (points - 1)) in
+    let grid = E2e.log_spaced ~lo ~ratio:(E2e.grid_ratio ~points ~lo ~hi) ~points in
+    (* The first strict minimum from an [infinity] seed, so a NaN bound
+       at any s — the first included, unlike [E2e.minimize_log_grid] —
+       is skipped ([d < best] is false), and an all-[infinity] or
+       all-NaN grid keeps s at [lo]. *)
     let best = ref Float.infinity and s_best = ref lo in
-    let s = ref lo in
-    for _ = 0 to points - 1 do
-      let d = E2e.delay_bound_fast ~epsilon:p.P.epsilon (Scenario.path_at sc ~s:!s ~delta) in
-      if d < !best then begin
-        best := d;
-        s_best := !s
-      end;
-      s := !s *. ratio
-    done;
+    Array.iter
+      (fun s ->
+        let d = E2e.delay_bound_fast ~epsilon:p.P.epsilon (Scenario.path_at sc ~s ~delta) in
+        if d < !best then begin
+          best := d;
+          s_best := s
+        end)
+      grid;
     let path = Scenario.path_at sc ~s:!s_best ~delta in
     Some { e_path = path; e_batch = E2e.Batch.make path; e_exact = None; e_approx = None }
 

@@ -905,27 +905,45 @@ let test_minimize_log_grid () =
     (Invalid_argument "E2e.minimize_log_grid: points must be >= 1")
     (fun () -> ignore (E2e.minimize_log_grid ~points:0 ~golden:0 ~lo ~hi Fun.id))
 
-(* The γ evaluations one search costs, read off [e2e.gamma.evals] on the
-   Fig. 2 path H = 10, U = 50% (FIFO, s at 30% of its stable range):
-   the grid, then the golden probes the memo does not catch. *)
+(* The γ evaluations one search costs on the Fig. 2 path H = 10,
+   U = 50% (FIFO, s at 30% of its stable range): the floorless search
+   evaluates the whole grid, then the golden probes the memo does not
+   catch; [delay_bound] prunes the grid to 11 evaluations and 9
+   interval floors, read off [e2e.gamma.evals] and [e2e.gamma.floors],
+   and runs the same 53 golden probes. *)
 let test_gamma_eval_counts () =
   let sc = Scenario.of_utilization ~h:10 ~u_through:0.15 ~u_cross:0.35 in
   let s = Option.get (Scenario.s_stable_max sc) *. 0.3 in
   let p = Scenario.path_at sc ~s ~delta:(Classes.delta_through_cross Classes.Fifo) in
+  let epsilon = 1e-9 in
   let evals = Telemetry.Counter.make "e2e.gamma.evals" in
-  let count f =
-    let e0 = Telemetry.Counter.value evals in
-    ignore (f ());
-    Telemetry.Counter.value evals - e0
+  let floors = Telemetry.Counter.make "e2e.gamma.floors" in
+  let count c f =
+    let e0 = Telemetry.Counter.value c in
+    let v = f () in
+    (v, Telemetry.Counter.value c - e0)
   in
   Telemetry.reset ();
   Telemetry.configure ~sink:Telemetry.Sink.null ();
   Fun.protect ~finally:Telemetry.shutdown (fun () ->
-      Alcotest.(check int) "delay_bound: 40 grid + golden" 93
-        (count (fun () -> E2e.delay_bound ~epsilon:1e-9 p));
+      let lo, hi = E2e.gamma_bracket (E2e.gamma_max p) in
       let batch = E2e.Batch.make p in
-      Alcotest.(check int) "delay_bound_cached: 12 grid + golden" 40
-        (count (fun () -> E2e.delay_bound_cached ~batch ~epsilon:1e-9 p)))
+      let calls = ref 0 in
+      let floorless =
+        E2e.minimize_log_grid ~points:40 ~golden:40 ~lo ~hi (fun gamma ->
+            incr calls;
+            E2e.Batch.delay_at_gamma batch ~gamma ~epsilon)
+      in
+      Alcotest.(check int) "floorless search: 40 grid + golden" 93 !calls;
+      let f0 = Telemetry.Counter.value floors in
+      let (pruned, n) = count evals (fun () -> E2e.delay_bound ~epsilon p) in
+      check_bitwise "delay_bound = the floorless search" floorless pruned;
+      Alcotest.(check int) "delay_bound: 11 grid + the same golden" 64 n;
+      Alcotest.(check int) "delay_bound: interval floors" 9
+        (Telemetry.Counter.value floors - f0);
+      let batch = E2e.Batch.make p in
+      let (_, n) = count evals (fun () -> E2e.delay_bound_cached ~batch ~epsilon p) in
+      Alcotest.(check int) "delay_bound_cached: 12 grid + golden" 40 n)
 
 let suite =
   [

@@ -1,8 +1,11 @@
-(* The certified best-first s-grid of Scenario: the one-evaluation floor
-   E2e.delay_bound_floor must never exceed E2e.delay_bound, and the pruned
-   scan must return exactly what an exhaustive scan of the same grids
-   returns — value bits, Diag status and iteration counts, through the
-   EDF fixed point too. *)
+(* The certified prunings of the Eq.-38 searches.  The s-grid of
+   Scenario: the one-evaluation floor E2e.delay_bound_floor must never
+   exceed E2e.delay_bound, and the pruned scan must return exactly what
+   an exhaustive scan of the same grids returns — value bits, Diag
+   status and iteration counts, through the memoized EDF fixed point
+   too.  The γ grid of E2e.delay_bound: the interval floor must never
+   exceed an Eq.-38 evaluation inside its interval, and the pruned
+   search must return the floorless search's bits. *)
 
 module E2e = Deltanet.E2e
 module Scenario = Deltanet.Scenario
@@ -31,8 +34,19 @@ let floor_sound floor c =
   let f = floor ~epsilon p in
   (not (Float.is_nan f)) && f <= E2e.delay_bound ~epsilon p
 
-(* The floor's evaluation without the (1 - 1e-9) margin, rebuilt from the
-   public evaluator. *)
+(* The interval floor's evaluation without the (1 - 1e-9) margin,
+   rebuilt from the public evaluator. *)
+let unmargined_interval_floor bt ~epsilon ~a ~b =
+  let sigma_a = E2e.Batch.sigma_for bt ~gamma:a ~epsilon
+  and sigma_b = E2e.Batch.sigma_for bt ~gamma:b ~epsilon in
+  if not (Float.is_finite sigma_a && Float.is_finite sigma_b) then Float.neg_infinity
+  else begin
+    E2e.Batch.set bt ~gamma:a ~sigma:sigma_b;
+    E2e.Batch.delay bt
+  end
+
+(* The floor's evaluation without the (1 - 1e-9) margin: the unmargined
+   interval floor over the bracket. *)
 let unmargined_floor ~epsilon p =
   let gmax = E2e.gamma_max p in
   if gmax <= 0. then Float.infinity
@@ -42,14 +56,7 @@ let unmargined_floor ~epsilon p =
        past [hi] *)
     let ratio = (hi /. lo) ** (1. /. 39.) in
     let top = Float.max hi (E2e.log_spaced ~lo ~ratio ~points:40).(39) in
-    let b = E2e.Batch.make p in
-    let sigma_lo = E2e.Batch.sigma_for b ~gamma:lo ~epsilon
-    and sigma_top = E2e.Batch.sigma_for b ~gamma:top ~epsilon in
-    if not (Float.is_finite sigma_lo && Float.is_finite sigma_top) then Float.neg_infinity
-    else begin
-      E2e.Batch.set b ~gamma:lo ~sigma:sigma_top;
-      E2e.Batch.delay b
-    end
+    unmargined_interval_floor (E2e.Batch.make p) ~epsilon ~a:lo ~b:top
   end
 
 let sched_gen =
@@ -167,11 +174,271 @@ let test_floor_edges () =
     (Invalid_argument "E2e.delay_bound_floor: epsilon out of range") (fun () ->
       ignore (E2e.delay_bound_floor ~epsilon:1. p))
 
+(* ---------------- the interval floor and the pruned γ grid ---------------- *)
+
+(* [delay_bound]'s search shape without the interval floor: the whole
+   40-point grid evaluated, then 40 golden-section steps, through one
+   batch — the search as it ran before the γ grid was pruned. *)
+let unpruned_search ~points ~golden ~epsilon p =
+  let gmax = E2e.gamma_max p in
+  if gmax <= 0. then Float.infinity
+  else begin
+    let lo, hi = E2e.gamma_bracket gmax in
+    let b = E2e.Batch.make p in
+    E2e.minimize_log_grid ~points ~golden ~lo ~hi (fun gamma ->
+        E2e.Batch.delay_at_gamma b ~gamma ~epsilon)
+  end
+
+let unpruned_delay_bound ~epsilon p = unpruned_search ~points:40 ~golden:40 ~epsilon p
+
+(* [delay_bound]'s 40-point γ grid over a path's bracket *)
+let delay_grid p =
+  let lo, hi = E2e.gamma_bracket (E2e.gamma_max p) in
+  E2e.log_spaced ~lo ~ratio:(E2e.grid_ratio ~points:40 ~lo ~hi) ~points:40
+
+(* One interval-floor query: a mixed-∆ path (H = 1..40), a violation
+   probability, and grid indices i <= j. *)
+let interval_arb =
+  let gen =
+    QCheck.Gen.(
+      triple Test_e2e.long_path_gen (oneofl [ 1e-3; 1e-9; 1e-30 ])
+        (pair (int_range 0 39) (int_range 0 39)))
+  in
+  let print (p, epsilon, (i, j)) =
+    Fmt.str "eps=%g i=%d j=%d %s" epsilon i j (Test_e2e.print_path p)
+  in
+  QCheck.make ~print gen
+
+(* The property, parameterized by the floor under test so that a
+   mutated floor can be shown to fail it: the floor over [grid.(i),
+   grid.(j)] is not NaN and is no larger than every non-NaN Eq.-38
+   value at a grid γ in that interval — no tolerance. *)
+let interval_floor_sound floor (p, epsilon, (i, j)) =
+  let i, j = (Int.min i j, Int.max i j) in
+  let grid = delay_grid p in
+  let b = E2e.Batch.make p in
+  let f = floor b ~epsilon ~a:grid.(i) ~b:grid.(j) in
+  let ok = ref (not (Float.is_nan f)) in
+  for k = i to j do
+    let v = E2e.Batch.delay_at_gamma b ~gamma:grid.(k) ~epsilon in
+    if not (Float.is_nan v || f <= v) then ok := false
+  done;
+  !ok
+
+let prop_interval_floor_sound =
+  QCheck.Test.make ~name:"interval_floor a b <= delay_at_gamma on every grid gamma in [a, b]"
+    ~count:(Qc.count 300 ~cap:20000) interval_arb
+    (interval_floor_sound E2e.Batch.interval_floor)
+
+(* Intervals where the margin-free evaluation lands one ulp above an
+   Eq.-38 value inside them (1.2e-16 and 1.6e-16 relative): one-hop EDF
+   paths with a negative deadline gap.  Found by a search over 9000
+   figures-shaped paths and every grid interval of each; the mixed-∆
+   generator draws such a case too rarely for the property to meet one.
+   The property must reject the unmargined floor on them and accept the
+   shipped one. *)
+let interval_witnesses =
+  let edf_hop ~n_through ~n_cross ~gap ~s =
+    Scenario.path_at (Scenario.paper_defaults ~h:1 ~n_through ~n_cross) ~s
+      ~delta:(Classes.delta_through_cross (Classes.Edf_gap gap))
+  in
+  [
+    ( edf_hop ~n_through:0x1.76751d9d91c74p+5 ~n_cross:0x1.c1d25c972bad8p+4
+        ~gap:(-0x1.375715efbf87p+3) ~s:0x1.7bea81f095ec6p-3,
+      1e-9,
+      (0, 1) );
+    ( edf_hop ~n_through:0x1.c994240bad37fp+5 ~n_cross:0x1.64f0c9650211ap+3
+        ~gap:(-0x1.b2a13443f2b4p+0) ~s:0x1.6c79fdcfc229p+0,
+      1e-9,
+      (28, 29) );
+  ]
+
+let test_interval_margin_is_needed () =
+  List.iteri
+    (fun n ((p, epsilon, (i, j)) as c) ->
+      let grid = delay_grid p in
+      let shipped = E2e.Batch.interval_floor (E2e.Batch.make p) ~epsilon ~a:grid.(i) ~b:grid.(j)
+      and bare =
+        unmargined_interval_floor (E2e.Batch.make p) ~epsilon ~a:grid.(i) ~b:grid.(j)
+      in
+      Alcotest.(check bool)
+        (Fmt.str "witness %d: floor = unmargined *. (1 - 1e-9)" n)
+        true
+        (bit_eq shipped (bare *. (1. -. 1e-9)));
+      Alcotest.(check bool)
+        (Fmt.str "witness %d: property rejects the unmargined floor" n)
+        false
+        (interval_floor_sound unmargined_interval_floor c);
+      Alcotest.(check bool)
+        (Fmt.str "witness %d: property accepts the floor" n)
+        true
+        (interval_floor_sound E2e.Batch.interval_floor c))
+    interval_witnesses
+
+(* Mixed-∆ paths, and figures-shaped ones, at three violation
+   probabilities: [delay_bound] equals the floorless search bit for bit,
+   and so does [delay_bound_fast] on a heterogeneous path, whose
+   fallback is the same pruned search at 8 points. *)
+let prop_pruned_search_exact =
+  let gen =
+    QCheck.Gen.(
+      triple
+        (frequency
+           [
+             (1, map Option.some Test_e2e.long_path_gen);
+             (1, map (Option.map fst) Test_e2e.figure_path_gen);
+           ])
+        (oneofl [ 1e-3; 1e-9; 1e-30 ])
+        (oneofl [ 2; 8; 40 ]))
+  in
+  let print (p, epsilon, points) =
+    Fmt.str "eps=%g points=%d %s" epsilon points
+      (match p with None -> "unstable scenario" | Some p -> Test_e2e.print_path p)
+  in
+  QCheck.Test.make ~name:"pruned gamma search = floorless search, bitwise"
+    ~count:(Qc.count 200 ~cap:4000) (QCheck.make ~print gen)
+    (fun (p, epsilon, _) ->
+      match p with
+      | None -> QCheck.assume_fail ()
+      | Some p ->
+        let got = E2e.delay_bound ~epsilon p and want = unpruned_delay_bound ~epsilon p in
+        if not (bit_eq got want) then
+          QCheck.Test.fail_reportf "delay_bound %h, floorless %h" got want;
+        if not (E2e.is_homogeneous p) then begin
+          let got = E2e.delay_bound_fast ~epsilon p
+          and want = unpruned_search ~points:8 ~golden:40 ~epsilon p in
+          if not (bit_eq got want) then
+            QCheck.Test.fail_reportf "delay_bound_fast %h, floorless %h" got want
+        end;
+        true)
+
+(* [minimize_log_grid] over scripted values: every grid abscissa maps to
+   one of a few values (ties, infinity and NaN among them), a golden
+   probe g to [probe *. g] — so the golden phase's answer depends on
+   which grid point centres it — and the floor of a block is the exact
+   minimum of its non-NaN values: the tightest floor the contract
+   admits, so the most points are skipped.  Pruned and floorless
+   searches must agree bit for bit: a pruning that moved the argmin
+   to a later tie would show. *)
+let prop_pruned_fold_exact =
+  let value_gen =
+    QCheck.Gen.oneofl [ 0.5; 1.; 2.; 3.; Float.infinity; Float.nan ]
+  in
+  let gen =
+    QCheck.Gen.(
+      int_range 1 12 >>= fun points ->
+      triple (array_repeat points value_gen) (oneofl [ 0; 5 ]) (oneofl [ 0.1; 1.5 ]))
+  in
+  let print (vals, golden, probe) =
+    Fmt.str "golden=%d probe=%g vals=[%s]" golden probe
+      (String.concat "; " (Array.to_list (Array.map (Fmt.str "%g") vals)))
+  in
+  QCheck.Test.make ~name:"pruned grid fold = index-order fold on scripted values"
+    ~count:(Qc.count 500 ~cap:20000) (QCheck.make ~print gen)
+    (fun (vals, golden, probe) ->
+      let points = Array.length vals and lo = 1e-3 and hi = 10. in
+      let grid = E2e.log_spaced ~lo ~ratio:(E2e.grid_ratio ~points ~lo ~hi) ~points in
+      let index g =
+        let k = ref (-1) in
+        Array.iteri (fun i x -> if bit_eq x g then k := i) grid;
+        !k
+      in
+      let f g = match index g with -1 -> probe *. g | i -> vals.(i) in
+      let floor a b =
+        let m = ref Float.infinity in
+        for i = index a to index b do
+          if vals.(i) < !m then m := vals.(i)
+        done;
+        !m
+      in
+      let want = E2e.minimize_log_grid ~points ~golden ~lo ~hi f in
+      let got = E2e.minimize_log_grid ~floor ~points ~golden ~lo ~hi f in
+      if not (bit_eq got want || (Float.is_nan got && Float.is_nan want)) then
+        QCheck.Test.fail_reportf "pruned %h, floorless %h" got want;
+      true)
+
+(* ε = NaN, an overloaded path, an all-infinite grid and a NaN at
+   index 0, pruned and floorless alike. *)
+let test_pruned_grid_edges () =
+  let p =
+    Scenario.path_at (Scenario.of_utilization ~h:3 ~u_through:0.3 ~u_cross:0.3) ~s:1e-3
+      ~delta:(Classes.delta_through_cross Classes.Fifo)
+  in
+  let grid = delay_grid p in
+  let b = E2e.Batch.make p in
+  (* a NaN epsilon poisons sigma everywhere: no floor certifies anything,
+     and index 0's NaN sticks through both searches *)
+  Alcotest.(check bool) "NaN epsilon: interval floor neg_infinity" true
+    (Float.equal
+       (E2e.Batch.interval_floor b ~epsilon:Float.nan ~a:grid.(3) ~b:grid.(30))
+       Float.neg_infinity);
+  Alcotest.(check bool) "NaN epsilon: both searches NaN" true
+    (Float.is_nan (E2e.delay_bound ~epsilon:Float.nan p)
+     && Float.is_nan (unpruned_delay_bound ~epsilon:Float.nan p));
+  (* overloaded: the search never runs; the through rate enters Eq. 38
+     only through the bracket, so an interval floor still bounds the
+     evaluations at both ends, the upper one infinite (the margins are
+     gone) *)
+  let over = { p with E2e.through = Envelope.Ebb.v ~m:1. ~rho:1000. ~alpha:1e-3 } in
+  Alcotest.(check bool) "overloaded: both searches infinity" true
+    (Float.equal (E2e.delay_bound ~epsilon:1e-9 over) Float.infinity
+     && Float.equal (unpruned_delay_bound ~epsilon:1e-9 over) Float.infinity);
+  let bo = E2e.Batch.make over in
+  let fl = E2e.Batch.interval_floor bo ~epsilon:1e-9 ~a:40. ~b:80. in
+  let va = E2e.Batch.delay_at_gamma bo ~gamma:40. ~epsilon:1e-9
+  and vb = E2e.Batch.delay_at_gamma bo ~gamma:80. ~epsilon:1e-9 in
+  Alcotest.(check bool)
+    (Fmt.str "overloaded: floor %h <= %h and <= %h = infinity" fl va vb)
+    true
+    (Float.is_finite fl && fl <= va && Float.equal vb Float.infinity);
+  (* scripted grids: the floor claims infinity everywhere, so every
+     block is skipped whenever the running minimum is finite *)
+  let points = 9 and lo = 1e-3 and hi = 10. in
+  let ratio = E2e.grid_ratio ~points ~lo ~hi in
+  let sgrid = E2e.log_spaced ~lo ~ratio ~points in
+  let search ~golden vals =
+    let calls = ref [] in
+    let f g =
+      calls := g :: !calls;
+      let k = ref (-1) in
+      Array.iteri (fun i x -> if bit_eq x g then k := i) sgrid;
+      if !k >= 0 then vals.(!k) else 7.
+    in
+    let v =
+      E2e.minimize_log_grid ~floor:(fun _ _ -> Float.infinity) ~points ~golden ~lo ~hi f
+    in
+    (v, List.rev !calls)
+  in
+  let all_inf = Array.make points Float.infinity in
+  let (v, calls) = search ~golden:5 all_inf in
+  Alcotest.(check bool) "all-infinite grid: infinity, then the golden probe" true
+    (Float.equal v 7.);
+  (* the golden bracket is centred on index 0, the first of the ties *)
+  List.iter
+    (fun g ->
+      if (not (Array.exists (bit_eq g) sgrid)) && g > sgrid.(1) then
+        Alcotest.failf "all-infinite grid: golden probe %h outside [lo, grid.(1)]" g)
+    calls;
+  let (v, _) = search ~golden:0 all_inf in
+  Alcotest.(check bool) "all-infinite grid, no golden: infinity" true
+    (Float.equal v Float.infinity);
+  let nan0 = Array.init points (fun i -> if i = 0 then Float.nan else 1.) in
+  List.iter
+    (fun golden ->
+      let (v, calls) = search ~golden nan0 in
+      Alcotest.(check bool) (Fmt.str "NaN at index 0 sticks (golden %d)" golden) true
+        (Float.is_nan v);
+      if golden = 0 then
+        Alcotest.(check int) "NaN at index 0: the ends only, the rest skipped" 2
+          (List.length calls))
+    [ 0; 5 ]
+
 (* ---------------- the scan vs an exhaustive oracle ---------------- *)
 
 (* The exhaustive s-scan, rebuilt from the public pieces: every grid point
    evaluated in index order, the same first-strict-minimum fold, the same
-   12-point refinement and status rule. *)
+   12-point refinement and status rule.  Each point runs the floorless γ
+   search, so neither pruning is in the oracle. *)
 let exhaustive ~s_points t f =
   match Scenario.s_stable_max t with
   | None -> (Float.infinity, Diag.Unstable, 0)
@@ -200,10 +467,11 @@ let exhaustive ~s_points t f =
 let exhaustive_delay ~s_points ~scheduler (t : Scenario.t) =
   let delta = Classes.delta_through_cross scheduler in
   exhaustive ~s_points t (fun s ->
-      E2e.delay_bound ~epsilon:t.Scenario.epsilon (Scenario.path_at t ~s ~delta))
+      unpruned_delay_bound ~epsilon:t.Scenario.epsilon (Scenario.path_at t ~s ~delta))
 
 (* Scenario.delay_bound_edf_checked's fixed point over the exhaustive
-   scan: (bound, status, iterations, tolerance). *)
+   scan, with no memo: every step runs the scan.  (bound, status,
+   iterations, tolerance). *)
 let exhaustive_edf ~s_points ~max_iter ~ratio (t : Scenario.t) =
   let hf = float_of_int t.Scenario.h in
   let value sched =
@@ -257,7 +525,8 @@ let check_edf ~what ~s_points ?(max_iter = 60) ~ratio t =
       o.Diag.diag.Diag.iterations r.Scenario.iterations iterations;
   if not (bit_eq o.Diag.diag.Diag.tolerance tolerance) then
     Alcotest.failf "%s: EDF tolerance %h, exhaustive %h" what o.Diag.diag.Diag.tolerance
-      tolerance
+      tolerance;
+  o
 
 (* A scenario, a two-class scheduler for the delay scan, one of the
    paper's EDF deadline ratios for the fixed point, and an s-grid size. *)
@@ -286,7 +555,7 @@ let prop_edf_matches_exhaustive =
   QCheck.Test.make ~name:"delay_bound_edf_checked = exhaustive fixed point, bitwise"
     ~count:(Qc.count 20 ~cap:100) (scan_arb ~max_h:10)
     (fun (sc, _, ratio, s_points) ->
-      check_edf ~what:"edf" ~s_points ~max_iter:12 ~ratio sc;
+      ignore (check_edf ~what:"edf" ~s_points ~max_iter:12 ~ratio sc);
       true)
 
 (* U -> 1, no stable s, a tiny epsilon, a NaN epsilon (Non_finite through
@@ -330,9 +599,30 @@ let test_scan_edges () =
     (Diag.status_to_string (status poisoned));
   List.iter
     (fun (name, t, max_iter) ->
-      check_edf ~what:(Fmt.str "%s max_iter=%d" name max_iter) ~s_points:16 ~max_iter
-        ~ratio:10. t)
+      ignore
+        (check_edf ~what:(Fmt.str "%s max_iter=%d" name max_iter) ~s_points:16 ~max_iter
+           ~ratio:10. t))
     [ ("U->1", near_one, 3); ("unstable", overloaded, 60); ("eps=nan", poisoned, 60) ]
+
+(* The Fig. 2 cell H = 10, U = 50%, EDF ratio 10 at the figures'
+   s_points = 16 sits in an exact 2-cycle: it stops Diverged at
+   max_iter = 60 after three distinct iterates, so the memo answers the
+   other 57 steps.  The outcome is the memo-free, prune-free oracle's,
+   bit for bit. *)
+let test_two_cycle_cell () =
+  let sc = Scenario.of_utilization ~h:10 ~u_through:0.15 ~u_cross:0.35 in
+  let hits = Telemetry.Counter.make "scenario.edf.memo_hits" in
+  Telemetry.reset ();
+  Telemetry.configure ~sink:Telemetry.Sink.null ();
+  Fun.protect ~finally:Telemetry.shutdown (fun () ->
+      let h0 = Telemetry.Counter.value hits in
+      let o =
+        check_edf ~what:"fig2 H=10 U=50% ratio 10" ~s_points:16 ~max_iter:60 ~ratio:10. sc
+      in
+      Alcotest.(check string) "Diverged" "diverged"
+        (Diag.status_to_string o.Diag.diag.Diag.status);
+      Alcotest.(check int) "60 iterations" 60 o.Diag.diag.Diag.iterations;
+      Alcotest.(check int) "memo hits" 57 (Telemetry.Counter.value hits - h0))
 
 let suite =
   [
@@ -342,4 +632,11 @@ let suite =
     QCheck_alcotest.to_alcotest prop_delay_matches_exhaustive;
     QCheck_alcotest.to_alcotest prop_edf_matches_exhaustive;
     Alcotest.test_case "scan edge inputs" `Quick test_scan_edges;
+    QCheck_alcotest.to_alcotest prop_interval_floor_sound;
+    Alcotest.test_case "the interval floor's margin is needed" `Quick
+      test_interval_margin_is_needed;
+    QCheck_alcotest.to_alcotest prop_pruned_search_exact;
+    QCheck_alcotest.to_alcotest prop_pruned_fold_exact;
+    Alcotest.test_case "pruned gamma grid edge inputs" `Quick test_pruned_grid_edges;
+    Alcotest.test_case "the 2-cycle EDF cell" `Quick test_two_cycle_cell;
   ]
