@@ -380,7 +380,7 @@ let eq38 ~short () =
       let gmax = Deltanet.E2e.gamma_max p in
       let lo = gmax *. 1e-6 and points = 40 in
       let ratio = (0.999 /. 1e-6) ** (1. /. float_of_int (points - 1)) in
-      let grid = Deltanet.E2e.log_spaced ~lo ~ratio ~points in
+      let grid = Deltanet.Search.log_spaced ~lo ~ratio ~points in
       let r_sweep =
         time_ns_per_op
           (fun () ->
@@ -644,7 +644,7 @@ let telemetry_bench ~short () =
   let gmax = Deltanet.E2e.gamma_max p in
   let lo = gmax *. 1e-6 and points = 40 in
   let ratio = (0.999 /. 1e-6) ** (1. /. float_of_int (points - 1)) in
-  let grid = Deltanet.E2e.log_spaced ~lo ~ratio ~points in
+  let grid = Deltanet.Search.log_spaced ~lo ~ratio ~points in
   (* the pool would split this grid into [min n (4*jobs)] chunks whose
      per-chunk records run spread across the domains; one event per 16
      grid steps matches that per-domain record density on one domain *)

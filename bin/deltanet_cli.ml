@@ -242,7 +242,13 @@ let compute_bound ~h ~u0 ~uc ~epsilon ~s_points ~edf_ratio sched =
   let scenario =
     { (Scenario.of_utilization ~h ~u_through:u0 ~u_cross:uc) with Scenario.epsilon }
   in
-  (compute_bound_checked ~s_points ~edf_ratio scenario sched).Diag.value
+  compute_bound_checked ~s_points ~edf_ratio scenario sched
+
+(* A sweep cell: the value, followed by its Diag status unless Converged *)
+let sweep_cell (o : float Diag.outcome) =
+  if Diag.ok o.Diag.diag then Printf.sprintf "%.4f" o.Diag.value
+  else
+    Printf.sprintf "%.4f (%s)" o.Diag.value (Diag.status_to_string o.Diag.diag.Diag.status)
 
 let bound_cmd =
   let run h u0 uc epsilon s_points edf_ratio sched metric jobs metrics trace =
@@ -321,7 +327,7 @@ let sweep_cmd =
            | (u_pct, None) ->
              Fmt.epr "# skipping u=%d%% (infeasible with u0=%g)@." u_pct u0
            | (u_pct, Some (bmux, fifo, edf)) ->
-             Fmt.pr "%d,%.4f,%.4f,%.4f@." u_pct bmux fifo edf)
+             Fmt.pr "%d,%s,%s,%s@." u_pct (sweep_cell bmux) (sweep_cell fifo) (sweep_cell edf))
     | "hops" ->
       if u0 < 0. || 2. *. u0 >= 1. then begin
         Fmt.epr "unstable scenario: hops sweep runs at uc = u0, so u0 must be in [0, 0.5)@.";
@@ -334,7 +340,7 @@ let sweep_cmd =
           (h, (d S_bmux, d S_fifo, d S_edf)))
         [ 1; 2; 3; 4; 5; 6; 8; 10; 15; 20; 25; 30 ]
       |> List.iter (fun (h, (bmux, fifo, edf)) ->
-             Fmt.pr "%d,%.4f,%.4f,%.4f@." h bmux fifo edf)
+             Fmt.pr "%d,%s,%s,%s@." h (sweep_cell bmux) (sweep_cell fifo) (sweep_cell edf))
     | other -> Fmt.epr "unknown sweep dimension %S (utilization|hops)@." other);
     ()
   in

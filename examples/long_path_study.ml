@@ -27,13 +27,19 @@ let () =
       let sc = Scenario.of_utilization ~h ~u_through:0.25 ~u_cross:0.25 in
       let bmux = Scenario.delay_bound ~s_points:16 ~scheduler:Classes.Bmux sc in
       let fifo = Scenario.delay_bound ~s_points:16 ~scheduler:Classes.Fifo sc in
-      let edf =
-        (Scenario.delay_bound_edf ~s_points:16 sc
-           ~spec:{ Scenario.cross_over_through = 10. })
-          .Scenario.bound
+      let o =
+        Scenario.delay_bound_edf_checked ~s_points:16 sc
+          ~spec:{ Scenario.cross_over_through = 10. }
       in
-      Fmt.pr "  %4d %10.2f %10.2f %10.2f %11.1f%% %11.1f%%@." h bmux fifo edf
-        (100. *. fifo /. bmux) (100. *. edf /. bmux))
+      let edf = o.Deltanet.Diag.value.Scenario.bound in
+      (* the fixed point's status, shown unless it converged *)
+      let status =
+        let d = o.Deltanet.Diag.diag in
+        if Deltanet.Diag.ok d then ""
+        else Printf.sprintf " [%s]" (Deltanet.Diag.status_to_string d.Deltanet.Diag.status)
+      in
+      Fmt.pr "  %4d %10.2f %10.2f %10.2f %11.1f%% %11.1f%%%s@." h bmux fifo edf
+        (100. *. fifo /. bmux) (100. *. edf /. bmux) status)
     [ 1; 2; 3; 5; 8; 12; 16; 24; 32 ];
   Fmt.pr
     "@.FIFO/BMUX climbs to ~100%%: without deadline differentiation, the@.\

@@ -51,12 +51,13 @@ let delay_bound ~capacity ~cross ~h ~epsilon through =
       ~attrs:[ ("h", Telemetry.Int h); ("points", Telemetry.Int gamma_points) ]
     @@ fun () ->
   begin
-    let f gamma =
-      if !Telemetry.on then Telemetry.Counter.incr c_gamma_evals;
-      snd (analyze ~capacity ~cross ~through ~h ~gamma ~epsilon)
-    in
     let lo, hi = E2e.gamma_bracket gmax in
-    E2e.minimize_log_grid ~points:gamma_points ~golden:0 ~lo ~hi f
+    let r =
+      Search.minimize ~points:gamma_points ~lo ~hi (fun gamma ->
+          snd (analyze ~capacity ~cross ~through ~h ~gamma ~epsilon))
+    in
+    Telemetry.Counter.add c_gamma_evals r.Search.evals;
+    r.Search.value
   end
 
 let delay_bound_scenario ?(s_points = 32) (sc : Scenario.t) =
@@ -66,22 +67,14 @@ let delay_bound_scenario ?(s_points = 32) (sc : Scenario.t) =
     delay_bound ~capacity:sc.Scenario.capacity ~cross ~h:sc.Scenario.h
       ~epsilon:sc.Scenario.epsilon through
   in
-  (* Same stable-s search as Scenario.delay_bound. *)
-  let stable s =
-    let eb = Envelope.Mmpp.effective_bandwidth sc.Scenario.source ~s in
-    (sc.Scenario.n_through +. sc.Scenario.n_cross) *. eb < sc.Scenario.capacity *. 0.9999
-  in
-  if not (stable 1e-6) then Float.infinity
-  else
+  (* Scenario's stability scan, without its bisection: the grid tops out
+     at half the doubling bound *)
+  match Scenario.s_doubling sc with
+  | None -> Float.infinity
+  | Some s_hi ->
     Telemetry.span "additive.s_grid"
       ~attrs:[ ("h", Telemetry.Int sc.Scenario.h); ("s_points", Telemetry.Int s_points) ]
     @@ fun () ->
-  begin
-    let rec grow hi tries =
-      if tries = 0 then hi else if stable hi then grow (2. *. hi) (tries - 1) else hi
-    in
-    let s_max = grow 1e-6 60 in
-    let lo = s_max *. 1e-4 and hi = s_max *. 0.5 in
-    let f s = if !Telemetry.on then Telemetry.Counter.incr c_s_evals; f s in
-    E2e.minimize_log_grid ~points:s_points ~golden:0 ~lo ~hi f
-  end
+    let r = Search.minimize ~points:s_points ~lo:(s_hi *. 1e-4) ~hi:(s_hi *. 0.5) f in
+    Telemetry.Counter.add c_s_evals r.Search.evals;
+    r.Search.value

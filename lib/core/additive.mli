@@ -37,7 +37,7 @@ val delay_bound :
   Envelope.Ebb.t ->
   float
 (** The additive bound minimized over a 40-point [gamma] grid
-    ({!E2e.minimize_log_grid}, no golden steps). *)
+    ({!Search.minimize}, no refinement). *)
 
 val delay_bound_scenario : ?s_points:int -> Scenario.t -> float
 (** The additive BMUX bound for a paper scenario, optimized over both [s]

@@ -11,9 +11,17 @@ let scenario_with r ~u_cross =
     epsilon = r.guarantee.epsilon;
   }
 
+(* The one admission predicate: a bound is evidence only when its
+   optimization converged ([Unstable], [Diverged] and [Non_finite] values
+   are not bounds), and then it must meet the deadline. *)
+let meets r (diag : Diag.t) bound = Diag.ok diag && bound <= r.guarantee.deadline
+
+let delay_meets ~s_points r ~scheduler sc =
+  let o = Scenario.delay_bound_checked ~s_points ~scheduler sc in
+  meets r o.Diag.diag o.Diag.value
+
 let admissible r ~scheduler ~u_cross =
-  let d = Scenario.delay_bound ~s_points:16 ~scheduler (scenario_with r ~u_cross) in
-  d <= r.guarantee.deadline
+  delay_meets ~s_points:16 r ~scheduler (scenario_with r ~u_cross)
 
 type decision = {
   admitted : bool;
@@ -34,7 +42,7 @@ let decide ?(s_points = 16) r ~scheduler =
   Contracts.ensure (Contracts.check_scenario sc);
   let o = Scenario.delay_bound_checked ~s_points ~scheduler sc in
   let bound = o.Diag.value in
-  let admitted = Diag.ok o.Diag.diag && bound <= r.guarantee.deadline in
+  let admitted = meets r o.Diag.diag bound in
   { admitted; bound; slack = r.guarantee.deadline -. bound; diag = o.Diag.diag }
 
 let bisect_max ~resolution ~hi fits =
@@ -51,10 +59,7 @@ let bisect_max ~resolution ~hi fits =
 
 let max_cross_utilization ?(s_points = 16) ?(resolution = 1e-4) r ~scheduler =
   Contracts.ensure (Contracts.check_scenario r.base);
-  let fits u_cross =
-    let d = Scenario.delay_bound ~s_points ~scheduler (scenario_with r ~u_cross) in
-    d <= r.guarantee.deadline
-  in
+  let fits u_cross = delay_meets ~s_points r ~scheduler (scenario_with r ~u_cross) in
   let mean = Envelope.Mmpp.mean_rate r.base.Scenario.source in
   let u_through = r.base.Scenario.n_through *. mean /. r.base.Scenario.capacity in
   bisect_max ~resolution ~hi:(Float.max 0. (1. -. u_through)) fits
@@ -62,11 +67,11 @@ let max_cross_utilization ?(s_points = 16) ?(resolution = 1e-4) r ~scheduler =
 let max_cross_utilization_edf ?(s_points = 16) ?(resolution = 1e-4) r ~cross_over_through =
   Contracts.ensure (Contracts.check_scenario r.base);
   let fits u_cross =
-    let res =
-      Scenario.delay_bound_edf ~s_points (scenario_with r ~u_cross)
+    let o =
+      Scenario.delay_bound_edf_checked ~s_points (scenario_with r ~u_cross)
         ~spec:{ Scenario.cross_over_through }
     in
-    res.Scenario.bound <= r.guarantee.deadline
+    meets r o.Diag.diag o.Diag.value.Scenario.bound
   in
   let mean = Envelope.Mmpp.mean_rate r.base.Scenario.source in
   let u_through = r.base.Scenario.n_through *. mean /. r.base.Scenario.capacity in
@@ -75,10 +80,8 @@ let max_cross_utilization_edf ?(s_points = 16) ?(resolution = 1e-4) r ~cross_ove
 let max_through_flows ?(s_points = 16) r ~scheduler =
   Contracts.ensure (Contracts.check_scenario r.base);
   let fits n =
-    let sc =
+    delay_meets ~s_points r ~scheduler
       { r.base with Scenario.n_through = n; epsilon = r.guarantee.epsilon }
-    in
-    Scenario.delay_bound ~s_points ~scheduler sc <= r.guarantee.deadline
   in
   let mean = Envelope.Mmpp.mean_rate r.base.Scenario.source in
   let n_max =

@@ -14,7 +14,9 @@ type request = {
 }
 
 val admissible : request -> scheduler:Scheduler.Classes.two_class -> u_cross:float -> bool
-(** Does the guarantee hold with this cross utilization? *)
+(** Does the guarantee hold with this cross utilization?  As everywhere
+    in this module, a bound counts only when its diagnostic is
+    [Converged] and it is [<= deadline]. *)
 
 type decision = {
   admitted : bool;
@@ -55,7 +57,8 @@ val max_cross_utilization_edf :
   float
 (** Same for EDF with the paper's self-referential deadlines
     ([d*_0 = bound /. H], [d*_c = ratio *. d*_0], re-solved at every probe
-    point). *)
+    point).  A probe whose fixed point ends [Diverged] (or otherwise not
+    [Converged]) does not fit: its last iterate is not a bound. *)
 
 val max_through_flows :
   ?s_points:int -> request -> scheduler:Scheduler.Classes.two_class -> float

@@ -872,143 +872,6 @@ let backlog_given p ~gamma ~sigma =
    probes. *)
 let gamma_bracket gmax = (gmax *. 1e-6, gmax *. 0.999)
 
-(* [points] abscissae from [lo] by repeated multiplication, not
-   [lo *. ratio ** k]: [minimize_log_grid] walks its grid the same way,
-   so the two agree bit for bit *)
-let log_spaced ~lo ~ratio ~points =
-  if points < 1 then invalid_arg "E2e.log_spaced: points must be >= 1";
-  let xs = Array.make points lo in
-  for i = 1 to points - 1 do
-    xs.(i) <- xs.(i - 1) *. ratio
-  done;
-  xs
-
-(* The ratio of a [points]-point log-spaced grid over [lo, hi] *)
-let grid_ratio ~points ~lo ~hi = (hi /. lo) ** (1. /. float_of_int (points - 1))
-
-let golden_minimize f lo hi steps =
-  let phi = (sqrt 5. -. 1.) /. 2. in
-  let rec go a b n =
-    if n = 0 then 0.5 *. (a +. b)
-    else
-      let x1 = b -. (phi *. (b -. a)) and x2 = a +. (phi *. (b -. a)) in
-      if f x1 <= f x2 then go a x2 (n - 1) else go x1 b (n - 1)
-  in
-  go lo hi steps
-
-(* The grid phase with an interval floor: [floor a b] is a lower bound,
-   never NaN, on every non-NaN [f g] with [a <= g <= b].  The two ends
-   of the grid are the anchors, evaluated exactly; the points between
-   them form one block.  A block is skipped when its floor is above the
-   running minimum of the exact values, and otherwise bisected: its
-   middle point evaluated, each half treated the same way, a single
-   point evaluated outright.  (More anchors — every 8th point, say —
-   cost more evaluations and floors on the figures' searches, not
-   fewer: the bisection's first midpoints already probe the interior.)
-   A skipped point is read as [infinity].  Its exact value is above an
-   evaluated one, so it is not the first strict minimum and is not NaN;
-   a NaN elsewhere than at index 0 never wins [<] anyway.  So the
-   index-order fold of [minimize_log_grid] returns the exhaustive
-   fold's minimum and argmin bit for bit, and a NaN at index 0 still
-   sticks. *)
-let pruned_values ~floor ~grid f =
-  let n = Array.length grid in
-  let vals = Array.make n Float.infinity and m = ref Float.infinity in
-  let eval i =
-    let v = f grid.(i) in
-    vals.(i) <- v;
-    if v < !m then m := v
-  in
-  let rec block i j =
-    if i = j then eval i
-    else if i < j && not (floor grid.(i) grid.(j) > !m) then begin
-      let k = (i + j) / 2 in
-      eval k;
-      block i (k - 1);
-      block (k + 1) j
-    end
-  in
-  eval 0;
-  if n > 1 then eval (n - 1);
-  block 1 (n - 2);
-  vals
-
-(* The one grid search: a [points]-point log-spaced grid over [lo, hi]
-   walked in index order on the calling domain — or, with [?floor],
-   evaluated only where [pruned_values] cannot rule a point out —
-   keeping the first strict minimum (a NaN at index 0 therefore
-   sticks), then [golden]
-   golden-section steps around that point ([0] = none).  [f] must be a
-   pure function of its argument: the golden phase memoizes it in a
-   small ring of recent probes scanned by primitive float [=] (probes
-   are positive and non-NaN, so value equality is bit equality).
-   Golden-section probes cluster as the bracket shrinks, so collisions —
-   the narrowed bracket re-landing on a recent abscissa, or the final
-   midpoint repeating a probe — are always with the last few
-   evaluations, and a fixed window catches them at constant scan cost.
-   A hit returns the stored float, so the memo never changes the
-   result. *)
-let minimize_log_grid ?floor ~points ~golden ~lo ~hi f =
-  if points < 1 then invalid_arg "E2e.minimize_log_grid: points must be >= 1";
-  let ratio = grid_ratio ~points ~lo ~hi in
-  let best, center =
-    match floor with
-    | Some floor ->
-      let grid = log_spaced ~lo ~ratio ~points in
-      let vals = pruned_values ~floor ~grid f in
-      let best = ref vals.(0) and center = ref grid.(0) in
-      for i = 1 to points - 1 do
-        if vals.(i) < !best then begin
-          best := vals.(i);
-          center := grid.(i)
-        end
-      done;
-      (!best, !center)
-    | None ->
-      (* no arrays here: allocating the grid and its values on every
-         floorless search (Additive's nested ones, the backlog search)
-         measurably raised the figures' peak RSS *)
-      let best = ref (f lo) and center = ref lo and g = ref lo in
-      for _ = 2 to points do
-        g := !g *. ratio;
-        let v = f !g in
-        if v < !best then begin
-          best := v;
-          center := !g
-        end
-      done;
-      (!best, !center)
-  in
-  if golden = 0 then best
-  else begin
-    let win = 8 in
-    (* NaN keys never match a (positive) probe, so empty slots are inert *)
-    let mg = Array.make win Float.nan and mv = Array.make win 0. in
-    let mw = ref 0 in
-    let fm x =
-      let found = ref Float.nan in
-      let hit = ref false in
-      let i = ref 0 in
-      while (not !hit) && !i < win do
-        if mg.(!i) = x then begin
-          found := mv.(!i);
-          hit := true
-        end;
-        incr i
-      done;
-      if !hit then !found
-      else begin
-        let v = f x in
-        mg.(!mw) <- x;
-        mv.(!mw) <- v;
-        mw := (!mw + 1) mod win;
-        v
-      end
-    in
-    let a = Float.max lo (center /. ratio) and b = Float.min hi (center *. ratio) in
-    Float.min best (fm (golden_minimize fm a b golden))
-  end
-
 (* Search shapes, (grid points, golden-section steps).  [delay_points]
    is the grid [delay_bound_floor] certifies, so it is not a knob. *)
 let delay_points = 40
@@ -1019,6 +882,11 @@ let fast_points = 8
 let fast_golden = 40
 let backlog_points = 40
 
+(* A γ search's minimum, its evaluations counted *)
+let gamma_value (r : Search.result) =
+  Telemetry.Counter.add c_gamma_evals r.Search.evals;
+  r.Search.value
+
 let backlog_bound ~epsilon p =
   if epsilon <= 0. || epsilon >= 1. then invalid_arg "E2e.backlog_bound: epsilon out of range";
   let gmax = gamma_max p in
@@ -1028,19 +896,11 @@ let backlog_bound ~epsilon p =
       ~attrs:[ ("h", Telemetry.Int (hop_count p)); ("points", Telemetry.Int backlog_points) ]
     @@ fun () ->
   begin
-    let f gamma =
-      if !Telemetry.on then Telemetry.Counter.incr c_gamma_evals;
-      let sigma = sigma_for p ~gamma ~epsilon in
-      backlog_given p ~gamma ~sigma
-    in
     let lo, hi = gamma_bracket gmax in
-    minimize_log_grid ~points:backlog_points ~golden:0 ~lo ~hi f
+    gamma_value
+      (Search.minimize ~points:backlog_points ~lo ~hi (fun gamma ->
+           backlog_given p ~gamma ~sigma:(sigma_for p ~gamma ~epsilon)))
   end
-
-(* One Eq.-38 evaluation through [batch], counted *)
-let batch_eval batch ~epsilon gamma =
-  if !Telemetry.on then Telemetry.Counter.incr c_gamma_evals;
-  Batch.delay_at_gamma batch ~gamma ~epsilon
 
 (* One interval floor through [batch], counted *)
 let batch_floor batch ~epsilon a b =
@@ -1059,8 +919,10 @@ let delay_search ~points ~golden ~epsilon p =
   begin
     let lo, hi = gamma_bracket gmax in
     let batch = Batch.make p in
-    minimize_log_grid ~floor:(batch_floor batch ~epsilon) ~points ~golden ~lo ~hi
-      (batch_eval batch ~epsilon)
+    gamma_value
+      (Search.minimize ~floor:(Search.Interval (batch_floor batch ~epsilon))
+         ~refine:(Search.Golden golden) ~points ~lo ~hi (fun gamma ->
+           Batch.delay_at_gamma batch ~gamma ~epsilon))
   end
 
 let delay_bound ~epsilon p =
@@ -1080,8 +942,10 @@ let delay_bound_floor ~epsilon p =
   if gmax <= 0. then Float.infinity
   else begin
     let lo, hi = gamma_bracket gmax in
-    let ratio = grid_ratio ~points:delay_points ~lo ~hi in
-    let top = Float.max hi (log_spaced ~lo ~ratio ~points:delay_points).(delay_points - 1) in
+    let ratio = Search.grid_ratio ~points:delay_points ~lo ~hi in
+    let top =
+      Float.max hi (Search.log_spaced ~lo ~ratio ~points:delay_points).(delay_points - 1)
+    in
     Batch.interval_floor (Batch.make p) ~epsilon ~a:lo ~b:top
   end
 
@@ -1221,13 +1085,10 @@ let delay_bound_fast ~epsilon p =
       @@ fun () ->
     begin
       let bt = Batch.make p in
-      let f gamma =
-        if !Telemetry.on then Telemetry.Counter.incr c_gamma_evals;
-        let sigma = Batch.sigma_for bt ~gamma ~epsilon in
-        k_procedure p ~gamma ~sigma
-      in
       let lo, hi = gamma_bracket gmax in
-      minimize_log_grid ~points:fast_points ~golden:fast_golden ~lo ~hi f
+      gamma_value
+        (Search.minimize ~refine:(Search.Golden fast_golden) ~points:fast_points ~lo ~hi
+           (fun gamma -> k_procedure p ~gamma ~sigma:(Batch.sigma_for bt ~gamma ~epsilon)))
     end
   end
 
@@ -1245,6 +1106,7 @@ let delay_bound_cached ~batch ~epsilon p =
   if gmax <= 0. then Float.infinity
   else begin
     let lo, hi = gamma_bracket gmax in
-    minimize_log_grid ~points:cached_points ~golden:cached_golden ~lo ~hi
-      (batch_eval batch ~epsilon)
+    gamma_value
+      (Search.minimize ~refine:(Search.Golden cached_golden) ~points:cached_points ~lo ~hi
+         (fun gamma -> Batch.delay_at_gamma batch ~gamma ~epsilon))
   end

@@ -178,7 +178,7 @@ val backlog_given : path -> gamma:float -> sigma:float -> float
 val backlog_bound : epsilon:float -> path -> float
 (** Probabilistic end-to-end backlog bound
     [P (B > backlog_bound) <= epsilon], minimized over a 40-point [gamma]
-    grid ({!minimize_log_grid}, no golden steps). *)
+    grid ({!Search.minimize}, no refinement). *)
 
 val optimal_thetas : path -> gamma:float -> sigma:float -> float array * float
 (** The minimizing [(thetas, X)] of Eq. (38) — the witness behind
@@ -186,52 +186,18 @@ val optimal_thetas : path -> gamma:float -> sigma:float -> float array * float
 
 val delay_bound : epsilon:float -> path -> float
 (** End-to-end delay bound with numerical optimization over [gamma], as
-    prescribed by the paper: {!minimize_log_grid} with a 40-point grid
+    prescribed by the paper: {!Search.minimize} with a 40-point grid
     and 40 golden-section steps, all through one compiled {!Batch},
-    the grid pruned by {!Batch.interval_floor} — 64 [delay_at_gamma]
-    evaluations and 9 floors on the Fig.-2 path the tests pin, where
-    the floorless search takes 93, with the same result bit for bit.
+    the grid pruned by {!Batch.interval_floor} (an [Interval] floor):
+    64 [delay_at_gamma] evaluations and 9 floors on the Fig.-2 path the
+    tests pin, where the floorless search takes 93, with the same result
+    bit for bit.
     [infinity] when the path is overloaded. *)
 
 val gamma_bracket : float -> float * float
 (** [gamma_bracket gmax] is the [(lo, hi)] range that {!delay_bound}
     (and every other γ search here) probes for a path with
     [gamma_max = gmax]: [(gmax *. 1e-6, gmax *. 0.999)]. *)
-
-val log_spaced : lo:float -> ratio:float -> points:int -> float array
-(** [[| lo; lo *. ratio; (lo *. ratio) *. ratio; ... |]] ([points]
-    entries), by repeated multiplication — the abscissae
-    {!minimize_log_grid} walks, bit for bit.
-    @raise Invalid_argument on [points < 1]. *)
-
-val grid_ratio : points:int -> lo:float -> hi:float -> float
-(** [(hi /. lo) ** (1 /. (points - 1))]: the ratio of the
-    [points]-point log-spaced grid from [lo] to [hi] that
-    {!minimize_log_grid} walks.  The one definition for every log grid
-    here, in {!Scenario}'s s-grids and in the serving engine. *)
-
-val minimize_log_grid :
-  ?floor:(float -> float -> float) ->
-  points:int -> golden:int -> lo:float -> hi:float -> (float -> float) -> float
-(** The one grid search behind every γ optimization here and in
-    [Additive]: [f] over the [points]-point log-spaced grid from [lo] to
-    [hi] (ratio {!grid_ratio}), in index order on the calling domain,
-    keeping the first strict minimum ([v < best]: a tie keeps the
-    earlier point, a NaN at index 0 propagates, an all-[infinity] grid
-    gives [infinity]); then [golden] golden-section steps over one grid
-    ratio either side of that point, whose final midpoint is evaluated
-    and [Float.min]'d in.  [golden = 0] returns the grid minimum after
-    exactly [points] evaluations.  The golden phase memoizes [f] over
-    its last 8 probes, so [f] must be pure.
-
-    With [?floor], where [floor a b] is a lower bound, never NaN, on
-    every non-NaN [f g] with [a <= g <= b], the grid phase evaluates
-    the two ends and skips each block of points between evaluated ones
-    whose floor is above the running minimum, bisecting the others
-    (DESIGN.md §7).  The minimum and its first index — hence the golden
-    phase and the result — are the floorless search's, bit for bit;
-    only the evaluations differ.
-    @raise Invalid_argument on [points < 1]. *)
 
 val delay_bound_floor : epsilon:float -> path -> float
 (** A certified lower bound on [delay_bound ~epsilon p] (its default

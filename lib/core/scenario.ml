@@ -53,127 +53,85 @@ let path_at t ~s ~delta =
   let cross = Envelope.Mmpp.ebb t.source ~n:t.n_cross ~s in
   E2e.homogeneous ~h:t.h ~capacity:t.capacity ~cross ~delta ~through
 
-(* Largest s keeping the path stable: total effective bandwidth (plus head
-   room for gamma) below capacity.  eb is increasing in s, so bisect. *)
-let s_stable_max t =
-  let stable s =
-    let eb = Envelope.Mmpp.effective_bandwidth t.source ~s in
-    ((t.n_through +. t.n_cross) *. eb) < t.capacity *. 0.9999
-  in
-  if not (stable 1e-6) then None
+(* Total effective bandwidth at [s], plus head room for gamma, below
+   capacity: the path is stable at [s].  eb is increasing in s. *)
+let stable_at t s =
+  let eb = Envelope.Mmpp.effective_bandwidth t.source ~s in
+  ((t.n_through +. t.n_cross) *. eb) < t.capacity *. 0.9999
+
+let s_doubling t =
+  if not (stable_at t 1e-6) then None
   else begin
     let rec grow hi tries =
-      if tries = 0 then hi else if stable hi then grow (2. *. hi) (tries - 1) else hi
+      if tries = 0 then hi else if stable_at t hi then grow (2. *. hi) (tries - 1) else hi
     in
-    let hi = grow 1e-6 60 in
-    let rec bisect lo hi n =
-      if n = 0 then lo
-      else
-        let mid = sqrt (lo *. hi) in
-        if stable mid then bisect mid hi (n - 1) else bisect lo mid (n - 1)
-    in
-    Some (bisect 1e-6 hi 60)
+    Some (grow 1e-6 60)
   end
+
+(* Largest s keeping the path stable: bisect below the doubling bound *)
+let s_stable_max t =
+  Option.map
+    (fun hi ->
+      let rec bisect lo hi n =
+        if n = 0 then lo
+        else
+          let mid = sqrt (lo *. hi) in
+          if stable_at t mid then bisect mid hi (n - 1) else bisect lo mid (n - 1)
+      in
+      bisect 1e-6 hi 60)
+    (s_doubling t)
+
+let s_bracket s_max = (s_max *. 1e-4, s_max *. 0.999)
 
 let c_s_evals = Telemetry.Counter.make "scenario.s_grid.evals"
 let c_s_pruned = Telemetry.Counter.make "scenario.s_grid.pruned"
 let c_edf_iters = Telemetry.Counter.make "scenario.edf.iterations"
 let c_edf_memo_hits = Telemetry.Counter.make "scenario.edf.memo_hits"
 
-(* One grid of the s-scan, best-first.  [floor s] is a lower bound on
-   [exact s] that is never NaN and is [neg_infinity] wherever [exact s]
-   could be NaN ({!E2e.delay_bound_floor}).  Points run in ascending-floor
-   order (index order among ties); a point is skipped when [prune] says
-   its floor cannot beat the running minimum, which starts at [cutoff].
-   A skipped point is recorded as [infinity]: its exact value is no
-   smaller than its floor, so it can neither hold the minimum nor be NaN,
-   and the index-order folds of [minimize_over_s_checked] read the same
-   argmin and minimum as over an exhaustive scan.  Once an exact value is
-   NaN ([nan_seen], shared by both grids) nothing more is skipped.
-   Returns the values and the number of exact evaluations run. *)
-let scan_best_first ~floor ~exact ~prune ~cutoff ~nan_seen grid =
-  let n = Array.length grid in
-  let floors = Array.map floor grid in
-  let order = Array.init n Fun.id in
-  Array.stable_sort (fun i j -> Float.compare floors.(i) floors.(j)) order;
-  let vals = Array.make n Float.infinity in
-  let best = ref cutoff and evals = ref 0 in
-  Array.iter
-    (fun i ->
-      if !nan_seen || not (prune floors.(i) !best) then begin
-        let v = exact grid.(i) in
-        incr evals;
-        vals.(i) <- v;
-        if Float.is_nan v then nan_seen := true else if v < !best then best := v
-      end)
-    order;
-  (vals, !evals)
+(* The points of the refinement around the s-grid's argmin *)
+let refine_points = 12
 
 (* Minimize [exact s] over the stable range of the effective-bandwidth
-   parameter: log grid plus a local geometric refinement around the
-   first-index argmin, each scanned by [scan_best_first].  The coarse
-   grid prunes only on floor > minimum, since a tie could be the
-   first-index argmin that centres the refinement; the refinement keeps
-   only the minimum, so floor >= minimum suffices there.  Without
-   [?floor] nothing is pruned and the points run in index order.
+   parameter: a log grid, then a 12-point log grid one grid ratio either
+   side of its first-index argmin, each pruned by [floor] when given.
    Returns the minimum with a typed diagnostic: [Unstable] when no stable
    [s] exists (or every grid point is infeasible in gamma), [Non_finite]
    when a NaN leaks out of the inner optimization.  [iterations] counts
    the grid points (evaluated or pruned), so it does not depend on the
    pruning; the [scenario.s_grid.evals] / [.pruned] counters split it. *)
-let minimize_over_s_checked ?(floor = fun _ -> Float.neg_infinity) ~s_points t exact =
+let minimize_over_s_checked ?floor ~s_points t exact =
   Telemetry.span "scenario.s_grid"
     ~attrs:[ ("h", Telemetry.Int t.h); ("s_points", Telemetry.Int s_points) ]
   @@ fun () ->
   match s_stable_max t with
   | None -> Diag.outcome Diag.Unstable Float.infinity
   | Some s_max ->
-    let lo = s_max *. 1e-4 and hi = s_max *. 0.999 in
-    let ratio = E2e.grid_ratio ~points:s_points ~lo ~hi in
-    let nan_seen = ref false in
-    let grid = E2e.log_spaced ~lo ~ratio ~points:s_points in
-    let (vals, coarse_evals) =
-      scan_best_first ~floor ~exact ~prune:( > ) ~cutoff:Float.infinity ~nan_seen grid
+    let lo, hi = s_bracket s_max in
+    let r =
+      Search.minimize ?floor ~refine:(Search.Grid refine_points) ~points:s_points ~lo ~hi exact
     in
-    let best = ref (grid.(0), vals.(0)) in
-    for i = 1 to s_points - 1 do
-      if vals.(i) < snd !best then best := (grid.(i), vals.(i))
-    done;
-    let center = fst !best in
-    let a = Float.max lo (center /. ratio) and b = Float.min hi (center *. ratio) in
-    let refine_points = 12 in
-    let rr = E2e.grid_ratio ~points:refine_points ~lo:a ~hi:b in
-    let rgrid = E2e.log_spaced ~lo:a ~ratio:rr ~points:refine_points in
-    let (rvals, refine_evals) =
-      scan_best_first ~floor ~exact ~prune:( >= ) ~cutoff:(snd !best) ~nan_seen rgrid
-    in
-    let sbest = ref (snd !best) in
-    for i = 0 to refine_points - 1 do
-      if rvals.(i) < !sbest then sbest := rvals.(i)
-    done;
     let points = s_points + refine_points in
-    let evals = coarse_evals + refine_evals in
     let status =
-      if !nan_seen then Diag.Non_finite
-      else if Float.is_finite !sbest then Diag.Converged
+      if r.Search.nan then Diag.Non_finite
+      else if Float.is_finite r.Search.value then Diag.Converged
       else Diag.Unstable
     in
-    Telemetry.Counter.add c_s_evals evals;
-    Telemetry.Counter.add c_s_pruned (points - evals);
+    Telemetry.Counter.add c_s_evals r.Search.evals;
+    Telemetry.Counter.add c_s_pruned (points - r.Search.evals);
     Telemetry.event "scenario.s_grid.result"
       ~attrs:
         [
-          ("evals", Telemetry.Int evals);
-          ("pruned", Telemetry.Int (points - evals));
+          ("evals", Telemetry.Int r.Search.evals);
+          ("pruned", Telemetry.Int (points - r.Search.evals));
           ("status", Telemetry.Str (Diag.status_to_string status));
-          ("best", Telemetry.Float !sbest);
+          ("best", Telemetry.Float r.Search.value);
         ];
-    Diag.outcome ~iterations:points status !sbest
+    Diag.outcome ~iterations:points status r.Search.value
 
 let delay_bound_checked ?(s_points = 32) ~scheduler t =
   let delta = Scheduler.Classes.delta_through_cross scheduler in
   minimize_over_s_checked ~s_points t
-    ~floor:(fun s -> E2e.delay_bound_floor ~epsilon:t.epsilon (path_at t ~s ~delta))
+    ~floor:(Search.Point (fun s -> E2e.delay_bound_floor ~epsilon:t.epsilon (path_at t ~s ~delta)))
     (fun s -> E2e.delay_bound ~epsilon:t.epsilon (path_at t ~s ~delta))
 
 let backlog_bound_checked ?(s_points = 32) ~scheduler t =

@@ -37,6 +37,16 @@ val utilization : t -> float
 val path_at : t -> s:float -> delta:Scheduler.Delta.t -> E2e.path
 (** The {!E2e.path} for a given effective-bandwidth parameter [s]. *)
 
+val s_doubling : t -> float option
+(** The stability scan: [None] when the path is unstable at
+    [s = 1e-6] (total effective bandwidth not below [0.9999 *. capacity]),
+    else the first unstable [s] among [1e-6 *. 2^k], [k <= 60]: the
+    bound {!s_stable_max} bisects below. *)
+
+val s_bracket : float -> float * float
+(** [s_bracket s_max] is the [(lo, hi)] range the s-searches probe:
+    [(s_max *. 1e-4, s_max *. 0.999)]. *)
+
 val s_stable_max : t -> float option
 (** Largest effective-bandwidth parameter [s] keeping the offered load
     (with head room for [gamma]) below capacity, or [None] when even a
@@ -46,7 +56,10 @@ val s_stable_max : t -> float option
 
 val delay_bound : ?s_points:int -> scheduler:Scheduler.Classes.two_class -> t -> float
 (** End-to-end delay bound for FIFO / BMUX / SP (fixed [∆_{0,c}]),
-    minimized over [s] (log grid + refinement) and [gamma].
+    minimized over [s] and [gamma]: {!Search.minimize} over an
+    [s_points] log grid of {!s_bracket}, refined by a 12-point grid one
+    grid ratio either side of its argmin, each s running
+    {!E2e.delay_bound}.
     For [Edf_gap g] the gap is used as given.
     [infinity] when no stable [s] exists. *)
 
@@ -62,8 +75,9 @@ val delay_bound_checked :
     gamma-infeasible), [Non_finite] when a NaN leaked out of the inner
     optimization, [Converged] otherwise.  [diag.iterations] counts the
     s-points of the grid and its refinement, including those skipped
-    because {!E2e.delay_bound_floor} proved they cannot hold the
-    minimum; skipping never changes the value or the diagnostic. *)
+    because {!E2e.delay_bound_floor} (a {!Search.Point} floor) proved
+    they cannot hold the minimum; skipping never changes the value or
+    the diagnostic. *)
 
 val backlog_bound_checked :
   ?s_points:int -> scheduler:Scheduler.Classes.two_class -> t -> float Diag.outcome

@@ -20,6 +20,7 @@
 
 module Classes = Scheduler.Classes
 module E2e = Deltanet.E2e
+module Search = Deltanet.Search
 module Scenario = Deltanet.Scenario
 module Contracts = Deltanet.Contracts
 module Admission = Deltanet.Admission
@@ -213,31 +214,25 @@ let scenario_of (p : P.admit_params) =
 
 (* Pin one effective-bandwidth parameter per shape: a coarse log scan of
    the cheap closed-form bound picks the s the cached batch will serve
-   at.  Any stable s is sound; the scan only buys tightness. *)
+   at.  Any stable s is sound; the scan only buys tightness.  A NaN bound
+   anywhere in the scan gets no entry, the answer for a shape with no
+   stable s. *)
 let make_entry (p : P.admit_params) two_class =
   let sc = scenario_of p in
   let delta = Classes.delta_through_cross two_class in
   match Scenario.s_stable_max sc with
   | None -> None
   | Some s_max ->
-    let points = 8 in
-    let lo = s_max *. 1e-4 and hi = s_max *. 0.999 in
-    let grid = E2e.log_spaced ~lo ~ratio:(E2e.grid_ratio ~points ~lo ~hi) ~points in
-    (* The first strict minimum from an [infinity] seed, so a NaN bound
-       at any s — the first included, unlike [E2e.minimize_log_grid] —
-       is skipped ([d < best] is false), and an all-[infinity] or
-       all-NaN grid keeps s at [lo]. *)
-    let best = ref Float.infinity and s_best = ref lo in
-    Array.iter
-      (fun s ->
-        let d = E2e.delay_bound_fast ~epsilon:p.P.epsilon (Scenario.path_at sc ~s ~delta) in
-        if d < !best then begin
-          best := d;
-          s_best := s
-        end)
-      grid;
-    let path = Scenario.path_at sc ~s:!s_best ~delta in
-    Some { e_path = path; e_batch = E2e.Batch.make path; e_exact = None; e_approx = None }
+    let lo, hi = Scenario.s_bracket s_max in
+    let r =
+      Search.minimize ~points:8 ~lo ~hi (fun s ->
+          E2e.delay_bound_fast ~epsilon:p.P.epsilon (Scenario.path_at sc ~s ~delta))
+    in
+    if r.Search.nan then None
+    else begin
+      let path = Scenario.path_at sc ~s:r.Search.arg ~delta in
+      Some { e_path = path; e_batch = E2e.Batch.make path; e_exact = None; e_approx = None }
+    end
 
 (* ---------------- supervised per-request work ---------------- *)
 
@@ -411,7 +406,8 @@ let handle_batch t lines =
       if hit then t.n_hits <- t.n_hits + 1 else t.n_misses <- t.n_misses + 1;
       match entry with
       | None ->
-        (* no stable s: treat like the parse-level stability rejection *)
+        (* no stable s (or a NaN in the s-scan): treat like the
+           parse-level stability rejection *)
         Telemetry.Counter.incr c_errors;
         t.n_errors <- t.n_errors + 1;
         Done

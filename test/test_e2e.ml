@@ -675,7 +675,7 @@ let search_probes bt ~epsilon p =
   let gmax = E2e.gamma_max p in
   let lo, hi = E2e.gamma_bracket gmax in
   let ratio = (hi /. lo) ** (1. /. 11.) in
-  let grid = Array.to_list (E2e.log_spaced ~lo ~ratio ~points:12) in
+  let grid = Array.to_list (Deltanet.Search.log_spaced ~lo ~ratio ~points:12) in
   let f g = E2e.Batch.delay_at_gamma bt ~gamma:g ~epsilon in
   let best = List.fold_left (fun b g -> if f g < f b then g else b) lo grid in
   let phi = (sqrt 5. -. 1.) /. 2. in
@@ -837,73 +837,8 @@ let test_cached_rejects_foreign_batch () =
       ("an equal copy", { p with E2e.nodes = Array.copy p.E2e.nodes });
     ]
 
-(* ---------------- the one grid search ---------------- *)
-
 let check_bitwise name a b =
   if not (bit_eq a b) then Alcotest.failf "%s: %.17g and %.17g differ bitwise" name a b
-
-let test_log_spaced () =
-  let lo = 1e-6 and ratio = 1.7 in
-  let xs = E2e.log_spaced ~lo ~ratio ~points:40 in
-  Alcotest.(check int) "length" 40 (Array.length xs);
-  (* exactly the repeated-multiplication sequence, not lo *. ratio ** k *)
-  let g = ref lo in
-  Array.iteri
-    (fun i x ->
-      check_bitwise (Printf.sprintf "abscissa %d" i) !g x;
-      g := !g *. ratio)
-    xs;
-  Alcotest.check_raises "points < 1"
-    (Invalid_argument "E2e.log_spaced: points must be >= 1")
-    (fun () -> ignore (E2e.log_spaced ~lo ~ratio ~points:0))
-
-(* [minimize_log_grid] over a scripted [f]: the i-th grid call returns
-   [vals.(i)], every golden probe returns [probe]; the calls are
-   recorded in order. *)
-let test_minimize_log_grid () =
-  let points = 9 and lo = 1e-3 and hi = 10. in
-  let grid = E2e.log_spaced ~lo ~ratio:((hi /. lo) ** (1. /. 8.)) ~points in
-  let run ~golden ?(probe = 3.) vals =
-    let calls = ref [] in
-    let f g =
-      let i = List.length !calls in
-      calls := g :: !calls;
-      if i < points then vals.(i) else probe
-    in
-    let v = E2e.minimize_log_grid ~points ~golden ~lo ~hi f in
-    (v, Array.of_list (List.rev !calls))
-  in
-  let tied = [| 4.; 2.; 1.; 2.; 1.; 2.; 2.; 2.; 2. |] in
-  let (v, calls) = run ~golden:0 tied in
-  check_bitwise "golden = 0: the grid minimum" 1. v;
-  Alcotest.(check int) "golden = 0: no evaluation past the grid" points (Array.length calls);
-  Array.iteri (fun i g -> check_bitwise (Printf.sprintf "grid call %d" i) grid.(i) g) calls;
-  (* a tie keeps the first index: the golden bracket is one ratio
-     either side of grid point 2, never around point 4 *)
-  let (v, calls) = run ~golden:5 ~probe:0.5 tied in
-  check_bitwise "golden probes can only lower the minimum" 0.5 v;
-  Alcotest.(check bool) "golden probes ran" true (Array.length calls > points);
-  Array.iteri
-    (fun i g ->
-      if i >= points then
-        Alcotest.(check bool)
-          (Printf.sprintf "probe %d = %g in [grid.(1), grid.(3)]" i g)
-          true
-          (grid.(1) <= g && g <= grid.(3)))
-    calls;
-  let (v, _) = run ~golden:5 ~probe:Float.infinity (Array.make points Float.infinity) in
-  check_bitwise "an all-infinite search gives infinity" Float.infinity v;
-  let with_nan = Array.copy tied in
-  with_nan.(0) <- Float.nan;
-  List.iter
-    (fun golden ->
-      let (v, _) = run ~golden with_nan in
-      Alcotest.(check bool) (Printf.sprintf "NaN at index 0 propagates (golden %d)" golden)
-        true (Float.is_nan v))
-    [ 0; 5 ];
-  Alcotest.check_raises "points < 1"
-    (Invalid_argument "E2e.minimize_log_grid: points must be >= 1")
-    (fun () -> ignore (E2e.minimize_log_grid ~points:0 ~golden:0 ~lo ~hi Fun.id))
 
 (* The γ evaluations one search costs on the Fig. 2 path H = 10,
    U = 50% (FIFO, s at 30% of its stable range): the floorless search
@@ -928,13 +863,12 @@ let test_gamma_eval_counts () =
   Fun.protect ~finally:Telemetry.shutdown (fun () ->
       let lo, hi = E2e.gamma_bracket (E2e.gamma_max p) in
       let batch = E2e.Batch.make p in
-      let calls = ref 0 in
       let floorless =
-        E2e.minimize_log_grid ~points:40 ~golden:40 ~lo ~hi (fun gamma ->
-            incr calls;
-            E2e.Batch.delay_at_gamma batch ~gamma ~epsilon)
+        Deltanet.Search.minimize ~refine:(Deltanet.Search.Golden 40) ~points:40 ~lo ~hi
+          (fun gamma -> E2e.Batch.delay_at_gamma batch ~gamma ~epsilon)
       in
-      Alcotest.(check int) "floorless search: 40 grid + golden" 93 !calls;
+      Alcotest.(check int) "floorless search: 40 grid + golden" 93 floorless.Deltanet.Search.evals;
+      let floorless = floorless.Deltanet.Search.value in
       let f0 = Telemetry.Counter.value floors in
       let (pruned, n) = count evals (fun () -> E2e.delay_bound ~epsilon p) in
       check_bitwise "delay_bound = the floorless search" floorless pruned;
@@ -986,7 +920,5 @@ let suite =
       test_batch_eval_allocation;
     Alcotest.test_case "delay_bound_cached rejects a batch of another path" `Quick
       test_cached_rejects_foreign_batch;
-    Alcotest.test_case "log_spaced abscissae match sequential" `Quick test_log_spaced;
-    Alcotest.test_case "minimize_log_grid fold" `Quick test_minimize_log_grid;
     Alcotest.test_case "gamma evaluation counts" `Quick test_gamma_eval_counts;
   ]

@@ -7,9 +7,27 @@
 
    figures_bits.expected holds one line per cell, "<csv> <row> <column>
    <value as %h> <iterations>", in the benchmark's pass order, then
-   "iterations <sum>". *)
+   "iterations <sum>".
+
+   The same pass, counted under the null sink, pins the searches' work:
+   figures_work.expected holds "<counter> <value>" for each counter in
+   [work_counters].  A change to the searched work, exact or not, shows
+   there and must re-pin it on purpose. *)
 
 let expected_file = "figures_bits.expected"
+let work_file = "figures_work.expected"
+
+let work_counters =
+  [
+    "span.scenario.s_grid.calls";
+    "scenario.s_grid.evals";
+    "scenario.s_grid.pruned";
+    "e2e.gamma.evals";
+    "e2e.gamma.floors";
+    "e2e.eq38.objective_evals";
+    "additive.gamma.evals";
+    "additive.s_grid.evals";
+  ]
 
 let read_lines file =
   let ic = open_in file in
@@ -40,8 +58,25 @@ let computed () =
   in
   cells @ [ Printf.sprintf "iterations %d" !total ]
 
-let test_bits () =
-  let expected = read_lines expected_file and got = computed () in
+(* One pass: the cell lines and the work counter lines *)
+let pass =
+  lazy
+    (Telemetry.reset ();
+     Telemetry.configure ~sink:Telemetry.Sink.null ();
+     Fun.protect ~finally:Telemetry.shutdown (fun () ->
+         let cells = computed () in
+         let counters = (Telemetry.snapshot ()).Telemetry.counters in
+         let work =
+           List.map
+             (fun name ->
+               Printf.sprintf "%s %d" name
+                 (Option.value ~default:0 (List.assoc_opt name counters)))
+             work_counters
+         in
+         (cells, work)))
+
+let check_lines file got =
+  let expected = read_lines file in
   Alcotest.(check int) "lines" (List.length expected) (List.length got);
   let diffs =
     List.filter_map
@@ -55,4 +90,11 @@ let test_bits () =
       (List.length expected)
       (String.concat "\n" (List.filteri (fun i _ -> i < 5) diffs))
 
-let suite = [ Alcotest.test_case "every figure cell, bit for bit" `Quick test_bits ]
+let test_bits () = check_lines expected_file (fst (Lazy.force pass))
+let test_work () = check_lines work_file (snd (Lazy.force pass))
+
+let suite =
+  [
+    Alcotest.test_case "every figure cell, bit for bit" `Quick test_bits;
+    Alcotest.test_case "the searches' work per pass" `Quick test_work;
+  ]

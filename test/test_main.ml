@@ -20,6 +20,7 @@ let () =
       ("deltanet.theorems", Test_core_analysis.suite);
       ("deltanet.e2e", Test_e2e.suite);
       ("deltanet.s_grid", Test_s_grid.suite);
+      ("deltanet.search", Test_search.suite);
       ("deltanet.deterministic+sim", Test_det_e2e.suite);
       ("envelope.sources+output", Test_sources_output.suite);
       ("deltanet.golden", Test_golden.suite);

@@ -8,6 +8,7 @@
    search must return the floorless search's bits. *)
 
 module E2e = Deltanet.E2e
+module Search = Deltanet.Search
 module Scenario = Deltanet.Scenario
 module Diag = Deltanet.Diag
 module Classes = Scheduler.Classes
@@ -55,7 +56,7 @@ let unmargined_floor ~epsilon p =
     (* the top of delay_bound's 40-point γ grid, which rounding can push
        past [hi] *)
     let ratio = (hi /. lo) ** (1. /. 39.) in
-    let top = Float.max hi (E2e.log_spaced ~lo ~ratio ~points:40).(39) in
+    let top = Float.max hi (Search.log_spaced ~lo ~ratio ~points:40).(39) in
     unmargined_interval_floor (E2e.Batch.make p) ~epsilon ~a:lo ~b:top
   end
 
@@ -185,8 +186,9 @@ let unpruned_search ~points ~golden ~epsilon p =
   else begin
     let lo, hi = E2e.gamma_bracket gmax in
     let b = E2e.Batch.make p in
-    E2e.minimize_log_grid ~points ~golden ~lo ~hi (fun gamma ->
-        E2e.Batch.delay_at_gamma b ~gamma ~epsilon)
+    (Search.minimize ~refine:(Search.Golden golden) ~points ~lo ~hi (fun gamma ->
+         E2e.Batch.delay_at_gamma b ~gamma ~epsilon))
+      .Search.value
   end
 
 let unpruned_delay_bound ~epsilon p = unpruned_search ~points:40 ~golden:40 ~epsilon p
@@ -194,7 +196,7 @@ let unpruned_delay_bound ~epsilon p = unpruned_search ~points:40 ~golden:40 ~eps
 (* [delay_bound]'s 40-point γ grid over a path's bracket *)
 let delay_grid p =
   let lo, hi = E2e.gamma_bracket (E2e.gamma_max p) in
-  E2e.log_spaced ~lo ~ratio:(E2e.grid_ratio ~points:40 ~lo ~hi) ~points:40
+  Search.log_spaced ~lo ~ratio:(Search.grid_ratio ~points:40 ~lo ~hi) ~points:40
 
 (* One interval-floor query: a mixed-∆ path (H = 1..40), a violation
    probability, and grid indices i <= j. *)
@@ -312,51 +314,6 @@ let prop_pruned_search_exact =
         end;
         true)
 
-(* [minimize_log_grid] over scripted values: every grid abscissa maps to
-   one of a few values (ties, infinity and NaN among them), a golden
-   probe g to [probe *. g] — so the golden phase's answer depends on
-   which grid point centres it — and the floor of a block is the exact
-   minimum of its non-NaN values: the tightest floor the contract
-   admits, so the most points are skipped.  Pruned and floorless
-   searches must agree bit for bit: a pruning that moved the argmin
-   to a later tie would show. *)
-let prop_pruned_fold_exact =
-  let value_gen =
-    QCheck.Gen.oneofl [ 0.5; 1.; 2.; 3.; Float.infinity; Float.nan ]
-  in
-  let gen =
-    QCheck.Gen.(
-      int_range 1 12 >>= fun points ->
-      triple (array_repeat points value_gen) (oneofl [ 0; 5 ]) (oneofl [ 0.1; 1.5 ]))
-  in
-  let print (vals, golden, probe) =
-    Fmt.str "golden=%d probe=%g vals=[%s]" golden probe
-      (String.concat "; " (Array.to_list (Array.map (Fmt.str "%g") vals)))
-  in
-  QCheck.Test.make ~name:"pruned grid fold = index-order fold on scripted values"
-    ~count:(Qc.count 500 ~cap:20000) (QCheck.make ~print gen)
-    (fun (vals, golden, probe) ->
-      let points = Array.length vals and lo = 1e-3 and hi = 10. in
-      let grid = E2e.log_spaced ~lo ~ratio:(E2e.grid_ratio ~points ~lo ~hi) ~points in
-      let index g =
-        let k = ref (-1) in
-        Array.iteri (fun i x -> if bit_eq x g then k := i) grid;
-        !k
-      in
-      let f g = match index g with -1 -> probe *. g | i -> vals.(i) in
-      let floor a b =
-        let m = ref Float.infinity in
-        for i = index a to index b do
-          if vals.(i) < !m then m := vals.(i)
-        done;
-        !m
-      in
-      let want = E2e.minimize_log_grid ~points ~golden ~lo ~hi f in
-      let got = E2e.minimize_log_grid ~floor ~points ~golden ~lo ~hi f in
-      if not (bit_eq got want || (Float.is_nan got && Float.is_nan want)) then
-        QCheck.Test.fail_reportf "pruned %h, floorless %h" got want;
-      true)
-
 (* ε = NaN, an overloaded path, an all-infinite grid and a NaN at
    index 0, pruned and floorless alike. *)
 let test_pruned_grid_edges () =
@@ -394,8 +351,8 @@ let test_pruned_grid_edges () =
   (* scripted grids: the floor claims infinity everywhere, so every
      block is skipped whenever the running minimum is finite *)
   let points = 9 and lo = 1e-3 and hi = 10. in
-  let ratio = E2e.grid_ratio ~points ~lo ~hi in
-  let sgrid = E2e.log_spaced ~lo ~ratio ~points in
+  let ratio = Search.grid_ratio ~points ~lo ~hi in
+  let sgrid = Search.log_spaced ~lo ~ratio ~points in
   let search ~golden vals =
     let calls = ref [] in
     let f g =
@@ -404,10 +361,12 @@ let test_pruned_grid_edges () =
       Array.iteri (fun i x -> if bit_eq x g then k := i) sgrid;
       if !k >= 0 then vals.(!k) else 7.
     in
-    let v =
-      E2e.minimize_log_grid ~floor:(fun _ _ -> Float.infinity) ~points ~golden ~lo ~hi f
+    let refine = if golden = 0 then None else Some (Search.Golden golden) in
+    let r =
+      Search.minimize ~floor:(Search.Interval (fun _ _ -> Float.infinity)) ?refine ~points
+        ~lo ~hi f
     in
-    (v, List.rev !calls)
+    (r.Search.value, List.rev !calls)
   in
   let all_inf = Array.make points Float.infinity in
   let (v, calls) = search ~golden:5 all_inf in
@@ -445,7 +404,7 @@ let exhaustive ~s_points t f =
   | Some s_max ->
     let lo = s_max *. 1e-4 and hi = s_max *. 0.999 in
     let ratio = (hi /. lo) ** (1. /. float_of_int (s_points - 1)) in
-    let grid = E2e.log_spaced ~lo ~ratio ~points:s_points in
+    let grid = Search.log_spaced ~lo ~ratio ~points:s_points in
     let vals = Array.map f grid in
     let bi = ref 0 in
     for i = 1 to s_points - 1 do
@@ -454,7 +413,7 @@ let exhaustive ~s_points t f =
     let center = grid.(!bi) in
     let a = Float.max lo (center /. ratio) and b = Float.min hi (center *. ratio) in
     let rr = (b /. a) ** (1. /. 11.) in
-    let rvals = Array.map f (E2e.log_spaced ~lo:a ~ratio:rr ~points:12) in
+    let rvals = Array.map f (Search.log_spaced ~lo:a ~ratio:rr ~points:12) in
     let best = Array.fold_left (fun m v -> if v < m then v else m) vals.(!bi) rvals in
     let nan_seen = Array.exists Float.is_nan vals || Array.exists Float.is_nan rvals in
     let status =
@@ -636,7 +595,6 @@ let suite =
     Alcotest.test_case "the interval floor's margin is needed" `Quick
       test_interval_margin_is_needed;
     QCheck_alcotest.to_alcotest prop_pruned_search_exact;
-    QCheck_alcotest.to_alcotest prop_pruned_fold_exact;
     Alcotest.test_case "pruned gamma grid edge inputs" `Quick test_pruned_grid_edges;
     Alcotest.test_case "the 2-cycle EDF cell" `Quick test_two_cycle_cell;
   ]

@@ -1118,6 +1118,69 @@ let test_hit_path_allocation () =
   if words > 400. then
     Alcotest.failf "handle_batch: %.1f minor words per cached hit (budget 400)" words
 
+(* A miss pins s per shape by the engine's scan: [Search.minimize] over
+   8 points of [E2e.delay_bound_fast], a shape whose scan saw a NaN
+   getting the "no stable s" error.  One hop at the edges the protocol
+   admits — loads at 0 and at the stability edge, eps near 0 and 1, the
+   EDF gaps of extreme deadlines — sees none.  At the hop cap the edge
+   gap does: there the K-procedure's X overflows to infinity, and the
+   engine refuses the shape rather than serve a bound from the other
+   s-points. *)
+let test_engine_scan_edges () =
+  let module Scenario = Deltanet.Scenario in
+  let module Search = Deltanet.Search in
+  (* [Some nan] when the scan ran, [None] on an unstable shape *)
+  let scan ~h ~u0 ~uc ~eps two_class =
+    let sc =
+      { (Scenario.of_utilization ~h ~u_through:u0 ~u_cross:uc) with Scenario.epsilon = eps }
+    in
+    Option.map
+      (fun s_max ->
+        let lo, hi = Scenario.s_bracket s_max in
+        let delta = Scheduler.Classes.delta_through_cross two_class in
+        (Search.minimize ~points:8 ~lo ~hi (fun s ->
+             Deltanet.E2e.delay_bound_fast ~epsilon:eps (Scenario.path_at sc ~s ~delta)))
+          .Search.nan)
+      (Scenario.s_stable_max sc)
+  in
+  let scans = ref 0 in
+  List.iter
+    (fun (u0, uc) ->
+      List.iter
+        (fun eps ->
+          List.iter
+            (fun c ->
+              match scan ~h:1 ~u0 ~uc ~eps c with
+              | None -> ()
+              | Some false -> incr scans
+              | Some true ->
+                Alcotest.failf "NaN in the s-scan: u0=%h uc=%h eps=%h %a" u0 uc eps
+                  Scheduler.Classes.pp_two_class c)
+            Scheduler.Classes.
+              [
+                Fifo;
+                Bmux;
+                Sp_through_high;
+                Edf_gap 0.;
+                Edf_gap 1e300;
+                Edf_gap (-1e300);
+                Edf_gap (-1e-300);
+              ])
+        [ 1e-300; 1e-9; 1. -. epsilon_float ])
+    [ (0., 0.); (0., 0.9998); (0.9998, 0.); (0.5, 0.4998); (1e-300, 1e-300) ];
+  check Alcotest.int "one-hop scans, none NaN" 105 !scans;
+  (* deadline 1e304 ms over 10^4 hops at ratio 2: a gap of -1e300 *)
+  check Alcotest.(option bool) "hop cap: the scan sees a NaN" (Some true)
+    (scan ~h:10_000 ~u0:0.5 ~uc:0.4998 ~eps:1e-9 (Scheduler.Classes.Edf_gap (-1e300)));
+  let j =
+    parse_resp
+      (Engine.handle_line (mk_engine ())
+         "{\"op\":\"admit\",\"h\":10000,\"u0\":0.5,\"uc\":0.4998,\"deadline\":1e304,\"sched\":\"edf\",\"edf_ratio\":2}")
+  in
+  check Alcotest.string "hop cap: refused" "error" (str_field j "status");
+  check Alcotest.string "hop cap: the no-stable-s error"
+    "no stable effective-bandwidth parameter exists" (str_field j "detail")
+
 let suite =
   [
     Alcotest.test_case "sjson values" `Quick test_sjson_values;
@@ -1173,4 +1236,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_render_oracle;
     Alcotest.test_case "trace id = %s-%06d" `Quick test_trace_id;
     Alcotest.test_case "hit path allocation budget" `Quick test_hit_path_allocation;
+    Alcotest.test_case "engine s-scan: a NaN takes the no-stable-s path" `Quick
+      test_engine_scan_edges;
   ]

@@ -152,6 +152,35 @@ let test_admission_consistency () =
   Alcotest.(check bool) "not admissible above" false
     (Admission.admissible r ~scheduler:Scheduler.Classes.Fifo ~u_cross:(u +. 0.02))
 
+(* H = 10, U0 = 15%, ratio 10: above ~14% cross load the EDF fixed
+   point stops Diverged, and a bisection that read those last iterates
+   as bounds answered 56% at d = 200 ms.  The answer must be a load
+   whose fixed point converged within the deadline. *)
+let test_admission_edf_converged () =
+  List.iter
+    (fun deadline ->
+      let r =
+        {
+          Admission.base = Scenario.of_utilization ~h:10 ~u_through:0.15 ~u_cross:0.;
+          guarantee = { Admission.deadline; epsilon = 1e-9 };
+        }
+      in
+      let u = Admission.max_cross_utilization_edf r ~cross_over_through:10. in
+      let o =
+        Scenario.delay_bound_edf_checked ~s_points:16
+          (Scenario.of_utilization ~h:10 ~u_through:0.15 ~u_cross:u)
+          ~spec:{ Scenario.cross_over_through = 10. }
+      in
+      Alcotest.(check string)
+        (Fmt.str "d = %g ms: the fixed point at u = %g" deadline u)
+        "converged"
+        (Deltanet.Diag.status_to_string o.Deltanet.Diag.diag.Deltanet.Diag.status);
+      Alcotest.(check bool)
+        (Fmt.str "d = %g ms: bound %g within it" deadline o.Deltanet.Diag.value.Scenario.bound)
+        true
+        (o.Deltanet.Diag.value.Scenario.bound <= deadline))
+    [ 50.; 200. ]
+
 let suite =
   [
     Alcotest.test_case "output rate/decay" `Quick test_output_rate_and_decay;
@@ -165,4 +194,5 @@ let suite =
     Alcotest.test_case "admission monotone" `Slow test_admission_monotone_in_deadline;
     Alcotest.test_case "admission scheduler order" `Slow test_admission_scheduler_ordering;
     Alcotest.test_case "admission consistency" `Slow test_admission_consistency;
+    Alcotest.test_case "admission EDF answer converged" `Quick test_admission_edf_converged;
   ]
