@@ -928,8 +928,8 @@ let serve_cmd =
       & opt int 4096
       & info [ "cache-entries" ] ~docv:"N"
           ~doc:
-            "Bounded LRU capacity for compiled path-shape kernels — the daemon's \
-             memory bound under shape churn.")
+            "Bounded LRU capacity for path-shape entries (memoized bounds and \
+             compiled kernels) — the daemon's memory bound under shape churn.")
   in
   let batch_arg =
     Arg.(

@@ -943,9 +943,7 @@ let delay_bound_floor ~epsilon p =
   else begin
     let lo, hi = gamma_bracket gmax in
     let ratio = Search.grid_ratio ~points:delay_points ~lo ~hi in
-    let top =
-      Float.max hi (Search.log_spaced ~lo ~ratio ~points:delay_points).(delay_points - 1)
-    in
+    let top = Float.max hi (Search.last_point ~lo ~ratio ~points:delay_points) in
     Batch.interval_floor (Batch.make p) ~epsilon ~a:lo ~b:top
   end
 
@@ -1055,6 +1053,10 @@ let k_procedure p ~gamma ~sigma =
     let x = x_of k in
     if !Telemetry.on then Telemetry.Counter.incr c_objective_evals;
     objective p ~gamma ~sigma x
+  | Scheduler.Delta.Fin _ when Float.equal sigma Float.infinity ->
+    (* d < 0 and Eq. (38) infeasible: Eq. (42)'s X and the theta it
+       gives would both be +inf, and their difference NaN *)
+    Float.infinity
   | Scheduler.Delta.Fin d ->
     (* d < 0, Eq. (42) *)
     let x_of k =

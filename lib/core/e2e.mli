@@ -235,7 +235,9 @@ val fifo_closed_form : path -> gamma:float -> sigma:float -> float
 val k_procedure : path -> gamma:float -> sigma:float -> float
 (** The paper's explicit choice of [K] and [X] (Eq. 40–42) followed by the
     exact [theta_h X]; an upper bound on {!delay_given} that is near-optimal
-    in practice.  @raise Invalid_argument unless the path is homogeneous. *)
+    in practice.  [infinity] wherever {!delay_given} is: an infinite
+    [sigma] (Eq. 38 infeasible) reads as [infinity], not NaN, for every
+    delta.  @raise Invalid_argument unless the path is homogeneous. *)
 
 val delay_bound_fast : epsilon:float -> path -> float
 (** A coarse γ search (8 grid points, 40 golden-section steps) with

@@ -59,8 +59,10 @@ let stable_at t s =
   let eb = Envelope.Mmpp.effective_bandwidth t.source ~s in
   ((t.n_through +. t.n_cross) *. eb) < t.capacity *. 0.9999
 
+let has_stable_s t = stable_at t 1e-6
+
 let s_doubling t =
-  if not (stable_at t 1e-6) then None
+  if not (has_stable_s t) then None
   else begin
     let rec grow hi tries =
       if tries = 0 then hi else if stable_at t hi then grow (2. *. hi) (tries - 1) else hi

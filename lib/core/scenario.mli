@@ -37,6 +37,11 @@ val utilization : t -> float
 val path_at : t -> s:float -> delta:Scheduler.Delta.t -> E2e.path
 (** The {!E2e.path} for a given effective-bandwidth parameter [s]. *)
 
+val has_stable_s : t -> bool
+(** Whether the path is stable at [s = 1e-6] (total effective bandwidth
+    below [0.9999 *. capacity]): one probe, and
+    [has_stable_s t = Option.is_some (s_stable_max t)]. *)
+
 val s_doubling : t -> float option
 (** The stability scan: [None] when the path is unstable at
     [s = 1e-6] (total effective bandwidth not below [0.9999 *. capacity]),

@@ -14,6 +14,15 @@ let log_spaced ~lo ~ratio ~points =
   done;
   xs
 
+let last_point ~lo ~ratio ~points =
+  if points < 1 then invalid_arg "Search.last_point: points must be >= 1";
+  let x = ref lo in
+  for _ = 2 to points do
+    x := !x *. ratio
+  done;
+  !x
+  [@@zero_alloc_check]
+
 (* [f] over [grid], a point the floor rules out read as [infinity].  The
    running minimum starts at [cutoff] and moves on [v < m].  A skipped
    point's floor is above that minimum, so its value is NaN ([Interval]

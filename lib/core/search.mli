@@ -44,6 +44,11 @@ val log_spaced : lo:float -> ratio:float -> points:int -> float array
     {!minimize} walks, bit for bit.
     @raise Invalid_argument on [points < 1]. *)
 
+val last_point : lo:float -> ratio:float -> points:int -> float
+(** [(log_spaced ~lo ~ratio ~points).(points - 1)], bit for bit, by the
+    same multiplications and without the array.
+    @raise Invalid_argument on [points < 1]. *)
+
 val minimize :
   ?floor:floor -> ?refine:refine -> points:int -> lo:float -> hi:float -> (float -> float) -> result
 (** Without a floor the grid phase allocates nothing.

@@ -1,9 +1,11 @@
-(** A bounded LRU map from path-shape keys to compiled solver state.
+(** A bounded LRU map from path-shape keys to the engine's per-shape
+    entries (memoized bounds and, once the shape degrades, its compiled
+    solver state).
 
     The daemon's memory bound: at most [capacity] entries live at once, a
     [put] past the bound evicts the least-recently-used entry, and [find]
     refreshes recency — so a soak over millions of distinct shapes holds
-    the worst case at [capacity] kernels regardless of traffic.  O(1)
+    the worst case at [capacity] entries regardless of traffic.  O(1)
     lookup (hash table) and O(1) recency maintenance (intrusive doubly
     linked list).  Single-domain by design: the serving driver owns the
     cache and workers never touch it, matching the mutability contract of

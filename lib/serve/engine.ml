@@ -2,8 +2,9 @@
 
    1. plan (driver, sequential): parse + validate every line, answer the
       free ones (errors, stats/health, memoized cache hits), shed what the
-      backlog policy refuses, pick exact/approx for the rest and build
-      missing cache entries;
+      backlog policy refuses, pick exact/approx for the rest, add missing
+      cache entries and compile the degraded-mode kernel of an entry the
+      first time a request on it degrades;
    2. compute: exact jobs (pure — full Scenario optimization, no shared
       kernel) fan out on the default Parallel pool; approx jobs run on the
       driver because they mutate the cached kernels' scratch state;
@@ -48,9 +49,15 @@ let default_config =
     debug_ops = false;
   }
 
+(* The degraded mode's kernel: the path at the shape's pinned s and its
+   compiled batch *)
+type kernel = { k_path : E2e.path; k_batch : E2e.Batch.t }
+
+(* A cache entry is a shape's memoized bounds; the kernel is compiled
+   only when a request on the shape first degrades, since an exact
+   answer never reads it *)
 type entry = {
-  e_path : E2e.path;
-  e_batch : E2e.Batch.t;
+  mutable e_kernel : kernel option;
   mutable e_exact : float option;
   mutable e_approx : float option;
 }
@@ -212,12 +219,19 @@ let scenario_of (p : P.admit_params) =
   let sc = Scenario.of_utilization ~h:p.P.h ~u_through:p.P.u_through ~u_cross:p.P.u_cross in
   { sc with Scenario.epsilon = p.P.epsilon }
 
+(* A shape gets an entry when some stable s exists; the other shapes
+   are refused *)
+let make_entry (p : P.admit_params) =
+  if Scenario.has_stable_s (scenario_of p) then
+    Some { e_kernel = None; e_exact = None; e_approx = None }
+  else None
+
 (* Pin one effective-bandwidth parameter per shape: a coarse log scan of
-   the cheap closed-form bound picks the s the cached batch will serve
+   the cheap closed-form bound picks the s the kernel's batch will serve
    at.  Any stable s is sound; the scan only buys tightness.  A NaN bound
-   anywhere in the scan gets no entry, the answer for a shape with no
-   stable s. *)
-let make_entry (p : P.admit_params) two_class =
+   anywhere in the scan gets no kernel, and the degraded request the
+   "no stable s" answer. *)
+let make_kernel (p : P.admit_params) two_class =
   let sc = scenario_of p in
   let delta = Classes.delta_through_cross two_class in
   match Scenario.s_stable_max sc with
@@ -231,7 +245,7 @@ let make_entry (p : P.admit_params) two_class =
     if r.Search.nan then None
     else begin
       let path = Scenario.path_at sc ~s:r.Search.arg ~delta in
-      Some { e_path = path; e_batch = E2e.Batch.make path; e_exact = None; e_approx = None }
+      Some { k_path = path; k_batch = E2e.Batch.make path }
     end
 
 (* ---------------- supervised per-request work ---------------- *)
@@ -268,10 +282,10 @@ let run_exact cfg (p : P.admit_params) two_class =
       let d = Admission.decide ~s_points:cfg.s_points r ~scheduler:two_class in
       R_bound { bound = d.Admission.bound; ok = Diag.ok d.Admission.diag })
 
-let run_approx entry (p : P.admit_params) =
+let run_approx entry kernel (p : P.admit_params) =
   supervise (fun () ->
       let b =
-        E2e.delay_bound_cached ~batch:entry.e_batch ~epsilon:p.P.epsilon entry.e_path
+        E2e.delay_bound_cached ~batch:kernel.k_batch ~epsilon:p.P.epsilon kernel.k_path
       in
       entry.e_approx <- Some b;
       R_bound { bound = b; ok = Float.is_finite b })
@@ -294,7 +308,7 @@ type job = {
   j_trace : string;
   j_params : P.admit_params;
   j_two_class : Classes.two_class;
-  j_entry : entry option;  (* None: the shape failed to build an entry *)
+  j_entry : entry;
   j_mode : P.mode;
   j_hit : bool;
   j_budget : float;
@@ -303,7 +317,7 @@ type job = {
 type plan =
   | Done of string
   | Exact of job
-  | Approx of job
+  | Approx of job * kernel
   | Poison of string option * string  (* id, trace *)
 
 let serve_counters () =
@@ -348,12 +362,10 @@ let finish_bound t ~batch_start ~service_ms ~(job : job) res =
   | R_bound { bound; ok } ->
     (* memoize before the budget check: a timed-out computation still
        warms the cache, so the client's retry is a hit *)
-    (match job.j_entry with
-    | Some e when ok ->
-      (match job.j_mode with
-      | P.Exact -> e.e_exact <- Some bound
-      | P.Approx -> e.e_approx <- Some bound)
-    | _ -> ());
+    (if ok then
+       match job.j_mode with
+       | P.Exact -> job.j_entry.e_exact <- Some bound
+       | P.Approx -> job.j_entry.e_approx <- Some bound);
     if elapsed_ms > job.j_budget then begin
       Telemetry.Counter.incr c_timeouts;
       t.n_timeouts <- t.n_timeouts + 1;
@@ -398,22 +410,24 @@ let handle_batch t lines =
         match found with
         | Some _ -> found
         | None ->
-          let e = make_entry p two_class in
+          let e = make_entry p in
           (match e with Some e -> Cache.put t.cache key e | None -> ());
           e
       in
       let hit = match found with Some _ -> true | None -> false in
       if hit then t.n_hits <- t.n_hits + 1 else t.n_misses <- t.n_misses + 1;
-      match entry with
-      | None ->
-        (* no stable s (or a NaN in the s-scan): treat like the
-           parse-level stability rejection *)
+      (* no stable s (or, for a degraded request, a NaN in the s-scan):
+         treat like the parse-level stability rejection *)
+      let no_stable_s () =
         Telemetry.Counter.incr c_errors;
         t.n_errors <- t.n_errors + 1;
         Done
           (access t ~batch_start ~trace ~outcome:"error"
              (P.render_error ?id ~trace ~kind:P.Unstable
                 ~detail:"no stable effective-bandwidth parameter exists" ()))
+      in
+      match entry with
+      | None -> no_stable_s ()
       | Some e ->
         let finish_memo mode bound =
           let elapsed_ms = (t.now () -. batch_start) *. 1000. in
@@ -441,7 +455,7 @@ let handle_batch t lines =
                 j_trace = trace;
                 j_params = p;
                 j_two_class = two_class;
-                j_entry = Some e;
+                j_entry = e;
                 j_mode = P.Exact;
                 j_hit = hit;
                 j_budget = budget;
@@ -452,18 +466,30 @@ let handle_batch t lines =
             match e.e_approx with
             | Some bound -> finish_memo P.Approx bound
             | None ->
-              incr compute_pending;
-              Approx
-                {
-                  j_id = id;
-                  j_trace = trace;
-                  j_params = p;
-                  j_two_class = two_class;
-                  j_entry = Some e;
-                  j_mode = P.Approx;
-                  j_hit = hit;
-                  j_budget = budget;
-                }
+              let kernel =
+                match e.e_kernel with
+                | Some _ -> e.e_kernel
+                | None ->
+                  let k = make_kernel p two_class in
+                  e.e_kernel <- k;
+                  k
+              in
+              (match kernel with
+              | None -> no_stable_s ()
+              | Some k ->
+                incr compute_pending;
+                Approx
+                  ( {
+                      j_id = id;
+                      j_trace = trace;
+                      j_params = p;
+                      j_two_class = two_class;
+                      j_entry = e;
+                      j_mode = P.Approx;
+                      j_hit = hit;
+                      j_budget = budget;
+                    },
+                    k ))
           end)
     end
   in
@@ -563,16 +589,12 @@ let handle_batch t lines =
           let res = exact_results.(!exact_i) in
           incr exact_i;
           finish_bound t ~batch_start ~service_ms:exact_service_ms ~job:j res
-        | Approx j ->
+        | Approx (j, k) ->
           (* approx jobs run sequentially right here, so each one's own
              start/end timestamps give the per-job sample — never the
              cumulative time since the batch began *)
           let t0 = t.now () in
-          let res =
-            match j.j_entry with
-            | Some e -> run_approx e j.j_params
-            | None -> R_error { kind = P.Internal; detail = "missing cache entry" }
-          in
+          let res = run_approx j.j_entry k j.j_params in
           let service_ms = (t.now () -. t0) *. 1000. in
           finish_bound t ~batch_start ~service_ms ~job:j res)
       plans

@@ -1,13 +1,15 @@
 (** The admission-control serving engine: parse → police → compute →
     render, with every robustness behaviour the daemon advertises.
 
-    One engine owns one {!Cache} of compiled solver state keyed by path
-    shape (hops, utilizations, epsilon, scheduler — and, for EDF, the
-    deadline-anchored gap).  A cache entry pins one effective-bandwidth
-    parameter [s] (chosen once by a coarse scan when the shape is first
-    seen) and keeps the compiled {!E2e.Batch} plus memoized bounds, so a
-    repeat query is a hash lookup and a float compare — the 10⁵+/s hot
-    path.
+    One engine owns one {!Cache} of entries keyed by path shape (hops,
+    utilizations, epsilon, scheduler — and, for EDF, the
+    deadline-anchored gap).  A cache entry keeps the shape's memoized
+    bounds, so a repeat query is a hash lookup and a float compare — the
+    10⁵+/s hot path.  The first request on a shape that degrades pins
+    one effective-bandwidth parameter [s] for it (a coarse scan of the
+    closed-form bound) and compiles the {!E2e.Batch} the [approx] mode
+    runs on; a shape answered exactly never pays for either.  A shape
+    with no stable [s] is refused on every miss.
 
     {b Degradation ladder} (per request, chosen from the remaining
     compute budget and EWMA service-time estimates):

@@ -519,6 +519,74 @@ let prop_k_procedure_vs_enumeration =
       end;
       true)
 
+(* Eq. 40-44 at the edges: gaps of any magnitude up to 1e300 (mostly
+   negative, Eq. 42) and a sigma up to +inf (where Eq. 38 is
+   infeasible).  The K-procedure is never NaN where the exact solver is
+   not, and +inf wherever the exact solver is. *)
+let neg_gap_arb =
+  let through = Ebb.v ~m:1. ~rho:15. ~alpha:0.8 in
+  let gen =
+    QCheck.Gen.(
+      int_range 1 30 >>= fun h ->
+      quad (float_range 60. 150.) (float_range 0.5 40.) (float_range 0.5 3.)
+        (frequency
+           [
+             (4, map (fun e -> Delta.Fin (-.(10. ** e))) (float_range (-300.) 300.));
+             (1, map (fun e -> Delta.Fin (10. ** e)) (float_range (-300.) 300.));
+             (1, return (Delta.Fin 0.));
+             (1, return Delta.Neg_inf);
+             (1, return Delta.Pos_inf);
+           ])
+      >>= fun (capacity, rho_c, m_c, delta) ->
+      let cross = Ebb.v ~m:m_c ~rho:rho_c ~alpha:0.8 in
+      let p = E2e.homogeneous ~h ~capacity ~cross ~delta ~through in
+      float_range 1e-12 0.999 >>= fun u ->
+      let gamma = E2e.gamma_max p *. u in
+      frequency
+        [
+          (4, map (fun extra -> E2e.Reference.sigma_for p ~gamma ~epsilon:1e-9 +. extra)
+                (float_range 0. 500.));
+          (2, return Float.infinity);
+          (2, map (fun e -> 10. ** e) (float_range 0. 308.));
+        ]
+      >>= fun sigma -> return (p, gamma, sigma))
+  in
+  let print (p, gamma, sigma) =
+    Fmt.str "H=%d gamma=%h sigma=%h node=%s" (Array.length p.E2e.nodes) gamma sigma
+      (print_node p.E2e.nodes.(0))
+  in
+  QCheck.make ~print gen
+
+let prop_k_procedure_never_nan =
+  QCheck.Test.make ~name:"k_procedure: no NaN, +inf where Eq. 38 is (edge gaps)"
+    ~count:(Qc.count 400) neg_gap_arb
+    (fun (p, gamma, sigma) ->
+      let exact = E2e.delay_given p ~gamma ~sigma in
+      let kproc = E2e.k_procedure p ~gamma ~sigma in
+      if Float.is_nan kproc && not (Float.is_nan exact) then
+        QCheck.Test.fail_reportf "k_procedure NaN where delay_given = %h" exact;
+      if Float.equal exact Float.infinity && not (Float.equal kproc Float.infinity) then
+        QCheck.Test.fail_reportf "delay_given +inf, k_procedure %h" kproc;
+      true)
+
+(* The engine's eager refusal reads one stability probe; it must agree
+   with the full stability scan, up to the stability edge *)
+let test_has_stable_s () =
+  List.iter
+    (fun (u0, uc) ->
+      List.iter
+        (fun h ->
+          let sc = Scenario.of_utilization ~h ~u_through:u0 ~u_cross:uc in
+          Alcotest.(check bool)
+            (Printf.sprintf "h=%d u0=%g uc=%g" h u0 uc)
+            (Option.is_some (Scenario.s_stable_max sc))
+            (Scenario.has_stable_s sc))
+        [ 1; 10; 10_000 ])
+    [
+      (0., 0.); (0.15, 0.35); (0.5, 0.4998); (0.5, 0.49989); (0.5, 0.4999); (0.5, 0.49995);
+      (0.99, 0.0099); (1e-300, 0.99999);
+    ]
+
 let test_smallest_k_matches_reference () =
   (* The O(H) backward-prefix-sum smallest_k against the O(H^2) recursive
      reference, for H up to 10^3 and nontrivial extra feasibility
@@ -921,4 +989,6 @@ let suite =
     Alcotest.test_case "delay_bound_cached rejects a batch of another path" `Quick
       test_cached_rejects_foreign_batch;
     Alcotest.test_case "gamma evaluation counts" `Quick test_gamma_eval_counts;
+    QCheck_alcotest.to_alcotest prop_k_procedure_never_nan;
+    Alcotest.test_case "has_stable_s = a stable s exists" `Quick test_has_stable_s;
   ]

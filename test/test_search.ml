@@ -204,10 +204,33 @@ let prop_first_argmin_and_evals =
       end;
       true)
 
+(* The top grid point without the array: [last_point] is the last
+   abscissa of [log_spaced] over any bracket, bit for bit. *)
+let prop_last_point =
+  QCheck.Test.make ~name:"last_point = log_spaced's last abscissa, bitwise"
+    ~count:(Qc.count 500)
+    QCheck.(
+      make
+        ~print:(fun (lo, span, points) -> Printf.sprintf "lo=%h span=%h points=%d" lo span points)
+        Gen.(
+          triple
+            (map (fun e -> 10. ** e) (float_range (-300.) 300.))
+            (map (fun e -> 10. ** e) (float_range (-6.) 30.))
+            (int_range 1 64)))
+    (fun (lo, span, points) ->
+      let hi = lo *. (1. +. span) in
+      let ratio = Search.grid_ratio ~points ~lo ~hi in
+      let want = (Search.log_spaced ~lo ~ratio ~points).(points - 1) in
+      let got = Search.last_point ~lo ~ratio ~points in
+      if not (same_float got want) then
+        QCheck.Test.fail_reportf "last_point %h, log_spaced %h (ratio %h)" got want ratio;
+      true)
+
 let suite =
   [
     Alcotest.test_case "log_spaced abscissae match sequential" `Quick test_log_spaced;
     Alcotest.test_case "scripted fold" `Quick test_scripted_fold;
     QCheck_alcotest.to_alcotest prop_pruned_equals_floorless;
     QCheck_alcotest.to_alcotest prop_first_argmin_and_evals;
+    QCheck_alcotest.to_alcotest prop_last_point;
   ]

@@ -33,6 +33,9 @@ let num_field j k =
   | Some (Sjson.Num v) -> v
   | _ -> Alcotest.failf "missing number field %S" k
 
+let admit_field j =
+  match Sjson.member "admit" j with Some (Sjson.Bool b) -> b | _ -> Alcotest.fail "missing admit"
+
 (* deterministic clocks for the engine tests *)
 let const_clock v () = v
 
@@ -1118,14 +1121,16 @@ let test_hit_path_allocation () =
   if words > 400. then
     Alcotest.failf "handle_batch: %.1f minor words per cached hit (budget 400)" words
 
-(* A miss pins s per shape by the engine's scan: [Search.minimize] over
-   8 points of [E2e.delay_bound_fast], a shape whose scan saw a NaN
-   getting the "no stable s" error.  One hop at the edges the protocol
-   admits — loads at 0 and at the stability edge, eps near 0 and 1, the
-   EDF gaps of extreme deadlines — sees none.  At the hop cap the edge
-   gap does: there the K-procedure's X overflows to infinity, and the
-   engine refuses the shape rather than serve a bound from the other
-   s-points. *)
+(* The first degraded request on a shape pins its s by the engine's
+   scan: [Search.minimize] over 8 points of [E2e.delay_bound_fast], a
+   shape whose scan saw a NaN getting the "no stable s" error.  One hop
+   at the edges the protocol admits — loads at 0 and at the stability
+   edge, eps near 0 and 1, the EDF gaps of extreme deadlines — sees
+   none, and neither does the hop cap with the edge gap, where sigma
+   overflows to infinity at the smallest s and gamma and the
+   K-procedure reads that as infeasible.  That shape is stable: the
+   exact bound of its first request times out under the 250 ms budget,
+   is memoized, and the retry admits from the cache. *)
 let test_engine_scan_edges () =
   let module Scenario = Deltanet.Scenario in
   let module Search = Deltanet.Search in
@@ -1170,16 +1175,148 @@ let test_engine_scan_edges () =
     [ (0., 0.); (0., 0.9998); (0.9998, 0.); (0.5, 0.4998); (1e-300, 1e-300) ];
   check Alcotest.int "one-hop scans, none NaN" 105 !scans;
   (* deadline 1e304 ms over 10^4 hops at ratio 2: a gap of -1e300 *)
-  check Alcotest.(option bool) "hop cap: the scan sees a NaN" (Some true)
+  check Alcotest.(option bool) "hop cap: no NaN in the scan" (Some false)
     (scan ~h:10_000 ~u0:0.5 ~uc:0.4998 ~eps:1e-9 (Scheduler.Classes.Edf_gap (-1e300)));
-  let j =
-    parse_resp
-      (Engine.handle_line (mk_engine ())
-         "{\"op\":\"admit\",\"h\":10000,\"u0\":0.5,\"uc\":0.4998,\"deadline\":1e304,\"sched\":\"edf\",\"edf_ratio\":2}")
+  let line =
+    "{\"op\":\"admit\",\"h\":10000,\"u0\":0.5,\"uc\":0.4998,\"deadline\":1e304,\"sched\":\"edf\",\"edf_ratio\":2}"
   in
-  check Alcotest.string "hop cap: refused" "error" (str_field j "status");
-  check Alcotest.string "hop cap: the no-stable-s error"
-    "no stable effective-bandwidth parameter exists" (str_field j "detail")
+  (* clock script: create, batch start, plan, exact-phase start/end,
+     then 1 s elapsed at render time *)
+  let e = mk_engine ~clock:(queue_clock [ 0.; 0.; 0.; 0.; 0.; 1. ]) () in
+  let j = parse_resp (Engine.handle_line e line) in
+  check Alcotest.string "hop cap: the exact bound times out" "timeout" (str_field j "status");
+  let j = parse_resp (Engine.handle_line e line) in
+  check Alcotest.string "hop cap: the retry is a hit" "hit" (str_field j "cache");
+  check Alcotest.string "hop cap: exact" "exact" (str_field j "mode");
+  check Alcotest.bool "hop cap: admitted" true (admit_field j);
+  check Alcotest.bool "hop cap: a finite bound" true (Float.is_finite (num_field j "bound_ms"))
+
+(* ---------------- the degraded-mode kernel is built lazily ---------------- *)
+
+(* [e2e.gamma.evals] over [f], counted under the null sink *)
+let gamma_evals f =
+  Telemetry.reset ();
+  Telemetry.configure ~sink:Telemetry.Sink.null ();
+  Fun.protect ~finally:Telemetry.shutdown (fun () ->
+      let x = f () in
+      let counters = (Telemetry.snapshot ()).Telemetry.counters in
+      (x, Option.value ~default:0 (List.assoc_opt "e2e.gamma.evals" counters)))
+
+(* An exact-answered miss runs one s x gamma search, [Admission.decide]'s:
+   the degraded mode's closed-form s-scan is not run for it. *)
+let test_engine_exact_miss_one_search () =
+  let module Admission = Deltanet.Admission in
+  let module Scenario = Deltanet.Scenario in
+  let line = "{\"op\":\"admit\",\"h\":6,\"u0\":0.2,\"uc\":0.3,\"deadline\":80}" in
+  let reply, engine_evals = gamma_evals (fun () -> Engine.handle_line (mk_engine ()) line) in
+  let j = parse_resp reply in
+  check Alcotest.string "a miss" "miss" (str_field j "cache");
+  check Alcotest.string "answered exactly" "exact" (str_field j "mode");
+  let d, decide_evals =
+    gamma_evals (fun () ->
+        Admission.decide ~s_points:Engine.default_config.Engine.s_points
+          {
+            Admission.base = Scenario.of_utilization ~h:6 ~u_through:0.2 ~u_cross:0.3;
+            guarantee = { Admission.deadline = 80.; epsilon = 1e-9 };
+          }
+          ~scheduler:Scheduler.Classes.Fifo)
+  in
+  check Alcotest.bool "decide did search" true (decide_evals > 0);
+  check Alcotest.int "the miss's gamma evaluations = decide's" decide_evals engine_evals;
+  check (Alcotest.float 0.) "the bound is decide's" d.Admission.bound (num_field j "bound_ms")
+
+(* Degraded replies pinned from the engine that compiled the kernel on
+   every miss: (shape fields, admit, bound_ms).  A 1 ms budget cannot fit
+   the predicted exact cost, so each request degrades. *)
+let approx_table =
+  [
+    ("\"h\":4,\"u0\":0.2,\"uc\":0.1,\"deadline\":25", false, 29.639100929823659);
+    ("\"h\":10,\"u0\":0.15,\"uc\":0.35,\"deadline\":200,\"sched\":\"sp\"", true, 5.2403844686787693);
+    ("\"h\":3,\"u0\":0.3,\"uc\":0.2,\"deadline\":50,\"sched\":\"bmux\"", true, 44.166269783479841);
+    ("\"h\":7,\"u0\":0.13,\"uc\":0.29,\"deadline\":57,\"sched\":\"edf\"", true, 47.544326298130279);
+    ( "\"h\":20,\"u0\":0.1,\"uc\":0.6,\"deadline\":30,\"sched\":\"edf\",\"edf_ratio\":0.5",
+      false,
+      2264.7516112960102 );
+    ("\"h\":1,\"u0\":0.5,\"uc\":0.4,\"deadline\":10,\"epsilon\":1e-6", false, 69.889696221279394);
+  ]
+
+let degraded_line ~id shape = Printf.sprintf "{\"op\":\"admit\",\"id\":%S,%s,\"budget_ms\":1}" id shape
+
+let test_engine_approx_pinned () =
+  List.iter
+    (fun (shape, admitted, bound) ->
+      let e = mk_engine () in
+      List.iter
+        (fun cache ->
+          let j = parse_resp (Engine.handle_line e (degraded_line ~id:"d" shape)) in
+          check Alcotest.string (shape ^ ": approx") "approx" (str_field j "mode");
+          check Alcotest.string (shape ^ ": cache") cache (str_field j "cache");
+          check Alcotest.bool (shape ^ ": admit") admitted (admit_field j);
+          check Alcotest.string (shape ^ ": bound bits") (Printf.sprintf "%h" bound)
+            (Printf.sprintf "%h" (num_field j "bound_ms")))
+        [ "miss"; "hit" ])
+    approx_table;
+  (* two degraded requests on one shape in one batch both compute: the
+     second reuses the first one's kernel, so the pair costs one s-scan
+     and two cached gamma searches *)
+  let shape, _, bound = List.hd approx_table in
+  let scan_evals =
+    let sc = Deltanet.Scenario.of_utilization ~h:4 ~u_through:0.2 ~u_cross:0.1 in
+    let lo, hi =
+      Deltanet.Scenario.s_bracket (Option.get (Deltanet.Scenario.s_stable_max sc))
+    in
+    snd
+      (gamma_evals (fun () ->
+           Deltanet.Search.minimize ~points:8 ~lo ~hi (fun s ->
+               Deltanet.E2e.delay_bound_fast ~epsilon:1e-9
+                 (Deltanet.Scenario.path_at sc ~s
+                    ~delta:(Scheduler.Classes.delta_through_cross Scheduler.Classes.Fifo)))))
+  in
+  let one, one_evals =
+    gamma_evals (fun () -> Engine.handle_batch (mk_engine ()) [ degraded_line ~id:"a" shape ])
+  in
+  let two, two_evals =
+    gamma_evals (fun () ->
+        Engine.handle_batch (mk_engine ())
+          [ degraded_line ~id:"a" shape; degraded_line ~id:"b" shape ])
+  in
+  List.iter
+    (fun r ->
+      let j = parse_resp r in
+      check Alcotest.string "computed on a miss" "miss" (str_field j "cache");
+      check Alcotest.string "approx" "approx" (str_field j "mode");
+      check Alcotest.string "bound bits" (Printf.sprintf "%h" bound)
+        (Printf.sprintf "%h" (num_field j "bound_ms")))
+    (one @ [ List.hd two ]);
+  check Alcotest.string "the second is a hit" "hit" (str_field (parse_resp (List.nth two 1)) "cache");
+  let cached_evals = one_evals - scan_evals in
+  check Alcotest.bool "the scan searched" true (scan_evals > 0 && cached_evals > 0);
+  check Alcotest.int "the second degraded request pays no scan" (one_evals + cached_evals)
+    two_evals
+
+(* A shape with no stable s is refused on every miss, whichever mode the
+   plan would pick, with the bytes the eager engine sent *)
+let test_engine_no_stable_s_refused () =
+  let shape = "\"h\":2,\"u0\":0.5,\"uc\":0.49995,\"deadline\":10" in
+  let want =
+    "{\"id\":\"u\",\"status\":\"error\",\"code\":\"unstable\",\"detail\":\"no stable \
+     effective-bandwidth parameter exists\",\"exit_hint\":3,\"trace\":\""
+  in
+  let e = mk_engine () in
+  List.iter
+    (fun (what, line) ->
+      List.iter
+        (fun _ ->
+          let r = Engine.handle_line e line in
+          let n = String.length want in
+          if not (String.length r > n && String.equal (String.sub r 0 n) want) then
+            Alcotest.failf "%s: %s" what r)
+        [ 1; 2 ])
+    [
+      ("exact", Printf.sprintf "{\"op\":\"admit\",\"id\":\"u\",%s}" shape);
+      ("approx", degraded_line ~id:"u" shape);
+    ];
+  check Alcotest.int "never cached" 0 (Engine.cache_length e)
 
 let suite =
   [
@@ -1238,4 +1375,10 @@ let suite =
     Alcotest.test_case "hit path allocation budget" `Quick test_hit_path_allocation;
     Alcotest.test_case "engine s-scan: a NaN takes the no-stable-s path" `Quick
       test_engine_scan_edges;
+    Alcotest.test_case "engine: an exact miss runs one s x gamma search" `Quick
+      test_engine_exact_miss_one_search;
+    Alcotest.test_case "engine: approx replies pinned, kernel reused" `Quick
+      test_engine_approx_pinned;
+    Alcotest.test_case "engine: no stable s refused in both modes" `Quick
+      test_engine_no_stable_s_refused;
   ]
