@@ -1153,7 +1153,6 @@ let () =
      any event streaming.  The null sink is non-streaming, so the parallel
      pool stays parallel while counters still record work. *)
   Telemetry.configure ~sink:Telemetry.Sink.null ();
-  Parallel.Default.apply_cutoff_env ();
   Parallel.Default.set_jobs !par_jobs;
   let t0 = Unix.gettimeofday () in
   let reports =

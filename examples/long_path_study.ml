@@ -33,13 +33,8 @@ let () =
       in
       let edf = o.Deltanet.Diag.value.Scenario.bound in
       (* the fixed point's status, shown unless it converged *)
-      let status =
-        let d = o.Deltanet.Diag.diag in
-        if Deltanet.Diag.ok d then ""
-        else Printf.sprintf " [%s]" (Deltanet.Diag.status_to_string d.Deltanet.Diag.status)
-      in
       Fmt.pr "  %4d %10.2f %10.2f %10.2f %11.1f%% %11.1f%%%s@." h bmux fifo edf
-        (100. *. fifo /. bmux) (100. *. edf /. bmux) status)
+        (100. *. fifo /. bmux) (100. *. edf /. bmux) (Deltanet.Diag.note o.Deltanet.Diag.diag))
     [ 1; 2; 3; 5; 8; 12; 16; 24; 32 ];
   Fmt.pr
     "@.FIFO/BMUX climbs to ~100%%: without deadline differentiation, the@.\

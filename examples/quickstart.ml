@@ -16,18 +16,14 @@ let () =
       ~spec:{ Deltanet.Scenario.cross_over_through = 10. }
   in
   let edf = edf_outcome.Deltanet.Diag.value in
-  (* the fixed point's status, shown unless it converged *)
-  let edf_status =
-    let d = edf_outcome.Deltanet.Diag.diag in
-    if Deltanet.Diag.ok d then ""
-    else Printf.sprintf " [%s]" (Deltanet.Diag.status_to_string d.Deltanet.Diag.status)
-  in
   Fmt.pr "End-to-end delay bounds (H=5, U=50%%, eps=1e-9)@.";
   Fmt.pr "  blind multiplexing (BMUX): %7.2f ms@." bmux;
   Fmt.pr "  FIFO:                      %7.2f ms@." fifo;
   Fmt.pr "  EDF (d*_c = 10 d*_0):      %7.2f ms  (d*_0 = %.2f ms, %d iterations)%s@."
     edf.Deltanet.Scenario.bound edf.Deltanet.Scenario.d_through
-    edf.Deltanet.Scenario.iterations edf_status;
+    edf.Deltanet.Scenario.iterations
+    (* the fixed point's status, shown unless it converged *)
+    (Deltanet.Diag.note edf_outcome.Deltanet.Diag.diag);
   Fmt.pr "  SP (through high prio):    %7.2f ms@." sp;
   Fmt.pr "@.The paper's headline: FIFO approaches BMUX on long paths, while@.";
   Fmt.pr "deadline-differentiated EDF keeps a persistent advantage.@."

@@ -235,3 +235,35 @@ let check_scenario (t : Scenario.t) =
     *. Envelope.Mmpp.mean_rate t.Scenario.source
   in
   check_stability ~capacity:t.Scenario.capacity ~offered
+
+(* ---------------- pre-flight (deltanet check) ---------------- *)
+
+type preflight = { checks : int; findings : (string * finding) list }
+
+let preflight ~capacity ~offered ~matrices ~envelopes =
+  let group label findings = List.map (fun f -> (label, f)) findings in
+  let shipped =
+    [
+      ("fifo", Classes.fifo ~n:3);
+      ("sp", Classes.static_priority ~priorities:[| 0; 1; 2 |]);
+      ("bmux", Classes.bmux ~n:3 ~tagged:0);
+      ("edf", Classes.edf ~deadlines:[| 10.; 20.; 30. |]);
+    ]
+  in
+  let findings =
+    group "scenario" (check_stability ~capacity ~offered)
+    @ List.concat_map (fun (name, m) -> group name (check_classes m)) shipped
+    @ List.concat
+        (List.mapi
+           (fun i m ->
+             group (Fmt.str "matrix#%d" i)
+               (check_matrix ~n:(Array.length m) (fun j k -> m.(j).(k))))
+           matrices)
+    @ List.concat
+        (List.mapi
+           (fun i e ->
+             let label = Fmt.str "envelope#%d" i in
+             group label (check_envelope ~label e))
+           envelopes)
+  in
+  { checks = 1 + List.length shipped + List.length matrices + List.length envelopes; findings }

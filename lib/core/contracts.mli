@@ -82,3 +82,22 @@ val check_guarantee : deadline:float -> epsilon:float -> finding list
 val check_scenario : Scenario.t -> finding list
 (** The stability contract of the paper's scenario: aggregate mean rate of
     through plus cross flows strictly below the link capacity. *)
+
+type preflight = {
+  checks : int;  (** contract checks run *)
+  findings : (string * finding) list;
+      (** every finding, in check order, labelled by what it came from *)
+}
+
+val preflight :
+  capacity:float ->
+  offered:float ->
+  matrices:Scheduler.Delta.t array array list ->
+  envelopes:Minplus.Curve.t list ->
+  preflight
+(** The checks [deltanet check] runs, in this order: the stability of
+    [offered] against [capacity] (label ["scenario"]); the shipped
+    FIFO, SP, BMUX and EDF matrices over three flows, as a self-check of
+    the model zoo (["fifo"], ["sp"], ["bmux"], ["edf"]); each square
+    matrix of [matrices] (["matrix#i"]); and each envelope
+    (["envelope#i"]).  {!diag_of} over the findings gives the verdict. *)

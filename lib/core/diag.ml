@@ -20,6 +20,8 @@ let status_to_string = function
   | Non_finite -> "non-finite"
   | Invalid -> "invalid"
 
+let note d = if ok d then "" else " (" ^ status_to_string d.status ^ ")"
+
 let pp ppf d =
   Format.fprintf ppf "%s (%d iterations, tolerance %g)" (status_to_string d.status)
     d.iterations d.tolerance

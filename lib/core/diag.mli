@@ -34,6 +34,11 @@ val ok : t -> bool
 (** [true] iff {!Converged}. *)
 
 val status_to_string : status -> string
+
+val note : t -> string
+(** What to print after a value: [""] when {!Converged}, else the
+    status in parentheses with a leading blank, e.g. [" (diverged)"]. *)
+
 val pp : Format.formatter -> t -> unit
 
 (** NaN/Inf tripwires: raise {!Guard.Tripped} instead of letting poisoned

@@ -31,6 +31,16 @@ val of_utilization : h:int -> u_through:float -> u_cross:float -> t
     or a total utilization [u_through +. u_cross >= 1.] (an unstable path
     with no finite bound). *)
 
+val of_loads :
+  h:int ->
+  u_through:float ->
+  u_cross:float ->
+  (t, [ `Invalid of string | `Unstable of string ]) result
+(** {!of_utilization}, checked first and never raising: [`Invalid] when
+    [h < 1] or a load is NaN or negative, [`Unstable] when a load or
+    their total reaches 1 (no finite bound exists).  The message says
+    which. *)
+
 val utilization : t -> float
 (** Total mean-rate utilization [(N_0 +. N_c) *. mean /. C]. *)
 
@@ -123,8 +133,14 @@ val delay_bound_edf_checked :
 
     @raise Invalid_argument on a non-positive deadline ratio. *)
 
-val delay_bound_edf : ?s_points:int -> ?max_iter:int -> spec:edf_spec -> t -> edf_result
-(** @deprecated Compatibility wrapper around {!delay_bound_edf_checked}
-    that drops the diagnostic — in particular it still returns the last
-    iterate after [max_iter] with no signal of non-convergence.  New code
-    should call {!delay_bound_edf_checked}. *)
+type metric = Delay | Backlog
+
+val bound_checked :
+  ?s_points:int -> ?metric:metric -> scheduler:Scheduler.Kind.t -> t -> float Diag.outcome
+(** The [metric] bound (default [Delay]) for one of the paper's four
+    schedulers.  FIFO, BMUX and SP go to {!delay_bound_checked} or
+    {!backlog_bound_checked}.  EDF solves {!delay_bound_edf_checked}; its
+    [Delay] is the fixed point's bound, and its [Backlog] is the backlog
+    bound at the fixed point's gap ({!Scheduler.Kind.edf_gap} at its
+    [d_through]).  When the fixed point did not converge, a [Backlog]
+    outcome carries the fixed point's diagnostic and a NaN value. *)

@@ -4,6 +4,20 @@ module Curve = Minplus.Curve
 
 type flow = { envelope : Minplus.Curve.t; delta : Scheduler.Delta.t }
 
+let flow_of_string s =
+  let bad = Error (Printf.sprintf "expected RATE:BURST[:DELTA], got %S" s) in
+  let leaky r b delta =
+    match (float_of_string_opt r, float_of_string_opt b, delta) with
+    | (_, _, Ok (Scheduler.Delta.Fin d)) when Float.is_nan d -> bad
+    | (Some rate, Some burst, Ok delta) when rate >= 0. && burst >= 0. ->
+      Ok { envelope = Minplus.Curve.affine ~rate ~burst; delta }
+    | _ -> bad
+  in
+  match String.split_on_char ':' s with
+  | [ r; b ] -> leaky r b (Ok Scheduler.Delta.zero)
+  | [ r; b; d ] -> leaky r b (Scheduler.Delta.of_string d)
+  | _ -> bad
+
 (* sum_{k in N_j} E_k (t +. ∆_{j,k}(d)) as a curve in t. *)
 let shifted_sum ~delay flows =
   let shifted =

@@ -14,6 +14,11 @@ type flow = {
 }
 (** The tagged flow itself must be included with [delta = Fin 0.]. *)
 
+val flow_of_string : string -> (flow, string) result
+(** A leaky-bucket flow [RATE:BURST[:DELTA]] (rate and burst
+    non-negative, [DELTA] read by {!Scheduler.Delta.of_string}, default
+    [0]).  A NaN anywhere is refused: Eq. (24) has no NaN precedence. *)
+
 val slack : capacity:float -> delay:float -> flow list -> float
 (** [C d -. sup_{t>0} (sum_k E_k (t +. ∆_{j,k} (d)) -. C t)] — the margin
     of Eq. (24); non-negative iff the delay bound holds. *)

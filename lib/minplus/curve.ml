@@ -108,6 +108,19 @@ let v_unsafe triples =
   check_shape ps;
   normalize ps
 
+let of_string s =
+  let piece t =
+    match List.map float_of_string_opt (String.split_on_char ':' t) with
+    | [ Some x; Some y; Some r ] -> Ok (x, y, r)
+    | _ -> Error (Printf.sprintf "bad envelope piece %S (expected X:Y:R)" t)
+  in
+  let pieces = List.map piece (String.split_on_char ',' s) in
+  match List.find_map (function Error e -> Some e | Ok _ -> None) pieces with
+  | Some e -> Error e
+  | None -> (
+    try Ok (v_unsafe (List.filter_map Result.to_option pieces))
+    with Invalid_argument msg -> Error msg)
+
 let pieces (f : t) = Array.to_list f
 let breakpoints (f : t) = Array.to_list f |> List.map (fun p -> p.x)
 

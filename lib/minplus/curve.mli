@@ -26,6 +26,11 @@ val v_unsafe : (float * float * float) list -> t
     [infinity] outside their support); the exported operations always return
     well-formed curves. *)
 
+val of_string : string -> (t, string) result
+(** {!v_unsafe} over comma-separated [X:Y:R] pieces (value [Y + R (t - X)]
+    from abscissa [X]), so an envelope that is not non-decreasing can
+    still be read and diagnosed. *)
+
 val pieces : t -> piece list
 (** The normalized pieces of the curve, in increasing [x] order. *)
 

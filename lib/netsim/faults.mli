@@ -60,3 +60,8 @@ val spec_to_string : spec -> string
 val spec_of_string : string -> (spec, string) result
 (** Inverse of {!spec_to_string}: [const:F], [window:A-B:F] (several may be
     joined with [+]), or [gilbert:PFAIL:PREC:F]. *)
+
+val node_spec_of_string : string -> (int * spec, string) result
+(** [NODE:SPEC]: a 0-based node index (negative ones refused) and a
+    {!spec_of_string} spec.  Whether the node is on the path is the
+    tandem's check ({!Tandem.check}), not the parser's. *)

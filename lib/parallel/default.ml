@@ -18,19 +18,6 @@ let jobs_from_env () =
     | Some n when n >= 0 -> Some n
     | Some _ | None -> None)
 
-let cutoff_from_env () =
-  match Sys.getenv_opt "DELTANET_PAR_CUTOFF" with
-  | None | Some "" -> None
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 0 -> Some n
-    | Some _ | None -> None)
-
-let apply_cutoff_env () =
-  match cutoff_from_env () with
-  | Some n -> Pool.set_parallel_cutoff n
-  | None -> ()
-
 let resolve n = if n = 0 then Pool.recommended_jobs () else n
 
 let set_jobs n =

@@ -13,15 +13,6 @@ val jobs_from_env : unit -> int option
 (** [DELTANET_JOBS] parsed as a positive int ([0] means auto-detect via
     {!Pool.recommended_jobs}); [None] when unset, empty or malformed. *)
 
-val cutoff_from_env : unit -> int option
-(** [DELTANET_PAR_CUTOFF] parsed as a non-negative int ([0] disables the
-    cutoff); [None] when unset, empty or malformed. *)
-
-val apply_cutoff_env : unit -> unit
-(** {!Pool.set_parallel_cutoff} from [DELTANET_PAR_CUTOFF] when set; a
-    no-op otherwise.  Called by the CLI and bench at startup, alongside
-    their [--jobs] handling. *)
-
 val set_jobs : int -> unit
 (** Resize the default pool: [0] selects {!Pool.recommended_jobs},
     [1] sequential, [n > 1] that many domains.  Shuts down the previous

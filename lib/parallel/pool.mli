@@ -44,8 +44,8 @@ val set_parallel_cutoff : int -> unit
     when [n * w < cutoff], because queueing chunks and waking worker
     domains costs more than the work itself for small grids.  [0]
     disables the cutoff (hinted maps always fan out).  Process-wide;
-    set once at startup ([DELTANET_PAR_CUTOFF], CLI).  Maps without a
-    [?work] hint are never affected.
+    tests set it to force or forbid fan-out.  Maps without a [?work]
+    hint are never affected.
     @raise Invalid_argument on a negative cutoff. *)
 
 val parallel_cutoff : unit -> int

@@ -29,3 +29,26 @@ let pp ppf = function
   | Neg_inf -> Fmt.string ppf "-∞"
   | Pos_inf -> Fmt.string ppf "+∞"
   | Fin x -> Fmt.pf ppf "%g" x
+
+let of_string s =
+  match String.trim s with
+  | "inf" | "+inf" -> Ok Pos_inf
+  | "-inf" -> Ok Neg_inf
+  | e -> (
+    match float_of_string_opt e with
+    | Some x when Float.is_nan x -> Ok (Fin x)
+    | Some x -> Ok (fin x)
+    | None -> Error (Printf.sprintf "bad delta entry %S (float, inf, -inf or nan)" e))
+
+let matrix_of_string s =
+  let rows = List.map (String.split_on_char ',') (String.split_on_char ';' s) in
+  let n = List.length rows in
+  if List.exists (fun r -> List.length r <> n) rows then
+    Error (Printf.sprintf "matrix is not square (%d row(s))" n)
+  else
+    let entries = List.concat rows |> List.map of_string in
+    match List.find_map (function Error e -> Some e | Ok _ -> None) entries with
+    | Some e -> Error e
+    | None ->
+      let flat = Array.of_list (List.filter_map Result.to_option entries) in
+      Ok (Array.init n (fun j -> Array.sub flat (j * n) n))

@@ -32,3 +32,13 @@ val of_float : float -> t
 val is_finite : t -> bool
 
 val pp : Format.formatter -> t -> unit
+
+val of_string : string -> (t, string) result
+(** One ∆ entry, surrounding blanks ignored: ["inf"] or ["+inf"] is
+    [Pos_inf], ["-inf"] is [Neg_inf], any other float is {!fin}'s
+    constant.  ["nan"] is kept as [Fin nan], so a contract checker, not
+    the parser, rejects it; a caller that cannot take NaN tests for it. *)
+
+val matrix_of_string : string -> (t array array, string) result
+(** A square ∆ matrix, rows separated by [';'] and entries by [','],
+    each read by {!of_string}. *)

@@ -179,22 +179,14 @@ let ewma old sample = (0.8 *. old) +. (0.2 *. sample)
 
 (* ---------------- shape keys and model construction ---------------- *)
 
+(* serve-mode EDF anchors the per-node deadline to the request's own
+   end-to-end budget (d*_0 = deadline / H) instead of re-solving the
+   paper's fixed point per query: the gap is then a fixed, feasible
+   ∆_{0,c} and the resulting bound is sound for that deadline vector.
+   The fixed-point variant stays available offline via `deltanet
+   admission`. *)
 let two_class_of (p : P.admit_params) =
-  match p.scheduler with
-  | P.Fifo -> Classes.Fifo
-  | P.Bmux -> Classes.Bmux
-  | P.Sp -> Classes.Sp_through_high
-  | P.Edf { cross_over_through } ->
-    (* serve-mode EDF anchors the per-node deadline to the request's own
-       end-to-end budget (d*_0 = deadline / H) instead of re-solving the
-       paper's fixed point per query: the gap is then a fixed, feasible
-       ∆_{0,c} and the resulting bound is sound for that deadline
-       vector.  The fixed-point variant stays available offline via
-       `deltanet admission`. *)
-    let d0 = p.deadline /. float_of_int p.h in
-    let gap = d0 *. (1. -. cross_over_through) in
-    (* an underflowed d0 can give -0: the same gap as 0, the same shape *)
-    Classes.Edf_gap (if Float.equal gap 0. then 0. else gap)
+  Scheduler.Kind.two_class ~d_through:(p.deadline /. float_of_int p.h) p.scheduler
 
 (* The shape key: h, the scheduler tag and the bit patterns of the EDF
    gap (0 for the other schedulers), u0, uc and epsilon, at fixed

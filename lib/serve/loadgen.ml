@@ -57,7 +57,7 @@ let line cfg rng i =
     Printf.sprintf
       "{\"op\":\"admit\",\"id\":\"r%d\",\"h\":%d,\"u0\":%.6f,\"uc\":%.6f,\"deadline\":%.17g,\"sched\":%S}"
       i h u0 uc cfg.deadline_ms
-      (Protocol.scheduler_label cfg.scheduler)
+      (Scheduler.Kind.label cfg.scheduler)
   end
 
 let iter cfg f =

@@ -18,7 +18,7 @@ type config = {
   seed : int;
   deadline_ms : float;  (** carried by every admit line, finite and [> 0] *)
   scheduler : Protocol.scheduler_kind;
-      (** named on every admit line through {!Protocol.scheduler_label} *)
+      (** named on every admit line through {!Scheduler.Kind.label} *)
 }
 
 val default_config : config

@@ -3,7 +3,7 @@
    failure is a typed [error]; the only exception here is the internal
    [Bad] carrier caught inside [parse]. *)
 
-type scheduler_kind =
+type scheduler_kind = Scheduler.Kind.t =
   | Fifo
   | Bmux
   | Sp
@@ -60,19 +60,6 @@ let bad kind fmt = Printf.ksprintf (fun s -> raise (Bad (kind, s))) fmt
 let default_epsilon = 1e-9
 let default_edf_ratio = 10.
 let max_hops = 10_000
-
-let scheduler_of_string ~ratio = function
-  | "fifo" -> Some Fifo
-  | "bmux" -> Some Bmux
-  | "sp" -> Some Sp
-  | "edf" -> Some (Edf { cross_over_through = ratio })
-  | _ -> None
-
-let scheduler_label = function
-  | Fifo -> "fifo"
-  | Bmux -> "bmux"
-  | Sp -> "sp"
-  | Edf _ -> "edf"
 
 (* ---------------- field extraction ---------------- *)
 
@@ -132,7 +119,7 @@ let admit_params_of ~require_deadline json =
     bad Invalid_request "field \"edf_ratio\" must be finite and > 0";
   let sched_name = get_str_opt json "sched" ~default:"fifo" in
   let scheduler =
-    match scheduler_of_string ~ratio sched_name with
+    match Scheduler.Kind.of_string ~ratio sched_name with
     | Some s -> s
     | None -> bad Invalid_request "unknown scheduler %S" sched_name
   in

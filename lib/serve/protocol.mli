@@ -33,11 +33,12 @@
     error, never an exception.  A load of [-0] is read as [0], so the
     two spellings are one shape: one cache entry, one computation. *)
 
-type scheduler_kind =
+type scheduler_kind = Scheduler.Kind.t =
   | Fifo
   | Bmux
   | Sp
   | Edf of { cross_over_through : float }
+(** Read from the [sched] field by {!Scheduler.Kind.of_string}. *)
 
 type admit_params = {
   h : int;
@@ -84,11 +85,6 @@ val parse :
     The first component is the request [id] when one could be extracted —
     available even for most invalid requests, so error responses stay
     correlatable.  Total: never raises. *)
-
-val scheduler_of_string : ratio:float -> string -> scheduler_kind option
-(** ["fifo"], ["bmux"], ["sp"], ["edf"] (with the given deadline ratio). *)
-
-val scheduler_label : scheduler_kind -> string
 
 (** {1 Response rendering} — one line of JSON, no trailing newline.
 

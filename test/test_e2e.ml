@@ -286,7 +286,11 @@ let test_scenario_increasing_in_utilization () =
 
 let test_scenario_edf_fixed_point () =
   let sc = Scenario.of_utilization ~h:5 ~u_through:0.15 ~u_cross:0.35 in
-  let r = Scenario.delay_bound_edf ~s_points:16 sc ~spec:{ Scenario.cross_over_through = 10. } in
+  let r =
+    (Scenario.delay_bound_edf_checked ~s_points:16 sc
+       ~spec:{ Scenario.cross_over_through = 10. })
+      .Deltanet.Diag.value
+  in
   let fifo = Scenario.delay_bound ~s_points:16 ~scheduler:Classes.Fifo sc in
   Alcotest.(check bool) (Fmt.str "EDF %g < FIFO %g" r.Scenario.bound fifo) true
     (r.Scenario.bound < fifo);
@@ -300,7 +304,11 @@ let test_scenario_edf_tight_deadlines_above_fifo () =
   (* d*_0 = 2 d*_c makes the cross traffic more urgent: bound above FIFO,
      below BMUX. *)
   let sc = Scenario.of_utilization ~h:2 ~u_through:0.15 ~u_cross:0.35 in
-  let r = Scenario.delay_bound_edf ~s_points:16 sc ~spec:{ Scenario.cross_over_through = 0.5 } in
+  let r =
+    (Scenario.delay_bound_edf_checked ~s_points:16 sc
+       ~spec:{ Scenario.cross_over_through = 0.5 })
+      .Deltanet.Diag.value
+  in
   let fifo = Scenario.delay_bound ~s_points:16 ~scheduler:Classes.Fifo sc in
   let bmux = Scenario.delay_bound ~s_points:16 ~scheduler:Classes.Bmux sc in
   Alcotest.(check bool)

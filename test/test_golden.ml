@@ -15,7 +15,8 @@ let sc h u0 uc = S.of_utilization ~h ~u_through:u0 ~u_cross:uc
 let fixed sched s = S.delay_bound ~s_points:16 ~scheduler:sched s
 
 let edf ratio s =
-  (S.delay_bound_edf ~s_points:16 s ~spec:{ S.cross_over_through = ratio }).S.bound
+  (S.delay_bound_edf_checked ~s_points:16 s ~spec:{ S.cross_over_through = ratio })
+    .Deltanet.Diag.value.S.bound
 
 let test_fig2_points () =
   check "fig2 H=5 U=50% BMUX" 118.237568 (fixed C.Bmux (sc 5 0.15 0.35));

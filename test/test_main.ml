@@ -35,4 +35,5 @@ let () =
       ("parallel", Test_parallel.suite);
       ("serve", Test_serve.suite);
       ("report", Test_report.suite);
+      ("cli.model", Test_cli_model.suite);
     ]

@@ -375,37 +375,6 @@ let test_cutoff_bitwise_with_and_without_hint () =
         [ ("unhinted", None); ("hinted below cutoff", Some 1);
           ("hinted above cutoff", Some 1_000_000) ])
 
-let test_cutoff_from_env () =
-  let prev = Option.value (Sys.getenv_opt "DELTANET_PAR_CUTOFF") ~default:"" in
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "DELTANET_PAR_CUTOFF" prev)
-    (fun () ->
-      Unix.putenv "DELTANET_PAR_CUTOFF" "";
-      Alcotest.(check (option int)) "empty = unset" None (Default.cutoff_from_env ());
-      Unix.putenv "DELTANET_PAR_CUTOFF" "5000";
-      Alcotest.(check (option int)) "parsed" (Some 5000) (Default.cutoff_from_env ());
-      Unix.putenv "DELTANET_PAR_CUTOFF" " 7 ";
-      Alcotest.(check (option int)) "trimmed" (Some 7) (Default.cutoff_from_env ());
-      Unix.putenv "DELTANET_PAR_CUTOFF" "0";
-      Alcotest.(check (option int)) "0 = disable marker" (Some 0)
-        (Default.cutoff_from_env ());
-      Unix.putenv "DELTANET_PAR_CUTOFF" "-4";
-      Alcotest.(check (option int)) "negative rejected" None (Default.cutoff_from_env ());
-      Unix.putenv "DELTANET_PAR_CUTOFF" "lots";
-      Alcotest.(check (option int)) "garbage rejected" None (Default.cutoff_from_env ());
-      (* apply_cutoff_env installs the parsed value and leaves the cutoff
-         untouched when the variable is unset/invalid *)
-      let saved = Pool.parallel_cutoff () in
-      Fun.protect
-        ~finally:(fun () -> Pool.set_parallel_cutoff saved)
-        (fun () ->
-          Unix.putenv "DELTANET_PAR_CUTOFF" "4242";
-          Default.apply_cutoff_env ();
-          Alcotest.(check int) "applied" 4242 (Pool.parallel_cutoff ());
-          Unix.putenv "DELTANET_PAR_CUTOFF" "bogus";
-          Default.apply_cutoff_env ();
-          Alcotest.(check int) "invalid leaves cutoff" 4242 (Pool.parallel_cutoff ())))
-
 (* ---------------- seeds ---------------- *)
 
 let test_seeds_deterministic () =
@@ -779,7 +748,6 @@ let suite =
     Alcotest.test_case "cutoff 0 disables" `Quick test_cutoff_zero_disables;
     Alcotest.test_case "cutoff bitwise with and without hint" `Quick
       test_cutoff_bitwise_with_and_without_hint;
-    Alcotest.test_case "DELTANET_PAR_CUTOFF parsing" `Quick test_cutoff_from_env;
     Alcotest.test_case "seed derivation deterministic" `Quick test_seeds_deterministic;
     Alcotest.test_case "seeds distinct" `Quick test_seeds_distinct;
     Alcotest.test_case "seeds validation and draw order" `Quick test_seeds_invalid_and_order;

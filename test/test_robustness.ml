@@ -265,11 +265,7 @@ let test_checked_edf_bound () =
   (* overloaded scenario: Unstable, no finite FIFO seed *)
   let over = Scenario.paper_defaults ~h:2 ~n_through:400. ~n_cross:400. in
   let u = Scenario.delay_bound_edf_checked ~s_points:16 ~spec over in
-  Alcotest.(check bool) "unstable" true (u.Diag.diag.Diag.status = Diag.Unstable);
-  (* deprecated wrapper still agrees on the converged case *)
-  let legacy = Scenario.delay_bound_edf ~s_points:16 ~spec sc in
-  check_float "wrapper matches checked" o.Diag.value.Scenario.bound
-    legacy.Scenario.bound
+  Alcotest.(check bool) "unstable" true (u.Diag.diag.Diag.status = Diag.Unstable)
 
 (* ---------------- resilient replication ---------------- *)
 
