@@ -4,8 +4,9 @@
     One engine owns one {!Cache} of entries keyed by path shape (hops,
     utilizations, epsilon, scheduler — and, for EDF, the
     deadline-anchored gap).  A cache entry keeps the shape's memoized
-    bounds, so a repeat query is a hash lookup and a float compare — the
-    10⁵+/s hot path.  The first request on a shape that degrades pins
+    bounds, each next to the text its reply writes for it, so a repeat
+    query is a hash lookup, a float compare and a copy — the 10⁵+/s hot
+    path.  The first request on a shape that degrades pins
     one effective-bandwidth parameter [s] for it (a coarse scan of the
     closed-form bound) and compiles the {!E2e.Batch} the [approx] mode
     runs on; a shape answered exactly never pays for either.  A shape
