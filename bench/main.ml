@@ -1,69 +1,33 @@
-(* Benchmark and reproduction harness.
+(* Benchmark harness for the gated performance checks.
 
-   Regenerates the data series behind every figure of the paper's evaluation
-   (Section V): Fig. 2 (Example 1), Fig. 3 (Example 2), Fig. 4 (Example 3) —
-   Fig. 1 is a topology diagram — and runs Bechamel micro-benchmarks of the
-   analysis kernels (one per figure, plus the substrate hot spots).
+   Sections: the sequential-vs-parallel sweep pair, the Eq.-38 evaluator
+   against its reference, the serve daemon's load profiles, the
+   flight-recorder overhead and the event-vs-slotted simulator.  The
+   paper's Figs. 2-4 are not regenerated here: test/figures_golden.ml
+   computes every cell and `dune runtest` diffs results/fig{2,3,4}.csv
+   against it (`dune promote` rewrites them).
 
    Usage:  dune exec bench/main.exe
              [-- [short] [--jobs=N]
-              fig2|fig3|fig4|ablation|sweep-seq|sweep-par|eq38|micro|all ...]
+              sweep-seq|sweep-par|eq38|serve|telemetry|desim|all ...]
 
    Several section names may be given; "short" shrinks every section to a
-   seconds-scale smoke run (CI) that leaves results/*.csv untouched;
-   "--jobs=N" (or DELTANET_JOBS) sets the worker-domain count for the
-   parallel sweep paths (0 = all cores) — results are bit-for-bit
-   identical at every setting, which the sweep-seq/sweep-par section
-   pair verifies while recording the sequential and parallel wall
-   times.  Each invocation also writes
+   seconds-scale smoke run (CI); "--jobs=N" (or DELTANET_JOBS) sets the
+   worker-domain count for the parallel sweep paths (0 = all cores) —
+   results are bit-for-bit identical at every setting, which the
+   sweep-seq/sweep-par section pair verifies while recording the
+   sequential and parallel wall times.  Each invocation also writes
    BENCH_deltanet.json: per-section wall time plus the telemetry counter
-   deltas (objective evaluations, convolution segment counts, simulated
-   slots, ...) accumulated while the section ran.  *)
+   deltas (objective evaluations, simulated slots, ...) accumulated while
+   the section ran.  *)
 
 module Scenario = Deltanet.Scenario
-module Additive = Deltanet.Additive
 module Classes = Scheduler.Classes
-module Diag = Deltanet.Diag
 
 let epsilon = 1e-9
 let s_points = 16
 
 let bound sc sched = Scenario.delay_bound ~s_points ~scheduler:sched sc
-
-(* The EDF fixed point of one figure cell.  A cell that does not converge
-   still prints its last iterate (the committed CSVs hold it), flagged on
-   stderr with its coordinates: that value is not a valid bound. *)
-let edf_bound ~cell sc ratio =
-  let o =
-    Scenario.delay_bound_edf_checked ~s_points sc
-      ~spec:{ Scenario.cross_over_through = ratio }
-  in
-  let d = o.Diag.diag in
-  if not (Diag.ok d) then
-    Fmt.epr "warning: %s EDF ratio %g: %s after %d iterations, final relative change %.3g@."
-      cell ratio (Diag.status_to_string d.Diag.status) d.Diag.iterations d.Diag.tolerance;
-  o.Diag.value.Scenario.bound
-
-let pr_cell v = if Float.is_finite v then Fmt.str "%10.2f" v else Fmt.str "%10s" "inf"
-
-(* CSV artifacts alongside the printed tables, under results/.  Rows go
-   through Telemetry.Csv.row, which renders non-finite values (unstable
-   utilizations yield [inf] bounds) as empty cells instead of "inf"/"nan"
-   literals that break downstream CSV consumers.  A short run covers a
-   subset of the grid, so it leaves the committed full-size CSVs alone. *)
-let csv_out ~short name header rows =
-  if not short then begin
-    let dir = "results" in
-    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    let oc = open_out (Filename.concat dir (name ^ ".csv")) in
-    output_string oc (header ^ "\n");
-    List.iter
-      (fun row ->
-        output_string oc (Telemetry.Csv.row row);
-        output_string oc "\n")
-      rows;
-    close_out oc
-  end
 
 (* ns-per-op samples reported by the running section, drained into the
    section report by [timed] *)
@@ -89,146 +53,6 @@ let time_ns_per_op f n =
   !best
 
 (* ---------------------------------------------------------------- *)
-(* Fig. 2 / Example 1: delay bound vs total utilization U.
-   U0 = 15% fixed (N0 = 100), U in [20%, 95%], H in {2, 5, 10};
-   schedulers BMUX, FIFO, EDF with d*_0 = d_e2e/H, d*_c = 10 d*_0. *)
-
-let fig2 ~short () =
-  Fmt.pr "@.== Fig. 2 (Example 1): e2e delay bound vs total utilization ==@.";
-  Fmt.pr "   (U0 = 15%%, eps = 1e-9; columns: BMUX, FIFO, EDF(d*c = 10 d*0))@.";
-  let hs = if short then [ 2 ] else [ 2; 5; 10 ] in
-  let us = if short then [ 20; 50; 80; 95 ] else [ 20; 30; 40; 50; 60; 70; 80; 90; 95 ] in
-  let rows = ref [] in
-  let t0 = Unix.gettimeofday () in
-  List.iter
-    (fun h ->
-      Fmt.pr "@.  H = %d@." h;
-      Fmt.pr "  %5s %10s %10s %10s@." "U(%)" "BMUX" "FIFO" "EDF";
-      List.iter
-        (fun u_pct ->
-          let u = float_of_int u_pct /. 100. in
-          let sc = Scenario.of_utilization ~h ~u_through:0.15 ~u_cross:(u -. 0.15) in
-          let b = bound sc Classes.Bmux in
-          let f = bound sc Classes.Fifo in
-          let e = edf_bound ~cell:(Fmt.str "fig2 H=%d U=%d%%" h u_pct) sc 10. in
-          rows := [ float_of_int h; float_of_int u_pct; b; f; e ] :: !rows;
-          Fmt.pr "  %5d %s %s %s@." u_pct (pr_cell b) (pr_cell f) (pr_cell e))
-        us)
-    hs;
-  let cells = List.length hs * List.length us in
-  report_ns "fig2.ns_per_cell"
-    (1e9 *. (Unix.gettimeofday () -. t0) /. float_of_int cells);
-  csv_out ~short "fig2" "h,u_percent,bmux_ms,fifo_ms,edf_ms" (List.rev !rows)
-
-(* ---------------------------------------------------------------- *)
-(* Fig. 3 / Example 2: delay bound vs traffic mix Uc/U at fixed U = 50%.
-   Schedulers: BMUX, FIFO, EDF(d*_0 = d*_c/2) i.e. ratio d*_c/d*_0 = 2,
-   and EDF(d*_0 = 2 d*_c) i.e. ratio 1/2. *)
-
-let fig3 ~short () =
-  Fmt.pr "@.== Fig. 3 (Example 2): e2e delay bound vs traffic mix Uc/U ==@.";
-  Fmt.pr "   (U = 50%%, eps = 1e-9; EDF- has d*0 = d*c/2, EDF+ has d*0 = 2 d*c)@.";
-  let hs = if short then [ 2 ] else [ 2; 5; 10 ] in
-  let mixes = if short then [ 10; 50; 90 ] else [ 10; 20; 30; 40; 50; 60; 70; 80; 90 ] in
-  let rows = ref [] in
-  let t0 = Unix.gettimeofday () in
-  List.iter
-    (fun h ->
-      Fmt.pr "@.  H = %d@." h;
-      Fmt.pr "  %5s %10s %10s %10s %10s@." "Uc/U" "BMUX" "FIFO" "EDF-" "EDF+";
-      List.iter
-        (fun mix_pct ->
-          let mix = float_of_int mix_pct /. 100. in
-          let u_cross = 0.5 *. mix in
-          let sc = Scenario.of_utilization ~h ~u_through:(0.5 -. u_cross) ~u_cross in
-          let b = bound sc Classes.Bmux in
-          let f = bound sc Classes.Fifo in
-          let cell = Fmt.str "fig3 H=%d mix=%d%%" h mix_pct in
-          let e_loose = edf_bound ~cell sc 2. in
-          let e_tight = edf_bound ~cell sc 0.5 in
-          rows := [ float_of_int h; float_of_int mix_pct; b; f; e_loose; e_tight ] :: !rows;
-          Fmt.pr "  %5d %s %s %s %s@." mix_pct (pr_cell b) (pr_cell f) (pr_cell e_loose)
-            (pr_cell e_tight))
-        mixes)
-    hs;
-  let cells = List.length hs * List.length mixes in
-  report_ns "fig3.ns_per_cell"
-    (1e9 *. (Unix.gettimeofday () -. t0) /. float_of_int cells);
-  csv_out ~short "fig3" "h,mix_percent,bmux_ms,fifo_ms,edf_loose_ms,edf_tight_ms" (List.rev !rows)
-
-(* ---------------------------------------------------------------- *)
-(* Fig. 4 / Example 3: delay bound vs path length H at U = 10/50/90%,
-   N0 = Nc; includes the additive per-node BMUX baseline. *)
-
-let fig4 ~short () =
-  Fmt.pr "@.== Fig. 4 (Example 3): e2e delay bound vs path length H ==@.";
-  Fmt.pr "   (U0 = Uc, eps = 1e-9; ADD = adding per-node BMUX bounds)@.";
-  let us = if short then [ 50 ] else [ 10; 50; 90 ] in
-  let hs =
-    if short then [ 1; 2; 3; 5 ] else [ 1; 2; 3; 4; 5; 6; 8; 10; 12; 15; 20; 25; 30 ]
-  in
-  let rows = ref [] in
-  let t0 = Unix.gettimeofday () in
-  List.iter
-    (fun u_pct ->
-      let u = float_of_int u_pct /. 200. in
-      Fmt.pr "@.  U = %d%%@." u_pct;
-      Fmt.pr "  %4s %10s %10s %10s %10s@." "H" "BMUX" "FIFO" "EDF" "ADD";
-      List.iter
-        (fun h ->
-          let sc = Scenario.of_utilization ~h ~u_through:u ~u_cross:u in
-          let b = bound sc Classes.Bmux in
-          let f = bound sc Classes.Fifo in
-          let e = edf_bound ~cell:(Fmt.str "fig4 U=%d%% H=%d" u_pct h) sc 10. in
-          let a = Additive.delay_bound_scenario ~s_points sc in
-          rows := [ float_of_int u_pct; float_of_int h; b; f; e; a ] :: !rows;
-          Fmt.pr "  %4d %s %s %s %s@." h (pr_cell b) (pr_cell f) (pr_cell e) (pr_cell a))
-        hs)
-    us;
-  let cells = List.length us * List.length hs in
-  report_ns "fig4.ns_per_cell"
-    (1e9 *. (Unix.gettimeofday () -. t0) /. float_of_int cells);
-  csv_out ~short "fig4" "u_percent,h,bmux_ms,fifo_ms,edf_ms,additive_ms" (List.rev !rows)
-
-(* ---------------------------------------------------------------- *)
-(* Ablations of the design choices called out in DESIGN.md:
-   (a) exact piecewise-linear minimizer of Eq. 38 vs the paper's explicit
-       K-procedure (Eq. 40-42);
-   (b) resolution of the numerical optimization over s and gamma. *)
-
-let ablation ~short () =
-  Fmt.pr "@.== Ablation (a): exact Eq.-38 minimizer vs paper's K-procedure ==@.";
-  Fmt.pr "   (gamma = 0.5 ms, sigma = 300 kb; relative gap of the K-procedure)@.";
-  Fmt.pr "@.  %4s %12s %12s %12s %9s@." "H" "delta" "exact" "K-proc" "gap";
-  let through = Envelope.Ebb.v ~m:1. ~rho:15. ~alpha:0.8 in
-  let cross = Envelope.Ebb.v ~m:1. ~rho:35. ~alpha:0.8 in
-  List.iter
-    (fun (h, delta, name) ->
-      let p = Deltanet.E2e.homogeneous ~h ~capacity:100. ~cross ~delta ~through in
-      let exact = Deltanet.E2e.delay_given p ~gamma:0.5 ~sigma:300. in
-      let kproc = Deltanet.E2e.k_procedure p ~gamma:0.5 ~sigma:300. in
-      Fmt.pr "  %4d %12s %12.4f %12.4f %8.2f%%@." h name exact kproc
-        (100. *. ((kproc /. exact) -. 1.)))
-    [
-      (2, Scheduler.Delta.Fin 0., "FIFO");
-      (10, Scheduler.Delta.Fin 0., "FIFO");
-      (30, Scheduler.Delta.Fin 0., "FIFO");
-      (10, Scheduler.Delta.Fin (-20.), "EDF(-20)");
-      (10, Scheduler.Delta.Fin 5., "EDF(+5)");
-      (10, Scheduler.Delta.Pos_inf, "BMUX");
-    ];
-  Fmt.pr "@.== Ablation (b): optimizer resolution vs bound quality ==@.";
-  Fmt.pr "   (FIFO, H=10, U=50%%; bound in ms and wall time)@.@.";
-  Fmt.pr "  %9s %12s %10s@." "s_points" "bound" "time";
-  let sc = Scenario.of_utilization ~h:10 ~u_through:0.15 ~u_cross:0.35 in
-  List.iter
-    (fun s_points ->
-      let t0 = Unix.gettimeofday () in
-      let b = Scenario.delay_bound ~s_points ~scheduler:Classes.Fifo sc in
-      Fmt.pr "  %9d %12.4f %9.3fs@." s_points b (Unix.gettimeofday () -. t0))
-    (if short then [ 4; 8; 16 ] else [ 4; 8; 16; 32; 64 ])
-
-(* ---------------------------------------------------------------- *)
 (* Sequential-vs-parallel comparison on the Fig. 3 sweep kernel.  Two
    sections so BENCH_deltanet.json records both wall times; the parallel
    run is cross-checked bitwise against the sequential one. *)
@@ -246,13 +70,9 @@ let sweep_kernel ~short () =
   let points = List.concat_map (fun h -> List.map (fun m -> (h, m)) mixes) hs in
   (* Fan out across scenario points — the only grain here whose task cost
      (two full gamma searches) pays for waking a domain; the s and γ
-     searches inside each bound run on the worker that computes it.  The [?work] hint
-     (~s_points x gamma-grid x node-steps at the largest H) keeps the
-     short variant under the default cutoff, so it runs sequentially
-     instead of paying fan-out overhead on 3 small points. *)
-  let max_h = List.fold_left (fun acc (h, _) -> Stdlib.max acc h) 1 points in
+     searches inside each bound run on the worker that computes it. *)
   List.concat
-    (Parallel.Default.map_list ~work:(2_000 * max_h)
+    (Parallel.Default.map_list
        (fun (h, mix_pct) ->
          let mix = float_of_int mix_pct /. 100. in
          let u_cross = 0.5 *. mix in
@@ -409,65 +229,6 @@ let eq38 ~short () =
       Fmt.pr "  %4d %6s %9.0f ns %9.0f ns %7.2fx@." h "sweep" r_sweep b_sweep
         (r_sweep /. b_sweep))
     hs
-
-(* ---------------------------------------------------------------- *)
-(* Micro-benchmarks: one entry per figure kernel plus the substrate hot
-   paths, on a fixed iteration budget with the same min-of-batches
-   statistical treatment as the eq38 section ([time_ns_per_op]).  The
-   old Bechamel runner spent a 2 s sampling quota per test — 18 s of
-   wall, half the full bench — and its OLS estimates never reached the
-   JSON report; the budgeted timer keeps the whole section under ~2 s
-   and lands every entry in the section's ns_per_op map, so the micro
-   trajectory is comparable across PRs like everything else. *)
-
-let micro ~short () =
-  Fmt.pr "@.== Micro-benchmarks (min-of-batches ns/op) ==@.";
-  let pretty ns =
-    if ns > 1e9 then Fmt.str "%10.2f s" (ns /. 1e9)
-    else if ns > 1e6 then Fmt.str "%10.2f ms" (ns /. 1e6)
-    else if ns > 1e3 then Fmt.str "%10.2f us" (ns /. 1e3)
-    else Fmt.str "%10.0f ns" ns
-  in
-  let run name n f =
-    let ns = time_ns_per_op (fun () -> ignore (Sys.opaque_identity (f ()))) n in
-    report_ns ("micro." ^ name) ns;
-    Fmt.pr "  %-40s %s/run@." name (pretty ns)
-  in
-  (* iteration budgets by cost class: enough batches that the minimum is
-     a stable estimate, small enough that the section stays seconds-scale *)
-  let heavy = if short then 4 else 24 in        (* ms-scale full bounds *)
-  let mid = if short then 200 else 2_000 in     (* tens-of-us kernels *)
-  let light = if short then 2_000 else 20_000 in (* us-and-below kernels *)
-  let sc5 = Scenario.of_utilization ~h:5 ~u_through:0.15 ~u_cross:0.35 in
-  let path = Scenario.path_at sc5 ~s:1. ~delta:(Scheduler.Delta.Fin 0.) in
-  let sigma = Deltanet.E2e.sigma_for path ~gamma:1. ~epsilon in
-  run "fig2.delay_bound_fifo_h5" heavy (fun () -> bound sc5 Classes.Fifo);
-  run "fig3.delay_bound_edfgap_h5" heavy (fun () ->
-      Scenario.delay_bound ~s_points ~scheduler:(Classes.Edf_gap (-10.)) sc5);
-  run "fig4.additive_h10" heavy (fun () ->
-      Additive.delay_bound_scenario ~s_points
-        (Scenario.of_utilization ~h:10 ~u_through:0.25 ~u_cross:0.25));
-  let p10 =
-    Scenario.path_at
-      (Scenario.of_utilization ~h:10 ~u_through:0.15 ~u_cross:0.35)
-      ~s:1. ~delta:(Scheduler.Delta.Fin 0.)
-  in
-  run "eq38_opt_h10" light (fun () -> Deltanet.E2e.delay_given p10 ~gamma:0.5 ~sigma);
-  let f = Minplus.Curve.rate_latency ~rate:64. ~latency:1.2 in
-  let g = Minplus.Curve.rate_latency ~rate:60. ~latency:0.8 in
-  run "minplus_convolve" light (fun () -> Minplus.Convolution.convolve f g);
-  let cfg =
-    { Netsim.Tandem.default_config with Netsim.Tandem.h = 3; slots = 200; drain_limit = 200 }
-  in
-  run "tandem_slot_h3" mid (fun () -> Netsim.Tandem.run cfg);
-  let chain =
-    Envelope.Markov.v
-      ~p:[| [| 0.95; 0.05; 0. |]; [| 0.1; 0.8; 0.1 |]; [| 0.; 0.3; 0.7 |] |]
-      ~rates:[| 0.; 1.; 4. |]
-  in
-  run "markov_eb" light (fun () -> Envelope.Markov.effective_bandwidth chain ~s:1.);
-  run "backlog_curve_h5" mid (fun () ->
-      Deltanet.E2e.backlog_given path ~gamma:0.5 ~sigma)
 
 (* ---------------------------------------------------------------- *)
 (* deltanet serve: the online admission daemon's three load profiles —
@@ -795,7 +556,8 @@ let json_of_report r =
 
 (* Schema history:
      1  sections with wall_s + counters only
-     2  adds top-level settings {jobs, cutoff} and per-section ns_per_op
+     2  adds top-level settings {jobs} and per-section ns_per_op (older
+        files also carry a settings.cutoff key, which nothing reads)
    The reader below rejects anything but the current version, so a stale
    committed baseline fails loudly instead of silently comparing against
    fields that no longer mean the same thing. *)
@@ -810,11 +572,7 @@ let write_bench_json ~mode ~jobs ~total_wall_s reports =
          ("version", string_of_int bench_schema_version);
          ("mode", "\"" ^ mode ^ "\"");
          ( "settings",
-           Telemetry.Json.obj
-             [
-               ("jobs", string_of_int jobs);
-               ("cutoff", string_of_int (Parallel.Pool.parallel_cutoff ()));
-             ] );
+           Telemetry.Json.obj [ ("jobs", string_of_int jobs) ] );
          ("sections", Telemetry.Json.arr (List.map json_of_report reports));
          ("total_wall_s", Telemetry.Json.number total_wall_s);
        ]);
@@ -1064,14 +822,9 @@ let desim_bench ~short () =
 
 let sections ~short =
   [
-    ("fig2", fig2 ~short);
-    ("fig3", fig3 ~short);
-    ("fig4", fig4 ~short);
-    ("ablation", ablation ~short);
     ("sweep-seq", sweep_seq ~short);
     ("sweep-par", sweep_par ~short);
     ("eq38", eq38 ~short);
-    ("micro", micro ~short);
     ("serve", serve_bench ~short);
     ("telemetry", telemetry_bench ~short);
     ("desim", desim_bench ~short);
@@ -1144,8 +897,7 @@ let () =
   let bad = List.filter (fun n -> not (List.mem_assoc n known)) requested in
   if bad <> [] then begin
     Fmt.epr
-      "unknown section %S (expected \
-       fig2|fig3|fig4|ablation|sweep-seq|sweep-par|eq38|micro|serve|telemetry|desim|all)@."
+      "unknown section %S (expected sweep-seq|sweep-par|eq38|serve|telemetry|desim|all)@."
       (List.hd bad);
     (exit [@lint.allow "raw-exit"]) 2
   end;

@@ -6,7 +6,7 @@
    Known-safe idioms are recognized structurally, not suppressed:
      - Atomic.t / Mutex.t / DLS captures (Mutability.Safe)
      - records that carry their own Mutex (monitor idiom, Pool.t)
-     - read-only deref of a captured/global ref ([!cutoff], [!Telemetry.on]:
+     - read-only deref of a captured/global ref ([!Telemetry.on]:
        startup-flag, single-writer discipline)
      - array reads anywhere; array writes whose index varies with a
        closure-local variable (per-index result slots); any array write
@@ -26,10 +26,8 @@ let fanout_sites =
   [
     "Pool.map";
     "Pool.map_list";
-    "Pool.map_reduce";
     "Default.map";
     "Default.map_list";
-    "Default.map_reduce";
   ]
 
 let spawn_sites = [ "Domain.spawn" ]

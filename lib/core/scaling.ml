@@ -21,15 +21,9 @@ let default_hs = [ 2; 4; 8; 16; 32 ]
    come back in input order, and each bound's s and γ searches run on
    the worker that computes it, so the numbers are identical at every
    jobs setting. *)
-(* per-H [?work] hint: 16 s-points, each a full gamma search over the
-   largest H in the batch (chunk cost is dominated by the big hops) *)
-let scaling_work hs =
-  let hmax = List.fold_left max 1 hs in
-  16 * 120 * ((3 * hmax * hmax) + (8 * hmax) + 50)
-
 let delay_growth ?(hs = default_hs) ~scheduler (sc : Scenario.t) =
   let points =
-    Parallel.Default.map_list ~work:(scaling_work hs)
+    Parallel.Default.map_list
       (fun h ->
         let sc_h = { sc with Scenario.h } in
         (float_of_int h, Scenario.delay_bound ~s_points:16 ~scheduler sc_h))
@@ -39,7 +33,7 @@ let delay_growth ?(hs = default_hs) ~scheduler (sc : Scenario.t) =
 
 let additive_growth ?(hs = default_hs) (sc : Scenario.t) =
   let points =
-    Parallel.Default.map_list ~work:(scaling_work hs)
+    Parallel.Default.map_list
       (fun h ->
         let sc_h = { sc with Scenario.h } in
         (float_of_int h, Additive.delay_bound_scenario ~s_points:16 sc_h))

@@ -1,6 +1,10 @@
 (* Finite-state Markov-modulated sources: effective bandwidth by power
    iteration on the exponentially tilted transition matrix. *)
 
+(* an extension past the paper's two-state sources, held by
+   test/test_extensions.ml; no executable computes with it yet *)
+[@@@lint.allow "unreachable-module"]
+
 type t = { p : float array array; rates : float array }
 
 let v ~p ~rates =

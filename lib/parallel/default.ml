@@ -45,8 +45,5 @@ let get () =
   Mutex.unlock lock;
   p
 
-let map ?work f xs = Pool.map ?work (get ()) f xs
-let map_list ?work f xs = Pool.map_list ?work (get ()) f xs
-
-let map_reduce ?work ~map ~reduce ~init xs =
-  Pool.map_reduce ?work (get ()) ~map ~reduce ~init xs
+let map f xs = Pool.map (get ()) f xs
+let map_list f xs = Pool.map_list (get ()) f xs

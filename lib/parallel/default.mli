@@ -25,14 +25,8 @@ val jobs : unit -> int
 val get : unit -> Pool.t
 (** The default pool, created on first use. *)
 
-val map : ?work:int -> ('a -> 'b) -> 'a array -> 'b array
-(** {!Pool.map} on the default pool ([?work] as there). *)
+val map : ('a -> 'b) -> 'a array -> 'b array
+(** {!Pool.map} on the default pool. *)
 
-val map_list : ?work:int -> ('a -> 'b) -> 'a list -> 'b list
+val map_list : ('a -> 'b) -> 'a list -> 'b list
 (** {!Pool.map_list} on the default pool. *)
-
-val map_reduce :
-  ?work:int ->
-  map:('a -> 'b) -> reduce:('acc -> 'b -> 'acc) -> init:'acc ->
-  'a array -> 'acc
-(** {!Pool.map_reduce} on the default pool. *)

@@ -2,10 +2,10 @@
 
    Everything observable is a pure function of the input: chunk
    boundaries depend only on (input length, effective jobs), results are
-   written to per-index slots and folded on the driving domain in index
-   order, and the lowest failing index wins when tasks raise — exactly
-   the index a sequential scan would have raised at.  Scheduling decides
-   only who computes what, never what comes out. *)
+   written to per-index slots, and the lowest failing index wins when
+   tasks raise — exactly the index a sequential scan would have raised
+   at.  Scheduling decides only who computes what, never what comes
+   out. *)
 
 exception Task_error of { index : int; exn : exn; backtrace : string }
 
@@ -18,22 +18,6 @@ let () =
     | _ -> None)
 
 let recommended_jobs () = Domain.recommended_domain_count ()
-
-(* Adaptive sequential cutoff: a map whose estimated total work (task
-   count x per-task [?work] hint) falls below this threshold runs
-   sequentially even on a multi-domain pool — queueing chunks and waking
-   workers costs more than the work itself for small grids.  Maps that
-   pass no [?work] hint keep the historical always-parallel behaviour.
-   The unit is "abstract work units"; callers in lib/core use
-   approximately one Eq.-38 objective-evaluation node-step per unit. *)
-let default_parallel_cutoff = 20_000
-let cutoff = ref default_parallel_cutoff
-
-let set_parallel_cutoff n =
-  if n < 0 then invalid_arg "Parallel.Pool.set_parallel_cutoff: negative cutoff";
-  cutoff := n
-
-let parallel_cutoff () = !cutoff
 
 (* Set on worker domains (permanently) and on the driving domain while it
    executes a chunk, so a nested [map] from inside a task degrades to
@@ -54,7 +38,6 @@ type t = {
 }
 
 let c_seq_maps = Telemetry.Counter.make "parallel.pool.maps_sequential"
-let c_cutoff_maps = Telemetry.Counter.make "parallel.pool.maps_cutoff"
 let c_par_maps = Telemetry.Counter.make "parallel.pool.maps_parallel"
 let c_tasks = Telemetry.Counter.make "parallel.pool.tasks"
 let c_chunks = Telemetry.Counter.make "parallel.pool.chunks"
@@ -182,21 +165,14 @@ let drive t =
    [p*n/pieces, (p+1)*n/pieces) — a pure function of (n, pieces). *)
 let chunk_bounds ~n ~pieces p = (p * n / pieces, (p + 1) * n / pieces)
 
-let map ?work t f xs =
+let map t f xs =
   if t.closed then invalid_arg "Parallel.Pool.map: pool is shut down";
   let n = Array.length xs in
   let j = effective_jobs t in
-  (* [n * w] stays well inside the native int range: callers pass per-task
-     hints bounded by grid sizes times small polynomial node costs. *)
-  let below_cutoff =
-    match work with None -> false | Some w -> n * max w 0 < !cutoff
-  in
   if n = 0 then [||]
-  else if j = 1 || n = 1 || in_worker () || below_cutoff then begin
+  else if j = 1 || n = 1 || in_worker () then begin
     if !Telemetry.on then begin
       Telemetry.Counter.incr c_seq_maps;
-      if below_cutoff && j > 1 && n > 1 && not (in_worker ()) then
-        Telemetry.Counter.incr c_cutoff_maps;
       Telemetry.Counter.add c_tasks n
     end;
     sequential_map f xs
@@ -254,7 +230,4 @@ let map ?work t f xs =
       Array.map (function Some v -> v | None -> assert false) results
   end
 
-let map_list ?work t f xs = Array.to_list (map ?work t f (Array.of_list xs))
-
-let map_reduce ?work t ~map:f ~reduce ~init xs =
-  Array.fold_left reduce init (map ?work t f xs)
+let map_list t f xs = Array.to_list (map t f (Array.of_list xs))

@@ -8,9 +8,9 @@
     {b Determinism.}  For a pure task function, [map pool f xs] returns
     exactly [Array.map f xs] — same elements, same order, same bits —
     for every worker count.  Chunking only affects which domain computes
-    which slice; results are written to per-index slots and reduced on
-    the calling domain in index order.  Nothing about the result depends
-    on scheduling, and per-task randomness must be routed through
+    which slice; results are written to per-index slots, which the
+    calling domain reads back in index order.  Nothing about the result
+    depends on scheduling, and per-task randomness must be routed through
     {!Seeds} (derived seeds), never a shared generator.
 
     Concurrency contract: a pool is driven from one domain at a time
@@ -34,22 +34,6 @@ exception Task_error of { index : int; exn : exn; backtrace : string }
 
 val recommended_jobs : unit -> int
 (** [Domain.recommended_domain_count ()], the hardware parallelism. *)
-
-val default_parallel_cutoff : int
-(** The initial {!parallel_cutoff}: [20_000] abstract work units. *)
-
-val set_parallel_cutoff : int -> unit
-(** Set the adaptive sequential cutoff consulted by {!map}'s [?work]
-    hint: a map with [n] tasks and per-task hint [w] runs sequentially
-    when [n * w < cutoff], because queueing chunks and waking worker
-    domains costs more than the work itself for small grids.  [0]
-    disables the cutoff (hinted maps always fan out).  Process-wide;
-    tests set it to force or forbid fan-out.  Maps without a [?work]
-    hint are never affected.
-    @raise Invalid_argument on a negative cutoff. *)
-
-val parallel_cutoff : unit -> int
-(** The current cutoff. *)
 
 val create : ?jobs:int -> unit -> t
 (** A pool of [jobs] worker capacity (default {!recommended_jobs}).
@@ -80,30 +64,15 @@ val shutdown : t -> unit
 val with_pool : ?jobs:int -> (t -> 'a) -> 'a
 (** [create], run, [shutdown] (also on exception). *)
 
-val map : ?work:int -> t -> ('a -> 'b) -> 'a array -> 'b array
+val map : t -> ('a -> 'b) -> 'a array -> 'b array
 (** Order-preserving parallel map, bit-identical to [Array.map f xs] for
     pure [f] at every [jobs].  Tasks are grouped into contiguous chunks
     (a pure function of input length and [effective_jobs], never of
     timing); a task failure aborts the rest of its own chunk, other
     chunks run to completion, and the lowest failing index is re-raised
     as {!Task_error}.
-
-    [?work] is an estimated per-task cost in abstract work units
-    (lib/core uses ~one Eq.-38 node-step per unit); when
-    [n * work < parallel_cutoff ()] the map runs sequentially on the
-    calling domain — same bits, no fan-out.  Omitting [?work] keeps the
-    historical always-parallel behaviour.
     @raise Task_error when a task raises.
     @raise Invalid_argument on a shut-down pool. *)
 
-val map_list : ?work:int -> t -> ('a -> 'b) -> 'a list -> 'b list
+val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 (** {!map} over a list. *)
-
-val map_reduce :
-  ?work:int ->
-  t -> map:('a -> 'b) -> reduce:('acc -> 'b -> 'acc) -> init:'acc ->
-  'a array -> 'acc
-(** Parallel map, then a left fold on the calling domain in index order:
-    [fold_left reduce init (map f xs)].  Folding on one domain in a
-    fixed order keeps the result bit-identical across [jobs] even for
-    non-associative reductions (floating-point sums). *)

@@ -29,11 +29,14 @@ module Admission = Deltanet.Admission
 module Diag = Deltanet.Diag
 module P = Protocol
 
+(* The fraction of a request's remaining budget that the predicted
+   exact cost may use before the request degrades to [approx]. *)
+let degrade_ratio = 0.5
+
 type config = {
   budget_ms : float;
   max_queue : int;
   cache_entries : int;
-  degrade_ratio : float;
   s_points : int;
   max_line_bytes : int;
   debug_ops : bool;
@@ -44,7 +47,6 @@ let default_config =
     budget_ms = 250.;
     max_queue = 512;
     cache_entries = 4096;
-    degrade_ratio = 0.5;
     s_points = 16;
     max_line_bytes = 65_536;
     debug_ops = false;
@@ -135,8 +137,6 @@ let create ?now:(clock = Unix.gettimeofday) cfg =
   if not (Float.is_finite cfg.budget_ms) || cfg.budget_ms <= 0. then
     invalid_arg "Serve.Engine.create: budget_ms must be finite and > 0";
   if cfg.max_queue < 1 then invalid_arg "Serve.Engine.create: max_queue < 1";
-  if cfg.degrade_ratio <= 0. || cfg.degrade_ratio > 1. then
-    invalid_arg "Serve.Engine.create: degrade_ratio outside (0, 1]";
   if cfg.s_points < 2 then invalid_arg "Serve.Engine.create: s_points < 2";
   {
     cfg;
@@ -440,7 +440,7 @@ let plan_admit b id trace (p : P.admit_params) =
       | None ->
         if
           float_of_int (b.exact_assigned + 1) *. t.ewma_exact_ms
-          <= remaining *. t.cfg.degrade_ratio
+          <= remaining *. degrade_ratio
         then begin
           b.exact_assigned <- b.exact_assigned + 1;
           Exact (enqueue b id trace p two_class e P.Exact ~hit ~budget)
@@ -558,14 +558,13 @@ let run_batch t lines n =
      batch) and individually supervised, so a poisoned request comes
      back as a value and the pool survives.  Inside each job the s and γ
      searches run on the calling worker, each γ search through one
-     compiled E2e.Batch.  The large work hint reflects the true cost: a
-     full s-grid optimization per job. *)
+     compiled E2e.Batch. *)
   let exact_jobs = if b.exact_assigned = 0 then [||] else exact_jobs plans in
   let exact_t0 = if Array.length exact_jobs = 0 then 0. else t.now () in
   let exact_results =
     if Array.length exact_jobs = 0 then [||]
     else
-      Parallel.Default.map ~work:1_000_000
+      Parallel.Default.map
         (fun j -> run_exact t.cfg j.j_params j.j_two_class)
         exact_jobs
   in

@@ -17,7 +17,8 @@
 
     + memoized bound — free;
     + [exact]: the full s+gamma optimization
-      ({!Admission.decide} / {!Scenario.delay_bound_checked});
+      ({!Admission.decide} / {!Scenario.delay_bound_checked}), chosen
+      while its predicted cost fits in half the remaining budget;
     + [approx]: {!E2e.delay_bound_cached} on the cached batch at the
       pinned [s] — a sound but looser upper bound, so degraded answers
       may refuse an admissible flow but never wrongly admit;
@@ -41,9 +42,6 @@ type config = {
   budget_ms : float;  (** default per-request compute budget (wall ms) *)
   max_queue : int;  (** admit/check backlog bound before shedding *)
   cache_entries : int;  (** LRU capacity — the daemon's memory bound *)
-  degrade_ratio : float;
-      (** fraction of the remaining budget the predicted exact cost may
-          use before the request degrades to [approx] *)
   s_points : int;  (** s-grid resolution of the exact path *)
   max_line_bytes : int;  (** request size bound *)
   debug_ops : bool;  (** accept [debug-fail] (tests only) *)
@@ -51,7 +49,7 @@ type config = {
 
 val default_config : config
 (** [budget_ms = 250.], [max_queue = 512], [cache_entries = 4096],
-    [degrade_ratio = 0.5], [s_points = 16],
+    [s_points = 16],
     [max_line_bytes = 65536], [debug_ops = false]. *)
 
 type t

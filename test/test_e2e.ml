@@ -76,9 +76,9 @@ let test_fifo_matches_eq44 () =
 
 let test_k_procedure_upper_bounds_exact () =
   List.iter
-    (fun (h, delta) ->
+    (fun (h, delta, sigma) ->
       let p = mk_path ~h ~delta in
-      let gamma = 0.5 and sigma = 250. in
+      let gamma = 0.5 in
       let exact = E2e.delay_given p ~gamma ~sigma in
       let kproc = E2e.k_procedure p ~gamma ~sigma in
       Alcotest.(check bool)
@@ -91,14 +91,18 @@ let test_k_procedure_upper_bounds_exact () =
         true
         (kproc <= exact *. 1.2 +. 1e-6))
     [
-      (2, Delta.Fin 0.);
-      (5, Delta.Fin 0.);
-      (2, Delta.Fin (-5.));
-      (5, Delta.Fin (-5.));
-      (10, Delta.Fin (-20.));
-      (5, Delta.Fin 3.);
-      (5, Delta.Pos_inf);
-      (5, Delta.Neg_inf);
+      (2, Delta.Fin 0., 250.);
+      (5, Delta.Fin 0., 250.);
+      (2, Delta.Fin (-5.), 250.);
+      (5, Delta.Fin (-5.), 250.);
+      (10, Delta.Fin (-20.), 250.);
+      (5, Delta.Fin 3., 250.);
+      (5, Delta.Pos_inf, 250.);
+      (5, Delta.Neg_inf, 250.);
+      (* the long, loose-EDF and BMUX paths of the K-procedure ablation *)
+      (30, Delta.Fin 0., 300.);
+      (10, Delta.Fin 5., 300.);
+      (10, Delta.Pos_inf, 300.);
     ]
 
 let test_h1_theta_equals_d () =

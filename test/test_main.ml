@@ -24,7 +24,6 @@ let () =
       ("deltanet.deterministic+sim", Test_det_e2e.suite);
       ("envelope.sources+output", Test_sources_output.suite);
       ("deltanet.golden", Test_golden.suite);
-      ("deltanet.figures_bits", Test_figures_bits.suite);
       ("extensions", Test_extensions.suite);
       ("deltanet.properties", Test_properties.suite);
       ("edge-cases", Test_edge_cases.suite);

@@ -89,32 +89,6 @@ let test_map_list () =
       Alcotest.(check (list int)) "map_list" [ 2; 4; 6; 8; 10 ]
         (Pool.map_list p (fun x -> 2 * x) [ 1; 2; 3; 4; 5 ]))
 
-let test_map_reduce_order () =
-  (* a non-commutative reduction shows the fold runs in index order *)
-  let xs = Array.init 37 string_of_int in
-  let expected = String.concat "," (Array.to_list xs) in
-  List.iter
-    (fun jobs ->
-      Pool.with_pool ~jobs (fun p ->
-          let got =
-            Pool.map_reduce p ~map:Fun.id
-              ~reduce:(fun acc x -> if acc = "" then x else acc ^ "," ^ x)
-              ~init:"" xs
-          in
-          Alcotest.(check string) (Printf.sprintf "jobs=%d" jobs) expected got))
-    [ 1; 4 ]
-
-let test_map_reduce_float_bitwise () =
-  (* float summation is non-associative; index-order folding keeps it
-     bit-identical across jobs anyway *)
-  let xs = Array.init 301 (fun i -> exp (float_of_int i /. 50.) /. 3.) in
-  let sum jobs =
-    Pool.with_pool ~jobs (fun p ->
-        Pool.map_reduce p ~map:(fun x -> x *. 1.000001) ~reduce:( +. ) ~init:0. xs)
-  in
-  let s1 = sum 1 in
-  List.iter (fun j -> check_bitwise (Printf.sprintf "jobs=%d sum" j) s1 (sum j)) [ 2; 4; 8 ]
-
 (* ---------------- pool: errors ---------------- *)
 
 let test_error_index () =
@@ -302,79 +276,6 @@ let test_traced_map_span_parity () =
   in
   Alcotest.(check bool) "merged trace is timestamp-ordered" true ordered
 
-(* ---------------- adaptive sequential cutoff ---------------- *)
-
-(* restore the process-wide cutoff after mutating it *)
-let with_cutoff n k =
-  let prev = Pool.parallel_cutoff () in
-  Pool.set_parallel_cutoff n;
-  Fun.protect ~finally:(fun () -> Pool.set_parallel_cutoff prev) k
-
-let cutoff_count () =
-  match List.assoc_opt "parallel.pool.maps_cutoff" (Telemetry.snapshot ()).Telemetry.counters with
-  | Some v -> v
-  | None -> 0
-
-let test_cutoff_defaults_and_validation () =
-  Alcotest.(check int) "default cutoff" Pool.default_parallel_cutoff
-    (Pool.parallel_cutoff ());
-  with_cutoff 123 (fun () ->
-      Alcotest.(check int) "set/get" 123 (Pool.parallel_cutoff ()));
-  Alcotest.(check int) "restored" Pool.default_parallel_cutoff (Pool.parallel_cutoff ());
-  check_invalid "negative cutoff" (fun () -> Pool.set_parallel_cutoff (-1))
-
-let test_cutoff_sequentializes_small_hinted_maps () =
-  (* under the null sink (counters on, still parallel-capable), a hinted
-     map with n * work below the cutoff must run on the calling domain
-     and bump the cutoff counter; a hinted map at/above the cutoff and an
-     unhinted map must still fan out *)
-  Telemetry.configure ~sink:Telemetry.Sink.null ();
-  Fun.protect ~finally:Telemetry.shutdown @@ fun () ->
-  Pool.with_pool ~jobs:4 @@ fun p ->
-  let xs = Array.init 64 Fun.id in
-  let c0 = cutoff_count () in
-  let small = Pool.map ~work:1 p (fun x -> x * x) xs in
-  Alcotest.(check (array int)) "small hinted map correct" (Array.map (fun x -> x * x) xs)
-    small;
-  Alcotest.(check int) "below-cutoff map counted" (c0 + 1) (cutoff_count ());
-  let on_caller =
-    Pool.map ~work:1 p (fun _ -> not (Pool.in_worker ())) (Array.init 8 Fun.id)
-  in
-  Alcotest.(check bool) "below-cutoff tasks run on the calling domain" true
-    (Array.for_all Fun.id on_caller);
-  let c1 = cutoff_count () in
-  let big = Pool.map ~work:Pool.default_parallel_cutoff p (fun x -> x + 1) xs in
-  Alcotest.(check (array int)) "big hinted map correct" (Array.map (fun x -> x + 1) xs) big;
-  Alcotest.(check int) "at/above cutoff not counted" c1 (cutoff_count ());
-  let _ = Pool.map p Fun.id xs in
-  Alcotest.(check int) "unhinted map never counted" c1 (cutoff_count ())
-
-let test_cutoff_zero_disables () =
-  Telemetry.configure ~sink:Telemetry.Sink.null ();
-  Fun.protect ~finally:Telemetry.shutdown @@ fun () ->
-  with_cutoff 0 @@ fun () ->
-  Pool.with_pool ~jobs:4 @@ fun p ->
-  let c0 = cutoff_count () in
-  let r = Pool.map ~work:1 p (fun x -> 3 * x) (Array.init 16 Fun.id) in
-  Alcotest.(check (array int)) "map correct" (Array.init 16 (fun x -> 3 * x)) r;
-  Alcotest.(check int) "cutoff 0 = always fan out" c0 (cutoff_count ())
-
-let test_cutoff_bitwise_with_and_without_hint () =
-  (* determinism does not depend on which side of the cutoff a map lands:
-     hinted-sequential, hinted-parallel and unhinted runs agree bitwise *)
-  let xs = Array.init 211 (fun i -> (float_of_int i /. 13.) +. 0.01) in
-  let f x = (log x *. sin (x *. 5.)) +. sqrt x in
-  let expected = Array.map f xs in
-  with_jobs 4 (fun () ->
-      List.iter
-        (fun (name, work) ->
-          let got = match work with None -> Default.map f xs | Some w -> Default.map ~work:w f xs in
-          Array.iteri
-            (fun i v -> check_bitwise (Printf.sprintf "%s index %d" name i) expected.(i) v)
-            got)
-        [ ("unhinted", None); ("hinted below cutoff", Some 1);
-          ("hinted above cutoff", Some 1_000_000) ])
-
 (* ---------------- seeds ---------------- *)
 
 let test_seeds_deterministic () =
@@ -450,17 +351,6 @@ let prop_map_matches_list_map =
     (fun (jobs, xs) ->
       let f x = (x * 7919) lxor (x lsr 2) in
       Pool.with_pool ~jobs (fun p -> Pool.map_list p f xs) = List.map f xs)
-
-let prop_map_reduce_jobs_invariant =
-  QCheck.Test.make ~name:"map_reduce independent of jobs (float sum)" ~count:(Qc.count 60)
-    QCheck.(pair (int_range 2 8) (list (float_range 0.001 1000.)))
-    (fun (jobs, xs) ->
-      let xs = Array.of_list xs in
-      let run j =
-        Pool.with_pool ~jobs:j (fun p ->
-            Pool.map_reduce p ~map:sqrt ~reduce:( +. ) ~init:0. xs)
-      in
-      Int64.equal (bits (run 1)) (bits (run jobs)))
 
 let prop_replicate_stats_jobs_invariant =
   QCheck.Test.make ~name:"replication statistics invariant under jobs" ~count:(Qc.count 25)
@@ -723,8 +613,6 @@ let suite =
     Alcotest.test_case "chunk boundaries n = jobs*k +- 1" `Quick test_map_chunk_boundaries;
     Alcotest.test_case "map bitwise across jobs" `Quick test_map_matches_across_jobs;
     Alcotest.test_case "map_list" `Quick test_map_list;
-    Alcotest.test_case "map_reduce folds in index order" `Quick test_map_reduce_order;
-    Alcotest.test_case "map_reduce float sum bitwise" `Quick test_map_reduce_float_bitwise;
     Alcotest.test_case "task error carries index and exn" `Quick test_error_index;
     Alcotest.test_case "lowest failing index wins" `Quick test_error_lowest_index;
     Alcotest.test_case "pool reusable after failure" `Quick test_pool_reuse_after_failure;
@@ -741,20 +629,12 @@ let suite =
     Alcotest.test_case "traced map span parity jobs 1 vs 4" `Quick test_traced_map_span_parity;
     Alcotest.test_case "cli: --trace --jobs 4 sweep parity" `Quick
       test_cli_trace_jobs_parity;
-    Alcotest.test_case "cutoff defaults and validation" `Quick
-      test_cutoff_defaults_and_validation;
-    Alcotest.test_case "cutoff sequentializes small hinted maps" `Quick
-      test_cutoff_sequentializes_small_hinted_maps;
-    Alcotest.test_case "cutoff 0 disables" `Quick test_cutoff_zero_disables;
-    Alcotest.test_case "cutoff bitwise with and without hint" `Quick
-      test_cutoff_bitwise_with_and_without_hint;
     Alcotest.test_case "seed derivation deterministic" `Quick test_seeds_deterministic;
     Alcotest.test_case "seeds distinct" `Quick test_seeds_distinct;
     Alcotest.test_case "seeds validation and draw order" `Quick test_seeds_invalid_and_order;
     Alcotest.test_case "default pool set_jobs" `Quick test_default_set_jobs;
     Alcotest.test_case "DELTANET_JOBS parsing" `Quick test_jobs_from_env;
     QCheck_alcotest.to_alcotest prop_map_matches_list_map;
-    QCheck_alcotest.to_alcotest prop_map_reduce_jobs_invariant;
     QCheck_alcotest.to_alcotest prop_replicate_stats_jobs_invariant;
     Alcotest.test_case "replicate bitwise across jobs" `Quick test_replicate_bitwise_across_jobs;
     Alcotest.test_case "sweep bounds bitwise across jobs" `Slow test_sweep_bitwise_across_jobs;

@@ -315,8 +315,6 @@ let test_engine_validation () =
       mk_engine ~cfg:{ Engine.default_config with Engine.budget_ms = 0. } ());
   raises_invalid "queue" (fun () ->
       mk_engine ~cfg:{ Engine.default_config with Engine.max_queue = 0 } ());
-  raises_invalid "degrade ratio" (fun () ->
-      mk_engine ~cfg:{ Engine.default_config with Engine.degrade_ratio = 1.5 } ());
   raises_invalid "grids" (fun () ->
       mk_engine ~cfg:{ Engine.default_config with Engine.s_points = 1 } ())
 
