@@ -227,7 +227,12 @@ let bound_cmd =
     Arg.(
       value
       & opt string "delay"
-      & info [ "metric" ] ~docv:"METRIC" ~doc:"Bound to compute: delay (ms) or backlog (kb).")
+      & info [ "metric" ] ~docv:"METRIC"
+          ~doc:
+            "Bound to compute: delay (ms) or backlog (kb).  The backlog bound reads the \
+             scheduler only through whether cross traffic is ever served ahead of the \
+             through flow: FIFO, BMUX and EDF give one value, valid for every finite \
+             deadline, and SP a lower one.")
   in
   cmd "bound"
     ~doc:

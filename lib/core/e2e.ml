@@ -772,6 +772,7 @@ module Reference = struct
     (Array.init (hop_count p) (fun h -> theta_of_x p ~gamma ~sigma ~x h), x)
 
   let sigma_for = sigma_for
+  let x_candidates = x_candidates
 
   (* O(H^2): [suffix_sum] re-walks the tail for every candidate K. *)
   let smallest_k ~extra_ok ~h ~c ~rho_c ~gamma =
@@ -849,28 +850,23 @@ let delay_via_curve p ~gamma ~sigma ~thetas =
     ~arrival:(through_envelope_curve p ~gamma ~sigma)
     ~service
 
-let backlog_given p ~gamma ~sigma =
-  (* Any thetas yield a valid service curve; minimize the vertical
-     deviation over the same candidate X values as the delay problem. *)
-  let arrival = through_envelope_curve p ~gamma ~sigma in
-  let backlog_at x =
-    let thetas = Array.init (hop_count p) (fun h -> theta_of_x p ~gamma ~sigma ~x h) in
-    if Array.exists (fun t -> not (Float.is_finite t)) thetas then Float.infinity
-    else
-      Minplus.Deviation.vertical ~arrival
-        ~service:(network_service_curve p ~gamma ~thetas)
-  in
-  List.fold_left
-    (fun acc x -> Float.min acc (backlog_at x))
-    Float.infinity
-    (x_candidates p ~gamma ~sigma)
-
 (* The γ range every search over this path probes: (0, gamma_max) pulled
    in at both ends, since sigma diverges as γ -> 0 and the node margins
    vanish as γ -> gamma_max.  One definition for every search, so the
    bracket [delay_bound_floor] certifies is the one [delay_bound]
    probes. *)
 let gamma_bracket gmax = (gmax *. 1e-6, gmax *. 0.999)
+
+(* The backlog bound is sigma at the top of the γ bracket.  At θ = 0
+   every node of the Eq.-30 curve serves from time 0 at rate at least
+   C - Hγ - ρ_c > ρ + γ (γ < gamma_max, Eq. 32), so the vertical deviation of
+   sigma + (ρ+γ)t is sigma, reached at 0⁺; S(0) = 0 forces at least
+   sigma for every θ.  Each geometric sum of Eq. (31)/(34) falls as γ
+   grows, so sigma does too. *)
+let backlog_bound ~epsilon p =
+  if epsilon <= 0. || epsilon >= 1. then invalid_arg "E2e.backlog_bound: epsilon out of range";
+  let gmax = gamma_max p in
+  if gmax <= 0. then Float.infinity else sigma_for p ~gamma:(snd (gamma_bracket gmax)) ~epsilon
 
 (* Search shapes, (grid points, golden-section steps).  [delay_points]
    is the grid [delay_bound_floor] certifies, so it is not a knob. *)
@@ -880,27 +876,11 @@ let cached_points = 12
 let cached_golden = 20
 let fast_points = 8
 let fast_golden = 40
-let backlog_points = 40
 
 (* A γ search's minimum, its evaluations counted *)
 let gamma_value (r : Search.result) =
   Telemetry.Counter.add c_gamma_evals r.Search.evals;
   r.Search.value
-
-let backlog_bound ~epsilon p =
-  if epsilon <= 0. || epsilon >= 1. then invalid_arg "E2e.backlog_bound: epsilon out of range";
-  let gmax = gamma_max p in
-  if gmax <= 0. then Float.infinity
-  else
-    Telemetry.span "e2e.backlog_gamma_search"
-      ~attrs:[ ("h", Telemetry.Int (hop_count p)); ("points", Telemetry.Int backlog_points) ]
-    @@ fun () ->
-  begin
-    let lo, hi = gamma_bracket gmax in
-    gamma_value
-      (Search.minimize ~points:backlog_points ~lo ~hi (fun gamma ->
-           backlog_given p ~gamma ~sigma:(sigma_for p ~gamma ~epsilon)))
-  end
 
 (* One interval floor through [batch], counted *)
 let batch_floor batch ~epsilon a b =

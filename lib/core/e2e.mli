@@ -141,6 +141,10 @@ module Reference : sig
   val optimal_thetas : path -> gamma:float -> sigma:float -> float array * float
   val sigma_for : path -> gamma:float -> epsilon:float -> float
 
+  val x_candidates : path -> gamma:float -> sigma:float -> float list
+  (** The kink abscissae of [X -> X +. sum_h theta_h X], [0.] included:
+      the [X] values Eq. (38) is minimized over. *)
+
   val smallest_k :
     extra_ok:(int -> bool) -> h:int -> c:float -> rho_c:float -> gamma:float -> int
   (** The O(H^2) recursive suffix-sum version of {!smallest_k}. *)
@@ -157,8 +161,7 @@ val delay_at_gamma : path -> gamma:float -> epsilon:float -> float
 
     [delay_given] solves Eq. (38) without materializing the curve; the
     functions below build the Eq. (30) network service curve explicitly,
-    which yields backlog bounds and an independent cross-check of the
-    optimizer. *)
+    an independent cross-check of the optimizer and of {!backlog_bound}. *)
 
 val network_service_curve : path -> gamma:float -> thetas:float array -> Minplus.Curve.t
 (** [S^net(t; theta) = min_h S~^h_{(h-1)gamma}(t -. T) · I(t > T)] with
@@ -170,15 +173,18 @@ val delay_via_curve : path -> gamma:float -> sigma:float -> thetas:float array -
     {!network_service_curve} — must agree with the Eq.-38 constraint
     machinery at the same [thetas]. *)
 
-val backlog_given : path -> gamma:float -> sigma:float -> float
-(** End-to-end backlog bound: vertical deviation of the through envelope
-    (plus [sigma]) against the network service curve, minimized over the
-    same candidate [X] values as {!delay_given}. *)
-
 val backlog_bound : epsilon:float -> path -> float
-(** Probabilistic end-to-end backlog bound
-    [P (B > backlog_bound) <= epsilon], minimized over a 40-point [gamma]
-    grid ({!Search.minimize}, no refinement). *)
+(** Probabilistic end-to-end backlog bound [P (B > backlog_bound) <= epsilon]:
+    {!sigma_for} at the top of {!gamma_bracket}, one evaluation.  That is
+    the minimum of the curve-based bound over every [theta] and every
+    [gamma] of the bracket:
+    at [theta = 0] each node of {!network_service_curve} serves at rate
+    above [rho +. gamma], so the vertical deviation of the through
+    envelope is [sigma], and [S(0) = 0] keeps every [theta] at or above
+    it; [sigma] is non-increasing in [gamma].  The bound reads [∆] only
+    through which nodes have [∆ = Neg_inf]: every finite or [Pos_inf]
+    [∆] gives the same value bit for bit.  [infinity] when the path is
+    overloaded.  @raise Invalid_argument unless [0 < epsilon < 1]. *)
 
 val optimal_thetas : path -> gamma:float -> sigma:float -> float array * float
 (** The minimizing [(thetas, X)] of Eq. (38) — the witness behind

@@ -160,9 +160,6 @@ let backlog_bound_checked ?(s_points = 32) ~scheduler t =
 let delay_bound ?s_points ~scheduler t =
   (delay_bound_checked ?s_points ~scheduler t).Diag.value
 
-let backlog_bound ?s_points ~scheduler t =
-  (backlog_bound_checked ?s_points ~scheduler t).Diag.value
-
 type edf_spec = { cross_over_through : float }
 
 type edf_result = {
@@ -253,17 +250,15 @@ let delay_bound_edf_checked ?(s_points = 32) ?(max_iter = 60) ~spec t =
 type metric = Delay | Backlog
 
 let bound_checked ?s_points ?(metric = Delay) ~scheduler t =
-  let at d_through =
-    let scheduler = Scheduler.Kind.two_class ~d_through scheduler in
-    match metric with
-    | Delay -> delay_bound_checked ?s_points ~scheduler t
-    | Backlog -> backlog_bound_checked ?s_points ~scheduler t
-  in
-  match (scheduler : Scheduler.Kind.t) with
-  | Edf { cross_over_through } -> (
+  match ((scheduler : Scheduler.Kind.t), metric) with
+  | Edf { cross_over_through }, Delay ->
     let o = delay_bound_edf_checked ?s_points ~spec:{ cross_over_through } t in
-    match metric with
-    | Delay -> { Diag.value = o.Diag.value.bound; diag = o.Diag.diag }
-    | Backlog when Diag.ok o.Diag.diag -> at o.Diag.value.d_through
-    | Backlog -> { Diag.value = Float.nan; diag = o.Diag.diag })
-  | Fifo | Bmux | Sp -> at Float.nan (* no deadline to anchor *)
+    { Diag.value = o.Diag.value.bound; diag = o.Diag.diag }
+  | Edf _, Backlog ->
+    (* the backlog bound reads ∆ only through ∆ = -∞ (E2e.backlog_bound),
+       so every EDF gap gives FIFO's bound: no fixed point to solve *)
+    backlog_bound_checked ?s_points ~scheduler:Scheduler.Classes.Fifo t
+  | (Fifo | Bmux | Sp), _ ->
+    let bound = match metric with Delay -> delay_bound_checked | Backlog -> backlog_bound_checked in
+    bound ?s_points ~scheduler:(Scheduler.Kind.two_class ~d_through:Float.nan scheduler) t
+    (* no deadline to anchor *)

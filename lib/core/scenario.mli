@@ -78,11 +78,6 @@ val delay_bound : ?s_points:int -> scheduler:Scheduler.Classes.two_class -> t ->
     For [Edf_gap g] the gap is used as given.
     [infinity] when no stable [s] exists. *)
 
-val backlog_bound : ?s_points:int -> scheduler:Scheduler.Classes.two_class -> t -> float
-(** End-to-end backlog bound (kb) of the through aggregate,
-    [P (B > bound) <= epsilon], minimized over [s] and [gamma] like
-    {!delay_bound}.  For [Edf_gap g] the gap is used as given. *)
-
 val delay_bound_checked :
   ?s_points:int -> scheduler:Scheduler.Classes.two_class -> t -> float Diag.outcome
 (** {!delay_bound} with a typed diagnostic instead of a silent [infinity]:
@@ -96,7 +91,13 @@ val delay_bound_checked :
 
 val backlog_bound_checked :
   ?s_points:int -> scheduler:Scheduler.Classes.two_class -> t -> float Diag.outcome
-(** Checked counterpart of {!backlog_bound}; see {!delay_bound_checked}. *)
+(** End-to-end backlog bound (kb) of the through aggregate,
+    [P (B > bound) <= epsilon], minimized over [s] like
+    {!delay_bound_checked}, each s taking {!E2e.backlog_bound} (one
+    σ evaluation, no γ search).  The bound is blind to [∆] except at
+    [∆ = -∞]: FIFO, BMUX and every [Edf_gap g] give the same value bit
+    for bit, and only [Sp_through_high] differs.  Diagnostics as in
+    {!delay_bound_checked}. *)
 
 type edf_spec = {
   cross_over_through : float;
@@ -139,8 +140,8 @@ val bound_checked :
   ?s_points:int -> ?metric:metric -> scheduler:Scheduler.Kind.t -> t -> float Diag.outcome
 (** The [metric] bound (default [Delay]) for one of the paper's four
     schedulers.  FIFO, BMUX and SP go to {!delay_bound_checked} or
-    {!backlog_bound_checked}.  EDF solves {!delay_bound_edf_checked}; its
-    [Delay] is the fixed point's bound, and its [Backlog] is the backlog
-    bound at the fixed point's gap ({!Scheduler.Kind.edf_gap} at its
-    [d_through]).  When the fixed point did not converge, a [Backlog]
-    outcome carries the fixed point's diagnostic and a NaN value. *)
+    {!backlog_bound_checked}.  EDF's [Delay] solves
+    {!delay_bound_edf_checked} and returns the fixed point's bound.  EDF's
+    [Backlog] is FIFO's backlog bound: the bound reads [∆] only at
+    [∆ = -∞], so it holds for every finite deadline vector, and no fixed
+    point is solved. *)

@@ -117,7 +117,8 @@ let minimize ?floor ?refine ~points ~lo ~hi f =
       fold grid vals ~from:1 (grid.(0), vals.(0))
     | None ->
       (* no arrays: allocating them on every floorless search (Additive's
-         nested ones, the backlog search) raised the figures' peak RSS *)
+         nested ones, the backlog bound's s-grid) raised the figures' peak
+         RSS *)
       let best = ref (f lo) and arg = ref lo and g = ref lo in
       for _ = 2 to points do
         g := !g *. ratio;

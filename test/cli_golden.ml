@@ -21,6 +21,9 @@ let cases =
     [ "bound"; "--metric"; "backlog"; "-s"; "edf" ];
     [ "bound"; "-H"; "10"; "--u0"; "0.15"; "--uc"; "0.25"; "-s"; "edf" ];
     [ "bound"; "--metric"; "backlog"; "-H"; "10"; "--uc"; "0.25"; "-s"; "edf" ];
+    [ "bound"; "-H"; "30"; "--metric"; "backlog"; "-s"; "fifo" ];
+    [ "bound"; "-H"; "30"; "--metric"; "backlog"; "-s"; "sp" ];
+    [ "bound"; "-H"; "30"; "--metric"; "backlog"; "-s"; "edf" ];
     [ "bound"; "--u0"; "0.6"; "--uc"; "0.4" ];
     [ "bound"; "--hops"; "0" ];
     [ "bound"; "--u0"; "nan" ];

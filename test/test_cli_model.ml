@@ -251,17 +251,23 @@ let test_bound_checked () =
   let edf = Kind.Edf { cross_over_through = 10. } in
   check_bits "edf delay = the fixed point" fp.Diag.value.Scenario.bound
     (Scenario.bound_checked ~s_points ~scheduler:edf sc).Diag.value;
-  check_bits "edf backlog at the fixed point's gap"
+  (* the backlog bound reads ∆ only at ∆ = -∞: EDF's is FIFO's, SP's is not *)
+  let backlog k = (Scenario.bound_checked ~s_points ~metric:Scenario.Backlog ~scheduler:k sc).Diag.value in
+  check_bits "edf backlog = fifo backlog" (backlog Kind.Fifo) (backlog edf);
+  check_bits "= the backlog at the fixed point's gap"
     (Scenario.backlog_bound_checked ~s_points
        ~scheduler:(Kind.edf_gap ~d_through:fp.Diag.value.Scenario.d_through ~ratio:10.)
        sc)
       .Diag.value
-    (Scenario.bound_checked ~s_points ~metric:Scenario.Backlog ~scheduler:edf sc).Diag.value;
-  (* a fixed point that cycles: the backlog outcome carries its diagnostic *)
+    (backlog edf);
+  check bool "sp backlog differs" true (backlog Kind.Sp <> backlog Kind.Fifo);
+  (* a fixed point that cycles has no bearing on the backlog bound *)
   let cyc = Scenario.of_utilization ~h:10 ~u_through:0.15 ~u_cross:0.25 in
   let o = Scenario.bound_checked ~metric:Scenario.Backlog ~s_points:24 ~scheduler:edf cyc in
-  check string "diverged" "diverged" (Diag.status_to_string o.Diag.diag.Diag.status);
-  check bool "no backlog value" true (Float.is_nan o.Diag.value)
+  check string "converged" "converged" (Diag.status_to_string o.Diag.diag.Diag.status);
+  check_bits "fifo's value"
+    (Scenario.backlog_bound_checked ~s_points:24 ~scheduler:Classes.Fifo cyc).Diag.value
+    o.Diag.value
 
 let test_diag_note () =
   check string "converged" "" (Diag.note (Diag.v Diag.Converged));

@@ -145,7 +145,9 @@ let test_backlog_bound_dominates_simulation () =
       Scenario.epsilon = 1e-3;
     }
   in
-  let bound = Scenario.backlog_bound ~s_points:16 ~scheduler:Classes.Fifo sc in
+  let bound =
+    (Scenario.backlog_bound_checked ~s_points:16 ~scheduler:Classes.Fifo sc).Deltanet.Diag.value
+  in
   let r =
     Tandem.run
       { (sim_config Classes.Fifo) with Tandem.n_cross = 504 (* U = 90% *) }

@@ -246,20 +246,6 @@ let test_backlog_properties () =
   let b9_short = E2e.backlog_bound ~epsilon:1e-9 (mk_path ~h:2 ~delta:(Delta.Fin 0.)) in
   Alcotest.(check bool) (Fmt.str "grows with H: %g >= %g" b9 b9_short) true (b9 >= b9_short)
 
-let test_backlog_vs_delay_little () =
-  (* Sanity a la Little: backlog bound <= (through envelope rate) x delay
-     bound + sigma slack is not an identity, but backlog should be within
-     a small factor of rate x delay for these affine envelopes. *)
-  let p = mk_path ~h:4 ~delta:Delta.Pos_inf in
-  let gamma = 0.7 in
-  let sigma = E2e.sigma_for p ~gamma ~epsilon:1e-9 in
-  let d = E2e.delay_given p ~gamma ~sigma in
-  let b = E2e.backlog_given p ~gamma ~sigma in
-  Alcotest.(check bool)
-    (Fmt.str "b=%g within [sigma=%g, rate*d=%g]" b sigma ((15. +. gamma) *. d +. sigma))
-    true
-    (b >= sigma -. 1e-9 && b <= ((15. +. gamma) *. d) +. sigma +. 1e-6)
-
 (* ---------------- scenario layer ---------------- *)
 
 let test_scenario_flow_counts () =
@@ -321,13 +307,15 @@ let test_scenario_edf_tight_deadlines_above_fifo () =
     (fifo <= r.Scenario.bound +. 1e-6 && r.Scenario.bound <= bmux +. 1e-6)
 
 let test_scenario_backlog () =
+  (* the backlog bound reads ∆ only at ∆ = -∞: FIFO and BMUX agree bit
+     for bit, and SP (cross traffic never ahead) is lower *)
   let sc = Scenario.of_utilization ~h:3 ~u_through:0.15 ~u_cross:0.35 in
-  let b_fifo = Scenario.backlog_bound ~s_points:16 ~scheduler:Classes.Fifo sc in
-  let b_bmux = Scenario.backlog_bound ~s_points:16 ~scheduler:Classes.Bmux sc in
+  let b scheduler = (Scenario.backlog_bound_checked ~s_points:16 ~scheduler sc).Deltanet.Diag.value in
+  let b_fifo = b Classes.Fifo and b_bmux = b Classes.Bmux and b_sp = b Classes.Sp_through_high in
   Alcotest.(check bool) (Fmt.str "finite backlog %g" b_fifo) true (Float.is_finite b_fifo);
-  Alcotest.(check bool)
-    (Fmt.str "fifo %g <= bmux %g" b_fifo b_bmux)
-    true (b_fifo <= b_bmux +. 1e-6)
+  Alcotest.(check int64) "fifo = bmux bit for bit" (Int64.bits_of_float b_fifo)
+    (Int64.bits_of_float b_bmux);
+  Alcotest.(check bool) (Fmt.str "sp %g < fifo %g" b_sp b_fifo) true (b_sp < b_fifo)
 
 (* ---------------- kernel vs reference (bit-for-bit) ---------------- *)
 
@@ -368,6 +356,89 @@ let print_path p =
     (String.concat "; " (Array.to_list (Array.map print_node p.E2e.nodes)))
 
 let path_arb = QCheck.make ~print:print_path path_gen
+
+(* ---------------- backlog = σ ---------------- *)
+
+(* The curve-based backlog bound, the oracle for [E2e.backlog_bound]:
+   the vertical deviation of the through envelope sigma + (ρ+γ)t against
+   the Eq.-30 network service curve, minimized over the θ vectors of
+   Eq. (38)'s X candidates. *)
+let backlog_given p ~gamma ~sigma =
+  let arrival = Minplus.Curve.affine ~rate:(p.E2e.through.Ebb.rho +. gamma) ~burst:sigma in
+  let backlog_at x =
+    let thetas = Array.init (E2e.hop_count p) (E2e.theta_of_x p ~gamma ~sigma ~x) in
+    if Array.exists (fun t -> not (Float.is_finite t)) thetas then Float.infinity
+    else Minplus.Deviation.vertical ~arrival ~service:(E2e.network_service_curve p ~gamma ~thetas)
+  in
+  List.fold_left
+    (fun acc x -> Float.min acc (backlog_at x))
+    Float.infinity
+    (E2e.Reference.x_candidates p ~gamma ~sigma)
+
+(* The oracle equals sigma up to one rounding (DESIGN.md §7, "Backlog =
+   σ"): the gated curve makes the gap at t = 0 exactly sigma, and at the
+   largest X candidate, where every θ_h is 0, each gap
+   fl(fl(sigma + A) - S) with A <= S rounds to at most [Float.succ sigma]. *)
+let prop_backlog_is_sigma =
+  QCheck.Test.make ~name:"backlog = sigma: curve oracle in [sigma, succ sigma]"
+    ~count:(Qc.count 300)
+    (QCheck.pair path_arb (QCheck.float_range 1e-6 0.999))
+    (fun (p, u) ->
+      let gamma = u *. E2e.gamma_max p in
+      let sigma = E2e.sigma_for p ~gamma ~epsilon:1e-9 in
+      let b = backlog_given p ~gamma ~sigma in
+      if not (sigma <= b && b <= Float.succ sigma) then
+        QCheck.Test.fail_reportf "gamma %.17g: sigma %.17g, curve backlog %.17g" gamma sigma b;
+      true)
+
+(* [E2e.backlog_bound] is the least sigma over the γ bracket (sigma is
+   non-increasing in γ), and reads ∆ only at ∆ = -∞: any finite or +∞
+   gap in place of another gives the same bits. *)
+let prop_backlog_bound_least_sigma =
+  QCheck.Test.make ~name:"backlog_bound = least sigma over the bracket, blind to finite delta"
+    ~count:(Qc.count 300)
+    (QCheck.triple path_arb (QCheck.float_range 0. 1.) (QCheck.float_range (-12.) (-2.)))
+    (fun (p, u, log_eps) ->
+      let epsilon = 10. ** log_eps in
+      let lo, hi = E2e.gamma_bracket (E2e.gamma_max p) in
+      let b = E2e.backlog_bound ~epsilon p in
+      List.iter
+        (fun gamma ->
+          let s = E2e.sigma_for p ~gamma ~epsilon in
+          if not (b <= s) then
+            QCheck.Test.fail_reportf "gamma %.17g: bound %.17g > sigma %.17g" gamma b s)
+        [ lo; lo *. ((hi /. lo) ** u); hi ];
+      let fifo_like (nd : E2e.node) =
+        match nd.E2e.delta with Delta.Neg_inf -> nd | _ -> { nd with E2e.delta = Delta.Fin 0. }
+      in
+      let b0 = E2e.backlog_bound ~epsilon { p with E2e.nodes = Array.map fifo_like p.E2e.nodes } in
+      if not (bit_eq b b0) then
+        QCheck.Test.fail_reportf "finite gaps moved the bound: %.17g vs %.17g" b b0;
+      true)
+
+(* The bound costs one sigma per s: no min-plus curve and no γ search *)
+let test_backlog_skips_curves () =
+  let vertical = Telemetry.Counter.make "minplus.deviation.vertical.calls" in
+  let gamma_evals = Telemetry.Counter.make "e2e.gamma.evals" in
+  let added c f =
+    let c0 = Telemetry.Counter.value c in
+    f ();
+    Telemetry.Counter.value c - c0
+  in
+  Telemetry.reset ();
+  Telemetry.configure ~sink:Telemetry.Sink.null ();
+  Fun.protect ~finally:Telemetry.shutdown (fun () ->
+      let sc = Scenario.of_utilization ~h:30 ~u_through:0.15 ~u_cross:0.35 in
+      let backlog () =
+        ignore (Scenario.backlog_bound_checked ~scheduler:Classes.Fifo sc : float Deltanet.Diag.outcome)
+      in
+      Alcotest.(check int) "no vertical deviation" 0 (added vertical backlog);
+      Alcotest.(check int) "no gamma evaluation" 0 (added gamma_evals backlog);
+      (* the counter is live: the curve oracle bumps it *)
+      let p = mk_path ~h:3 ~delta:(Delta.Fin 0.) in
+      let gamma = 0.5 in
+      let oracle () = ignore (backlog_given p ~gamma ~sigma:(E2e.sigma_for p ~gamma ~epsilon:1e-9)) in
+      Alcotest.(check bool) "the oracle counts" true (added vertical oracle > 0))
 
 (* ---------------- batch vs reference ---------------- *)
 
@@ -976,7 +1047,9 @@ let suite =
     Alcotest.test_case "curve agrees with optimizer" `Quick test_curve_agrees_with_optimizer;
     Alcotest.test_case "network curve shape" `Quick test_curve_shape;
     Alcotest.test_case "backlog properties" `Quick test_backlog_properties;
-    Alcotest.test_case "backlog vs delay" `Quick test_backlog_vs_delay_little;
+    QCheck_alcotest.to_alcotest prop_backlog_is_sigma;
+    QCheck_alcotest.to_alcotest prop_backlog_bound_least_sigma;
+    Alcotest.test_case "backlog skips curves and gamma search" `Quick test_backlog_skips_curves;
     Alcotest.test_case "scenario flow counts" `Quick test_scenario_flow_counts;
     Alcotest.test_case "scenario ordering" `Slow test_scenario_fifo_between_sp_and_bmux;
     Alcotest.test_case "scenario monotone in U" `Slow test_scenario_increasing_in_utilization;

@@ -1,8 +1,6 @@
-(* Tests for the extension modules: n-state Markov sources, deterministic
-   additive bounds, the multi-class single-node simulator, and replication
-   output analysis. *)
+(* Tests for the extension modules: deterministic additive bounds, the
+   multi-class single-node simulator, and replication output analysis. *)
 
-module Markov = Envelope.Markov
 module Mmpp = Envelope.Mmpp
 module Curve = Minplus.Curve
 module Det = Deltanet.Det_e2e
@@ -17,64 +15,6 @@ let check_float ?(tol = 1e-9) name expected got =
        <= tol *. (1. +. Float.max (Float.abs expected) (Float.abs got))
   in
   if not ok then Alcotest.failf "%s: expected %.12g, got %.12g" name expected got
-
-(* ---------------- n-state Markov sources ---------------- *)
-
-let test_markov_matches_mmpp_closed_form () =
-  let mmpp = Mmpp.paper_source in
-  let chain = Markov.of_mmpp mmpp in
-  check_float ~tol:1e-6 "mean rate" (Mmpp.mean_rate mmpp) (Markov.mean_rate chain);
-  check_float "peak rate" (Mmpp.peak_rate mmpp) (Markov.peak_rate chain);
-  List.iter
-    (fun s ->
-      check_float ~tol:1e-6 (Fmt.str "eb at s=%g" s)
-        (Mmpp.effective_bandwidth mmpp ~s)
-        (Markov.effective_bandwidth chain ~s))
-    [ 0.01; 0.1; 0.5; 1.; 3.; 10. ]
-
-let three_state =
-  (* idle / active / burst video-like source *)
-  Markov.v
-    ~p:
-      [|
-        [| 0.95; 0.05; 0. |];
-        [| 0.10; 0.80; 0.10 |];
-        [| 0.; 0.30; 0.70 |];
-      |]
-    ~rates:[| 0.; 1.; 4. |]
-
-let test_markov_three_state_sanity () =
-  let mean = Markov.mean_rate three_state in
-  let peak = Markov.peak_rate three_state in
-  check_float "peak" 4. peak;
-  Alcotest.(check bool) (Fmt.str "mean %g in (0, peak)" mean) true (mean > 0. && mean < peak);
-  let prev = ref 0. in
-  List.iter
-    (fun s ->
-      let eb = Markov.effective_bandwidth three_state ~s in
-      if eb < !prev -. 1e-9 then Alcotest.failf "eb not monotone at s=%g" s;
-      if eb < mean -. 1e-6 || eb > peak +. 1e-6 then
-        Alcotest.failf "eb out of [mean, peak] at s=%g: %g" s eb;
-      prev := eb)
-    [ 0.01; 0.1; 0.5; 1.; 2.; 5.; 20.; 100. ]
-
-let test_markov_stationary_sums_to_one () =
-  let pi = Markov.stationary three_state in
-  check_float ~tol:1e-9 "sums to 1" 1. (Array.fold_left ( +. ) 0. pi)
-
-let test_markov_e2e_pipeline () =
-  (* The end-to-end analysis accepts the n-state characterization. *)
-  let through = Markov.ebb three_state ~n:10. ~s:0.1 in
-  let cross = Markov.ebb three_state ~n:20. ~s:0.1 in
-  let p =
-    Deltanet.E2e.homogeneous ~h:3 ~capacity:100. ~cross ~delta:(Delta.Fin 0.) ~through
-  in
-  let d = Deltanet.E2e.delay_bound ~epsilon:1e-9 p in
-  Alcotest.(check bool) (Fmt.str "finite bound %g" d) true (Float.is_finite d)
-
-let test_markov_validation () =
-  Alcotest.check_raises "bad rows" (Invalid_argument "Markov.v: rows must sum to 1")
-    (fun () -> ignore (Markov.v ~p:[| [| 0.5; 0.4 |]; [| 0.5; 0.5 |] |] ~rates:[| 0.; 1. |]))
 
 (* ---------------- deterministic additive vs convolution ---------------- *)
 
@@ -221,11 +161,6 @@ let test_replicate_deterministic_statistic () =
 
 let suite =
   [
-    Alcotest.test_case "markov = mmpp closed form" `Quick test_markov_matches_mmpp_closed_form;
-    Alcotest.test_case "markov 3-state sanity" `Quick test_markov_three_state_sanity;
-    Alcotest.test_case "markov stationary" `Quick test_markov_stationary_sums_to_one;
-    Alcotest.test_case "markov e2e pipeline" `Quick test_markov_e2e_pipeline;
-    Alcotest.test_case "markov validation" `Quick test_markov_validation;
     Alcotest.test_case "det additive dominates" `Quick test_det_additive_dominates;
     Alcotest.test_case "det additive H=1" `Quick test_det_additive_equal_at_h1;
     Alcotest.test_case "det additive gap widens" `Quick test_det_additive_quadratic_growth;
