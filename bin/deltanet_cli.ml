@@ -683,8 +683,8 @@ let serve_cmd =
       & opt int 4096
       & info [ "cache-entries" ] ~docv:"N"
           ~doc:
-            "Bounded LRU capacity for path-shape entries (memoized bounds and \
-             compiled kernels) — the daemon's memory bound under shape churn.")
+            "Bounded LRU capacity for path-shape entries (memoized bounds) — the \
+             daemon's memory bound under shape churn.")
   in
   let batch_arg =
     Arg.(
@@ -747,9 +747,9 @@ let serve_cmd =
     ~doc:
       "Long-running admission-control daemon: one JSON request per line on stdin \
        (ops admit/check/stats/health), one JSON response per line on stdout.  \
-       Repeat path shapes hit a bounded LRU of compiled kernels; overload is \
-       shed with retry-after hints or degraded to closed-form upper bounds \
-       (responses tagged exact/approx); SIGTERM/SIGINT drain and exit 0.  For per-outcome latency percentiles, run with $(b,--batch 1 --metrics) \
+       Repeat path shapes hit a bounded LRU of memoized bounds; overload is \
+       shed with retry-after hints or degraded to the same search on a coarser \
+       s-grid (responses tagged exact/approx); SIGTERM/SIGINT drain and exit 0.  For per-outcome latency percentiles, run with $(b,--batch 1 --metrics) \
        FILE and read FILE with $(b,deltanet report)."
     Term.(
       const run $ budget_arg $ queue_arg $ cache_arg $ batch_arg $ prom_arg
@@ -772,7 +772,7 @@ let loadgen_cmd =
       & info [ "shapes" ] ~docv:"N"
           ~doc:
             "Number of distinct path shapes to draw from; smaller means a hotter \
-             kernel cache.")
+             cache.")
   in
   let malformed_arg =
     Arg.(

@@ -12,8 +12,8 @@
      - Some/None/Ok/Error with a non-float payload (the Serve.Cache lookup
        contract returns [Some v]); float payloads are flagged as boxing
      - raise / failwith / invalid_arg argument subtrees (error paths)
-   Genuinely-allocating entry scratch (e.g. [Array.make] in
-   [E2e.smallest_k]) carries an expression-level
+   Genuinely-allocating entry scratch (e.g. the [Array.make] result
+   buffer of [Minplus.Curve.normalize_sub]) carries an expression-level
    [@lint.allow "zero-alloc"] with a justification comment. *)
 
 open Typedtree

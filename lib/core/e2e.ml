@@ -774,19 +774,6 @@ module Reference = struct
   let sigma_for = sigma_for
   let x_candidates = x_candidates
 
-  (* O(H^2): [suffix_sum] re-walks the tail for every candidate K. *)
-  let smallest_k ~extra_ok ~h ~c ~rho_c ~gamma =
-    let term k =
-      (c -. rho_c -. (float_of_int k *. gamma))
-      /. (c -. (float_of_int (k - 1) *. gamma))
-    in
-    let rec suffix_sum k = if k > h then 0. else term k +. suffix_sum (k + 1) in
-    let rec find k =
-      if k > h then h
-      else if suffix_sum (k + 1) < 1. && extra_ok k then k
-      else find (k + 1)
-    in
-    find 0
 end
 
 let delay_given p ~gamma ~sigma =
@@ -868,46 +855,36 @@ let backlog_bound ~epsilon p =
   let gmax = gamma_max p in
   if gmax <= 0. then Float.infinity else sigma_for p ~gamma:(snd (gamma_bracket gmax)) ~epsilon
 
-(* Search shapes, (grid points, golden-section steps).  [delay_points]
-   is the grid [delay_bound_floor] certifies, so it is not a knob. *)
+(* The γ search's shape, (grid points, golden-section steps).
+   [delay_points] is the grid [delay_bound_floor] certifies, so it is
+   not a knob. *)
 let delay_points = 40
 let delay_golden = 40
-let cached_points = 12
-let cached_golden = 20
-let fast_points = 8
-let fast_golden = 40
-
-(* A γ search's minimum, its evaluations counted *)
-let gamma_value (r : Search.result) =
-  Telemetry.Counter.add c_gamma_evals r.Search.evals;
-  r.Search.value
 
 (* One interval floor through [batch], counted *)
 let batch_floor batch ~epsilon a b =
   if !Telemetry.on then Telemetry.Counter.incr c_gamma_floors;
   Batch.interval_floor batch ~epsilon ~a ~b
 
-(* The exact γ search over one compiled batch: [delay_bound]'s shape,
-   or [delay_bound_fast]'s on a heterogeneous path *)
-let delay_search ~points ~golden ~epsilon p =
+let delay_bound ~epsilon p =
+  if epsilon <= 0. || epsilon >= 1. then invalid_arg "E2e.delay_bound: epsilon out of range";
   let gmax = gamma_max p in
   if gmax <= 0. then Float.infinity
   else
     Telemetry.span "e2e.gamma_search"
-      ~attrs:[ ("h", Telemetry.Int (hop_count p)); ("points", Telemetry.Int points) ]
+      ~attrs:[ ("h", Telemetry.Int (hop_count p)); ("points", Telemetry.Int delay_points) ]
     @@ fun () ->
   begin
     let lo, hi = gamma_bracket gmax in
     let batch = Batch.make p in
-    gamma_value
-      (Search.minimize ~floor:(Search.Interval (batch_floor batch ~epsilon))
-         ~refine:(Search.Golden golden) ~points ~lo ~hi (fun gamma ->
-           Batch.delay_at_gamma batch ~gamma ~epsilon))
+    let r =
+      Search.minimize ~floor:(Search.Interval (batch_floor batch ~epsilon))
+        ~refine:(Search.Golden delay_golden) ~points:delay_points ~lo ~hi (fun gamma ->
+          Batch.delay_at_gamma batch ~gamma ~epsilon)
+    in
+    Telemetry.Counter.add c_gamma_evals r.Search.evals;
+    r.Search.value
   end
-
-let delay_bound ~epsilon p =
-  if epsilon <= 0. || epsilon >= 1. then invalid_arg "E2e.delay_bound: epsilon out of range";
-  delay_search ~points:delay_points ~golden:delay_golden ~epsilon p
 
 (* A lower bound on [delay_bound ~epsilon p]: every value [delay_bound]
    returns is the Eq.-38 minimum at some probe γ in [lo, top] — the
@@ -951,29 +928,22 @@ let bmux_closed_form p ~gamma ~sigma =
   let denom = nd.capacity -. nd.cross_rho -. (h *. gamma) in
   if denom <= 0. then Float.infinity else sigma /. denom
 
-(* Smallest K in 0..H satisfying Eq. (40):
-   sum_{h > K} (C -. rho_c -. h gamma) /. (C -. (h-1) gamma) < 1.
-   One O(H) backward pass materializes every suffix sum: the recursion
-   [suffix_sum k = term k +. suffix_sum (k+1)] associates to the right,
-   and the backward fill below performs the same additions in the same
-   order, so each [suffix.(k)] is bit-identical to the
-   [Reference.smallest_k] recomputation (pinned by a test up to H = 10^3). *)
+(* Smallest K in 0..H satisfying Eq. (40),
+   sum_{h > K} (C -. rho_c -. h gamma) /. (C -. (h-1) gamma) < 1,
+   and the caller's extra feasibility predicate.  O(H^2): [suffix_sum]
+   re-walks the tail for every candidate K. *)
 let smallest_k ~extra_ok ~h ~c ~rho_c ~gamma =
-  (* entry cost, not per-candidate cost: one scratch array sized by the
-     hop count, filled by the backward pass below *)
-  let suffix = (Array.make (h + 2) 0. [@lint.allow "zero-alloc"]) in
-  for k = h downto 1 do
-    suffix.(k) <-
-      ((c -. rho_c -. (float_of_int k *. gamma))
-       /. (c -. (float_of_int (k - 1) *. gamma)))
-      +. suffix.(k + 1)
-  done;
-  let k = ref 0 in
-  while !k <= h && not (suffix.(!k + 1) < 1. && extra_ok !k) do
-    incr k
-  done;
-  if !k > h then h else !k
-  [@@zero_alloc_check]
+  let term k =
+    (c -. rho_c -. (float_of_int k *. gamma))
+    /. (c -. (float_of_int (k - 1) *. gamma))
+  in
+  let rec suffix_sum k = if k > h then 0. else term k +. suffix_sum (k + 1) in
+  let rec find k =
+    if k > h then h
+    else if suffix_sum (k + 1) < 1. && extra_ok k then k
+    else find (k + 1)
+  in
+  find 0
 
 let fifo_closed_form p ~gamma ~sigma =
   let nd = require_homogeneous p "E2e.fifo_closed_form" in
@@ -1050,45 +1020,3 @@ let k_procedure p ~gamma ~sigma =
     let x = x_of k in
     if !Telemetry.on then Telemetry.Counter.incr c_objective_evals;
     objective p ~gamma ~sigma x
-
-(* --------------------------------------------------------------- *)
-(* Closed-form gamma search                                          *)
-
-let delay_bound_fast ~epsilon p =
-  if epsilon <= 0. || epsilon >= 1. then
-    invalid_arg "E2e.delay_bound_fast: epsilon out of range";
-  if not (is_homogeneous p) then delay_search ~points:fast_points ~golden:fast_golden ~epsilon p
-  else begin
-    let gmax = gamma_max p in
-    if gmax <= 0. then Float.infinity
-    else
-      Telemetry.span "e2e.gamma_search_fast"
-        ~attrs:[ ("h", Telemetry.Int (hop_count p)); ("points", Telemetry.Int fast_points) ]
-      @@ fun () ->
-    begin
-      let bt = Batch.make p in
-      let lo, hi = gamma_bracket gmax in
-      gamma_value
-        (Search.minimize ~refine:(Search.Golden fast_golden) ~points:fast_points ~lo ~hi
-           (fun gamma -> k_procedure p ~gamma ~sigma:(Batch.sigma_for bt ~gamma ~epsilon)))
-    end
-  end
-
-(* The serving hot path: the γ search over a caller-retained batch, with
-   no [Batch.make].  Soundness does not depend on finding the optimum:
-   every probed gamma yields a valid Eq.-38 bound, so a coarse grid only
-   costs tightness. *)
-let delay_bound_cached ~batch ~epsilon p =
-  if epsilon <= 0. || epsilon >= 1. then
-    invalid_arg "E2e.delay_bound_cached: epsilon out of range";
-  (* the batch's compiled nodes would silently answer for another path *)
-  if batch.Batch.path != p then
-    invalid_arg "E2e.delay_bound_cached: batch was not made from this path";
-  let gmax = gamma_max p in
-  if gmax <= 0. then Float.infinity
-  else begin
-    let lo, hi = gamma_bracket gmax in
-    gamma_value
-      (Search.minimize ~refine:(Search.Golden cached_golden) ~points:cached_points ~lo ~hi
-         (fun gamma -> Batch.delay_at_gamma batch ~gamma ~epsilon))
-  end

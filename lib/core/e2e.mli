@@ -144,10 +144,6 @@ module Reference : sig
   val x_candidates : path -> gamma:float -> sigma:float -> float list
   (** The kink abscissae of [X -> X +. sum_h theta_h X], [0.] included:
       the [X] values Eq. (38) is minimized over. *)
-
-  val smallest_k :
-    extra_ok:(int -> bool) -> h:int -> c:float -> rho_c:float -> gamma:float -> int
-  (** The O(H^2) recursive suffix-sum version of {!smallest_k}. *)
 end
 
 val delay_given : path -> gamma:float -> sigma:float -> float
@@ -202,8 +198,8 @@ val delay_bound : epsilon:float -> path -> float
 
 val gamma_bracket : float -> float * float
 (** [gamma_bracket gmax] is the [(lo, hi)] range that {!delay_bound}
-    (and every other γ search here) probes for a path with
-    [gamma_max = gmax]: [(gmax *. 1e-6, gmax *. 0.999)]. *)
+    probes (and {!delay_bound_floor} and {!backlog_bound} read) for a
+    path with [gamma_max = gmax]: [(gmax *. 1e-6, gmax *. 0.999)]. *)
 
 val delay_bound_floor : epsilon:float -> path -> float
 (** A certified lower bound on [delay_bound ~epsilon p] (its default
@@ -224,13 +220,6 @@ val is_homogeneous : path -> bool
 (** Every node shares [capacity], [cross_rho] and [delta] (the inputs
     Eq. 38 actually reads) with node 0. *)
 
-val smallest_k :
-  extra_ok:(int -> bool) -> h:int -> c:float -> rho_c:float -> gamma:float -> int
-(** Smallest [K] in [0..H] satisfying Eq. (40) (with the caller's extra
-    feasibility predicate), via a single O(H) backward prefix sum whose
-    partial sums are bit-identical to {!Reference.smallest_k}'s
-    recursion. *)
-
 val bmux_closed_form : path -> gamma:float -> sigma:float -> float
 (** Eq. (43): [sigma /. (C -. rho_c -. H gamma)].
     @raise Invalid_argument unless every node is BMUX ([Pos_inf]). *)
@@ -244,30 +233,3 @@ val k_procedure : path -> gamma:float -> sigma:float -> float
     in practice.  [infinity] wherever {!delay_given} is: an infinite
     [sigma] (Eq. 38 infeasible) reads as [infinity], not NaN, for every
     delta.  @raise Invalid_argument unless the path is homogeneous. *)
-
-val delay_bound_fast : epsilon:float -> path -> float
-(** A coarse γ search (8 grid points, 40 golden-section steps) with
-    {!k_procedure} (O(H) [smallest_k] + closed forms, Eq. 40–44) in
-    place of candidate enumeration on homogeneous paths, so it costs
-    O(H) per point instead of O(H^2); heterogeneous paths take the same
-    search shape through the exact Eq.-38 {!Batch}.
-    Always a valid upper bound.  For SP ([Neg_inf]), BMUX ([Pos_inf])
-    and FIFO ([Fin 0.]) deltas the K-procedure is exact to ~1e-9
-    relative (pinned by QCheck); for general finite deltas it can exceed
-    the exact minimum (the paper's choice of [K] is only near-optimal),
-    so this is an opt-in fast path — the bitwise-reproducible sweeps
-    keep using {!delay_bound}. *)
-
-val delay_bound_cached : batch:Batch.t -> epsilon:float -> path -> float
-(** A coarser {!delay_bound} (12 grid points, 20 golden-section steps)
-    driven entirely through a caller-retained compiled batch, with no
-    [Batch.make]: the serving approx path against a cached shape.
-    [batch] must have been built by [Batch.make] from this very [path]
-    value (physical equality).  The search costs at most
-    12 + 2 x 20 + 1 = 53 [delay_at_gamma] evaluations, fewer as the
-    golden memo hits (40 on the Fig.-2 path the tests pin).  The result
-    can exceed the optimum, but every probed [gamma] yields a valid
-    Eq.-38 bound, hence the returned value is always a sound (if
-    slightly loose) upper bound.
-    @raise Invalid_argument unless [0 < epsilon < 1] and [batch] was
-    made from [path]. *)

@@ -1,6 +1,5 @@
 (** A bounded LRU map from path-shape keys to the engine's per-shape
-    entries (memoized bounds and, once the shape degrades, its compiled
-    solver state).
+    entries (the memoized bounds of each mode).
 
     The daemon's memory bound: at most [capacity] entries live at once, a
     [put] past the bound evicts the least-recently-used entry, and [find]
@@ -8,8 +7,7 @@
     the worst case at [capacity] entries regardless of traffic.  O(1)
     lookup (hash table) and O(1) recency maintenance (intrusive doubly
     linked list).  Single-domain by design: the serving driver owns the
-    cache and workers never touch it, matching the mutability contract of
-    the cached {!E2e.Batch}es themselves.
+    cache and workers never touch it.
 
     Instrumented via [telemetry]: counters [serve.cache.hits] /
     [serve.cache.misses] / [serve.cache.evictions], gauge

@@ -3,26 +3,22 @@
    1. plan (driver, sequential, into an array): parse + validate every
       line, answer the free ones (errors, stats/health, memoized cache
       hits, whose replies copy the bound's memoized text), shed what the
-      backlog policy refuses, pick exact/approx for the rest, add missing
-      cache entries and compile the degraded-mode kernel of an entry the
-      first time a request on it degrades;
-   2. compute: exact jobs (pure — full Scenario optimization, no shared
-      kernel) fan out on the default Parallel pool; approx jobs run on the
-      driver because they mutate the cached kernels' scratch state;
+      backlog policy refuses, pick exact/approx for the rest and add
+      missing cache entries;
+   2. compute: every job is [Admission.decide], pure, at the s-grid of
+      its mode; each mode's jobs fan out on the default Parallel pool;
    3. render (driver, sequential): fold results back in request order,
       memoize bounds, enforce per-request budgets, update the EWMA
       service-time estimators.
 
-   Soundness of the degradation ladder: the approx bound evaluates Eq. 38
-   at one pinned (s, gamma-grid) — every feasible probe is a valid upper
-   bound, so a degraded answer can refuse an admissible flow but never
-   admit an inadmissible one.  Exact bounds are memoized only when the
-   diagnostic converged; a Diverged iterate is never trusted on a later
-   cache hit. *)
+   Soundness of the degradation ladder: both modes run the same s × γ
+   search, approx on a coarser s-grid, and every probed (s, γ) gives a
+   valid upper bound, so a degraded answer can refuse an admissible flow
+   but never admit an inadmissible one.  A bound is memoized only when
+   its diagnostic converged; a Diverged iterate is never trusted on a
+   later cache hit. *)
 
 module Classes = Scheduler.Classes
-module E2e = Deltanet.E2e
-module Search = Deltanet.Search
 module Scenario = Deltanet.Scenario
 module Contracts = Deltanet.Contracts
 module Admission = Deltanet.Admission
@@ -32,6 +28,10 @@ module P = Protocol
 (* The fraction of a request's remaining budget that the predicted
    exact cost may use before the request degrades to [approx]. *)
 let degrade_ratio = 0.5
+
+(* The s-grid of a degraded ([approx]) request: the production search at
+   its coarsest resolution *)
+let approx_s_points = 2
 
 type config = {
   budget_ms : float;
@@ -52,21 +52,14 @@ let default_config =
     debug_ops = false;
   }
 
-(* The degraded mode's kernel: the path at the shape's pinned s and its
-   compiled batch *)
-type kernel = { k_path : E2e.path; k_batch : E2e.Batch.t }
-
 (* A memoized bound and the text a reply writes for it, so that a
    cached answer formats no bound *)
 type memo = { bound : float; text : string }
 
 let memo bound = { bound; text = P.number_text bound }
 
-(* A cache entry is a shape's memoized bounds; the kernel is compiled
-   only when a request on the shape first degrades, since an exact
-   answer never reads it *)
+(* A cache entry is a shape's memoized bounds, one per mode *)
 type entry = {
-  mutable e_kernel : kernel option;
   mutable e_exact : memo option;
   mutable e_approx : memo option;
 }
@@ -240,31 +233,8 @@ let scenario_of (p : P.admit_params) =
 (* A shape gets an entry when some stable s exists; the other shapes
    are refused *)
 let make_entry (p : P.admit_params) =
-  if Scenario.has_stable_s (scenario_of p) then
-    Some { e_kernel = None; e_exact = None; e_approx = None }
+  if Scenario.has_stable_s (scenario_of p) then Some { e_exact = None; e_approx = None }
   else None
-
-(* Pin one effective-bandwidth parameter per shape: a coarse log scan of
-   the cheap closed-form bound picks the s the kernel's batch will serve
-   at.  Any stable s is sound; the scan only buys tightness.  A NaN bound
-   anywhere in the scan gets no kernel, and the degraded request the
-   "no stable s" answer. *)
-let make_kernel (p : P.admit_params) two_class =
-  let sc = scenario_of p in
-  let delta = Classes.delta_through_cross two_class in
-  match Scenario.s_stable_max sc with
-  | None -> None
-  | Some s_max ->
-    let lo, hi = Scenario.s_bracket s_max in
-    let r =
-      Search.minimize ~points:8 ~lo ~hi (fun s ->
-          E2e.delay_bound_fast ~epsilon:p.P.epsilon (Scenario.path_at sc ~s ~delta))
-    in
-    if r.Search.nan then None
-    else begin
-      let path = Scenario.path_at sc ~s:r.Search.arg ~delta in
-      Some { k_path = path; k_batch = E2e.Batch.make path }
-    end
 
 (* ---------------- supervised per-request work ---------------- *)
 
@@ -275,21 +245,18 @@ type jres =
 
 (* Isolate a poisoned request: anything non-fatal becomes a typed
    [internal] response and the engine (and pool) keep serving.  Memory
-   exhaustion and user interrupts stay fatal on purpose. *)
+   exhaustion and user interrupts stay fatal on purpose.  The protocol
+   and [make_entry] refuse every request [Admission.decide]'s contract
+   checks would (a deadline or eps out of range, a load with no stable
+   s), so a [Contracts.Violation] lands here only as a fault. *)
 let supervise f =
   try f () with
   | (Out_of_memory | Sys.Break) as e -> raise e
-  | Contracts.Violation fs ->
-    R_error
-      {
-        kind = P.Contract_violation;
-        detail = String.concat "; " (List.map Contracts.code fs);
-      }
   | e ->
     Telemetry.Counter.incr c_faults;
     R_error { kind = P.Internal; detail = Printexc.to_string e }
 
-let run_exact cfg (p : P.admit_params) two_class =
+let run_admit ~s_points (p : P.admit_params) two_class =
   supervise (fun () ->
       let r =
         {
@@ -297,15 +264,8 @@ let run_exact cfg (p : P.admit_params) two_class =
           guarantee = { Admission.deadline = p.P.deadline; epsilon = p.P.epsilon };
         }
       in
-      let d = Admission.decide ~s_points:cfg.s_points r ~scheduler:two_class in
+      let d = Admission.decide ~s_points r ~scheduler:two_class in
       R_bound { bound = d.Admission.bound; ok = Diag.ok d.Admission.diag })
-
-let run_approx kernel (p : P.admit_params) =
-  supervise (fun () ->
-      let b =
-        E2e.delay_bound_cached ~batch:kernel.k_batch ~epsilon:p.P.epsilon kernel.k_path
-      in
-      R_bound { bound = b; ok = Float.is_finite b })
 
 let run_check (p : P.admit_params) =
   supervise (fun () ->
@@ -333,8 +293,7 @@ type job = {
 
 type plan =
   | Done of string
-  | Exact of job
-  | Approx of job * kernel
+  | Compute of job
   | Poison of string option * string  (* id, trace *)
 
 let serve_counters () =
@@ -373,8 +332,7 @@ let error_reply b id trace kind detail =
   b.eng.n_errors <- b.eng.n_errors + 1;
   answered b ~trace ~outcome:O_error (P.render_error ?id ~trace ~kind ~detail ())
 
-(* no stable s (or, for a degraded request, a NaN in the s-scan): treat
-   like the parse-level stability rejection *)
+(* no stable s: treat like the parse-level stability rejection *)
 let no_stable_s b id trace =
   Done
     (error_reply b id trace P.Unstable "no stable effective-bandwidth parameter exists")
@@ -443,24 +401,13 @@ let plan_admit b id trace (p : P.admit_params) =
           <= remaining *. degrade_ratio
         then begin
           b.exact_assigned <- b.exact_assigned + 1;
-          Exact (enqueue b id trace p two_class e P.Exact ~hit ~budget)
+          Compute (enqueue b id trace p two_class e P.Exact ~hit ~budget)
         end
         else begin
           Telemetry.Counter.incr c_degraded;
           match e.e_approx with
           | Some m -> finish_memo b id trace p P.Approx ~hit m
-          | None -> (
-            let kernel =
-              match e.e_kernel with
-              | Some _ -> e.e_kernel
-              | None ->
-                let k = make_kernel p two_class in
-                e.e_kernel <- k;
-                k
-            in
-            match kernel with
-            | None -> no_stable_s b id trace
-            | Some k -> Approx (enqueue b id trace p two_class e P.Approx ~hit ~budget, k))
+          | None -> Compute (enqueue b id trace p two_class e P.Approx ~hit ~budget)
         end)
   end
 
@@ -512,20 +459,17 @@ let finish_bound b ~service_ms (job : job) res =
   | R_check _ -> error_reply b id trace P.Internal "unexpected check result"
   | R_bound { bound; ok } ->
     (* memoize before the budget check: a timed-out computation still
-       warms the cache, so the client's retry is a hit.  An exact bound
-       is kept only when its diagnostic converged; an approx one always
-       is. *)
+       warms the cache, so the client's retry is a hit.  A bound is kept
+       only when its diagnostic converged, in either mode. *)
     let m =
-      match job.j_mode with
-      | P.Exact when not ok -> None
-      | P.Exact ->
+      if not ok then None
+      else begin
         let m = memo bound in
-        job.j_entry.e_exact <- Some m;
+        (match job.j_mode with
+        | P.Exact -> job.j_entry.e_exact <- Some m
+        | P.Approx -> job.j_entry.e_approx <- Some m);
         Some m
-      | P.Approx ->
-        let m = memo bound in
-        job.j_entry.e_approx <- Some m;
-        Some m
+      end
     in
     if elapsed_ms > job.j_budget then begin
       Telemetry.Counter.incr c_timeouts;
@@ -544,9 +488,38 @@ let finish_bound b ~service_ms (job : job) res =
            ~cache_hit:job.j_hit ~elapsed_ms ())
     end
 
-let exact_jobs plans =
-  Array.of_list
-    (Array.fold_right (fun p acc -> match p with Exact j -> j :: acc | _ -> acc) plans [])
+(* One mode's compute phase: its jobs' results in request order, the
+   index of the next one to render, and the per-job service time *)
+type phase = { results : jres array; mutable next : int; service_ms : float }
+
+(* Fan one mode's [count] jobs out on the default pool.  Each job is pure
+   and individually supervised, so a poisoned request comes back as a
+   value and the pool survives.  The per-job service time for the mode's
+   estimator is the phase's wall time spread over its jobs: the marginal
+   cost the linear predictor in [plan_admit] multiplies back up. *)
+let is_exact = function P.Exact -> true | P.Approx -> false
+
+let run_phase t plans mode ~count =
+  if count = 0 then { results = [||]; next = 0; service_ms = 0. }
+  else begin
+    let exact = is_exact mode in
+    let jobs =
+      Array.of_list
+        (Array.fold_right
+           (fun p acc ->
+             match p with
+             | Compute j when Bool.equal (is_exact j.j_mode) exact -> j :: acc
+             | Compute _ | Done _ | Poison _ -> acc)
+           plans [])
+    in
+    let s_points = if exact then t.cfg.s_points else approx_s_points in
+    let t0 = t.now () in
+    let results =
+      Parallel.Default.map (fun j -> run_admit ~s_points j.j_params j.j_two_class) jobs
+    in
+    let service_ms = (t.now () -. t0) *. 1000. /. float_of_int count in
+    { results; next = 0; service_ms }
+  end
 
 let run_batch t lines n =
   let b = { eng = t; start = t.now (); pending = 0; exact_assigned = 0 } in
@@ -554,29 +527,8 @@ let run_batch t lines n =
   plan_lines b plans 0 lines;
   (* the cache maintains its own serve.cache.size gauge on mutation *)
   if !Telemetry.on then Telemetry.Gauge.set g_queue (float_of_int b.pending);
-  (* exact jobs fan out on the default pool; each is pure (no cached
-     batch) and individually supervised, so a poisoned request comes
-     back as a value and the pool survives.  Inside each job the s and γ
-     searches run on the calling worker, each γ search through one
-     compiled E2e.Batch. *)
-  let exact_jobs = if b.exact_assigned = 0 then [||] else exact_jobs plans in
-  let exact_t0 = if Array.length exact_jobs = 0 then 0. else t.now () in
-  let exact_results =
-    if Array.length exact_jobs = 0 then [||]
-    else
-      Parallel.Default.map
-        (fun j -> run_exact t.cfg j.j_params j.j_two_class)
-        exact_jobs
-  in
-  (* per-job service time for the estimator: the phase's wall time spread
-     over the jobs that shared it — exactly the marginal cost the linear
-     exact-fits predictor in [plan_admit] multiplies back up *)
-  let exact_service_ms =
-    match Array.length exact_jobs with
-    | 0 -> 0.
-    | n -> (t.now () -. exact_t0) *. 1000. /. float_of_int n
-  in
-  let exact_i = ref 0 in
+  let exact = run_phase t plans P.Exact ~count:b.exact_assigned in
+  let approx = run_phase t plans P.Approx ~count:(b.pending - b.exact_assigned) in
   let replies = Array.make n "" in
   for i = 0 to n - 1 do
     replies.(i) <-
@@ -586,18 +538,11 @@ let run_batch t lines n =
         match run_poison () with
         | R_error { kind; detail } -> error_reply b id trace kind detail
         | R_bound _ | R_check _ -> error_reply b id trace P.Internal "poison returned a value")
-      | Exact j ->
-        let res = exact_results.(!exact_i) in
-        incr exact_i;
-        finish_bound b ~service_ms:exact_service_ms j res
-      | Approx (j, k) ->
-        (* approx jobs run sequentially right here, so each one's own
-           start/end timestamps give the per-job sample — never the
-           cumulative time since the batch began *)
-        let t0 = t.now () in
-        let res = run_approx k j.j_params in
-        let service_ms = (t.now () -. t0) *. 1000. in
-        finish_bound b ~service_ms j res)
+      | Compute j ->
+        let ph = match j.j_mode with P.Exact -> exact | P.Approx -> approx in
+        let res = ph.results.(ph.next) in
+        ph.next <- ph.next + 1;
+        finish_bound b ~service_ms:ph.service_ms j res)
   done;
   Array.to_list replies
 

@@ -6,11 +6,9 @@
     deadline-anchored gap).  A cache entry keeps the shape's memoized
     bounds, each next to the text its reply writes for it, so a repeat
     query is a hash lookup, a float compare and a copy — the 10⁵+/s hot
-    path.  The first request on a shape that degrades pins
-    one effective-bandwidth parameter [s] for it (a coarse scan of the
-    closed-form bound) and compiles the {!E2e.Batch} the [approx] mode
-    runs on; a shape answered exactly never pays for either.  A shape
-    with no stable [s] is refused on every miss.
+    path.  Exact and approx answers are memoized apart, each only when
+    its diagnostic is [Converged].  A shape with no stable [s] is
+    refused on every miss.
 
     {b Degradation ladder} (per request, chosen from the remaining
     compute budget and EWMA service-time estimates):
@@ -19,11 +17,14 @@
     + [exact]: the full s+gamma optimization
       ({!Admission.decide} / {!Scenario.delay_bound_checked}), chosen
       while its predicted cost fits in half the remaining budget;
-    + [approx]: {!E2e.delay_bound_cached} on the cached batch at the
-      pinned [s] — a sound but looser upper bound, so degraded answers
-      may refuse an admissible flow but never wrongly admit;
+    + [approx]: the same {!Admission.decide} on a 2-point s-grid
+      ([s_points = 2]).  It is a valid upper bound, so a degraded answer
+      may refuse an admissible flow but never wrongly admit.  As
+      measured over serve-shaped requests it costs about a third of the
+      16-point exact search, and its bound was never below the exact
+      one by more than rounding (3e-15 relative);
     + [timeout]: a typed response when even the degraded path missed the
-      request's budget (the computed bound is still memoized for the
+      request's budget (a converged bound is still memoized for the
       retry);
     + [shed]: an [overloaded] reply with a [retry_after_ms] hint when the
       batch backlog exceeds [max_queue] or the predicted queueing delay
@@ -36,16 +37,19 @@
 
     The engine is single-writer: one driver domain calls
     {!handle_line}/{!handle_batch}; only pure per-request work is fanned
-    out. *)
+    out, each mode's jobs in one map on the default pool. *)
 
 type config = {
   budget_ms : float;  (** default per-request compute budget (wall ms) *)
   max_queue : int;  (** admit/check backlog bound before shedding *)
   cache_entries : int;  (** LRU capacity — the daemon's memory bound *)
-  s_points : int;  (** s-grid resolution of the exact path *)
+  s_points : int;  (** s-grid resolution of the exact mode *)
   max_line_bytes : int;  (** request size bound *)
   debug_ops : bool;  (** accept [debug-fail] (tests only) *)
 }
+
+val approx_s_points : int
+(** The s-grid resolution of the [approx] mode: 2. *)
 
 val default_config : config
 (** [budget_ms = 250.], [max_queue = 512], [cache_entries = 4096],

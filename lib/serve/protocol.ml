@@ -31,7 +31,6 @@ type error_kind =
   | Parse_error
   | Invalid_request
   | Unstable
-  | Contract_violation
   | Overloaded
   | Deadline_exceeded
   | Internal
@@ -40,7 +39,6 @@ let error_code = function
   | Parse_error -> "parse-error"
   | Invalid_request -> "invalid-request"
   | Unstable -> "unstable"
-  | Contract_violation -> "contract-violation"
   | Overloaded -> "overloaded"
   | Deadline_exceeded -> "deadline-exceeded"
   | Internal -> "internal"
@@ -49,7 +47,7 @@ let error_code = function
 let exit_hint = function
   | Parse_error | Invalid_request -> 2
   | Unstable -> 3
-  | Contract_violation | Overloaded | Deadline_exceeded | Internal -> 1
+  | Overloaded | Deadline_exceeded | Internal -> 1
 
 type error = { kind : error_kind; detail : string }
 

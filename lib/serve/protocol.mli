@@ -22,9 +22,10 @@
     ["exit_hint"] mirroring the CLI exit codes), ["shed"] (overload,
     carries ["retry_after_ms"]) and ["timeout"] (per-request deadline
     missed).  Admission responses are tagged ["mode"]: ["exact"] for the
-    full s+gamma optimization, ["approx"] for the degraded cached-kernel
-    bound — both are sound upper bounds, approx is merely looser (it can
-    refuse an admissible flow, never the reverse).  Every response may
+    s × gamma optimization on the engine's s-grid, ["approx"] for the
+    same search on a 2-point s-grid.  Both are valid upper bounds, so a
+    degraded answer can refuse an admissible flow but never admit an
+    inadmissible one; as measured, approx is the looser of the two.  Every response may
     additionally carry a server-assigned ["trace"] id, echoed in the
     daemon's access-log telemetry so one can join a response against the
     trace after the fact.
@@ -65,7 +66,6 @@ type error_kind =
   | Invalid_request  (** valid JSON, invalid protocol: bad op, missing or
                          out-of-range field, oversized line *)
   | Unstable  (** total utilization >= 1: no finite bound exists *)
-  | Contract_violation  (** a {!Contracts} domain check failed *)
   | Overloaded  (** shed: the server refused to queue the request *)
   | Deadline_exceeded  (** the per-request compute budget ran out *)
   | Internal  (** a supervised worker fault; the request was isolated *)

@@ -9,9 +9,7 @@
    check, shed and timeout below is a function of a request's place in
    its batch, never of how often the engine reads the clock.
 
-   The requests reach every error code but contract-violation, which
-   no parsed request can: the protocol already refuses each load,
-   deadline and eps that the engine's contract checks would.
+   The requests reach every error code.
 
    Telemetry runs with a collecting sink, so the counters count and the
    histograms fill; the sink keeps only the access-log points.

@@ -670,35 +670,6 @@ let test_has_stable_s () =
       (0.99, 0.0099); (1e-300, 0.99999);
     ]
 
-let test_smallest_k_matches_reference () =
-  (* The O(H) backward-prefix-sum smallest_k against the O(H^2) recursive
-     reference, for H up to 10^3 and nontrivial extra feasibility
-     predicates — both the chosen K and (because the prefix sums replay
-     the recursion's additions in order) exact agreement. *)
-  let predicates h =
-    [
-      ("all", fun _ -> true);
-      ("none", fun _ -> false);
-      ("even", fun k -> k mod 2 = 0);
-      ("upper-half", fun k -> k >= h / 2);
-      ("multiple-of-7", fun k -> k mod 7 = 0);
-    ]
-  in
-  List.iter
-    (fun h ->
-      List.iter
-        (fun (name, extra_ok) ->
-          List.iter
-            (fun (c, rho_c, gamma) ->
-              let fast = E2e.smallest_k ~extra_ok ~h ~c ~rho_c ~gamma in
-              let slow = E2e.Reference.smallest_k ~extra_ok ~h ~c ~rho_c ~gamma in
-              Alcotest.(check int)
-                (Fmt.str "H=%d %s c=%g rho_c=%g gamma=%g" h name c rho_c gamma)
-                slow fast)
-            [ (100., 35., 0.5); (100., 35., 3.); (80., 60., 0.05); (200., 10., 2.) ])
-        (predicates h))
-    [ 1; 2; 3; 7; 50; 333; 1000 ]
-
 (* ---------------- additive baseline ---------------- *)
 
 let test_additive_dominates_network_bound () =
@@ -818,10 +789,10 @@ let figure_path_gen =
       let p = Scenario.path_at sc ~s:(m *. exp log_frac) ~delta:(Classes.delta_through_cross sched) in
       return (Some (p, sched)))
 
-(* The γ probes of a search shaped like [delay_bound_cached]'s: a
-   12-point log grid over the bracket, then 20 golden-section steps
-   around its best point.  Consecutive probes mostly share their
-   argmin, so the warm start hits. *)
+(* The γ probes of a coarse search: a 12-point log grid over the
+   bracket, then 20 golden-section steps around its best point.
+   Consecutive probes mostly share their argmin, so the warm start
+   hits. *)
 let search_probes bt ~epsilon p =
   let gmax = E2e.gamma_max p in
   let lo, hi = E2e.gamma_bracket gmax in
@@ -970,24 +941,6 @@ let test_batch_eval_allocation () =
         true (words <= 4.))
     [ Classes.Fifo; Classes.Bmux; Classes.Sp_through_high; Classes.Edf_gap 5.; Classes.Edf_gap (-5.) ]
 
-(* [delay_bound_cached] answers only for the path its batch was made
-   from: a structurally equal copy is refused, since nothing short of
-   physical equality shows the batch's compiled nodes are the path's. *)
-let test_cached_rejects_foreign_batch () =
-  let p = mk_path ~h:5 ~delta:(Delta.Fin 0.) in
-  let batch = E2e.Batch.make p in
-  let d = E2e.delay_bound_cached ~batch ~epsilon:1e-9 p in
-  Alcotest.(check bool) (Fmt.str "own batch: finite %g" d) true (Float.is_finite d);
-  List.iter
-    (fun (name, q) ->
-      Alcotest.check_raises name
-        (Invalid_argument "E2e.delay_bound_cached: batch was not made from this path")
-        (fun () -> ignore (E2e.delay_bound_cached ~batch ~epsilon:1e-9 q)))
-    [
-      ("another path", mk_path ~h:3 ~delta:Delta.Pos_inf);
-      ("an equal copy", { p with E2e.nodes = Array.copy p.E2e.nodes });
-    ]
-
 let check_bitwise name a b =
   if not (bit_eq a b) then Alcotest.failf "%s: %.17g and %.17g differ bitwise" name a b
 
@@ -1025,10 +978,7 @@ let test_gamma_eval_counts () =
       check_bitwise "delay_bound = the floorless search" floorless pruned;
       Alcotest.(check int) "delay_bound: 11 grid + the same golden" 64 n;
       Alcotest.(check int) "delay_bound: interval floors" 9
-        (Telemetry.Counter.value floors - f0);
-      let batch = E2e.Batch.make p in
-      let (_, n) = count evals (fun () -> E2e.delay_bound_cached ~batch ~epsilon p) in
-      Alcotest.(check int) "delay_bound_cached: 12 grid + golden" 40 n)
+        (Telemetry.Counter.value floors - f0))
 
 let suite =
   [
@@ -1062,8 +1012,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_batch_matches_reference;
     QCheck_alcotest.to_alcotest prop_batch_rows_match_reference;
     QCheck_alcotest.to_alcotest prop_k_procedure_vs_enumeration;
-    Alcotest.test_case "smallest_k O(H) = reference up to H=1000" `Quick
-      test_smallest_k_matches_reference;
     QCheck_alcotest.to_alcotest prop_batch_long_paths;
     QCheck_alcotest.to_alcotest prop_batch_search_sequences;
     Alcotest.test_case "batch fallbacks = reference (NaN, +-0, infeasible, infinite cross)"
@@ -1071,8 +1019,6 @@ let suite =
     Alcotest.test_case "node_steps counter shows the pruning" `Quick test_node_steps_counter;
     Alcotest.test_case "gamma evaluation allocates only its results" `Quick
       test_batch_eval_allocation;
-    Alcotest.test_case "delay_bound_cached rejects a batch of another path" `Quick
-      test_cached_rejects_foreign_batch;
     Alcotest.test_case "gamma evaluation counts" `Quick test_gamma_eval_counts;
     QCheck_alcotest.to_alcotest prop_k_procedure_never_nan;
     Alcotest.test_case "has_stable_s = a stable s exists" `Quick test_has_stable_s;

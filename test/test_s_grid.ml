@@ -278,9 +278,8 @@ let test_interval_margin_is_needed () =
     interval_witnesses
 
 (* Mixed-∆ paths, and figures-shaped ones, at three violation
-   probabilities: [delay_bound] equals the floorless search bit for bit,
-   and so does [delay_bound_fast] on a heterogeneous path, whose
-   fallback is the same pruned search at 8 points. *)
+   probabilities: [delay_bound] equals the floorless search bit for
+   bit. *)
 let prop_pruned_search_exact =
   let gen =
     QCheck.Gen.(
@@ -306,12 +305,6 @@ let prop_pruned_search_exact =
         let got = E2e.delay_bound ~epsilon p and want = unpruned_delay_bound ~epsilon p in
         if not (bit_eq got want) then
           QCheck.Test.fail_reportf "delay_bound %h, floorless %h" got want;
-        if not (E2e.is_homogeneous p) then begin
-          let got = E2e.delay_bound_fast ~epsilon p
-          and want = unpruned_search ~points:8 ~golden:40 ~epsilon p in
-          if not (bit_eq got want) then
-            QCheck.Test.fail_reportf "delay_bound_fast %h, floorless %h" got want
-        end;
         true)
 
 (* ε = NaN, an overloaded path, an all-infinite grid and a NaN at

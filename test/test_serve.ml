@@ -220,7 +220,6 @@ let test_protocol_exit_hints () =
       (P.Parse_error, 2);
       (P.Invalid_request, 2);
       (P.Unstable, 3);
-      (P.Contract_violation, 1);
       (P.Overloaded, 1);
       (P.Deadline_exceeded, 1);
       (P.Internal, 1);
@@ -1023,7 +1022,7 @@ let gen_render_case =
         kind =
           oneofl
             [
-              P.Parse_error; P.Invalid_request; P.Unstable; P.Contract_violation; P.Overloaded;
+              P.Parse_error; P.Invalid_request; P.Unstable; P.Overloaded;
               P.Deadline_exceeded; P.Internal;
             ]
             st;
@@ -1295,77 +1294,25 @@ let test_hit_path_allocation () =
     ~words:(minor_words_per_call 1_000 (fun () -> Engine.handle_batch e [ hot_admit_line ]))
     ~max:255.
 
-(* The first degraded request on a shape pins its s by the engine's
-   scan: [Search.minimize] over 8 points of [E2e.delay_bound_fast], a
-   shape whose scan saw a NaN getting the "no stable s" error.  One hop
-   at the edges the protocol admits — loads at 0 and at the stability
-   edge, eps near 0 and 1, the EDF gaps of extreme deadlines — sees
-   none, and neither does the hop cap with the edge gap, where sigma
-   overflows to infinity at the smallest s and gamma and the
-   K-procedure reads that as infeasible.  That shape is stable: the
-   exact bound of its first request times out under the 250 ms budget,
-   is memoized, and the retry admits from the cache. *)
-let test_engine_scan_edges () =
-  let module Scenario = Deltanet.Scenario in
-  let module Search = Deltanet.Search in
-  (* [Some nan] when the scan ran, [None] on an unstable shape *)
-  let scan ~h ~u0 ~uc ~eps two_class =
-    let sc =
-      { (Scenario.of_utilization ~h ~u_through:u0 ~u_cross:uc) with Scenario.epsilon = eps }
-    in
-    Option.map
-      (fun s_max ->
-        let lo, hi = Scenario.s_bracket s_max in
-        let delta = Scheduler.Classes.delta_through_cross two_class in
-        (Search.minimize ~points:8 ~lo ~hi (fun s ->
-             Deltanet.E2e.delay_bound_fast ~epsilon:eps (Scenario.path_at sc ~s ~delta)))
-          .Search.nan)
-      (Scenario.s_stable_max sc)
-  in
-  let scans = ref 0 in
-  List.iter
-    (fun (u0, uc) ->
-      List.iter
-        (fun eps ->
-          List.iter
-            (fun c ->
-              match scan ~h:1 ~u0 ~uc ~eps c with
-              | None -> ()
-              | Some false -> incr scans
-              | Some true ->
-                Alcotest.failf "NaN in the s-scan: u0=%h uc=%h eps=%h %a" u0 uc eps
-                  Scheduler.Classes.pp_two_class c)
-            Scheduler.Classes.
-              [
-                Fifo;
-                Bmux;
-                Sp_through_high;
-                Edf_gap 0.;
-                Edf_gap 1e300;
-                Edf_gap (-1e300);
-                Edf_gap (-1e-300);
-              ])
-        [ 1e-300; 1e-9; 1. -. epsilon_float ])
-    [ (0., 0.); (0., 0.9998); (0.9998, 0.); (0.5, 0.4998); (1e-300, 1e-300) ];
-  check Alcotest.int "one-hop scans, none NaN" 105 !scans;
-  (* deadline 1e304 ms over 10^4 hops at ratio 2: a gap of -1e300 *)
-  check Alcotest.(option bool) "hop cap: no NaN in the scan" (Some false)
-    (scan ~h:10_000 ~u0:0.5 ~uc:0.4998 ~eps:1e-9 (Scheduler.Classes.Edf_gap (-1e300)));
-  let line =
-    "{\"op\":\"admit\",\"h\":10000,\"u0\":0.5,\"uc\":0.4998,\"deadline\":1e304,\"sched\":\"edf\",\"edf_ratio\":2}"
-  in
-  (* clock script: create, batch start, plan, exact-phase start/end,
-     then 1 s elapsed at render time *)
-  let e = mk_engine ~clock:(queue_clock [ 0.; 0.; 0.; 0.; 0.; 1. ]) () in
-  let j = parse_resp (Engine.handle_line e line) in
-  check Alcotest.string "hop cap: the exact bound times out" "timeout" (str_field j "status");
-  let j = parse_resp (Engine.handle_line e line) in
-  check Alcotest.string "hop cap: the retry is a hit" "hit" (str_field j "cache");
-  check Alcotest.string "hop cap: exact" "exact" (str_field j "mode");
-  check Alcotest.bool "hop cap: admitted" true (admit_field j);
-  check Alcotest.bool "hop cap: a finite bound" true (Float.is_finite (num_field j "bound_ms"))
+(* ---------------- the degraded mode is the production search ---------------- *)
 
-(* ---------------- the degraded-mode kernel is built lazily ---------------- *)
+(* [Admission.decide] at [s_points] on an admit line's request, built as
+   the engine builds it: the scenario at the request's loads and eps,
+   and for EDF the gap anchored at deadline / h *)
+let decide_line ~s_points line =
+  let module Admission = Deltanet.Admission in
+  let module Scenario = Deltanet.Scenario in
+  match P.parse ~debug_ops:false line with
+  | _, Ok (P.Admit p) ->
+    let sc = Scenario.of_utilization ~h:p.P.h ~u_through:p.P.u_through ~u_cross:p.P.u_cross in
+    Admission.decide ~s_points
+      {
+        Admission.base = { sc with Scenario.epsilon = p.P.epsilon };
+        guarantee = { Admission.deadline = p.P.deadline; epsilon = p.P.epsilon };
+      }
+      ~scheduler:
+        (Scheduler.Kind.two_class ~d_through:(p.P.deadline /. float_of_int p.P.h) p.P.scheduler)
+  | _ -> Alcotest.failf "not an admit request: %s" line
 
 (* [e2e.gamma.evals] over [f], counted under the null sink *)
 let gamma_evals f =
@@ -1376,97 +1323,153 @@ let gamma_evals f =
       let counters = (Telemetry.snapshot ()).Telemetry.counters in
       (x, Option.value ~default:0 (List.assoc_opt "e2e.gamma.evals" counters)))
 
-(* An exact-answered miss runs one s x gamma search, [Admission.decide]'s:
-   the degraded mode's closed-form s-scan is not run for it. *)
+(* An exact-answered miss runs one s x gamma search, [Admission.decide]'s
+   at the engine's s-grid, and nothing else. *)
 let test_engine_exact_miss_one_search () =
-  let module Admission = Deltanet.Admission in
-  let module Scenario = Deltanet.Scenario in
   let line = "{\"op\":\"admit\",\"h\":6,\"u0\":0.2,\"uc\":0.3,\"deadline\":80}" in
   let reply, engine_evals = gamma_evals (fun () -> Engine.handle_line (mk_engine ()) line) in
   let j = parse_resp reply in
   check Alcotest.string "a miss" "miss" (str_field j "cache");
   check Alcotest.string "answered exactly" "exact" (str_field j "mode");
   let d, decide_evals =
-    gamma_evals (fun () ->
-        Admission.decide ~s_points:Engine.default_config.Engine.s_points
-          {
-            Admission.base = Scenario.of_utilization ~h:6 ~u_through:0.2 ~u_cross:0.3;
-            guarantee = { Admission.deadline = 80.; epsilon = 1e-9 };
-          }
-          ~scheduler:Scheduler.Classes.Fifo)
+    gamma_evals (fun () -> decide_line ~s_points:Engine.default_config.Engine.s_points line)
   in
   check Alcotest.bool "decide did search" true (decide_evals > 0);
   check Alcotest.int "the miss's gamma evaluations = decide's" decide_evals engine_evals;
-  check (Alcotest.float 0.) "the bound is decide's" d.Admission.bound (num_field j "bound_ms")
-
-(* Degraded replies pinned from the engine that compiled the kernel on
-   every miss: (shape fields, admit, bound_ms).  A 1 ms budget cannot fit
-   the predicted exact cost, so each request degrades. *)
-let approx_table =
-  [
-    ("\"h\":4,\"u0\":0.2,\"uc\":0.1,\"deadline\":25", false, 29.639100929823659);
-    ("\"h\":10,\"u0\":0.15,\"uc\":0.35,\"deadline\":200,\"sched\":\"sp\"", true, 5.2403844686787693);
-    ("\"h\":3,\"u0\":0.3,\"uc\":0.2,\"deadline\":50,\"sched\":\"bmux\"", true, 44.166269783479841);
-    ("\"h\":7,\"u0\":0.13,\"uc\":0.29,\"deadline\":57,\"sched\":\"edf\"", true, 47.544326298130279);
-    ( "\"h\":20,\"u0\":0.1,\"uc\":0.6,\"deadline\":30,\"sched\":\"edf\",\"edf_ratio\":0.5",
-      false,
-      2264.7516112960102 );
-    ("\"h\":1,\"u0\":0.5,\"uc\":0.4,\"deadline\":10,\"epsilon\":1e-6", false, 69.889696221279394);
-  ]
+  check (Alcotest.float 0.) "the bound is decide's" d.Deltanet.Admission.bound (num_field j "bound_ms")
 
 let degraded_line ~id shape = Printf.sprintf "{\"op\":\"admit\",\"id\":%S,%s,\"budget_ms\":1}" id shape
 
-let test_engine_approx_pinned () =
+(* A 1 ms budget cannot fit the predicted exact cost, so every request
+   below degrades: its reply's bound is [Admission.decide] at
+   [approx_s_points], bit for bit, on the miss that computes it and on
+   the hit that reads its memo.  FIFO, BMUX, SP, the anchored EDF gap
+   (both signs), a long path and a non-default eps. *)
+let test_engine_approx_is_decide () =
   List.iter
-    (fun (shape, admitted, bound) ->
+    (fun shape ->
+      let line = degraded_line ~id:"d" shape in
+      let d = decide_line ~s_points:Engine.approx_s_points line in
       let e = mk_engine () in
       List.iter
         (fun cache ->
-          let j = parse_resp (Engine.handle_line e (degraded_line ~id:"d" shape)) in
+          let j = parse_resp (Engine.handle_line e line) in
           check Alcotest.string (shape ^ ": approx") "approx" (str_field j "mode");
           check Alcotest.string (shape ^ ": cache") cache (str_field j "cache");
-          check Alcotest.bool (shape ^ ": admit") admitted (admit_field j);
-          check Alcotest.string (shape ^ ": bound bits") (Printf.sprintf "%h" bound)
+          check Alcotest.bool (shape ^ ": admit") d.Deltanet.Admission.admitted (admit_field j);
+          check Alcotest.string (shape ^ ": bound bits")
+            (Printf.sprintf "%h" d.Deltanet.Admission.bound)
             (Printf.sprintf "%h" (num_field j "bound_ms")))
         [ "miss"; "hit" ])
-    approx_table;
-  (* two degraded requests on one shape in one batch both compute: the
-     second reuses the first one's kernel, so the pair costs one s-scan
-     and two cached gamma searches *)
-  let shape, _, bound = List.hd approx_table in
-  let scan_evals =
-    let sc = Deltanet.Scenario.of_utilization ~h:4 ~u_through:0.2 ~u_cross:0.1 in
-    let lo, hi =
-      Deltanet.Scenario.s_bracket (Option.get (Deltanet.Scenario.s_stable_max sc))
-    in
-    snd
-      (gamma_evals (fun () ->
-           Deltanet.Search.minimize ~points:8 ~lo ~hi (fun s ->
-               Deltanet.E2e.delay_bound_fast ~epsilon:1e-9
-                 (Deltanet.Scenario.path_at sc ~s
-                    ~delta:(Scheduler.Classes.delta_through_cross Scheduler.Classes.Fifo)))))
-  in
-  let one, one_evals =
-    gamma_evals (fun () -> Engine.handle_batch (mk_engine ()) [ degraded_line ~id:"a" shape ])
-  in
-  let two, two_evals =
-    gamma_evals (fun () ->
-        Engine.handle_batch (mk_engine ())
-          [ degraded_line ~id:"a" shape; degraded_line ~id:"b" shape ])
+    [
+      "\"h\":4,\"u0\":0.2,\"uc\":0.1,\"deadline\":25";
+      "\"h\":3,\"u0\":0.3,\"uc\":0.2,\"deadline\":50,\"sched\":\"bmux\"";
+      "\"h\":10,\"u0\":0.15,\"uc\":0.35,\"deadline\":200,\"sched\":\"sp\"";
+      "\"h\":7,\"u0\":0.13,\"uc\":0.29,\"deadline\":57,\"sched\":\"edf\"";
+      "\"h\":20,\"u0\":0.1,\"uc\":0.6,\"deadline\":30,\"sched\":\"edf\",\"edf_ratio\":0.5";
+      "\"h\":1,\"u0\":0.5,\"uc\":0.4,\"deadline\":10,\"eps\":1e-6";
+    ];
+  (* a degraded miss runs exactly that one search, and two degraded
+     requests on one new shape in one batch both compute it *)
+  let line = degraded_line ~id:"a" "\"h\":4,\"u0\":0.2,\"uc\":0.1,\"deadline\":25" in
+  let d, decide_evals = gamma_evals (fun () -> decide_line ~s_points:Engine.approx_s_points line) in
+  let one, one_evals = gamma_evals (fun () -> Engine.handle_batch (mk_engine ()) [ line ]) in
+  let two, two_evals = gamma_evals (fun () -> Engine.handle_batch (mk_engine ()) [ line; line ]) in
+  check Alcotest.bool "decide did search" true (decide_evals > 0);
+  check Alcotest.int "a degraded miss's gamma evaluations = decide's" decide_evals one_evals;
+  check Alcotest.int "two in one batch: two searches" (2 * decide_evals) two_evals;
+  List.iter2
+    (fun r cache ->
+      let j = parse_resp r in
+      check Alcotest.string "approx" "approx" (str_field j "mode");
+      check Alcotest.string "cache" cache (str_field j "cache");
+      check Alcotest.string "bound bits"
+        (Printf.sprintf "%h" d.Deltanet.Admission.bound)
+        (Printf.sprintf "%h" (num_field j "bound_ms")))
+    (one @ two) [ "miss"; "miss"; "hit" ]
+
+(* A degraded bound whose diagnostic is not [Converged] is not memoized:
+   at eps = 5e-324 the search finds no finite bound on any s (Unstable,
+   infinity), so the reply refuses with a null bound and the next request
+   on the shape searches again.  A converged approx bound is memoized and
+   its hit searches nothing. *)
+let test_engine_approx_memo_converged_only () =
+  let unstable = degraded_line ~id:"u" "\"h\":2,\"u0\":0.2,\"uc\":0.1,\"deadline\":25,\"eps\":5e-324" in
+  let d, decide_evals = gamma_evals (fun () -> decide_line ~s_points:Engine.approx_s_points unstable) in
+  check Alcotest.bool "decide: not converged" false (Deltanet.Diag.ok d.Deltanet.Admission.diag);
+  check Alcotest.bool "decide: infinite bound" true (Float.equal d.Deltanet.Admission.bound Float.infinity);
+  check Alcotest.bool "decide did search" true (decide_evals > 0);
+  let e = mk_engine () in
+  List.iter
+    (fun cache ->
+      let r, evals = gamma_evals (fun () -> Engine.handle_line e unstable) in
+      let j = parse_resp r in
+      check Alcotest.string (cache ^ ": approx") "approx" (str_field j "mode");
+      check Alcotest.string (cache ^ ": cache") cache (str_field j "cache");
+      check Alcotest.bool (cache ^ ": refused") false (admit_field j);
+      check Alcotest.bool (cache ^ ": null bound") true
+        (match Sjson.member "bound_ms" j with Some Sjson.Null -> true | _ -> false);
+      check Alcotest.int (cache ^ ": searched again") decide_evals evals)
+    [ "miss"; "hit" ];
+  let fine = degraded_line ~id:"f" "\"h\":2,\"u0\":0.2,\"uc\":0.1,\"deadline\":25" in
+  let _, miss_evals = gamma_evals (fun () -> Engine.handle_line e fine) in
+  let r, hit_evals = gamma_evals (fun () -> Engine.handle_line e fine) in
+  check Alcotest.bool "converged: the miss searched" true (miss_evals > 0);
+  check Alcotest.string "converged: a hit" "hit" (str_field (parse_resp r) "cache");
+  check Alcotest.int "converged: the hit reads the memo" 0 hit_evals
+
+(* A degraded request at the edges the protocol admits gets a typed
+   reply: one hop at loads 0 and at the stability edge, eps from the
+   least subnormal to near 1, every scheduler and EDF gaps of extreme
+   deadlines (ratio 2 gives -d0, ratio 0.5 gives +d0/2), and the hop cap
+   with a gap of -1e300.  A shape with a stable s answers in approx mode
+   with [Admission.decide]'s bound, which is never NaN: a finite bound
+   by its bits, an infinite one as null.  The other shapes get the
+   "unstable" error. *)
+let test_engine_degraded_edges () =
+  let e = mk_engine () in
+  let n = ref 0 in
+  let request shape =
+    let line = degraded_line ~id:"edge" shape in
+    let j = parse_resp (Engine.handle_line e line) in
+    match str_field j "status" with
+    | "error" -> check Alcotest.string (shape ^ ": typed error") "unstable" (str_field j "code")
+    | "ok" ->
+      incr n;
+      check Alcotest.string (shape ^ ": approx") "approx" (str_field j "mode");
+      let d = decide_line ~s_points:Engine.approx_s_points line in
+      let bound = d.Deltanet.Admission.bound in
+      if Float.is_nan bound then Alcotest.failf "%s: NaN bound" shape;
+      (match Sjson.member "bound_ms" j with
+      | Some (Sjson.Num v) ->
+        check Alcotest.string (shape ^ ": bound bits") (Printf.sprintf "%h" bound)
+          (Printf.sprintf "%h" v)
+      | Some Sjson.Null ->
+        check Alcotest.bool (shape ^ ": null is infinite") true (Float.equal bound Float.infinity)
+      | _ -> Alcotest.failf "%s: no bound_ms" shape)
+    | other -> Alcotest.failf "%s: status %s" shape other
   in
   List.iter
-    (fun r ->
-      let j = parse_resp r in
-      check Alcotest.string "computed on a miss" "miss" (str_field j "cache");
-      check Alcotest.string "approx" "approx" (str_field j "mode");
-      check Alcotest.string "bound bits" (Printf.sprintf "%h" bound)
-        (Printf.sprintf "%h" (num_field j "bound_ms")))
-    (one @ [ List.hd two ]);
-  check Alcotest.string "the second is a hit" "hit" (str_field (parse_resp (List.nth two 1)) "cache");
-  let cached_evals = one_evals - scan_evals in
-  check Alcotest.bool "the scan searched" true (scan_evals > 0 && cached_evals > 0);
-  check Alcotest.int "the second degraded request pays no scan" (one_evals + cached_evals)
-    two_evals
+    (fun (u0, uc) ->
+      List.iter
+        (fun eps ->
+          List.iter
+            (fun sched ->
+              request (Printf.sprintf "\"h\":1,\"u0\":%.17g,\"uc\":%.17g,\"eps\":%.17g,%s" u0 uc eps sched))
+            [
+              "\"deadline\":25";
+              "\"deadline\":25,\"sched\":\"bmux\"";
+              "\"deadline\":25,\"sched\":\"sp\"";
+              "\"deadline\":25,\"sched\":\"edf\",\"edf_ratio\":1";
+              "\"deadline\":1e300,\"sched\":\"edf\",\"edf_ratio\":0.5";
+              "\"deadline\":1e300,\"sched\":\"edf\",\"edf_ratio\":2";
+              "\"deadline\":1e-300,\"sched\":\"edf\",\"edf_ratio\":2";
+            ])
+        [ 5e-324; 1e-300; 1e-9; 1. -. epsilon_float ])
+    [ (0., 0.); (0., 0.9998); (0.9998, 0.); (0.5, 0.4998); (1e-300, 1e-300) ];
+  check Alcotest.int "one-hop requests answered in approx mode" 140 !n;
+  request "\"h\":10000,\"u0\":0.5,\"uc\":0.4998,\"deadline\":1e304,\"sched\":\"edf\",\"edf_ratio\":2";
+  check Alcotest.int "the hop cap answered in approx mode" 141 !n
 
 (* A shape with no stable s is refused on every miss, whichever mode the
    plan would pick, with the bytes the eager engine sent *)
@@ -1547,16 +1550,18 @@ let suite =
     QCheck_alcotest.to_alcotest prop_render_oracle;
     Alcotest.test_case "trace id = %s-%06d" `Quick test_trace_id;
     Alcotest.test_case "hit path allocation budget" `Quick test_hit_path_allocation;
-    Alcotest.test_case "engine s-scan: a NaN takes the no-stable-s path" `Quick
-      test_engine_scan_edges;
+    Alcotest.test_case "engine: a degraded request at the protocol's edges gets a typed reply"
+      `Quick test_engine_degraded_edges;
     Alcotest.test_case "engine: an exact miss runs one s x gamma search" `Quick
       test_engine_exact_miss_one_search;
-    Alcotest.test_case "engine: approx replies pinned, kernel reused" `Quick
-      test_engine_approx_pinned;
+    Alcotest.test_case "engine: approx replies = Admission.decide at approx_s_points" `Quick
+      test_engine_approx_is_decide;
     Alcotest.test_case "engine: no stable s refused in both modes" `Quick
       test_engine_no_stable_s_refused;
     QCheck_alcotest.to_alcotest prop_request_oracle;
     Alcotest.test_case "memoized bound text = the bound's own" `Quick test_bound_text;
     Alcotest.test_case "engine: a hit replies with its miss's bytes" `Quick
       test_hit_reply_equals_miss;
+    Alcotest.test_case "engine: only a converged approx bound is memoized" `Quick
+      test_engine_approx_memo_converged_only;
   ]
