@@ -526,13 +526,11 @@ let admission_cmd =
     in
     Fmt.pr "max admissible cross utilization (H=%d, U0=%g, d=%g ms, eps=%g):@." h u0
       deadline epsilon;
-    let pr name u = Fmt.pr "  %-8s %6.2f%%@." name (100. *. u) in
-    let fixed scheduler = Deltanet.Admission.max_cross_utilization request ~scheduler in
-    pr "bmux" (fixed Scheduler.Classes.Bmux);
-    pr "fifo" (fixed Scheduler.Classes.Fifo);
-    pr "edf"
-      (Deltanet.Admission.max_cross_utilization_edf request ~cross_over_through:edf_ratio);
-    pr "sp" (fixed Scheduler.Classes.Sp_through_high);
+    List.iter
+      (fun scheduler ->
+        Fmt.pr "  %-8s %6.2f%%@." (Scheduler.Kind.label scheduler)
+          (100. *. Deltanet.Admission.max_cross_utilization request ~scheduler))
+      Scheduler.Kind.[ Bmux; Fifo; Edf { cross_over_through = edf_ratio }; Sp ];
     Ok ()
   in
   let deadline_arg =

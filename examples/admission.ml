@@ -11,7 +11,7 @@
 
 module Scenario = Deltanet.Scenario
 module Admission = Deltanet.Admission
-module Classes = Scheduler.Classes
+open Scheduler.Kind
 
 let request =
   {
@@ -27,13 +27,11 @@ let () =
   let report name u =
     Fmt.pr "  %-28s %13.1f%% %12.0f@." name (100. *. u) (flows_of_u u)
   in
-  report "blind multiplexing (BMUX)"
-    (Admission.max_cross_utilization request ~scheduler:Classes.Bmux);
-  report "FIFO" (Admission.max_cross_utilization request ~scheduler:Classes.Fifo);
+  report "blind multiplexing (BMUX)" (Admission.max_cross_utilization request ~scheduler:Bmux);
+  report "FIFO" (Admission.max_cross_utilization request ~scheduler:Fifo);
   report "EDF (d*_c = 10 d*_0)"
-    (Admission.max_cross_utilization_edf request ~cross_over_through:10.);
-  report "SP (through high priority)"
-    (Admission.max_cross_utilization request ~scheduler:Classes.Sp_through_high);
+    (Admission.max_cross_utilization request ~scheduler:(Edf { cross_over_through = 10. }));
+  report "SP (through high priority)" (Admission.max_cross_utilization request ~scheduler:Sp);
   (* The dual question: how many guaranteed flows fit alongside 35% cross?
      (With a 150 ms budget — at 35% cross the FIFO bound sits near 117 ms
      regardless of the through count, so a 50 ms budget admits nothing and
@@ -46,7 +44,7 @@ let () =
     }
   in
   Fmt.pr "@.  Dual: through flows within a 150 ms budget next to 35%% FIFO cross: %.0f@."
-    (Admission.max_through_flows dual ~scheduler:Classes.Fifo);
+    (Admission.max_through_flows dual ~scheduler:Fifo);
   Fmt.pr
     "@.Reading: the admissible cross load differs sharply across schedulers@.\
      even on a 5-hop path — scheduling still matters for admission control,@.\

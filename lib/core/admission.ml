@@ -16,8 +16,10 @@ let scenario_with r ~u_cross =
    are not bounds), and then it must meet the deadline. *)
 let meets r (diag : Diag.t) bound = Diag.ok diag && bound <= r.guarantee.deadline
 
+(* FIFO, BMUX and SP at their fixed gap; EDF through its fixed point,
+   re-solved for every probe, so a [Diverged] probe does not fit *)
 let delay_meets ~s_points r ~scheduler sc =
-  let o = Scenario.delay_bound_checked ~s_points ~scheduler sc in
+  let o = Scenario.bound_checked ~s_points ~scheduler sc in
   meets r o.Diag.diag o.Diag.value
 
 let admissible r ~scheduler ~u_cross =
@@ -60,19 +62,6 @@ let bisect_max ~resolution ~hi fits =
 let max_cross_utilization ?(s_points = 16) ?(resolution = 1e-4) r ~scheduler =
   Contracts.ensure (Contracts.check_scenario r.base);
   let fits u_cross = delay_meets ~s_points r ~scheduler (scenario_with r ~u_cross) in
-  let mean = Envelope.Mmpp.mean_rate r.base.Scenario.source in
-  let u_through = r.base.Scenario.n_through *. mean /. r.base.Scenario.capacity in
-  bisect_max ~resolution ~hi:(Float.max 0. (1. -. u_through)) fits
-
-let max_cross_utilization_edf ?(s_points = 16) ?(resolution = 1e-4) r ~cross_over_through =
-  Contracts.ensure (Contracts.check_scenario r.base);
-  let fits u_cross =
-    let o =
-      Scenario.delay_bound_edf_checked ~s_points (scenario_with r ~u_cross)
-        ~spec:{ Scenario.cross_over_through }
-    in
-    meets r o.Diag.diag o.Diag.value.Scenario.bound
-  in
   let mean = Envelope.Mmpp.mean_rate r.base.Scenario.source in
   let u_through = r.base.Scenario.n_through *. mean /. r.base.Scenario.capacity in
   bisect_max ~resolution ~hi:(Float.max 0. (1. -. u_through)) fits

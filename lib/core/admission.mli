@@ -13,10 +13,14 @@ type request = {
   guarantee : guarantee;
 }
 
-val admissible : request -> scheduler:Scheduler.Classes.two_class -> u_cross:float -> bool
-(** Does the guarantee hold with this cross utilization?  As everywhere
-    in this module, a bound counts only when its diagnostic is
-    [Converged] and it is [<= deadline]. *)
+val admissible : request -> scheduler:Scheduler.Kind.t -> u_cross:float -> bool
+(** Does the guarantee hold with this cross utilization?  The bound is
+    {!Scenario.bound_checked}'s: FIFO, BMUX and SP at their fixed gap,
+    EDF with the paper's self-referential deadlines ([d*_0 = bound /. H],
+    [d*_c = ratio *. d*_0]) solved as a fixed point.  As everywhere in
+    this module, a bound counts only when its diagnostic is [Converged]
+    (so an EDF fixed point that ends [Diverged] does not fit: its last
+    iterate is not a bound) and it is [<= deadline]. *)
 
 type decision = {
   admitted : bool;
@@ -35,32 +39,17 @@ val decide : ?s_points:int -> request -> scheduler:Scheduler.Classes.two_class -
     @raise Contracts.Violation when a domain contract fails. *)
 
 val max_cross_utilization :
-  ?s_points:int ->
-  ?resolution:float ->
-  request ->
-  scheduler:Scheduler.Classes.two_class ->
-  float
+  ?s_points:int -> ?resolution:float -> request -> scheduler:Scheduler.Kind.t -> float
 (** Largest admissible cross utilization (fraction of capacity at the mean
-    rate), by bisection to [resolution] (default 1e-4); [0.] if even an
-    empty link fails the guarantee.  The bound is monotone in the load, so
-    bisection is exact up to the resolution.
+    rate), by bisection of {!admissible} to [resolution] (default 1e-4);
+    [0.] if even an empty link fails the guarantee.  The fixed-gap bounds
+    are monotone in the load, so for them bisection is exact up to the
+    resolution.
 
-    Like the other searches below, runs {!Contracts.check_scenario} on the
+    Like {!max_through_flows}, runs {!Contracts.check_scenario} on the
     request's base scenario first.
     @raise Contracts.Violation when a domain contract fails. *)
 
-val max_cross_utilization_edf :
-  ?s_points:int ->
-  ?resolution:float ->
-  request ->
-  cross_over_through:float ->
-  float
-(** Same for EDF with the paper's self-referential deadlines
-    ([d*_0 = bound /. H], [d*_c = ratio *. d*_0], re-solved at every probe
-    point).  A probe whose fixed point ends [Diverged] (or otherwise not
-    [Converged]) does not fit: its last iterate is not a bound. *)
-
-val max_through_flows :
-  ?s_points:int -> request -> scheduler:Scheduler.Classes.two_class -> float
+val max_through_flows : ?s_points:int -> request -> scheduler:Scheduler.Kind.t -> float
 (** Dual question: with the cross load of [base] fixed, the largest number
     of through flows meeting the guarantee. *)

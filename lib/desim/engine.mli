@@ -3,7 +3,7 @@
     A monotone virtual clock over the stable binary {!Heap}: events are
     scheduled at absolute timestamps and processed in (time, kind,
     scheduling-order) order.  The engine is generic in the event payload;
-    queueing-network semantics live with the caller ([Netsim.Event_tandem]).
+    queueing-network semantics live with the caller ([Netsim.Tandem]).
 
     Determinism: the heap is stable, so events with equal timestamp and
     kind are processed in the order they were scheduled.  [schedule]

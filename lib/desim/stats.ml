@@ -179,3 +179,27 @@ let batch_means xs ~batches =
     t_975 (batches - 1) *. Online.stddev acc /. sqrt (float_of_int batches)
   in
   (Online.mean acc, half)
+
+(* Eq. 6 on the slot clock by a two-pointer sweep: the first slot at or
+   after [t] whose departures reach [t]'s arrivals only moves forward as
+   [t] does, because [cum_in] never decreases.  A slot's increment is the
+   float difference of the counter, so an arrival that rounds away
+   against a large cumulative is no arrival. *)
+let virtual_delays ~cum_in ~cum_out =
+  let delays = Sample.create () in
+  let n_out = Array.length cum_out in
+  let censored = ref 0. in
+  let u = ref 0 in
+  let eps = 1e-6 in
+  for t = 0 to Array.length cum_in - 1 do
+    let inc = cum_in.(t) -. (if t = 0 then 0. else cum_in.(t - 1)) in
+    if inc > 0. then begin
+      if !u < t then u := t;
+      while !u < n_out && cum_out.(!u) < cum_in.(t) -. eps do
+        incr u
+      done;
+      if !u < n_out then Sample.add delays (float_of_int (!u - t))
+      else censored := !censored +. inc
+    end
+  done;
+  (delays, !censored)

@@ -68,3 +68,14 @@ val batch_means : float array -> batches:int -> float * float
     Student-t 95% half-width (t quantile approximated by the normal value
     1.96 for >= 30 batches, a small lookup otherwise).
     @raise Invalid_argument if there are fewer observations than batches. *)
+
+val virtual_delays : cum_in:float array -> cum_out:float array -> Sample.t * float
+(** The virtual delay of Eq. (6) on a slot clock, from cumulative
+    arrivals [cum_in] (one entry per arrival slot) and cumulative
+    departures [cum_out] (one per slot of the whole run):
+    [W t = min { u >= t | cum_out.(u) >= cum_in.(t) -. 1e-6 } - t], one
+    sample for each slot [t] whose increment
+    [cum_in.(t) -. cum_in.(t - 1)] (from [0.] at [t = 0]) is positive.
+    The second component is the censored data (kb): the sum of the
+    increments of the slots with no such [u], i.e. still in flight when
+    [cum_out] ends.  One pass, linear in both lengths. *)

@@ -17,10 +17,6 @@ let aggregate = function
     let e = Exponential.combine (List.map bounding fs) in
     { m = e.Exponential.m; rho; alpha = e.Exponential.a }
 
-let scale_flows n f =
-  if n < 0. then invalid_arg "Ebb.scale_flows: negative count";
-  { f with rho = n *. f.rho }
-
 type sample_path = { envelope_rate : float; bound : Exponential.t }
 
 let sample_path_envelope f ~gamma =

@@ -17,13 +17,6 @@ val aggregate : t list -> t
 (** EBB bound for the sum of (not necessarily independent) EBB flows: rates
     add, bounding functions combine by the optimal split (Eq. 33). *)
 
-val scale_flows : float -> t -> t
-(** [scale_flows n f] models [n] homogeneous flows whose joint moment bound
-    is known through a common effective bandwidth: the rate scales by [n],
-    the prefactor by exponent [n] is {e not} applied — for the
-    effective-bandwidth construction of {!Mmpp.ebb} the prefactor stays 1
-    and only the rate scales.  @raise Invalid_argument on [n < 0.]. *)
-
 type sample_path = {
   envelope_rate : float;  (** [G t = envelope_rate *. t] *)
   bound : Exponential.t;  (** [P (sup_s A (s,t) -. G (t -. s) > sigma) <= bound sigma] *)

@@ -92,21 +92,7 @@ let run cfg =
   done;
   let delays =
     Array.init k (fun j ->
-        let sample = Desim.Stats.Sample.create () in
-        let u = ref 0 in
-        let eps = 1e-6 in
-        for t = 0 to cfg.slots - 1 do
-          let inc = cum_in.(j).(t) -. (if t = 0 then 0. else cum_in.(j).(t - 1)) in
-          if inc > 0. then begin
-            if !u < t then u := t;
-            while !u < total_slots && cum_out.(j).(!u) < cum_in.(j).(t) -. eps do
-              incr u
-            done;
-            if !u < total_slots then
-              Desim.Stats.Sample.add sample (float_of_int (!u - t))
-          end
-        done;
-        sample)
+        fst (Desim.Stats.virtual_delays ~cum_in:cum_in.(j) ~cum_out:cum_out.(j)))
   in
   let fault_factor = Option.fold ~none:1. ~some:Faults.mean_factor faults in
   if Telemetry.is_enabled () then begin

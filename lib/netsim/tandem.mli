@@ -8,20 +8,36 @@
     measured quantity is the virtual end-to-end delay of each slot's through
     arrivals, [W t = inf { s | D (t +. s) >= A t }], matching Eq. (6).
 
-    Two engines implement these semantics (see {!engine}); the slotted
-    engine is the reference ("the oracle"), and the event engine is
-    differentially tested against it — bit-identical delay samples on
-    slot-aligned configs, quantile-envelope agreement otherwise. *)
+    Two engines implement these semantics (see {!engine}) over one
+    validation and one RNG stream setup: every stream is split from
+    [seed] in the same order (the through source, split even when it is
+    CBR or empty; one cross source per node in node order; one fault
+    process per faulted node in node order; then, continuous runs only,
+    one loss stream per lossy link).  The slotted engine is the
+    reference ("the oracle").  The event engine runs over
+    {!Desim.Engine} on one of two paths:
+
+    - {b Lockstep} (slot-aligned configs: no propagation delay, no loss):
+      the same {!Queue_node}s at slot granularity, touching a node only
+      on slots where it is occupied or offered work, while every source
+      and fault process still advances once per slot in the slotted
+      per-stream order.  The delay and backlog samples and the kb totals
+      are {e bit-identical} to the slotted run on the same config — the
+      differential-testing guarantee.
+    - {b Continuous} (propagation delay and/or loss present): the same
+      nodes on their continuous clock; statistically equivalent to a
+      slotted run (quantile-envelope parity), not sample-identical. *)
 
 type engine =
   | Slotted  (** time-stepped reference loop: one pass per slot over every node *)
   | Event
-      (** heap-based event engine ({!Event_tandem}): skips idle (node, slot)
-          pairs on slot-aligned configs (bit-identical samples, same seed
+      (** heap-based event engine: skips idle (node, slot) pairs on
+          slot-aligned configs (bit-identical samples, same seed
           derivation), and runs continuous-time service for heterogeneous
-          configs ([prop_delay] / [loss]) *)
+          configs ([prop_delay] / [loss]); reports the
+          [netsim.desim.events] and [netsim.desim.heap_hwm] telemetry *)
 
-type source_kind = Event_tandem.source_kind =
+type source_kind =
   | Markov  (** aggregate of [n] on-off Markov flows (the paper's model) *)
   | Cbr of { period : int; burst : float }
       (** deterministic [burst] kb every [period] slots — engine-independent
@@ -98,11 +114,11 @@ val delay_quantile : result -> float -> float
 (** [delay_quantile r q] — convenience accessor on [r.delays]. *)
 
 val check : config -> (unit, string) Stdlib.result
-(** The checks {!run} makes before simulating ({!Event_tandem.validate}),
-    without running: [Error] names the first bad field — a fault spec off
-    the path or repeated for a node, a non-positive length or horizon,
-    and so on.  Call it before handing a config to code that turns
-    exceptions into failures, such as {!Replicate}. *)
+(** The checks {!run} makes before simulating, without running:
+    [Error] names the first bad field — a fault spec off the path or
+    repeated for a node, a non-positive length or horizon, and so on.
+    Call it before handing a config to code that turns exceptions into
+    failures, such as {!Replicate}. *)
 
 val of_utilization :
   ?faults:(int * Faults.spec) list ->

@@ -125,24 +125,6 @@ let exact_percentiles samples =
   Array.sort Float.compare a;
   (exact_percentile a 0.5, exact_percentile a 0.95, exact_percentile a 0.99)
 
-(* Mirrors Telemetry.Histogram.quantile: target rank by rounding, walk
-   cumulative buckets, clamp to the observed maximum — so a report over a
-   metric dump reproduces the daemon's own percentile to the bucket. *)
-let bucket_quantile ~max_v ~count buckets q =
-  if count = 0 then Float.nan
-  else begin
-    let target =
-      max 1 (int_of_float (Float.round (q *. float_of_int count)))
-    in
-    let rec go acc = function
-      | [] -> max_v
-      | (upper, c) :: rest ->
-        let acc = acc + c in
-        if acc >= target then Float.min upper max_v else go acc rest
-    in
-    go 0 buckets
-  end
-
 (* ---------------- replay ---------------- *)
 
 type open_span = { os_node : span_node; mutable os_child_ms : float }
@@ -391,7 +373,8 @@ let serve_rows t =
         then begin
           let outcome = String.sub name pl (nl - pl - 1) in
           let q =
-            bucket_quantile ~max_v:hr.hr_max ~count:hr.hr_count hr.hr_buckets
+            Telemetry.Histogram.quantile_of_buckets ~max_v:hr.hr_max ~count:hr.hr_count
+              hr.hr_buckets
           in
           {
             sv_outcome = outcome;

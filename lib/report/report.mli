@@ -51,9 +51,9 @@ type serve_row = {
   sv_source : string;
       (** ["access"]: exact percentiles from [serve.access] events;
           ["histogram"]: bucket-resolution percentiles recomputed from
-          the dumped [serve.request_latency_ms{outcome=...}] rows with
-          the same bucket walk the daemon itself uses, so they match the
-          live values to within one log-2 bucket. *)
+          the dumped [serve.request_latency_ms{outcome=...}] rows by
+          {!Telemetry.Histogram.quantile_of_buckets}, the bucket walk
+          the daemon itself uses, so they equal the live values. *)
 }
 
 val serve_rows : t -> serve_row list

@@ -56,7 +56,7 @@ let default_config =
    cached answer formats no bound *)
 type memo = { bound : float; text : string }
 
-let memo bound = { bound; text = P.number_text bound }
+let memo bound = { bound; text = Telemetry.Json.number bound }
 
 (* A cache entry is a shape's memoized bounds, one per mode *)
 type entry = {

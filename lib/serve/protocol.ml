@@ -199,70 +199,14 @@ type mode = Exact | Approx
    Every response is written into one [Buffer]: [open_reply] puts down
    the echoed [id] (when there is one) and the leading ["status"] field,
    each later field brings its own separating comma, and [close_reply]
-   adds the ["trace"] field last.  The bytes are exactly those of
-   [Telemetry.Json.obj] over the same fields: strings are escaped the
-   way [Telemetry.Json.escape] does it, and numbers read as
-   [Printf.sprintf "%.17g"] prints them, whose conversion is this same
-   [caml_format_float] call. *)
+   adds the ["trace"] field last.  Strings and numbers go through
+   [Telemetry.Json]'s buffer writers, so the bytes are exactly those of
+   [Telemetry.Json.obj] over the same fields. *)
 
-external format_float : string -> float -> string = "caml_format_float"
-
-let needs_escape c = Char.equal c '"' || Char.equal c '\\' || Char.code c < 0x20
-
-(* [String.exists needs_escape], without the closure it allocates *)
-let rec has_escape s i =
-  i < String.length s && (needs_escape s.[i] || has_escape s (i + 1))
-
-let hex_digit n = "0123456789abcdef".[n]
-
-let add_escaped_char buf c =
-  match c with
-  | '"' -> Buffer.add_string buf "\\\""
-  | '\\' -> Buffer.add_string buf "\\\\"
-  | '\n' -> Buffer.add_string buf "\\n"
-  | '\r' -> Buffer.add_string buf "\\r"
-  | '\t' -> Buffer.add_string buf "\\t"
-  | c when Char.code c < 0x20 ->
-    Buffer.add_string buf "\\u00";
-    Buffer.add_char buf (hex_digit (Char.code c lsr 4));
-    Buffer.add_char buf (hex_digit (Char.code c land 0xf))
-  | c -> Buffer.add_char buf c
-
-let add_str buf s =
-  Buffer.add_char buf '"';
-  if has_escape s 0 then String.iter (add_escaped_char buf) s
-  else Buffer.add_string buf s;
-  Buffer.add_char buf '"'
-
-(* [string_of_int n] straight into the buffer; [add_digits] takes
-   n <= 0 so that [min_int] has no positive counterpart to overflow *)
-let rec add_digits buf n =
-  if n <= -10 then add_digits buf (n / 10);
-  Buffer.add_char buf (Char.chr (Char.code '0' - (n mod 10)))
-
-let add_int buf n =
-  if n < 0 then begin
-    Buffer.add_char buf '-';
-    add_digits buf n
-  end
-  else add_digits buf (-n)
-
-(* An integral x with 1 <= |x| < 1e15 has at most 15 digits, all of
-   which "%.17g" prints and nothing else, so it skips the C formatter.
-   Zero stays there: "%.17g" writes -0 as "-0". *)
-let add_number buf x =
-  if not (Float.is_finite x) then Buffer.add_string buf "null"
-  else if Float.is_integer x && Float.abs x >= 1. && Float.abs x < 1e15 then
-    add_int buf (int_of_float x)
-  else Buffer.add_string buf (format_float "%.17g" x)
-
-let number_text x =
-  let b = Buffer.create 24 in
-  add_number b x;
-  Buffer.contents b
+module J = Telemetry.Json
 
 (* Keys are the literal field names below, none of which needs escaping;
-   the stats counters, named at run time, go through [add_str]. *)
+   the stats counters, named at run time, go through [J.add_string]. *)
 let key buf k =
   Buffer.add_string buf ",\"";
   Buffer.add_string buf k;
@@ -270,15 +214,15 @@ let key buf k =
 
 let str_field buf k v =
   key buf k;
-  add_str buf v
+  J.add_string buf v
 
 let num_field buf k x =
   key buf k;
-  add_number buf x
+  J.add_number buf x
 
 let int_field buf k n =
   key buf k;
-  add_int buf n
+  J.add_int buf n
 
 let bool_field buf k b =
   key buf k;
@@ -294,10 +238,10 @@ let open_reply ?id status =
   | None -> ()
   | Some i ->
     Buffer.add_string buf "\"id\":";
-    add_str buf i;
+    J.add_string buf i;
     Buffer.add_char buf ',');
   Buffer.add_string buf "\"status\":";
-  add_str buf status;
+  J.add_string buf status;
   buf
 
 let close_reply ?trace buf =
@@ -322,10 +266,10 @@ let render_admit ?id ?trace ?bound_text ~admitted ~bound_ms ~deadline_ms ~mode ~
     ~elapsed_ms () =
   let b = open_reply ?id "ok" in
   Buffer.add_string b (admit_head admitted);
-  (match bound_text with Some s -> Buffer.add_string b s | None -> add_number b bound_ms);
+  (match bound_text with Some s -> Buffer.add_string b s | None -> J.add_number b bound_ms);
   num_field b "deadline_ms" deadline_ms;
   Buffer.add_string b (admit_mode_cache mode cache_hit);
-  add_number b elapsed_ms;
+  J.add_number b elapsed_ms;
   close_reply ?trace b
 
 let render_check ?id ?trace ~findings () =
@@ -337,7 +281,7 @@ let render_check ?id ?trace ~findings () =
   List.iteri
     (fun i f ->
       if i > 0 then Buffer.add_char b ',';
-      add_str b f)
+      J.add_string b f)
     findings;
   Buffer.add_char b ']';
   close_reply ?trace b
@@ -387,9 +331,9 @@ let render_stats ?id ?trace ~uptime_s ~served ~cache_len ~cache_capacity
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char b ',';
-      add_str b k;
+      J.add_string b k;
       Buffer.add_char b ':';
-      add_int b v)
+      J.add_int b v)
     counters;
   Buffer.add_char b '}';
   close_reply ?trace b

@@ -94,21 +94,14 @@ val parse :
 
 (** {1 Response rendering} — one line of JSON, no trailing newline.
 
-    Each response is written into one [Buffer].  The bytes are exactly
-    those of {!Telemetry.Json.obj} over the same fields, in the same
-    order.  Keys and strings are escaped as {!Telemetry.Json.escape}
-    does: only the double quote, the backslash and bytes below 0x20, and
-    a string that needs none is copied as is.  Non-finite numbers are
-    [null]; finite ones are what [Printf.sprintf "%.17g"] prints, through
-    the same [caml_format_float "%.17g"] call, except that an integral
-    value with 1 <= |x| < 1e15, whose "%.17g" form is just its digits,
-    is written as those digits.  A QCheck oracle in the test suite holds every
-    [render_*] to the [Telemetry.Json.obj] rendering byte for byte. *)
+    Each response is written into one [Buffer], its strings and numbers
+    by {!Telemetry.Json.add_string}, {!Telemetry.Json.add_number} and
+    {!Telemetry.Json.add_int}, so the bytes are exactly those of
+    {!Telemetry.Json.obj} over the same fields, in the same order.  A
+    QCheck oracle in the test suite holds every [render_*] to the
+    [Telemetry.Json.obj] rendering byte for byte. *)
 
 type mode = Exact | Approx
-
-val number_text : float -> string
-(** The text every [render_*] writes for a number. *)
 
 val render_admit :
   ?id:string ->
@@ -123,8 +116,8 @@ val render_admit :
   unit ->
   string
 (** [bound_text], when given, is written in place of [bound_ms]: the
-    engine passes the [number_text bound_ms] it memoized next to the
-    bound, so a cached answer formats no bound. *)
+    engine passes the [Telemetry.Json.number bound_ms] it memoized next
+    to the bound, so a cached answer formats no bound. *)
 
 val render_check : ?id:string -> ?trace:string -> findings:string list -> unit -> string
 (** [findings] are {!Contracts.code} strings; empty means the shape passes

@@ -34,23 +34,68 @@ let dom_id () = (Domain.self () :> int)
 (* ---------------- JSON / CSV emission ---------------- *)
 
 module Json = struct
-  let escape s =
-    let buf = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
+  external format_float : string -> float -> string = "caml_format_float"
+
+  let needs_escape c = Char.equal c '"' || Char.equal c '\\' || Char.code c < 0x20
+
+  (* [String.exists needs_escape], without the closure it allocates *)
+  let rec has_escape s i =
+    i < String.length s && (needs_escape s.[i] || has_escape s (i + 1))
+
+  let hex_digit n = "0123456789abcdef".[n]
+
+  let add_escaped_char buf c =
+    match c with
+    | '"' -> Buffer.add_string buf "\\\""
+    | '\\' -> Buffer.add_string buf "\\\\"
+    | '\n' -> Buffer.add_string buf "\\n"
+    | '\r' -> Buffer.add_string buf "\\r"
+    | '\t' -> Buffer.add_string buf "\\t"
+    | c when Char.code c < 0x20 ->
+      Buffer.add_string buf "\\u00";
+      Buffer.add_char buf (hex_digit (Char.code c lsr 4));
+      Buffer.add_char buf (hex_digit (Char.code c land 0xf))
+    | c -> Buffer.add_char buf c
+
+  let add_string buf s =
+    Buffer.add_char buf '"';
+    if has_escape s 0 then String.iter (add_escaped_char buf) s
+    else Buffer.add_string buf s;
+    Buffer.add_char buf '"'
+
+  (* [string_of_int n] straight into the buffer; [add_digits] takes
+     n <= 0 so that [min_int] has no positive counterpart to overflow *)
+  let rec add_digits buf n =
+    if n <= -10 then add_digits buf (n / 10);
+    Buffer.add_char buf (Char.chr (Char.code '0' - (n mod 10)))
+
+  let add_int buf n =
+    if n < 0 then begin
+      Buffer.add_char buf '-';
+      add_digits buf n
+    end
+    else add_digits buf (-n)
+
+  (* An integral x with 1 <= |x| < 1e15 has at most 15 digits, all of
+     which "%.17g" prints and nothing else, so it skips the C formatter.
+     Zero stays there: "%.17g" writes -0 as "-0". *)
+  let add_number buf x =
+    if not (Float.is_finite x) then Buffer.add_string buf "null"
+    else if Float.is_integer x && Float.abs x >= 1. && Float.abs x < 1e15 then
+      add_int buf (int_of_float x)
+    else Buffer.add_string buf (format_float "%.17g" x)
+
+  let contents size write =
+    let buf = Buffer.create size in
+    write buf;
     Buffer.contents buf
 
-  let number x = if Float.is_finite x then Printf.sprintf "%.17g" x else "null"
+  let escape s =
+    if has_escape s 0 then
+      contents (String.length s + 8) (fun buf -> String.iter (add_escaped_char buf) s)
+    else s
+
+  let number x = contents 24 (fun buf -> add_number buf x)
 
   let of_value = function
     | Int i -> string_of_int i
@@ -481,20 +526,22 @@ module Histogram = struct
     done;
     !acc
 
-  let quantile h q =
-    let n = Atomic.get h.hg_n in
-    if n = 0 then Float.nan
+  let quantile_of_buckets ~max_v ~count buckets q =
+    if count = 0 then Float.nan
     else begin
       let q = Float.max 0. (Float.min 1. q) in
-      let target = int_of_float (Float.round (q *. float_of_int n)) in
-      let target = if target < 1 then 1 else target in
-      let acc = ref 0 and i = ref 0 in
-      while !acc < target && !i < hist_buckets - 1 do
-        acc := !acc + Atomic.get h.hg_counts.(!i);
-        if !acc < target then incr i
-      done;
-      Float.min (bucket_upper !i) (Atomic.get h.hg_max)
+      let target = Stdlib.max 1 (int_of_float (Float.round (q *. float_of_int count))) in
+      let rec go acc = function
+        | [] -> max_v
+        | (upper, c) :: rest ->
+          let acc = acc + c in
+          if acc >= target then Float.min upper max_v else go acc rest
+      in
+      go 0 buckets
     end
+
+  let quantile h q =
+    quantile_of_buckets ~max_v:(Atomic.get h.hg_max) ~count:(Atomic.get h.hg_n) (buckets h) q
 end
 
 (* ---------------- spans and events ---------------- *)

@@ -187,7 +187,19 @@ module Histogram : sig
 
   val quantile : t -> float -> float
   (** Upper bound of the bucket holding the [q]-quantile (clamped to the
-      observed maximum); [nan] when empty. *)
+      observed maximum); [nan] when empty.  {!quantile_of_buckets} over
+      {!buckets}, {!count} and the observed maximum. *)
+
+  val quantile_of_buckets :
+    max_v:float -> count:int -> (float * int) list -> float -> float
+  (** [quantile_of_buckets ~max_v ~count buckets q] over [(upper bound,
+      count)] buckets in ascending order, as {!buckets} lists them, of
+      [count] observations with maximum [max_v]: the target rank is
+      [round (q *. count)] (at least 1, [q] clamped to [\[0, 1\]]), and
+      the answer the upper bound of the first bucket whose cumulative
+      count reaches it, clamped to [max_v] ([max_v] if none does); [nan]
+      when [count = 0].  A histogram read back from a metrics dump gets
+      the live percentiles from it exactly. *)
 end
 
 (** {1 Spans and events} *)
@@ -260,11 +272,28 @@ module Json : sig
   (** Minimal JSON emission — enough to write valid JSON-lines and
       snapshot files without an external parser/printer. *)
 
+  val add_string : Buffer.t -> string -> unit
+  (** A JSON string literal, quotes included.  Only the double quote,
+      the backslash and bytes below 0x20 are escaped ([\n], [\r], [\t]
+      by name, the others as [\u00xx]); a string that needs none is
+      copied as is. *)
+
+  val add_int : Buffer.t -> int -> unit
+  (** [string_of_int n], written without an intermediate string. *)
+
+  val add_number : Buffer.t -> float -> unit
+  (** Non-finite floats become [null] (JSON has no [inf]/[nan]); finite
+      ones are what [Printf.sprintf "%.17g"] prints, through the same
+      [caml_format_float "%.17g"] call, except that an integral value
+      with 1 <= |x| < 1e15, whose "%.17g" form is just its digits, is
+      written as those digits. *)
+
   val escape : string -> string
-  (** Contents of a JSON string literal (no surrounding quotes). *)
+  (** Contents of a JSON string literal (no surrounding quotes), as
+      {!add_string} writes them. *)
 
   val number : float -> string
-  (** Non-finite floats become [null] (JSON has no [inf]/[nan]). *)
+  (** The text {!add_number} writes. *)
 
   val of_value : value -> string
 

@@ -3,7 +3,8 @@
    path was made allocation-light.  The JSON reader is the byte-by-byte
    recursive descent with one boxed [Some c] per peeked byte; the request
    reader validates the tree [Serve.Sjson.parse] builds; the renderers
-   build every response with [Telemetry.Json.obj].  test_serve.ml checks
+   build every response with [Telemetry.Json.obj] over [Printf]-formatted
+   strings and numbers.  test_serve.ml checks
    that the production [Serve.Sjson.parse], [Serve.Protocol.parse] and
    [Serve.Protocol.render_*] agree with these. *)
 
@@ -221,7 +222,31 @@ module Sjson = struct
 end
 
 module Render = struct
-  module J = Telemetry.Json
+  (* [Telemetry.Json] with [escape] and [number] written by [Printf],
+     apart from the buffer writers [Telemetry.Json.add_string] and
+     [add_number] the production renderers use, so the renderers below
+     check those writers' bytes *)
+  module J = struct
+    include Telemetry.Json
+
+    let escape s =
+      let buf = Buffer.create (String.length s + 8) in
+      String.iter
+        (fun c ->
+          match c with
+          | '"' -> Buffer.add_string buf "\\\""
+          | '\\' -> Buffer.add_string buf "\\\\"
+          | '\n' -> Buffer.add_string buf "\\n"
+          | '\r' -> Buffer.add_string buf "\\r"
+          | '\t' -> Buffer.add_string buf "\\t"
+          | c when Char.code c < 0x20 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+          | c -> Buffer.add_char buf c)
+        s;
+      Buffer.contents buf
+
+    let number x = if Float.is_finite x then Printf.sprintf "%.17g" x else "null"
+  end
   module P = Serve.Protocol
 
   let str s = "\"" ^ J.escape s ^ "\""

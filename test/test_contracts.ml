@@ -160,7 +160,7 @@ let test_admission_gate () =
   in
   check bool "admission refuses an unstable base scenario" true
     (match
-       Deltanet.Admission.max_cross_utilization request ~scheduler:Classes.Fifo
+       Deltanet.Admission.max_cross_utilization request ~scheduler:Scheduler.Kind.Fifo
      with
     | _ -> false
     | exception C.Violation fs -> List.mem "unstable" (codes fs))

@@ -586,6 +586,76 @@ let test_batch_means () =
   check_float "grand mean" 4.5 mean;
   Alcotest.(check bool) "tiny half width for periodic data" true (half < 0.01)
 
+(* Eq. 6 by brute force: for each arrival slot with a positive increment,
+   the least u >= t whose departures reach its arrivals, or its
+   increment censored when there is none. *)
+let brute_virtual_delays ~cum_in ~cum_out =
+  let delays = ref [] and censored = ref 0. in
+  Array.iteri
+    (fun t c ->
+      let inc = c -. (if t = 0 then 0. else cum_in.(t - 1)) in
+      if inc > 0. then begin
+        let rec first u =
+          if u >= Array.length cum_out then None
+          else if cum_out.(u) >= c -. 1e-6 then Some u
+          else first (u + 1)
+        in
+        match first t with
+        | Some u -> delays := float_of_int (u - t) :: !delays
+        | None -> censored := !censored +. inc
+      end)
+    cum_in;
+  (List.rev !delays, !censored)
+
+let prop_virtual_delays_brute =
+  (* zero-increment slots, sub-tolerance and ordinary increments, and a
+     1e17 jump after which a unit increment rounds away *)
+  let inc =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, return 0.);
+          (4, map float_of_int (int_range 1 4));
+          (2, float_range 0. 3.);
+          (1, return 1e-9);
+          (1, return 1e17);
+        ])
+  in
+  let cumulative incs =
+    let acc = ref 0. in
+    Array.map
+      (fun x ->
+        acc := !acc +. x;
+        !acc)
+      incs
+  in
+  (* [drain] extra departure slots; out increments drawn independently,
+     so some arrivals are still in flight when [cum_out] ends *)
+  let gen =
+    QCheck.Gen.(
+      int_range 0 40 >>= fun n ->
+      int_range 0 8 >>= fun drain ->
+      pair (array_size (return n) inc) (array_size (return (n + drain)) inc))
+  in
+  let print (a, b) =
+    let arr xs = String.concat ";" (Array.to_list (Array.map (Printf.sprintf "%h") xs)) in
+    Printf.sprintf "in=[%s] out=[%s]" (arr a) (arr b)
+  in
+  QCheck.Test.make ~name:"virtual delays = brute-force Eq. 6" ~count:(Qc.count 500)
+    (QCheck.make ~print gen) (fun (in_incs, out_incs) ->
+      let cum_in = cumulative in_incs and cum_out = cumulative out_incs in
+      let (sample, censored) = Stats.virtual_delays ~cum_in ~cum_out in
+      let (delays, censored') = brute_virtual_delays ~cum_in ~cum_out in
+      let got = Stats.Sample.to_sorted_array sample in
+      let want = Array.of_list (List.sort Float.compare delays) in
+      if got <> want then
+        QCheck.Test.fail_reportf "delays %s vs brute %s"
+          (String.concat "," (Array.to_list (Array.map string_of_float got)))
+          (String.concat "," (Array.to_list (Array.map string_of_float want)));
+      if not (Float.equal censored censored') then
+        QCheck.Test.fail_reportf "censored %h vs brute %h" censored censored';
+      true)
+
 let suite =
   [
     Alcotest.test_case "prng deterministic" `Quick test_prng_deterministic;
@@ -620,4 +690,5 @@ let suite =
     Alcotest.test_case "gap table = log1p gap" `Quick test_gap_table_exact;
     QCheck_alcotest.to_alcotest prop_gap_table_exact;
     Alcotest.test_case "sample quantile rejects NaN" `Quick test_sample_quantile_rejects_nan;
+    QCheck_alcotest.to_alcotest prop_virtual_delays_brute;
   ]

@@ -1,7 +1,7 @@
 (* Differential tests: the event engine against the slotted oracle.
 
    Two layers of guarantee, matching the engine's contract
-   (lib/netsim/event_tandem.mli):
+   (lib/netsim/tandem.mli):
 
    - slot-aligned configs (no propagation delay, no loss): the event
      engine must reproduce the slotted delay samples *bit for bit* —

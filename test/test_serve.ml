@@ -1201,7 +1201,7 @@ let test_bound_text () =
           ~mode:P.Exact ~cache_hit:true ~elapsed_ms:0.25 ()
       in
       check Alcotest.string (Printf.sprintf "%h" x) (reply ())
-        (reply ~bound_text:(P.number_text x) ()))
+        (reply ~bound_text:(Telemetry.Json.number x) ()))
     [
       42.; -3.; 1.; 0.; -0.; 0.5; 26.318707236023435; 999_999_999_999_999.; 1e15; -1e15;
       1e15 +. 2.; 5e-324; -5e-324; 2.2250738585072009e-308; Float.max_float; -.Float.max_float;

@@ -127,17 +127,16 @@ let request deadline =
 
 let test_admission_monotone_in_deadline () =
   let u d =
-    Admission.max_cross_utilization (request d) ~scheduler:Scheduler.Classes.Fifo
+    Admission.max_cross_utilization (request d) ~scheduler:Scheduler.Kind.Fifo
   in
   let u20 = u 20. and u80 = u 80. in
   Alcotest.(check bool) (Fmt.str "%g <= %g" u20 u80) true (u20 <= u80 +. 1e-6)
 
 let test_admission_scheduler_ordering () =
   let r = request 40. in
-  let bmux = Admission.max_cross_utilization r ~scheduler:Scheduler.Classes.Bmux in
-  let fifo = Admission.max_cross_utilization r ~scheduler:Scheduler.Classes.Fifo in
-  let sp = Admission.max_cross_utilization r ~scheduler:Scheduler.Classes.Sp_through_high in
-  let edf = Admission.max_cross_utilization_edf r ~cross_over_through:10. in
+  let u scheduler = Admission.max_cross_utilization r ~scheduler in
+  let bmux = u Scheduler.Kind.Bmux and fifo = u Scheduler.Kind.Fifo in
+  let sp = u Scheduler.Kind.Sp and edf = u (Scheduler.Kind.Edf { cross_over_through = 10. }) in
   Alcotest.(check bool)
     (Fmt.str "bmux %g <= fifo %g <= edf %g <= sp %g" bmux fifo edf sp)
     true
@@ -146,11 +145,11 @@ let test_admission_scheduler_ordering () =
 let test_admission_consistency () =
   (* The returned utilization is itself admissible, a bit more is not. *)
   let r = request 40. in
-  let u = Admission.max_cross_utilization r ~scheduler:Scheduler.Classes.Fifo in
+  let u = Admission.max_cross_utilization r ~scheduler:Scheduler.Kind.Fifo in
   Alcotest.(check bool) "admissible at u" true
-    (Admission.admissible r ~scheduler:Scheduler.Classes.Fifo ~u_cross:(u *. 0.999));
+    (Admission.admissible r ~scheduler:Scheduler.Kind.Fifo ~u_cross:(u *. 0.999));
   Alcotest.(check bool) "not admissible above" false
-    (Admission.admissible r ~scheduler:Scheduler.Classes.Fifo ~u_cross:(u +. 0.02))
+    (Admission.admissible r ~scheduler:Scheduler.Kind.Fifo ~u_cross:(u +. 0.02))
 
 (* H = 10, U0 = 15%, ratio 10: above ~14% cross load the EDF fixed
    point stops Diverged, and a bisection that read those last iterates
@@ -165,7 +164,10 @@ let test_admission_edf_converged () =
           guarantee = { Admission.deadline; epsilon = 1e-9 };
         }
       in
-      let u = Admission.max_cross_utilization_edf r ~cross_over_through:10. in
+      let u =
+        Admission.max_cross_utilization r
+          ~scheduler:(Scheduler.Kind.Edf { cross_over_through = 10. })
+      in
       let o =
         Scenario.delay_bound_edf_checked ~s_points:16
           (Scenario.of_utilization ~h:10 ~u_through:0.15 ~u_cross:u)
