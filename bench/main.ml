@@ -25,9 +25,8 @@ module Scenario = Deltanet.Scenario
 module Classes = Scheduler.Classes
 
 let epsilon = 1e-9
-let s_points = 16
 
-let bound sc sched = Scenario.delay_bound ~s_points ~scheduler:sched sc
+let bound sc sched = Scenario.delay_bound ~scheduler:sched sc
 
 (* ns-per-op samples reported by the running section, drained into the
    section report by [timed] *)

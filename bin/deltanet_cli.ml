@@ -123,7 +123,7 @@ let sched_term ratio =
 let s_points_arg =
   Arg.(
     value
-    & opt int 24
+    & opt int Scenario.s_points
     & info [ "s-points" ] ~docv:"N"
         ~doc:"Grid resolution for the effective-bandwidth parameter search.")
 

@@ -46,7 +46,7 @@ let bound capacity =
       epsilon = 1e-3;
     }
   in
-  Scenario.delay_bound_checked ~s_points:24 ~scheduler:Classes.Fifo sc
+  Scenario.delay_bound_checked ~scheduler:Classes.Fifo sc
 
 let () =
   let spec = Faults.Constant factor in

@@ -25,10 +25,10 @@ let () =
   List.iter
     (fun h ->
       let sc = Scenario.of_utilization ~h ~u_through:0.25 ~u_cross:0.25 in
-      let bmux = Scenario.delay_bound ~s_points:16 ~scheduler:Classes.Bmux sc in
-      let fifo = Scenario.delay_bound ~s_points:16 ~scheduler:Classes.Fifo sc in
+      let bmux = Scenario.delay_bound ~scheduler:Classes.Bmux sc in
+      let fifo = Scenario.delay_bound ~scheduler:Classes.Fifo sc in
       let o =
-        Scenario.delay_bound_edf_checked ~s_points:16 sc
+        Scenario.delay_bound_edf_checked sc
           ~spec:{ Scenario.cross_over_through = 10. }
       in
       let edf = o.Deltanet.Diag.value.Scenario.bound in

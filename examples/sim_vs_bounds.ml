@@ -33,7 +33,7 @@ let sim sched =
     }
 
 let analytic sched epsilon =
-  Scenario.delay_bound ~s_points:16 ~scheduler:sched
+  Scenario.delay_bound ~scheduler:sched
     {
       (Scenario.paper_defaults ~h ~n_through:(float_of_int n_through)
          ~n_cross:(float_of_int n_cross))

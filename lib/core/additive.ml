@@ -60,7 +60,7 @@ let delay_bound ~capacity ~cross ~h ~epsilon through =
     r.Search.value
   end
 
-let delay_bound_scenario ?(s_points = 32) (sc : Scenario.t) =
+let delay_bound_scenario ?(s_points = Scenario.s_points) (sc : Scenario.t) =
   let f s =
     let through = Envelope.Mmpp.ebb sc.Scenario.source ~n:sc.Scenario.n_through ~s in
     let cross = Envelope.Mmpp.ebb sc.Scenario.source ~n:sc.Scenario.n_cross ~s in

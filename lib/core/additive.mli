@@ -41,4 +41,4 @@ val delay_bound :
 
 val delay_bound_scenario : ?s_points:int -> Scenario.t -> float
 (** The additive BMUX bound for a paper scenario, optimized over both [s]
-    and [gamma] — the "adding per-node bounds" series of Fig. 4. *)
+    (an [s_points] grid, default {!Scenario.s_points}) and [gamma] — the "adding per-node bounds" series of Fig. 4. *)

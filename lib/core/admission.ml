@@ -18,12 +18,12 @@ let meets r (diag : Diag.t) bound = Diag.ok diag && bound <= r.guarantee.deadlin
 
 (* FIFO, BMUX and SP at their fixed gap; EDF through its fixed point,
    re-solved for every probe, so a [Diverged] probe does not fit *)
-let delay_meets ~s_points r ~scheduler sc =
-  let o = Scenario.bound_checked ~s_points ~scheduler sc in
+let delay_meets r ~scheduler sc =
+  let o = Scenario.bound_checked ~scheduler sc in
   meets r o.Diag.diag o.Diag.value
 
 let admissible r ~scheduler ~u_cross =
-  delay_meets ~s_points:16 r ~scheduler (scenario_with r ~u_cross)
+  delay_meets r ~scheduler (scenario_with r ~u_cross)
 
 type decision = {
   admitted : bool;
@@ -36,7 +36,7 @@ type decision = {
    for the request exactly as specified (no bisection), with the contract
    checks folded in.  Only a [Converged] diagnostic may admit — an
    [Unstable]/[Diverged]/[Non_finite] bound is not trusted as evidence. *)
-let decide ?(s_points = 16) r ~scheduler =
+let decide ?(s_points = Scenario.s_points) r ~scheduler =
   Contracts.ensure
     (Contracts.check_guarantee ~deadline:r.guarantee.deadline
        ~epsilon:r.guarantee.epsilon);
@@ -59,17 +59,17 @@ let bisect_max ~resolution ~hi fits =
     !lo
   end
 
-let max_cross_utilization ?(s_points = 16) ?(resolution = 1e-4) r ~scheduler =
+let max_cross_utilization r ~scheduler =
   Contracts.ensure (Contracts.check_scenario r.base);
-  let fits u_cross = delay_meets ~s_points r ~scheduler (scenario_with r ~u_cross) in
+  let fits u_cross = admissible r ~scheduler ~u_cross in
   let mean = Envelope.Mmpp.mean_rate r.base.Scenario.source in
   let u_through = r.base.Scenario.n_through *. mean /. r.base.Scenario.capacity in
-  bisect_max ~resolution ~hi:(Float.max 0. (1. -. u_through)) fits
+  bisect_max ~resolution:1e-4 ~hi:(Float.max 0. (1. -. u_through)) fits
 
-let max_through_flows ?(s_points = 16) r ~scheduler =
+let max_through_flows r ~scheduler =
   Contracts.ensure (Contracts.check_scenario r.base);
   let fits n =
-    delay_meets ~s_points r ~scheduler
+    delay_meets r ~scheduler
       { r.base with Scenario.n_through = n; epsilon = r.guarantee.epsilon }
   in
   let mean = Envelope.Mmpp.mean_rate r.base.Scenario.source in

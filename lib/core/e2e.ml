@@ -743,7 +743,8 @@ end
 
 (* The list-based solver, retained verbatim: the oracle for the QCheck
    bit-for-bit equivalence properties and the baseline side of the
-   ns/op benchmark. *)
+   ns/op benchmark; and the Eq. (30) network service curve as an
+   explicit min-plus object, the cross-check of the Eq.-38 machinery. *)
 module Reference = struct
   let delay_given p ~gamma ~sigma =
     if sigma < 0. then invalid_arg "E2e.delay_given: negative sigma";
@@ -774,6 +775,50 @@ module Reference = struct
   let sigma_for = sigma_for
   let x_candidates = x_candidates
 
+  module Curve = Minplus.Curve
+
+  (* S~^h_{(h-1)gamma}(t') = (C -. h' gamma)(t' +. theta_h)
+                             -. (rho_c +. gamma) [t' +. ∆(theta_h)]_+
+     for t' >= 0, as a curve (0-indexed h). *)
+  let tilde_curve p ~gamma ~theta h =
+    let nd = p.nodes.(h) in
+    let c_h = nd.capacity -. (float_of_int h *. gamma) in
+    let base = Curve.v [ (0., c_h *. theta, c_h) ] in
+    match Scheduler.Delta.clip_fin nd.delta theta with
+    | None -> base
+    | Some clipped ->
+      let r = nd.cross_rho +. gamma in
+      let cross =
+        if clipped >= 0. then Curve.v [ (0., r *. clipped, r) ]
+        else Curve.v [ (0., 0., 0.); (-.clipped, 0., r) ]
+      in
+      Curve.sub_clip base cross
+
+  let network_service_curve p ~gamma ~thetas =
+    if Array.length thetas <> hop_count p then
+      invalid_arg "E2e.Reference.network_service_curve: arity mismatch";
+    Array.iter
+      (fun th -> if th < 0. then invalid_arg "E2e.Reference.network_service_curve: negative theta")
+      thetas;
+    let total = Array.fold_left ( +. ) 0. thetas in
+    let shifted h =
+      Curve.hshift total (tilde_curve p ~gamma ~theta:thetas.(h) h)
+    in
+    let n = hop_count p in
+    let merged = ref (shifted 0) in
+    for h = 1 to n - 1 do
+      merged := Curve.min !merged (shifted h)
+    done;
+    Curve.gate total !merged
+
+  let through_envelope_curve p ~gamma ~sigma =
+    Curve.affine ~rate:(p.through.Envelope.Ebb.rho +. gamma) ~burst:sigma
+
+  let delay_via_curve p ~gamma ~sigma ~thetas =
+    let service = network_service_curve p ~gamma ~thetas in
+    Minplus.Deviation.horizontal
+      ~arrival:(through_envelope_curve p ~gamma ~sigma)
+      ~service
 end
 
 let delay_given p ~gamma ~sigma =
@@ -788,54 +833,6 @@ let optimal_thetas p ~gamma ~sigma =
   let b = Batch.make p in
   Batch.set b ~gamma ~sigma;
   Batch.optimal_thetas b
-
-(* --------------------------------------------------------------- *)
-(* The network service curve as an explicit min-plus object          *)
-
-module Curve = Minplus.Curve
-
-(* S~^h_{(h-1)gamma}(t') = (C -. h' gamma)(t' +. theta_h)
-                           -. (rho_c +. gamma) [t' +. ∆(theta_h)]_+
-   for t' >= 0, as a curve (0-indexed h). *)
-let tilde_curve p ~gamma ~theta h =
-  let nd = p.nodes.(h) in
-  let c_h = nd.capacity -. (float_of_int h *. gamma) in
-  let base = Curve.v [ (0., c_h *. theta, c_h) ] in
-  match Scheduler.Delta.clip_fin nd.delta theta with
-  | None -> base
-  | Some clipped ->
-    let r = nd.cross_rho +. gamma in
-    let cross =
-      if clipped >= 0. then Curve.v [ (0., r *. clipped, r) ]
-      else Curve.v [ (0., 0., 0.); (-.clipped, 0., r) ]
-    in
-    Curve.sub_clip base cross
-
-let network_service_curve p ~gamma ~thetas =
-  if Array.length thetas <> hop_count p then
-    invalid_arg "E2e.network_service_curve: arity mismatch";
-  Array.iter
-    (fun th -> if th < 0. then invalid_arg "E2e.network_service_curve: negative theta")
-    thetas;
-  let total = Array.fold_left ( +. ) 0. thetas in
-  let shifted h =
-    Curve.hshift total (tilde_curve p ~gamma ~theta:thetas.(h) h)
-  in
-  let n = hop_count p in
-  let merged = ref (shifted 0) in
-  for h = 1 to n - 1 do
-    merged := Curve.min !merged (shifted h)
-  done;
-  Curve.gate total !merged
-
-let through_envelope_curve p ~gamma ~sigma =
-  Curve.affine ~rate:(p.through.Envelope.Ebb.rho +. gamma) ~burst:sigma
-
-let delay_via_curve p ~gamma ~sigma ~thetas =
-  let service = network_service_curve p ~gamma ~thetas in
-  Minplus.Deviation.horizontal
-    ~arrival:(through_envelope_curve p ~gamma ~sigma)
-    ~service
 
 (* The γ range every search over this path probes: (0, gamma_max) pulled
    in at both ends, since sigma diverges as γ -> 0 and the node margins

@@ -133,9 +133,12 @@ module Batch : sig
       @raise Invalid_argument if [out] is shorter than [gammas]. *)
 end
 
-(** The list-based solver, retained verbatim as the oracle for the
-    QCheck bit-for-bit equivalence suite and the baseline side of the
-    ns/op benchmarks. *)
+(** Test oracles, used by no bound: the list-based solver, retained
+    verbatim for the QCheck bit-for-bit equivalence suite and the
+    baseline side of the ns/op benchmarks; and the Eq. (30) network
+    service curve built explicitly as a min-plus object, which
+    [delay_given] never materializes, a cross-check of the optimizer and
+    of {!backlog_bound}. *)
 module Reference : sig
   val delay_given : path -> gamma:float -> sigma:float -> float
   val optimal_thetas : path -> gamma:float -> sigma:float -> float array * float
@@ -144,6 +147,16 @@ module Reference : sig
   val x_candidates : path -> gamma:float -> sigma:float -> float list
   (** The kink abscissae of [X -> X +. sum_h theta_h X], [0.] included:
       the [X] values Eq. (38) is minimized over. *)
+
+  val network_service_curve : path -> gamma:float -> thetas:float array -> Minplus.Curve.t
+  (** [S^net(t; theta) = min_h S~^h_{(h-1)gamma}(t -. T) · I(t > T)] with
+      [T = sum thetas] (the convolution already carried out in closed
+      form, Section IV).  @raise Invalid_argument on arity mismatch. *)
+
+  val delay_via_curve : path -> gamma:float -> sigma:float -> thetas:float array -> float
+  (** Horizontal deviation of the through envelope (plus [sigma]) against
+      {!network_service_curve} — must agree with the Eq.-38 constraint
+      machinery at the same [thetas]. *)
 end
 
 val delay_given : path -> gamma:float -> sigma:float -> float
@@ -153,28 +166,12 @@ val delay_given : path -> gamma:float -> sigma:float -> float
 
 val delay_at_gamma : path -> gamma:float -> epsilon:float -> float
 
-(** {1 The network service curve as an explicit min-plus object}
-
-    [delay_given] solves Eq. (38) without materializing the curve; the
-    functions below build the Eq. (30) network service curve explicitly,
-    an independent cross-check of the optimizer and of {!backlog_bound}. *)
-
-val network_service_curve : path -> gamma:float -> thetas:float array -> Minplus.Curve.t
-(** [S^net(t; theta) = min_h S~^h_{(h-1)gamma}(t -. T) · I(t > T)] with
-    [T = sum thetas] (the convolution already carried out in closed form,
-    Section IV).  @raise Invalid_argument on arity mismatch. *)
-
-val delay_via_curve : path -> gamma:float -> sigma:float -> thetas:float array -> float
-(** Horizontal deviation of the through envelope (plus [sigma]) against
-    {!network_service_curve} — must agree with the Eq.-38 constraint
-    machinery at the same [thetas]. *)
-
 val backlog_bound : epsilon:float -> path -> float
 (** Probabilistic end-to-end backlog bound [P (B > backlog_bound) <= epsilon]:
     {!sigma_for} at the top of {!gamma_bracket}, one evaluation.  That is
     the minimum of the curve-based bound over every [theta] and every
     [gamma] of the bracket:
-    at [theta = 0] each node of {!network_service_curve} serves at rate
+    at [theta = 0] each node of {!Reference.network_service_curve} serves at rate
     above [rho +. gamma], so the vertical deviation of the through
     envelope is [sigma], and [S(0) = 0] keeps every [theta] at or above
     it; [sigma] is non-increasing in [gamma].  The bound reads [∆] only

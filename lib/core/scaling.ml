@@ -26,7 +26,7 @@ let delay_growth ?(hs = default_hs) ~scheduler (sc : Scenario.t) =
     Parallel.Default.map_list
       (fun h ->
         let sc_h = { sc with Scenario.h } in
-        (float_of_int h, Scenario.delay_bound ~s_points:16 ~scheduler sc_h))
+        (float_of_int h, Scenario.delay_bound ~scheduler sc_h))
       hs
   in
   (points, growth_exponent points)
@@ -36,7 +36,7 @@ let additive_growth ?(hs = default_hs) (sc : Scenario.t) =
     Parallel.Default.map_list
       (fun h ->
         let sc_h = { sc with Scenario.h } in
-        (float_of_int h, Additive.delay_bound_scenario ~s_points:16 sc_h))
+        (float_of_int h, Additive.delay_bound_scenario sc_h))
       hs
   in
   (points, growth_exponent points)

@@ -106,6 +106,9 @@ let c_s_pruned = Telemetry.Counter.make "scenario.s_grid.pruned"
 let c_edf_iters = Telemetry.Counter.make "scenario.edf.iterations"
 let c_edf_memo_hits = Telemetry.Counter.make "scenario.edf.memo_hits"
 
+(* The points of the s-grid, the one resolution every bound defaults to *)
+let s_points = 16
+
 (* The points of the refinement around the s-grid's argmin *)
 let refine_points = 12
 
@@ -146,13 +149,13 @@ let minimize_over_s_checked ?floor ~s_points t exact =
         ];
     Diag.outcome ~iterations:points status r.Search.value
 
-let delay_bound_checked ?(s_points = 32) ~scheduler t =
+let delay_bound_checked ?(s_points = s_points) ~scheduler t =
   let delta = Scheduler.Classes.delta_through_cross scheduler in
   minimize_over_s_checked ~s_points t
     ~floor:(Search.Point (fun s -> E2e.delay_bound_floor ~epsilon:t.epsilon (path_at t ~s ~delta)))
     (fun s -> E2e.delay_bound ~epsilon:t.epsilon (path_at t ~s ~delta))
 
-let backlog_bound_checked ?(s_points = 32) ~scheduler t =
+let backlog_bound_checked ?(s_points = s_points) ~scheduler t =
   let delta = Scheduler.Classes.delta_through_cross scheduler in
   minimize_over_s_checked ~s_points t (fun s ->
       E2e.backlog_bound ~epsilon:t.epsilon (path_at t ~s ~delta))
@@ -171,7 +174,7 @@ type edf_result = {
 
 let edf_tolerance = 1e-6
 
-let delay_bound_edf_checked ?(s_points = 32) ?(max_iter = 60) ~spec t =
+let delay_bound_edf_checked ?(s_points = s_points) ?(max_iter = 60) ~spec t =
   if spec.cross_over_through <= 0. || Float.is_nan spec.cross_over_through then
     invalid_arg "Scenario.delay_bound_edf_checked: non-positive deadline ratio";
   Telemetry.span "scenario.edf_fixed_point"

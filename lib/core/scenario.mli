@@ -69,12 +69,16 @@ val s_stable_max : t -> float option
     valid — if not optimal — probabilistic bound, which is what lets a
     server pin one [s] per cached path shape and still answer soundly. *)
 
+val s_points : int
+(** 16, the s-grid every [?s_points] here, in {!Additive} and in
+    {!Admission}, serve's exact mode and the CLI's [--s-points] default to. *)
+
 val delay_bound : ?s_points:int -> scheduler:Scheduler.Classes.two_class -> t -> float
 (** End-to-end delay bound for FIFO / BMUX / SP (fixed [∆_{0,c}]),
     minimized over [s] and [gamma]: {!Search.minimize} over an
-    [s_points] log grid of {!s_bracket}, refined by a 12-point grid one
-    grid ratio either side of its argmin, each s running
-    {!E2e.delay_bound}.
+    [s_points] (default {!s_points}) log grid of {!s_bracket}, refined
+    by a 12-point grid one grid ratio either side of its argmin, each s
+    running {!E2e.delay_bound}.
     For [Edf_gap g] the gap is used as given.
     [infinity] when no stable [s] exists. *)
 

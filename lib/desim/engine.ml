@@ -65,6 +65,5 @@ let run t handler =
   in
   go ()
 
-let pending t = Heap.length t.heap
 let events_processed t = t.processed
 let heap_high_water t = t.heap_hwm

@@ -35,9 +35,6 @@ val run : 'a t -> ('a t -> 'a event -> unit) -> unit
 (** Drain the queue: repeatedly [next] and hand the event to the handler
     (which may schedule further events) until the queue is empty. *)
 
-val pending : 'a t -> int
-(** Events currently queued. *)
-
 val events_processed : 'a t -> int
 (** Total events popped so far — exported as a telemetry counter by the
     simulation layer. *)

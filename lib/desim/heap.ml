@@ -15,7 +15,6 @@ type 'a t = {
 
 let create ~cmp = { cmp; data = [||]; seqs = [||]; size = 0; next_seq = 0 }
 let length h = h.size
-let is_empty h = h.size = 0
 
 (* cmp, then insertion order. *)
 let less h i j =

@@ -50,7 +50,6 @@ type process = {
   mutable degraded : bool;  (* Gilbert state *)
   mutable sum_factor : float;
   mutable transitions : int;  (* realized healthy<->degraded flips *)
-  mutable degraded_slots : int;
 }
 
 let make ?rng spec =
@@ -58,8 +57,7 @@ let make ?rng spec =
   (match spec with
   | Gilbert _ when rng = None -> invalid_arg "Faults.make: Gilbert process needs an rng"
   | _ -> ());
-  { spec; rng; slot = 0; degraded = false; sum_factor = 0.; transitions = 0;
-    degraded_slots = 0 }
+  { spec; rng; slot = 0; degraded = false; sum_factor = 0.; transitions = 0 }
 
 let step p =
   let factor =
@@ -87,7 +85,6 @@ let step p =
   in
   p.slot <- p.slot + 1;
   p.sum_factor <- p.sum_factor +. factor;
-  if factor < 1. then p.degraded_slots <- p.degraded_slots + 1;
   factor
 
 let slots p = p.slot
@@ -96,8 +93,6 @@ let mean_factor p =
   if p.slot = 0 then 1. else p.sum_factor /. float_of_int p.slot
 
 let transitions p = p.transitions
-
-let degraded_slots p = p.degraded_slots
 
 (* ---------------- textual specs (CLI / checkpoint headers) ---------------- *)
 

@@ -52,9 +52,6 @@ val transitions : process -> int
 (** Realized healthy<->degraded state flips ([Gilbert]; [0] for the
     deterministic specs, whose windows are not state transitions). *)
 
-val degraded_slots : process -> int
-(** Elapsed slots whose factor was strictly below [1.]. *)
-
 val spec_to_string : spec -> string
 
 val spec_of_string : string -> (spec, string) result

@@ -31,6 +31,7 @@ type result = {
   delays : Desim.Stats.Sample.t array;
   utilization : float;
   offered_kb : float array;
+  censored_kb : float array;
   fault_factor : float;
 }
 
@@ -90,9 +91,9 @@ let run cfg =
         served := !served +. d)
       dep
   done;
-  let delays =
-    Array.init k (fun j ->
-        fst (Desim.Stats.virtual_delays ~cum_in:cum_in.(j) ~cum_out:cum_out.(j)))
+  let delays, censored_kb =
+    Array.split
+      (Array.init k (fun j -> Desim.Stats.virtual_delays ~cum_in:cum_in.(j) ~cum_out:cum_out.(j)))
   in
   let fault_factor = Option.fold ~none:1. ~some:Faults.mean_factor faults in
   if Telemetry.is_enabled () then begin
@@ -110,6 +111,7 @@ let run cfg =
     delays;
     utilization = !served /. (cfg.capacity *. float_of_int total_slots);
     offered_kb = acc_in;
+    censored_kb;
     fault_factor;
   }
 

@@ -27,6 +27,9 @@ type result = {
   delays : Desim.Stats.Sample.t array;  (** per class, in slots *)
   utilization : float;
   offered_kb : float array;
+  censored_kb : float array;
+  (** per class, data (kb) still queued when the run ended: the arrivals
+      [delays] has no sample for *)
   fault_factor : float;
   (** realized mean capacity factor ([1.] when no faults configured) *)
 }

@@ -47,7 +47,7 @@ let default_config =
     budget_ms = 250.;
     max_queue = 512;
     cache_entries = 4096;
-    s_points = 16;
+    s_points = Scenario.s_points;
     max_line_bytes = 65_536;
     debug_ops = false;
   }

@@ -18,8 +18,8 @@
       ({!Admission.decide} / {!Scenario.delay_bound_checked}), chosen
       while its predicted cost fits in half the remaining budget;
     + [approx]: the same {!Admission.decide} on a 2-point s-grid
-      ([s_points = 2]).  It is a valid upper bound, so a degraded answer
-      may refuse an admissible flow but never wrongly admit.  As
+      ({!approx_s_points}).  It is a valid upper bound, so a degraded
+      answer may refuse an admissible flow but never wrongly admit.  As
       measured over serve-shaped requests it costs about a third of the
       16-point exact search, and its bound was never below the exact
       one by more than rounding (3e-15 relative);
@@ -53,7 +53,7 @@ val approx_s_points : int
 
 val default_config : config
 (** [budget_ms = 250.], [max_queue = 512], [cache_entries = 4096],
-    [s_points = 16],
+    [s_points = Scenario.s_points] (16),
     [max_line_bytes = 65536], [debug_ops = false]. *)
 
 type t

@@ -269,6 +269,17 @@ let test_bound_checked () =
     (Scenario.backlog_bound_checked ~s_points:24 ~scheduler:Classes.Fifo cyc).Diag.value
     o.Diag.value
 
+(* One s-grid resolution: the figures' is the library default, so a bound
+   asked for with no [~s_points] reproduces the committed fig. 2 cell
+   (H = 10, U = 20%) as [results/fig2.csv] renders it. *)
+let test_default_resolution () =
+  check int "Scenario.s_points = the figures'" Perfbench.Figures.s_points Scenario.s_points;
+  let sc = Scenario.of_utilization ~h:10 ~u_through:0.15 ~u_cross:0.05 in
+  let cell k = Telemetry.Csv.cell (Scenario.bound_checked ~scheduler:k sc).Diag.value in
+  check string "bmux" "37.2699" (cell Kind.Bmux);
+  check string "fifo" "37.215" (cell Kind.Fifo);
+  check string "edf ratio 10" "28.5598" (cell (Kind.Edf { cross_over_through = 10. }))
+
 let test_diag_note () =
   check string "converged" "" (Diag.note (Diag.v Diag.Converged));
   check string "diverged" " (diverged)" (Diag.note (Diag.v Diag.Diverged));
@@ -291,4 +302,5 @@ let suite =
     test_case "preflight: CI's seeded matrix" `Quick test_preflight_seeded_matrix;
     test_case "Scenario.bound_checked per kind" `Quick test_bound_checked;
     test_case "Diag.note" `Quick test_diag_note;
+    test_case "default s-grid = the figures'" `Quick test_default_resolution;
   ]

@@ -215,7 +215,7 @@ let test_curve_agrees_with_optimizer () =
       let gamma = 0.7 and sigma = 280. in
       let d_opt = E2e.delay_given p ~gamma ~sigma in
       let (thetas, _x) = E2e.optimal_thetas p ~gamma ~sigma in
-      let d_curve = E2e.delay_via_curve p ~gamma ~sigma ~thetas in
+      let d_curve = E2e.Reference.delay_via_curve p ~gamma ~sigma ~thetas in
       check_float ~tol:1e-6 (Fmt.str "H=%d delta=%a" h Delta.pp delta) d_opt d_curve)
     [
       (1, Delta.Fin 0.);
@@ -229,7 +229,7 @@ let test_curve_agrees_with_optimizer () =
 let test_curve_shape () =
   let p = mk_path ~h:3 ~delta:Delta.Pos_inf in
   let thetas = [| 1.; 2.; 0.5 |] in
-  let s = E2e.network_service_curve p ~gamma:0.5 ~thetas in
+  let s = E2e.Reference.network_service_curve p ~gamma:0.5 ~thetas in
   let module Curve = Minplus.Curve in
   check_float "gated until sum of thetas" 0. (Curve.eval s 3.);
   Alcotest.(check bool) "positive after gate" true (Curve.eval s 4. > 0.);
@@ -368,7 +368,7 @@ let backlog_given p ~gamma ~sigma =
   let backlog_at x =
     let thetas = Array.init (E2e.hop_count p) (E2e.theta_of_x p ~gamma ~sigma ~x) in
     if Array.exists (fun t -> not (Float.is_finite t)) thetas then Float.infinity
-    else Minplus.Deviation.vertical ~arrival ~service:(E2e.network_service_curve p ~gamma ~thetas)
+    else Minplus.Deviation.vertical ~arrival ~service:(E2e.Reference.network_service_curve p ~gamma ~thetas)
   in
   List.fold_left
     (fun acc x -> Float.min acc (backlog_at x))

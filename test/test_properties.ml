@@ -74,7 +74,7 @@ let prop_delay_curve_consistency =
         if not (Float.is_finite d) then true
         else begin
           let (thetas, _) = E2e.optimal_thetas p ~gamma ~sigma in
-          let dc = E2e.delay_via_curve p ~gamma ~sigma ~thetas in
+          let dc = E2e.Reference.delay_via_curve p ~gamma ~sigma ~thetas in
           Float.abs (d -. dc) <= 1e-5 *. (1. +. d)
         end)
 

@@ -181,6 +181,26 @@ let test_single_node_fault_factor () =
   in
   check_float ~tol:1e-6 "single-node degraded factor" 0.7 r.Single.fault_factor
 
+(* Data still queued at the horizon is reported per class, not dropped:
+   an overloaded link with no drain leaves some of every class behind,
+   a drained one leaves nothing. *)
+let test_single_node_censored () =
+  let cut =
+    Single.run { Single.default_config with Single.capacity = 40.; slots = 500; drain_limit = 0 }
+  in
+  Array.iteri
+    (fun j c ->
+      let offered = cut.Single.offered_kb.(j) in
+      Alcotest.(check bool)
+        (Fmt.str "class %d: 0 < censored %g <= offered %g" j c offered)
+        true
+        (c > 0. && c <= offered))
+    cut.Single.censored_kb;
+  let drained = Single.run { Single.default_config with Single.slots = 1500 } in
+  Array.iteri
+    (fun j c -> check_float ~tol:0. (Fmt.str "class %d drained: censored" j) 0. c)
+    drained.Single.censored_kb
+
 (* ---------------- guard tripwires ---------------- *)
 
 let test_stats_tripwires () =
@@ -424,6 +444,7 @@ let suite =
     Alcotest.test_case "degraded run within degraded bound" `Slow
       test_degraded_run_within_degraded_bound;
     Alcotest.test_case "single-node fault factor" `Quick test_single_node_fault_factor;
+    Alcotest.test_case "single-node censored data" `Quick test_single_node_censored;
     Alcotest.test_case "stats NaN tripwires" `Quick test_stats_tripwires;
     Alcotest.test_case "curve NaN tripwires" `Quick test_curve_tripwires;
     Alcotest.test_case "guard helpers" `Quick test_guard_helpers;
