@@ -39,6 +39,63 @@ let analyze ~capacity ~cross ~through ~h ~gamma ~epsilon =
   in
   go through 0 [] 0.
 
+(* [Float.max 0. d], bit for bit, without [Float.max]'s sign-bit probe *)
+let[@inline] fmax0 (d : float) = if d > 0. then d else if d <> d then d else 0.
+
+(* [snd (analyze ...)], fused into one allocation-free pass: no record,
+   list or [Exponential.t] per node, and each node's combined bound
+   computed once where [analyze] combines it again for the departure
+   envelope ([Output.ebb_through_node]).  Every float expression is
+   [analyze]'s, operand for operand and in the same order, and every
+   check it makes raises the same [Invalid_argument] at the same point
+   of the walk, so the result is bit-identical (QCheck-pinned against
+   [analyze], the oracle). *)
+let delay_sum ~capacity ~cross ~through ~h ~gamma ~epsilon =
+  if h <= 0 then invalid_arg "Additive.analyze: non-positive path length";
+  if gamma <= 0. then invalid_arg "Additive.analyze: non-positive gamma";
+  let eps_node = epsilon /. float_of_int h in
+  let service_rate = capacity -. cross.Ebb.rho -. gamma in
+  (* eps_service = geometric_sum (bounding cross) ~gamma *)
+  let cm = cross.Ebb.m and ca = cross.Ebb.alpha in
+  if cm < 0. || cm <> cm then invalid_arg "Exponential.v: negative prefactor";
+  if ca <= 0. || ca <> ca then invalid_arg "Exponential.v: non-positive rate";
+  let es_m = cm /. (1. -. exp (-.ca *. gamma)) in
+  (* the through EBB at the node's input *)
+  let m = ref through.Ebb.m and rho = ref through.Ebb.rho and alpha = ref through.Ebb.alpha in
+  let sum = ref 0. and k = ref 0 and unstable = ref false in
+  while !k < h && not !unstable do
+    if !Telemetry.on then Telemetry.Counter.incr c_node_steps;
+    incr k;
+    (* sample_path_envelope: its bound is geometric_sum (bounding inp) *)
+    let im = !m and ia = !alpha in
+    if im < 0. || im <> im then invalid_arg "Exponential.v: negative prefactor";
+    if ia <= 0. || ia <> ia then invalid_arg "Exponential.v: non-positive rate";
+    let rate = !rho +. gamma in
+    let bm = im /. (1. -. exp (-.ia *. gamma)) in
+    if rate > service_rate then unstable := true
+    else begin
+      (* combine [sp.bound; eps_service], as Exponential.combine folds it *)
+      let w = 0. +. (1. /. ia) +. (1. /. ca) in
+      let log_m =
+        log w +. (0. +. ((log bm +. log ia) /. (ia *. w)) +. ((log es_m +. log ca) /. (ca *. w)))
+      in
+      let c_m = exp log_m and c_a = 1. /. w in
+      (* invert, then the per-node delay *)
+      if eps_node <= 0. then invalid_arg "Exponential.invert: non-positive epsilon";
+      let d = fmax0 (log (c_m /. eps_node) /. c_a) /. service_rate in
+      (* the departure EBB, Ebb.v's checks *)
+      if c_m < 0. then invalid_arg "Ebb.v: negative prefactor";
+      if rate < 0. then invalid_arg "Ebb.v: negative rate";
+      if c_a <= 0. then invalid_arg "Ebb.v: non-positive decay";
+      m := c_m;
+      rho := rate;
+      alpha := c_a;
+      sum := !sum +. d
+    end
+  done;
+  if !unstable then Float.infinity else !sum
+[@@zero_alloc_check]
+
 let gamma_points = 40
 
 let delay_bound ~capacity ~cross ~h ~epsilon through =
@@ -54,7 +111,7 @@ let delay_bound ~capacity ~cross ~h ~epsilon through =
     let lo, hi = E2e.gamma_bracket gmax in
     let r =
       Search.minimize ~points:gamma_points ~lo ~hi (fun gamma ->
-          snd (analyze ~capacity ~cross ~through ~h ~gamma ~epsilon))
+          delay_sum ~capacity ~cross ~through ~h ~gamma ~epsilon)
     in
     Telemetry.Counter.add c_gamma_evals r.Search.evals;
     r.Search.value

@@ -29,6 +29,18 @@ val analyze :
     [epsilon /. h].  Returns [([], infinity)] when some node is unstable
     at this [gamma]. *)
 
+val delay_sum :
+  capacity:float ->
+  cross:Envelope.Ebb.t ->
+  through:Envelope.Ebb.t ->
+  h:int ->
+  gamma:float ->
+  epsilon:float ->
+  float
+(** [snd (analyze ...)] bit for bit, with the same [Invalid_argument]
+    messages, in one allocation-free pass over the nodes: the γ
+    objective of {!delay_bound}.  {!analyze} stays as its oracle. *)
+
 val delay_bound :
   capacity:float ->
   cross:Envelope.Ebb.t ->
@@ -36,8 +48,8 @@ val delay_bound :
   epsilon:float ->
   Envelope.Ebb.t ->
   float
-(** The additive bound minimized over a 40-point [gamma] grid
-    ({!Search.minimize}, no refinement). *)
+(** The additive bound, {!delay_sum}, minimized over a 40-point
+    [gamma] grid ({!Search.minimize}, no refinement). *)
 
 val delay_bound_scenario : ?s_points:int -> Scenario.t -> float
 (** The additive BMUX bound for a paper scenario, optimized over both [s]

@@ -148,6 +148,19 @@ let x_candidates p ~gamma ~sigma =
    s-grid"). *)
 let floor_margin = 1. -. 1e-9
 
+(* The γ range every search over this path probes: (0, gamma_max) pulled
+   in at both ends, since sigma diverges as γ -> 0 and the node margins
+   vanish as γ -> gamma_max.  One definition for every search, so the
+   bracket [delay_bound_floor] certifies is the one [delay_bound]
+   probes. *)
+let gamma_bracket gmax = (gmax *. 1e-6, gmax *. 0.999)
+
+(* The γ search's shape, (grid points, golden-section steps).
+   [delay_points] is the grid [delay_bound_floor] certifies, so it is
+   not a knob. *)
+let delay_points = 40
+let delay_golden = 40
+
 (* --------------------------------------------------------------- *)
 (* The compiled Eq.-38 evaluator                                     *)
 
@@ -208,39 +221,47 @@ let[@inline] fne (a : float) (b : float) =
 [@@lint.allow "float-equal"]
 
 (* The zero-allocation Eq.-38 solver behind [delay_given],
-   [delay_bound] and everything built on them.  [make] flattens the
-   path into plain arrays once; [set] compiles the per-node constants
-   (c_h, margin_h, clipped-∆ case tags) for one (gamma, sigma) and
-   inserts the candidate abscissae, sorted and unique, into a reusable
-   scratch buffer; [delay] takes the objective's minimum over them by
+   [delay_bound] and everything built on them.  [make] allocates the
+   plain arrays for one hop count and [retarget] flattens a path into
+   them, in place; [set] compiles the per-node constants (c_h,
+   margin_h, clipped-∆ case tags) for one (gamma, sigma) and appends
+   the candidate abscissae, in push order, to a reusable scratch
+   buffer; [delay] takes the objective's minimum over them by
    branch-and-bound, dropping a candidate as soon as its partial sum
-   reaches the best complete one.  No allocation and no variant
+   reaches the best complete one.  Only the full fold sorts and
+   dedupes the candidates first.  No allocation and no variant
    matching in the inner loops.  Every float expression mirrors
    [Reference] operation for operation — same operands, same order —
    so all results are bit-identical to [Reference.delay_given]/
    [Reference.sigma_for]/[Reference.optimal_thetas]; the QCheck suite
    pins this bit for bit. *)
 module Batch = struct
+  (* What [sigma_for] reads of the path: every envelope in Eq. (31)/(34)
+     shares the decay [alpha], so one exp and one log alpha serve them
+     all, and what it derives from the combined rate's [w = (stoch + 1)
+     /. alpha], summed as [Exponential.combine] sums it, is
+     gamma-independent.  An all-float record, so [retarget] overwrites
+     it without boxing. *)
+  type consts = {
+    mutable alpha : float;
+    mutable m_thr : float;
+    mutable log_a : float; (* log alpha *)
+    mutable aw : float;    (* alpha *. w *)
+    mutable log_w : float;
+    mutable a_c : float;   (* 1. /. w *)
+  }
+
   type t = {
-    path : path;
+    mutable path : path;
     h : int;
-    (* gamma-independent per-node inputs *)
+    (* gamma-independent per-node inputs, overwritten by [retarget] *)
     cap : float array;
     rho : float array;
     dv : float array;  (* Fin d; 0. for the infinite cases *)
     tag : int array;   (* 0 Neg_inf | 1 Pos_inf | 2 Fin d >= 0 | 3 Fin d < 0 *)
-    (* sigma_for precompute: every envelope in Eq. (31)/(34) shares the
-       decay [alpha], so one exp and one log alpha serve them all *)
-    alpha : float;
-    m_thr : float;
-    log_a : float;     (* log alpha *)
-    stoch_m : float array; (* cross_m of the stochastic nodes, in order *)
-    (* what [sigma_for] derives from the combined rate's [w = (stoch +
-       1) /. alpha], summed as [Exponential.combine] sums it: all
-       gamma-independent *)
-    aw : float;        (* alpha *. w *)
-    log_w : float;
-    a_c : float;       (* 1. /. w *)
+    k : consts;
+    stoch_m : float array; (* cross_m of the stochastic nodes, in order, first [nstoch] *)
+    mutable nstoch : int;
     (* per-(gamma, sigma) compiled state, overwritten by [set] *)
     mutable gamma : float;
     mutable sigma : float;
@@ -250,7 +271,8 @@ module Batch = struct
     s : float array;    (* sigma /. c_h (case 1) or sigma /. margin (cases 2, 3) *)
     case : int array;   (* see [set] *)
     mutable finite : bool; (* sigma and every c, mg, r, dv finite *)
-    cand : float array; (* sorted unique candidate abscissae, first [ncand] *)
+    cand : float array; (* candidate abscissae, first [ncand]: push order
+                           after [set], sorted and unique after [fold_all] *)
     mutable ncand : int;
     (* the candidates a fold carries, first [live]: abscissa, partial
        objective sum, index into [cand] *)
@@ -263,73 +285,101 @@ module Batch = struct
     slack : float;       (* 1 + 4 H epsilon_float, see [delay] *)
   }
 
+  (* Point the batch at [p], a path of the same hop count, as [make p]
+     would, but in place: the per-node inputs and [consts] are
+     overwritten, the compiled state is cleared, and only the warm
+     index carries over — the next search on a neighbouring path starts
+     from the last one's argmin.  A candidate index names the same
+     (node, kind) push on every path whose nodes filter alike, so the
+     warm start mostly still hits. *)
+  let retarget t p =
+    if Array.length p.nodes <> t.h then invalid_arg "E2e.Batch.retarget: hop count differs";
+    t.path <- p;
+    let ns = ref 0 in
+    for i = 0 to t.h - 1 do
+      let nd = p.nodes.(i) in
+      t.cap.(i) <- nd.capacity;
+      t.rho.(i) <- nd.cross_rho;
+      (match nd.delta with
+      | Scheduler.Delta.Neg_inf ->
+        t.tag.(i) <- 0;
+        t.dv.(i) <- 0.
+      | Scheduler.Delta.Pos_inf ->
+        t.tag.(i) <- 1;
+        t.dv.(i) <- 0.
+      | Scheduler.Delta.Fin d when d >= 0. ->
+        t.tag.(i) <- 2;
+        t.dv.(i) <- d
+      | Scheduler.Delta.Fin d ->
+        t.tag.(i) <- 3;
+        t.dv.(i) <- d);
+      (* [stochastic_nodes]' predicate *)
+      if not (Scheduler.Delta.equal nd.delta Scheduler.Delta.Neg_inf) then begin
+        t.stoch_m.(!ns) <- nd.cross_m;
+        incr ns
+      end
+    done;
+    t.nstoch <- !ns;
+    let alpha = p.through.Envelope.Ebb.alpha in
+    let inv_a = 1. /. alpha and w = ref 0. in
+    for _ = 0 to !ns do
+      w := !w +. inv_a
+    done;
+    let k = t.k in
+    k.alpha <- alpha;
+    k.m_thr <- p.through.Envelope.Ebb.m;
+    k.log_a <- log alpha;
+    k.aw <- alpha *. !w;
+    k.log_w <- log !w;
+    k.a_c <- 1. /. !w;
+    t.gamma <- Float.nan;
+    t.sigma <- Float.nan;
+    t.finite <- false;
+    t.ncand <- 0
+  [@@zero_alloc_check]
+
   let make p =
     let h = hop_count p in
-    let cap = Array.make h 0. and rho = Array.make h 0. and dv = Array.make h 0. in
-    let tag = Array.make h 0 in
-    for i = 0 to h - 1 do
-      let nd = p.nodes.(i) in
-      cap.(i) <- nd.capacity;
-      rho.(i) <- nd.cross_rho;
-      match nd.delta with
-      | Scheduler.Delta.Neg_inf -> tag.(i) <- 0
-      | Scheduler.Delta.Pos_inf -> tag.(i) <- 1
-      | Scheduler.Delta.Fin d when d >= 0. ->
-        tag.(i) <- 2;
-        dv.(i) <- d
-      | Scheduler.Delta.Fin d ->
-        tag.(i) <- 3;
-        dv.(i) <- d
-    done;
-    let alpha = p.through.Envelope.Ebb.alpha in
-    let stoch_m =
-      let buf = ref [] in
-      for i = h - 1 downto 0 do
-        let nd = p.nodes.(i) in
-        if not (Scheduler.Delta.equal nd.delta Scheduler.Delta.Neg_inf) then
-          buf := nd.cross_m :: !buf
-      done;
-      Array.of_list !buf
+    let t =
+      {
+        path = p;
+        h;
+        cap = Array.make h 0.;
+        rho = Array.make h 0.;
+        dv = Array.make h 0.;
+        tag = Array.make h 0;
+        k =
+          {
+            alpha = Float.nan;
+            m_thr = Float.nan;
+            log_a = Float.nan;
+            aw = Float.nan;
+            log_w = Float.nan;
+            a_c = Float.nan;
+          };
+        stoch_m = Array.make h 0.;
+        nstoch = 0;
+        gamma = Float.nan;
+        sigma = Float.nan;
+        c = Array.make h 0.;
+        mg = Array.make h 0.;
+        r = Array.make h 0.;
+        s = Array.make h 0.;
+        case = Array.make h 0;
+        finite = false;
+        cand = Array.make ((3 * h) + 1) 0.;
+        ncand = 0;
+        ax = Array.make ((3 * h) + 1) 0.;
+        acc = Array.make ((3 * h) + 1) 0.;
+        ai = Array.make ((3 * h) + 1) 0;
+        live = 0;
+        bound = [| Float.nan |];
+        warm = max_int;
+        slack = 1. +. (4. *. float_of_int h *. epsilon_float);
+      }
     in
-    let w =
-      let inv_a = 1. /. alpha and w = ref 0. in
-      for _ = 0 to Array.length stoch_m do
-        w := !w +. inv_a
-      done;
-      !w
-    in
-    {
-      path = p;
-      h;
-      cap;
-      rho;
-      dv;
-      tag;
-      alpha;
-      m_thr = p.through.Envelope.Ebb.m;
-      log_a = log alpha;
-      stoch_m;
-      aw = alpha *. w;
-      log_w = log w;
-      a_c = 1. /. w;
-      gamma = Float.nan;
-      sigma = Float.nan;
-      c = Array.make h 0.;
-      mg = Array.make h 0.;
-      r = Array.make h 0.;
-      s = Array.make h 0.;
-      case = Array.make h 0;
-      finite = false;
-      cand = Array.make ((3 * h) + 1) 0.;
-      ncand = 0;
-      ax = Array.make ((3 * h) + 1) 0.;
-      acc = Array.make ((3 * h) + 1) 0.;
-      ai = Array.make ((3 * h) + 1) 0;
-      live = 0;
-      bound = [| Float.nan |];
-      warm = max_int;
-      slack = 1. +. (4. *. float_of_int h *. epsilon_float);
-    }
+    retarget t p;
+    t
 
   (* [sigma_for] with the shared-decay algebra folded out: the reference
      builds (stoch + 1) Exponential.t records through [geometric_sum] and
@@ -340,27 +390,29 @@ module Batch = struct
      the node's [cross_m] alone (and on whether it is the last
      stochastic node), so each is cached against the previous node —
      homogeneous paths pay two.  Each remaining float op replicates the
-     reference expression exactly; reads only immutable fields, so one
-     batch may serve [sigma_for] from several domains concurrently. *)
+     reference expression exactly.  Writes nothing, so one batch may
+     serve [sigma_for] from several domains at once while none of them
+     retargets it. *)
   let sigma_for t ~gamma ~epsilon =
+    let k = t.k in
     if gamma <= 0. then invalid_arg "E2e.total_bound: non-positive gamma";
-    if t.m_thr < 0. || t.m_thr <> t.m_thr then
+    if k.m_thr < 0. || k.m_thr <> k.m_thr then
       invalid_arg "Exponential.v: negative prefactor";
-    if t.alpha <= 0. || t.alpha <> t.alpha then
+    if k.alpha <= 0. || k.alpha <> k.alpha then
       invalid_arg "Exponential.v: non-positive rate";
-    let q = exp (-.t.alpha *. gamma) in
+    let q = exp (-.k.alpha *. gamma) in
     let omq = 1. -. q in
-    let m_g = t.m_thr /. omq in
-    let n = Array.length t.stoch_m in
+    let m_g = k.m_thr /. omq in
+    let n = t.nstoch in
     if n = 0 then begin
       (* combine [eps_g] = eps_g *)
       if epsilon <= 0. then invalid_arg "Exponential.invert: non-positive epsilon";
-      fmax0 (log (m_g /. epsilon) /. t.alpha)
+      fmax0 (log (m_g /. epsilon) /. k.alpha)
     end
     else begin
-      let aw = t.aw in
+      let aw = k.aw in
       let acc = ref 0. in
-      acc := !acc +. ((log m_g +. t.log_a) /. aw);
+      acc := !acc +. ((log m_g +. k.log_a) /. aw);
       let last_m = ref Float.nan and last_term = ref 0. in
       for i = 0 to n - 1 do
         let cm = t.stoch_m.(i) in
@@ -372,10 +424,10 @@ module Batch = struct
            m_i = -0. or +0. and log(-0.) = log(+0.) = -inf, so a hit
            returns exactly what the recompute would. *)
         let term =
-          if i = n - 1 then (log (cm /. omq) +. t.log_a) /. aw
+          if i = n - 1 then (log (cm /. omq) +. k.log_a) /. aw
           else if cm = !last_m then !last_term
           else begin
-            let v = (log (cm /. omq /. omq) +. t.log_a) /. aw in
+            let v = (log (cm /. omq /. omq) +. k.log_a) /. aw in
             last_m := cm;
             last_term := v;
             v
@@ -383,10 +435,10 @@ module Batch = struct
         in
         acc := !acc +. term
       done;
-      let log_m = t.log_w +. !acc in
+      let log_m = k.log_w +. !acc in
       let m_c = exp log_m in
       if epsilon <= 0. then invalid_arg "Exponential.invert: non-positive epsilon";
-      fmax0 (log (m_c /. epsilon) /. t.a_c)
+      fmax0 (log (m_c /. epsilon) /. k.a_c)
     end
   [@@zero_alloc_check]
 
@@ -394,8 +446,8 @@ module Batch = struct
      prefix [cand.(0 .. ncand - 1)] unless it is already there.  The
      last entry is checked first: [set] pushes each node's candidates
      in ascending order, and on homogeneous paths every kind of
-     candidate grows with the node index, so most pushes append or
-     repeat the last entry.  Anything else is placed by a binary search
+     candidate grows with the node index, so most push-order entries
+     append or repeat the last one.  Anything else is placed by a binary search
      for the first entry not below it in the [fgt] order and a one-slot
      shift of the tail.  The prefix equals List.sort_uniq Float.compare
      on the same multiset, up to the signed zeros (see [fgt]).  Staging
@@ -423,14 +475,36 @@ module Batch = struct
     end
   [@@zero_alloc_check]
 
+  (* Sort and dedupe the push-order candidates in place, into the
+     sorted unique set [x_candidates] returns (up to the signed zeros):
+     each entry is staged just past the prefix built so far, which
+     never reaches an entry not yet read.  A set already sorted costs
+     one compare per entry. *)
+  let sort_candidates t =
+    let n = t.ncand in
+    if n > 1 then begin
+      t.ncand <- 1;
+      for j = 1 to n - 1 do
+        t.cand.(t.ncand) <- t.cand.(j);
+        insert_staged t
+      done
+    end
+  [@@zero_alloc_check]
+
   (* A candidate abscissa, kept if finite and >= 0. — the filter of
-     [x_candidates].  [x -. x = 0.] is [Float.is_finite] inlined (a
-     cross-module call otherwise): NaN and the infinities fail it
-     bit-exactly. *)
+     [x_candidates] — and appended unless it repeats the last entry.
+     [x -. x = 0.] is [Float.is_finite] inlined (a cross-module call
+     otherwise): NaN and the infinities fail it bit-exactly.  The
+     pruned [delay] takes a minimum over positive floats, which neither
+     the order nor a repeat can move, so the set stays unsorted until a
+     full fold needs the reference's order. *)
   let[@inline] push t x =
     if ((x -. x = 0.) [@lint.allow "float-equal"]) && x >= 0. then begin
-      t.cand.(t.ncand) <- x;
-      insert_staged t
+      let n = t.ncand in
+      if fne x t.cand.(n - 1) then begin
+        t.cand.(n) <- x;
+        t.ncand <- n + 1
+      end
     end
 
   (* case tags compiled by [set]:
@@ -446,7 +520,8 @@ module Batch = struct
     t.gamma <- gamma;
     t.sigma <- sigma;
     (* candidate set: 0. first, then per node in index order — the
-       same pushes, filters and float expressions as [x_candidates] *)
+       same pushes, filters and float expressions as [x_candidates],
+       left in push order *)
     t.cand.(0) <- 0.;
     t.ncand <- 1;
     (* [z -. z] is 0. for finite [z] and NaN otherwise, so [fin] stays
@@ -565,11 +640,14 @@ module Batch = struct
 
   (* The objective at every candidate, into [acc] (in candidate order:
      nothing is dropped under a NaN bound), and its minimum by the
-     [fmin1] fold in candidate order.  Each accumulator starts at its
-     candidate and receives the thetas in node order, so every sum, and
-     hence the minimum, is bit-identical to the reference's
-     candidate-major [objective] (QCheck-pinned). *)
+     [fmin1] fold in candidate order.  The candidates are sorted and
+     deduplicated first, so that order, and with it the signed zero and
+     the NaN the fold returns, is the reference's.  Each accumulator
+     starts at its candidate and receives the thetas in node order, so
+     every sum, and hence the minimum, is bit-identical to the
+     reference's candidate-major [objective] (QCheck-pinned). *)
   let fold_all t =
+    sort_candidates t;
     let n = t.ncand in
     for j = 0 to n - 1 do
       let x = t.cand.(j) in
@@ -590,8 +668,9 @@ module Batch = struct
 
   (* The Eq.-38 minimum by branch-and-bound, in three node-major
      passes.  (1) The warm candidate — the last call's argmin, or the
-     second-largest candidate on a fresh batch, where the minimum
-     mostly sits — folds in full; its objective is the bound [best].
+     next-to-last pushed one on a fresh batch (the second-largest on
+     the paper's paths, where the minimum mostly sits) — folds in full;
+     its objective is the bound [best].
      (2) Every other candidate with X < [best] folds in reverse node
      order, where the largest thetas (the slowest nodes, on the paper's
      paths) come first, and is dropped once its partial sum reaches
@@ -616,7 +695,8 @@ module Batch = struct
      rounding is not relative, or [best *. slack] overflows.  Each
      candidate left after pass 3 has its sum formed in node order, as
      in the reference, and equal positive floats have equal bits, so
-     the minimum's bits are the full fold's.  Two cases take the full
+     the minimum's bits are the full fold's, whatever the order of the
+     candidates and however often one repeats.  Two cases take the full
      fold, which orders signed zeros and propagates NaN exactly as
      [fmin1] does: a non-finite constant (a NaN sigma, or an infinite
      cross rate, where a theta can be NaN at some candidates only), and
@@ -739,6 +819,46 @@ module Batch = struct
       out.(i) <- delay_at_gamma t ~gamma:gammas.(i) ~epsilon
     done
   [@@zero_alloc_check]
+
+  (* One interval floor of the γ search, counted *)
+  let search_floor t ~epsilon a b =
+    if !Telemetry.on then Telemetry.Counter.incr c_gamma_floors;
+    interval_floor t ~epsilon ~a ~b
+
+  let delay_bound t ~epsilon =
+    if epsilon <= 0. || epsilon >= 1. then invalid_arg "E2e.delay_bound: epsilon out of range";
+    let gmax = gamma_max t.path in
+    if gmax <= 0. then Float.infinity
+    else
+      Telemetry.span "e2e.gamma_search"
+        ~attrs:[ ("h", Telemetry.Int t.h); ("points", Telemetry.Int delay_points) ]
+      @@ fun () ->
+      let lo, hi = gamma_bracket gmax in
+      let r =
+        Search.minimize ~floor:(Search.Interval (search_floor t ~epsilon))
+          ~refine:(Search.Golden delay_golden) ~points:delay_points ~lo ~hi (fun gamma ->
+            delay_at_gamma t ~gamma ~epsilon)
+      in
+      Telemetry.Counter.add c_gamma_evals r.Search.evals;
+      r.Search.value
+
+  (* A lower bound on [delay_bound t ~epsilon]: every value [delay_bound]
+     returns is the Eq.-38 minimum at some probe γ in [lo, top] — the
+     bracket, stretched to the top γ-grid point when rounding lands it
+     past [hi] — so the interval floor over [lo, top] bounds it.  An
+     overloaded path ([gamma_max <= 0]) gets [infinity], as [delay_bound]
+     returns. *)
+  let delay_bound_floor t ~epsilon =
+    if epsilon <= 0. || epsilon >= 1. then
+      invalid_arg "E2e.delay_bound_floor: epsilon out of range";
+    let gmax = gamma_max t.path in
+    if gmax <= 0. then Float.infinity
+    else begin
+      let lo, hi = gamma_bracket gmax in
+      let ratio = Search.grid_ratio ~points:delay_points ~lo ~hi in
+      let top = Float.max hi (Search.last_point ~lo ~ratio ~points:delay_points) in
+      interval_floor t ~epsilon ~a:lo ~b:top
+    end
 end
 
 (* The list-based solver, retained verbatim: the oracle for the QCheck
@@ -834,13 +954,6 @@ let optimal_thetas p ~gamma ~sigma =
   Batch.set b ~gamma ~sigma;
   Batch.optimal_thetas b
 
-(* The γ range every search over this path probes: (0, gamma_max) pulled
-   in at both ends, since sigma diverges as γ -> 0 and the node margins
-   vanish as γ -> gamma_max.  One definition for every search, so the
-   bracket [delay_bound_floor] certifies is the one [delay_bound]
-   probes. *)
-let gamma_bracket gmax = (gmax *. 1e-6, gmax *. 0.999)
-
 (* The backlog bound is sigma at the top of the γ bracket.  At θ = 0
    every node of the Eq.-30 curve serves from time 0 at rate at least
    C - Hγ - ρ_c > ρ + γ (γ < gamma_max, Eq. 32), so the vertical deviation of
@@ -852,54 +965,8 @@ let backlog_bound ~epsilon p =
   let gmax = gamma_max p in
   if gmax <= 0. then Float.infinity else sigma_for p ~gamma:(snd (gamma_bracket gmax)) ~epsilon
 
-(* The γ search's shape, (grid points, golden-section steps).
-   [delay_points] is the grid [delay_bound_floor] certifies, so it is
-   not a knob. *)
-let delay_points = 40
-let delay_golden = 40
-
-(* One interval floor through [batch], counted *)
-let batch_floor batch ~epsilon a b =
-  if !Telemetry.on then Telemetry.Counter.incr c_gamma_floors;
-  Batch.interval_floor batch ~epsilon ~a ~b
-
-let delay_bound ~epsilon p =
-  if epsilon <= 0. || epsilon >= 1. then invalid_arg "E2e.delay_bound: epsilon out of range";
-  let gmax = gamma_max p in
-  if gmax <= 0. then Float.infinity
-  else
-    Telemetry.span "e2e.gamma_search"
-      ~attrs:[ ("h", Telemetry.Int (hop_count p)); ("points", Telemetry.Int delay_points) ]
-    @@ fun () ->
-  begin
-    let lo, hi = gamma_bracket gmax in
-    let batch = Batch.make p in
-    let r =
-      Search.minimize ~floor:(Search.Interval (batch_floor batch ~epsilon))
-        ~refine:(Search.Golden delay_golden) ~points:delay_points ~lo ~hi (fun gamma ->
-          Batch.delay_at_gamma batch ~gamma ~epsilon)
-    in
-    Telemetry.Counter.add c_gamma_evals r.Search.evals;
-    r.Search.value
-  end
-
-(* A lower bound on [delay_bound ~epsilon p]: every value [delay_bound]
-   returns is the Eq.-38 minimum at some probe γ in [lo, top] — the
-   bracket, stretched to the top γ-grid point when rounding lands it
-   past [hi] — so the interval floor over [lo, top] bounds it.  An
-   overloaded path ([gamma_max <= 0]) gets [infinity], as [delay_bound]
-   returns. *)
-let delay_bound_floor ~epsilon p =
-  if epsilon <= 0. || epsilon >= 1. then
-    invalid_arg "E2e.delay_bound_floor: epsilon out of range";
-  let gmax = gamma_max p in
-  if gmax <= 0. then Float.infinity
-  else begin
-    let lo, hi = gamma_bracket gmax in
-    let ratio = Search.grid_ratio ~points:delay_points ~lo ~hi in
-    let top = Float.max hi (Search.last_point ~lo ~ratio ~points:delay_points) in
-    Batch.interval_floor (Batch.make p) ~epsilon ~a:lo ~b:top
-  end
+let delay_bound ~epsilon p = Batch.delay_bound (Batch.make p) ~epsilon
+let delay_bound_floor ~epsilon p = Batch.delay_bound_floor (Batch.make p) ~epsilon
 
 (* --------------------------------------------------------------- *)
 (* Closed forms and the paper's explicit K-procedure                 *)

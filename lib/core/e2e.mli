@@ -61,14 +61,18 @@ val theta_of_x : path -> gamma:float -> sigma:float -> x:float -> int -> float
 
 (** The compiled zero-allocation Eq.-38 evaluator.
 
-    [make] flattens a path into plain float/int arrays once; [set]
-    compiles the per-node constants ([c_h], [margin_h], clipped-∆ case
-    tags, and only the division each case reads) for one
-    [(gamma, sigma)] and inserts the candidate abscissae, sorted and
-    deduplicated as they arrive, into a reusable scratch buffer.
-    [delay] then takes the minimum by branch-and-bound over the
-    candidates, node-major (one case dispatch per node, not per pair):
-    the last call's argmin (the warm start) folds in full; every other
+    [make] allocates plain float/int arrays for one hop count and
+    flattens a path into them; [retarget] flattens another path of the
+    same hop count into the same arrays.  [set] compiles the per-node
+    constants ([c_h], [margin_h], clipped-∆ case tags, and only the
+    division each case reads) for one [(gamma, sigma)] and appends the
+    candidate abscissae, in push order, to a reusable scratch buffer,
+    dropping a candidate equal to the one before it.  They are sorted
+    and deduplicated only when the full fold ([optimal_thetas], and
+    [delay]'s fallbacks) needs the reference's order.  [delay] takes
+    the minimum by branch-and-bound over the candidates, node-major
+    (one case dispatch per node, not per pair): the last call's argmin
+    (the warm start, kept across [retarget]) folds in full; every other
     candidate folds in reverse node order and is dropped once its
     partial sum reaches that objective times [1 + 4 H epsilon_float];
     the few survivors fold again in node order, dropped once they reach
@@ -78,26 +82,38 @@ val theta_of_x : path -> gamma:float -> sigma:float -> x:float -> int -> float
     finite, each theta is [>= 0.] or [+inf], so rounded partial sums
     never fall, and the slack bounds the rounding between the two
     summation orders; a dropped candidate therefore cannot undercut the
-    minimum.  Every candidate that can hold it is summed in node order,
-    exactly as the reference does.  A non-finite constant (NaN sigma,
-    an infinite cross rate) or an objective that is not [> 0.] (sigma
-    [= +-0.]) takes the full fold instead.  Every float expression
-    mirrors {!Reference} operation for operation, so results are
-    {b bit-identical} to {!Reference.delay_given},
-    {!Reference.sigma_for} and {!Reference.optimal_thetas} (pinned by
-    QCheck on random, long and figures-shaped paths, over search-ordered
-    and shuffled γ sequences).  The [e2e.eq38.node_steps] counter
-    records the (candidate, node) pairs actually folded;
-    [e2e.eq38.objective_evals] keeps counting candidates.
+    minimum, and a minimum over positive floats depends neither on the
+    candidates' order nor on repeats.  Every candidate that can hold it
+    is summed in node order, exactly as the reference does.  A
+    non-finite constant (NaN sigma, an infinite cross rate) or an
+    objective that is not [> 0.] (sigma [= +-0.]) takes the full fold
+    instead.  Every float expression mirrors {!Reference} operation for
+    operation, so results are {b bit-identical} to
+    {!Reference.delay_given}, {!Reference.sigma_for} and
+    {!Reference.optimal_thetas} (pinned by QCheck on random, long and
+    figures-shaped paths, over search-ordered and shuffled γ sequences,
+    and across [retarget]s).  The [e2e.eq38.node_steps] counter records
+    the (candidate, node) pairs actually folded;
+    [e2e.eq38.objective_evals] keeps counting candidates (on the
+    pruned fold, the pushes kept; on the figures' paths no push repeats
+    an earlier one, so that is the sorted set's size).
 
-    Concurrency: [set]/[delay]/[optimal_thetas] mutate the batch, so a
-    batch must be driven from one domain at a time (build one per
-    worker); {!Batch.sigma_for} only reads immutable state and may be
-    shared across domains. *)
+    Concurrency: [retarget]/[set]/[delay]/[optimal_thetas] mutate the
+    batch, so a batch must be driven from one domain at a time (build
+    one per worker).  {!Batch.sigma_for} writes nothing, but it reads
+    what [retarget] writes: several domains may share it only while
+    none of them retargets the batch. *)
 module Batch : sig
   type t
 
   val make : path -> t
+
+  val retarget : t -> path -> unit
+  (** [retarget b p] makes [b] evaluate [p] as [make p] would, bit for
+      bit, in place and without allocating; only the warm start carries
+      over.  The compiled state is cleared, so [set] must follow before
+      [delay] or [optimal_thetas].
+      @raise Invalid_argument if [p]'s hop count is not [b]'s. *)
 
   val sigma_for : t -> gamma:float -> epsilon:float -> float
   (** {!sigma_for} with the shared-decay geometric sums folded into one
@@ -131,6 +147,13 @@ module Batch : sig
   (** One γ-row at a fixed [epsilon]: [out.(i)] receives
       [delay_at_gamma] at [gammas.(i)].  Allocation-free.
       @raise Invalid_argument if [out] is shorter than [gammas]. *)
+
+  val delay_bound : t -> epsilon:float -> float
+  (** {!E2e.delay_bound} of the batch's path: the γ search, every
+      probe and floor through this batch. *)
+
+  val delay_bound_floor : t -> epsilon:float -> float
+  (** {!E2e.delay_bound_floor} of the batch's path, through this batch. *)
 end
 
 (** Test oracles, used by no bound: the list-based solver, retained
@@ -186,11 +209,13 @@ val optimal_thetas : path -> gamma:float -> sigma:float -> float array * float
 val delay_bound : epsilon:float -> path -> float
 (** End-to-end delay bound with numerical optimization over [gamma], as
     prescribed by the paper: {!Search.minimize} with a 40-point grid
-    and 40 golden-section steps, all through one compiled {!Batch},
-    the grid pruned by {!Batch.interval_floor} (an [Interval] floor):
-    64 [delay_at_gamma] evaluations and 9 floors on the Fig.-2 path the
-    tests pin, where the floorless search takes 93, with the same result
-    bit for bit.
+    and 40 golden-section steps, all through one freshly compiled
+    {!Batch} ({!Batch.delay_bound}), the grid pruned by
+    {!Batch.interval_floor} (an [Interval] floor).  On the path the
+    tests pin (Fig. 2, H = 10, U = 50%, FIFO, s at 30% of its stable
+    range) that is 64 [delay_at_gamma] evaluations (11 grid points and
+    53 golden probes) and 9 floors, where the floorless search takes
+    93, with the same result bit for bit.
     [infinity] when the path is overloaded. *)
 
 val gamma_bracket : float -> float * float
@@ -206,6 +231,7 @@ val delay_bound_floor : epsilon:float -> path -> float
     [neg_infinity] — certifying nothing — when σ is non-finite at either
     end of the bracket or the evaluation is NaN.  Never NaN.  Lets the
     s-grid of {!Scenario} skip points that cannot hold its minimum.
+    Through a fresh {!Batch} ({!Batch.delay_bound_floor}).
     @raise Invalid_argument unless [0 < epsilon < 1]. *)
 
 (** {1 Closed forms and the paper's explicit procedure}

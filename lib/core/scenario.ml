@@ -113,18 +113,19 @@ let s_points = 16
 let refine_points = 12
 
 (* Minimize [exact s] over the stable range of the effective-bandwidth
-   parameter: a log grid, then a 12-point log grid one grid ratio either
-   side of its first-index argmin, each pruned by [floor] when given.
-   Returns the minimum with a typed diagnostic: [Unstable] when no stable
-   [s] exists (or every grid point is infeasible in gamma), [Non_finite]
-   when a NaN leaks out of the inner optimization.  [iterations] counts
-   the grid points (evaluated or pruned), so it does not depend on the
-   pruning; the [scenario.s_grid.evals] / [.pruned] counters split it. *)
-let minimize_over_s_checked ?floor ~s_points t exact =
+   parameter, [(0, s_max)] as [s_stable_max] gives it: a log grid, then
+   a 12-point log grid one grid ratio either side of its first-index
+   argmin, each pruned by [floor] when given.  Returns the minimum with
+   a typed diagnostic: [Unstable] when no stable [s] exists (or every
+   grid point is infeasible in gamma), [Non_finite] when a NaN leaks
+   out of the inner optimization.  [iterations] counts the grid points
+   (evaluated or pruned), so it does not depend on the pruning; the
+   [scenario.s_grid.evals] / [.pruned] counters split it. *)
+let minimize_below ?floor ~s_points ~s_max t exact =
   Telemetry.span "scenario.s_grid"
     ~attrs:[ ("h", Telemetry.Int t.h); ("s_points", Telemetry.Int s_points) ]
   @@ fun () ->
-  match s_stable_max t with
+  match s_max with
   | None -> Diag.outcome Diag.Unstable Float.infinity
   | Some s_max ->
     let lo, hi = s_bracket s_max in
@@ -149,15 +150,34 @@ let minimize_over_s_checked ?floor ~s_points t exact =
         ];
     Diag.outcome ~iterations:points status r.Search.value
 
-let delay_bound_checked ?(s_points = s_points) ~scheduler t =
+(* The delay s-grid below [s_max].  Every floor and every γ search runs
+   through one batch, compiled for the first path and retargeted to
+   each later one, so the grid allocates one batch and each search
+   starts from the last one's argmin. *)
+let delay_bound_below ~s_points ~s_max ~scheduler t =
   let delta = Scheduler.Classes.delta_through_cross scheduler in
-  minimize_over_s_checked ~s_points t
-    ~floor:(Search.Point (fun s -> E2e.delay_bound_floor ~epsilon:t.epsilon (path_at t ~s ~delta)))
-    (fun s -> E2e.delay_bound ~epsilon:t.epsilon (path_at t ~s ~delta))
+  let batch = ref None in
+  let at s =
+    let p = path_at t ~s ~delta in
+    match !batch with
+    | Some b ->
+      E2e.Batch.retarget b p;
+      b
+    | None ->
+      let b = E2e.Batch.make p in
+      batch := Some b;
+      b
+  in
+  minimize_below ~s_points ~s_max t
+    ~floor:(Search.Point (fun s -> E2e.Batch.delay_bound_floor (at s) ~epsilon:t.epsilon))
+    (fun s -> E2e.Batch.delay_bound (at s) ~epsilon:t.epsilon)
+
+let delay_bound_checked ?(s_points = s_points) ~scheduler t =
+  delay_bound_below ~s_points ~s_max:(s_stable_max t) ~scheduler t
 
 let backlog_bound_checked ?(s_points = s_points) ~scheduler t =
   let delta = Scheduler.Classes.delta_through_cross scheduler in
-  minimize_over_s_checked ~s_points t (fun s ->
+  minimize_below ~s_points ~s_max:(s_stable_max t) t (fun s ->
       E2e.backlog_bound ~epsilon:t.epsilon (path_at t ~s ~delta))
 
 let delay_bound ?s_points ~scheduler t =
@@ -186,11 +206,14 @@ let delay_bound_edf_checked ?(s_points = s_points) ?(max_iter = 60) ~spec t =
     let d_through = bound /. hf in
     { bound; d_through; d_cross = spec.cross_over_through *. d_through; iterations }
   in
+  (* one stability bisection for the seed and every iterate: the EDF
+     gap does not move [s_stable_max] *)
+  let s_max = s_stable_max t in
+  let search ~scheduler = (delay_bound_below ~s_points ~s_max ~scheduler t).Diag.value in
   let bound_for d =
-    delay_bound ~s_points t
-      ~scheduler:(Scheduler.Kind.edf_gap ~d_through:(d /. hf) ~ratio:spec.cross_over_through)
+    search ~scheduler:(Scheduler.Kind.edf_gap ~d_through:(d /. hf) ~ratio:spec.cross_over_through)
   in
-  let seed = delay_bound ~s_points t ~scheduler:Scheduler.Classes.Fifo in
+  let seed = search ~scheduler:Scheduler.Classes.Fifo in
   if Float.is_nan seed then
     Diag.outcome Diag.Non_finite
       { bound = Float.nan; d_through = Float.nan; d_cross = Float.nan; iterations = 0 }

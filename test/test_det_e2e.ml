@@ -126,7 +126,7 @@ let test_bounds_dominate_simulation () =
   let forwarding = 2. in
   List.iter
     (fun sched ->
-      let bound = Scenario.delay_bound ~s_points:16 ~scheduler:sched sc in
+      let bound = Scenario.delay_bound ~s_points:Scenario.s_points ~scheduler:sched sc in
       let r = Tandem.run (sim_config sched) in
       let q = Tandem.delay_quantile r 0.999 in
       Alcotest.(check bool)
@@ -146,7 +146,7 @@ let test_backlog_bound_dominates_simulation () =
     }
   in
   let bound =
-    (Scenario.backlog_bound_checked ~s_points:16 ~scheduler:Classes.Fifo sc).Deltanet.Diag.value
+    (Scenario.backlog_bound_checked ~s_points:Scenario.s_points ~scheduler:Classes.Fifo sc).Deltanet.Diag.value
   in
   let r =
     Tandem.run

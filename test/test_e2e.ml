@@ -257,7 +257,7 @@ let test_scenario_flow_counts () =
 
 let test_scenario_fifo_between_sp_and_bmux () =
   let sc = Scenario.of_utilization ~h:3 ~u_through:0.15 ~u_cross:0.3 in
-  let d s = Scenario.delay_bound ~s_points:16 ~scheduler:s sc in
+  let d s = Scenario.delay_bound ~s_points:Scenario.s_points ~scheduler:s sc in
   let sp = d Classes.Sp_through_high in
   let fifo = d Classes.Fifo in
   let bmux = d Classes.Bmux in
@@ -268,7 +268,7 @@ let test_scenario_fifo_between_sp_and_bmux () =
 
 let test_scenario_increasing_in_utilization () =
   let d u =
-    Scenario.delay_bound ~s_points:16 ~scheduler:Classes.Fifo
+    Scenario.delay_bound ~s_points:Scenario.s_points ~scheduler:Classes.Fifo
       (Scenario.of_utilization ~h:3 ~u_through:0.15 ~u_cross:(u -. 0.15))
   in
   let d30 = d 0.30 and d60 = d 0.60 and d90 = d 0.90 in
@@ -277,17 +277,17 @@ let test_scenario_increasing_in_utilization () =
 let test_scenario_edf_fixed_point () =
   let sc = Scenario.of_utilization ~h:5 ~u_through:0.15 ~u_cross:0.35 in
   let r =
-    (Scenario.delay_bound_edf_checked ~s_points:16 sc
+    (Scenario.delay_bound_edf_checked ~s_points:Scenario.s_points sc
        ~spec:{ Scenario.cross_over_through = 10. })
       .Deltanet.Diag.value
   in
-  let fifo = Scenario.delay_bound ~s_points:16 ~scheduler:Classes.Fifo sc in
+  let fifo = Scenario.delay_bound ~s_points:Scenario.s_points ~scheduler:Classes.Fifo sc in
   Alcotest.(check bool) (Fmt.str "EDF %g < FIFO %g" r.Scenario.bound fifo) true
     (r.Scenario.bound < fifo);
   (* self-consistency of the fixed point: recomputing at the returned gap
      reproduces the bound *)
   let gap = r.Scenario.d_through -. r.Scenario.d_cross in
-  let again = Scenario.delay_bound ~s_points:16 ~scheduler:(Classes.Edf_gap gap) sc in
+  let again = Scenario.delay_bound ~s_points:Scenario.s_points ~scheduler:(Classes.Edf_gap gap) sc in
   check_float ~tol:1e-3 "fixed point" r.Scenario.bound again
 
 let test_scenario_edf_tight_deadlines_above_fifo () =
@@ -295,12 +295,12 @@ let test_scenario_edf_tight_deadlines_above_fifo () =
      below BMUX. *)
   let sc = Scenario.of_utilization ~h:2 ~u_through:0.15 ~u_cross:0.35 in
   let r =
-    (Scenario.delay_bound_edf_checked ~s_points:16 sc
+    (Scenario.delay_bound_edf_checked ~s_points:Scenario.s_points sc
        ~spec:{ Scenario.cross_over_through = 0.5 })
       .Deltanet.Diag.value
   in
-  let fifo = Scenario.delay_bound ~s_points:16 ~scheduler:Classes.Fifo sc in
-  let bmux = Scenario.delay_bound ~s_points:16 ~scheduler:Classes.Bmux sc in
+  let fifo = Scenario.delay_bound ~s_points:Scenario.s_points ~scheduler:Classes.Fifo sc in
+  let bmux = Scenario.delay_bound ~s_points:Scenario.s_points ~scheduler:Classes.Bmux sc in
   Alcotest.(check bool)
     (Fmt.str "FIFO %g <= EDF-tight %g <= BMUX %g" fifo r.Scenario.bound bmux)
     true
@@ -310,7 +310,7 @@ let test_scenario_backlog () =
   (* the backlog bound reads ∆ only at ∆ = -∞: FIFO and BMUX agree bit
      for bit, and SP (cross traffic never ahead) is lower *)
   let sc = Scenario.of_utilization ~h:3 ~u_through:0.15 ~u_cross:0.35 in
-  let b scheduler = (Scenario.backlog_bound_checked ~s_points:16 ~scheduler sc).Deltanet.Diag.value in
+  let b scheduler = (Scenario.backlog_bound_checked ~s_points:Scenario.s_points ~scheduler sc).Deltanet.Diag.value in
   let b_fifo = b Classes.Fifo and b_bmux = b Classes.Bmux and b_sp = b Classes.Sp_through_high in
   Alcotest.(check bool) (Fmt.str "finite backlog %g" b_fifo) true (Float.is_finite b_fifo);
   Alcotest.(check int64) "fifo = bmux bit for bit" (Int64.bits_of_float b_fifo)
@@ -676,8 +676,8 @@ let test_additive_dominates_network_bound () =
   List.iter
     (fun h ->
       let sc = Scenario.of_utilization ~h ~u_through:0.25 ~u_cross:0.25 in
-      let net = Scenario.delay_bound ~s_points:16 ~scheduler:Classes.Bmux sc in
-      let add = Additive.delay_bound_scenario ~s_points:16 sc in
+      let net = Scenario.delay_bound ~s_points:Scenario.s_points ~scheduler:Classes.Bmux sc in
+      let add = Additive.delay_bound_scenario ~s_points:Scenario.s_points sc in
       Alcotest.(check bool)
         (Fmt.str "H=%d: additive %g >= network %g" h add net)
         true
@@ -688,8 +688,8 @@ let test_additive_superlinear_growth () =
   (* Ratio additive/network must grow with H (Fig. 4's message). *)
   let ratio h =
     let sc = Scenario.of_utilization ~h ~u_through:0.25 ~u_cross:0.25 in
-    let net = Scenario.delay_bound ~s_points:16 ~scheduler:Classes.Bmux sc in
-    let add = Additive.delay_bound_scenario ~s_points:16 sc in
+    let net = Scenario.delay_bound ~s_points:Scenario.s_points ~scheduler:Classes.Bmux sc in
+    let add = Additive.delay_bound_scenario ~s_points:Scenario.s_points sc in
     add /. net
   in
   let r2 = ratio 2 and r10 = ratio 10 in
@@ -980,6 +980,177 @@ let test_gamma_eval_counts () =
       Alcotest.(check int) "delay_bound: interval floors" 9
         (Telemetry.Counter.value floors - f0))
 
+(* ---------------- retarget and the fused additive loop ---------------- *)
+
+(* Paths of one hop count [h]: random heterogeneous nodes (every ∆ kind,
+   so Neg_inf <-> finite changes the stochastic-node count between
+   steps) under a random through envelope, or a figures-shaped path
+   ([Scenario.path_at]) at a random s and scheduler. *)
+let same_h_path_gen h =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 2,
+          map2
+            (fun nodes (m, rho, alpha) -> Some { E2e.nodes; through = { Ebb.m; rho; alpha } })
+            (array_repeat h node_gen)
+            (triple (float_range 0.2 3.) (float_range 1. 15.) (float_range 0.05 2.)) );
+        ( 1,
+          pair (float_range 0.1 0.95) (float_range 0.1 0.9) >>= fun (u, share) ->
+          pair (float_range (log 1e-4) (log 0.999))
+            (oneofl
+               [ Classes.Bmux; Classes.Fifo; Classes.Sp_through_high; Classes.Edf_gap 5.;
+                 Classes.Edf_gap (-5.) ])
+          >|= fun (log_frac, sched) ->
+          let sc = Scenario.of_utilization ~h ~u_through:(u *. share) ~u_cross:(u -. (u *. share)) in
+          Option.map
+            (fun m ->
+              Scenario.path_at sc ~s:(m *. exp log_frac) ~delta:(Classes.delta_through_cross sched))
+            (Scenario.s_stable_max sc) );
+      ])
+
+(* One batch retargeted through a sequence of same-H paths gives, at
+   every step, what a batch freshly made for that path gives, bit for
+   bit: the γ search and its floor, [delay_at_gamma] at a few γ, and
+   [optimal_thetas].  The retargeted batch carries its warm start from
+   the paths before; the fresh one starts cold. *)
+let prop_retarget_is_make =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 20 >>= fun h ->
+      pair
+        (list_size (int_range 2 6) (same_h_path_gen h) >|= List.filter_map Fun.id)
+        (list_size (int_range 1 3) gamma_frac_gen))
+  in
+  let print (ps, us) =
+    Fmt.str "us=[%s] paths=[%s]"
+      (String.concat "; " (List.map (Fmt.str "%h") us))
+      (String.concat " | " (List.map print_path ps))
+  in
+  QCheck.Test.make ~name:"retarget = fresh make, bit for bit" ~count:(Qc.count 200)
+    (QCheck.make ~print gen)
+    (fun (ps, us) ->
+      let epsilon = 1e-9 in
+      match ps with
+      | [] -> QCheck.assume_fail ()
+      | p0 :: _ ->
+        let bt = E2e.Batch.make p0 in
+        List.iteri
+          (fun step p ->
+            E2e.Batch.retarget bt p;
+            let fresh = E2e.Batch.make p in
+            let at what = Fmt.str "step %d: %s" step what in
+            check_bits (at "delay_bound")
+              (E2e.Batch.delay_bound bt ~epsilon)
+              (E2e.Batch.delay_bound fresh ~epsilon);
+            check_bits (at "delay_bound_floor")
+              (E2e.Batch.delay_bound_floor bt ~epsilon)
+              (E2e.Batch.delay_bound_floor fresh ~epsilon);
+            let gmax = E2e.gamma_max p in
+            List.iteri
+              (fun i u ->
+                let gamma = gmax *. u in
+                check_bits (at (Fmt.str "delay_at_gamma %d" i))
+                  (E2e.Batch.delay_at_gamma bt ~gamma ~epsilon)
+                  (E2e.Batch.delay_at_gamma fresh ~gamma ~epsilon);
+                let sigma = E2e.Batch.sigma_for fresh ~gamma ~epsilon in
+                E2e.Batch.set bt ~gamma ~sigma;
+                E2e.Batch.set fresh ~gamma ~sigma;
+                let (tb, xb) = E2e.Batch.optimal_thetas bt
+                and (tf, xf) = E2e.Batch.optimal_thetas fresh in
+                check_bits (at (Fmt.str "optimal X %d" i)) xb xf;
+                Array.iteri (fun k v -> check_bits (at (Fmt.str "theta %d/%d" i k)) tb.(k) v) tf)
+              us)
+          ps;
+        true)
+
+let test_retarget_hop_count () =
+  let bt = E2e.Batch.make (mk_path ~h:4 ~delta:(Delta.Fin 0.)) in
+  Alcotest.check_raises "other hop count"
+    (Invalid_argument "E2e.Batch.retarget: hop count differs") (fun () ->
+      E2e.Batch.retarget bt (mk_path ~h:5 ~delta:(Delta.Fin 0.)))
+
+(* Additive inputs around and past the edges [analyze] checks: NaN,
+   zero and negative prefactors, rates, decays, γ and ε, H = 0, and
+   cross rates that leave no service (+inf). *)
+let additive_args_gen =
+  QCheck.Gen.(
+    let edgy lo hi specials =
+      frequency [ (6, float_range lo hi); (1, oneofl specials) ]
+    in
+    let ebb =
+      map3
+        (fun m rho alpha -> { Ebb.m; rho; alpha })
+        (edgy 0.1 3. [ Float.nan; 0.; -1.; Float.infinity ])
+        (edgy 0. 60. [ Float.nan; -20.; 95.; Float.infinity ])
+        (edgy 0.01 2. [ Float.nan; 0.; -0.5; 1e-300; Float.infinity ])
+    in
+    map3
+      (fun (capacity, h) (cross, through) (gamma, epsilon) ->
+        (capacity, h, cross, through, gamma, epsilon))
+      (pair (edgy 50. 150. [ Float.nan; 0.; Float.infinity ]) (frequency [ (12, int_range 1 12); (1, return 0) ]))
+      (pair ebb ebb)
+      (pair
+         (edgy 1e-4 5. [ Float.nan; 0.; -1.; 1e-300 ])
+         (edgy 1e-12 0.5 [ Float.nan; 0.; -1e-9; 2. ])))
+
+let print_additive_args (capacity, h, (c : Ebb.t), (t : Ebb.t), gamma, epsilon) =
+  Fmt.str "C=%h H=%d cross=(%h,%h,%h) through=(%h,%h,%h) gamma=%h eps=%h" capacity h c.Ebb.m
+    c.Ebb.rho c.Ebb.alpha t.Ebb.m t.Ebb.rho t.Ebb.alpha gamma epsilon
+
+(* The fused γ objective is [analyze]'s sum, bit for bit, and raises
+   [analyze]'s [Invalid_argument] message wherever [analyze] raises. *)
+let prop_delay_sum_is_analyze =
+  QCheck.Test.make ~name:"fused Additive = snd (Additive.analyze ...), bit for bit"
+    ~count:(Qc.count 1000)
+    (QCheck.make ~print:print_additive_args additive_args_gen)
+    (fun (capacity, h, cross, through, gamma, epsilon) ->
+      let run f = match f () with v -> Ok (Int64.bits_of_float v) | exception Invalid_argument m -> Error m in
+      let fused = run (fun () -> Additive.delay_sum ~capacity ~cross ~through ~h ~gamma ~epsilon)
+      and oracle =
+        run (fun () -> snd (Additive.analyze ~capacity ~cross ~through ~h ~gamma ~epsilon))
+      in
+      match (fused, oracle) with
+      | Ok a, Ok b when Int64.equal a b -> true
+      | Error a, Error b when String.equal a b -> true
+      | _ ->
+        let show = function
+          | Ok b -> Fmt.str "%h" (Int64.float_of_bits b)
+          | Error m -> "Invalid_argument " ^ m
+        in
+        QCheck.Test.fail_reportf "fused %s, analyze %s" (show fused) (show oracle))
+
+(* [retarget] allocates nothing, and one fused additive γ evaluation
+   only its boxed result. *)
+let test_retarget_and_delay_sum_allocation () =
+  let sc = Scenario.of_utilization ~h:30 ~u_through:0.25 ~u_cross:0.25 in
+  let m = Option.get (Scenario.s_stable_max sc) in
+  let p1 = Scenario.path_at sc ~s:(m *. 0.3) ~delta:(Classes.delta_through_cross Classes.Fifo)
+  and p2 =
+    Scenario.path_at sc ~s:(m *. 0.6) ~delta:(Classes.delta_through_cross Classes.Sp_through_high)
+  in
+  let bt = E2e.Batch.make p1 in
+  let per n f =
+    f ();
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      f ()
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  let words = per 1000 (fun () -> E2e.Batch.retarget bt p2; E2e.Batch.retarget bt p1) in
+  Alcotest.(check (float 0.)) "words per retarget" 0. words;
+  let through = Ebb.v ~m:1. ~rho:25. ~alpha:0.8 and cross = Ebb.v ~m:1. ~rho:25. ~alpha:0.8 in
+  let gamma = 0.5 and epsilon = 1e-9 in
+  let words =
+    per 1000 (fun () ->
+        ignore
+          (Sys.opaque_identity
+             (Additive.delay_sum ~capacity:100. ~cross ~through ~h:30 ~gamma ~epsilon)))
+  in
+  (* a boxed float: a header word and the double *)
+  Alcotest.(check bool) (Fmt.str "%.1f words per fused evaluation <= 2" words) true (words <= 2.)
+
 let suite =
   [
     Alcotest.test_case "Eq. 34 closed form" `Quick test_total_bound_matches_eq34;
@@ -1020,6 +1191,11 @@ let suite =
     Alcotest.test_case "gamma evaluation allocates only its results" `Quick
       test_batch_eval_allocation;
     Alcotest.test_case "gamma evaluation counts" `Quick test_gamma_eval_counts;
+    QCheck_alcotest.to_alcotest prop_retarget_is_make;
+    Alcotest.test_case "retarget refuses another hop count" `Quick test_retarget_hop_count;
+    QCheck_alcotest.to_alcotest prop_delay_sum_is_analyze;
+    Alcotest.test_case "retarget and the fused additive loop allocate nothing" `Quick
+      test_retarget_and_delay_sum_allocation;
     QCheck_alcotest.to_alcotest prop_k_procedure_never_nan;
     Alcotest.test_case "has_stable_s = a stable s exists" `Quick test_has_stable_s;
   ]

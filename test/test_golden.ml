@@ -1,7 +1,7 @@
 (* Golden regression tests: pin the reproduced figure values so that
    refactorings of the analysis pipeline cannot silently change the
-   reproduction.  All values were computed with s_points = 16 and
-   epsilon = 1e-9; the tolerance allows for floating-point reassociation
+   reproduction.  All values were computed at the default s-grid,
+   [Scenario.s_points] = 16, and epsilon = 1e-9; the tolerance allows for floating-point reassociation
    but not for algorithmic drift. *)
 
 module S = Deltanet.Scenario
@@ -12,10 +12,10 @@ let check name expected got =
     Alcotest.failf "%s drifted: expected %.10g, got %.10g" name expected got
 
 let sc h u0 uc = S.of_utilization ~h ~u_through:u0 ~u_cross:uc
-let fixed sched s = S.delay_bound ~s_points:16 ~scheduler:sched s
+let fixed sched s = S.delay_bound ~s_points:S.s_points ~scheduler:sched s
 
 let edf ratio s =
-  (S.delay_bound_edf_checked ~s_points:16 s ~spec:{ S.cross_over_through = ratio })
+  (S.delay_bound_edf_checked ~s_points:S.s_points s ~spec:{ S.cross_over_through = ratio })
     .Deltanet.Diag.value.S.bound
 
 let test_fig2_points () =
@@ -31,7 +31,7 @@ let test_fig3_points () =
 let test_fig4_points () =
   check "fig4 H=10 U=50% BMUX" 149.7825083 (fixed C.Bmux (sc 10 0.25 0.25));
   check "fig4 H=10 U=50% additive" 1399.792984
-    (Deltanet.Additive.delay_bound_scenario ~s_points:16 (sc 10 0.25 0.25));
+    (Deltanet.Additive.delay_bound_scenario ~s_points:S.s_points (sc 10 0.25 0.25));
   check "fig4 H=20 U=10% FIFO" 1.790928314 (fixed C.Fifo (sc 20 0.05 0.05))
 
 let test_shape_invariants () =

@@ -162,7 +162,7 @@ let test_degraded_run_within_degraded_bound () =
       Scenario.capacity = factor *. Tandem.default_config.Tandem.capacity;
     }
   in
-  let bound = Scenario.delay_bound ~s_points:16 ~scheduler:Classes.Fifo sc in
+  let bound = Scenario.delay_bound ~s_points:Scenario.s_points ~scheduler:Classes.Fifo sc in
   Alcotest.(check bool) "degraded bound finite" true (Float.is_finite bound);
   let worst = Stats.Sample.max r.Tandem.delays in
   Alcotest.(check bool)
@@ -258,33 +258,33 @@ let test_scenario_validation () =
 
 let test_checked_delay_bound () =
   let sc = Scenario.of_utilization ~h:2 ~u_through:0.15 ~u_cross:0.3 in
-  let o = Scenario.delay_bound_checked ~s_points:16 ~scheduler:Classes.Fifo sc in
+  let o = Scenario.delay_bound_checked ~s_points:Scenario.s_points ~scheduler:Classes.Fifo sc in
   Alcotest.(check bool) "converged" true (o.Diag.diag.Diag.status = Diag.Converged);
   Alcotest.(check bool) "iterations counted" true (o.Diag.diag.Diag.iterations > 0);
   check_float "matches unchecked bound"
-    (Scenario.delay_bound ~s_points:16 ~scheduler:Classes.Fifo sc)
+    (Scenario.delay_bound ~s_points:Scenario.s_points ~scheduler:Classes.Fifo sc)
     o.Diag.value;
   (* overloaded scenario (constructed via paper_defaults, which allows it) *)
   let over = Scenario.paper_defaults ~h:2 ~n_through:400. ~n_cross:400. in
-  let o = Scenario.delay_bound_checked ~s_points:16 ~scheduler:Classes.Fifo over in
+  let o = Scenario.delay_bound_checked ~s_points:Scenario.s_points ~scheduler:Classes.Fifo over in
   Alcotest.(check bool) "unstable" true (o.Diag.diag.Diag.status = Diag.Unstable);
   check_float "unstable value is inf" Float.infinity o.Diag.value
 
 let test_checked_edf_bound () =
   let sc = Scenario.of_utilization ~h:3 ~u_through:0.15 ~u_cross:0.3 in
   let spec = { Scenario.cross_over_through = 10. } in
-  let o = Scenario.delay_bound_edf_checked ~s_points:16 ~spec sc in
+  let o = Scenario.delay_bound_edf_checked ~s_points:Scenario.s_points ~spec sc in
   Alcotest.(check bool) "converged" true (o.Diag.diag.Diag.status = Diag.Converged);
   Alcotest.(check bool) "finite bound" true (Float.is_finite o.Diag.value.Scenario.bound);
   Alcotest.(check bool) "iterations reported" true
     (o.Diag.value.Scenario.iterations >= 1);
   (* starve the fixed point of iterations: Diverged, last iterate returned *)
-  let d = Scenario.delay_bound_edf_checked ~s_points:16 ~max_iter:1 ~spec sc in
+  let d = Scenario.delay_bound_edf_checked ~s_points:Scenario.s_points ~max_iter:1 ~spec sc in
   Alcotest.(check bool) "diverged under max_iter:1" true
     (d.Diag.diag.Diag.status = Diag.Diverged);
   (* overloaded scenario: Unstable, no finite FIFO seed *)
   let over = Scenario.paper_defaults ~h:2 ~n_through:400. ~n_cross:400. in
-  let u = Scenario.delay_bound_edf_checked ~s_points:16 ~spec over in
+  let u = Scenario.delay_bound_edf_checked ~s_points:Scenario.s_points ~spec over in
   Alcotest.(check bool) "unstable" true (u.Diag.diag.Diag.status = Diag.Unstable)
 
 (* ---------------- resilient replication ---------------- *)

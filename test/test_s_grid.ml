@@ -542,7 +542,7 @@ let test_scan_edges () =
         [ 2; 3; 16; 32 ])
     scenarios;
   let status t =
-    let o = Scenario.delay_bound_checked ~s_points:16 ~scheduler:Classes.Fifo t in
+    let o = Scenario.delay_bound_checked ~s_points:Scenario.s_points ~scheduler:Classes.Fifo t in
     o.Diag.diag.Diag.status
   in
   Alcotest.(check string) "unstable stays Unstable" "unstable"
@@ -552,12 +552,12 @@ let test_scan_edges () =
   List.iter
     (fun (name, t, max_iter) ->
       ignore
-        (check_edf ~what:(Fmt.str "%s max_iter=%d" name max_iter) ~s_points:16 ~max_iter
+        (check_edf ~what:(Fmt.str "%s max_iter=%d" name max_iter) ~s_points:Scenario.s_points ~max_iter
            ~ratio:10. t))
     [ ("U->1", near_one, 3); ("unstable", overloaded, 60); ("eps=nan", poisoned, 60) ]
 
 (* The Fig. 2 cell H = 10, U = 50%, EDF ratio 10 at the figures'
-   s_points = 16 sits in an exact 2-cycle: it stops Diverged at
+   s-grid ([Scenario.s_points] = 16) sits in an exact 2-cycle: it stops Diverged at
    max_iter = 60 after three distinct iterates, so the memo answers the
    other 57 steps.  The outcome is the memo-free, prune-free oracle's,
    bit for bit. *)
@@ -569,7 +569,7 @@ let test_two_cycle_cell () =
   Fun.protect ~finally:Telemetry.shutdown (fun () ->
       let h0 = Telemetry.Counter.value hits in
       let o =
-        check_edf ~what:"fig2 H=10 U=50% ratio 10" ~s_points:16 ~max_iter:60 ~ratio:10. sc
+        check_edf ~what:"fig2 H=10 U=50% ratio 10" ~s_points:Scenario.s_points ~max_iter:60 ~ratio:10. sc
       in
       Alcotest.(check string) "Diverged" "diverged"
         (Diag.status_to_string o.Diag.diag.Diag.status);

@@ -56,6 +56,7 @@ let digest_single (r : Single.result) =
   Array.iter (add_sample b) r.Single.delays;
   add_floats b [| r.Single.utilization; r.Single.fault_factor |];
   add_floats b r.Single.offered_kb;
+  add_floats b r.Single.censored_kb;
   hex b
 
 (* ---------------- configurations ---------------- *)
@@ -262,14 +263,14 @@ let expected : (string * string) list =
     ("event/sp/faults", "8d29ded57603787d887993d8cb14478b");
     ("event/sp/hetero", "1796f2bd16b377a058687f4f618b7396");
     ("event/sp/plain", "1f22296ddd3ce642df2e89f81cc9dfce");
-    ("single/edf/faults", "44e69583ced948d3b245ff914d95df32");
-    ("single/edf/plain", "449cef7527e59ad3dee423f75afff401");
-    ("single/fifo/faults", "5e215cf1383c6cf68e42f764268993bf");
-    ("single/fifo/plain", "e45f1530a3e0b3787542d849aa35e67e");
-    ("single/sced/faults", "460869848d63d1798e55d56ef89ac1d7");
-    ("single/sced/plain", "f48bb374a9ed2c84ca7b890dab3e716d");
-    ("single/sp/faults", "00c6911b9df6cbb3071b7c156e9aeaaa");
-    ("single/sp/plain", "3fcd899656cfdf1b62735dff735eb829");
+    ("single/edf/faults", "a69e5d6648f29033e7914325dc63e8ff");
+    ("single/edf/plain", "43ebc3a9ebca3c8c45e34891720846be");
+    ("single/fifo/faults", "5cf929854be3883501583be7f62e9275");
+    ("single/fifo/plain", "bcc5a267b63be57c90b7821d9214c97a");
+    ("single/sced/faults", "b7226eb9fc517ce1e65376077bcb982b");
+    ("single/sced/plain", "686f4b50d8ec65006fff4245c65727ec");
+    ("single/sp/faults", "de3ceeb05a865bb0bcb3f7fa8d921c58");
+    ("single/sp/plain", "d5eccc9be49fd5682c4a61eb3e76b010");
     ("slotted/bmux/cbr", "50f8997d28f55d158b775607b8166986");
     ("slotted/bmux/faults", "12d2bce38566702e8286f9f613b595d0");
     ("slotted/bmux/hetero", "212f6b8209b97be9e6257b5fa4deb9f6");

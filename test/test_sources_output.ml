@@ -169,7 +169,7 @@ let test_admission_edf_converged () =
           ~scheduler:(Scheduler.Kind.Edf { cross_over_through = 10. })
       in
       let o =
-        Scenario.delay_bound_edf_checked ~s_points:16
+        Scenario.delay_bound_edf_checked ~s_points:Scenario.s_points
           (Scenario.of_utilization ~h:10 ~u_through:0.15 ~u_cross:u)
           ~spec:{ Scenario.cross_over_through = 10. }
       in
