@@ -64,7 +64,7 @@ let[@inline] push r ~major ~minor ~tie ~seq size =
   r.total.(i) <- size;
   r.len <- r.len + 1
 
-let drop r =
+let[@inline] drop r =
   r.head <- (r.head + 1) land (Array.length r.left - 1);
   r.len <- r.len - 1
 
@@ -79,7 +79,7 @@ let[@inline] compare_to (major : float) (minor : float) tie r j =
 
 (* Batch [i] of [ra] is served before batch [j] of [rb]: lower key, then
    earlier insertion. *)
-let precedes ra i rb j =
+let[@inline] precedes ra i rb j =
   let c = compare_to ra.major.(i) ra.minor.(i) ra.tie.(i) rb j in
   if c <> 0 then c < 0 else ra.seq.(i) < rb.seq.(j)
 
@@ -87,9 +87,10 @@ type discipline =
   | Delta_policy of Scheduler.Policy.t
   | Gps of Scheduler.Gps.t
 
+(* A ∆-policy's key rule is resolved once, at [create]. *)
 type shape =
-  | Fluid of Scheduler.Policy.t
-  | Packet of Scheduler.Policy.t * float
+  | Fluid of Scheduler.Policy.rule
+  | Packet of Scheduler.Policy.rule * float
   | Fair of Scheduler.Gps.t
 
 type t = {
@@ -101,11 +102,11 @@ type t = {
   (* Packetized: the class whose head packet is on the wire, or -1. *)
   mutable wire : int;
   mutable next_seq : int;
+  mutable queued : int;  (* batches in the rings, all classes *)
   (* Queue-depth high-water mark (kb, all classes); always maintained — a
      float compare per offer — so telemetry can read it after the run. *)
   mutable high_water : float;
   departed : float array;  (* per class, this slot; returned by [serve_slot] *)
-  key : float array;  (* [Scheduler.Policy.write_key] scratch *)
   (* Continuous clock. *)
   mutable factor : float;
   mutable last : float;
@@ -127,9 +128,9 @@ let create ?packet_size ~capacity ~classes discipline =
   if classes <= 0 then invalid_arg "Queue_node.create: non-positive class count";
   let shape =
     match (discipline, packet_size) with
-    | (_, Some l) when l <= 0. -> invalid_arg "Queue_node.create: non-positive packet size"
-    | (Delta_policy p, None) -> Fluid p
-    | (Delta_policy p, Some l) -> Packet (p, l)
+    | (_, Some l) when not (l > 0.) -> invalid_arg "Queue_node.create: non-positive packet size"
+    | (Delta_policy p, None) -> Fluid (Scheduler.Policy.rule p)
+    | (Delta_policy p, Some l) -> Packet (Scheduler.Policy.rule p, l)
     | (Gps g, None) -> Fair g
     | (Gps _, Some _) -> invalid_arg "Queue_node.create: GPS is fluid (no packet size)"
   in
@@ -141,9 +142,9 @@ let create ?packet_size ~capacity ~classes discipline =
     served = Array.make classes 0.;
     wire = -1;
     next_seq = 0;
+    queued = 0;
     high_water = 0.;
     departed = Array.make classes 0.;
-    key = Array.make 2 0.;
     factor = 1.;
     last = 0.;
     done_cls = Array.make 16 0;
@@ -152,7 +153,7 @@ let create ?packet_size ~capacity ~classes discipline =
     gen = 0;
   }
 
-let check_class t fn cls =
+let[@inline] check_class t fn cls =
   if cls < 0 || cls >= Array.length t.rings then
     invalid_arg (Printf.sprintf "Queue_node.%s: class out of range" fn)
 
@@ -164,23 +165,31 @@ let[@inline] enqueue_key t r ~major ~minor ~tie size =
   if r.len > 0 && compare_to major minor tie r tail < 0 then
     invalid_arg "Queue_node.offer: key below the class's tail (policy not locally FIFO)";
   push r ~major ~minor ~tie ~seq:t.next_seq size;
+  t.queued <- t.queued + 1;
   t.next_seq <- t.next_seq + 1
 
-(* A built-in policy's key, written into the node's scratch: no key
-   record, no boxed float. *)
-let enqueue_builtin t b r ~now ~cls size =
-  Scheduler.Policy.write_key b ~arrival:now ~cls t.key;
-  enqueue_key t r ~major:t.key.(0) ~minor:t.key.(1) ~tie:cls size
+(* A built-in policy's key, computed in place by one match (the keys
+   {!Scheduler.Policy.key} documents): no key record, no boxed float. *)
+let[@inline] enqueue_builtin t (b : Scheduler.Policy.builtin) r ~now ~cls size =
+  match b with
+  | Fifo -> enqueue_key t r ~major:now ~minor:0. ~tie:cls size
+  | Static_priority priorities ->
+    enqueue_key t r ~major:(-.float_of_int priorities.(cls)) ~minor:now ~tie:cls size
+  | Edf deadlines -> enqueue_key t r ~major:(now +. deadlines.(cls)) ~minor:now ~tie:cls size
+  | Bmux tagged ->
+    enqueue_key t r ~major:(if cls = tagged then 1. else 0.) ~minor:now ~tie:cls size
 [@@zero_alloc_check]
 
-(* Queue one batch (or packet) under a ∆-policy. *)
-let enqueue t p r ~now ~cls size =
+(* Queue one batch (or packet) under a ∆-policy's key rule. *)
+let[@inline] enqueue t (rule : Scheduler.Policy.rule) r ~now ~cls size =
   reserve r;
-  match Scheduler.Policy.rule p with
-  | Scheduler.Policy.Builtin b -> enqueue_builtin t b r ~now ~cls size
-  | Scheduler.Policy.Custom key ->
+  match rule with
+  | Builtin b -> enqueue_builtin t b r ~now ~cls size
+  | Custom key ->
     let { Scheduler.Policy.major; minor; tie } = key ~arrival:now ~cls ~size in
     enqueue_key t r ~major ~minor ~tie size
+
+let[@inline] fmin (a : float) b = if b > a then a else b
 
 let offer t ~now ~cls size =
   check_class t "offer" cls;
@@ -196,43 +205,38 @@ let offer t ~now ~cls size =
     if !Telemetry.on then Telemetry.Counter.incr c_offers;
     let r = t.rings.(cls) in
     match t.shape with
-    | Fluid p -> enqueue t p r ~now ~cls size
-    | Packet (p, l) ->
-      (* segment the batch into packets of at most l kb *)
-      let rec go remaining =
-        if remaining > 1e-12 then begin
-          enqueue t p r ~now ~cls (Float.min l remaining);
-          go (remaining -. l)
-        end
-      in
-      go size
+    | Fluid rule -> enqueue t rule r ~now ~cls size
+    | Packet (rule, l) ->
+      (* segment the batch into packets of at most l kb ([fmin] is
+         [Float.min] on these positive sizes); [l +. 0.] is l (l > 0) as
+         an unboxed float, so no packet size is boxed *)
+      let l = l +. 0. and remaining = ref size in
+      while !remaining > 1e-12 do
+        enqueue t rule r ~now ~cls (fmin l !remaining);
+        remaining := !remaining -. l
+      done
     | Fair _ ->
       reserve r;
-      push r ~major:0. ~minor:0. ~tie:0 ~seq:0 size
+      push r ~major:0. ~minor:0. ~tie:0 ~seq:0 size;
+      t.queued <- t.queued + 1
   end
 
 (* Class whose head batch is most urgent; -1 when every ring is empty. *)
-let most_urgent t =
-  let best = ref (-1) in
+let[@inline] most_urgent t =
+  let best = ref (-1) and b = ref t.rings.(0) in
   for c = 0 to Array.length t.rings - 1 do
     let r = t.rings.(c) in
     if r.len > 0 then
-      if !best < 0 then best := c
-      else
-        let b = t.rings.(!best) in
-        if precedes r r.head b b.head then best := c
+      if !best < 0 || precedes r r.head !b !b.head then begin best := c; b := r end
   done;
   !best
 
-let[@inline] fmin (a : float) b = if b > a then a else b
-
-(* Serve [amount] (at most its remaining work) from the head batch of
-   class [c]; drop the batch once its remainder is dust, logging it when
-   [record] (the log has room: see [serve]).  [true] iff it completed. *)
-let[@inline] take t ~eps ~record ~departed c amount =
-  let r = t.rings.(c) in
+(* Serve [amount] (at most its remaining work [left]) from the head batch
+   of class [c], whose ring is [r]; drop the batch once its remainder is
+   dust, logging it when [record] (the log has room: see [serve]).
+   [true] iff it completed. *)
+let[@inline] take t ~eps ~record ~departed c r ~left amount =
   let i = r.head in
-  let left = r.left.(i) in
   departed.(c) <- departed.(c) +. amount;
   t.backlog.(c) <- t.backlog.(c) -. amount;
   if left -. amount > eps then begin
@@ -246,40 +250,37 @@ let[@inline] take t ~eps ~record ~departed c amount =
       t.done_len <- t.done_len + 1
     end;
     drop r;
+    t.queued <- t.queued - 1;
     true
   end
 
 (* Preemptive service: always the most urgent head, split at the
    budget. *)
 let[@inline] serve_fluid t ~eps ~record ~departed budget =
-  let budget = ref budget and go = ref true in
-  while !go && !budget > eps do
+  let budget = ref budget in
+  while t.queued > 0 && !budget > eps do
     let c = most_urgent t in
-    if c < 0 then go := false
-    else begin
-      let r = t.rings.(c) in
-      let served = fmin r.left.(r.head) !budget in
-      budget := !budget -. served;
-      ignore (take t ~eps ~record ~departed c served : bool)
-    end
+    let r = t.rings.(c) in
+    let left = r.left.(r.head) in
+    let served = fmin left !budget in
+    budget := !budget -. served;
+    ignore (take t ~eps ~record ~departed c r ~left served : bool)
   done
 [@@zero_alloc_check]
 
 (* Non-preemptive service: finish the packet on the wire before the next
    precedence decision. *)
 let[@inline] serve_packet t ~eps ~record ~departed budget =
-  let budget = ref budget and go = ref true in
-  while !go && !budget > eps do
-    if t.wire < 0 then begin
-      let c = most_urgent t in
-      if c < 0 then go := false else t.wire <- c
-    end
+  let budget = ref budget in
+  while t.queued > 0 && !budget > eps do
+    if t.wire < 0 then t.wire <- most_urgent t
     else begin
       let c = t.wire in
       let r = t.rings.(c) in
-      let served = fmin r.left.(r.head) !budget in
+      let left = r.left.(r.head) in
+      let served = fmin left !budget in
       budget := !budget -. served;
-      if take t ~eps ~record ~departed c served then t.wire <- -1
+      if take t ~eps ~record ~departed c r ~left served then t.wire <- -1
     end
   done
 [@@zero_alloc_check]
@@ -287,11 +288,7 @@ let[@inline] serve_packet t ~eps ~record ~departed budget =
 (* Room in the completion log for every queued batch, the most one
    service call can complete. *)
 let reserve_log t =
-  let need = ref t.done_len in
-  for c = 0 to Array.length t.rings - 1 do
-    need := !need + t.rings.(c).len
-  done;
-  let need = !need in
+  let need = t.done_len + t.queued in
   let cap = Array.length t.done_cls in
   if need > cap then begin
     let cap = Stdlib.max need (2 * cap) in
@@ -316,9 +313,10 @@ let serve_fair t g ~eps ~record ~departed budget =
       let r = t.rings.(c) in
       let remaining = ref grant in
       while !remaining > eps && r.len > 0 do
-        let served = fmin r.left.(r.head) !remaining in
+        let left = r.left.(r.head) in
+        let served = fmin left !remaining in
         remaining := !remaining -. served;
-        ignore (take t ~eps ~record ~departed c served : bool)
+        ignore (take t ~eps ~record ~departed c r ~left served : bool)
       done)
     grants
 
@@ -345,14 +343,16 @@ let serve_slot ?factor t =
   in
   if !Telemetry.on then Telemetry.Counter.incr c_slots;
   let departed = t.departed in
-  Array.fill departed 0 (Array.length departed) 0.;
+  for c = 0 to Array.length departed - 1 do
+    departed.(c) <- 0.
+  done;
   serve t ~eps:1e-12 ~record:false ~departed budget;
   for c = 0 to Array.length departed - 1 do
     t.served.(c) <- t.served.(c) +. departed.(c)
   done;
   departed
 
-let occupied t = Array.exists (fun r -> r.len > 0) t.rings
+let occupied t = t.queued > 0
 
 let backlog t = Array.fold_left ( +. ) 0. t.backlog
 

@@ -41,7 +41,8 @@ val create : ?packet_size:float -> capacity:float -> classes:int -> discipline -
 val offer : t -> now:float -> cls:int -> float -> unit
 (** Enqueue [size] kb of class [cls] arriving at time [now].  Zero-size
     offers are ignored.  A built-in {!Scheduler.Policy} key is computed in
-    place, so such an offer allocates nothing (beyond ring growth).
+    place, so such an offer, fluid or packetized, allocates nothing
+    (beyond ring growth).
     @raise Invalid_argument on a bad class or a negative, NaN or infinite
     size, or when a ∆-policy hands out a key below the key of the class's
     last queued batch (the policy is not locally FIFO, see

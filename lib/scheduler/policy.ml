@@ -18,15 +18,6 @@ type rule =
   | Builtin of builtin
   | Custom of (arrival:float -> cls:int -> size:float -> key)
 
-let write_key b ~arrival ~cls k =
-  k.(0) <-
-    (match b with
-    | Fifo -> arrival
-    | Static_priority priorities -> -.float_of_int priorities.(cls)
-    | Edf deadlines -> arrival +. deadlines.(cls)
-    | Bmux tagged -> if cls = tagged then 1. else 0.);
-  k.(1) <- (match b with Fifo -> 0. | Static_priority _ | Edf _ | Bmux _ -> arrival)
-
 type t = {
   name : string;
   rule : rule;
@@ -39,9 +30,15 @@ let rule p = p.rule
 let key p ~arrival ~cls ~size =
   match p.rule with
   | Builtin b ->
-    let k = [| 0.; 0. |] in
-    write_key b ~arrival ~cls k;
-    { major = k.(0); minor = k.(1); tie = cls }
+    let major =
+      match b with
+      | Fifo -> arrival
+      | Static_priority priorities -> -.float_of_int priorities.(cls)
+      | Edf deadlines -> arrival +. deadlines.(cls)
+      | Bmux tagged -> if cls = tagged then 1. else 0.
+    in
+    let minor = match b with Fifo -> 0. | Static_priority _ | Edf _ | Bmux _ -> arrival in
+    { major; minor; tie = cls }
   | Custom f -> f ~arrival ~cls ~size
 
 let make ~name ~key ?(matrix = fun ~n:_ -> None) () = { name; rule = Custom key; matrix }

@@ -30,8 +30,8 @@ val key : t -> arrival:float -> cls:int -> size:float -> key
 (** {1 Key rules}
 
     How a policy computes its key.  The built-in policies are data, so
-    the node computes their keys with {!write_key}, without allocating;
-    a policy from {!make} carries its own function. *)
+    the node resolves the rule once and computes their keys in place,
+    without allocating; a policy from {!make} carries its own function. *)
 
 type builtin =
   | Fifo  (** [{ major = arrival; minor = 0.; tie = cls }] *)
@@ -46,12 +46,6 @@ type rule =
   | Custom of (arrival:float -> cls:int -> size:float -> key)
 
 val rule : t -> rule
-
-val write_key : builtin -> arrival:float -> cls:int -> float array -> unit
-(** [write_key b ~arrival ~cls k] stores the [major] field of the rule's
-    key in [k.(0)] and its [minor] field in [k.(1)]; its [tie] is [cls].
-    A float array holds both unboxed, so a caller reusing one [k]
-    computes keys without allocating. *)
 
 val make :
   name:string ->

@@ -374,15 +374,16 @@ let test_sampler_allocates_nothing () =
   ignore (Sys.opaque_identity !sink)
 
 (* A built-in policy's key is computed in the node, so queueing a batch
-   and serving a slot allocate nothing; [now] and the size are bound
+   and serving a slot allocate nothing, fluid or packetized (a 1.25 kb
+   offer is two 0.7 kb-at-most packets); [now] and the size are bound
    outside the window, so no argument is boxed inside it. *)
 let test_node_allocates_nothing () =
   let module Node = Netsim.Queue_node in
   let module Policy = Scheduler.Policy in
   let now = Sys.opaque_identity 3. and size = Sys.opaque_identity 1.25 in
   List.iter
-    (fun policy ->
-      let node = Node.create ~capacity:5. ~classes:2 (Node.Delta_policy policy) in
+    (fun (policy, packet_size) ->
+      let node = Node.create ?packet_size ~capacity:5. ~classes:2 (Node.Delta_policy policy) in
       let step () =
         Node.offer node ~now ~cls:0 size;
         Node.offer node ~now ~cls:1 size;
@@ -393,12 +394,16 @@ let test_node_allocates_nothing () =
       done;
       let words = minor_words_per_call 100_000 step in
       if words > 0. then
-        Alcotest.failf "%s: offer + serve_slot allocate %g words" (Policy.name policy) words)
+        Alcotest.failf "%s%s: offer + serve_slot allocate %g words" (Policy.name policy)
+          (if Option.is_some packet_size then " packetized" else "")
+          words)
     [
-      Policy.fifo;
-      Policy.static_priority ~priorities:[| 0; 1 |];
-      Policy.edf ~deadlines:[| 4.; 9. |];
-      Policy.bmux ~tagged:0;
+      (Policy.fifo, None);
+      (Policy.static_priority ~priorities:[| 0; 1 |], None);
+      (Policy.edf ~deadlines:[| 4.; 9. |], None);
+      (Policy.bmux ~tagged:0, None);
+      (Policy.fifo, Some 0.7);
+      (Policy.edf ~deadlines:[| 4.; 9. |], Some 0.7);
     ]
 
 (* The slotted loop at the simulate workload's shape (Example 1, H = 10,

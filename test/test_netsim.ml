@@ -161,6 +161,17 @@ let test_gps_rejects_packets () =
         (Node.create ~packet_size:1. ~capacity:5. ~classes:2
            (Node.Gps (Scheduler.Gps.v ~weights:[| 1.; 1. |]))))
 
+(* Packet segmentation assumes a positive packet size; NaN used to slip
+   past a [<= 0.] test and queue NaN-sized packets. *)
+let test_create_rejects_bad_packet_size () =
+  List.iter
+    (fun l ->
+      Alcotest.check_raises (Printf.sprintf "packet size %g" l)
+        (Invalid_argument "Queue_node.create: non-positive packet size") (fun () ->
+          ignore
+            (Node.create ~packet_size:l ~capacity:5. ~classes:2 (Node.Delta_policy Policy.fifo))))
+    [ 0.; -1.; Float.nan ]
+
 (* The class-queue design needs keys that never decrease within a class
    in arrival order; a policy that breaks this must be refused, not
    silently served out of order. *)
@@ -178,6 +189,73 @@ let test_offer_rejects_non_locally_fifo () =
   Alcotest.check_raises "key below the class's tail"
     (Invalid_argument "Queue_node.offer: key below the class's tail (policy not locally FIFO)")
     (fun () -> Node.offer node ~now:2. ~cls:0 5.)
+
+(* The node computes a built-in policy's key in place, and [Policy.key]
+   is its oracle: a twin node under [Policy.make ~key:(Policy.key p)]
+   takes the Custom path.  Under one random sequence of offers (zero
+   sizes, equal and fractional arrival times, sizes that split into
+   several packets) and slot serves (some degraded), the two nodes must
+   agree bit for bit on every departure and on [backlog_of], [served_of]
+   and [high_water]. *)
+let prop_builtin_key_matches_oracle =
+  let bits = Int64.bits_of_float in
+  QCheck.Test.make ~name:"in-place built-in key = Policy.key, bit for bit"
+    ~count:(Qc.count 100)
+    QCheck.(pair int64 bool)
+    (fun (seed, packetized) ->
+      let rng = Desim.Prng.create ~seed in
+      let classes = 2 + Desim.Prng.int rng ~bound:3 in
+      let packet_size = if packetized then Some (0.2 +. Desim.Prng.float rng) else None in
+      let policies =
+        [
+          Policy.fifo;
+          Policy.static_priority
+            ~priorities:(Array.init classes (fun _ -> Desim.Prng.int rng ~bound:3));
+          Policy.edf ~deadlines:(Array.init classes (fun _ -> 10. *. Desim.Prng.float rng));
+          Policy.bmux ~tagged:(Desim.Prng.int rng ~bound:classes);
+        ]
+      in
+      List.iter
+        (fun p ->
+          let make p = Node.create ?packet_size ~capacity:3. ~classes (Node.Delta_policy p) in
+          let builtin = make p in
+          let custom = make (Policy.make ~name:"oracle" ~key:(Policy.key p) ()) in
+          let fail what =
+            QCheck.Test.fail_reportf "%s%s: %s differs (seed %Ld)" (Policy.name p)
+              (if packetized then " packetized" else "")
+              what seed
+          in
+          let same what a b = if bits a <> bits b then fail what in
+          let now = ref 0. in
+          for _ = 1 to 300 do
+            (match Desim.Prng.int rng ~bound:3 with
+            | 0 -> ()
+            | 1 -> now := !now +. 1.
+            | _ -> now := !now +. Desim.Prng.float rng);
+            if Desim.Prng.int rng ~bound:3 > 0 then begin
+              let cls = Desim.Prng.int rng ~bound:classes in
+              let size =
+                if Desim.Prng.int rng ~bound:8 = 0 then 0. else 2.5 *. Desim.Prng.float rng
+              in
+              Node.offer builtin ~now:!now ~cls size;
+              Node.offer custom ~now:!now ~cls size
+            end
+            else begin
+              let factor =
+                if Desim.Prng.int rng ~bound:4 = 0 then Some (Desim.Prng.float rng) else None
+              in
+              let a = Array.copy (Node.serve_slot ?factor builtin) in
+              let b = Node.serve_slot ?factor custom in
+              Array.iteri (fun c d -> same (Printf.sprintf "departure of class %d" c) d b.(c)) a
+            end
+          done;
+          for cls = 0 to classes - 1 do
+            same "backlog_of" (Node.backlog_of builtin ~cls) (Node.backlog_of custom ~cls);
+            same "served_of" (Node.served_of builtin ~cls) (Node.served_of custom ~cls)
+          done;
+          same "high_water" (Node.high_water builtin) (Node.high_water custom))
+        policies;
+      true)
 
 (* A NaN size used to fail [size > 0.] and vanish without a trace, and
    +inf was queued as an unservable backlog. *)
@@ -411,6 +489,8 @@ let suite =
     Alcotest.test_case "fluid preempts" `Quick test_packet_preemptive_contrast;
     Alcotest.test_case "packet conservation" `Quick test_packet_conservation;
     Alcotest.test_case "gps rejects packets" `Quick test_gps_rejects_packets;
+    Alcotest.test_case "create rejects a bad packet size" `Quick
+      test_create_rejects_bad_packet_size;
     Alcotest.test_case "offer rejects non-locally-FIFO keys" `Quick
       test_offer_rejects_non_locally_fifo;
     Alcotest.test_case "continuous clock keeps FIFO order" `Quick test_continuous_fifo_order;
@@ -427,4 +507,5 @@ let suite =
       test_sim_vs_bounds_every_h;
     Alcotest.test_case "offer rejects a NaN size" `Quick (offer_rejects Float.nan);
     Alcotest.test_case "offer rejects an infinite size" `Quick (offer_rejects Float.infinity);
+    QCheck_alcotest.to_alcotest prop_builtin_key_matches_oracle;
   ]
