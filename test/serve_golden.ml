@@ -266,6 +266,7 @@ let () =
   one e (admit ~id:"a-hit" shape);
   one e (admit ~id:"a-edf" "\"h\":7,\"u0\":0.13,\"uc\":0.29,\"deadline\":57,\"sched\":\"edf\",\"budget_ms\":0.1");
   one e (admit ~id:"a-nos" "\"h\":2,\"u0\":0.5,\"uc\":0.49995,\"deadline\":10,\"budget_ms\":0.1");
+  one e (admit ~id:"a-long" "\"h\":1000,\"u0\":0,\"uc\":0.9998,\"deadline\":100,\"sched\":\"edf\",\"budget_ms\":0.1");
   section "timeout: answered at the third tick past a 0.1 ms budget; the retry hits";
   let shape = "\"h\":3,\"u0\":0.3,\"uc\":0.2,\"deadline\":50,\"sched\":\"bmux\",\"budget_ms\":0.1" in
   run e [ admit ~id:"t1" shape; "{\"op\":\"health\"}"; "{\"op\":\"health\"}" ];
