@@ -27,6 +27,7 @@ let work_counters =
     "e2e.gamma.evals";
     "e2e.gamma.floors";
     "e2e.eq38.objective_evals";
+    "e2e.eq38.node_steps";
     "additive.gamma.evals";
     "additive.s_grid.evals";
   ]
