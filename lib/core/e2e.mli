@@ -65,38 +65,41 @@ val theta_of_x : path -> gamma:float -> sigma:float -> x:float -> int -> float
     flattens a path into them; [retarget] flattens another path of the
     same hop count into the same arrays.  [set] compiles the per-node
     constants ([c_h], [margin_h], clipped-∆ case tags, and only the
-    division each case reads) for one [(gamma, sigma)] and appends the
-    candidate abscissae, in push order, to a reusable scratch buffer,
-    dropping a candidate equal to the one before it.  They are sorted
-    and deduplicated only when the full fold ([optimal_thetas], and
-    [delay]'s fallbacks) needs the reference's order.  [delay] takes
-    the minimum by branch-and-bound over the candidates, node-major
-    (one case dispatch per node, not per pair): the last call's argmin
-    (the warm start, kept across [retarget]) folds in full; every other
-    candidate folds in reverse node order and is dropped once its
-    partial sum reaches that objective times [1 + 4 H epsilon_float];
-    the few survivors fold again in node order, dropped once they reach
-    the best objective.
+    division each case reads) for one [(gamma, sigma)] and sorts the
+    candidate abscissae, each with the objective's slope to its right:
+    every [theta_h] is piecewise linear with slopes in [{-1, r/c - 1,
+    0}], so [set] records each kink's slope jump, per kind of kink in
+    a run that grows with the node index on a homogeneous path, and
+    merges the runs.  [delay] takes the minimum by one sweep of those
+    slopes: it folds the bottom of each convex piece of the objective
+    (one on every path without a node of [∆ > 0]) and, walking out from
+    each bottom, every candidate whose certified rise above it — a
+    lower bound from the slopes, with outward rounding — does not clear
+    the summation-rounding allowance [2 rel F + 2 abs] ([rel] = 32 (H
+    + 2) u, [F] the bottom's objective, [abs] the allowance for the
+    [∆ >= 0] nodes' rounded kinks and for underflow).  Every other
+    candidate has a rounded objective above [F].  So a call folds
+    [H x (bottoms + window)] (candidate, node) pairs, whatever the
+    calls before it.
 
-    The pruning is exact.  When sigma and every compiled constant are
-    finite, each theta is [>= 0.] or [+inf], so rounded partial sums
-    never fall, and the slack bounds the rounding between the two
-    summation orders; a dropped candidate therefore cannot undercut the
-    minimum, and a minimum over positive floats depends neither on the
-    candidates' order nor on repeats.  Every candidate that can hold it
-    is summed in node order, exactly as the reference does.  A
-    non-finite constant (NaN sigma, an infinite cross rate) or an
-    objective that is not [> 0.] (sigma [= +-0.]) takes the full fold
-    instead.  Every float expression mirrors {!Reference} operation for
-    operation, so results are {b bit-identical} to
-    {!Reference.delay_given}, {!Reference.sigma_for} and
-    {!Reference.optimal_thetas} (pinned by QCheck on random, long and
-    figures-shaped paths, over search-ordered and shuffled γ sequences,
-    and across [retarget]s).  The [e2e.eq38.node_steps] counter records
-    the (candidate, node) pairs actually folded;
-    [e2e.eq38.objective_evals] keeps counting candidates (on the
-    pruned fold, the pushes kept; on the figures' paths no push repeats
-    an earlier one, so that is the sorted set's size).
+    The sweep is exact (DESIGN.md §7, "The slope sweep").  Each fold
+    forms its sum in node order, exactly as the reference does, and
+    within the sweep's domain — sigma [>= 2^-1000], [gamma > 0.], every
+    compiled constant finite, and every node with [c_h > 0.], a cross
+    rate [>= 0.] and, unless it is strict priority, a positive margin:
+    inside every γ bracket — every objective is [+0.] or positive, so
+    the minimum depends neither on the order of the candidates nor on
+    repeats.  Outside it (NaN sigma, an infinite cross rate, sigma =
+    [+-0.], an overloaded node) [delay] takes the full fold, which is
+    also what [optimal_thetas] reads its argmin from.  Every float
+    expression mirrors {!Reference} operation for operation, so
+    results are {b bit-identical} to {!Reference.delay_given},
+    {!Reference.sigma_for} and {!Reference.optimal_thetas} (pinned by
+    QCheck on random, long (H to 1000), flat-stretch, ulp-close,
+    concave and figures-shaped paths, over search-ordered and shuffled
+    γ sequences, and across [retarget]s).  The [e2e.eq38.node_steps]
+    counter records the (candidate, node) pairs actually folded;
+    [e2e.eq38.objective_evals] counts candidates.
 
     Concurrency: [retarget]/[set]/[delay]/[optimal_thetas] mutate the
     batch, so a batch must be driven from one domain at a time (build
@@ -110,9 +113,9 @@ module Batch : sig
 
   val retarget : t -> path -> unit
   (** [retarget b p] makes [b] evaluate [p] as [make p] would, bit for
-      bit, in place and without allocating; only the warm start carries
-      over.  The compiled state is cleared, so [set] must follow before
-      [delay] or [optimal_thetas].
+      bit, in place and without allocating; nothing of the path before
+      carries over.  The compiled state is cleared, so [set] must
+      follow before [delay] or [optimal_thetas].
       @raise Invalid_argument if [p]'s hop count is not [b]'s. *)
 
   val sigma_for : t -> gamma:float -> epsilon:float -> float
@@ -124,7 +127,7 @@ module Batch : sig
       previous state. *)
 
   val delay : t -> float
-  (** {!delay_given} over the compiled state, by the pruned fold. *)
+  (** {!delay_given} over the compiled state, by the slope sweep. *)
 
   val optimal_thetas : t -> float array * float
   (** The minimizing [(thetas, X)] over the compiled state, by the full
