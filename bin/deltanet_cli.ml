@@ -327,8 +327,8 @@ let engine_arg =
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
           "Simulation engine: $(b,slotted) (the reference time-stepped loop) or \
-           $(b,event) (heap-based event engine — bit-identical delay samples on \
-           slot-aligned configs, and much faster when traffic is sparse).")
+           $(b,event) (heap-based event engine — bit-identical results, and much \
+           faster when traffic is sparse).")
 
 let cbr_arg =
   let parse s =

@@ -137,7 +137,10 @@ let x_candidates p ~gamma ~sigma =
         | Scheduler.Delta.Fin d ->
           push (-.d);
           push (sigma /. c_h);
-          if margin > 0. then push ((sigma +. ((nd.cross_rho +. gamma) *. d)) /. margin)
+          (* the root where theta_h reaches 0 (margin > 0) or, on an
+             overloaded node, leaves it *)
+          if margin > 0. || margin < 0. then
+            push ((sigma +. ((nd.cross_rho +. gamma) *. d)) /. margin)
       end)
     p.nodes;
   List.sort_uniq Float.compare !cands
@@ -627,6 +630,10 @@ module Batch = struct
           n0 := push t 0 !n0 (-.dv) (if late then q else 0.);
           n1 := push t o1 !n1 s1 (if late then 0. else 1.);
           if margin > 0. then n2 := push t o2 !n2 root (if late then 1. -. q else 0.)
+          else if margin < 0. then
+            (* overloaded, so off the sweep's domain: theta_h leaves 0.
+               at [root] and climbs at slope q - 1 *)
+            n2 := push t o2 !n2 root (q -. 1.)
     done;
     t.stage_j.(0) <- t.stage_j.(0) +. !base;
     t.sweepable <- sigma >= 0x1p-1000 && gamma > 0. && !dmin > 0. && not (!fin <> !fin);

@@ -55,15 +55,5 @@ let next t =
     t.processed <- t.processed + 1;
     Some ev
 
-let run t handler =
-  let rec go () =
-    match next t with
-    | None -> ()
-    | Some ev ->
-      handler t ev;
-      go ()
-  in
-  go ()
-
 let events_processed t = t.processed
 let heap_high_water t = t.heap_hwm

@@ -31,10 +31,6 @@ val schedule : 'a t -> time:float -> kind:kind -> 'a -> unit
 val next : 'a t -> 'a event option
 (** Pop the most urgent event, advancing the clock to its timestamp. *)
 
-val run : 'a t -> ('a t -> 'a event -> unit) -> unit
-(** Drain the queue: repeatedly [next] and hand the event to the handler
-    (which may schedule further events) until the queue is empty. *)
-
 val events_processed : 'a t -> int
 (** Total events popped so far — exported as a telemetry counter by the
     simulation layer. *)

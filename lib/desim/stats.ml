@@ -191,11 +191,14 @@ let virtual_delays ~cum_in ~cum_out =
   let censored = ref 0. in
   let u = ref 0 in
   let eps = 1e-6 in
+  let before = ref 0. in
   for t = 0 to Array.length cum_in - 1 do
-    let inc = cum_in.(t) -. (if t = 0 then 0. else cum_in.(t - 1)) in
+    let cum = cum_in.(t) in
+    let inc = cum -. !before in
+    before := cum;
     if inc > 0. then begin
       if !u < t then u := t;
-      while !u < n_out && cum_out.(!u) < cum_in.(t) -. eps do
+      while !u < n_out && cum_out.(!u) < cum -. eps do
         incr u
       done;
       if !u < n_out then Sample.add delays (float_of_int (!u - t))

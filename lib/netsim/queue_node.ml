@@ -1,5 +1,5 @@
-(* Capacity-C node with pluggable scheduling, shared by the slotted and
-   the continuous clock.
+(* Capacity-C node with pluggable scheduling, served one slot at a
+   time by every simulator.
 
    Every discipline is locally FIFO: within a class, precedence keys never
    decrease in arrival order (checked on offer).  So the node keeps one
@@ -16,7 +16,6 @@ type ring = {
   mutable tie : int array;
   mutable seq : int array;  (* node-wide insertion order *)
   mutable left : float array;  (* remaining work *)
-  mutable total : float array;  (* size as offered; reported on completion *)
   mutable head : int;  (* physical index of the oldest batch *)
   mutable len : int;
 }
@@ -29,7 +28,6 @@ let ring_create () =
     tie = Array.make n 0;
     seq = Array.make n 0;
     left = Array.make n 0.;
-    total = Array.make n 0.;
     head = 0;
     len = 0;
   }
@@ -48,7 +46,6 @@ let grow r =
   r.tie <- unroll r.tie 0;
   r.seq <- unroll r.seq 0;
   r.left <- unroll r.left 0.;
-  r.total <- unroll r.total 0.;
   r.head <- 0
 
 (* Room for one more batch; [push] assumes it. *)
@@ -61,7 +58,6 @@ let[@inline] push r ~major ~minor ~tie ~seq size =
   r.tie.(i) <- tie;
   r.seq.(i) <- seq;
   r.left.(i) <- size;
-  r.total.(i) <- size;
   r.len <- r.len + 1
 
 let[@inline] drop r =
@@ -107,15 +103,6 @@ type t = {
      float compare per offer — so telemetry can read it after the run. *)
   mutable high_water : float;
   departed : float array;  (* per class, this slot; returned by [serve_slot] *)
-  (* Continuous clock. *)
-  mutable factor : float;
-  mutable last : float;
-  (* Batches completed since the last [take_completions], in order:
-     class and size as offered. *)
-  mutable done_cls : int array;
-  mutable done_total : float array;
-  mutable done_len : int;
-  mutable gen : int;
 }
 
 let c_offers = Telemetry.Counter.make "netsim.node.offers"
@@ -145,12 +132,6 @@ let create ?packet_size ~capacity ~classes discipline =
     queued = 0;
     high_water = 0.;
     departed = Array.make classes 0.;
-    factor = 1.;
-    last = 0.;
-    done_cls = Array.make 16 0;
-    done_total = Array.make 16 0.;
-    done_len = 0;
-    gen = 0;
   }
 
 let[@inline] check_class t fn cls =
@@ -231,24 +212,21 @@ let[@inline] most_urgent t =
   done;
   !best
 
+(* Below this a budget or a batch remainder counts as spent. *)
+let dust = 1e-12
+
 (* Serve [amount] (at most its remaining work [left]) from the head batch
    of class [c], whose ring is [r]; drop the batch once its remainder is
-   dust, logging it when [record] (the log has room: see [serve]).
-   [true] iff it completed. *)
-let[@inline] take t ~eps ~record ~departed c r ~left amount =
+   dust.  [true] iff it completed. *)
+let[@inline] take t c r ~left amount =
   let i = r.head in
-  departed.(c) <- departed.(c) +. amount;
+  t.departed.(c) <- t.departed.(c) +. amount;
   t.backlog.(c) <- t.backlog.(c) -. amount;
-  if left -. amount > eps then begin
+  if left -. amount > dust then begin
     r.left.(i) <- left -. amount;
     false
   end
   else begin
-    if record then begin
-      t.done_cls.(t.done_len) <- c;
-      t.done_total.(t.done_len) <- r.total.(i);
-      t.done_len <- t.done_len + 1
-    end;
     drop r;
     t.queued <- t.queued - 1;
     true
@@ -256,23 +234,23 @@ let[@inline] take t ~eps ~record ~departed c r ~left amount =
 
 (* Preemptive service: always the most urgent head, split at the
    budget. *)
-let[@inline] serve_fluid t ~eps ~record ~departed budget =
+let[@inline] serve_fluid t budget =
   let budget = ref budget in
-  while t.queued > 0 && !budget > eps do
+  while t.queued > 0 && !budget > dust do
     let c = most_urgent t in
     let r = t.rings.(c) in
     let left = r.left.(r.head) in
     let served = fmin left !budget in
     budget := !budget -. served;
-    ignore (take t ~eps ~record ~departed c r ~left served : bool)
+    ignore (take t c r ~left served : bool)
   done
 [@@zero_alloc_check]
 
 (* Non-preemptive service: finish the packet on the wire before the next
    precedence decision. *)
-let[@inline] serve_packet t ~eps ~record ~departed budget =
+let[@inline] serve_packet t budget =
   let budget = ref budget in
-  while t.queued > 0 && !budget > eps do
+  while t.queued > 0 && !budget > dust do
     if t.wire < 0 then t.wire <- most_urgent t
     else begin
       let c = t.wire in
@@ -280,30 +258,15 @@ let[@inline] serve_packet t ~eps ~record ~departed budget =
       let left = r.left.(r.head) in
       let served = fmin left !budget in
       budget := !budget -. served;
-      if take t ~eps ~record ~departed c r ~left served then t.wire <- -1
+      if take t c r ~left served then t.wire <- -1
     end
   done
 [@@zero_alloc_check]
 
-(* Room in the completion log for every queued batch, the most one
-   service call can complete. *)
-let reserve_log t =
-  let need = t.done_len + t.queued in
-  let cap = Array.length t.done_cls in
-  if need > cap then begin
-    let cap = Stdlib.max need (2 * cap) in
-    let cls = Array.make cap 0 and total = Array.make cap 0. in
-    Array.blit t.done_cls 0 cls 0 t.done_len;
-    Array.blit t.done_total 0 total 0 t.done_len;
-    t.done_cls <- cls;
-    t.done_total <- total
-  end
-
 (* Weighted fair shares of the budget over the backlogged classes.  A
-   class is backlogged iff its ring is non-empty — the same test
-   [next_completion] uses, so dust left in the backlog of an emptied class
-   never draws a share. *)
-let serve_fair t g ~eps ~record ~departed budget =
+   class is backlogged iff its ring is non-empty, so dust left in the
+   backlog of an emptied class never draws a share. *)
+let serve_fair t g budget =
   let backlogs =
     Array.mapi (fun c b -> if t.rings.(c).len > 0 then b else 0.) t.backlog
   in
@@ -312,25 +275,13 @@ let serve_fair t g ~eps ~record ~departed budget =
     (fun c grant ->
       let r = t.rings.(c) in
       let remaining = ref grant in
-      while !remaining > eps && r.len > 0 do
+      while !remaining > dust && r.len > 0 do
         let left = r.left.(r.head) in
         let served = fmin left !remaining in
         remaining := !remaining -. served;
-        ignore (take t ~eps ~record ~departed c r ~left served : bool)
+        ignore (take t c r ~left served : bool)
       done)
     grants
-
-(* The one service loop: spend [budget] kb in service order.  [eps] is the
-   dust threshold below which a budget or a batch remainder counts as
-   spent.  Each class's service is added to [departed]; completed batches
-   are logged when [record].  Inlined, with the ∆-policy loops, so a
-   computed [budget] is never boxed. *)
-let[@inline] serve t ~eps ~record ~departed budget =
-  if record then reserve_log t;
-  match t.shape with
-  | Fluid _ -> serve_fluid t ~eps ~record ~departed budget
-  | Packet _ -> serve_packet t ~eps ~record ~departed budget
-  | Fair g -> serve_fair t g ~eps ~record ~departed budget
 
 let serve_slot ?factor t =
   (* A degraded slot serves at a scaled-down capacity. *)
@@ -346,7 +297,12 @@ let serve_slot ?factor t =
   for c = 0 to Array.length departed - 1 do
     departed.(c) <- 0.
   done;
-  serve t ~eps:1e-12 ~record:false ~departed budget;
+  (* inlined with the ∆-policy loops, so the computed [budget] is never
+     boxed; each class's service is added to [departed] *)
+  (match t.shape with
+  | Fluid _ -> serve_fluid t budget
+  | Packet _ -> serve_packet t budget
+  | Fair g -> serve_fair t g budget);
   for c = 0 to Array.length departed - 1 do
     t.served.(c) <- t.served.(c) +. departed.(c)
   done;
@@ -365,74 +321,3 @@ let high_water t = t.high_water
 let served_of t ~cls =
   check_class t "served_of" cls;
   t.served.(cls)
-
-(* ------------------------- continuous clock ------------------------- *)
-
-let eps = 1e-9
-
-(* The engine fires an event at every predicted completion, so at most
-   one batch (per class, for GPS) drains per interval; the loop's dust
-   threshold only mops up float residue. *)
-(* A free packetized link starts its next packet at once. *)
-let start_wire t =
-  match t.shape with Packet _ when t.wire < 0 -> t.wire <- most_urgent t | _ -> ()
-
-let sync t ~now =
-  let dt = now -. t.last in
-  if dt < -.eps then invalid_arg "Queue_node.sync: time moved backwards";
-  t.last <- now;
-  (* the packet that went on the free link with the last offer: every
-     mutation follows a sync, so the queue is as that offer left it *)
-  start_wire t;
-  let budget = Float.max 0. dt *. t.capacity *. t.factor in
-  if budget > 0. then begin
-    serve t ~eps ~record:true ~departed:t.served budget;
-    start_wire t
-  end
-
-let set_factor t ~now factor =
-  if Float.is_nan factor || factor < 0. || factor > 1. then
-    invalid_arg "Queue_node.set_factor: factor outside [0, 1]";
-  sync t ~now;
-  t.factor <- factor
-
-let factor t = t.factor
-
-let next_completion t =
-  let rate = t.capacity *. t.factor in
-  if rate <= eps then Float.infinity
-  else
-    match t.shape with
-    | Fluid _ | Packet _ ->
-      let c = if t.wire >= 0 then t.wire else most_urgent t in
-      if c < 0 then Float.infinity
-      else
-        let r = t.rings.(c) in
-        t.last +. (r.left.(r.head) /. rate)
-    | Fair g ->
-      let weights = Scheduler.Gps.weights g in
-      let active = ref 0. in
-      Array.iteri (fun c r -> if r.len > 0 then active := !active +. weights.(c)) t.rings;
-      let best = ref Float.infinity in
-      Array.iteri
-        (fun c r ->
-          if r.len > 0 then begin
-            let share = rate *. weights.(c) /. !active in
-            if share > eps then begin
-              let dt = r.left.(r.head) /. share in
-              if dt < !best then best := dt
-            end
-          end)
-        t.rings;
-      t.last +. !best
-
-let take_completions t =
-  let out = List.init t.done_len (fun i -> (t.done_cls.(i), t.done_total.(i))) in
-  t.done_len <- 0;
-  out
-
-let gen t = t.gen
-
-let bump t =
-  t.gen <- t.gen + 1;
-  t.gen

@@ -8,15 +8,8 @@
     GPS, weighted fair shares of the backlogged classes.  Batches are
     fluid: the head batch may be served partially.
 
-    Two clocks drive the same service loop:
-    - {b slotted}: [offer] the slot's arrivals, then [serve_slot] spends
-      one slot's capacity;
-    - {b continuous}: [sync ~now] replays the service of the elapsed
-      interval at [capacity *. factor] work per unit time and records
-      completed batches; the caller forwards [take_completions], [bump]s
-      the generation and schedules an event at [next_completion], which
-      fences any stale in-flight completion event.  Every mutation at
-      time [now] must follow a [sync ~now]. *)
+    Every simulator drives it one slot at a time: [offer] the slot's
+    arrivals, then [serve_slot] spends one slot's capacity. *)
 
 type discipline =
   | Delta_policy of Scheduler.Policy.t
@@ -25,8 +18,7 @@ type discipline =
 type t
 
 val create : ?packet_size:float -> capacity:float -> classes:int -> discipline -> t
-(** [capacity] is the full service rate in kb per slot (per unit time on
-    the continuous clock).
+(** [capacity] is the full service rate in kb per slot.
 
     [packet_size] switches the node from fluid to packetized,
     {e non-preemptive} service: arrivals are segmented into packets of at
@@ -72,31 +64,3 @@ val high_water : t -> float
 
 val served_of : t -> cls:int -> float
 (** Cumulative kb served per class (utilization accounting). *)
-
-(** {2 Continuous clock} *)
-
-val sync : t -> now:float -> unit
-(** Replay service up to [now]; a packetized link starts its next packet
-    the moment it is free.  @raise Invalid_argument if [now] lies before
-    the last sync point. *)
-
-val set_factor : t -> now:float -> float -> unit
-(** Capacity-degradation multiplier in [0, 1] from [now] on (fault
-    injection); syncs first. *)
-
-val factor : t -> float
-
-val next_completion : t -> float
-(** Absolute time of the next predicted batch departure given the current
-    state, [infinity] when idle or stalled ([factor = 0]).  Only valid
-    immediately after a sync at the current time. *)
-
-val take_completions : t -> (int * float) list
-(** Batches that completed since the last call, as [(cls, size as
-    offered)] in completion order. *)
-
-val gen : t -> int
-
-val bump : t -> int
-(** Generation fence for completion events: [bump] invalidates every
-    previously scheduled completion event for this node. *)

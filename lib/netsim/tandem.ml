@@ -4,17 +4,13 @@
    [config], one validation and one RNG stream setup:
    - [Slotted]: the original time-stepped loop — one pass per slot over
      every node.  The reference semantics ("the oracle").
-   - [Event]: the heap-based engine over [Desim.Engine], on one of two
-     paths.  Lockstep (slot-aligned configs: no propagation delay, no
-     loss) reuses [Queue_node] at slot granularity but touches a node
-     only on slots where it is occupied or receives an offer; sources
-     and fault processes still advance once per slot in the slotted
-     per-stream order, so the delay samples are reproduced bit for bit
-     while idle (node, slot) pairs are skipped.  Continuous (propagation
-     delay and/or loss) runs the same [Queue_node]s on their continuous
-     clock, with service completions, per-hop propagation and Bernoulli
-     link loss as events: statistically equivalent to a slotted run,
-     not sample-identical. *)
+   - [Event]: the heap-based engine over [Desim.Engine].  It reuses
+     [Queue_node] at slot granularity but touches a node only on slots
+     where it is occupied or receives an offer; sources and fault
+     processes still advance once per slot in the slotted per-stream
+     order, so every result is reproduced bit for bit while idle
+     (node, slot) pairs are skipped.
+   Both measure Eq. 6 through [Desim.Stats.virtual_delays]. *)
 
 type engine = Slotted | Event
 
@@ -39,8 +35,6 @@ type config = {
   gps_weights : (float * float) option;
   packet_size : float option;
   faults : (int * Faults.spec) list;
-  prop_delay : float array option;
-  loss : float array option;
 }
 
 let default_config =
@@ -61,8 +55,6 @@ let default_config =
     gps_weights = None;
     packet_size = None;
     faults = [];
-    prop_delay = None;
-    loss = None;
   }
 
 type result = {
@@ -70,7 +62,6 @@ type result = {
   through_backlog : Desim.Stats.Sample.t;
   through_kb : float;
   censored_kb : float;
-  lost_kb : float;
   utilization : float array;
   fault_factor : float array;
   events_processed : int;
@@ -78,10 +69,6 @@ type result = {
 
 let through_class = 0
 let cross_class = 1
-
-(* the tolerance of [Desim.Stats.virtual_delays]: the lockstep path's
-   samples equal the slotted ones only under the same threshold *)
-let sweep_eps = 1e-6
 
 let c_sim_slots = Telemetry.Counter.make "netsim.tandem.slots"
 let g_backlog_hwm = Telemetry.Gauge.make "netsim.tandem.backlog_hwm"
@@ -92,8 +79,6 @@ let node_capacities cfg =
   match cfg.capacities with
   | Some caps -> Array.copy caps
   | None -> Array.make cfg.h cfg.capacity
-
-let slot_aligned cfg = Option.is_none cfg.prop_delay && Option.is_none cfg.loss
 
 (* The node discipline, then every check a run makes; raises
    [Invalid_argument] on the first bad field.  A bad GPS weight is
@@ -122,24 +107,6 @@ let validate cfg =
   | Cbr { period; burst } ->
     if period <= 0 then invalid_arg "Tandem.run: non-positive CBR period";
     if burst <= 0. then invalid_arg "Tandem.run: non-positive CBR burst");
-  (match cfg.prop_delay with
-  | None -> ()
-  | Some d ->
-    if Array.length d <> cfg.h then invalid_arg "Tandem.run: prop_delay arity mismatch";
-    Array.iter
-      (fun x ->
-        if Float.is_nan x || x < 0. then
-          invalid_arg "Tandem.run: negative propagation delay")
-      d);
-  (match cfg.loss with
-  | None -> ()
-  | Some l ->
-    if Array.length l <> cfg.h then invalid_arg "Tandem.run: loss arity mismatch";
-    Array.iter
-      (fun x ->
-        if Float.is_nan x || x < 0. || x > 1. then
-          invalid_arg "Tandem.run: loss probability outside [0, 1]")
-      l);
   List.iteri
     (fun k (i, spec) ->
       if i < 0 || i >= cfg.h then
@@ -157,7 +124,6 @@ type setup = {
   through_src : Source.t option;  (* None for a CBR or empty through aggregate *)
   cross_srcs : Source.t array;
   fault_procs : Faults.process option array;
-  rng : Desim.Prng.t;  (* parent stream, for draws after the canonical ones *)
 }
 
 (* A run's nodes and stochastic processes, with the RNG stream derivation
@@ -195,17 +161,14 @@ let setup cfg discipline =
         Queue_node.create ?packet_size:cfg.packet_size ~capacity:caps.(i) ~classes:2
           discipline)
   in
-  { caps; nodes; through_src; cross_srcs; fault_procs; rng }
+  { caps; nodes; through_src; cross_srcs; fault_procs }
 
 let mean_factors = Array.map (function None -> 1. | Some pr -> Faults.mean_factor pr)
 
 (* ------------------------------ slotted ------------------------------ *)
 
 let run_slotted cfg discipline =
-  if not (slot_aligned cfg) then
-    invalid_arg
-      "Tandem.run: propagation delay / loss need the event engine (~engine:Event)";
-  let { caps; nodes; through_src; cross_srcs; fault_procs; rng = _ } = setup cfg discipline in
+  let { caps; nodes; through_src; cross_srcs; fault_procs } = setup cfg discipline in
   let total_slots = cfg.slots + cfg.drain_limit in
   (* Cumulative through arrivals into node 0 and departures from node h-1,
      indexed by slot. *)
@@ -300,7 +263,6 @@ let run_slotted cfg discipline =
     through_backlog;
     through_kb = !acc_in;
     censored_kb = censored;
-    lost_kb = 0.;
     utilization;
     fault_factor;
     events_processed = 0;
@@ -312,63 +274,24 @@ type ev =
   | Tick  (* per-slot advance of every stochastic process *)
   | Cbr_emit
   | Offer of { node : int; cls : int; size : float }
-  | Serve of int  (* lockstep: slot-serve of one node *)
-  | Complete of { node : int; gen : int }  (* continuous *)
+  | Serve of int  (* slot-serve of one node *)
 
-(* Virtual delays by the same two-pointer threshold sweep as
-   [Desim.Stats.virtual_delays], over sparse cumulative-counter change
-   points: continuous times are not slots. *)
-let sweep_delays ~in_pts ~out_pts =
-  let delays = Desim.Stats.Sample.create () in
-  let censored = ref 0. in
-  let out = ref out_pts in
-  List.iter
-    (fun (t, cum, inc) ->
-      let target = cum -. sweep_eps in
-      let rec advance () =
-        match !out with
-        | (_, c) :: rest when c < target ->
-          out := rest;
-          advance ()
-        | _ -> ()
-      in
-      advance ();
-      match !out with
-      | (u, _) :: _ -> Desim.Stats.Sample.add delays (Float.max 0. (u -. t))
-      | [] -> censored := !censored +. inc)
-    in_pts;
-  (delays, !censored)
+(* A cumulative counter on the slot grid, written only on the slots where
+   it moves: [mark c t v] sets slot [t] to [v], and the slots skipped
+   since the last mark to the value before it, as the slotted loop's
+   write on every slot leaves them.  Marks and [close] write every slot
+   once, so the array starts uninitialized. *)
+type counter = { cum : float array; mutable upto : int; mutable last : float }
 
-(* Through data inside the network at the end of each arrival-phase slot,
-   reconstructed as cum_in - cum_out over the change points (conservation:
-   queued + in-flight = arrived - departed). *)
-let backlog_trace ~slots ~in_pts ~out_pts =
-  let sample = Desim.Stats.Sample.create () in
-  let in_ref = ref in_pts and out_ref = ref out_pts in
-  let cin = ref 0. and cout = ref 0. in
-  for t = 0 to slots - 1 do
-    let tf = float_of_int t in
-    let rec adv_in () =
-      match !in_ref with
-      | (u, c, _) :: rest when u <= tf ->
-        cin := c;
-        in_ref := rest;
-        adv_in ()
-      | _ -> ()
-    in
-    let rec adv_out () =
-      match !out_ref with
-      | (u, c) :: rest when u <= tf ->
-        cout := c;
-        out_ref := rest;
-        adv_out ()
-      | _ -> ()
-    in
-    adv_in ();
-    adv_out ();
-    Desim.Stats.Sample.add sample (Float.max 0. (!cin -. !cout))
-  done;
-  sample
+let counter n = { cum = Array.create_float n; upto = -1; last = 0. }
+
+let mark c t v =
+  Array.fill c.cum (c.upto + 1) (t - c.upto - 1) c.last;
+  c.cum.(t) <- v;
+  c.upto <- t;
+  c.last <- v
+
+let close c = Array.fill c.cum (c.upto + 1) (Array.length c.cum - c.upto - 1) c.last
 
 (* Slots during which the per-slot Tick runs: the through source's
    arrival horizon, or the whole run while cross traffic or a fault
@@ -398,46 +321,18 @@ let cbr_burst eng cfg t =
     burst
   | Markov -> assert false
 
-(* Assemble (and report) a finished event run from its change points. *)
-let outcome eng s ~in_pts ~out_pts ~through_backlog ~through_kb ~lost_kb ~utilization =
-  let (delays, censored_kb) = sweep_delays ~in_pts ~out_pts in
-  let events_processed = Desim.Engine.events_processed eng in
-  if Telemetry.is_enabled () then begin
-    let heap_hwm = Desim.Engine.heap_high_water eng in
-    Telemetry.Counter.add c_events events_processed;
-    Telemetry.Gauge.set g_heap_hwm (float_of_int heap_hwm);
-    Telemetry.event "tandem.done"
-      ~attrs:
-        [
-          ("engine", Telemetry.Str "event");
-          ("events", Telemetry.Int events_processed);
-          ("heap_hwm", Telemetry.Int heap_hwm);
-          ("through_kb", Telemetry.Float through_kb);
-          ("censored_kb", Telemetry.Float censored_kb);
-          ("delay_samples", Telemetry.Int (Desim.Stats.Sample.count delays));
-        ]
-  end;
-  {
-    delays;
-    through_backlog;
-    through_kb;
-    censored_kb;
-    lost_kb;
-    utilization;
-    fault_factor = mean_factors s.fault_procs;
-    events_processed;
-  }
-
-(* Lockstep path: slot-quantized, bit-identical to the slotted engine. *)
-let run_lockstep cfg s =
+(* Touches a node only on the slots where it is occupied or offered
+   work; every result bit-identical to the slotted engine's. *)
+let run_event cfg s =
   let nodes = s.nodes in
   let total_slots = cfg.slots + cfg.drain_limit in
   let tick_until = tick_until cfg s in
   let factor_cache = Array.make cfg.h 1. in
   let serve_at = Array.make cfg.h (-1) in
   let served_total = Array.make cfg.h 0. in
-  let acc_in = ref 0. and acc_out = ref 0. in
-  let in_pts = ref [] and out_pts = ref [] in
+  (* cumulative through arrivals into node 0 and departures from node
+     h-1, as dense as the slotted loop's *)
+  let cum_in = counter cfg.slots and cum_out = counter total_slots in
   (* End-of-slot through backlog, computed with the slotted loop's exact
      arithmetic (left fold over per-node backlogs, plus this slot's
      inter-node departures) so the samples are bit-identical.  Node state
@@ -481,20 +376,12 @@ let run_lockstep cfg s =
   in
   let through_in t a =
     if a > 0. then begin
-      let before = !acc_in in
-      acc_in := before +. a;
-      (* the slotted sweep derives each slot's increment as
-         cum_in.(t) -. cum_in.(t-1), a float difference that can drift an
-         ulp from the raw arrival [a] (and round to zero outright when [a]
-         is tiny against the cumulative); replicate both the difference
-         and its > 0 gate so censored accounting matches bit for bit *)
-      let inc = !acc_in -. before in
-      if inc > 0. then in_pts := (float_of_int t, !acc_in, inc) :: !in_pts;
+      mark cum_in t (cum_in.last +. a);
       Queue_node.offer nodes.(0) ~now:(float_of_int t) ~cls:through_class a;
       ensure_serve 0 t
     end
   in
-  let handler _ (event : ev Desim.Engine.event) =
+  let handler (event : ev Desim.Engine.event) =
     let t = int_of_float event.Desim.Engine.time in
     match event.Desim.Engine.payload with
     | Tick ->
@@ -530,12 +417,9 @@ let run_lockstep cfg s =
           Desim.Engine.schedule eng ~time:(float_of_int (t + 1)) ~kind:Desim.Engine.Arrival
             (Offer { node = i + 1; cls = through_class; size = dep.(through_class) })
       end
-      else if dep.(through_class) > 0. then begin
-        acc_out := !acc_out +. dep.(through_class);
-        out_pts := (float_of_int t, !acc_out) :: !out_pts
-      end;
+      else if dep.(through_class) > 0. then
+        mark cum_out t (cum_out.last +. dep.(through_class));
       if Queue_node.occupied nodes.(i) then ensure_serve i (t + 1)
-    | Complete _ -> assert false
   in
   start eng cfg s;
   let rec drain () =
@@ -545,137 +429,42 @@ let run_lockstep cfg s =
       (* The clock moved past every slot before this event's; their
          end-of-slot states are final, so sample them now. *)
       sample_upto (int_of_float event.Desim.Engine.time - 1);
-      handler eng event;
+      handler event;
       drain ()
   in
   drain ();
   sample_upto (cfg.slots - 1);
-  outcome eng s ~in_pts:(List.rev !in_pts) ~out_pts:(List.rev !out_pts) ~through_backlog
-    ~through_kb:!acc_in ~lost_kb:0.
-    ~utilization:
-      (Array.mapi (fun i x -> x /. (s.caps.(i) *. float_of_int total_slots)) served_total)
-
-(* Continuous path: heterogeneous rates, propagation delay, link loss. *)
-let run_continuous cfg s =
-  let nodes = s.nodes in
-  let loss = match cfg.loss with None -> Array.make cfg.h 0. | Some l -> Array.copy l in
-  (* per-link loss streams are split after the canonical ones *)
-  let loss_rngs =
-    Array.map (fun q -> if q > 0. then Some (Desim.Prng.split s.rng) else None) loss
+  close cum_in;
+  close cum_out;
+  let (delays, censored_kb) =
+    Desim.Stats.virtual_delays ~cum_in:cum_in.cum ~cum_out:cum_out.cum
   in
-  let prop =
-    match cfg.prop_delay with
-    | Some d -> Array.copy d
-    (* Default mirrors slotted store-and-forward: one slot per internal
-       hop, immediate delivery from the last node to the sink. *)
-    | None -> Array.init cfg.h (fun i -> if i < cfg.h - 1 then 1. else 0.)
-  in
-  let horizon = float_of_int (cfg.slots + cfg.drain_limit) in
-  let tick_until = tick_until cfg s in
-  let acc_in = ref 0. and acc_out = ref 0. and lost = ref 0. in
-  let in_pts = ref [] and out_pts = ref [] in
-  let eng : ev Desim.Engine.t = Desim.Engine.create () in
-  let reschedule i =
-    let g = Queue_node.bump nodes.(i) in
-    let tc = Queue_node.next_completion nodes.(i) in
-    if tc <= horizon then
-      Desim.Engine.schedule eng
-        ~time:(Float.max tc (Desim.Engine.now eng))
-        ~kind:Desim.Engine.Service_completion
-        (Complete { node = i; gen = g })
-  in
-  let deliver i now =
-    List.iter
-      (fun (cls, size) ->
-        if cls = through_class then begin
-          let dropped =
-            match loss_rngs.(i) with
-            | Some lr -> Desim.Prng.bernoulli lr ~p:loss.(i)
-            | None -> false
-          in
-          if dropped then lost := !lost +. size
-          else begin
-            let at = now +. prop.(i) in
-            if i < cfg.h - 1 then begin
-              if at <= horizon then
-                Desim.Engine.schedule eng ~time:at ~kind:Desim.Engine.Arrival
-                  (Offer { node = i + 1; cls = through_class; size })
-            end
-            else if at <= horizon then begin
-              acc_out := !acc_out +. size;
-              out_pts := (at, !acc_out) :: !out_pts
-            end
-          end
-        end)
-      (Queue_node.take_completions nodes.(i))
-  in
-  let touch i now =
-    deliver i now;
-    reschedule i
-  in
-  let offer_node i ~now ~cls size =
-    Queue_node.sync nodes.(i) ~now;
-    Queue_node.offer nodes.(i) ~now ~cls size;
-    touch i now
-  in
-  let through_in t a =
-    if a > 0. then begin
-      let tf = float_of_int t in
-      acc_in := !acc_in +. a;
-      in_pts := (tf, !acc_in, a) :: !in_pts;
-      offer_node 0 ~now:tf ~cls:through_class a
-    end
-  in
-  let handler _ (event : ev Desim.Engine.event) =
-    let now = event.Desim.Engine.time in
-    let t = int_of_float now in
-    match event.Desim.Engine.payload with
-    | Tick ->
-      (match s.through_src with
-      | Some src when t < cfg.slots -> through_in t (Source.step src)
-      | _ -> ());
-      if cfg.n_cross > 0 then
-        Array.iteri
-          (fun i src ->
-            let c = Source.step src in
-            if c > 0. then offer_node i ~now ~cls:cross_class c)
-          s.cross_srcs;
-      Array.iteri
-        (fun i proc ->
-          match proc with
-          | None -> ()
-          | Some pr ->
-            let f = Faults.step pr in
-            if not (Float.equal f (Queue_node.factor nodes.(i))) then begin
-              Queue_node.set_factor nodes.(i) ~now f;
-              touch i now
-            end)
-        s.fault_procs;
-      if t + 1 < tick_until then
-        Desim.Engine.schedule eng ~time:(float_of_int (t + 1)) ~kind:Desim.Engine.Source_change
-          Tick
-    | Cbr_emit -> through_in t (cbr_burst eng cfg t)
-    | Offer { node; cls; size } -> offer_node node ~now ~cls size
-    | Complete { node; gen } ->
-      if gen = Queue_node.gen nodes.(node) then begin
-        Queue_node.sync nodes.(node) ~now;
-        touch node now
-      end
-    | Serve _ -> assert false
-  in
-  start eng cfg s;
-  Desim.Engine.run eng handler;
-  let in_pts = List.rev !in_pts and out_pts = List.rev !out_pts in
-  outcome eng s ~in_pts ~out_pts
-    ~through_backlog:(backlog_trace ~slots:cfg.slots ~in_pts ~out_pts)
-    ~through_kb:!acc_in ~lost_kb:!lost
-    ~utilization:
-      (Array.mapi
-         (fun i node ->
-           (Queue_node.served_of node ~cls:through_class
-           +. Queue_node.served_of node ~cls:cross_class)
-           /. (s.caps.(i) *. horizon))
-         nodes)
+  let events_processed = Desim.Engine.events_processed eng in
+  if Telemetry.is_enabled () then begin
+    let heap_hwm = Desim.Engine.heap_high_water eng in
+    Telemetry.Counter.add c_events events_processed;
+    Telemetry.Gauge.set g_heap_hwm (float_of_int heap_hwm);
+    Telemetry.event "tandem.done"
+      ~attrs:
+        [
+          ("engine", Telemetry.Str "event");
+          ("events", Telemetry.Int events_processed);
+          ("heap_hwm", Telemetry.Int heap_hwm);
+          ("through_kb", Telemetry.Float cum_in.last);
+          ("censored_kb", Telemetry.Float censored_kb);
+          ("delay_samples", Telemetry.Int (Desim.Stats.Sample.count delays));
+        ]
+  end;
+  {
+    delays;
+    through_backlog;
+    through_kb = cum_in.last;
+    censored_kb;
+    utilization =
+      Array.mapi (fun i x -> x /. (s.caps.(i) *. float_of_int total_slots)) served_total;
+    fault_factor = mean_factors s.fault_procs;
+    events_processed;
+  }
 
 (* ------------------------------ entry ------------------------------ *)
 
@@ -693,9 +482,7 @@ let run ?(engine = Slotted) cfg =
   @@ fun () ->
   match engine with
   | Slotted -> run_slotted cfg discipline
-  | Event ->
-    let s = setup cfg discipline in
-    if slot_aligned cfg then run_lockstep cfg s else run_continuous cfg s
+  | Event -> run_event cfg (setup cfg discipline)
 
 let engine_of_string = function
   | "slotted" -> Ok Slotted

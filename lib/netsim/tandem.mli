@@ -12,29 +12,22 @@
     validation and one RNG stream setup: every stream is split from
     [seed] in the same order (the through source, split even when it is
     CBR or empty; one cross source per node in node order; one fault
-    process per faulted node in node order; then, continuous runs only,
-    one loss stream per lossy link).  The slotted engine is the
-    reference ("the oracle").  The event engine runs over
-    {!Desim.Engine} on one of two paths:
-
-    - {b Lockstep} (slot-aligned configs: no propagation delay, no loss):
-      the same {!Queue_node}s at slot granularity, touching a node only
-      on slots where it is occupied or offered work, while every source
-      and fault process still advances once per slot in the slotted
-      per-stream order.  The delay and backlog samples and the kb totals
-      are {e bit-identical} to the slotted run on the same config — the
-      differential-testing guarantee.
-    - {b Continuous} (propagation delay and/or loss present): the same
-      nodes on their continuous clock; statistically equivalent to a
-      slotted run (quantile-envelope parity), not sample-identical. *)
+    process per faulted node in node order).  The slotted engine is the
+    reference ("the oracle").  The event engine runs the same
+    {!Queue_node}s at slot granularity over {!Desim.Engine}, touching a
+    node only on slots where it is occupied or offered work, while every
+    source and fault process still advances once per slot in the slotted
+    per-stream order.  Both measure Eq. (6) by
+    {!Desim.Stats.virtual_delays} over the same dense cumulative
+    counters, so every field of the result except [events_processed] is
+    {e bit-identical} between them on the same config — the
+    differential-testing guarantee. *)
 
 type engine =
   | Slotted  (** time-stepped reference loop: one pass per slot over every node *)
   | Event
-      (** heap-based event engine: skips idle (node, slot) pairs on
-          slot-aligned configs (bit-identical samples, same seed
-          derivation), and runs continuous-time service for heterogeneous
-          configs ([prop_delay] / [loss]); reports the
+      (** heap-based event engine: skips idle (node, slot) pairs, with
+          bit-identical results and the same seed derivation; reports the
           [netsim.desim.events] and [netsim.desim.heap_hwm] telemetry *)
 
 type source_kind =
@@ -48,7 +41,7 @@ type config = {
   capacity : float;  (** kb per slot per node *)
   capacities : float array option;
   (** per-node capacities (length [h]); overrides [capacity] when set.
-      Supported by both engines (heterogeneous but still slot-aligned). *)
+      Supported by both engines. *)
   source : Envelope.Mmpp.t;  (** per-flow traffic model *)
   through_kind : source_kind;  (** through-aggregate kind; cross traffic is always Markov *)
   n_through : int;
@@ -72,13 +65,6 @@ type config = {
       one with [faults = \[\]].
       Fault processes for [Gilbert] specs draw dedicated rng streams derived
       from [seed]. *)
-  prop_delay : float array option;
-  (** per-hop propagation delay after node [i] in slot units (length [h];
-      the last entry delays delivery to the sink).  Event engine only:
-      non-integer delays cannot be expressed on a slot clock. *)
-  loss : float array option;
-  (** per-link through-traffic drop probability after node [i] (length
-      [h]).  Event engine only. *)
 }
 
 val default_config : config
@@ -93,7 +79,6 @@ type result = {
       backlog bound *)
   through_kb : float;  (** through data injected *)
   censored_kb : float;  (** through data still in flight when the run ended *)
-  lost_kb : float;  (** through data dropped by link loss (event engine) *)
   utilization : float array;  (** measured per-node utilization *)
   fault_factor : float array;
   (** realized mean capacity factor per node ([1.] where healthy) *)
@@ -103,9 +88,8 @@ type result = {
 }
 
 val run : ?engine:engine -> config -> result
-(** [engine] defaults to [Slotted].  @raise Invalid_argument when a
-    slotted run is asked for a config only the event engine can express
-    ([prop_delay] / [loss]), or on malformed configs. *)
+(** [engine] defaults to [Slotted].  @raise Invalid_argument on a
+    malformed config (see {!check}). *)
 
 val engine_of_string : string -> (engine, string) Stdlib.result
 val engine_to_string : engine -> string

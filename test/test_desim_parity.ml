@@ -1,20 +1,13 @@
 (* Differential tests: the event engine against the slotted oracle.
 
-   Two layers of guarantee, matching the engine's contract
-   (lib/netsim/tandem.mli):
-
-   - slot-aligned configs (no propagation delay, no loss): the event
-     engine must reproduce the slotted delay samples *bit for bit* —
-     same seed derivation, same arithmetic, only the idle (node, slot)
-     pairs skipped.  Checked here over randomized tandem scenarios:
-     path length, schedulers (FIFO / SP / EDF / BMUX / GPS /
-     packetized), Markov and CBR sources, heterogeneous per-node
-     capacities, and fault schedules.
-   - heterogeneous configs (propagation delay / loss): only the event
-     engine can express them, so the check is statistical — quantiles
-     of the event run must sit inside a generous envelope around the
-     slotted oracle after accounting for the extra propagation time,
-     and realized loss must track the configured drop probability.
+   The engine's contract (lib/netsim/tandem.mli): the event engine must
+   reproduce every field of the slotted result *bit for bit* — same
+   seed derivation, same arithmetic, only the idle (node, slot) pairs
+   skipped.  Checked here over randomized tandem scenarios: path
+   length, schedulers (FIFO / SP / EDF / BMUX / GPS / packetized),
+   Markov and CBR sources (some CBR bursts below the 1e-6 kb tolerance
+   of Eq. 6's sweep), heterogeneous per-node capacities, and fault
+   schedules.
 
    Scenarios are generated from plain integer tuples so QCheck's
    built-in shrinking applies; the printer renders the derived config
@@ -107,7 +100,11 @@ let config_of s : Tandem.config =
   in
   let through_kind =
     if s.kind = 0 then Tandem.Markov
-    else Tandem.Cbr { period = 4 + (s.seed mod 5); burst = 1.5 *. capacity }
+    else
+      (* every fourth seed a burst below the sweep's tolerance, whose
+         first samples read 0 whatever the path latency *)
+      let burst = if s.seed mod 4 = 0 then 1e-7 else 1.5 *. capacity in
+      Tandem.Cbr { period = 4 + (s.seed mod 5); burst }
   in
   let faults =
     match s.fault with
@@ -136,7 +133,7 @@ let config_of s : Tandem.config =
     faults;
   }
 
-(* ---------------- exact parity (slot-aligned) ---------------- *)
+(* ---------------- exact parity ---------------- *)
 
 let fail_diff s what detail =
   QCheck.Test.fail_reportf "event/slotted mismatch (%s) on %s: %s" what
@@ -169,10 +166,9 @@ let prop_exact_parity =
       check_float_exact s "through_kb" slotted.Tandem.through_kb event.Tandem.through_kb;
       check_float_exact s "censored_kb" slotted.Tandem.censored_kb
         event.Tandem.censored_kb;
-      check_float_exact s "lost_kb" slotted.Tandem.lost_kb event.Tandem.lost_kb;
       Array.iteri
         (fun i u ->
-          if Float.abs (u -. event.Tandem.utilization.(i)) > 1e-9 then
+          if not (Float.equal u event.Tandem.utilization.(i)) then
             fail_diff s "utilization"
               (Printf.sprintf "node %d: %.17g vs %.17g" i u
                  event.Tandem.utilization.(i)))
@@ -195,100 +191,34 @@ let prop_exact_parity =
         fail_diff s "events_processed" "event engine reported no events";
       true)
 
-(* ---------------- statistical envelope (heterogeneous) ---------------- *)
-
-(* Propagation delays of exactly one slot per internal hop and zero to
-   the sink give the continuous-time path the same store-and-forward
-   latency as the slotted oracle, so its delay quantiles must land in a
-   generous envelope around the oracle's; non-integer extra propagation
-   shifts the whole distribution by a known constant.  One inherent
-   model difference remains: the slotted oracle serves a burst within
-   its arrival slot (zero transmission time on the slot grid) while the
-   continuous server charges size/rate per hop, so the band allows an
-   additive shift that grows with the path length.  Every scheduler of
-   the generator (FIFO, BMUX, SP, EDF, GPS, packetized) is in scope. *)
-
-let envelope_scenario s =
-  {
-    s with
-    h = 1 + (s.h mod 5);
-    slots = 200 + s.slots;
-    kind = 0;
-    n_through = 10 + s.n_through;
-    fault = 0;
-    hetero = false;
-  }
-
-let prop_envelope_parity =
-  QCheck.Test.make ~name:"continuous path sits in the oracle's quantile envelope"
-    ~count:(Qc.count 12 ~cap:120) arb_scenario (fun s0 ->
-      let s = envelope_scenario (normalize s0) in
-      let cfg = config_of s in
-      let extra = 0.25 +. (0.25 *. float_of_int (s.seed mod 4)) in
-      let prop =
-        (* 1 slot per internal hop (the slotted store-and-forward
-           latency) plus a known non-integer shift on the first link;
-           the sink link keeps zero delay. *)
-        Array.init s.h (fun i ->
-            if i = s.h - 1 then if s.h = 1 then extra else 0.
-            else if i = 0 then 1. +. extra
-            else 1.)
-      in
-      let slotted = Tandem.run cfg in
-      let event = Tandem.run ~engine:Tandem.Event { cfg with prop_delay = Some prop } in
-      if Sample.count slotted.Tandem.delays < 50 then QCheck.assume_fail ();
-      if Sample.count event.Tandem.delays < 50 then
-        fail_diff s "envelope"
-          (Printf.sprintf "continuous path delivered only %d samples (oracle %d)"
-             (Sample.count event.Tandem.delays)
-             (Sample.count slotted.Tandem.delays));
-      List.iter
-        (fun q ->
-          let qs = Sample.quantile slotted.Tandem.delays q +. extra in
-          let qe = Sample.quantile event.Tandem.delays q in
-          let band = 2.5 +. (1.5 *. float_of_int s.h) +. (0.5 *. qs) in
-          if Float.abs (qe -. qs) > band then
-            fail_diff s "envelope"
-              (Printf.sprintf "q%.2f: event %.3f vs oracle(+prop) %.3f (band %.3f)" q qe
-                 qs band))
-        [ 0.5; 0.9 ];
-      true)
-
-let prop_loss_accounting =
-  QCheck.Test.make ~name:"link loss drops the configured fraction"
-    ~count:(Qc.count 12 ~cap:120) arb_scenario (fun s0 ->
-      let s = envelope_scenario (normalize s0) in
-      let cfg = config_of s in
-      let p = 0.1 +. (0.02 *. float_of_int (s.seed mod 6)) in
-      let loss = Array.make s.h 0. in
-      loss.(0) <- p;
-      let event = Tandem.run ~engine:Tandem.Event { cfg with loss = Some loss } in
-      if event.Tandem.through_kb < 100. then QCheck.assume_fail ();
-      let frac = event.Tandem.lost_kb /. event.Tandem.through_kb in
-      if frac < 0. || event.Tandem.lost_kb > event.Tandem.through_kb then
-        fail_diff s "loss" (Printf.sprintf "lost fraction %.3f out of range" frac);
-      if Float.abs (frac -. p) > (0.5 *. p) +. 0.08 then
-        fail_diff s "loss"
-          (Printf.sprintf "lost fraction %.3f vs configured %.3f" frac p);
-      true)
-
-(* A slotted run must reject configs only the event engine can express,
-   so a parity suite can never silently compare different semantics. *)
-let test_slotted_rejects_heterogeneous () =
-  let cfg = { Tandem.default_config with slots = 10; drain_limit = 10 } in
-  Alcotest.check_raises "prop_delay" (Invalid_argument
-    "Tandem.run: propagation delay / loss need the event engine (~engine:Event)")
-    (fun () ->
-      ignore (Tandem.run { cfg with prop_delay = Some [| 0.5; 0.5 |] }));
-  Alcotest.check_raises "loss" (Invalid_argument
-    "Tandem.run: propagation delay / loss need the event engine (~engine:Event)")
-    (fun () -> ignore (Tandem.run { cfg with loss = Some [| 0.1; 0. |] }))
+(* Cumulative arrivals below the sweep's absolute tolerance of 1e-6 kb
+   read as delivered at once, so every delay here is 0 although the
+   data takes two slots to cross H = 3; an engine that reads the first
+   arrival's delay off the slot of the first departure reads 2. *)
+let test_tiny_bursts () =
+  let cfg =
+    {
+      Tandem.default_config with
+      h = 3;
+      n_through = 0;
+      n_cross = 5;
+      through_kind = Tandem.Cbr { period = 10; burst = 1e-7 };
+      slots = 50;
+      drain_limit = 50;
+    }
+  in
+  List.iter
+    (fun engine ->
+      let r = Tandem.run ~engine cfg in
+      Alcotest.(check (array (float 0.)))
+        (Tandem.engine_to_string engine ^ " delays")
+        (Array.make 5 0.)
+        (Sample.to_sorted_array r.Tandem.delays);
+      Alcotest.(check (float 0.)) "censored" 0. r.Tandem.censored_kb)
+    [ Tandem.Slotted; Tandem.Event ]
 
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_exact_parity;
-    QCheck_alcotest.to_alcotest prop_envelope_parity;
-    QCheck_alcotest.to_alcotest prop_loss_accounting;
-    Alcotest.test_case "slotted rejects heterogeneous configs" `Quick
-      test_slotted_rejects_heterogeneous;
+    Alcotest.test_case "tiny bursts: both engines read Eq. 6 alike" `Quick test_tiny_bursts;
   ]

@@ -1267,6 +1267,118 @@ let test_retarget_and_delay_sum_allocation () =
   (* a boxed float: a header word and the double *)
   Alcotest.(check bool) (Fmt.str "%.1f words per fused evaluation <= 2" words) true (words <= 2.)
 
+(* ---------------- overloaded ∆ < 0 nodes ---------------- *)
+
+(* Eq. 38 in node order at X = x, as the solvers sum it. *)
+let objective_at p ~gamma ~sigma x =
+  let acc = ref x in
+  for h = 0 to E2e.hop_count p - 1 do
+    acc := !acc +. E2e.theta_of_x p ~gamma ~sigma ~x h
+  done;
+  !acc
+
+let through_probe = Ebb.v ~m:1. ~rho:15. ~alpha:0.8
+
+let node ~capacity ~cross_rho delta = { E2e.capacity; cross_rho; cross_m = 1.; delta }
+
+(* An EDF node with cross rate above its capacity and ∆ = -5: past
+   X = -∆ its theta climbs from 0 only once X passes the root
+   (σ + (ρc + γ) ∆) / margin, margin < 0, and there the objective's
+   slope turns from -0.09 to +0.115, so the minimum, 33.2678, sits at
+   that root; without it the candidates' least objective is 34.1547. *)
+let test_overloaded_kink () =
+  let p =
+    {
+      E2e.nodes =
+        [|
+          node ~capacity:100. ~cross_rho:120. (Delta.Fin (-5.));
+          node ~capacity:10. ~cross_rho:0. Delta.Neg_inf;
+          node ~capacity:100. ~cross_rho:89.5 (Delta.Fin 0.);
+        |];
+      through = through_probe;
+    }
+  in
+  let gamma = 0.5 and sigma = 300. in
+  let root = (sigma +. ((120. +. gamma) *. -5.)) /. (100. -. 120. -. gamma) in
+  let want = objective_at p ~gamma ~sigma root in
+  List.iter
+    (fun (name, got) ->
+      if not (Float.equal got want) then
+        Alcotest.failf "%s: %.17g, the objective at the root %.17g is %.17g" name got root
+          want)
+    [
+      ("Reference.delay_given", E2e.Reference.delay_given p ~gamma ~sigma);
+      ("delay_given", E2e.delay_given p ~gamma ~sigma);
+    ];
+  check_float ~tol:1e-6 "the minimum" 33.267787 want
+
+(* Short paths led by an overloaded ∆ < 0 node, then strict-priority,
+   FIFO and ∆ < 0 nodes (overloaded or not).  The exact minimum lies
+   below the objective at every X, so [delay_given] may exceed the
+   objective on a grid of X only by DESIGN.md §7's summation-rounding
+   allowance: at the minimizing candidate F (1 - ρ) <= Φ + A, and at X
+   Φ <= F(X) (1 + ρ) + A, with ρ = 32 (H + 2) u and A = 4 u Σ_{∆ >= 0}
+   σ / margin + 8 (H + 1) min_float. *)
+let overloaded_arb =
+  let gen =
+    QCheck.Gen.(
+      let overloaded =
+        triple (float_range 20. 150.) (float_range 1.02 1.6) (float_range 0.5 10.)
+        >|= fun (c, load, d) -> node ~capacity:c ~cross_rho:(c *. load) (Delta.Fin (-.d))
+      in
+      let other =
+        frequency
+          [
+            (2, float_range 5. 150. >|= fun c -> node ~capacity:c ~cross_rho:0. Delta.Neg_inf);
+            ( 2,
+              pair (float_range 20. 150.) (float_range 0.3 0.95) >|= fun (c, load) ->
+              node ~capacity:c ~cross_rho:(c *. load) (Delta.Fin 0.) );
+            ( 1,
+              triple (float_range 20. 150.) (float_range 0.3 1.6) (float_range 0.5 10.)
+              >|= fun (c, load, d) -> node ~capacity:c ~cross_rho:(c *. load) (Delta.Fin (-.d))
+            );
+          ]
+      in
+      int_range 1 3 >>= fun rest ->
+      pair overloaded (array_repeat rest other) >>= fun (first, others) ->
+      pair (float_range 0.01 1.) (float_range 5. 600.) >|= fun (gamma, sigma) ->
+      ({ E2e.nodes = Array.append [| first |] others; through = through_probe }, gamma, sigma))
+  in
+  let print (p, gamma, sigma) =
+    Fmt.str "gamma=%h sigma=%h nodes=[%s]" gamma sigma
+      (String.concat "; " (Array.to_list (Array.map print_node p.E2e.nodes)))
+  in
+  QCheck.make ~print gen
+
+let prop_overloaded_minimum =
+  QCheck.Test.make ~name:"overloaded paths: delay_given <= the objective on a grid"
+    ~count:(Qc.count 200) overloaded_arb (fun (p, gamma, sigma) ->
+      let h = E2e.hop_count p in
+      let u = epsilon_float in
+      let rho = 32. *. float_of_int (h + 2) *. u in
+      let a = ref (8. *. float_of_int (h + 1) *. Float.min_float) in
+      let xmax = ref 0. in
+      Array.iteri
+        (fun i (nd : E2e.node) ->
+          let c_h = nd.E2e.capacity -. (float_of_int i *. gamma) in
+          let margin = c_h -. nd.E2e.cross_rho -. gamma in
+          xmax := Float.max !xmax (sigma /. c_h);
+          match nd.E2e.delta with
+          | Delta.Fin d when d >= 0. -> if margin > 0. then a := !a +. (4. *. u *. sigma /. margin)
+          | Delta.Fin d -> xmax := Float.max !xmax (-.d)
+          | Delta.Neg_inf | Delta.Pos_inf -> ())
+        p.E2e.nodes;
+      let got = E2e.delay_given p ~gamma ~sigma in
+      let n = 2000 in
+      for k = 0 to n do
+        let x = !xmax *. float_of_int k /. float_of_int n in
+        let f = objective_at p ~gamma ~sigma x in
+        if got *. (1. -. rho) > (f *. (1. +. rho)) +. (2. *. !a) then
+          QCheck.Test.fail_reportf "delay_given %.17g > %.17g, the objective at X = %.17g" got
+            f x
+      done;
+      true)
+
 let suite =
   [
     Alcotest.test_case "Eq. 34 closed form" `Quick test_total_bound_matches_eq34;
@@ -1315,5 +1427,8 @@ let suite =
     Alcotest.test_case "retarget and the fused additive loop allocate nothing" `Quick
       test_retarget_and_delay_sum_allocation;
     QCheck_alcotest.to_alcotest prop_k_procedure_never_nan;
+    Alcotest.test_case "overloaded kink: theta leaves 0 at the root" `Quick
+      test_overloaded_kink;
+    QCheck_alcotest.to_alcotest prop_overloaded_minimum;
     Alcotest.test_case "has_stable_s = a stable s exists" `Quick test_has_stable_s;
   ]

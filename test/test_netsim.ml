@@ -266,63 +266,6 @@ let offer_rejects size () =
       Node.offer node ~now:0. ~cls:0 size);
   check_float "backlog untouched" 0. (Node.backlog node)
 
-(* Continuous clock: a class FIFO that wraps and grows past its initial
-   ring still completes batches in arrival order, at the predicted
-   instants. *)
-let test_continuous_fifo_order () =
-  let node = Node.create ~capacity:2. ~classes:2 (Node.Delta_policy Policy.fifo) in
-  let completed = ref [] in
-  let now = ref 0. in
-  let drain_until limit =
-    while Node.next_completion node < limit do
-      now := Node.next_completion node;
-      Node.sync node ~now:!now;
-      completed := List.rev_append (Node.take_completions node) !completed
-    done
-  in
-  for k = 1 to 40 do
-    Node.sync node ~now:!now;
-    Node.offer node ~now:!now ~cls:0 (float_of_int k);
-    (* serve a little between offers so the ring head moves before it grows *)
-    if k mod 10 = 0 then drain_until (!now +. 1.)
-  done;
-  drain_until Float.infinity;
-  let sizes = List.rev_map snd !completed in
-  Alcotest.(check (list (float 0.))) "arrival order" (List.init 40 (fun k -> float_of_int (k + 1))) sizes;
-  check_float ~tol:1e-9 "all work served at rate 2" (820. /. 2.) !now;
-  check_float ~tol:1e-9 "served_of" 820. (Node.served_of node ~cls:0);
-  Alcotest.(check bool) "idle" false (Node.occupied node)
-
-(* Regression: continuous GPS used to grant shares to a class whose queue
-   had emptied but whose backlog kept float dust, starving the real
-   backlog while re-predicting a completion ~1e-11 later forever.  Both
-   configs never returned. *)
-let test_continuous_gps_terminates () =
-  let base =
-    {
-      Tandem.default_config with
-      h = 2;
-      slots = 100;
-      drain_limit = 100;
-      n_through = 60;
-      n_cross = 150;
-      capacity = 40.;
-      gps_weights = Some (2., 1.);
-      seed = 3L;
-    }
-  in
-  List.iter
-    (fun (name, cfg) ->
-      let r = Tandem.run ~engine:Tandem.Event cfg in
-      if r.Tandem.events_processed > 20_000 then
-        Alcotest.failf "%s: %d events for a %d-slot run" name r.Tandem.events_processed
-          (cfg.Tandem.slots + cfg.Tandem.drain_limit);
-      Alcotest.(check bool) (name ^ " delivers") true (Desim.Stats.Sample.count r.Tandem.delays > 0))
-    [
-      ("prop", { base with prop_delay = Some [| 1.; 0. |] });
-      ("loss", { base with slots = 200; seed = 1L; loss = Some [| 0.02; 0.02 |] });
-    ]
-
 (* ---------------- tandem ---------------- *)
 
 let small_config scheduler =
@@ -493,8 +436,6 @@ let suite =
       test_create_rejects_bad_packet_size;
     Alcotest.test_case "offer rejects non-locally-FIFO keys" `Quick
       test_offer_rejects_non_locally_fifo;
-    Alcotest.test_case "continuous clock keeps FIFO order" `Quick test_continuous_fifo_order;
-    Alcotest.test_case "continuous gps terminates" `Quick test_continuous_gps_terminates;
     Alcotest.test_case "tandem runs" `Slow test_tandem_runs_and_measures;
     Alcotest.test_case "tandem path latency" `Slow test_tandem_min_delay_is_path_latency;
     Alcotest.test_case "tandem deterministic" `Slow test_tandem_deterministic_given_seed;
