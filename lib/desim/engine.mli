@@ -11,18 +11,13 @@
 
 type kind =
   | Source_change  (** traffic-source state transition / emission tick *)
-  | Fault_transition  (** capacity-degradation process advance *)
-  | Arrival  (** work offered to a node *)
-  | Service_completion  (** a batch or packet finishes service *)
+  | Service_completion  (** a node's slot of service *)
 
 type 'a event = { time : float; kind : kind; payload : 'a }
 
 type 'a t
 
 val create : unit -> 'a t
-
-val now : 'a t -> float
-(** Current virtual time (the timestamp of the last processed event). *)
 
 val schedule : 'a t -> time:float -> kind:kind -> 'a -> unit
 (** Enqueue an event.  @raise Invalid_argument if [time] is NaN or lies

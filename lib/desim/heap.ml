@@ -1,83 +1,95 @@
-(* Array-backed binary min-heap, stable for equal keys.
+(* Array-backed binary min-heap over (key, rank) pairs, stable for
+   equal pairs.
 
-   Stability: every pushed element carries a monotone sequence number used
-   as the final tie-break, so elements that compare equal under [cmp] pop
-   in insertion (FIFO) order.  The event engine relies on this for
-   deterministic processing of same-timestamp events. *)
+   Stability: every pushed element carries a monotone sequence number
+   as the final tie-break, so elements with equal (key, rank) pop in
+   insertion (FIFO) order.  The event engine relies on this for
+   deterministic processing of same-timestamp events.  The order lives
+   in unboxed columns — the keys, and rank and sequence number packed
+   into one int — so a comparison is two inline compares, and both
+   sifts move a hole instead of swapping. *)
 
 type 'a t = {
-  cmp : 'a -> 'a -> int;
+  mutable keys : float array;
+  mutable ords : int array;  (* rank lsl seq_bits + sequence number *)
   mutable data : 'a array;
-  mutable seqs : int array;
   mutable size : int;
   mutable next_seq : int;
 }
 
-let create ~cmp = { cmp; data = [||]; seqs = [||]; size = 0; next_seq = 0 }
+(* 2^48 pushes per heap before a sequence number would reach the rank
+   bits: a month of pushes at 10^8 a second. *)
+let seq_bits = 48
+
+let create () = { keys = [||]; ords = [||]; data = [||]; size = 0; next_seq = 0 }
 let length h = h.size
-
-(* cmp, then insertion order. *)
-let less h i j =
-  let c = h.cmp h.data.(i) h.data.(j) in
-  if c <> 0 then c < 0 else h.seqs.(i) < h.seqs.(j)
-
-let swap h i j =
-  let tmp = h.data.(i) in
-  h.data.(i) <- h.data.(j);
-  h.data.(j) <- tmp;
-  let tmp = h.seqs.(i) in
-  h.seqs.(i) <- h.seqs.(j);
-  h.seqs.(j) <- tmp
 
 let grow h x =
   if h.size = Array.length h.data then begin
     let cap = Stdlib.max 8 (2 * Array.length h.data) in
-    let data = Array.make cap x in
-    Array.blit h.data 0 data 0 h.size;
-    h.data <- data;
-    let seqs = Array.make cap 0 in
-    Array.blit h.seqs 0 seqs 0 h.size;
-    h.seqs <- seqs
+    let extend a fill =
+      let b = Array.make cap fill in
+      Array.blit a 0 b 0 h.size;
+      b
+    in
+    h.keys <- extend h.keys 0.;
+    h.ords <- extend h.ords 0;
+    h.data <- extend h.data x
   end
 
-let rec sift_up h i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if less h i parent then begin
-      swap h i parent;
-      sift_up h parent
-    end
-  end
-
-let rec sift_down h i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < h.size && less h l !smallest then smallest := l;
-  if r < h.size && less h r !smallest then smallest := r;
-  if !smallest <> i then begin
-    swap h i !smallest;
-    sift_down h !smallest
-  end
-
-let push h x =
+let push h ~key ~rank x =
+  if rank < 0 || rank >= 1 lsl (62 - seq_bits) then invalid_arg "Heap.push: rank out of range";
   grow h x;
-  h.data.(h.size) <- x;
-  h.seqs.(h.size) <- h.next_seq;
+  let ord = (rank lsl seq_bits) lor h.next_seq in
   h.next_seq <- h.next_seq + 1;
+  let i = ref h.size and go = ref true in
   h.size <- h.size + 1;
-  sift_up h (h.size - 1)
+  while !go && !i > 0 do
+    let parent = (!i - 1) / 2 in
+    let k = h.keys.(parent) in
+    if key < k || (key = k && ord < h.ords.(parent)) then begin
+      h.keys.(!i) <- k;
+      h.ords.(!i) <- h.ords.(parent);
+      h.data.(!i) <- h.data.(parent);
+      i := parent
+    end
+    else go := false
+  done;
+  h.keys.(!i) <- key;
+  h.ords.(!i) <- ord;
+  h.data.(!i) <- x
 
 let peek h = if h.size = 0 then None else Some h.data.(0)
 
 let pop h =
   if h.size = 0 then None
   else begin
-    let top = h.data.(0) in
-    h.size <- h.size - 1;
-    if h.size > 0 then begin
-      h.data.(0) <- h.data.(h.size);
-      h.seqs.(0) <- h.seqs.(h.size);
-      sift_down h 0
+    let top = h.data.(0) and n = h.size - 1 in
+    h.size <- n;
+    if n > 0 then begin
+      let key = h.keys.(n) and ord = h.ords.(n) and x = h.data.(n) in
+      let i = ref 0 and go = ref true in
+      while !go do
+        let l = (2 * !i) + 1 in
+        (* c: the child that pops first *)
+        let c =
+          if l + 1 < n
+             && (h.keys.(l + 1) < h.keys.(l)
+                || (h.keys.(l + 1) = h.keys.(l) && h.ords.(l + 1) < h.ords.(l)))
+          then l + 1
+          else l
+        in
+        if c < n && (h.keys.(c) < key || (h.keys.(c) = key && h.ords.(c) < ord)) then begin
+          h.keys.(!i) <- h.keys.(c);
+          h.ords.(!i) <- h.ords.(c);
+          h.data.(!i) <- h.data.(c);
+          i := c
+        end
+        else go := false
+      done;
+      h.keys.(!i) <- key;
+      h.ords.(!i) <- ord;
+      h.data.(!i) <- x
     end;
     Some top
   end

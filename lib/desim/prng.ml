@@ -81,37 +81,13 @@ let[@inline] log1p_gap m ~log_q =
 (* The top 53 bits of one step: [float t] is this times 2^-53. *)
 let[@inline] bits53 t = Int64.to_int (Int64.shift_right_logical (bits64 t) 11)
 
-(* Guide-table inversion (Chen & Asau 1974; Devroye 1986, III.2) of
-   [log1p_gap].  [cuts.(k)] is the least [m] whose gap exceeds [k]
-   (T_(k+1) in DESIGN.md); [limit] is the last cut, and every
-   [m >= limit] takes the [log1p] path.  The guide splits [\[0, limit)]
-   into at most [guide_buckets] buckets of [2^shift] values each;
-   [guide.(j)] is the gap at [m = j lsl shift], where the scan for any
-   [m] of bucket [j] may start.  An empty table has [limit = 0]. *)
-let guide_buckets = 1024
-let max_cuts = 1024
-let covered = (1 lsl 53) - (1 lsl 45) (* cut the table past u = 1 - 2^-8 *)
-
-let[@inline] table_gap ~cuts ~guide ~shift ~limit ~log_q m =
-  if m < limit then begin
-    let k = ref guide.(m lsr shift) in
-    while cuts.(!k) <= m do
-      incr k
-    done;
-    !k
-  end
-  else log1p_gap m ~log_q
-[@@zero_alloc_check]
-
 (* Successes among [n >= 1] Bernoulli(q) trials, skipping over geometric
-   gaps: O(n q) expected draws.  The one sampler loop behind [binomial]
-   (empty table) and [binomial_of_law]; [gap >= n - 1 - i] is
-   [i + gap + 1 >= n] without the overflow a saturated gap would
-   cause. *)
-let[@inline] successes t ~n ~log_q ~cuts ~guide ~shift ~limit =
+   gaps: O(n q) expected draws.  [gap >= n - 1 - i] is [i + gap + 1 >= n]
+   without the overflow a saturated gap would cause. *)
+let[@inline] successes t ~n ~log_q =
   let i = ref (-1) and count = ref 0 and stop = ref false in
   while not !stop do
-    let g = table_gap ~cuts ~guide ~shift ~limit ~log_q (bits53 t) in
+    let g = log1p_gap (bits53 t) ~log_q in
     if g >= n - 1 - !i then stop := true
     else begin
       i := !i + g + 1;
@@ -119,121 +95,56 @@ let[@inline] successes t ~n ~log_q ~cuts ~guide ~shift ~limit =
     end
   done;
   !count
-[@@zero_alloc_check]
 
 let geometric t ~p =
   if not (p > 0. && p <= 1.) then invalid_arg "Prng.geometric: p out of range";
   if Float.equal p 1. then 0 else log1p_gap (bits53 t) ~log_q:(Float.log1p (-.p))
 
-(* A binomial law as the loop needs it: the reflection [p > 0.5],
-   [log_q = log1p (-. q)] for q = [min p (1. -. p)], and the gap table.
-   [log_q = 0.] marks q = 0: no draws, and the count is [n] if [reflect]
-   else 0. *)
-type binomial_law = {
-  log_q : float;
-  reflect : bool;
-  cuts : int array;
-  guide : int array;
-  shift : int;
-  limit : int;
-}
-
-let[@inline] log_q_of ~p =
-  let q = if p > 0.5 then 1. -. p else p in
-  if Float.equal q 0. then 0. else Float.log1p (-.q)
-
-let[@inline] sample t ~n ~log_q ~reflect ~cuts ~guide ~shift ~limit =
-  if n < 0 then invalid_arg "Prng.binomial: negative n";
-  if n = 0 || Float.equal log_q 0. then if reflect then n else 0
-  else if reflect then n - successes t ~n ~log_q ~cuts ~guide ~shift ~limit
-  else successes t ~n ~log_q ~cuts ~guide ~shift ~limit
-
-let check_p p = if not (p >= 0. && p <= 1.) then invalid_arg "Prng.binomial: p out of range"
-
+(* Inversion on q = [min p (1. -. p)], reflected when [p > 0.5]; q = 0
+   draws nothing. *)
 let binomial t ~n ~p =
-  check_p p;
-  sample t ~n ~log_q:(log_q_of ~p) ~reflect:(p > 0.5) ~cuts:[||] ~guide:[||] ~shift:0 ~limit:0
+  if not (p >= 0. && p <= 1.) then invalid_arg "Prng.binomial: p out of range";
+  if n < 0 then invalid_arg "Prng.binomial: negative n";
+  let reflect = p > 0.5 in
+  let q = if reflect then 1. -. p else p in
+  if n = 0 || Float.equal q 0. then if reflect then n else 0
+  else
+    let s = successes t ~n ~log_q:(Float.log1p (-.q)) in
+    if reflect then n - s else s
 [@@zero_alloc_check]
 
-(* The least [m] in [\[lo, 2^53\]] whose gap reaches [k] (2^53 when none
-   does), given that none below [lo] does.  The closed form
-   [ceil (-. expm1 (k log_q) 2^53)] is within a step or two of it; a
-   galloping search from there brackets it by [gap a < k <= gap b] and
-   bisection closes the bracket, so the result [T] satisfies
-   [gap (T - 1) < k <= gap T] whatever the rounding of [log1p]. *)
-let cut ~log_q ~lo k =
-  let m_end = 1 lsl 53 in
-  let reaches m = m >= m_end || log1p_gap m ~log_q >= k in
-  let guess = -.Float.expm1 (float_of_int k *. log_q) *. 0x1p53 in
-  let g = if guess >= 0x1p53 then m_end else Stdlib.max lo (Float.to_int (Float.ceil guess)) in
-  let a = ref g and b = ref g and step = ref 1 in
-  if reaches g then begin
-    while !b - !step >= lo && reaches (!b - !step) do
-      b := !b - !step;
-      step := 2 * !step
-    done;
-    (* [lo - 1] stands for "below lo", which never reaches [k] *)
-    a := Stdlib.max (lo - 1) (!b - !step)
-  end
-  else begin
-    while not (reaches (Stdlib.min m_end (!a + !step))) do
-      a := !a + !step;
-      step := 2 * !step
-    done;
-    b := Stdlib.min m_end (!a + !step)
-  end;
-  while !b - !a > 1 do
-    let mid = !a + ((!b - !a) / 2) in
-    if reaches mid then b := mid else a := mid
+(* Guide-table inversion (Chen & Asau 1974; Devroye 1986, III.2) of a
+   law on [0, len) given by its cut points: [cuts.(i)] is the number of
+   53-bit values [m] that draw at most [i], so the cuts are
+   non-decreasing and end at 2^53.  [guide.(b)] is the least [i] with
+   [cuts.(i) > b 2^47], where the scan for any [m] of the [b]-th of the
+   64 equal buckets of [\[0, 2^53)] may start. *)
+let guide_shift = 47
+
+let guide cuts =
+  let len = Array.length cuts in
+  if len = 0 || cuts.(len - 1) <> 1 lsl 53 then invalid_arg "Prng.guide: cuts must end at 2^53";
+  for i = 1 to len - 1 do
+    if cuts.(i) < cuts.(i - 1) then invalid_arg "Prng.guide: decreasing cuts"
   done;
-  !b
-
-let binomial_law ~p =
-  check_p p;
-  let log_q = log_q_of ~p and reflect = p > 0.5 in
-  if Float.equal log_q 0. then { log_q; reflect; cuts = [||]; guide = [||]; shift = 0; limit = 0 }
-  else begin
-    let cuts = Array.make max_cuts 0 in
-    let rec fill k lo =
-      if k = max_cuts || lo >= covered then k
-      else
-        let m = cut ~log_q ~lo (k + 1) in
-        if m >= 1 lsl 53 then k
-        else begin
-          cuts.(k) <- m;
-          fill (k + 1) m
-        end
-    in
-    let len = fill 0 0 in
-    let cuts = Array.sub cuts 0 len in
-    let limit = if len = 0 then 0 else cuts.(len - 1) in
-    let shift = ref 0 in
-    while (limit - 1) asr !shift >= guide_buckets do
-      incr shift
+  let g = Array.make (1 lsl (53 - guide_shift)) 0 in
+  let i = ref 0 in
+  for b = 0 to Array.length g - 1 do
+    while cuts.(!i) <= b lsl guide_shift do
+      incr i
     done;
-    let shift = !shift in
-    let guide = Array.make (if len = 0 then 0 else ((limit - 1) lsr shift) + 1) 0 in
-    let k = ref 0 in
-    Array.iteri
-      (fun j _ ->
-        while cuts.(!k) <= j lsl shift do
-          incr k
-        done;
-        guide.(j) <- !k)
-      guide;
-    { log_q; reflect; cuts; guide; shift; limit }
-  end
+    g.(b) <- !i
+  done;
+  g
 
-let binomial_of_law t law ~n =
-  sample t ~n ~log_q:law.log_q ~reflect:law.reflect ~cuts:law.cuts ~guide:law.guide
-    ~shift:law.shift ~limit:law.limit
+let invert t ~cuts ~guide =
+  let m = bits53 t in
+  let i = ref guide.(m lsr guide_shift) in
+  while cuts.(!i) <= m do
+    incr i
+  done;
+  !i
 [@@zero_alloc_check]
-
-let law_cuts law = Array.copy law.cuts
-
-let law_gap law m =
-  if m < 0 || m >= 1 lsl 53 then invalid_arg "Prng.law_gap: m outside [0, 2^53)";
-  table_gap ~cuts:law.cuts ~guide:law.guide ~shift:law.shift ~limit:law.limit ~log_q:law.log_q m
 
 let exponential t ~rate =
   if rate <= 0. then invalid_arg "Prng.exponential: non-positive rate";

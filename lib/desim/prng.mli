@@ -5,7 +5,7 @@
     {b State.} A generator is 32 bytes holding the four xoshiro256++
     state words, read and written in native byte order.  A step costs a
     handful of integer operations and allocates nothing.  [binomial],
-    [binomial_of_law] and [geometric] allocate nothing at all; [bits64],
+    [geometric] and [invert] allocate nothing at all; [bits64],
     [float] and [exponential] allocate only their boxed result, and
     [create]/[split]/[copy] the new 32-byte state. *)
 
@@ -34,47 +34,28 @@ val binomial : t -> n:int -> p:float -> int
 (** Exact binomial sample by inversion on q = [min p (1. -. p)]: it sums
     {!geometric} gaps of parameter q until they pass [n], and reflects
     when [p > 0.5].  One uniform per success plus one, so O(n q)
-    expected draws, each costing one [log1p]; suitable for the
-    simulator's per-slot aggregate transitions.  [p = 0.], [p = 1.] and
+    expected draws, each costing one [log1p]: the stationary initial
+    count of an on-off aggregate, and the oracle its kernel sampler is
+    tested against.  [p = 0.], [p = 1.] and
     [n = 0] draw nothing.  Gaps saturate as in {!geometric}, so a q so
     small that [log1p (-. u) /. log1p (-. q)] reaches 2{^62} counts no
     success.  @raise Invalid_argument on [n < 0] or [p] outside
     [\[0, 1\]] (NaN included). *)
 
-type binomial_law
-(** A binomial success probability with its reflection,
-    [log1p (-. q)] and an exact inversion table for the geometric gap,
-    for callers that draw many samples at one [p].
+val guide : int array -> int array
+(** [guide cuts] is the 64-bucket guide table that {!invert} needs for
+    the law whose cut points are [cuts]: [cuts.(i)] is the number of
+    53-bit values that draw an index [<= i], so the law gives [i] the
+    mass [(cuts.(i) - cuts.(i-1)) 2{^-53}].  Entry [b] is the least [i]
+    with [cuts.(i) > b 2{^47}].
+    @raise Invalid_argument unless [cuts] is non-decreasing and ends at
+    2{^53}. *)
 
-    The table holds the thresholds [T_k], the least 53-bit [m] whose gap
-    [floor (log1p (-. m 2{^-53}) /. log1p (-. q))] reaches [k], for
-    [k = 1, 2, ...] up to u = 1 - 2{^-8} or 1024 entries, plus a
-    1024-bucket guide over the top bits of [m].  A draw below the last
-    threshold reads its gap from the table (a guide lookup and a short
-    scan); above it, the sampler computes the same [log1p] gap as
-    {!binomial}.  Building the table costs a few [log1p] calls per
-    entry (tens of microseconds at the paper's laws), so build a law
-    once and share it. *)
-
-val binomial_law : p:float -> binomial_law
-(** @raise Invalid_argument on [p] outside [\[0, 1\]] (NaN included). *)
-
-val binomial_of_law : t -> binomial_law -> n:int -> int
-(** [binomial_of_law t (binomial_law ~p) ~n] returns the same sample as
-    [binomial t ~n ~p] and leaves [t] in the same state: both run the
-    same loop and draw the same uniforms; this one reads each gap from
-    the law's table instead of computing its [log1p], and every table
-    entry equals the [log1p] gap it replaces.
-    @raise Invalid_argument on [n < 0]. *)
-
-val law_cuts : binomial_law -> int array
-(** The table's thresholds [T_1 .. T_K] (a copy; empty for [p = 0.] or
-    [p = 1.]).  Each satisfies [gap (T_k - 1) < k <= gap T_k]. *)
-
-val law_gap : binomial_law -> int -> int
-(** The gap {!binomial_of_law} draws for the 53-bit uniform [m]: from
-    the table below the last threshold, from [log1p] above it.
-    @raise Invalid_argument on [m] outside [\[0, 2{^53})]. *)
+val invert : t -> cuts:int array -> guide:int array -> int
+(** One draw of the law that [cuts] gives (see {!guide}): the least [i]
+    with [m < cuts.(i)] for the top 53 bits [m] of one {!bits64}, found
+    from [m]'s guide bucket by a forward scan.  [guide] must be
+    [guide cuts]. *)
 
 val exponential : t -> rate:float -> float
 

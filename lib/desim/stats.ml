@@ -52,17 +52,20 @@ module Sample = struct
 
   let create () = { data = [||]; n = 0; sorted = true }
 
-  let add t x =
+  let add_copies t x k =
     check_not_nan ~what:"Stats.Sample.add" x;
-    if t.n = Array.length t.data then begin
-      let cap = Stdlib.max 1024 (2 * Array.length t.data) in
+    if k < 0 then invalid_arg "Stats.Sample.add_copies: negative count";
+    if t.n + k > Array.length t.data then begin
+      let cap = Stdlib.max (t.n + k) (Stdlib.max 1024 (2 * Array.length t.data)) in
       let data = Array.make cap 0. in
       Array.blit t.data 0 data 0 t.n;
       t.data <- data
     end;
-    t.data.(t.n) <- x;
-    t.n <- t.n + 1;
+    Array.fill t.data t.n k x;
+    t.n <- t.n + k;
     t.sorted <- false
+
+  let add t x = add_copies t x 1
 
   let count t = t.n
 

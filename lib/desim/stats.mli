@@ -33,6 +33,10 @@ module Sample : sig
   val add : t -> float -> unit
   (** @raise Invalid_argument on a NaN sample. *)
 
+  val add_copies : t -> float -> int -> unit
+  (** [add_copies s x k] adds [k] samples equal to [x].
+      @raise Invalid_argument on a NaN [x] or [k < 0]. *)
+
   val count : t -> int
   val quantile : t -> float -> float
   (** [quantile s q] with [q] in [\[0., 1.\]], by linear interpolation of

@@ -94,7 +94,6 @@ type t = {
   shape : shape;
   rings : ring array;
   backlog : float array;  (* per class, including the part in service *)
-  served : float array;  (* per class, cumulative *)
   (* Packetized: the class whose head packet is on the wire, or -1. *)
   mutable wire : int;
   mutable next_seq : int;
@@ -126,7 +125,6 @@ let create ?packet_size ~capacity ~classes discipline =
     shape;
     rings = Array.init classes (fun _ -> ring_create ());
     backlog = Array.make classes 0.;
-    served = Array.make classes 0.;
     wire = -1;
     next_seq = 0;
     queued = 0;
@@ -303,21 +301,12 @@ let serve_slot ?factor t =
   | Fluid _ -> serve_fluid t budget
   | Packet _ -> serve_packet t budget
   | Fair g -> serve_fair t g budget);
-  for c = 0 to Array.length departed - 1 do
-    t.served.(c) <- t.served.(c) +. departed.(c)
-  done;
   departed
 
 let occupied t = t.queued > 0
-
-let backlog t = Array.fold_left ( +. ) 0. t.backlog
 
 let backlog_of t ~cls =
   check_class t "backlog_of" cls;
   t.backlog.(cls)
 
 let high_water t = t.high_water
-
-let served_of t ~cls =
-  check_class t "served_of" cls;
-  t.served.(cls)

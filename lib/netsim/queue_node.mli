@@ -53,14 +53,8 @@ val occupied : t -> bool
     slot-serves of unoccupied nodes; because serving an unoccupied node is
     a no-op, the skip is exact. *)
 
-val backlog : t -> float
-(** Total queued kb. *)
-
 val backlog_of : t -> cls:int -> float
 
 val high_water : t -> float
 (** Largest total backlog (kb, all classes) observed at this node so far —
     the queue-depth high-water mark surfaced by telemetry. *)
-
-val served_of : t -> cls:int -> float
-(** Cumulative kb served per class (utilization accounting). *)

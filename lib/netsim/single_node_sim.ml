@@ -46,7 +46,7 @@ let run cfg =
     ~attrs:[ ("classes", Telemetry.Int k); ("slots", Telemetry.Int cfg.slots) ]
   @@ fun () ->
   let rng = Desim.Prng.create ~seed:cfg.seed in
-  (* the gap tables of each distinct source, built once per run *)
+  (* one kernel table per distinct source, shared within the run *)
   let shared = ref [] in
   let laws_of src =
     match List.assoc_opt src !shared with

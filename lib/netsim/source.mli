@@ -1,30 +1,42 @@
 (** Aggregate of [n] independent two-state on-off Markov sources, advanced
-    slot by slot.  The aggregate ON-count is itself a Markov chain with a
-    binomial transition kernel, which the implementation samples exactly. *)
+    slot by slot.  The aggregate ON-count is itself a Markov chain: from
+    [k] ON flows the next count is
+    Bin(k, p_stay_on) + Bin(n - k, 1 - p_stay_off).  [step] samples that
+    kernel's row [k] by one inversion (DESIGN.md §8). *)
 
 type laws
-(** A source's two transition laws (stay ON, turn ON), each with its
-    gap table ({!Desim.Prng.binomial_law}).  Immutable, so one value may
-    serve every aggregate of a run. *)
+(** A source's kernel rows, one table per flow count [n], each row built
+    on the first visit to its count.  Mutable: share one value among the
+    aggregates of one run, on one domain. *)
 
 val laws : Envelope.Mmpp.t -> laws
-(** Builds both tables: tens of microseconds, worth sharing across the
-    aggregates of one run. *)
+(** An empty table; building it costs nothing.
+    @raise Invalid_argument on a transition probability outside
+    [\[0, 1\]] (NaN included). *)
+
+val row : laws -> n:int -> k:int -> int * int array
+(** [(lo, cuts)]: row [k] of the kernel of [n] flows, built if needed.
+    From [k] ON flows the next count is [lo + i] with probability
+    [(cuts.(i) - cuts.(i-1)) 2{^-53}] ([cuts.(-1)] read as 0); the cuts
+    are non-decreasing and end at 2{^53}, and a row with one cut draws
+    nothing.  @raise Invalid_argument on [k] outside [\[0, n\]]. *)
 
 type t
 
 val create : ?laws:laws -> Envelope.Mmpp.t -> n:int -> rng:Desim.Prng.t -> t
-(** The initial ON-count is drawn from the stationary distribution, so runs
-    start in steady state.  [laws] defaults to [laws src]; passing one
-    shared value skips rebuilding the tables.
-    @raise Invalid_argument on [n < 0] or on [laws] built for a source
-    other than [src]. *)
+(** The initial ON-count is drawn from the stationary distribution
+    ({!Desim.Prng.binomial}), so runs start in steady state.  [laws]
+    defaults to a fresh [laws src]; aggregates that share one value
+    share its rows.
+    @raise Invalid_argument on [n < 0], on [laws] built for a source
+    other than [src], or as {!laws} does. *)
 
 val step : t -> float
-(** Emit the current slot's data (kb) and advance the chain: two
-    binomial draws on the laws, allocating only the boxed result. *)
+(** Emit the current slot's data (kb) and advance the chain: one
+    {!Desim.Prng.invert} draw on the current count's row, one
+    {!Desim.Prng.bits64} (none for a point-mass row).  Allocates nothing
+    once the row exists: the emission is stored in the row. *)
 
 val on_count : t -> int
-val flows : t -> int
 val mean_rate : t -> float
 (** Aggregate stationary mean rate (kb per slot). *)

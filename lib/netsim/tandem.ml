@@ -138,7 +138,8 @@ type setup = {
 let setup cfg discipline =
   let rng = Desim.Prng.create ~seed:cfg.seed in
   let through_rng = Desim.Prng.split rng in
-  (* every aggregate shares one source, so its gap tables are built once *)
+  (* every aggregate shares one source, so aggregates with the same flow
+     count share their kernel rows *)
   let laws = Source.laws cfg.source in
   let through_src =
     match cfg.through_kind with
@@ -273,8 +274,7 @@ let run_slotted cfg discipline =
 type ev =
   | Tick  (* per-slot advance of every stochastic process *)
   | Cbr_emit
-  | Offer of { node : int; cls : int; size : float }
-  | Serve of int  (* slot-serve of one node *)
+  | Serve of int  (* one node's slot: its predecessor's data in, then service *)
 
 (* A cumulative counter on the slot grid, written only on the slots where
    it moves: [mark c t v] sets slot [t] to [v], and the slots skipped
@@ -333,45 +333,45 @@ let run_event cfg s =
   (* cumulative through arrivals into node 0 and departures from node
      h-1, as dense as the slotted loop's *)
   let cum_in = counter cfg.slots and cum_out = counter total_slots in
+  (* Through data that node i - 1 sent in slot t - 1, offered to node i
+     by its serve in slot t, after the slot's sources: one row per slot
+     parity, so a serve can fill the next slot's row while another
+     node's entry in this slot's is still unread.  A serve writes its
+     successor's entry, zero included, and a nonzero entry schedules the
+     successor's serve in the next slot, which reads and clears it; so
+     when slot t ends, the row of parity t + 1 holds exactly what slot t
+     sent, as the slotted loop's [pending] does. *)
+  let forward = Array.make_matrix 2 cfg.h 0. in
   (* End-of-slot through backlog, computed with the slotted loop's exact
      arithmetic (left fold over per-node backlogs, plus this slot's
      inter-node departures) so the samples are bit-identical.  Node state
      is frozen between events, so slots without events reuse the folded
-     value instead of touching every node again. *)
+     value instead of touching every node again.  Nothing is in flight
+     after such a slot (a slot that sends data schedules a serve in the
+     next), so its sample is the slotted loop's q + 0. *)
   let through_backlog = Desim.Stats.Sample.create () in
-  let pending = Array.make cfg.h 0. in
-  let pending_slot = ref (-1) in
-  let note_pending t i dep =
-    if !pending_slot <> t then begin
-      Array.fill pending 0 cfg.h 0.;
-      pending_slot := t
-    end;
-    pending.(i) <- dep
-  in
   let sampled_upto = ref (-1) in
   let sample_upto lim =
-    let lim = Stdlib.min lim (cfg.slots - 1) in
-    if lim > !sampled_upto then begin
+    let lim = Stdlib.min lim (cfg.slots - 1) and first = !sampled_upto + 1 in
+    if lim >= first then begin
       let q =
         Array.fold_left
           (fun acc node -> acc +. Queue_node.backlog_of node ~cls:through_class)
           0. nodes
       in
-      for t = !sampled_upto + 1 to lim do
-        let inflight =
-          if t = !pending_slot then Array.fold_left ( +. ) 0. pending else 0.
-        in
-        Desim.Stats.Sample.add through_backlog (q +. inflight)
-      done;
+      let inflight = Array.fold_left ( +. ) 0. forward.((first + 1) land 1) in
+      Desim.Stats.Sample.add through_backlog (q +. inflight);
+      Desim.Stats.Sample.add_copies through_backlog (q +. 0.) (lim - first);
       sampled_upto := lim
     end
   in
   let eng : ev Desim.Engine.t = Desim.Engine.create () in
+  let serves = Array.init cfg.h (fun i -> Serve i) in
   let ensure_serve i t =
     if t < total_slots && serve_at.(i) <> t then begin
       serve_at.(i) <- t;
       Desim.Engine.schedule eng ~time:(float_of_int t) ~kind:Desim.Engine.Service_completion
-        (Serve i)
+        serves.(i)
     end
   in
   let through_in t a =
@@ -405,17 +405,21 @@ let run_event cfg s =
         Desim.Engine.schedule eng ~time:(float_of_int (t + 1)) ~kind:Desim.Engine.Source_change
           Tick
     | Cbr_emit -> through_in t (cbr_burst eng cfg t)
-    | Offer { node; cls; size } ->
-      Queue_node.offer nodes.(node) ~now:(float_of_int t) ~cls size;
-      ensure_serve node t
     | Serve i ->
-      let dep = Queue_node.serve_slot ~factor:factor_cache.(i) nodes.(i) in
+      let inbox = forward.(t land 1) in
+      if inbox.(i) > 0. then begin
+        Queue_node.offer nodes.(i) ~now:(float_of_int t) ~cls:through_class inbox.(i);
+        inbox.(i) <- 0.
+      end;
+      let dep =
+        match s.fault_procs.(i) with
+        | None -> Queue_node.serve_slot nodes.(i)
+        | Some _ -> Queue_node.serve_slot ~factor:factor_cache.(i) nodes.(i)
+      in
       served_total.(i) <- served_total.(i) +. dep.(through_class) +. dep.(cross_class);
       if i < cfg.h - 1 then begin
-        note_pending t (i + 1) dep.(through_class);
-        if dep.(through_class) > 0. && t + 1 < total_slots then
-          Desim.Engine.schedule eng ~time:(float_of_int (t + 1)) ~kind:Desim.Engine.Arrival
-            (Offer { node = i + 1; cls = through_class; size = dep.(through_class) })
+        forward.((t + 1) land 1).(i + 1) <- dep.(through_class);
+        if dep.(through_class) > 0. then ensure_serve (i + 1) (t + 1)
       end
       else if dep.(through_class) > 0. then
         mark cum_out t (cum_out.last +. dep.(through_class));

@@ -250,103 +250,216 @@ let prop_sampler_matches_oracle =
         let xs = Array.init 4 (fun _ -> draw o) in
         (xs, Array.init 8 (fun _ -> Oracle.bits64 o))
       in
-      let want = oracle (fun o -> Oracle.binomial o ~n ~p) in
-      let law = Prng.binomial_law ~p in
-      let samplers_ok =
-        run (fun t -> Prng.binomial t ~n ~p) = want
-        && run (fun t -> Prng.binomial_of_law t law ~n) = want
-        && (p <= 0. || run (fun t -> Prng.geometric t ~p) = oracle (fun o -> Oracle.geometric o ~p))
-      in
-      (* Source.step against the oracle aggregate over paper_source. *)
-      let src = Envelope.Mmpp.paper_source in
-      let source = Netsim.Source.create src ~n ~rng:(Prng.create ~seed) in
-      let o = Oracle.create ~seed in
-      let on = ref (Oracle.binomial o ~n ~p:(Envelope.Mmpp.stationary_on src)) in
-      let steps_ok = ref (Netsim.Source.on_count source = !on) in
-      for _ = 1 to 10_000 do
-        ignore (Netsim.Source.step source);
-        let stay_on = Oracle.binomial o ~n:!on ~p:src.Envelope.Mmpp.p_stay_on in
-        let turn_on = Oracle.binomial o ~n:(n - !on) ~p:(1. -. src.Envelope.Mmpp.p_stay_off) in
-        on := stay_on + turn_on;
-        if Netsim.Source.on_count source <> !on then steps_ok := false
-      done;
-      samplers_ok && !steps_ok)
+      run (fun t -> Prng.binomial t ~n ~p) = oracle (fun o -> Oracle.binomial o ~n ~p)
+      && (p <= 0. || run (fun t -> Prng.geometric t ~p) = oracle (fun o -> Oracle.geometric o ~p)))
 
-(* Exactness certificate of the gap table behind [binomial_of_law].  The
-   reference is the sampler's inversion formula computed afresh with
-   libm's [log1p].  Near a threshold the rounded and the true quotient
-   may fall on different sides of an integer cut, so every table entry
-   is checked against [log1p] for the 4096 neighbours on either side of
-   every threshold (DESIGN.md explains why that window is enough), and
-   on 10^6 uniform [m]. *)
-let log1p_gap ~p m =
-  let q = if p > 0.5 then 1. -. p else p in
-  let x = Float.log1p (-.(float_of_int m *. 0x1.0p-53)) /. Float.log1p (-.q) in
-  if x >= 0x1p62 then max_int else Float.to_int (Float.floor x)
+(* ---------------- on-off kernel sampler ---------------- *)
 
-let certify_table ~seed p =
-  let law = Prng.binomial_law ~p in
-  let cuts = Prng.law_cuts law in
-  let m_end = 1 lsl 53 in
-  let check m =
-    let want = log1p_gap ~p m and got = Prng.law_gap law m in
-    if got <> want then Alcotest.failf "p = %h, m = %d: table gap %d, log1p gap %d" p m got want
+module Source = Netsim.Source
+module Mmpp = Envelope.Mmpp
+
+(* Sources whose stay-ON probability a or turn-ON probability b is 0 or 1
+   (Mmpp.v needs p_stay_off + p_stay_on >= 1). *)
+let edge_sources =
+  List.map
+    (fun (p_stay_off, p_stay_on) -> Mmpp.v ~p_stay_off ~p_stay_on ~peak:1.5)
+    [ (1., 0.9); (0.989, 1.); (1., 1.); (1., 0.); (0., 1.) ]
+
+(* [Source.step] is one [Prng.invert] of the current count's row: the
+   next count is that draw and the generator has moved by exactly one
+   [bits64], or by none on a point-mass row. *)
+let test_step_one_draw () =
+  List.iter
+    (fun (src, n) ->
+      let laws = Source.laws src and rng = Prng.create ~seed:40L in
+      let s = Source.create ~laws src ~n ~rng in
+      for step = 1 to 20_000 do
+        let (lo, cuts) = Source.row laws ~n ~k:(Source.on_count s) in
+        let twin = Prng.copy rng in
+        let want =
+          if Array.length cuts = 1 then lo else lo + Prng.invert twin ~cuts ~guide:(Prng.guide cuts)
+        in
+        ignore (Source.step s);
+        if Source.on_count s <> want then
+          Alcotest.failf "n = %d, step %d: count %d, inversion %d" n step (Source.on_count s) want;
+        if not (Int64.equal (Prng.bits64 (Prng.copy rng)) (Prng.bits64 twin)) then
+          Alcotest.failf "n = %d, step %d: generator moved by other than one draw" n step
+      done)
+    ([ (Mmpp.paper_source, 101); (Mmpp.paper_source, 236); (Mmpp.paper_source, 1) ]
+    @ List.map (fun src -> (src, 50)) edge_sources)
+
+(* gamma_m of Higham's rounding-error analysis, unit roundoff 2^-53 *)
+let gamma m =
+  let mu = float_of_int m *. 0x1p-53 in
+  mu /. (1. -. mu)
+
+(* The law of the next count, flow by flow: the n - k flows that may
+   turn ON first, then the k that may stay ON, each a Bernoulli
+   convolution.  Every entry is within gamma_(3n) of the true pmf
+   relative, plus n 2^-1074 absolute (DESIGN.md §8). *)
+let reference_row src ~n ~k =
+  let a = src.Mmpp.p_stay_on and b = 1. -. src.Mmpp.p_stay_off in
+  let pmf = Array.make (n + 1) 0. in
+  pmf.(0) <- 1.;
+  let flow len p =
+    let q = 1. -. p in
+    for j = len downto 1 do
+      pmf.(j) <- (pmf.(j) *. q) +. (pmf.(j - 1) *. p)
+    done;
+    pmf.(0) <- pmf.(0) *. q
+  in
+  for f = 0 to n - k - 1 do
+    flow (f + 1) b
+  done;
+  for f = n - k to n - 1 do
+    flow (f + 1) a
+  done;
+  pmf
+
+(* Row [k]'s cuts are non-decreasing, strictly inside (0, 2^53) but for
+   the last, which is 2^53; the mass they give each count is within
+   DESIGN.md §8's bound of the flow-by-flow law. *)
+let certify_row laws src ~n ~k =
+  let (lo, cuts) = Source.row laws ~n ~k in
+  let len = Array.length cuts in
+  if len = 0 || lo < 0 || lo + len - 1 > n || cuts.(len - 1) <> 1 lsl 53 then
+    Alcotest.failf "n = %d, k = %d: cuts do not end at 2^53 inside 0..n" n k;
+  Array.iteri
+    (fun i c ->
+      if c <= 0 || (i < len - 1 && c >= 1 lsl 53) || (i > 0 && c < cuts.(i - 1)) then
+        Alcotest.failf "n = %d, k = %d: cut %d = %d out of order" n k i c)
+    cuts;
+  let reference = reference_row src ~n ~k in
+  let tol =
+    0x1p-53 +. (2. *. gamma ((14 * n) + 3)) +. gamma (3 * n) +. 0x1p-59
+    +. (float_of_int n *. 0x1p-1074)
+  in
+  for j = 0 to n do
+    let cum i = if i < lo then 0 else if i >= lo + len then 1 lsl 53 else cuts.(i - lo) in
+    let mass = float_of_int (cum j - cum (j - 1)) *. 0x1p-53 in
+    if Float.abs (mass -. reference.(j)) > tol then
+      Alcotest.failf "n = %d, k = %d: mass of %d is %h, flow by flow %h (bound %h)" n k j mass
+        reference.(j) tol
+  done
+
+let test_kernel_rows_exact () =
+  List.iter
+    (fun (src, n) ->
+      let laws = Source.laws src in
+      for k = 0 to n do
+        certify_row laws src ~n ~k
+      done)
+    ([ (Mmpp.paper_source, 101); (Mmpp.paper_source, 236); (Mmpp.paper_source, 1);
+       (Mmpp.paper_source, 0) ]
+    @ List.map (fun src -> (src, 40)) edge_sources);
+  Alcotest.check_raises "NaN probability"
+    (Invalid_argument "Source.laws: transition probability outside [0, 1]") (fun () ->
+      ignore (Source.laws { Mmpp.paper_source with Mmpp.p_stay_on = Float.nan }))
+
+(* (p_stay_off, p_stay_on, n, k) with p_stay_off + p_stay_on >= 1, the
+   probabilities often 0, 1 or extreme *)
+let kernel_gen =
+  QCheck.Gen.(
+    let p = oneof [ oneofl [ 0.; 1.; 0.5; 1e-9; 1. -. 1e-9 ]; float_bound_inclusive 1. ] in
+    pair p p >>= fun (x, y) ->
+    let p_stay_off = Float.max x y and p_stay_on = Float.max (Float.min x y) (1. -. Float.max x y) in
+    int_range 0 400 >>= fun n ->
+    int_range 0 n >|= fun k -> (Mmpp.v ~p_stay_off ~p_stay_on ~peak:1., n, k))
+
+let print_kernel (src, n, k) =
+  Printf.sprintf "p_stay_off=%h p_stay_on=%h n=%d k=%d" src.Mmpp.p_stay_off src.Mmpp.p_stay_on n k
+
+let prop_kernel_rows_exact =
+  QCheck.Test.make ~name:"kernel row = flow-by-flow law" ~count:(Qc.count 200)
+    (QCheck.make ~print:print_kernel kernel_gen)
+    (fun (src, n, k) ->
+      certify_row (Source.laws src) src ~n ~k;
+      true)
+
+(* Two-sample chi-square over equal-size histograms [a] and [b]: cells
+   with fewer than 10 draws between them pooled into one.  Returns the
+   statistic and its degrees of freedom. *)
+let chi2_two_sample a b =
+  let stat = ref 0. and cells = ref 0 and pa = ref 0 and pb = ref 0 in
+  let add x y =
+    if x + y > 0 then begin
+      stat := !stat +. (float_of_int ((x - y) * (x - y)) /. float_of_int (x + y));
+      incr cells
+    end
   in
   Array.iteri
-    (fun i tk ->
-      let k = i + 1 in
-      if not (log1p_gap ~p (tk - 1) < k && k <= log1p_gap ~p tk) then
-        Alcotest.failf "p = %h: T_%d = %d does not cut the gap at %d" p k tk k)
-    cuts;
-  (* the windows, merged where neighbouring thresholds overlap *)
-  let checked = ref (-1) in
-  Array.iter
-    (fun tk ->
-      let hi = Stdlib.min (m_end - 1) (tk + 4096) in
-      for m = Stdlib.max (!checked + 1) (Stdlib.max 0 (tk - 4096)) to hi do
-        check m
-      done;
-      checked := Stdlib.max !checked hi)
-    cuts;
-  let rng = Prng.create ~seed in
-  for _ = 1 to 1_000_000 do
-    check (Int64.to_int (Int64.shift_right_logical (Prng.bits64 rng) 11))
-  done;
-  Array.length cuts
+    (fun j x ->
+      let y = b.(j) in
+      if x + y >= 10 then add x y
+      else begin
+        pa := !pa + x;
+        pb := !pb + y
+      end)
+    a;
+  add !pa !pb;
+  (!stat, Stdlib.max 0 (!cells - 1))
 
-let test_gap_table_exact () =
-  (* the paper's stay-ON and turn-ON laws, as [Source] builds them *)
-  let src = Envelope.Mmpp.paper_source in
-  let stay = certify_table ~seed:21L src.Envelope.Mmpp.p_stay_on in
-  let turn = certify_table ~seed:22L (1. -. src.Envelope.Mmpp.p_stay_off) in
-  if stay = 0 || turn = 0 then Alcotest.fail "the paper's laws have no table";
-  (* q <= 1e-9 (both sides), q = 1/2 and just below it, a q whose gaps
-     all saturate *)
-  List.iteri
-    (fun i p -> ignore (certify_table ~seed:(Int64.of_int (23 + i)) p : int))
-    [ 1e-9; 1. -. 1e-10; 0.5; Float.succ 0.5; 1e-300 ];
-  (* q = 0: no table, and the sampler draws nothing *)
+(* The statistic passes unless it is past the chi-square quantile of
+   1 - 1e-9 (Wilson-Hilferty, z = 6). *)
+let chi2_passes (stat, df) =
+  if df = 0 then Float.equal stat 0.
+  else
+    let d = float_of_int df in
+    let c = 2. /. (9. *. d) in
+    stat <= d *. ((1. -. c +. (6. *. Float.sqrt c)) ** 3.)
+
+(* The next count as two [Prng.binomial] draws: the oracle. *)
+let oracle_next rng src ~n ~k =
+  Prng.binomial rng ~n:k ~p:src.Mmpp.p_stay_on
+  + Prng.binomial rng ~n:(n - k) ~p:(1. -. src.Mmpp.p_stay_off)
+
+(* Along one chain of [Source.step]s, each transition k -> j beside an
+   oracle draw from the same k: per k, both histograms of next counts
+   have the same size, and their statistics and degrees of freedom add
+   up. *)
+let test_kernel_chi2 () =
   List.iter
-    (fun p ->
-      let law = Prng.binomial_law ~p in
-      Alcotest.(check int) "no thresholds" 0 (Array.length (Prng.law_cuts law));
-      let t = Prng.create ~seed:30L and o = Prng.create ~seed:30L in
-      Alcotest.(check int) "count" (if p > 0.5 then 7 else 0) (Prng.binomial_of_law t law ~n:7);
-      Alcotest.(check bool) "no draw" true (Prng.bits64 t = Prng.bits64 o))
-    [ 0.; 1. ]
+    (fun (src, n, seed) ->
+      let s = Source.create src ~n ~rng:(Prng.create ~seed) and orng = Prng.create ~seed:(Int64.succ seed) in
+      let hs = Array.make_matrix (n + 1) (n + 1) 0 and ho = Array.make_matrix (n + 1) (n + 1) 0 in
+      for _ = 1 to 200_000 do
+        let k = Source.on_count s in
+        let o = oracle_next orng src ~n ~k in
+        ho.(k).(o) <- ho.(k).(o) + 1;
+        ignore (Source.step s);
+        let j = Source.on_count s in
+        hs.(k).(j) <- hs.(k).(j) + 1
+      done;
+      let stat, df =
+        Array.fold_left
+          (fun (st, d) (a, b) ->
+            let st', d' = chi2_two_sample a b in
+            (st +. st', d + d'))
+          (0., 0)
+          (Array.map2 (fun a b -> (a, b)) hs ho)
+      in
+      if not (chi2_passes (stat, df)) then
+        Alcotest.failf "p_stay_off = %g, p_stay_on = %g, n = %d: chi2 %.1f on %d df" src.Mmpp.p_stay_off
+          src.Mmpp.p_stay_on n stat df)
+    ([ (Mmpp.paper_source, 101, 41L); (Mmpp.paper_source, 236, 43L); (Mmpp.paper_source, 1, 45L) ]
+    @ List.mapi (fun i src -> (src, 30, Int64.of_int (47 + (2 * i)))) edge_sources)
 
-let prop_gap_table_exact =
-  let gen =
-    QCheck.Gen.(
-      pair bool (oneof [ float_range (-12.) (Float.log10 0.5) |> map (fun e -> 10. ** e); float_range 0.3 0.5 ])
-      |> map (fun (reflect, q) -> if reflect then 1. -. q else q))
-  in
-  QCheck.Test.make ~name:"gap table = log1p gap near every threshold"
-    ~count:(Qc.count ~cap:50 4)
-    (QCheck.make ~print:(Printf.sprintf "p=%h") gen)
-    (fun p ->
-      ignore (certify_table ~seed:(Int64.bits_of_float p) p : int);
-      true)
+let prop_kernel_chi2 =
+  QCheck.Test.make ~name:"kernel draws = two binomial draws (chi-square)" ~count:(Qc.count ~cap:400 30)
+    (QCheck.make ~print:print_kernel kernel_gen)
+    (fun (src, n, k) ->
+      let laws = Source.laws src in
+      let (lo, cuts) = Source.row laws ~n ~k in
+      let guide = if Array.length cuts = 1 then [||] else Prng.guide cuts in
+      let rng = Prng.create ~seed:(Int64.of_int ((n * 1000) + k)) in
+      let hs = Array.make (n + 1) 0 and ho = Array.make (n + 1) 0 in
+      for _ = 1 to 20_000 do
+        let j = if Array.length cuts = 1 then lo else lo + Prng.invert rng ~cuts ~guide in
+        hs.(j) <- hs.(j) + 1;
+        let o = oracle_next rng src ~n ~k in
+        ho.(o) <- ho.(o) + 1
+      done;
+      chi2_passes (chi2_two_sample hs ho))
 
 (* Gc.minor_words is unboxed and allocation-free, so the window counts
    only the calls under test. *)
@@ -365,12 +478,14 @@ let test_sampler_allocates_nothing () =
   Alcotest.(check (float 0.)) "words per binomial (p < 1/2)" 0. words;
   let words = minor_words_per_call calls (fun () -> sink := !sink + Prng.binomial t ~n:200 ~p:0.9) in
   Alcotest.(check (float 0.)) "words per binomial (p > 1/2)" 0. words;
-  let law = Prng.binomial_law ~p:0.011 in
-  let words = minor_words_per_call calls (fun () -> sink := !sink + Prng.binomial_of_law t law ~n:200) in
-  Alcotest.(check (float 0.)) "words per binomial_of_law" 0. words;
-  let source = Netsim.Source.create Envelope.Mmpp.paper_source ~n:235 ~rng:t in
-  let words = minor_words_per_call calls (fun () -> ignore (Sys.opaque_identity (Netsim.Source.step source))) in
-  if words > 2. then Alcotest.failf "Source.step allocates %g words per call (> 2: the boxed result)" words;
+  (* every row built first: a row's arrays are allocated on its first visit *)
+  let laws = Source.laws Mmpp.paper_source in
+  for k = 0 to 235 do
+    ignore (Source.row laws ~n:235 ~k : int * int array)
+  done;
+  let source = Source.create ~laws Mmpp.paper_source ~n:235 ~rng:t in
+  let words = minor_words_per_call calls (fun () -> ignore (Sys.opaque_identity (Source.step source))) in
+  Alcotest.(check (float 0.)) "words per Source.step" 0. words;
   ignore (Sys.opaque_identity !sink)
 
 (* A built-in policy's key is computed in the node, so queueing a batch
@@ -431,108 +546,89 @@ let test_slotted_words_per_slot () =
 
 (* ---------------- Heap ---------------- *)
 
+let push_int h x = Heap.push h ~key:(float_of_int x) ~rank:0 x
+
 let test_heap_sorts () =
-  let h = Heap.create ~cmp:compare in
-  List.iter (Heap.push h) [ 5; 1; 4; 1; 3; 9; 2 ];
+  let h = Heap.create () in
+  List.iter (push_int h) [ 5; 1; 4; 1; 3; 9; 2 ];
   let rec drain acc = match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc) in
   Alcotest.(check (list int)) "sorted drain" [ 1; 1; 2; 3; 4; 5; 9 ] (drain [])
 
 let test_heap_peek_pop () =
-  let h = Heap.create ~cmp:compare in
+  let h = Heap.create () in
   Alcotest.(check (option int)) "empty peek" None (Heap.peek h);
-  Heap.push h 3;
-  Heap.push h 1;
+  push_int h 3;
+  push_int h 1;
   Alcotest.(check (option int)) "peek min" (Some 1) (Heap.peek h);
   Alcotest.(check int) "length" 2 (Heap.length h);
   ignore (Heap.pop h);
-  Alcotest.(check (option int)) "next min" (Some 3) (Heap.peek h)
+  Alcotest.(check (option int)) "next min" (Some 3) (Heap.peek h);
+  Alcotest.check_raises "rank out of range" (Invalid_argument "Heap.push: rank out of range")
+    (fun () -> Heap.push h ~key:0. ~rank:(-1) 0)
 
 let prop_heap_matches_sort =
   QCheck.Test.make ~name:"heap drain equals List.sort" ~count:(Qc.count 200)
     QCheck.(list_of_size (Gen.int_range 0 50) int) (fun xs ->
-      let h = Heap.create ~cmp:compare in
-      List.iter (Heap.push h) xs;
+      let h = Heap.create () in
+      List.iter (push_int h) xs;
       let rec drain acc =
         match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
       in
-      drain [] = List.sort compare xs)
+      (* keys are the ints as floats, which may round two ints together *)
+      List.map float_of_int (drain []) = List.map float_of_int (List.sort compare xs))
 
-(* The engine's determinism rests on the heap being *stable*: events
-   with equal keys must pop in push order.  Both properties drive the
-   heap with a comparator that ignores the attached sequence number, so
-   any reordering of equal keys is visible. *)
+(* The engine's determinism rests on the heap being *stable*: elements
+   with equal key and rank must pop in push order.  Both properties push
+   (key, rank, push index) triples drawn from few keys and ranks, so any
+   reordering of ties is visible. *)
 
-let key_only_cmp (a, _) (b, _) = Stdlib.compare (a : int) b
+let push_triple h ((k, r, _) as x) = Heap.push h ~key:(float_of_int k) ~rank:r x
+let triple_gen = QCheck.(triple (int_range 0 5) (int_range 0 2) unit)
 
 let prop_heap_equal_keys_fifo =
   QCheck.Test.make ~name:"equal keys pop in push order (stability)"
     ~count:(Qc.count 200)
-    QCheck.(list_of_size (Gen.int_range 0 80) (int_range 0 5))
+    QCheck.(list_of_size (Gen.int_range 0 80) triple_gen)
     (fun keys ->
-      let h = Heap.create ~cmp:key_only_cmp in
-      List.iteri (fun i k -> Heap.push h (k, i)) keys;
+      let h = Heap.create () in
+      List.iteri (fun i (k, r, ()) -> push_triple h (k, r, i)) keys;
       let rec drain acc =
         match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
       in
       let rec ok = function
-        | (k1, i1) :: ((k2, i2) :: _ as rest) ->
-          (k1 < k2 || (k1 = k2 && i1 < i2)) && ok rest
+        | a :: (b :: _ as rest) -> compare a b < 0 && ok rest
         | _ -> true
       in
       ok (drain []))
 
 let prop_heap_interleaved_model =
   (* Heap-order invariant under interleaved push/pop: every pop returns
-     exactly what a stable reference model (sort by key, then arrival)
-     would — [Some k] pushes, [None] pops. *)
+     exactly what a stable reference model (sort by key, rank, then
+     arrival) would — [Some (k, r)] pushes, [None] pops. *)
   QCheck.Test.make ~name:"interleaved push/pop matches the stable model"
     ~count:(Qc.count 200)
-    QCheck.(list_of_size (Gen.int_range 0 100) (option (int_range 0 5)))
+    QCheck.(list_of_size (Gen.int_range 0 100) (option triple_gen))
     (fun ops ->
-      let h = Heap.create ~cmp:key_only_cmp in
+      let h = Heap.create () in
       let model = ref [] in
       let seq = ref 0 in
+      let best () = List.fold_left (fun acc x -> if compare x acc < 0 then x else acc) (max_int, 0, 0) !model in
       List.for_all
         (fun op ->
           match op with
-          | Some k ->
-            Heap.push h (k, !seq);
-            model := (k, !seq) :: !model;
+          | Some (k, r, ()) ->
+            push_triple h (k, r, !seq);
+            model := (k, r, !seq) :: !model;
             incr seq;
-            if Heap.length h <> List.length !model then false
-            else begin
-              (* peek must agree with the model's minimum at every step *)
-              let best =
-                List.fold_left
-                  (fun acc x ->
-                    match acc with
-                    | None -> Some x
-                    | Some (bk, bi) ->
-                      let (xk, xi) = x in
-                      if xk < bk || (xk = bk && xi < bi) then Some x else acc)
-                  None !model
-              in
-              match (Heap.peek h, best) with
-              | (Some (pk, pi), Some (bk, bi)) -> pk = bk && pi = bi
-              | _ -> false
-            end
+            (* peek must agree with the model's minimum at every step *)
+            Heap.length h = List.length !model && Heap.peek h = Some (best ())
           | None -> (
-            let best =
-              List.fold_left
-                (fun acc x ->
-                  match acc with
-                  | None -> Some x
-                  | Some (bk, bi) ->
-                    let (xk, xi) = x in
-                    if xk < bk || (xk = bk && xi < bi) then Some x else acc)
-                None !model
-            in
-            match (Heap.pop h, best) with
-            | (None, None) -> true
-            | (Some (pk, pi), Some (bk, bi)) ->
-              model := List.filter (fun (_, i) -> i <> bi) !model;
-              pk = bk && pi = bi
-            | _ -> false))
+            match Heap.pop h with
+            | None -> !model = []
+            | Some x ->
+              let b = best () in
+              model := List.filter (fun y -> y <> b) !model;
+              x = b))
         ops)
 
 (* ---------------- Stats ---------------- *)
@@ -570,6 +666,23 @@ let test_sample_quantile_rejects_nan () =
   List.iter (Stats.Sample.add s) [ 1.; 2.; 3. ];
   Alcotest.check_raises "q = nan" (Invalid_argument "Stats.Sample.quantile: q out of range")
     (fun () -> ignore (Stats.Sample.quantile s Float.nan : float))
+
+let test_sample_add_copies () =
+  let a = Stats.Sample.create () and b = Stats.Sample.create () in
+  List.iter
+    (fun (x, k) ->
+      Stats.Sample.add_copies a x k;
+      for _ = 1 to k do
+        Stats.Sample.add b x
+      done)
+    [ (3., 2); (1., 0); (2., 1500); (0.5, 1) ];
+  Alcotest.(check int) "count" (Stats.Sample.count b) (Stats.Sample.count a);
+  List.iter
+    (fun q -> check_float ~tol:0. "quantile" (Stats.Sample.quantile b q) (Stats.Sample.quantile a q))
+    [ 0.; 0.001; 0.5; 0.9995; 1. ];
+  Alcotest.check_raises "negative count"
+    (Invalid_argument "Stats.Sample.add_copies: negative count") (fun () ->
+      Stats.Sample.add_copies a 1. (-1))
 
 let test_sample_ccdf () =
   let s = Stats.Sample.create () in
@@ -688,12 +801,16 @@ let suite =
     Alcotest.test_case "online merge" `Quick test_online_merge;
     Alcotest.test_case "sample quantiles" `Quick test_sample_quantiles;
     Alcotest.test_case "sample ccdf" `Quick test_sample_ccdf;
+    Alcotest.test_case "sample add_copies = repeated add" `Quick test_sample_add_copies;
     Alcotest.test_case "histogram" `Quick test_histogram;
     Alcotest.test_case "batch means" `Quick test_batch_means;
     Alcotest.test_case "node offer + serve allocate nothing" `Quick test_node_allocates_nothing;
     Alcotest.test_case "slotted run words per slot" `Quick test_slotted_words_per_slot;
-    Alcotest.test_case "gap table = log1p gap" `Quick test_gap_table_exact;
-    QCheck_alcotest.to_alcotest prop_gap_table_exact;
+    Alcotest.test_case "Source.step is one draw" `Quick test_step_one_draw;
+    Alcotest.test_case "kernel rows = flow-by-flow law" `Quick test_kernel_rows_exact;
+    QCheck_alcotest.to_alcotest prop_kernel_rows_exact;
+    Alcotest.test_case "kernel draws chi-square" `Quick test_kernel_chi2;
+    QCheck_alcotest.to_alcotest prop_kernel_chi2;
     Alcotest.test_case "sample quantile rejects NaN" `Quick test_sample_quantile_rejects_nan;
     QCheck_alcotest.to_alcotest prop_virtual_delays_brute;
   ]

@@ -51,7 +51,8 @@ let test_node_conservation () =
     departed := !departed +. dep.(0) +. dep.(1)
   done;
   check_float ~tol:1e-6 "conservation" !offered !departed;
-  check_float ~tol:1e-6 "backlog empty" 0. (Node.backlog node)
+  check_float ~tol:1e-6 "backlog 0 empty" 0. (Node.backlog_of node ~cls:0);
+  check_float ~tol:1e-6 "backlog 1 empty" 0. (Node.backlog_of node ~cls:1)
 
 let test_node_capacity_respected () =
   let node = Node.create ~capacity:3. ~classes:1 (Node.Delta_policy Policy.fifo) in
@@ -195,8 +196,8 @@ let test_offer_rejects_non_locally_fifo () =
    takes the Custom path.  Under one random sequence of offers (zero
    sizes, equal and fractional arrival times, sizes that split into
    several packets) and slot serves (some degraded), the two nodes must
-   agree bit for bit on every departure and on [backlog_of], [served_of]
-   and [high_water]. *)
+   agree bit for bit on every departure (so on every cumulative
+   departure count), on [backlog_of] and on [high_water]. *)
 let prop_builtin_key_matches_oracle =
   let bits = Int64.bits_of_float in
   QCheck.Test.make ~name:"in-place built-in key = Policy.key, bit for bit"
@@ -250,8 +251,7 @@ let prop_builtin_key_matches_oracle =
             end
           done;
           for cls = 0 to classes - 1 do
-            same "backlog_of" (Node.backlog_of builtin ~cls) (Node.backlog_of custom ~cls);
-            same "served_of" (Node.served_of builtin ~cls) (Node.served_of custom ~cls)
+            same "backlog_of" (Node.backlog_of builtin ~cls) (Node.backlog_of custom ~cls)
           done;
           same "high_water" (Node.high_water builtin) (Node.high_water custom))
         policies;
@@ -264,7 +264,7 @@ let offer_rejects size () =
   Alcotest.check_raises (Printf.sprintf "size %g" size)
     (Invalid_argument "Queue_node.offer: NaN or infinite size") (fun () ->
       Node.offer node ~now:0. ~cls:0 size);
-  check_float "backlog untouched" 0. (Node.backlog node)
+  check_float "backlog untouched" 0. (Node.backlog_of node ~cls:0)
 
 (* ---------------- tandem ---------------- *)
 

@@ -172,86 +172,86 @@ let single_cases () =
 
 let expected : (string * string) list =
   [
-    ("event/bmux/cbr", "ce46e5bf1067968f0efa0213a61b0539");
-    ("event/bmux/faults", "771f2b1bacebedff8efbc2184ed5b6be");
-    ("event/bmux/hetero", "e2091a797ea305755ce11de281fc0daa");
-    ("event/bmux/plain", "99b597889ad098be580c081597047867");
-    ("event/edf+/cbr", "beab0fbbd602dc1f26d4e5942550e62d");
-    ("event/edf+/faults", "923c7abfd92c05fa739e04a9f8b11cda");
-    ("event/edf+/hetero", "20b14cf401d8983dd3bb9310a469eb56");
-    ("event/edf+/plain", "dd572e8df0674e79f7ade865b2ab9f97");
-    ("event/edf-/cbr", "f94f8ce16fb374769f5125a5575a660d");
-    ("event/edf-/faults", "ca5c246a6cbefb4cfad3fd17a5884be9");
-    ("event/edf-/hetero", "3de212e24d27402ae19861ec3b89a42f");
-    ("event/edf-/plain", "2300fbd0d9084101a9add6cab7f41e0b");
-    ("event/fifo/cbr", "db6e5a3f5341f1daacb40243c20ba986");
-    ("event/fifo/faults", "f1af0c4b595d2967c0cd25b198337d0d");
-    ("event/fifo/hetero", "0e4486bd65f8e2a56a13bd818bb9471e");
-    ("event/fifo/plain", "3c369b350f2f38293f535d52ffd44d23");
-    ("event/gps/cbr", "fcbb1afbf1f1234b5c427bb8e43947c4");
-    ("event/gps/faults", "767606cd0fb87e9911a2aa5b1f4b7f62");
-    ("event/gps/hetero", "1d54125412c28975d493a6bf141a7483");
-    ("event/gps/plain", "d02fa7a1e5019a6fe25e5bfa897f163b");
-    ("event/pkt-edf/cbr", "d2d7b0b00eed73ed43e40803c0ad44aa");
-    ("event/pkt-edf/faults", "ae377b16567f41887187602d7d80f5ad");
-    ("event/pkt-edf/hetero", "d9f0a6ea5448e6d4d9b77eed9347e436");
-    ("event/pkt-edf/plain", "0be8d8359bce4ef23e2521822992fd59");
-    ("event/pkt-fifo/cbr", "8b90cbb136849c931cae3928b46b0c6b");
-    ("event/pkt-fifo/faults", "12633bac479b7c0ed830afc8608ed36d");
-    ("event/pkt-fifo/hetero", "ce8e39f084eeeb85b8394b0b8afe2cb8");
-    ("event/pkt-fifo/plain", "4ec5c6c57303e3a7ae2d130311844dc5");
-    ("event/pkt-sp/cbr", "8e6e8985f10265b0bad9a6d021e91791");
-    ("event/pkt-sp/faults", "5f53c35e98938eb336111d2f686c92fe");
-    ("event/pkt-sp/hetero", "ef564d7cf326eb9990abb2f70432fbe9");
-    ("event/pkt-sp/plain", "8086471978d436e3286a7734795f34f9");
-    ("event/sp/cbr", "99e985dcc0e8a111d69f8bcc371166be");
-    ("event/sp/faults", "e08ddaf467244c87773582449acaba7b");
-    ("event/sp/hetero", "45b130ab5da5571ca4a74dd5c3badab3");
-    ("event/sp/plain", "72b41da84314697450047fe80b9bb58f");
-    ("single/edf/faults", "a69e5d6648f29033e7914325dc63e8ff");
-    ("single/edf/plain", "43ebc3a9ebca3c8c45e34891720846be");
-    ("single/fifo/faults", "5cf929854be3883501583be7f62e9275");
-    ("single/fifo/plain", "bcc5a267b63be57c90b7821d9214c97a");
-    ("single/sced/faults", "b7226eb9fc517ce1e65376077bcb982b");
-    ("single/sced/plain", "686f4b50d8ec65006fff4245c65727ec");
-    ("single/sp/faults", "de3ceeb05a865bb0bcb3f7fa8d921c58");
-    ("single/sp/plain", "d5eccc9be49fd5682c4a61eb3e76b010");
-    ("slotted/bmux/cbr", "c0614ff9cf10030a3357fef1295a5560");
-    ("slotted/bmux/faults", "cf238c77ba6ce3a82c260bb2eb03b2f1");
-    ("slotted/bmux/hetero", "cf12a129c75b17c7281ab9304edf93b8");
-    ("slotted/bmux/plain", "c7907f0ebb7106eb3b85728eb2555847");
-    ("slotted/edf+/cbr", "99f497e6a4c03e401fada428b8e2b649");
-    ("slotted/edf+/faults", "534bacb5c07abfbddb47294fc0a48f63");
-    ("slotted/edf+/hetero", "d38384babb46eb99f16398923348cd8f");
-    ("slotted/edf+/plain", "f6ae9f0ae900f5715a1be2f3f01eda6e");
-    ("slotted/edf-/cbr", "ca48565860fc4e0d0bc8d5d659fcdebb");
-    ("slotted/edf-/faults", "3fcb5937a91b6af3ad3f7de6a8d6e2bb");
-    ("slotted/edf-/hetero", "81ffbc4380d54f58f8221670e20154fb");
-    ("slotted/edf-/plain", "aaa8a2603595a5e0299282ab44bef6a2");
-    ("slotted/fifo/cbr", "53938a39637c4150140ef2c40975dfba");
-    ("slotted/fifo/faults", "9adb3f158a86beecb227d5c345f445c8");
-    ("slotted/fifo/hetero", "c3111c26e1d7b9ba4a2de9d969d559aa");
-    ("slotted/fifo/plain", "da82476aaf3ac585bdd2a77aa2f608e0");
-    ("slotted/gps/cbr", "80daba9b246a1578c470687e296825b2");
-    ("slotted/gps/faults", "4c97bbbf4d369f1f4f0299ba08a88d1d");
-    ("slotted/gps/hetero", "81b7d01dfb4d56b804d944374dd89f0f");
-    ("slotted/gps/plain", "6eadc543305c72e5a5ad3ca1b9080c66");
-    ("slotted/pkt-edf/cbr", "605fdd1f3b0b426a03cdc6ab877c564e");
-    ("slotted/pkt-edf/faults", "64f23e3419e50c174c322aaf98024bf1");
-    ("slotted/pkt-edf/hetero", "9f9e050a0d3c21a0d52cea09624914da");
-    ("slotted/pkt-edf/plain", "450e369832c880a55d8b17c034d3c0e5");
-    ("slotted/pkt-fifo/cbr", "5ae299f97bdf9cfe8a2806ab55e55fbf");
-    ("slotted/pkt-fifo/faults", "e5e52b513e9fb1d0d43ee8216d71e396");
-    ("slotted/pkt-fifo/hetero", "f8a076d3b9a71e8ff884197bd1bd3080");
-    ("slotted/pkt-fifo/plain", "10becc6b83a1e9550f043f87f3485655");
-    ("slotted/pkt-sp/cbr", "e18be3fc0a7f4fe143ab0c6a8e220c6a");
-    ("slotted/pkt-sp/faults", "84773e304d16ea38dde9a485562b83ca");
-    ("slotted/pkt-sp/hetero", "dbe7a9fd4af3d715e0e8f0d4a0c99d01");
-    ("slotted/pkt-sp/plain", "622b348da6ebe882f3a2c0a46aa7e83a");
-    ("slotted/sp/cbr", "7fdff86ed4f78613a207568b702e7ac0");
-    ("slotted/sp/faults", "e1fd1169ff035dae14d453ee40cbf679");
-    ("slotted/sp/hetero", "b54b3bec29920d7ab9b5b1838ec74aba");
-    ("slotted/sp/plain", "9492f20141bb79ec599ccebac133994e");
+    ("event/bmux/cbr", "1f5d6de0b35102a60bbdee68f72fc0a4");
+    ("event/bmux/faults", "b38b8354ad23669ee1b773dbcae5e7e5");
+    ("event/bmux/hetero", "006cdc16557fc8259bdf41aea6b10395");
+    ("event/bmux/plain", "6d43325ea6908197f0abfe981ff300d1");
+    ("event/edf+/cbr", "072ffc6c2e95b1310795b4162449f5e5");
+    ("event/edf+/faults", "f7b8692a7c91b223dd842efede22f980");
+    ("event/edf+/hetero", "788c7f041b2667c0d04f3985df633eeb");
+    ("event/edf+/plain", "ff355e8e25dd280fc4c525d5bc31eb84");
+    ("event/edf-/cbr", "7502bf7bd8b1c5aeefa4fef86e1d2d1f");
+    ("event/edf-/faults", "065b9ba7ccc0b4e2b75bcf58c397cd30");
+    ("event/edf-/hetero", "30b2a2552f95b856d0bd08caf6415e5a");
+    ("event/edf-/plain", "d069c6105cebc7ee08bf6a12c09aebdf");
+    ("event/fifo/cbr", "faf2257f0e01dd208c143aead5b36971");
+    ("event/fifo/faults", "d00115ad7a6c48e691cdf0f7c489d71b");
+    ("event/fifo/hetero", "b01ae0eb4db128725efd797de2213613");
+    ("event/fifo/plain", "ce45981c60b4bc258d175f28eea57456");
+    ("event/gps/cbr", "651b03044ce6489a15aa62814e704e1d");
+    ("event/gps/faults", "ffb29145f331841bd3fec87af74efa84");
+    ("event/gps/hetero", "4d519df69d1d95c1952ab326caeab00f");
+    ("event/gps/plain", "0df88cc0c138d5a6df4ed1c90fc7ac8e");
+    ("event/pkt-edf/cbr", "3cd0d65661e1d2b5068677656ecb1b89");
+    ("event/pkt-edf/faults", "06d240539b40589cd2053948623c206b");
+    ("event/pkt-edf/hetero", "a340052b954e6eb82398f43d054e9332");
+    ("event/pkt-edf/plain", "7da60f7e279add71b4f52f141ccaf3b3");
+    ("event/pkt-fifo/cbr", "6ad5bf3a655924b372374f9859fb5abb");
+    ("event/pkt-fifo/faults", "5a864b855ad5a590360a53a233967e6c");
+    ("event/pkt-fifo/hetero", "30ef2f598083339637a86cbc09e0a41c");
+    ("event/pkt-fifo/plain", "c67e5edbd207a8ad1e5c0bd2862179ca");
+    ("event/pkt-sp/cbr", "a5a8fc2e1fd4facdfa3f0f3b471bcc9b");
+    ("event/pkt-sp/faults", "41481002fbf7e11ec6168e4396b7ec8f");
+    ("event/pkt-sp/hetero", "b9cb71f4426f442337989840d1288f8f");
+    ("event/pkt-sp/plain", "4cea5185c59d6debfb4a99d0006fcc53");
+    ("event/sp/cbr", "525e6bdbeaeba645423395101a38d434");
+    ("event/sp/faults", "ae0b08b218a652ca26ec79211dd08b85");
+    ("event/sp/hetero", "dd9f882edb10ba81933eb560f26127ce");
+    ("event/sp/plain", "e6153e6fe200f41645e8da7d15937272");
+    ("single/edf/faults", "1890e5a47f244b558299018777466878");
+    ("single/edf/plain", "c330a378ef29ef37b5eb320825651078");
+    ("single/fifo/faults", "27d66fedbcb4aa31c5d2d4b8e399938e");
+    ("single/fifo/plain", "d331c83dc67774ad49dd316779faf597");
+    ("single/sced/faults", "c4d5d667db6821b84007dda67f6c484f");
+    ("single/sced/plain", "081d44a1f8c5eec204d60d860816c443");
+    ("single/sp/faults", "dc4af1271e067d1bc208287f8616b282");
+    ("single/sp/plain", "c721d8a80b22f7c6f33f87f3afac5d92");
+    ("slotted/bmux/cbr", "3e4d9304661e265baf5abccb6eb09e72");
+    ("slotted/bmux/faults", "9fc7981344660ee1a073b48f4716dc93");
+    ("slotted/bmux/hetero", "4c72265dcfd9a0a7a13cde77fbcb2dc4");
+    ("slotted/bmux/plain", "699fc0bd47ff4069efb3d6260cc48ba9");
+    ("slotted/edf+/cbr", "1b5e7d4850f5a9684f9ceb23f18ce066");
+    ("slotted/edf+/faults", "9a139a401c8854314c29ec2c9b5d13f3");
+    ("slotted/edf+/hetero", "ed583a50ad1b54531f11557ca121c9bc");
+    ("slotted/edf+/plain", "a023640951349c08659f1a45ee4c59d9");
+    ("slotted/edf-/cbr", "b6097cb2ba0dc7e676c8b50b3b9e6a98");
+    ("slotted/edf-/faults", "fc313d5a94558b394d53ca59ef339d54");
+    ("slotted/edf-/hetero", "bc52fefcc2fd429564a3c24091c64463");
+    ("slotted/edf-/plain", "8b24311025e077a1443a41d062db8a18");
+    ("slotted/fifo/cbr", "5b03c38d0339abd39f323a6890f017d0");
+    ("slotted/fifo/faults", "8a8e43f82c782a7908f0b229f423960a");
+    ("slotted/fifo/hetero", "138456a721869903c540344c0e660d83");
+    ("slotted/fifo/plain", "ebdd7ffbf98db7a2adef4cf6f91e0efc");
+    ("slotted/gps/cbr", "0dd9cd219254ab09248773e0944cef15");
+    ("slotted/gps/faults", "48b030e1746772fa660b2578802a63bf");
+    ("slotted/gps/hetero", "cc16022904f10b7e41ce6cc3859eba64");
+    ("slotted/gps/plain", "e79776f0c6de7b1a685f489ab5610ad7");
+    ("slotted/pkt-edf/cbr", "4d2f8db69754a4d7ad35786a0e76522c");
+    ("slotted/pkt-edf/faults", "597c5a7d94c33bf099b27a05c0f29f89");
+    ("slotted/pkt-edf/hetero", "a3d044af9526f7a3e44613cfb543d50e");
+    ("slotted/pkt-edf/plain", "f96a6deaaccb9a1f115439d539ae1b2d");
+    ("slotted/pkt-fifo/cbr", "cb19776d5747d2120e54d242b18915d3");
+    ("slotted/pkt-fifo/faults", "eae95ab9136f44aeab405ad63bcc6a1b");
+    ("slotted/pkt-fifo/hetero", "0f1f25dd03d004fbb1fd31fe911a6800");
+    ("slotted/pkt-fifo/plain", "faa2e16ab178b026fdf35a73595aa591");
+    ("slotted/pkt-sp/cbr", "42d838317b5f0932ae6f058dd5ee3393");
+    ("slotted/pkt-sp/faults", "20b719fb33c2a0c4fc33af5ac3131de7");
+    ("slotted/pkt-sp/hetero", "795cbaebdfc5c353f7aae6687cb50121");
+    ("slotted/pkt-sp/plain", "0af154e717873b517f48719221a5ea00");
+    ("slotted/sp/cbr", "243abada4c2135666fa9e3e3edf4594a");
+    ("slotted/sp/faults", "74e8569dc563cf0a1634f47a922e8165");
+    ("slotted/sp/hetero", "ffbab03f977b4c1ebdac6dc049ffe0fd");
+    ("slotted/sp/plain", "c71b28a8ce83a6c656447593a37e9e63");
   ]
 
 let check_cases cases () =
