@@ -726,7 +726,7 @@ let check_against_baseline path reports =
 (* desim: event engine vs the slotted oracle on the workload the event
    engine exists for — sparse through traffic on a long path, where the
    slotted loop burns a full pass over every (node, slot) pair while the
-   heap only touches slots that carry data.  The CBR through aggregate
+   event engine's worklist only visits slots that carry data.  The CBR through aggregate
    makes the traffic engine-independent by construction, so the run
    doubles as a parity check: the two engines must agree bit-for-bit on
    the delay samples before either timing counts.  The dense Markov
@@ -796,9 +796,10 @@ let desim_bench ~short () =
       speedup floor;
     (exit [@lint.allow "raw-exit"]) 1
   end;
-  (* dense companion: every slot busy, so the event engine degenerates to
-     slot-lockstep and can only lose; measure how much.  Ungated beyond a
-     generous 3x ceiling — this documents the trade, not a target. *)
+  (* dense companion: every slot busy and every node due, so the event
+     engine runs the slotted loop's work plus its worklist bookkeeping;
+     measure what that costs.  Ungated beyond a generous 3x ceiling —
+     this documents the trade, not a target. *)
   let dense =
     {
       Netsim.Tandem.default_config with

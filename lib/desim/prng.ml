@@ -145,7 +145,3 @@ let invert t ~cuts ~guide =
   done;
   !i
 [@@zero_alloc_check]
-
-let exponential t ~rate =
-  if rate <= 0. then invalid_arg "Prng.exponential: non-positive rate";
-  -.Float.log1p (-.float t) /. rate

@@ -5,9 +5,9 @@
     {b State.} A generator is 32 bytes holding the four xoshiro256++
     state words, read and written in native byte order.  A step costs a
     handful of integer operations and allocates nothing.  [binomial],
-    [geometric] and [invert] allocate nothing at all; [bits64],
-    [float] and [exponential] allocate only their boxed result, and
-    [create]/[split]/[copy] the new 32-byte state. *)
+    [geometric] and [invert] allocate nothing at all; [bits64] and
+    [float] allocate only their boxed result, and [create]/[split]/[copy]
+    the new 32-byte state. *)
 
 type t
 
@@ -56,8 +56,6 @@ val invert : t -> cuts:int array -> guide:int array -> int
     with [m < cuts.(i)] for the top 53 bits [m] of one {!bits64}, found
     from [m]'s guide bucket by a forward scan.  [guide] must be
     [guide cuts]. *)
-
-val exponential : t -> rate:float -> float
 
 val geometric : t -> p:float -> int
 (** Number of failures before the first success, [p] in (0, 1]:

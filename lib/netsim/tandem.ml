@@ -4,12 +4,13 @@
    [config], one validation and one RNG stream setup:
    - [Slotted]: the original time-stepped loop — one pass per slot over
      every node.  The reference semantics ("the oracle").
-   - [Event]: the heap-based engine over [Desim.Engine].  It reuses
+   - [Event]: a slot loop over a worklist of due nodes.  It reuses
      [Queue_node] at slot granularity but touches a node only on slots
-     where it is occupied or receives an offer; sources and fault
-     processes still advance once per slot in the slotted per-stream
-     order, so every result is reproduced bit for bit while idle
-     (node, slot) pairs are skipped.
+     where it is occupied or receives an offer, and jumps over slots
+     where nothing steps or is due; sources and fault processes still
+     advance once per slot in the slotted per-stream order, so every
+     result is reproduced bit for bit while idle (node, slot) pairs are
+     skipped.
    Both measure Eq. 6 through [Desim.Stats.virtual_delays]. *)
 
 type engine = Slotted | Event
@@ -73,7 +74,9 @@ let cross_class = 1
 let c_sim_slots = Telemetry.Counter.make "netsim.tandem.slots"
 let g_backlog_hwm = Telemetry.Gauge.make "netsim.tandem.backlog_hwm"
 let c_events = Telemetry.Counter.make "netsim.desim.events"
-let g_heap_hwm = Telemetry.Gauge.make "netsim.desim.heap_hwm"
+(* the largest number of nodes due in one slot of the event engine,
+   under the name perfbench reads *)
+let g_max_due = Telemetry.Gauge.make "netsim.desim.heap_hwm"
 
 let node_capacities cfg =
   match cfg.capacities with
@@ -271,11 +274,6 @@ let run_slotted cfg discipline =
 
 (* ------------------------------- event ------------------------------- *)
 
-type ev =
-  | Tick  (* per-slot advance of every stochastic process *)
-  | Cbr_emit
-  | Serve of int  (* one node's slot: its predecessor's data in, then service *)
-
 (* A cumulative counter on the slot grid, written only on the slots where
    it moves: [mark c t v] sets slot [t] to [v], and the slots skipped
    since the last mark to the value before it, as the slotted loop's
@@ -293,9 +291,9 @@ let mark c t v =
 
 let close c = Array.fill c.cum (c.upto + 1) (Array.length c.cum - c.upto - 1) c.last
 
-(* Slots during which the per-slot Tick runs: the through source's
-   arrival horizon, or the whole run while cross traffic or a fault
-   process is live. *)
+(* Slots during which the sources and fault processes step (one tick
+   each): the through source's arrival horizon, or the whole run while
+   cross traffic or a fault process is live. *)
 let tick_until cfg s =
   Stdlib.max
     (if Option.is_some s.through_src then cfg.slots else 0)
@@ -303,32 +301,17 @@ let tick_until cfg s =
        cfg.slots + cfg.drain_limit
      else 0)
 
-(* The first Tick and the first CBR emission. *)
-let start eng cfg s =
-  if tick_until cfg s > 0 then
-    Desim.Engine.schedule eng ~time:0. ~kind:Desim.Engine.Source_change Tick;
-  match cfg.through_kind with
-  | Cbr _ -> Desim.Engine.schedule eng ~time:0. ~kind:Desim.Engine.Source_change Cbr_emit
-  | Markov -> ()
-
-(* The burst of the CBR emission at slot [t]; schedules the next one. *)
-let cbr_burst eng cfg t =
-  match cfg.through_kind with
-  | Cbr { period; burst } ->
-    if t + period < cfg.slots then
-      Desim.Engine.schedule eng ~time:(float_of_int (t + period))
-        ~kind:Desim.Engine.Source_change Cbr_emit;
-    burst
-  | Markov -> assert false
-
 (* Touches a node only on the slots where it is occupied or offered
-   work; every result bit-identical to the slotted engine's. *)
+   work, and a slot only when it ticks, emits a CBR burst or has a node
+   due; every result bit-identical to the slotted engine's.  A slot runs
+   its sources before its serves, and the serves of one slot never read
+   each other's state, so a worklist of due nodes per slot orders all an
+   event queue would. *)
 let run_event cfg s =
   let nodes = s.nodes in
   let total_slots = cfg.slots + cfg.drain_limit in
   let tick_until = tick_until cfg s in
   let factor_cache = Array.make cfg.h 1. in
-  let serve_at = Array.make cfg.h (-1) in
   let served_total = Array.make cfg.h 0. in
   (* cumulative through arrivals into node 0 and departures from node
      h-1, as dense as the slotted loop's *)
@@ -337,123 +320,139 @@ let run_event cfg s =
      by its serve in slot t, after the slot's sources: one row per slot
      parity, so a serve can fill the next slot's row while another
      node's entry in this slot's is still unread.  A serve writes its
-     successor's entry, zero included, and a nonzero entry schedules the
-     successor's serve in the next slot, which reads and clears it; so
+     successor's entry, zero included, and a nonzero entry makes the
+     successor due in the next slot, whose serve reads and clears it; so
      when slot t ends, the row of parity t + 1 holds exactly what slot t
      sent, as the slotted loop's [pending] does. *)
   let forward = Array.make_matrix 2 cfg.h 0. in
+  (* The worklist: row [t land 1] of [due_list] holds the [due_len] nodes
+     due in slot t, in the order they became due; the sources of slot t
+     append to it, its serves to the other row.  [due.(i)] is the last
+     slot node i was listed for, so a node is listed once per slot. *)
+  let due = Array.make cfg.h (-1) in
+  let due_list = Array.make_matrix 2 cfg.h 0 and due_len = Array.make 2 0 in
+  (* ticks, CBR emissions and node serves; the most nodes due in a slot *)
+  let events = ref 0 and max_due = ref 0 in
   (* End-of-slot through backlog, computed with the slotted loop's exact
      arithmetic (left fold over per-node backlogs, plus this slot's
      inter-node departures) so the samples are bit-identical.  Node state
-     is frozen between events, so slots without events reuse the folded
+     is frozen between visited slots, so skipped slots reuse the folded
      value instead of touching every node again.  Nothing is in flight
-     after such a slot (a slot that sends data schedules a serve in the
+     after such a slot (a slot that sends data makes a node due in the
      next), so its sample is the slotted loop's q + 0. *)
   let through_backlog = Desim.Stats.Sample.create () in
   let sampled_upto = ref (-1) in
   let sample_upto lim =
     let lim = Stdlib.min lim (cfg.slots - 1) and first = !sampled_upto + 1 in
     if lim >= first then begin
-      let q =
-        Array.fold_left
-          (fun acc node -> acc +. Queue_node.backlog_of node ~cls:through_class)
-          0. nodes
-      in
-      let inflight = Array.fold_left ( +. ) 0. forward.((first + 1) land 1) in
-      Desim.Stats.Sample.add through_backlog (q +. inflight);
-      Desim.Stats.Sample.add_copies through_backlog (q +. 0.) (lim - first);
+      let q = ref 0. in
+      for i = 0 to cfg.h - 1 do
+        q := !q +. Queue_node.backlog_of nodes.(i) ~cls:through_class
+      done;
+      let row = forward.((first + 1) land 1) and inflight = ref 0. in
+      for i = 0 to cfg.h - 1 do
+        inflight := !inflight +. row.(i)
+      done;
+      Desim.Stats.Sample.add through_backlog (!q +. !inflight);
+      Desim.Stats.Sample.add_copies through_backlog (!q +. 0.) (lim - first);
       sampled_upto := lim
     end
   in
-  let eng : ev Desim.Engine.t = Desim.Engine.create () in
-  let serves = Array.init cfg.h (fun i -> Serve i) in
   let ensure_serve i t =
-    if t < total_slots && serve_at.(i) <> t then begin
-      serve_at.(i) <- t;
-      Desim.Engine.schedule eng ~time:(float_of_int t) ~kind:Desim.Engine.Service_completion
-        serves.(i)
+    if t < total_slots && due.(i) <> t then begin
+      due.(i) <- t;
+      let p = t land 1 in
+      due_list.(p).(due_len.(p)) <- i;
+      due_len.(p) <- due_len.(p) + 1
     end
   in
-  let through_in t a =
-    if a > 0. then begin
-      mark cum_in t (cum_in.last +. a);
-      Queue_node.offer nodes.(0) ~now:(float_of_int t) ~cls:through_class a;
-      ensure_serve 0 t
-    end
+  (* The first CBR emission at or after slot [t], or [total_slots]. *)
+  let next_emission t =
+    match cfg.through_kind with
+    | Cbr { period; _ } ->
+      let e = (t + period - 1) / period * period in
+      if e < cfg.slots then e else total_slots
+    | Markov -> total_slots
   in
-  let handler (event : ev Desim.Engine.event) =
-    let t = int_of_float event.Desim.Engine.time in
-    match event.Desim.Engine.payload with
-    | Tick ->
-      (match s.through_src with
-      | Some src when t < cfg.slots -> through_in t (Source.step src)
-      | _ -> ());
-      if cfg.n_cross > 0 then
-        Array.iteri
-          (fun i src ->
-            let c = Source.step src in
-            if c > 0. then begin
-              Queue_node.offer nodes.(i) ~now:(float_of_int t) ~cls:cross_class c;
-              ensure_serve i t
-            end)
-          s.cross_srcs;
-      Array.iteri
-        (fun i proc ->
-          match proc with Some pr -> factor_cache.(i) <- Faults.step pr | None -> ())
-        s.fault_procs;
-      if t + 1 < tick_until then
-        Desim.Engine.schedule eng ~time:(float_of_int (t + 1)) ~kind:Desim.Engine.Source_change
-          Tick
-    | Cbr_emit -> through_in t (cbr_burst eng cfg t)
-    | Serve i ->
-      let inbox = forward.(t land 1) in
-      if inbox.(i) > 0. then begin
-        Queue_node.offer nodes.(i) ~now:(float_of_int t) ~cls:through_class inbox.(i);
-        inbox.(i) <- 0.
-      end;
-      let dep =
-        match s.fault_procs.(i) with
-        | None -> Queue_node.serve_slot nodes.(i)
-        | Some _ -> Queue_node.serve_slot ~factor:factor_cache.(i) nodes.(i)
+  let rec slot t =
+    if t < total_slots then begin
+      (* every slot before this one is final *)
+      sample_upto (t - 1);
+      let now = float_of_int t in
+      let a =
+        match (cfg.through_kind, s.through_src) with
+        | (Cbr { period; burst }, _) when t < cfg.slots && t mod period = 0 ->
+          incr events;
+          burst
+        | (Markov, Some src) when t < cfg.slots -> Source.step src
+        | _ -> 0.
       in
-      served_total.(i) <- served_total.(i) +. dep.(through_class) +. dep.(cross_class);
-      if i < cfg.h - 1 then begin
-        forward.((t + 1) land 1).(i + 1) <- dep.(through_class);
-        if dep.(through_class) > 0. then ensure_serve (i + 1) (t + 1)
-      end
-      else if dep.(through_class) > 0. then
-        mark cum_out t (cum_out.last +. dep.(through_class));
-      if Queue_node.occupied nodes.(i) then ensure_serve i (t + 1)
+      if a > 0. then begin
+        mark cum_in t (cum_in.last +. a);
+        Queue_node.offer nodes.(0) ~now ~cls:through_class a;
+        ensure_serve 0 t
+      end;
+      if t < tick_until then begin
+        incr events;
+        for i = 0 to cfg.h - 1 do
+          if cfg.n_cross > 0 then begin
+            let c = Source.step s.cross_srcs.(i) in
+            if c > 0. then begin
+              Queue_node.offer nodes.(i) ~now ~cls:cross_class c;
+              ensure_serve i t
+            end
+          end;
+          match s.fault_procs.(i) with
+          | Some pr -> factor_cache.(i) <- Faults.step pr
+          | None -> ()
+        done
+      end;
+      (* each due node's slot: its predecessor's data in, then service *)
+      let p = t land 1 in
+      let n = due_len.(p) and inbox = forward.(p) in
+      for k = 0 to n - 1 do
+        let i = due_list.(p).(k) in
+        if inbox.(i) > 0. then begin
+          Queue_node.offer nodes.(i) ~now ~cls:through_class inbox.(i);
+          inbox.(i) <- 0.
+        end;
+        let dep =
+          match s.fault_procs.(i) with
+          | None -> Queue_node.serve_slot nodes.(i)
+          | Some _ -> Queue_node.serve_slot ~factor:factor_cache.(i) nodes.(i)
+        in
+        served_total.(i) <- served_total.(i) +. dep.(through_class) +. dep.(cross_class);
+        if i < cfg.h - 1 then begin
+          forward.(1 - p).(i + 1) <- dep.(through_class);
+          if dep.(through_class) > 0. then ensure_serve (i + 1) (t + 1)
+        end
+        else if dep.(through_class) > 0. then
+          mark cum_out t (cum_out.last +. dep.(through_class));
+        if Queue_node.occupied nodes.(i) then ensure_serve i (t + 1)
+      done;
+      due_len.(p) <- 0;
+      events := !events + n;
+      if n > !max_due then max_due := n;
+      slot (if due_len.(1 - p) > 0 || t + 1 < tick_until then t + 1 else next_emission (t + 1))
+    end
   in
-  start eng cfg s;
-  let rec drain () =
-    match Desim.Engine.next eng with
-    | None -> ()
-    | Some event ->
-      (* The clock moved past every slot before this event's; their
-         end-of-slot states are final, so sample them now. *)
-      sample_upto (int_of_float event.Desim.Engine.time - 1);
-      handler event;
-      drain ()
-  in
-  drain ();
+  slot (if tick_until > 0 then 0 else next_emission 0);
   sample_upto (cfg.slots - 1);
   close cum_in;
   close cum_out;
   let (delays, censored_kb) =
     Desim.Stats.virtual_delays ~cum_in:cum_in.cum ~cum_out:cum_out.cum
   in
-  let events_processed = Desim.Engine.events_processed eng in
+  let events_processed = !events in
   if Telemetry.is_enabled () then begin
-    let heap_hwm = Desim.Engine.heap_high_water eng in
     Telemetry.Counter.add c_events events_processed;
-    Telemetry.Gauge.set g_heap_hwm (float_of_int heap_hwm);
+    Telemetry.Gauge.set g_max_due (float_of_int !max_due);
     Telemetry.event "tandem.done"
       ~attrs:
         [
           ("engine", Telemetry.Str "event");
           ("events", Telemetry.Int events_processed);
-          ("heap_hwm", Telemetry.Int heap_hwm);
+          ("max_due", Telemetry.Int !max_due);
           ("through_kb", Telemetry.Float cum_in.last);
           ("censored_kb", Telemetry.Float censored_kb);
           ("delay_samples", Telemetry.Int (Desim.Stats.Sample.count delays));

@@ -14,8 +14,9 @@
     CBR or empty; one cross source per node in node order; one fault
     process per faulted node in node order).  The slotted engine is the
     reference ("the oracle").  The event engine runs the same
-    {!Queue_node}s at slot granularity over {!Desim.Engine}, touching a
-    node only on slots where it is occupied or offered work, while every
+    {!Queue_node}s at slot granularity over a worklist of due nodes,
+    touching a node only on slots where it is occupied or offered work
+    and jumping over slots where nothing steps or is due, while every
     source and fault process still advances once per slot in the slotted
     per-stream order.  Both measure Eq. (6) by
     {!Desim.Stats.virtual_delays} over the same dense cumulative
@@ -26,9 +27,14 @@
 type engine =
   | Slotted  (** time-stepped reference loop: one pass per slot over every node *)
   | Event
-      (** heap-based event engine: skips idle (node, slot) pairs, with
-          bit-identical results and the same seed derivation; reports the
-          [netsim.desim.events] and [netsim.desim.heap_hwm] telemetry *)
+      (** slot loop over a worklist of due nodes: each slot steps the
+          sources (the through source, then each node's cross source and
+          fault process in node order), then serves the nodes due in it,
+          so idle (node, slot) pairs are skipped, with bit-identical
+          results and the same seed derivation.  Reports the
+          [netsim.desim.events] counter ([events_processed]) and the
+          [netsim.desim.heap_hwm] gauge, which keeps its older name but
+          records the largest number of nodes due in one slot *)
 
 type source_kind =
   | Markov  (** aggregate of [n] on-off Markov flows (the paper's model) *)
@@ -83,8 +89,10 @@ type result = {
   fault_factor : float array;
   (** realized mean capacity factor per node ([1.] where healthy) *)
   events_processed : int;
-  (** events popped by the event engine ([0] for a slotted run) — also
-      exported as the [netsim.desim.events] telemetry counter *)
+  (** the event engine's source ticks (one per slot while any source or
+      fault process steps), CBR emissions and node serves ([0] for a
+      slotted run) — also exported as the [netsim.desim.events]
+      telemetry counter *)
 }
 
 val run : ?engine:engine -> config -> result

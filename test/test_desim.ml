@@ -1,7 +1,6 @@
-(* Tests for the simulation substrate: PRNG, heap, statistics. *)
+(* Tests for the simulation substrate: PRNG, samplers, statistics. *)
 
 module Prng = Desim.Prng
-module Heap = Desim.Heap
 module Stats = Desim.Stats
 
 let check_float ?(tol = 1e-9) name expected got =
@@ -155,14 +154,6 @@ let test_seeds_jobs_invariant () =
         Alcotest.failf "replication %d differs across pool sizes: %.17g vs %.17g" i x
           four.(i))
     one
-
-let test_exponential_mean () =
-  let t = Prng.create ~seed:12L in
-  let acc = Stats.Online.create () in
-  for _ = 1 to 100_000 do
-    Stats.Online.add acc (Prng.exponential t ~rate:2.)
-  done;
-  check_float ~tol:0.02 "exponential mean" 0.5 (Stats.Online.mean acc)
 
 (* The sampler as it stood with the state in a record of mutable [int64]
    fields and closure-based [geometric]/[binomial]: the oracle that the
@@ -521,10 +512,10 @@ let test_node_allocates_nothing () =
       (Policy.edf ~deadlines:[| 4.; 9. |], Some 0.7);
     ]
 
-(* The slotted loop at the simulate workload's shape (Example 1, H = 10,
+(* Both engines at the simulate workload's shape (Example 1, H = 10,
    U0 = 15%, U = 50%): every offer, serve and source step of a slot in
    at most 130 minor words, setup included. *)
-let test_slotted_words_per_slot () =
+let check_words_per_slot engine () =
   let mean = Envelope.Mmpp.mean_rate Envelope.Mmpp.paper_source in
   let flows u = int_of_float (Float.round (u *. 100. /. mean)) in
   let cfg =
@@ -539,97 +530,13 @@ let test_slotted_words_per_slot () =
     }
   in
   let w0 = Gc.minor_words () in
-  let r = Netsim.Tandem.run cfg in
+  let r = Netsim.Tandem.run ~engine cfg in
   let words = (Gc.minor_words () -. w0) /. float_of_int (cfg.slots + cfg.drain_limit) in
   ignore (Sys.opaque_identity r);
-  if words > 130. then Alcotest.failf "slotted run allocates %.1f words per slot (> 130)" words
-
-(* ---------------- Heap ---------------- *)
-
-let push_int h x = Heap.push h ~key:(float_of_int x) ~rank:0 x
-
-let test_heap_sorts () =
-  let h = Heap.create () in
-  List.iter (push_int h) [ 5; 1; 4; 1; 3; 9; 2 ];
-  let rec drain acc = match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc) in
-  Alcotest.(check (list int)) "sorted drain" [ 1; 1; 2; 3; 4; 5; 9 ] (drain [])
-
-let test_heap_peek_pop () =
-  let h = Heap.create () in
-  Alcotest.(check (option int)) "empty peek" None (Heap.peek h);
-  push_int h 3;
-  push_int h 1;
-  Alcotest.(check (option int)) "peek min" (Some 1) (Heap.peek h);
-  Alcotest.(check int) "length" 2 (Heap.length h);
-  ignore (Heap.pop h);
-  Alcotest.(check (option int)) "next min" (Some 3) (Heap.peek h);
-  Alcotest.check_raises "rank out of range" (Invalid_argument "Heap.push: rank out of range")
-    (fun () -> Heap.push h ~key:0. ~rank:(-1) 0)
-
-let prop_heap_matches_sort =
-  QCheck.Test.make ~name:"heap drain equals List.sort" ~count:(Qc.count 200)
-    QCheck.(list_of_size (Gen.int_range 0 50) int) (fun xs ->
-      let h = Heap.create () in
-      List.iter (push_int h) xs;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-      in
-      (* keys are the ints as floats, which may round two ints together *)
-      List.map float_of_int (drain []) = List.map float_of_int (List.sort compare xs))
-
-(* The engine's determinism rests on the heap being *stable*: elements
-   with equal key and rank must pop in push order.  Both properties push
-   (key, rank, push index) triples drawn from few keys and ranks, so any
-   reordering of ties is visible. *)
-
-let push_triple h ((k, r, _) as x) = Heap.push h ~key:(float_of_int k) ~rank:r x
-let triple_gen = QCheck.(triple (int_range 0 5) (int_range 0 2) unit)
-
-let prop_heap_equal_keys_fifo =
-  QCheck.Test.make ~name:"equal keys pop in push order (stability)"
-    ~count:(Qc.count 200)
-    QCheck.(list_of_size (Gen.int_range 0 80) triple_gen)
-    (fun keys ->
-      let h = Heap.create () in
-      List.iteri (fun i (k, r, ()) -> push_triple h (k, r, i)) keys;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-      in
-      let rec ok = function
-        | a :: (b :: _ as rest) -> compare a b < 0 && ok rest
-        | _ -> true
-      in
-      ok (drain []))
-
-let prop_heap_interleaved_model =
-  (* Heap-order invariant under interleaved push/pop: every pop returns
-     exactly what a stable reference model (sort by key, rank, then
-     arrival) would — [Some (k, r)] pushes, [None] pops. *)
-  QCheck.Test.make ~name:"interleaved push/pop matches the stable model"
-    ~count:(Qc.count 200)
-    QCheck.(list_of_size (Gen.int_range 0 100) (option triple_gen))
-    (fun ops ->
-      let h = Heap.create () in
-      let model = ref [] in
-      let seq = ref 0 in
-      let best () = List.fold_left (fun acc x -> if compare x acc < 0 then x else acc) (max_int, 0, 0) !model in
-      List.for_all
-        (fun op ->
-          match op with
-          | Some (k, r, ()) ->
-            push_triple h (k, r, !seq);
-            model := (k, r, !seq) :: !model;
-            incr seq;
-            (* peek must agree with the model's minimum at every step *)
-            Heap.length h = List.length !model && Heap.peek h = Some (best ())
-          | None -> (
-            match Heap.pop h with
-            | None -> !model = []
-            | Some x ->
-              let b = best () in
-              model := List.filter (fun y -> y <> b) !model;
-              x = b))
-        ops)
+  if words > 130. then
+    Alcotest.failf "%s run allocates %.1f words per slot (> 130)"
+      (Netsim.Tandem.engine_to_string engine)
+      words
 
 (* ---------------- Stats ---------------- *)
 
@@ -791,12 +698,6 @@ let suite =
     Alcotest.test_case "prng split independent" `Quick test_prng_split_independent;
     Alcotest.test_case "prng split streams distinct" `Quick test_prng_split_streams_distinct;
     Alcotest.test_case "seeds jobs-invariant" `Quick test_seeds_jobs_invariant;
-    Alcotest.test_case "exponential mean" `Slow test_exponential_mean;
-    Alcotest.test_case "heap sorts" `Quick test_heap_sorts;
-    Alcotest.test_case "heap peek/pop" `Quick test_heap_peek_pop;
-    QCheck_alcotest.to_alcotest prop_heap_matches_sort;
-    QCheck_alcotest.to_alcotest prop_heap_equal_keys_fifo;
-    QCheck_alcotest.to_alcotest prop_heap_interleaved_model;
     Alcotest.test_case "online moments" `Quick test_online_moments;
     Alcotest.test_case "online merge" `Quick test_online_merge;
     Alcotest.test_case "sample quantiles" `Quick test_sample_quantiles;
@@ -805,7 +706,10 @@ let suite =
     Alcotest.test_case "histogram" `Quick test_histogram;
     Alcotest.test_case "batch means" `Quick test_batch_means;
     Alcotest.test_case "node offer + serve allocate nothing" `Quick test_node_allocates_nothing;
-    Alcotest.test_case "slotted run words per slot" `Quick test_slotted_words_per_slot;
+    Alcotest.test_case "slotted run words per slot" `Quick
+      (check_words_per_slot Netsim.Tandem.Slotted);
+    Alcotest.test_case "event run words per slot" `Quick
+      (check_words_per_slot Netsim.Tandem.Event);
     Alcotest.test_case "Source.step is one draw" `Quick test_step_one_draw;
     Alcotest.test_case "kernel rows = flow-by-flow law" `Quick test_kernel_rows_exact;
     QCheck_alcotest.to_alcotest prop_kernel_rows_exact;

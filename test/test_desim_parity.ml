@@ -5,9 +5,10 @@
    seed derivation, same arithmetic, only the idle (node, slot) pairs
    skipped.  Checked here over randomized tandem scenarios: path
    length, schedulers (FIFO / SP / EDF / BMUX / GPS / packetized),
-   Markov and CBR sources (some CBR bursts below the 1e-6 kb tolerance
-   of Eq. 6's sweep), heterogeneous per-node capacities, and fault
-   schedules.
+   Markov and CBR sources (periods 1 to 7, so a burst in every slot and
+   jumps over idle slots between emissions; some bursts below the 1e-6
+   kb tolerance of Eq. 6's sweep), heterogeneous per-node capacities,
+   and fault schedules.
 
    Scenarios are generated from plain integer tuples so QCheck's
    built-in shrinking applies; the printer renders the derived config
@@ -104,7 +105,7 @@ let config_of s : Tandem.config =
       (* every fourth seed a burst below the sweep's tolerance, whose
          first samples read 0 whatever the path latency *)
       let burst = if s.seed mod 4 = 0 then 1e-7 else 1.5 *. capacity in
-      Tandem.Cbr { period = 4 + (s.seed mod 5); burst }
+      Tandem.Cbr { period = 1 + (s.seed mod 7); burst }
   in
   let faults =
     match s.fault with
