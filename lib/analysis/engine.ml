@@ -9,6 +9,8 @@
                             [@@zero_alloc_check] bindings
      unreachable-module     a module no executable imports (one pass over
                             the whole scanned set, see Unreachable)
+     unused-export          a value an .mli declares that no executable
+                            reaches (the same pass)
      unused-allow           [@lint.allow] that suppresses nothing (only
                             with ~warn_unused_allow, only for typed rules)
      cmt-error              the .cmt could not be read
@@ -35,6 +37,10 @@ let catalogue =
        directly or transitively through cmt imports; library alias \
        modules are not edges.  Exempt with a file-level \
        [@@@lint.allow \"unreachable-module\"]" );
+    ( "unused-export",
+      "a value a library .mli declares that nothing reaches from an \
+       executable, following value paths through reached bindings; exempt \
+       with [@@lint.allow \"unused-export\"] naming the test that uses it" );
     ( "unused-allow",
       "[@lint.allow] attribute that suppresses no finding of this tool; \
        remove it (reported only with --warn-unused-allow)" );
@@ -109,7 +115,7 @@ let check_structure ?(warn_unused_allow = false) ~file
    (relative) load path should also be tried — needed when the analyzer
    does not run from the build-context root, e.g. the test runner.
    Returns the per-file findings and, for a readable implementation, the
-   unit's entry for the whole-set unreachable-module pass. *)
+   unit's entry for the whole-set Unreachable pass. *)
 let load_cmt ~warn_unused_allow ~load_prefix path =
   match Cmt_format.read_cmt path with
   | exception exn ->
@@ -136,15 +142,15 @@ let load_cmt ~warn_unused_allow ~load_prefix path =
     match cmt.cmt_annots with
     | Cmt_format.Implementation str ->
       ( check_structure ~warn_unused_allow ~file str,
-        Some (Unreachable.of_cmt ~file cmt) )
+        Some (Unreachable.of_cmt ~file ~path cmt) )
     | _ -> ([], None))
 
 let analyze_cmt ?(warn_unused_allow = false) ?(load_prefix = []) path :
     F.t list =
   fst (load_cmt ~warn_unused_allow ~load_prefix path)
 
-(* Every per-file rule over each cmt, then unreachable-module once over
-   the whole set. *)
+(* Every per-file rule over each cmt, then unreachable-module and
+   unused-export once over the whole set. *)
 let analyze_cmts ?(warn_unused_allow = false) ?(load_prefix = []) paths :
     F.t list =
   let per_file = List.map (load_cmt ~warn_unused_allow ~load_prefix) paths in

@@ -25,6 +25,7 @@ val analyze :
   gamma:float ->
   epsilon:float ->
   per_node list * float
+[@@lint.allow "unused-export"] (* oracle: test_e2e.ml "fused Additive = snd (Additive.analyze ...), bit for bit" *)
 (** Per-node bounds and their sum; the per-node violation budget is
     [epsilon /. h].  Returns [([], infinity)] when some node is unstable
     at this [gamma]. *)

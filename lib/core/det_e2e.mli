@@ -14,14 +14,11 @@ type node = {
   delta : Scheduler.Delta.t;
 }
 
-val path_service : nodes:node list -> thetas:float list -> Minplus.Curve.t
-(** Convolution of the per-node Eq.-19 curves with the given [theta]s.
-    @raise Invalid_argument on length mismatch or an empty path. *)
-
 val delay_bound :
   nodes:node list -> through:Minplus.Curve.t -> thetas:float list -> float
-(** Horizontal deviation of the through envelope against
-    {!path_service}. *)
+(** Horizontal deviation of the through envelope against the convolution
+    of the per-node Eq.-19 curves with the given [theta]s.
+    @raise Invalid_argument on length mismatch or an empty path. *)
 
 val delay_bound_uniform_theta :
   ?theta_points:int -> nodes:node list -> Minplus.Curve.t -> float
@@ -31,6 +28,7 @@ val delay_bound_uniform_theta :
 
 val additive_delay_bound :
   nodes:node list -> through:Minplus.Curve.t -> float
+[@@lint.allow "unused-export"] (* oracle: test_extensions.ml "det additive dominates" *)
 (** The node-by-node alternative: per-node horizontal deviation (with
     [theta = 0.]) plus output-envelope propagation by deconvolution.
     Always at least {!delay_bound} with the same [theta]s ("pay bursts
@@ -38,5 +36,6 @@ val additive_delay_bound :
 
 val backlog_bound :
   nodes:node list -> through:Minplus.Curve.t -> thetas:float list -> float
+[@@lint.allow "unused-export"] (* deletion deferred: test_extensions.ml "det backlog" *)
 (** Worst-case end-to-end backlog: vertical deviation against the
     convolved path service curve. *)

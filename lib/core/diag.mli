@@ -40,25 +40,3 @@ val note : t -> string
     status in parentheses with a leading blank, e.g. [" (diverged)"]. *)
 
 val pp : Format.formatter -> t -> unit
-
-(** NaN/Inf tripwires: raise {!Guard.Tripped} instead of letting poisoned
-    values propagate silently into downstream arithmetic. *)
-module Guard : sig
-  exception Tripped of string
-
-  val not_nan : what:string -> float -> float
-  (** Identity unless NaN. @raise Tripped on NaN. *)
-
-  val finite : what:string -> float -> float
-  (** Identity for finite values. @raise Tripped on NaN or ±infinity. *)
-
-  val positive : what:string -> float -> float
-  (** Identity for strictly positive values. @raise Tripped otherwise. *)
-
-  val protect : (unit -> 'a) -> ('a, string) result
-  (** Run a computation, capturing a tripped guard as [Error message]. *)
-
-  val status_of_value : float -> status
-  (** [Non_finite] for NaN, [Unstable] for ±infinity, [Converged]
-      otherwise. *)
-end

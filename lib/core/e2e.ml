@@ -961,13 +961,6 @@ let delay_given p ~gamma ~sigma =
   Batch.set b ~gamma ~sigma;
   Batch.delay b
 
-let delay_at_gamma p ~gamma ~epsilon = Batch.delay_at_gamma (Batch.make p) ~gamma ~epsilon
-
-let optimal_thetas p ~gamma ~sigma =
-  let b = Batch.make p in
-  Batch.set b ~gamma ~sigma;
-  Batch.optimal_thetas b
-
 (* The backlog bound is sigma at the top of the γ bracket.  At θ = 0
    every node of the Eq.-30 curve serves from time 0 at rate at least
    C - Hγ - ρ_c > ρ + γ (γ < gamma_max, Eq. 32), so the vertical deviation of

@@ -130,6 +130,7 @@ module Batch : sig
   (** {!delay_given} over the compiled state, by the slope sweep. *)
 
   val optimal_thetas : t -> float array * float
+  [@@lint.allow "unused-export"] (* test hook: test_e2e.ml "batch = reference bit-for-bit (Eq. 38)" *)
   (** The minimizing [(thetas, X)] over the compiled state, by the full
       fold. *)
 
@@ -168,29 +169,32 @@ end
 module Reference : sig
   val delay_given : path -> gamma:float -> sigma:float -> float
   val optimal_thetas : path -> gamma:float -> sigma:float -> float array * float
+  [@@lint.allow "unused-export"] (* oracle: test_e2e.ml "batch = reference bit-for-bit (Eq. 38)" *)
   val sigma_for : path -> gamma:float -> epsilon:float -> float
 
   val x_candidates : path -> gamma:float -> sigma:float -> float list
+  [@@lint.allow "unused-export"] (* oracle: test_e2e.ml "backlog = sigma: curve oracle in [sigma, succ sigma]" *)
   (** The kink abscissae of [X -> X +. sum_h theta_h X], [0.] included:
       the [X] values Eq. (38) is minimized over. *)
 
   val network_service_curve : path -> gamma:float -> thetas:float array -> Minplus.Curve.t
+  [@@lint.allow "unused-export"] (* oracle: test_e2e.ml "network curve shape" *)
   (** [S^net(t; theta) = min_h S~^h_{(h-1)gamma}(t -. T) · I(t > T)] with
       [T = sum thetas] (the convolution already carried out in closed
       form, Section IV).  @raise Invalid_argument on arity mismatch. *)
 
   val delay_via_curve : path -> gamma:float -> sigma:float -> thetas:float array -> float
+  [@@lint.allow "unused-export"] (* oracle: test_e2e.ml "curve agrees with optimizer" *)
   (** Horizontal deviation of the through envelope (plus [sigma]) against
       {!network_service_curve} — must agree with the Eq.-38 constraint
       machinery at the same [thetas]. *)
 end
 
 val delay_given : path -> gamma:float -> sigma:float -> float
+[@@lint.allow "unused-export"] (* test hook: test_e2e.ml "BMUX = Eq. 43" *)
 (** Exact minimum of Eq. (38) over [X >= 0.] (piecewise-linear kink
     enumeration, via a freshly compiled {!Batch}); [infinity] when
     infeasible. *)
-
-val delay_at_gamma : path -> gamma:float -> epsilon:float -> float
 
 val backlog_bound : epsilon:float -> path -> float
 (** Probabilistic end-to-end backlog bound [P (B > backlog_bound) <= epsilon]:
@@ -204,10 +208,6 @@ val backlog_bound : epsilon:float -> path -> float
     through which nodes have [∆ = Neg_inf]: every finite or [Pos_inf]
     [∆] gives the same value bit for bit.  [infinity] when the path is
     overloaded.  @raise Invalid_argument unless [0 < epsilon < 1]. *)
-
-val optimal_thetas : path -> gamma:float -> sigma:float -> float array * float
-(** The minimizing [(thetas, X)] of Eq. (38) — the witness behind
-    {!delay_given}. *)
 
 val delay_bound : epsilon:float -> path -> float
 (** End-to-end delay bound with numerical optimization over [gamma], as
@@ -227,6 +227,7 @@ val gamma_bracket : float -> float * float
     path with [gamma_max = gmax]: [(gmax *. 1e-6, gmax *. 0.999)]. *)
 
 val delay_bound_floor : epsilon:float -> path -> float
+[@@lint.allow "unused-export"] (* test hook: test_s_grid.ml "delay_bound_floor <= delay_bound, exactly" *)
 (** A certified lower bound on [delay_bound ~epsilon p] (its default
     40-point γ grid) from one Eq.-38 evaluation: {!Batch.interval_floor}
     from the bracket's lowest γ to the highest γ the search probes.
@@ -239,21 +240,21 @@ val delay_bound_floor : epsilon:float -> path -> float
 
 (** {1 Closed forms and the paper's explicit procedure}
 
-    These require a homogeneous path and are used to cross-validate
-    {!delay_given}. *)
-
-val is_homogeneous : path -> bool
-(** Every node shares [capacity], [cross_rho] and [delta] (the inputs
-    Eq. 38 actually reads) with node 0. *)
+    These require a homogeneous path (every node shares [capacity],
+    [cross_rho] and [delta], the inputs Eq. 38 reads, with node 0) and
+    are used to cross-validate {!delay_given}. *)
 
 val bmux_closed_form : path -> gamma:float -> sigma:float -> float
+[@@lint.allow "unused-export"] (* oracle: test_e2e.ml "BMUX = Eq. 43" *)
 (** Eq. (43): [sigma /. (C -. rho_c -. H gamma)].
     @raise Invalid_argument unless every node is BMUX ([Pos_inf]). *)
 
 val fifo_closed_form : path -> gamma:float -> sigma:float -> float
+[@@lint.allow "unused-export"] (* oracle: test_e2e.ml "FIFO = Eq. 44" *)
 (** Eq. (44).  @raise Invalid_argument unless every node is FIFO. *)
 
 val k_procedure : path -> gamma:float -> sigma:float -> float
+[@@lint.allow "unused-export"] (* oracle: test_e2e.ml "K-procedure bounds exact" *)
 (** The paper's explicit choice of [K] and [X] (Eq. 40–42) followed by the
     exact [theta_h X]; an upper bound on {!delay_given} that is near-optimal
     in practice.  [infinity] wherever {!delay_given} is: an infinite

@@ -16,11 +16,13 @@ val ebb_through_node :
   service_bound:Envelope.Exponential.t ->
   gamma:float ->
   Envelope.Ebb.t
+[@@lint.allow "unused-export"] (* oracle: test_sources_output.ml "output chain = additive" *)
 (** The departure EBB characterization described above.
     @raise Invalid_argument if the node is unstable
     ([input.rho +. gamma > service_rate]) or [gamma <= 0.]. *)
 
 val deterministic :
   arrival:Minplus.Curve.t -> service:Minplus.Curve.t -> Minplus.Curve.t
+[@@lint.allow "unused-export"] (* deletion deferred: test_sources_output.ml "output deterministic" *)
 (** Worst-case output envelope [arrival ⊘ service] (min-plus
     deconvolution); requires a stable pair. *)

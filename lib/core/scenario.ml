@@ -61,9 +61,6 @@ let of_loads ~h ~u_through ~u_cross =
            (u_through +. u_cross)))
   else Ok (of_utilization ~h ~u_through ~u_cross)
 
-let utilization t =
-  (t.n_through +. t.n_cross) *. Envelope.Mmpp.mean_rate t.source /. t.capacity
-
 let path_at t ~s ~delta =
   let through = Envelope.Mmpp.ebb t.source ~n:t.n_through ~s in
   let cross = Envelope.Mmpp.ebb t.source ~n:t.n_cross ~s in

@@ -41,9 +41,6 @@ val of_loads :
     their total reaches 1 (no finite bound exists).  The message says
     which. *)
 
-val utilization : t -> float
-(** Total mean-rate utilization [(N_0 +. N_c) *. mean /. C]. *)
-
 val path_at : t -> s:float -> delta:Scheduler.Delta.t -> E2e.path
 (** The {!E2e.path} for a given effective-bandwidth parameter [s]. *)
 
@@ -57,10 +54,6 @@ val s_doubling : t -> float option
     [s = 1e-6] (total effective bandwidth not below [0.9999 *. capacity]),
     else the first unstable [s] among [1e-6 *. 2^k], [k <= 60]: the
     bound {!s_stable_max} bisects below. *)
-
-val s_bracket : float -> float * float
-(** [s_bracket s_max] is the [(lo, hi)] range the s-searches probe:
-    [(s_max *. 1e-4, s_max *. 0.999)]. *)
 
 val s_stable_max : t -> float option
 (** Largest effective-bandwidth parameter [s] keeping the offered load
@@ -76,7 +69,8 @@ val s_points : int
 val delay_bound : ?s_points:int -> scheduler:Scheduler.Classes.two_class -> t -> float
 (** End-to-end delay bound for FIFO / BMUX / SP (fixed [∆_{0,c}]),
     minimized over [s] and [gamma]: {!Search.minimize} over an
-    [s_points] (default {!s_points}) log grid of {!s_bracket}, refined
+    [s_points] (default {!s_points}) log grid of
+    [(s_max *. 1e-4, s_max *. 0.999)] ([s_max] = {!s_stable_max}), refined
     by a 12-point grid one grid ratio either side of its argmin, each s
     running {!E2e.delay_bound}.
     For [Edf_gap g] the gap is used as given.

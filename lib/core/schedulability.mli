@@ -32,12 +32,14 @@ val min_delay : ?tol:float -> capacity:float -> flow list -> float
     [infinity] if no finite delay works (overload). *)
 
 val fifo_min_delay : capacity:float -> (float * float) list -> float
+[@@lint.allow "unused-export"] (* oracle: test_core_analysis.ml "Thm2: FIFO exact" *)
 (** Closed form for FIFO with leaky buckets [(rate, burst)]:
     [sum bursts /. capacity] (valid when [sum rates <= capacity]) —
     used to cross-validate {!min_delay}.  [infinity] on overload. *)
 
 val sp_min_delay :
   capacity:float -> tagged:float * float -> higher:(float * float) list -> float
+[@@lint.allow "unused-export"] (* oracle: test_core_analysis.ml "Thm2: SP exact" *)
 (** Closed form for static priority with leaky buckets: the tagged flow
     waits behind its own burst and all higher-priority traffic:
     [d = (B_j +. sum B_high) /. (C -. sum R_high)] — the standard

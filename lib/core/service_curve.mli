@@ -22,6 +22,7 @@ val statistical :
   theta:float ->
   cross:cross list ->
   Minplus.Curve.t * Envelope.Exponential.t
+[@@lint.allow "unused-export"] (* deletion deferred: the six "Thm1: ..." cases of test_core_analysis.ml *)
 (** The Theorem-1 service curve and its (optimally combined) bounding
     function.  Flows with [delta = Neg_inf] never precede the tagged flow
     and are excluded (the set [N_{-j}]); if every flow is excluded the
@@ -41,6 +42,7 @@ val affine_leftover :
   cross_rate:float ->
   delta:Scheduler.Delta.t ->
   Minplus.Curve.t
+[@@lint.allow "unused-export"] (* deletion deferred: test_core_analysis.ml "Thm1: affine specialization" *)
 (** Specialization to an affine cross envelope [G_c t = cross_rate *. t]
     (the EBB sample-path envelope of Section IV, Eq. 28): a rate-latency
     shaped curve computed in closed form. *)

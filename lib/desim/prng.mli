@@ -18,6 +18,7 @@ val split : t -> t
 (** An independent generator forked from [t] (advances [t]). *)
 
 val copy : t -> t
+[@@lint.allow "unused-export"] (* test hook: test_desim.ml "Source.step is one draw" *)
 
 val bits64 : t -> int64
 (** Next 64 raw bits (xoshiro256++). *)
@@ -58,6 +59,7 @@ val invert : t -> cuts:int array -> guide:int array -> int
     [guide cuts]. *)
 
 val geometric : t -> p:float -> int
+[@@lint.allow "unused-export"] (* deletion deferred: test_desim.ml "geometric mean" *)
 (** Number of failures before the first success, [p] in (0, 1]:
     [floor (log1p (-. u) /. log1p (-. p))] for one uniform [u] ([p = 1.]
     draws nothing).  The true gap can pass [max_int] once [p] is below

@@ -10,41 +10,20 @@ module Online = struct
     mutable n : int;
     mutable mean : float;
     mutable m2 : float;
-    mutable mn : float;
-    mutable mx : float;
   }
 
-  let create () = { n = 0; mean = 0.; m2 = 0.; mn = Float.infinity; mx = Float.neg_infinity }
+  let create () = { n = 0; mean = 0.; m2 = 0. }
 
   let add t x =
     check_not_nan ~what:"Stats.Online.add" x;
     t.n <- t.n + 1;
     let delta = x -. t.mean in
     t.mean <- t.mean +. (delta /. float_of_int t.n);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-    if x < t.mn then t.mn <- x;
-    if x > t.mx then t.mx <- x
+    t.m2 <- t.m2 +. (delta *. (x -. t.mean))
 
-  let count t = t.n
   let mean t = if t.n = 0 then Float.nan else t.mean
   let variance t = if t.n < 2 then Float.nan else t.m2 /. float_of_int (t.n - 1)
   let stddev t = sqrt (variance t)
-  let min t = t.mn
-  let max t = t.mx
-
-  let merge a b =
-    if a.n = 0 then { b with n = b.n }
-    else if b.n = 0 then { a with n = a.n }
-    else begin
-      let n = a.n + b.n in
-      let delta = b.mean -. a.mean in
-      let mean = a.mean +. (delta *. float_of_int b.n /. float_of_int n) in
-      let m2 =
-        a.m2 +. b.m2
-        +. (delta *. delta *. float_of_int a.n *. float_of_int b.n /. float_of_int n)
-      in
-      { n; mean; m2; mn = Float.min a.mn b.mn; mx = Float.max a.mx b.mx }
-    end
 end
 
 module Sample = struct
@@ -89,19 +68,6 @@ module Sample = struct
     let frac = pos -. float_of_int lo in
     ((1. -. frac) *. t.data.(lo)) +. (frac *. t.data.(hi))
 
-  let ccdf_at t x =
-    if t.n = 0 then 0.
-    else begin
-      ensure_sorted t;
-      (* Count of elements > x by binary search for the first index > x. *)
-      let lo = ref 0 and hi = ref t.n in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if t.data.(mid) <= x then lo := mid + 1 else hi := mid
-      done;
-      float_of_int (t.n - !lo) /. float_of_int t.n
-    end
-
   let max t =
     if t.n = 0 then Float.neg_infinity
     else begin
@@ -109,41 +75,9 @@ module Sample = struct
       t.data.(t.n - 1)
     end
 
-  let mean t =
-    if t.n = 0 then Float.nan
-    else begin
-      let s = ref 0. in
-      for i = 0 to t.n - 1 do
-        s := !s +. t.data.(i)
-      done;
-      !s /. float_of_int t.n
-    end
-
   let to_sorted_array t =
     ensure_sorted t;
     Array.sub t.data 0 t.n
-end
-
-module Histogram = struct
-  type t = { width : float; tbl : (int, int) Hashtbl.t; mutable n : int }
-
-  let create ~bin_width =
-    if bin_width <= 0. then invalid_arg "Stats.Histogram.create: non-positive width";
-    { width = bin_width; tbl = Hashtbl.create 64; n = 0 }
-
-  let add t x =
-    check_not_nan ~what:"Stats.Histogram.add" x;
-    if not (Float.is_finite x) then invalid_arg "Stats.Histogram.add: infinite sample";
-    let b = Float.to_int (Float.floor (x /. t.width)) in
-    let cur = Option.value ~default:0 (Hashtbl.find_opt t.tbl b) in
-    Hashtbl.replace t.tbl b (cur + 1);
-    t.n <- t.n + 1
-
-  let count t = t.n
-
-  let bins t =
-    Hashtbl.fold (fun b c acc -> (float_of_int b *. t.width, c) :: acc) t.tbl []
-    |> List.sort (fun (x1, _) (x2, _) -> Float.compare x1 x2)
 end
 
 (* Two-sided Student-t 0.975 quantiles for small degrees of freedom. *)

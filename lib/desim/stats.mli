@@ -10,18 +10,11 @@ module Online : sig
   (** @raise Invalid_argument on a NaN sample (tripwire: a NaN would
       silently poison every downstream statistic). *)
 
-  val count : t -> int
   val mean : t -> float
   (** [nan] when empty. *)
 
   val variance : t -> float
   (** Unbiased sample variance; [nan] with fewer than two samples. *)
-
-  val stddev : t -> float
-  val min : t -> float
-  val max : t -> float
-  val merge : t -> t -> t
-  (** Parallel (Chan) combination of two accumulators. *)
 end
 
 (** Exact empirical quantiles over a stored sample. *)
@@ -43,28 +36,8 @@ module Sample : sig
       order statistics.  @raise Invalid_argument when empty or [q] outside
       [\[0., 1.\]] (NaN included). *)
 
-  val ccdf_at : t -> float -> float
-  (** Empirical [P (X > x)]. *)
-
   val max : t -> float
-  val mean : t -> float
   val to_sorted_array : t -> float array
-end
-
-(** Fixed-width histogram. *)
-module Histogram : sig
-  type t
-
-  val create : bin_width:float -> t
-  (** @raise Invalid_argument on non-positive width. *)
-
-  val add : t -> float -> unit
-  (** @raise Invalid_argument on a NaN or infinite sample (an infinite
-      value has no bin). *)
-
-  val count : t -> int
-  val bins : t -> (float * int) list
-  (** [(lower_edge, count)] for each non-empty bin, sorted. *)
 end
 
 val batch_means : float array -> batches:int -> float * float

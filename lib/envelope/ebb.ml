@@ -29,5 +29,3 @@ let sample_path_envelope f ~gamma =
 let to_curve f ~gamma =
   let sp = sample_path_envelope f ~gamma in
   Minplus.Curve.affine ~rate:sp.envelope_rate ~burst:0.
-
-let pp ppf { m; rho; alpha } = Fmt.pf ppf "EBB(m=%g, ρ=%g, α=%g)" m rho alpha

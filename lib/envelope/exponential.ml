@@ -50,13 +50,7 @@ let invert { m; a } ~epsilon =
   if epsilon <= 0. then invalid_arg "Exponential.invert: non-positive epsilon";
   Float.max 0. (log (m /. epsilon) /. a)
 
-let scale k e =
-  if k < 0. then invalid_arg "Exponential.scale: negative factor";
-  { e with m = k *. e.m }
-
 let geometric_sum e ~gamma =
   if gamma <= 0. then invalid_arg "Exponential.geometric_sum: non-positive gamma";
   let q = exp (-.e.a *. gamma) in
   { e with m = e.m /. (1. -. q) }
-
-let pp ppf { m; a } = Fmt.pf ppf "%g·e^(-%g·σ)" m a

@@ -25,19 +25,15 @@ val combine : t list -> t
     @raise Invalid_argument on an empty list. *)
 
 val combine_brute : t list -> float -> float
+[@@lint.allow "unused-export"] (* oracle: test_exponential.ml "combine vs brute force" *)
 (** Direct numerical evaluation of the same infimum by grid search over the
     splits — used to validate {!combine} in tests.  Quadratic cost. *)
 
 val invert : t -> epsilon:float -> float
 (** Smallest [sigma >= 0.] with [eval_uncapped t sigma <= epsilon]. *)
 
-val scale : float -> t -> t
-(** Multiply the prefactor. *)
-
 val geometric_sum : t -> gamma:float -> t
 (** [sum_{j >= 0} eval t (sigma +. j *. gamma)] — the discrete-time
     union-bound over a sample path with slack rate [gamma]: multiplies the
     prefactor by [1. /. (1. -. exp (-. a *. gamma))].
     @raise Invalid_argument on [gamma <= 0.]. *)
-
-val pp : Format.formatter -> t -> unit

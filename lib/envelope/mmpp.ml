@@ -19,7 +19,6 @@ let stationary_on { p_stay_off; p_stay_on; _ } =
   if Float.equal (p12 +. p21) 0. then 0. else p12 /. (p12 +. p21)
 
 let mean_rate src = stationary_on src *. src.peak
-let peak_rate src = src.peak
 
 let effective_bandwidth src ~s =
   if s <= 0. then invalid_arg "Mmpp.effective_bandwidth: non-positive s";

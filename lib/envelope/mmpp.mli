@@ -24,13 +24,11 @@ val stationary_on : t -> float
 val mean_rate : t -> float
 (** [stationary_on *. peak] (kb per slot). *)
 
-val peak_rate : t -> float
-
 val effective_bandwidth : t -> s:float -> float
 (** The effective-bandwidth bound of Section V:
     [eb s = (1. /. s) *. log ((p11 +. p22 z +. sqrt ((p11 +. p22 z)^2
     -. 4. (p11 +. p22 -. 1.) z)) /. 2.)] with [z = exp (s *. peak)].
-    Monotone in [s], between {!mean_rate} (s -> 0) and {!peak_rate}
+    Monotone in [s], between {!mean_rate} (s -> 0) and [peak]
     (s -> inf). *)
 
 val ebb : t -> n:float -> s:float -> Ebb.t
@@ -38,6 +36,7 @@ val ebb : t -> n:float -> s:float -> Ebb.t
     [A ~ (1., n *. eb s, s)]. *)
 
 val autocovariance_decay : t -> float
+[@@lint.allow "unused-export"] (* deletion deferred: test_envelope.ml "autocovariance decay" *)
 (** Second eigenvalue [p11 +. p22 -. 1.] of the transition matrix — the
     geometric decay rate of the autocovariance (used by the simulator's
     warm-up heuristics). *)

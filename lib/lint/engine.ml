@@ -96,28 +96,6 @@ let catalogue =
        remove it (reported only with --warn-unused-allow)" );
   ]
 
-(* ---------------- suppression attributes ---------------- *)
-
-let allows_of_attributes (attrs : Parsetree.attributes) =
-  List.concat_map
-    (fun (a : Parsetree.attribute) ->
-      if not (String.equal a.attr_name.txt "lint.allow") then []
-      else
-        match a.attr_payload with
-        | PStr
-            [
-              {
-                pstr_desc =
-                  Pstr_eval
-                    ({ pexp_desc = Pexp_constant (Pconst_string (s, _, _)); _ }, _);
-                _;
-              };
-            ] ->
-          String.split_on_char ' ' s |> List.filter (fun r -> r <> "")
-        | PStr [] -> [ "all" ]
-        | _ -> [ "all" ])
-    attrs
-
 let binds_name name (vb : Parsetree.value_binding) =
   let hit = ref false in
   let rec go (p : Parsetree.pattern) =

@@ -435,11 +435,6 @@ let hshift d (f : t) =
     normalize_sub buf (n + 1)
   end
 
-let vshift c (f : t) =
-  if Float.is_nan c then invalid_arg "Curve.vshift: NaN shift";
-  if c < 0. then invalid_arg "Curve.vshift: negative shift";
-  Array.map (fun p -> if is_inf p.y then p else { p with y = p.y +. c }) f
-
 let lshift c (f : t) =
   if Float.is_nan c then invalid_arg "Curve.lshift: NaN shift";
   if c < 0. then invalid_arg "Curve.lshift: negative shift";

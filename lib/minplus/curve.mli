@@ -15,6 +15,7 @@ type piece = private { x : float; y : float; r : float }
 type t
 
 val v : (float * float * float) list -> t
+[@@lint.allow "unused-export"] (* test hook: test_deviation.ml "delay with plateau service" *)
 (** [v pieces] builds a curve from [(x, y, r)] triples.  The [x] values must
     be non-negative and strictly increasing; the first must be [0.].  Pieces
     with value [infinity] must have slope [0.].  The curve must be
@@ -47,6 +48,7 @@ val affine : rate:float -> burst:float -> t
     (the jump of size [burst] occurs at the origin). *)
 
 val rate_latency : rate:float -> latency:float -> t
+[@@lint.allow "unused-export"] (* test hook: test_deviation.ml "textbook delay" *)
 (** [max 0. (rate *. (t -. latency))] — the canonical convex service curve. *)
 
 val delta : float -> t
@@ -58,9 +60,11 @@ val constant_rate : float -> t
     the service curve of a work-conserving link of capacity [c]. *)
 
 val step : at:float -> height:float -> t
+[@@lint.allow "unused-export"] (* test hook: test_curve.ml "pseudo-inverse" *)
 (** [0.] on [\[0, at)], [height] afterwards. *)
 
 val token_buckets : (float * float) list -> t
+[@@lint.allow "unused-export"] (* test hook: test_contracts.ml "concave envelope passes" *)
 (** [token_buckets \[(r1,b1); ...\]] is the pointwise minimum of the given
     leaky buckets — a concave piecewise-linear envelope.
     @raise Invalid_argument on an empty list. *)
@@ -88,6 +92,7 @@ val inverse : t -> float -> float
 
 val min : t -> t -> t
 val max : t -> t -> t
+[@@lint.allow "unused-export"] (* deletion deferred: test_curve.ml "max is pointwise maximum" *)
 val add : t -> t -> t
 
 val sub_clip : t -> t -> t
@@ -97,13 +102,11 @@ val sub_clip : t -> t -> t
     direction for leftover-service curves). *)
 
 val scale : float -> t -> t
+[@@lint.allow "unused-export"] (* deletion deferred: test_curve.ml "scale is pointwise multiplication" *)
 (** [scale k f] multiplies values by [k >= 0.]. *)
 
 val hshift : float -> t -> t
 (** [hshift d f] is [t -> f (t -. d)] for [d >= 0.] ([0.] on [\[0, d)]). *)
-
-val vshift : float -> t -> t
-(** [vshift c f] adds [c >= 0.] to every value for [t >= 0.]. *)
 
 val lshift : float -> t -> t
 (** [lshift c f] is [t -> f (t +. c)] for [c >= 0.] (drops the initial part
@@ -116,6 +119,7 @@ val gate : float -> t -> t
 (** {1 Predicates} *)
 
 val is_convex : ?tol:float -> t -> bool
+[@@lint.allow "unused-export"] (* oracle: convolve_convex's input check, test_convolution.ml "convolve_convex agrees with convolve" *)
 (** Continuous with non-decreasing slopes (an [infinity] tail is allowed,
     as in rate-latency and burst-delay curves). *)
 
@@ -124,6 +128,7 @@ val is_concave : ?tol:float -> t -> bool
     leaky-bucket envelopes), and finite everywhere. *)
 
 val equal : ?tol:float -> t -> t -> bool
+[@@lint.allow "unused-export"] (* test hook: test_convolution.ml "rate-latency composition" *)
 (** Pointwise equality up to [tol], checked exactly on the merged
     breakpoint structure. *)
 

@@ -28,14 +28,9 @@ let validate = function
     check_prob ~what:"Faults.Gilbert p_recover" p_recover;
     check_factor ~what:"Faults.Gilbert" factor
 
-let min_factor = function
-  | Constant f -> f
-  | Windows ws -> List.fold_left (fun acc (_, _, f) -> Float.min acc f) 1. ws
-  | Gilbert { factor; _ } -> factor
-
 let stationary_factor = function
   | Constant f -> f
-  | Windows _ as s -> min_factor s
+  | Windows ws -> List.fold_left (fun acc (_, _, f) -> Float.min acc f) 1. ws
   | Gilbert { p_fail; p_recover; factor } ->
     if Float.equal p_fail 0. then 1.
     else begin
@@ -86,8 +81,6 @@ let step p =
   p.slot <- p.slot + 1;
   p.sum_factor <- p.sum_factor +. factor;
   factor
-
-let slots p = p.slot
 
 let mean_factor p =
   if p.slot = 0 then 1. else p.sum_factor /. float_of_int p.slot

@@ -24,12 +24,8 @@ val validate : spec -> unit
 (** @raise Invalid_argument on factors or probabilities outside [0, 1],
     empty window lists, or windows that end before they start. *)
 
-val min_factor : spec -> float
-(** Worst-case capacity factor the process can apply — the factor to use
-    when comparing a fault-injected run against a degraded-capacity
-    analytical bound. *)
-
 val stationary_factor : spec -> float
+[@@lint.allow "unused-export"] (* oracle: test_robustness.ml "gilbert fault process" *)
 (** Long-run mean capacity factor ([Gilbert] stationary average,
     [Constant] itself, worst window factor for [Windows]). *)
 
@@ -41,9 +37,6 @@ val make : ?rng:Desim.Prng.t -> spec -> process
 
 val step : process -> float
 (** The capacity factor of the current slot; advances the process. *)
-
-val slots : process -> int
-(** Slots elapsed. *)
 
 val mean_factor : process -> float
 (** Realized mean factor over the elapsed slots ([1.] before any slot). *)

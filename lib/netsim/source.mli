@@ -15,6 +15,7 @@ val laws : Envelope.Mmpp.t -> laws
     [\[0, 1\]] (NaN included). *)
 
 val row : laws -> n:int -> k:int -> int * int array
+[@@lint.allow "unused-export"] (* test hook: test_desim.ml "kernel row = flow-by-flow law" *)
 (** [(lo, cuts)]: row [k] of the kernel of [n] flows, built if needed.
     From [k] ON flows the next count is [lo + i] with probability
     [(cuts.(i) - cuts.(i-1)) 2{^-53}] ([cuts.(-1)] read as 0); the cuts
@@ -38,5 +39,7 @@ val step : t -> float
     once the row exists: the emission is stored in the row. *)
 
 val on_count : t -> int
+[@@lint.allow "unused-export"] (* test hook: test_desim.ml "Source.step is one draw" *)
 val mean_rate : t -> float
+[@@lint.allow "unused-export"] (* oracle: test_netsim.ml "source mean rate" *)
 (** Aggregate stationary mean rate (kb per slot). *)

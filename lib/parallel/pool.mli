@@ -44,9 +44,11 @@ val create : ?jobs:int -> unit -> t
     @raise Invalid_argument on [jobs < 1]. *)
 
 val jobs : t -> int
+[@@lint.allow "unused-export"] (* test hook: test_parallel.ml "jobs:1 spawns no domains" *)
 (** The configured worker capacity. *)
 
 val worker_count : t -> int
+[@@lint.allow "unused-export"] (* test hook: test_parallel.ml "worker count" *)
 (** Worker domains actually spawned: [jobs t - 1], or [0] for a
     sequential pool. *)
 

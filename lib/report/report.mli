@@ -17,9 +17,6 @@ val add_file : t -> string -> unit
 (** Replay one JSONL file into the aggregate.
     @raise Sys_error when the file cannot be opened. *)
 
-val add_channel : t -> in_channel -> unit
-(** Replay an already-open channel (consumed to EOF, not closed). *)
-
 (** {1 Derived views} *)
 
 type span_stat = {

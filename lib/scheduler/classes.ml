@@ -42,13 +42,6 @@ let bmux ~n ~tagged =
       else if k = tagged then Delta.Neg_inf
       else Delta.Fin 0.)
 
-let is_delta_scheduler m =
-  let ok = ref true in
-  for j = 0 to m.n - 1 do
-    if not (Delta.equal m.table.(j).(j) (Delta.Fin 0.)) then ok := false
-  done;
-  !ok
-
 let precedence_set m ~j =
   if j < 0 || j >= m.n then invalid_arg "Classes.precedence_set: out of range";
   List.filter
@@ -62,13 +55,3 @@ let delta_through_cross = function
   | Bmux -> Delta.Pos_inf
   | Sp_through_high -> Delta.Neg_inf
   | Edf_gap g -> Delta.fin g
-
-let two_class_name = function
-  | Fifo -> "FIFO"
-  | Bmux -> "BMUX"
-  | Sp_through_high -> "SP-high"
-  | Edf_gap _ -> "EDF"
-
-let pp_two_class ppf = function
-  | Edf_gap g -> Fmt.pf ppf "EDF(Δ=%g)" g
-  | s -> Fmt.string ppf (two_class_name s)

@@ -31,10 +31,8 @@ val bmux : n:int -> tagged:int -> matrix
     other flow ([delta tagged k = Pos_inf] for [k <> tagged]); the others
     are FIFO among themselves. *)
 
-val is_delta_scheduler : matrix -> bool
-(** Checks Definition 1's structural requirement [delta j j = Fin 0.]. *)
-
 val precedence_set : matrix -> j:int -> int list
+[@@lint.allow "unused-export"] (* deletion deferred: test_scheduler.ml "precedence set" *)
 (** The set [N_j] of flows that can affect flow [j]'s delay:
     [{ k | delta j k <> Neg_inf }] (includes [j] itself). *)
 
@@ -51,5 +49,3 @@ type two_class =
   | Edf_gap of float  (** EDF with [∆_{0,c} = d*_0 -. d*_c] *)
 
 val delta_through_cross : two_class -> Delta.t
-val two_class_name : two_class -> string
-val pp_two_class : Format.formatter -> two_class -> unit

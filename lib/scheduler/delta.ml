@@ -20,8 +20,6 @@ let clip_fin d y =
   match clip d y with Neg_inf -> None | Fin x -> Some x | Pos_inf -> assert false
 
 let to_float = function Neg_inf -> neg_infinity | Pos_inf -> infinity | Fin x -> x
-let of_float = fin
-let is_finite = function Fin _ -> true | Neg_inf | Pos_inf -> false
 let compare a b = Float.compare (to_float a) (to_float b)
 let equal a b = compare a b = 0
 

@@ -26,11 +26,6 @@ val equal : t -> t -> bool
 val to_float : t -> float
 (** [Neg_inf -> neg_infinity], [Pos_inf -> infinity]. *)
 
-val of_float : float -> t
-(** Maps [infinity] / [neg_infinity] back to the symbolic constants. *)
-
-val is_finite : t -> bool
-
 val pp : Format.formatter -> t -> unit
 
 val of_string : string -> (t, string) result

@@ -7,8 +7,6 @@ let v ~weights =
   Array.iter (fun w -> if w <= 0. then invalid_arg "Gps.v: non-positive weight") weights;
   { weights }
 
-let weights t = Array.copy t.weights
-
 let allocate t ~capacity ~backlogs =
   let n = Array.length backlogs in
   if n <> Array.length t.weights then invalid_arg "Gps.allocate: arity mismatch";

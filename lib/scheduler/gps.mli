@@ -13,8 +13,6 @@ type t
 val v : weights:float array -> t
 (** @raise Invalid_argument on empty weights or a non-positive weight. *)
 
-val weights : t -> float array
-
 val allocate : t -> capacity:float -> backlogs:float array -> float array
 (** [allocate t ~capacity ~backlogs] returns the amount of service granted
     to each class in one slot: proportional to weights among backlogged

@@ -15,12 +15,15 @@
 type key = { major : float; minor : float; tie : int }
 
 val compare_key : key -> key -> int
+[@@lint.allow "unused-export"] (* test hook: test_scheduler.ml "policy fifo order" *)
 
 type t
 
 val name : t -> string
+[@@lint.allow "unused-export"] (* test hook: test_netsim.ml "in-place built-in key = Policy.key, bit for bit" *)
 
 val key : t -> arrival:float -> cls:int -> size:float -> key
+[@@lint.allow "unused-export"] (* oracle: test_netsim.ml "in-place built-in key = Policy.key, bit for bit" *)
 (** Precedence key of a batch of [size] kb of class [cls] arriving at the
     node at [arrival].  Lower keys are served first.  Most policies ignore
     [size]; SCED-style policies (whose deadlines advance with the amount
@@ -76,6 +79,7 @@ val of_two_class : Classes.two_class -> through_deadline:float -> cross_deadline
     by the EDF case. *)
 
 val is_delta_realizable : t -> n:int -> Classes.matrix option
+[@@lint.allow "unused-export"] (* test hook: test_scheduler.ml "policy-matrix roundtrip" *)
 (** The ∆-matrix realized by this policy over [n] classes, when one exists
     ([None] would indicate a non-∆ policy; all policies constructed here
     are ∆-schedulers). *)

@@ -30,4 +30,5 @@ val length : 'a t -> int
 val capacity : 'a t -> int
 
 val mem : 'a t -> string -> bool
+[@@lint.allow "unused-export"] (* test hook: test_serve.ml "cache mem is pure" *)
 (** Pure membership probe: no recency update, no counters. *)

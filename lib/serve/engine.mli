@@ -31,9 +31,9 @@
       already exceeds the budget — emitted {e before} any work is spent.
 
     {b Supervision}: each request's compute runs under a catch-all; a
-    poisoned request (malformed model, [Guard.Tripped], a deliberate
-    [debug-fail]) becomes an [internal] error response and the engine —
-    and the shared {!Parallel.Pool} — keep serving the rest of the batch.
+    poisoned request (malformed model, a deliberate [debug-fail]) becomes
+    an [internal] error response and the engine — and the shared
+    {!Parallel.Pool} — keep serving the rest of the batch.
 
     The engine is single-writer: one driver domain calls
     {!handle_line}/{!handle_batch}; only pure per-request work is fanned
@@ -80,6 +80,7 @@ val stats_response : ?id:string -> ?trace:string -> t -> string
 
 val cache_length : t -> int
 val served : t -> int
+[@@lint.allow "unused-export"] (* test hook: test/serve_golden.ml, whose scripted clock reads it *)
 
 (** {1 Observability}
 

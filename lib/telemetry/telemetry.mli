@@ -79,6 +79,7 @@ module Sink : sig
   type t
 
   val make : emit:(event -> unit) -> flush:(unit -> unit) -> t
+  [@@lint.allow "unused-export"] (* test hook: test_telemetry.ml "counter: disabled/accumulate/reset" *)
 
   val null : t
   (** Drops every event.  Counters/gauges/histograms still accumulate in
@@ -116,6 +117,7 @@ module Ring : sig
 end
 
 val ring_stats : unit -> (int * int) list
+[@@lint.allow "unused-export"] (* test hook: test_telemetry.ml "ring: overflow keeps the tail, merge is ordered" *)
 (** [(domain id, events ever recorded)] for every ring created so far,
     sorted by domain id.  Rings of terminated domains remain listed —
     their events are still merged by {!flush}. *)
@@ -153,6 +155,7 @@ module Counter : sig
   val incr : t -> unit
   val add : t -> int -> unit
   val value : t -> int
+  [@@lint.allow "unused-export"] (* test hook: test_telemetry.ml "counter: disabled/accumulate/reset" *)
 end
 
 module Gauge : sig
@@ -165,7 +168,9 @@ module Gauge : sig
       mark). *)
 
   val value : t -> float
+  [@@lint.allow "unused-export"] (* test hook: test_telemetry.ml "gauge: last value and high-water" *)
   val max_value : t -> float
+  [@@lint.allow "unused-export"] (* test hook: test_telemetry.ml "gauge: last value and high-water" *)
 end
 
 module Histogram : sig
@@ -178,7 +183,9 @@ module Histogram : sig
   val make : string -> t
   val observe : t -> float -> unit
   val count : t -> int
+  [@@lint.allow "unused-export"] (* test hook: test_telemetry.ml "histogram: log-scale quantiles" *)
   val sum : t -> float
+  [@@lint.allow "unused-export"] (* test hook: test_telemetry.ml "histogram: log-scale quantiles" *)
 
   val buckets : t -> (float * int) list
   (** Non-empty buckets as [(upper bound, count)], ascending.  Bucket
@@ -294,8 +301,6 @@ module Json : sig
 
   val number : float -> string
   (** The text {!add_number} writes. *)
-
-  val of_value : value -> string
 
   val obj : (string * string) list -> string
   (** Values are raw, already-serialized JSON. *)

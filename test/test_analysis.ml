@@ -4,8 +4,9 @@
    known-safe idioms (Atomic, monitor records, DLS, per-index slots,
    read-only derefs, spawn single-writer) must stay silent, and
    suppressed violations must neither fire nor leave a stale
-   [@lint.allow].  The whole-set unreachable-module rule is driven both
-   over hand-built import graphs and over the fixtures' executable root.  The CLI output format is covered by the golden diff
+   [@lint.allow].  The whole-set unreachable-module and unused-export
+   rules are driven both over hand-built graphs and over the fixtures'
+   executable root.  The CLI output format is covered by the golden diff
    rule in test/dune (analyze_fixtures.expected). *)
 
 open Alcotest
@@ -102,10 +103,10 @@ module U = Analysis.Unreachable
 
 let unit_ ?allow ?(file = "") name imports =
   let file = if file = "" then String.lowercase_ascii name ^ ".ml" else file in
-  { U.name; file; imports; allow }
+  { U.name; file; imports; allow; defs = []; effects = []; exports = [] }
 
-let allow_at line =
-  let pos = { Lexing.pos_fname = ""; pos_lnum = line; pos_bol = 0; pos_cnum = 0 } in
+let allow_at ?(file = "") line =
+  let pos = { Lexing.pos_fname = file; pos_lnum = line; pos_bol = 0; pos_cnum = 0 } in
   { Location.loc_start = pos; loc_end = pos; loc_ghost = false }
 
 let files_of fs = List.map (fun f -> f.Lint.Finding.file) fs
@@ -188,6 +189,92 @@ let test_unreachable_fixtures () =
     (files_of ours);
   check (list int) "at line 1" [ 1 ] (lines_of ours)
 
+(* ---------------- unused-export (whole set) ---------------- *)
+
+(* A value [Lib__X.mli] declares at [line]; an allow sits on the next line. *)
+let export ?(allow = false) line value =
+  let at = allow_at ~file:"lib__x.mli" in
+  { U.value; decl = at line; allowed = (if allow then Some (at (line + 1)) else None) }
+
+(* The root names Lib.X.f through the alias module and Lib__X.M.n
+   directly; f's body names g, h has no user; the module binding N (a
+   functor application) names Lib__Y whole, and the root names N.q. *)
+let exports_graph =
+  [
+    {
+      (unit_ "Dune__exe__Main" [ "Lib"; "Lib__X" ]) with
+      U.effects = [ ("Lib", [ "X"; "f" ]); ("Lib__X", [ "M"; "n" ]); ("Lib__X", [ "N"; "q" ]) ];
+    };
+    {
+      (unit_ "Lib__X" [ "Lib__Y" ]) with
+      U.defs =
+        [
+          ([ "f" ], [ ("Lib__X", [ "g" ]) ]);
+          ([ "g" ], []);
+          ([ "h" ], []);
+          ([ "M"; "n" ], []);
+          ([ "N" ], [ ("Lib__Y", []) ]);
+        ];
+      exports = [ export 1 [ "f" ]; export 2 [ "g" ]; export 3 [ "h" ]; export 4 [ "M"; "n" ] ];
+    };
+    { (unit_ "Lib__Y" []) with U.defs = [ ([ "p" ], []) ]; exports = [ export 5 [ "p" ] ] };
+    unit_ ~file:"lib.ml-gen" "Lib" [ "Lib__X"; "Lib__Y" ];
+  ]
+
+let exports_of fs = List.filter (fun f -> f.Lint.Finding.rule = "unused-export") fs
+
+let test_export_graph () =
+  let fs = exports_of (U.check exports_graph) in
+  check (list int) "only the unnamed value fires" [ 3 ] (lines_of fs);
+  check (list string) "at the .mli" [ "lib__x.mli" ] (files_of fs);
+  check bool "names the value" true (mentions fs "no executable reaches Lib.X.h")
+
+let test_export_transitive () =
+  (* Without the root's Lib.X.f, g loses its only user too. *)
+  let root =
+    { (unit_ "Dune__exe__Main" [ "Lib__X" ]) with U.effects = [ ("Lib__X", [ "M"; "n" ]) ] }
+  in
+  let fs = exports_of (U.check (root :: List.tl exports_graph)) in
+  check (list int) "f, g and h fire; the functor argument goes with N" [ 1; 2; 3; 5 ]
+    (List.sort compare (lines_of fs))
+
+let test_export_module_rule () =
+  (* An unreached module's exports are left to unreachable-module; an
+     exempt one is kept whole, so what it names is reached. *)
+  let z ?allow () =
+    {
+      (unit_ ?allow "Lib__Z" []) with
+      U.defs = [ ([ "z" ], [ ("Lib__X", [ "h" ]) ]) ];
+      exports = [ export 9 [ "z" ] ];
+    }
+  in
+  let fs = U.check (exports_graph @ [ z () ]) in
+  check (list string) "unreached: Lib__Z gets the module finding only"
+    [ "unreachable-module"; "unused-export" ]
+    (List.sort compare (rules_of fs));
+  check (list int) "h still fires" [ 3 ] (lines_of (exports_of fs));
+  check (list string) "exempt: h is reached through it" []
+    (rules_of (U.check (exports_graph @ [ z ~allow:(allow_at 1) () ])))
+
+let test_export_allow () =
+  let with_allow ~named =
+    let root = List.hd exports_graph in
+    let root =
+      if named then { root with U.effects = ("Lib__X", [ "h" ]) :: root.U.effects } else root
+    in
+    let x = List.nth exports_graph 1 in
+    root :: { x with U.exports = [ export ~allow:true 3 [ "h" ] ] }
+    :: List.tl (List.tl exports_graph)
+  in
+  check (list string) "allow suppresses the finding" []
+    (rules_of (U.check ~warn_unused_allow:true (with_allow ~named:false)));
+  let stale = U.check ~warn_unused_allow:true (with_allow ~named:true) in
+  check (list string) "allow goes stale once reached" [ "unused-allow" ] (rules_of stale);
+  check (list int) "at the attribute's line" [ 4 ] (lines_of stale);
+  check bool "names the stale rule id" true (mentions stale "stale: unused-export");
+  check (list string) "stale allows only with warn_unused_allow" []
+    (rules_of (U.check (with_allow ~named:true)))
+
 let test_catalogue () =
   let ids = List.map fst Analysis.Engine.catalogue in
   List.iter
@@ -196,6 +283,7 @@ let test_catalogue () =
       "cross-domain-capture";
       "zero-alloc";
       "unreachable-module";
+      "unused-export";
       "unused-allow";
       "cmt-error";
     ]
@@ -223,5 +311,12 @@ let () =
             test_unreachable_allow;
           test_case "fixture root and unreached module" `Quick
             test_unreachable_fixtures;
+        ] );
+      ( "unused-export",
+        [
+          test_case "reached values stay silent" `Quick test_export_graph;
+          test_case "reached only through a reached value" `Quick test_export_transitive;
+          test_case "unreached and exempt modules" `Quick test_export_module_rule;
+          test_case "allow, stale once reached" `Quick test_export_allow;
         ] );
     ]

@@ -115,9 +115,7 @@ let test_shifts () =
   check_float "hshift at 4" 3. (Curve.eval h 4.);
   let l = Curve.lshift 3. f in
   check_float "lshift at 0" 7. (Curve.eval l 0.);
-  check_float "lshift at 1" 9. (Curve.eval l 1.);
-  let v = Curve.vshift 5. f in
-  check_float "vshift at 1" 8. (Curve.eval v 1.)
+  check_float "lshift at 1" 9. (Curve.eval l 1.)
 
 let test_gate () =
   let f = Curve.constant_rate 2. in

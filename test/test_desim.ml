@@ -544,19 +544,7 @@ let test_online_moments () =
   let acc = Stats.Online.create () in
   List.iter (Stats.Online.add acc) [ 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. ];
   check_float "mean" 5. (Stats.Online.mean acc);
-  check_float "variance" (32. /. 7.) (Stats.Online.variance acc);
-  check_float "min" 2. (Stats.Online.min acc);
-  check_float "max" 9. (Stats.Online.max acc)
-
-let test_online_merge () =
-  let a = Stats.Online.create () and b = Stats.Online.create () in
-  List.iter (Stats.Online.add a) [ 1.; 2.; 3. ];
-  List.iter (Stats.Online.add b) [ 10.; 20. ];
-  let m = Stats.Online.merge a b in
-  let all = Stats.Online.create () in
-  List.iter (Stats.Online.add all) [ 1.; 2.; 3.; 10.; 20. ];
-  check_float "merged mean" (Stats.Online.mean all) (Stats.Online.mean m);
-  check_float "merged variance" (Stats.Online.variance all) (Stats.Online.variance m)
+  check_float "variance" (32. /. 7.) (Stats.Online.variance acc)
 
 let test_sample_quantiles () =
   let s = Stats.Sample.create () in
@@ -590,20 +578,6 @@ let test_sample_add_copies () =
   Alcotest.check_raises "negative count"
     (Invalid_argument "Stats.Sample.add_copies: negative count") (fun () ->
       Stats.Sample.add_copies a 1. (-1))
-
-let test_sample_ccdf () =
-  let s = Stats.Sample.create () in
-  List.iter (Stats.Sample.add s) [ 1.; 2.; 3.; 4. ];
-  check_float "ccdf mid" 0.5 (Stats.Sample.ccdf_at s 2.);
-  check_float "ccdf below" 1. (Stats.Sample.ccdf_at s 0.);
-  check_float "ccdf above" 0. (Stats.Sample.ccdf_at s 5.)
-
-let test_histogram () =
-  let h = Stats.Histogram.create ~bin_width:2. in
-  List.iter (Stats.Histogram.add h) [ 0.5; 1.5; 2.5; 5.1 ];
-  Alcotest.(check int) "count" 4 (Stats.Histogram.count h);
-  Alcotest.(check (list (pair (float 1e-9) int)))
-    "bins" [ (0., 2); (2., 1); (4., 1) ] (Stats.Histogram.bins h)
 
 let test_batch_means () =
   let xs = Array.init 1000 (fun i -> float_of_int (i mod 10)) in
@@ -699,11 +673,8 @@ let suite =
     Alcotest.test_case "prng split streams distinct" `Quick test_prng_split_streams_distinct;
     Alcotest.test_case "seeds jobs-invariant" `Quick test_seeds_jobs_invariant;
     Alcotest.test_case "online moments" `Quick test_online_moments;
-    Alcotest.test_case "online merge" `Quick test_online_merge;
     Alcotest.test_case "sample quantiles" `Quick test_sample_quantiles;
-    Alcotest.test_case "sample ccdf" `Quick test_sample_ccdf;
     Alcotest.test_case "sample add_copies = repeated add" `Quick test_sample_add_copies;
-    Alcotest.test_case "histogram" `Quick test_histogram;
     Alcotest.test_case "batch means" `Quick test_batch_means;
     Alcotest.test_case "node offer + serve allocate nothing" `Quick test_node_allocates_nothing;
     Alcotest.test_case "slotted run words per slot" `Quick

@@ -130,8 +130,8 @@ let test_bounds_dominate_simulation () =
       let r = Tandem.run (sim_config sched) in
       let q = Tandem.delay_quantile r 0.999 in
       Alcotest.(check bool)
-        (Fmt.str "%s: sim q99.9 %.1f <= bound %.1f (+%g forwarding)"
-           (Classes.two_class_name sched) q bound forwarding)
+        (Fmt.str "Δ=%a: sim q99.9 %.1f <= bound %.1f (+%g forwarding)"
+           Scheduler.Delta.pp (Classes.delta_through_cross sched) q bound forwarding)
         true
         (q <= bound +. forwarding))
     [ Classes.Fifo; Classes.Bmux; Classes.Sp_through_high ]

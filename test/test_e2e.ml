@@ -214,7 +214,7 @@ let test_curve_agrees_with_optimizer () =
       let p = mk_path ~h ~delta in
       let gamma = 0.7 and sigma = 280. in
       let d_opt = E2e.delay_given p ~gamma ~sigma in
-      let (thetas, _x) = E2e.optimal_thetas p ~gamma ~sigma in
+      let (thetas, _x) = E2e.Reference.optimal_thetas p ~gamma ~sigma in
       let d_curve = E2e.Reference.delay_via_curve p ~gamma ~sigma ~thetas in
       check_float ~tol:1e-6 (Fmt.str "H=%d delta=%a" h Delta.pp delta) d_opt d_curve)
     [
@@ -253,7 +253,9 @@ let test_scenario_flow_counts () =
   check_float ~tol:1e-6 "N0 ~ 100"
     (0.15 *. 100. /. Envelope.Mmpp.mean_rate Envelope.Mmpp.paper_source)
     sc.Scenario.n_through;
-  check_float ~tol:1e-9 "utilization" 0.5 (Scenario.utilization sc)
+  check_float ~tol:1e-9 "utilization" 0.5
+    ((sc.Scenario.n_through +. sc.Scenario.n_cross)
+    *. Envelope.Mmpp.mean_rate sc.Scenario.source /. sc.Scenario.capacity)
 
 let test_scenario_fifo_between_sp_and_bmux () =
   let sc = Scenario.of_utilization ~h:3 ~u_through:0.15 ~u_cross:0.3 in
@@ -533,9 +535,6 @@ let prop_batch_rows_match_reference =
           let dref = E2e.Reference.delay_given p ~gamma ~sigma:sref in
           check_bits (Fmt.str "Batch.delay_at_gamma %d" i)
             (E2e.Batch.delay_at_gamma bt ~gamma ~epsilon)
-            dref;
-          check_bits (Fmt.str "delay_at_gamma %d" i)
-            (E2e.delay_at_gamma p ~gamma ~epsilon)
             dref)
         gammas;
       let out = Array.make (Array.length gammas) Float.nan in
@@ -858,7 +857,7 @@ let prop_batch_search_sequences =
     match c with
     | None -> "unstable scenario"
     | Some (p, sched) ->
-      Fmt.str "seed=%d %a %s" seed Classes.pp_two_class sched (print_path p)
+      Fmt.str "seed=%d %a %s" seed Scheduler.Delta.pp (Classes.delta_through_cross sched) (print_path p)
   in
   QCheck.Test.make ~name:"search sequences: batch = reference (in order and shuffled)"
     ~count:(Qc.count 100 ~cap:500) (QCheck.make ~print gen)
@@ -984,7 +983,7 @@ let test_batch_eval_allocation () =
       done;
       let words = (Gc.minor_words () -. w0) /. 1000. in
       Alcotest.(check bool)
-        (Fmt.str "%a H=30: %.1f words per evaluation <= 4" Classes.pp_two_class sched words)
+        (Fmt.str "%a H=30: %.1f words per evaluation <= 4" Scheduler.Delta.pp (Classes.delta_through_cross sched) words)
         true (words <= 4.))
     [ Classes.Fifo; Classes.Bmux; Classes.Sp_through_high; Classes.Edf_gap 5.; Classes.Edf_gap (-5.) ]
 

@@ -88,7 +88,7 @@ let test_gamma_at_boundary () =
   let p = mk_path ~h:3 ~cross_rho:30. in
   let gmax = E2e.gamma_max p in
   (* at gamma slightly below the cap the bound is finite but large *)
-  let d = E2e.delay_at_gamma p ~gamma:(gmax *. 0.999) ~epsilon:1e-9 in
+  let d = E2e.Batch.delay_at_gamma (E2e.Batch.make p) ~gamma:(gmax *. 0.999) ~epsilon:1e-9 in
   Alcotest.(check bool) (Fmt.str "finite at boundary: %g" d) true (Float.is_finite d)
 
 let test_exactly_critical_load_infinite () =

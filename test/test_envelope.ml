@@ -39,7 +39,7 @@ let test_ebb_to_curve () =
 
 let test_paper_source_rates () =
   let src = Mmpp.paper_source in
-  check_float "peak" 1.5 (Mmpp.peak_rate src);
+  check_float "peak" 1.5 (src.Mmpp.peak);
   (* pi_on = p12 / (p12 + p21) = 0.011 / 0.111 *)
   check_float "stationary on" (0.011 /. 0.111) (Mmpp.stationary_on src);
   check_float ~tol:1e-6 "mean ~ 0.1486 kb/ms" 0.148648648 (Mmpp.mean_rate src)
@@ -49,7 +49,7 @@ let test_eb_limits () =
   let eb_small = Mmpp.effective_bandwidth src ~s:1e-7 in
   let eb_large = Mmpp.effective_bandwidth src ~s:400. in
   check_float ~tol:1e-3 "s -> 0 gives mean rate" (Mmpp.mean_rate src) eb_small;
-  check_float ~tol:1e-2 "s -> inf approaches peak" (Mmpp.peak_rate src) eb_large
+  check_float ~tol:1e-2 "s -> inf approaches peak" (src.Mmpp.peak) eb_large
 
 let test_eb_monotone () =
   let src = Mmpp.paper_source in
@@ -66,7 +66,7 @@ let test_eb_between_mean_and_peak () =
   List.iter
     (fun s ->
       let eb = Mmpp.effective_bandwidth src ~s in
-      if eb < Mmpp.mean_rate src -. 1e-9 || eb > Mmpp.peak_rate src +. 1e-9 then
+      if eb < Mmpp.mean_rate src -. 1e-9 || eb > src.Mmpp.peak +. 1e-9 then
         Alcotest.failf "eb out of [mean, peak] at s=%g: %g" s eb)
     [ 0.01; 0.3; 1.; 3.; 30.; 300. ]
 

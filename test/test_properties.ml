@@ -49,7 +49,7 @@ let prop_constraints_feasible =
       match gamma_sigma p with
       | None -> QCheck.assume_fail ()
       | Some (gamma, sigma) ->
-        let (thetas, x) = E2e.optimal_thetas p ~gamma ~sigma in
+        let (thetas, x) = E2e.Reference.optimal_thetas p ~gamma ~sigma in
         Array.for_all Float.is_finite thetas
         && Array.to_list thetas
            |> List.mapi (fun h theta ->
@@ -73,7 +73,7 @@ let prop_delay_curve_consistency =
         let d = E2e.delay_given p ~gamma ~sigma in
         if not (Float.is_finite d) then true
         else begin
-          let (thetas, _) = E2e.optimal_thetas p ~gamma ~sigma in
+          let (thetas, _) = E2e.Reference.optimal_thetas p ~gamma ~sigma in
           let dc = E2e.Reference.delay_via_curve p ~gamma ~sigma ~thetas in
           Float.abs (d -. dc) <= 1e-5 *. (1. +. d)
         end)

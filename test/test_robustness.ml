@@ -43,15 +43,13 @@ let test_constant_process () =
   for _ = 1 to 10 do
     check_float "constant factor" 0.7 (Faults.step p)
   done;
-  check_float "constant mean" 0.7 (Faults.mean_factor p);
-  Alcotest.(check int) "slots" 10 (Faults.slots p)
+  check_float "constant mean" 0.7 (Faults.mean_factor p)
 
 let test_windows_process () =
   (* windows [2,4) at 0.5 and [3,6) at 0.2 — overlap takes the min *)
   let p = Faults.make (Faults.Windows [ (2, 4, 0.5); (3, 6, 0.2) ]) in
   let expected = [| 1.; 1.; 0.5; 0.2; 0.2; 0.2; 1.; 1. |] in
-  Array.iteri (fun i e -> check_float (Fmt.str "slot %d" i) e (Faults.step p)) expected;
-  check_float "min factor" 0.2 (Faults.min_factor (Windows [ (2, 4, 0.5); (3, 6, 0.2) ]))
+  Array.iteri (fun i e -> check_float (Fmt.str "slot %d" i) e (Faults.step p)) expected
 
 let test_gilbert_process () =
   check_invalid "gilbert without rng" (fun () ->
@@ -208,10 +206,6 @@ let test_stats_tripwires () =
       Stats.Online.add (Stats.Online.create ()) Float.nan);
   check_invalid "Sample.add nan" (fun () ->
       Stats.Sample.add (Stats.Sample.create ()) Float.nan);
-  check_invalid "Histogram.add nan" (fun () ->
-      Stats.Histogram.add (Stats.Histogram.create ~bin_width:1.) Float.nan);
-  check_invalid "Histogram.add inf" (fun () ->
-      Stats.Histogram.add (Stats.Histogram.create ~bin_width:1.) Float.infinity);
   check_invalid "quantile of empty sample" (fun () ->
       Stats.Sample.quantile (Stats.Sample.create ()) 0.5);
   (* finite samples still accepted *)
@@ -222,22 +216,7 @@ let test_stats_tripwires () =
 let test_curve_tripwires () =
   let f = Curve.constant_rate 2. in
   check_invalid "hshift nan" (fun () -> Curve.hshift Float.nan f);
-  check_invalid "vshift nan" (fun () -> Curve.vshift Float.nan f);
   check_invalid "scale nan" (fun () -> Curve.scale Float.nan f)
-
-let test_guard_helpers () =
-  check_float "not_nan passes finite" 3. (Diag.Guard.not_nan ~what:"x" 3.);
-  (match Diag.Guard.not_nan ~what:"x" Float.nan with
-  | _ -> Alcotest.fail "expected Tripped"
-  | exception Diag.Guard.Tripped _ -> ());
-  Alcotest.(check bool) "protect catches" true
-    (match Diag.Guard.protect (fun () -> Diag.Guard.finite ~what:"y" Float.infinity) with
-    | Error _ -> true
-    | Ok _ -> false);
-  Alcotest.(check string) "status of nan" "non-finite"
-    (Diag.status_to_string (Diag.Guard.status_of_value Float.nan));
-  Alcotest.(check string) "status of inf" "unstable"
-    (Diag.status_to_string (Diag.Guard.status_of_value Float.infinity))
 
 (* ---------------- scenario validation and checked bounds ---------------- *)
 
@@ -447,7 +426,6 @@ let suite =
     Alcotest.test_case "single-node censored data" `Quick test_single_node_censored;
     Alcotest.test_case "stats NaN tripwires" `Quick test_stats_tripwires;
     Alcotest.test_case "curve NaN tripwires" `Quick test_curve_tripwires;
-    Alcotest.test_case "guard helpers" `Quick test_guard_helpers;
     Alcotest.test_case "scenario input validation" `Quick test_scenario_validation;
     Alcotest.test_case "checked delay bound" `Quick test_checked_delay_bound;
     Alcotest.test_case "checked EDF fixed point" `Quick test_checked_edf_bound;

@@ -25,7 +25,7 @@ let path_of c = Scenario.path_at c.sc ~s:c.s ~delta:(Classes.delta_through_cross
 
 let print_case c =
   Fmt.str "H=%d n0=%h nc=%h eps=%g %a s=%h" c.sc.Scenario.h c.sc.Scenario.n_through
-    c.sc.Scenario.n_cross c.sc.Scenario.epsilon Classes.pp_two_class c.sched c.s
+    c.sc.Scenario.n_cross c.sc.Scenario.epsilon Scheduler.Delta.pp (Classes.delta_through_cross c.sched) c.s
 
 (* The property, parameterized by the floor under test so the test below
    can show it rejects a floor without the rounding margin. *)
@@ -536,7 +536,7 @@ let test_scan_edges () =
             (fun scheduler ->
               check_delay
                 ~what:
-                  (Fmt.str "%s s_points=%d %a" name s_points Classes.pp_two_class scheduler)
+                  (Fmt.str "%s s_points=%d %a" name s_points Scheduler.Delta.pp (Classes.delta_through_cross scheduler))
                 ~s_points ~scheduler t)
             [ Classes.Bmux; Classes.Fifo; Classes.Sp_through_high; Classes.Edf_gap (-3.) ])
         [ 2; 3; 16; 32 ])
