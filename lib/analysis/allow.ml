@@ -1,14 +1,12 @@
 (* Suppression frames for [@lint.allow "rule ..."] with usage tracking.
 
-   Both the untyped lint (Engine) and the typed analyzer (Analysis.Engine)
-   honour the same attribute.  A frame is pushed per attribute; when a rule
-   fires under it, the innermost matching frame records the rule id.  After
-   a run, [unused] lists the attributes that suppressed nothing — but only
-   for rule ids the calling tool owns ([known]), so an
-   [@lint.allow "zero-alloc"] seen by the untyped lint (which has no such
-   rule) is never a false positive.  Bare / "all" attributes are owned by
-   whichever caller passes [~warn_all:true] (the untyped lint), so the two
-   drivers never double-report the same attribute. *)
+   A frame is pushed per attribute; when a rule fires under it, the
+   innermost matching frame records the rule id.  After a run, [unused]
+   lists the attributes that suppressed nothing, but only for the rule ids
+   the caller owns ([known]): the per-file pass (Engine) and the whole-set
+   pass (Unreachable) each judge their own ids, so neither calls the
+   other's allow stale.  Bare / "all" attributes belong to whichever
+   caller passes [~warn_all:true], the per-file pass. *)
 
 type frame = {
   fr_rules : string list; (* rule ids, or ["all"] *)
@@ -40,7 +38,7 @@ let frames_of_attributes (attrs : Parsetree.attributes) : frame list =
                   _;
                 };
               ] -> (
-            match String.split_on_char ' ' s |> List.filter (fun r -> r <> "") with
+            match String.split_on_char ' ' s |> List.filter (fun r -> not (String.equal r "")) with
             | [] -> [ "all" ]
             | rs -> rs)
           | _ -> [ "all" ]

@@ -119,7 +119,7 @@ let check_closure ctx ~(kind : site_kind) ~site (closure : expression) =
             else (Ident.unique_name id, Ident.name id, local_unexpanded id)
           | _ -> (Paths.norm p, Paths.norm p, None)
         in
-        if key = "" then None
+        if String.equal key "" then None
         else
           let k =
             match Hashtbl.find_opt kinds key with

@@ -1,27 +1,58 @@
-(* Typed-tree analysis over .cmt files.
+(* The static analyzer: reads the typed tree of every .cmt file
+   (Cmt_format.read_cmt), rebuilds queryable environments (Envaux over the
+   cmt's recorded load path) and runs one Tast_iterator pass per unit,
+   then the whole-set rules once over every unit.
 
-   Loads a cmt (Cmt_format.read_cmt), rebuilds queryable environments
-   (Envaux over the cmt's recorded load path), and runs the typed rules:
-
+   Per-file rules (ids in [catalogue]):
+     float-equal, poly-compare, banned-ident, raw-exit, nan-literal,
+     unsafe-partial, domain-spawn
+                            one check per value path (Idents)
      cross-domain-capture   mutable state captured by closures that cross a
                             domain boundary (Parallel fan-out, Domain.spawn)
      zero-alloc             allocating constructs reachable from
                             [@@zero_alloc_check] bindings
-     unreachable-module     a module no executable imports (one pass over
-                            the whole scanned set, see Unreachable)
+   Whole-set rules (Unreachable):
+     unreachable-module     a module no executable imports
      unused-export          a value an .mli declares that no executable
-                            reaches (the same pass)
+                            reaches
+   And:
      unused-allow           [@lint.allow] that suppresses nothing (only
-                            with ~warn_unused_allow, only for typed rules)
+                            with ~warn_unused_allow)
      cmt-error              the .cmt could not be read
 
-   Suppression uses the same [@lint.allow "rule"] attribute as the untyped
-   lint, with identical scoping semantics. *)
+   Suppression: [@lint.allow "rule"] on an expression, or on a value
+   binding / structure item ([@@lint.allow "rule"]), silences that rule in
+   the whole subtree.  The payload is a space-separated list of rule ids;
+   "all", or no payload, silences every per-file rule. *)
 
-module F = Lint.Finding
+module F = Finding
 
 let catalogue =
   [
+    ( "float-equal",
+      "=, <>, ==, != or compare at float (abbreviations expanded); use \
+       Float.equal / Float.compare (or Float.is_nan / Float.classify_float \
+       for nan and infinity tests)" );
+    ( "poly-compare",
+      "=, <> or compare in lib/ at a type that is not immediate; use a typed \
+       comparator or equal (Int.compare, String.equal, Delta.equal, ...) or \
+       a pattern match.  An operand [], None, (), true or false is exempt" );
+    ( "banned-ident",
+      "Obj.magic anywhere; Random.* outside lib/desim/prng.ml; Printf.printf \
+       / print_* in lib/ (use Telemetry or Fmt)" );
+    ( "raw-exit",
+      "exit outside bin/; library and bench code must return a result or \
+       raise so callers keep control of process lifetime (the CLI owns the \
+       typed exit codes)" );
+    ( "nan-literal",
+      "bare nan / infinity / neg_infinity outside Delta, Curve and Diag; use \
+       the qualified Float.* constants" );
+    ( "unsafe-partial",
+      "List.hd / List.tl / Option.get in lib/core; match explicitly" );
+    ( "domain-spawn",
+      "raw Domain.spawn outside lib/parallel; use Parallel.Pool (or \
+       Parallel.Default) so chunking, nested-map degradation and the \
+       determinism guarantee stay in one place" );
     ( "cross-domain-capture",
       "a closure passed to Parallel.Pool / Parallel.Default or Domain.spawn \
        captures mutable state (ref, array, mutable record field, \
@@ -33,8 +64,8 @@ let catalogue =
        partial application, float boxing) is reachable from a \
        [@@zero_alloc_check] binding" );
     ( "unreachable-module",
-      "no executable (dune's Dune__exe__* units) imports the module, \
-       directly or transitively through cmt imports; library alias \
+      "no executable (dune's Dune__exe__* units outside test/) imports the \
+       module, directly or transitively through cmt imports; library alias \
        modules are not edges.  Exempt with a file-level \
        [@@@lint.allow \"unreachable-module\"]" );
     ( "unused-export",
@@ -42,9 +73,17 @@ let catalogue =
        executable, following value paths through reached bindings; exempt \
        with [@@lint.allow \"unused-export\"] naming the test that uses it" );
     ( "unused-allow",
-      "[@lint.allow] attribute that suppresses no finding of this tool; \
-       remove it (reported only with --warn-unused-allow)" );
+      "[@lint.allow] attribute that suppresses no finding; remove it \
+       (reported only with --warn-unused-allow)" );
     ("cmt-error", "the .cmt file could not be read or contains no typed tree");
+  ]
+
+(* The ids the per-file pass owns for --warn-unused-allow; Unreachable
+   judges its own two. *)
+let per_file_rules =
+  [
+    "float-equal"; "poly-compare"; "banned-ident"; "raw-exit"; "nan-literal";
+    "unsafe-partial"; "domain-spawn"; "cross-domain-capture"; "zero-alloc";
   ]
 
 let vb_name (vb : Typedtree.value_binding) =
@@ -73,6 +112,7 @@ let collect_defs (ctx : Ctx.t) (str : Typedtree.structure) =
 let check_structure ?(warn_unused_allow = false) ~file
     (str : Typedtree.structure) : F.t list =
   let ctx = Ctx.make ~file in
+  let zone = Idents.zone file in
   collect_defs ctx str;
   let it =
     {
@@ -81,6 +121,7 @@ let check_structure ?(warn_unused_allow = false) ~file
         (fun it e ->
           Ctx.with_allows ctx e.exp_attributes (fun () ->
               Captures.check_apply ctx e;
+              Idents.check ctx zone e;
               Tast_iterator.default_iterator.expr it e));
       value_binding =
         (fun it (vb : Typedtree.value_binding) ->
@@ -101,8 +142,7 @@ let check_structure ?(warn_unused_allow = false) ~file
   in
   it.structure it str;
   if warn_unused_allow then begin
-    let known = [ "cross-domain-capture"; "zero-alloc" ] in
-    Lint.Allow.unused ~warn_all:false ~known ctx.Ctx.allow
+    Allow.unused ~warn_all:true ~known:per_file_rules ctx.Ctx.allow
     |> List.iter (fun ((loc : Location.t), stale) ->
            Ctx.report ctx ~loc ~rule:"unused-allow"
              (Printf.sprintf

@@ -33,9 +33,11 @@ let split_mangled s =
   out := String.sub s !start (n - !start) :: !out;
   List.rev !out
 
+(* Every segment, [Stdlib] included: ["Stdlib"; "Random"; "int"]. *)
+let full p = List.concat_map split_mangled (String.split_on_char '.' (flat p))
+
 let segments p =
-  let segs = List.concat_map split_mangled (String.split_on_char '.' (flat p)) in
-  match segs with "Stdlib" :: (_ :: _ as rest) -> rest | _ -> segs
+  match full p with "Stdlib" :: (_ :: _ as rest) -> rest | segs -> segs
 
 let norm p = String.concat "." (segments p)
 
@@ -47,6 +49,6 @@ let matches p pat =
   n >= k
   &&
   let rec drop i l = if i = 0 then l else drop (i - 1) (List.tl l) in
-  drop (n - k) segs = pat_segs
+  List.equal String.equal (drop (n - k) segs) pat_segs
 
 let matches_any p pats = List.exists (matches p) pats

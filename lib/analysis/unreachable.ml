@@ -1,7 +1,10 @@
 (* unreachable-module and unused-export: one pass over the whole set of
    scanned .cmt files.  Roots are the executable units (dune names them
    Dune__exe__<Name>): the executables of bin/, bench/, perfbench/,
-   perfbench/test/ and examples/.
+   perfbench/test/ and examples/.  The test suite's own units (sources
+   directly under test/) take no part: they name oracles and hooks that
+   no shipped executable needs, so as roots they would make every such
+   value's allow read stale.
 
    unreachable-module: the edges out of a unit are its cmt_imports.  A
    unit that no root imports, directly or transitively, is a finding.
@@ -27,7 +30,7 @@
    state) carries [@@lint.allow "unused-export"] on its .mli declaration.
    With --warn-unused-allow either allow is reported once it is stale. *)
 
-module F = Lint.Finding
+module F = Finding
 
 let rule = "unreachable-module"
 let export_rule = "unused-export"
@@ -53,13 +56,14 @@ type unit_info = {
 }
 
 let is_root u = String.starts_with ~prefix:"Dune__exe__" u.name
+let is_test u = String.equal (Filename.dirname u.file) "test"
 let is_alias u = Filename.check_suffix u.file ".ml-gen"
 
 let allow_in ~rule attrs =
   List.find_map
-    (fun (f : Lint.Allow.frame) ->
+    (fun (f : Allow.frame) ->
       if List.mem rule f.fr_rules then Some f.fr_loc else None)
-    (Lint.Allow.frames_of_attributes attrs)
+    (Allow.frames_of_attributes attrs)
 
 (* The defs and effects of an implementation.  [paths] maps each
    structure-level value or module ident to its path in the unit,
@@ -198,9 +202,10 @@ let stale ~file r loc =
     (Printf.sprintf "[@lint.allow] suppresses nothing here (stale: %s); remove it" r)
 
 let rec is_prefix p q =
-  match (p, q) with [], _ -> true | x :: p, y :: q -> x = y && is_prefix p q | _ -> false
+  match (p, q) with [], _ -> true | x :: p, y :: q -> String.equal x y && is_prefix p q | _ -> false
 
 let check ?(warn_unused_allow = false) (units : unit_info list) : F.t list =
+  let units = List.filter (fun u -> not (is_test u)) units in
   (* Executables of different directories share unit names (two
      Dune__exe__Main), so a name maps to every unit that carries it. *)
   let by_name = Hashtbl.create 64 in

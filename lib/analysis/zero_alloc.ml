@@ -58,16 +58,6 @@ let head_path = function
   | { exp_desc = Texp_ident (p, _, _); _ } -> Some p
   | _ -> None
 
-let is_float env (ty : Types.type_expr) =
-  let ty =
-    match env with
-    | Some e -> ( try Ctype.expand_head e ty with _ -> ty)
-    | None -> ty
-  in
-  match Types.get_desc ty with
-  | Types.Tconstr (p, [], _) -> Paths.matches p "float"
-  | _ -> false
-
 (* Every occurrence of [id] is a deref / assignment (! := incr decr,
    .contents access): the compiler never materializes the ref cell's
    address, so the allocation is elided or stays local. *)
@@ -180,7 +170,7 @@ let check ctx ~(root_name : string) (root : expression) =
         | "Some" | "Ok" | "Error" ->
           List.iter
             (fun (a : expression) ->
-              if is_float env a.exp_type then
+              if Ctx.is_float env a.exp_type then
                 bad ~loc:e.exp_loc
                   "%s of a float boxes the float" cstr.cstr_name)
             args
@@ -207,8 +197,8 @@ let check ctx ~(root_name : string) (root : expression) =
             bad ~loc:e.exp_loc "call to %s allocates" norm
           else if
             List.exists
-              (fun pre -> String.length norm > String.length pre
-                          && String.sub norm 0 (String.length pre) = pre)
+              (fun prefix -> String.length norm > String.length prefix
+                          && String.starts_with ~prefix norm)
               alloc_module_prefixes
           then bad ~loc:e.exp_loc "call to %s allocates (formatting)" norm
           else if is_ref_alloc e then

@@ -40,7 +40,7 @@ let analyze ~capacity ~cross ~through ~h ~gamma ~epsilon =
   go through 0 [] 0.
 
 (* [Float.max 0. d], bit for bit, without [Float.max]'s sign-bit probe *)
-let[@inline] fmax0 (d : float) = if d > 0. then d else if d <> d then d else 0.
+let[@inline] fmax0 (d : float) = if d > 0. then d else if Float.is_nan d then d else 0.
 
 (* [snd (analyze ...)], fused into one allocation-free pass: no record,
    list or [Exponential.t] per node, and each node's combined bound
@@ -57,8 +57,8 @@ let delay_sum ~capacity ~cross ~through ~h ~gamma ~epsilon =
   let service_rate = capacity -. cross.Ebb.rho -. gamma in
   (* eps_service = geometric_sum (bounding cross) ~gamma *)
   let cm = cross.Ebb.m and ca = cross.Ebb.alpha in
-  if cm < 0. || cm <> cm then invalid_arg "Exponential.v: negative prefactor";
-  if ca <= 0. || ca <> ca then invalid_arg "Exponential.v: non-positive rate";
+  if cm < 0. || Float.is_nan cm then invalid_arg "Exponential.v: negative prefactor";
+  if ca <= 0. || Float.is_nan ca then invalid_arg "Exponential.v: non-positive rate";
   let es_m = cm /. (1. -. exp (-.ca *. gamma)) in
   (* the through EBB at the node's input *)
   let m = ref through.Ebb.m and rho = ref through.Ebb.rho and alpha = ref through.Ebb.alpha in
@@ -68,8 +68,8 @@ let delay_sum ~capacity ~cross ~through ~h ~gamma ~epsilon =
     incr k;
     (* sample_path_envelope: its bound is geometric_sum (bounding inp) *)
     let im = !m and ia = !alpha in
-    if im < 0. || im <> im then invalid_arg "Exponential.v: negative prefactor";
-    if ia <= 0. || ia <> ia then invalid_arg "Exponential.v: non-positive rate";
+    if im < 0. || Float.is_nan im then invalid_arg "Exponential.v: negative prefactor";
+    if ia <= 0. || Float.is_nan ia then invalid_arg "Exponential.v: non-positive rate";
     let rate = !rho +. gamma in
     let bm = im /. (1. -. exp (-.ia *. gamma)) in
     if rate > service_rate then unstable := true

@@ -195,17 +195,17 @@ let delay_golden = 40
    keeps.  The QCheck suite draws sigma = -0. to pin this. *)
 let[@inline] is_neg_zero (x : float) = x = 0. && 1. /. x < 0.
 [@@lint.allow "float-equal"]
-let[@inline] fmax0 (d : float) = if d > 0. then d else if d <> d then d else 0.
+let[@inline] fmax0 (d : float) = if d > 0. then d else if Float.is_nan d then d else 0.
 
 let[@inline] fmax_nz (x : float) (y : float) =
-  if x <> x then x
+  if Float.is_nan x then x
   else if y > x then y
   else if is_neg_zero x && not (is_neg_zero y) then y
   else x
 
 let[@inline] fmin1 (x : float) (y : float) =
-  if x <> x then x
-  else if y <> y then y
+  if Float.is_nan x then x
+  else if Float.is_nan y then y
   else if y > x then x
   else if is_neg_zero x && not (is_neg_zero y) then x
   else y
@@ -391,9 +391,9 @@ module Batch = struct
   let sigma_for t ~gamma ~epsilon =
     let k = t.k in
     if gamma <= 0. then invalid_arg "E2e.total_bound: non-positive gamma";
-    if k.m_thr < 0. || k.m_thr <> k.m_thr then
+    if k.m_thr < 0. || Float.is_nan k.m_thr then
       invalid_arg "Exponential.v: negative prefactor";
-    if k.alpha <= 0. || k.alpha <> k.alpha then
+    if k.alpha <= 0. || Float.is_nan k.alpha then
       invalid_arg "Exponential.v: non-positive rate";
     let q = exp (-.k.alpha *. gamma) in
     let omq = 1. -. q in
@@ -411,16 +411,17 @@ module Batch = struct
       let last_m = ref Float.nan and last_term = ref 0. in
       for i = 0 to n - 1 do
         let cm = t.stoch_m.(i) in
-        if cm < 0. || cm <> cm then
+        if cm < 0. || Float.is_nan cm then
           invalid_arg "Exponential.v: negative prefactor";
-        (* [=] as the memo key is sound and bit-exact: a fresh NaN key
-           always misses (NaN <> everything, and the seed is NaN), and
-           the one compare-equal bit-distinct pair, -0. and +0., gives
-           m_i = -0. or +0. and log(-0.) = log(+0.) = -inf, so a hit
-           returns exactly what the recompute would. *)
+        (* IEEE [=] as the memo key is sound and bit-exact: a fresh NaN
+           key always misses (NaN <> everything, and the seed is NaN),
+           which Float.equal would not, and the one compare-equal
+           bit-distinct pair, -0. and +0., gives m_i = -0. or +0. and
+           log(-0.) = log(+0.) = -inf, so a hit returns exactly what the
+           recompute would. *)
         let term =
           if i = n - 1 then (log (cm /. omq) +. k.log_a) /. aw
-          else if cm = !last_m then !last_term
+          else if (cm = !last_m) [@lint.allow "float-equal"] then !last_term
           else begin
             let v = (log (cm /. omq /. omq) +. k.log_a) /. aw in
             last_m := cm;
@@ -442,7 +443,8 @@ module Batch = struct
      new length.  Kept if finite and >= 0. — the filter of
      [x_candidates]; [x -. x = 0.] is [Float.is_finite] inlined (a
      cross-module call otherwise): NaN and the infinities fail it
-     bit-exactly.  A repeat of the run's last entry adds to its jump;
+     bit-exactly.  A repeat of the run's last entry, by IEEE [=] (x is
+     finite, so [=] is Float.equal without its call), adds to its jump;
      an entry below it (a heterogeneous path) is inserted by a shift of
      the tail.  A kink left of 0. (-inf included) moves the slope at 0.
      itself, so its jump joins that of the candidate 0., the first
@@ -450,7 +452,7 @@ module Batch = struct
   let[@inline] push t o n x j =
     let sx = t.stage_x and sj = t.stage_j and l = o + n - 1 in
     if ((x -. x = 0.) [@lint.allow "float-equal"]) && x >= 0. then
-      if n > 0 && x = sx.(l) then begin
+      if n > 0 && ((x = sx.(l)) [@lint.allow "float-equal"]) then begin
         sj.(l) <- sj.(l) +. j;
         n
       end
@@ -636,7 +638,7 @@ module Batch = struct
             n2 := push t o2 !n2 root (q -. 1.)
     done;
     t.stage_j.(0) <- t.stage_j.(0) +. !base;
-    t.sweepable <- sigma >= 0x1p-1000 && gamma > 0. && !dmin > 0. && not (!fin <> !fin);
+    t.sweepable <- sigma >= 0x1p-1000 && gamma > 0. && !dmin > 0. && not (Float.is_nan !fin);
     t.allow.abs <- 4. *. epsilon_float *. !defect;
     merge t !n0 !n1 !n2
   [@@zero_alloc_check]

@@ -78,16 +78,16 @@ let golden_section f a b steps =
   in
   go a b steps
 
-(* [f] over a ring of its last 8 probes, matched by float [=]: probes
+(* [f] over a ring of its last 8 probes, matched by IEEE [=]: probes
    are positive and non-NaN, so equal values have equal bits, and the
-   NaN keys of empty slots match nothing.  Golden-section probes
-   cluster as the bracket shrinks, so a repeat is always a recent
-   probe. *)
+   NaN keys of empty slots match nothing (under Float.equal a NaN probe
+   would match them).  Golden-section probes cluster as the bracket
+   shrinks, so a repeat is always a recent probe. *)
 let memo8 f =
   let keys = Array.make 8 Float.nan and vals = Array.make 8 0. and next = ref 0 in
   fun x ->
     let i = ref 0 in
-    while !i < 8 && not (keys.(!i) = x) do
+    while !i < 8 && not ((keys.(!i) = x) [@lint.allow "float-equal"]) do
       incr i
     done;
     if !i < 8 then vals.(!i)
@@ -105,7 +105,7 @@ let minimize ?floor ?refine ~points ~lo ~hi f =
   let f x =
     incr evals;
     let v = f x in
-    if v <> v then saw_nan := true;
+    if Float.is_nan v then saw_nan := true;
     v
   in
   let ratio = grid_ratio ~points ~lo ~hi in

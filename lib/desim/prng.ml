@@ -96,10 +96,6 @@ let[@inline] successes t ~n ~log_q =
   done;
   !count
 
-let geometric t ~p =
-  if not (p > 0. && p <= 1.) then invalid_arg "Prng.geometric: p out of range";
-  if Float.equal p 1. then 0 else log1p_gap (bits53 t) ~log_q:(Float.log1p (-.p))
-
 (* Inversion on q = [min p (1. -. p)], reflected when [p > 0.5]; q = 0
    draws nothing. *)
 let binomial t ~n ~p =

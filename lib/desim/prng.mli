@@ -4,8 +4,8 @@
 
     {b State.} A generator is 32 bytes holding the four xoshiro256++
     state words, read and written in native byte order.  A step costs a
-    handful of integer operations and allocates nothing.  [binomial],
-    [geometric] and [invert] allocate nothing at all; [bits64] and
+    handful of integer operations and allocates nothing.  [binomial]
+    and [invert] allocate nothing at all; [bits64] and
     [float] allocate only their boxed result, and [create]/[split]/[copy]
     the new 32-byte state. *)
 
@@ -33,14 +33,15 @@ val bernoulli : t -> p:float -> bool
 
 val binomial : t -> n:int -> p:float -> int
 (** Exact binomial sample by inversion on q = [min p (1. -. p)]: it sums
-    {!geometric} gaps of parameter q until they pass [n], and reflects
+    geometric gaps of parameter q, [floor (log1p (-. u) /. log1p (-. q))]
+    for one uniform [u] each, until they pass [n], and reflects
     when [p > 0.5].  One uniform per success plus one, so O(n q)
     expected draws, each costing one [log1p]: the stationary initial
     count of an on-off aggregate, and the oracle its kernel sampler is
     tested against.  [p = 0.], [p = 1.] and
-    [n = 0] draw nothing.  Gaps saturate as in {!geometric}, so a q so
-    small that [log1p (-. u) /. log1p (-. q)] reaches 2{^62} counts no
-    success.  @raise Invalid_argument on [n < 0] or [p] outside
+    [n = 0] draw nothing.  A gap of 2{^62} or more saturates at
+    [max_int], so a q so small that [log1p (-. u) /. log1p (-. q)]
+    reaches 2{^62} counts no success.  @raise Invalid_argument on [n < 0] or [p] outside
     [\[0, 1\]] (NaN included). *)
 
 val guide : int array -> int array
@@ -57,12 +58,3 @@ val invert : t -> cuts:int array -> guide:int array -> int
     with [m < cuts.(i)] for the top 53 bits [m] of one {!bits64}, found
     from [m]'s guide bucket by a forward scan.  [guide] must be
     [guide cuts]. *)
-
-val geometric : t -> p:float -> int
-[@@lint.allow "unused-export"] (* deletion deferred: test_desim.ml "geometric mean" *)
-(** Number of failures before the first success, [p] in (0, 1]:
-    [floor (log1p (-. u) /. log1p (-. p))] for one uniform [u] ([p = 1.]
-    draws nothing).  The true gap can pass [max_int] once [p] is below
-    ~1e-17 (and does for every [u > 0.] once [p] is below ~2e-35): a
-    quotient of 2{^62} or more saturates at [max_int].
-    @raise Invalid_argument on [p] outside (0, 1] (NaN included). *)

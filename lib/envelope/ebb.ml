@@ -10,13 +10,6 @@ let v ~m ~rho ~alpha =
 
 let bounding { m; alpha; _ } = Exponential.v ~m ~a:alpha
 
-let aggregate = function
-  | [] -> invalid_arg "Ebb.aggregate: empty list"
-  | fs ->
-    let rho = List.fold_left (fun acc f -> acc +. f.rho) 0. fs in
-    let e = Exponential.combine (List.map bounding fs) in
-    { m = e.Exponential.m; rho; alpha = e.Exponential.a }
-
 type sample_path = { envelope_rate : float; bound : Exponential.t }
 
 let sample_path_envelope f ~gamma =
@@ -25,7 +18,3 @@ let sample_path_envelope f ~gamma =
     envelope_rate = f.rho +. gamma;
     bound = Exponential.geometric_sum (bounding f) ~gamma;
   }
-
-let to_curve f ~gamma =
-  let sp = sample_path_envelope f ~gamma in
-  Minplus.Curve.affine ~rate:sp.envelope_rate ~burst:0.

@@ -42,5 +42,3 @@ let effective_bandwidth src ~s =
 let ebb src ~n ~s =
   if n < 0. then invalid_arg "Mmpp.ebb: negative flow count";
   Ebb.v ~m:1. ~rho:(n *. effective_bandwidth src ~s) ~alpha:s
-
-let autocovariance_decay { p_stay_off; p_stay_on; _ } = p_stay_off +. p_stay_on -. 1.

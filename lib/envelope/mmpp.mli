@@ -34,9 +34,3 @@ val effective_bandwidth : t -> s:float -> float
 val ebb : t -> n:float -> s:float -> Ebb.t
 (** EBB characterization of an aggregate of [n] independent copies:
     [A ~ (1., n *. eb s, s)]. *)
-
-val autocovariance_decay : t -> float
-[@@lint.allow "unused-export"] (* deletion deferred: test_envelope.ml "autocovariance decay" *)
-(** Second eigenvalue [p11 +. p22 -. 1.] of the transition matrix — the
-    geometric decay rate of the autocovariance (used by the simulator's
-    warm-up heuristics). *)

@@ -494,7 +494,7 @@ let is_convex ?(tol = tol_default) (f : t) =
   let rec go = function
     | [] | [ _ ] -> true
     | p :: (q :: _ as rest) ->
-      if is_inf q.y then rest = [ q ]
+      if is_inf q.y then (match rest with [ _ ] -> true | _ -> false)
       else
         let cont = Float.abs (value_at p q.x -. q.y) <= tol *. (1. +. Float.abs q.y) in
         cont && p.r <= q.r +. tol && go rest

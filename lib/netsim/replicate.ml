@@ -92,8 +92,8 @@ let check_checkpoint_header path header ~base_seed ~runs =
     | Some _ -> (
       match rest with
       | [ seed; runs_s ]
-        when seed = Printf.sprintf "%Ld" base_seed
-             && runs_s = string_of_int runs ->
+        when String.equal seed (Printf.sprintf "%Ld" base_seed)
+             && String.equal runs_s (string_of_int runs) ->
         ()
       | _ ->
         invalid_arg

@@ -132,7 +132,13 @@ let create ?laws:shared src ~n ~rng =
     match shared with
     | None -> laws src
     | Some l ->
-      if l.of_src <> src then invalid_arg "Source.create: laws built for another source";
+      let a = l.of_src and b = src in
+      if
+        not
+          (Float.equal a.p_stay_off b.p_stay_off
+          && Float.equal a.p_stay_on b.p_stay_on
+          && Float.equal a.peak b.peak)
+      then invalid_arg "Source.create: laws built for another source";
       l
   in
   let on = Desim.Prng.binomial rng ~n ~p:(Envelope.Mmpp.stationary_on src) in

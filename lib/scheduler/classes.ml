@@ -20,7 +20,7 @@ let delta m j k =
 
 let fifo ~n = v ~n (fun _ _ -> Delta.Fin 0.)
 
-let static_priority ~priorities =
+let static_priority ~(priorities : int array) =
   let n = Array.length priorities in
   v ~n (fun j k ->
       if priorities.(k) < priorities.(j) then Delta.Neg_inf
@@ -41,12 +41,6 @@ let bmux ~n ~tagged =
       else if j = tagged then Delta.Pos_inf
       else if k = tagged then Delta.Neg_inf
       else Delta.Fin 0.)
-
-let precedence_set m ~j =
-  if j < 0 || j >= m.n then invalid_arg "Classes.precedence_set: out of range";
-  List.filter
-    (fun k -> not (Delta.equal m.table.(j).(k) Delta.Neg_inf))
-    (List.init m.n Fun.id)
 
 type two_class = Fifo | Bmux | Sp_through_high | Edf_gap of float
 

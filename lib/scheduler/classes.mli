@@ -31,11 +31,6 @@ val bmux : n:int -> tagged:int -> matrix
     other flow ([delta tagged k = Pos_inf] for [k <> tagged]); the others
     are FIFO among themselves. *)
 
-val precedence_set : matrix -> j:int -> int list
-[@@lint.allow "unused-export"] (* deletion deferred: test_scheduler.ml "precedence set" *)
-(** The set [N_j] of flows that can affect flow [j]'s delay:
-    [{ k | delta j k <> Neg_inf }] (includes [j] itself). *)
-
 (** {1 Two-class descriptors}
 
     The end-to-end analysis of Section IV distinguishes only the through

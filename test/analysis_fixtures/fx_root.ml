@@ -10,6 +10,7 @@ let () =
   ignore (Sys.opaque_identity Fx_alloc_neg.clamp);
   ignore (Sys.opaque_identity Fx_alloc_pos.pair);
   ignore (Sys.opaque_identity (Fx_exports.direct 1 + Fx_exports.Inner.nested));
+  ignore (Sys.opaque_identity Fx_idents.roll);
   ignore (Sys.opaque_identity X.stale_hook);
   ignore (Sys.opaque_identity Fx_race_neg.atomic_bump);
   ignore (Sys.opaque_identity Fx_race_pos.counter_bump);

@@ -1,6 +1,6 @@
-(* A [@lint.allow] for a typed rule that suppresses nothing: with
-   --warn-unused-allow the analyzer must report unused-allow here (and
-   the untyped lint must NOT — it does not own the zero-alloc id). *)
+(* A [@lint.allow] for a per-file rule that suppresses nothing: with
+   --warn-unused-allow the analyzer must report unused-allow here, at
+   the attribute's line. *)
 
 let fine (x : int) = x + 1 [@@zero_alloc_check]
 

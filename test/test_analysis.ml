@@ -7,7 +7,9 @@
    [@lint.allow].  The whole-set unreachable-module and unused-export
    rules are driven both over hand-built graphs and over the fixtures'
    executable root.  The CLI output format is covered by the golden diff
-   rule in test/dune (analyze_fixtures.expected). *)
+   rule in test/dune (analyze_fixtures.expected); the per-identifier
+   rules are also driven case by case, on in-process typed sources, by
+   the lint group of test_main (test_lint.typed.ml). *)
 
 open Alcotest
 
@@ -21,13 +23,13 @@ let analyze name =
   Analysis.Engine.analyze_cmt ~warn_unused_allow:true ~load_prefix:[ ".." ]
     (fixture name)
 
-let lines_of fs = List.map (fun f -> f.Lint.Finding.line) fs
-let rules_of fs = List.map (fun f -> f.Lint.Finding.rule) fs
+let lines_of fs = List.map (fun f -> f.Analysis.Finding.line) fs
+let rules_of fs = List.map (fun f -> f.Analysis.Finding.rule) fs
 
 let mentions fs sub =
   List.exists
     (fun f ->
-      let m = f.Lint.Finding.message in
+      let m = f.Analysis.Finding.message in
       let lm = String.length m and ls = String.length sub in
       let rec at i = i + ls <= lm && (String.sub m i ls = sub || at (i + 1)) in
       at 0)
@@ -90,11 +92,25 @@ let test_stale_allow () =
   check (list int) "at the attribute's line" [ 7 ] (lines_of fs);
   check bool "names the stale rule id" true (mentions fs "stale: zero-alloc")
 
+let test_idents () =
+  (* Read back from the cmt: the alias R of Random and the abbreviation
+     ms of float resolve through the rebuilt environment. *)
+  let fs = analyze "Fx_idents" in
+  check (list string) "one finding per seeded site"
+    [
+      "banned-ident"; "float-equal"; "float-equal"; "nan-literal"; "raw-exit";
+      "domain-spawn"; "banned-ident";
+    ]
+    (rules_of fs);
+  check (list int) "at the seeded lines" [ 10; 11; 12; 13; 14; 15; 16 ] (lines_of fs);
+  check bool "the alias is seen through" true (mentions fs "Random.*");
+  check bool "compare at float" true (mentions fs "float (compare)")
+
 let test_cmt_error () =
   (* An .ml is not a cmt: the failure must surface as a finding, not an
      exception. *)
   match Analysis.Engine.analyze_cmt "test_analysis.ml" with
-  | [ f ] -> check string "rule" "cmt-error" f.Lint.Finding.rule
+  | [ f ] -> check string "rule" "cmt-error" f.Analysis.Finding.rule
   | fs -> failf "expected one cmt-error finding, got %d" (List.length fs)
 
 (* ---------------- unreachable-module (whole set) ---------------- *)
@@ -109,7 +125,7 @@ let allow_at ?(file = "") line =
   let pos = { Lexing.pos_fname = file; pos_lnum = line; pos_bol = 0; pos_cnum = 0 } in
   { Location.loc_start = pos; loc_end = pos; loc_ghost = false }
 
-let files_of fs = List.map (fun f -> f.Lint.Finding.file) fs
+let files_of fs = List.map (fun f -> f.Analysis.Finding.file) fs
 
 (* Root -> Lib__A -> Lib__B; Lib__C has no importer; the alias module
    Lib imports every module of its library, Lib__D included. *)
@@ -151,7 +167,7 @@ let test_unreachable_allow () =
     @ [ unit_ ~allow:(allow_at 3) "Lib__E" [] ]
     @ if reached then [ unit_ "Dune__exe__Tool" [ "Lib__E" ] ] else []
   in
-  let on_e fs = List.filter (fun f -> f.Lint.Finding.file = "lib__e.ml") fs in
+  let on_e fs = List.filter (fun f -> f.Analysis.Finding.file = "lib__e.ml") fs in
   check (list string) "allow suppresses the finding" []
     (rules_of (on_e (U.check ~warn_unused_allow:true (exempt false))));
   let stale = on_e (U.check ~warn_unused_allow:true (exempt true)) in
@@ -162,6 +178,19 @@ let test_unreachable_allow () =
     (mentions stale "stale: unreachable-module");
   check (list string) "stale allows only with warn_unused_allow" []
     (rules_of (on_e (U.check (exempt true))))
+
+let test_unreachable_test_units () =
+  (* A test executable (source directly under test/) is no root: what
+     only it imports stays unreachable, and it is never reported itself. *)
+  let fs =
+    U.check
+      (unit_ ~file:"test/test_c.ml" "Dune__exe__Test_c" [ "Lib__C"; "Lib__D" ]
+      :: unit_ ~file:"test/helper.ml" "Dune__exe__Helper" []
+      :: graph)
+  in
+  check (list string) "Lib.C and Lib.D still fire, the test units never"
+    [ "lib__c.ml"; "lib__d.ml" ]
+    (List.sort compare (files_of fs))
 
 let test_unreachable_fixtures () =
   (* The fixture library plus its executable root, through the same entry
@@ -180,8 +209,8 @@ let test_unreachable_fixtures () =
   let ours =
     List.filter
       (fun f ->
-        f.Lint.Finding.rule = "unreachable-module"
-        || Filename.basename f.Lint.Finding.file = "fx_exempt.ml")
+        f.Analysis.Finding.rule = "unreachable-module"
+        || Filename.basename f.Analysis.Finding.file = "fx_exempt.ml")
       fs
   in
   check (list string) "only the unreached fixture"
@@ -221,7 +250,7 @@ let exports_graph =
     unit_ ~file:"lib.ml-gen" "Lib" [ "Lib__X"; "Lib__Y" ];
   ]
 
-let exports_of fs = List.filter (fun f -> f.Lint.Finding.rule = "unused-export") fs
+let exports_of fs = List.filter (fun f -> f.Analysis.Finding.rule = "unused-export") fs
 
 let test_export_graph () =
   let fs = exports_of (U.check exports_graph) in
@@ -280,6 +309,13 @@ let test_catalogue () =
   List.iter
     (fun r -> check bool (r ^ " is catalogued") true (List.mem r ids))
     [
+      "float-equal";
+      "poly-compare";
+      "banned-ident";
+      "raw-exit";
+      "nan-literal";
+      "unsafe-partial";
+      "domain-spawn";
       "cross-domain-capture";
       "zero-alloc";
       "unreachable-module";
@@ -300,6 +336,7 @@ let () =
           test_case "suppression is honoured and counted" `Quick test_suppressed;
           test_case "stale allow is reported" `Quick test_stale_allow;
           test_case "unreadable cmt becomes a finding" `Quick test_cmt_error;
+          test_case "per-identifier rules through the cmt" `Quick test_idents;
           test_case "catalogue covers every rule" `Quick test_catalogue;
         ] );
       ( "unreachable",
@@ -311,6 +348,8 @@ let () =
             test_unreachable_allow;
           test_case "fixture root and unreached module" `Quick
             test_unreachable_fixtures;
+          test_case "test executables are not roots" `Quick
+            test_unreachable_test_units;
         ] );
       ( "unused-export",
         [

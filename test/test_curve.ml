@@ -40,7 +40,7 @@ let arb_curve = QCheck.make ~print:(Fmt.to_to_string Curve.pp) gen_curve
 
 let sample_points f g =
   let xs =
-    List.sort_uniq compare
+    List.sort_uniq Float.compare
       (Curve.breakpoints f @ Curve.breakpoints g
       @ List.concat_map (fun x -> [ x +. 0.05; x +. 0.5 ]) (Curve.breakpoints f)
       @ [ 0.; 0.25; 1.; 7.; 33. ])

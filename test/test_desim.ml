@@ -83,19 +83,8 @@ let test_tiny_p_saturates () =
   let t = Prng.create ~seed:13L in
   for _ = 1 to 100 do
     Alcotest.(check int) "binomial p = 1e-20" 0 (Prng.binomial t ~n:10 ~p:1e-20);
-    Alcotest.(check int) "binomial p = 1e-300" 0 (Prng.binomial t ~n:10 ~p:1e-300);
-    Alcotest.(check int) "geometric p = 1e-300" max_int (Prng.geometric t ~p:1e-300)
+    Alcotest.(check int) "binomial p = 1e-300" 0 (Prng.binomial t ~n:10 ~p:1e-300)
   done
-
-let test_geometric_mean () =
-  let t = Prng.create ~seed:11L in
-  let p = 0.25 in
-  let acc = Stats.Online.create () in
-  for _ = 1 to 100_000 do
-    Stats.Online.add acc (float_of_int (Prng.geometric t ~p))
-  done;
-  (* failures before success: mean (1-p)/p = 3 *)
-  check_float ~tol:0.03 "geometric mean" 3. (Stats.Online.mean acc)
 
 let test_prng_split_independent () =
   (* Split streams are fully determined at the split: later draws on the
@@ -156,7 +145,7 @@ let test_seeds_jobs_invariant () =
     one
 
 (* The sampler as it stood with the state in a record of mutable [int64]
-   fields and closure-based [geometric]/[binomial]: the oracle that the
+   fields and a closure-based [binomial]: the oracle that the
    allocation-free version must reproduce draw for draw.  It keeps the
    old zero-gap wrap for quotients past the int range, which the
    generated [p] never reach (the smallest, 1e-12, stays below 4e13). *)
@@ -193,17 +182,12 @@ module Oracle = struct
 
   let float t = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) *. 0x1.0p-53
 
-  let geometric t ~p =
-    if Float.equal p 1. then 0
-    else
-      let u = float t in
-      let g = Float.to_int (Float.floor (Float.log1p (-.u) /. Float.log1p (-.p))) in
-      if g < 0 then 0 else g
-
   let binomial t ~n ~p =
     let count_successes p =
       let rec go i count =
-        let gap = geometric t ~p in
+        let u = float t in
+        let gap = Float.to_int (Float.floor (Float.log1p (-.u) /. Float.log1p (-.p))) in
+        let gap = if gap < 0 then 0 else gap in
         let j = i + gap + 1 in
         if j >= n then count else go j (count + 1)
       in
@@ -241,8 +225,7 @@ let prop_sampler_matches_oracle =
         let xs = Array.init 4 (fun _ -> draw o) in
         (xs, Array.init 8 (fun _ -> Oracle.bits64 o))
       in
-      run (fun t -> Prng.binomial t ~n ~p) = oracle (fun o -> Oracle.binomial o ~n ~p)
-      && (p <= 0. || run (fun t -> Prng.geometric t ~p) = oracle (fun o -> Oracle.geometric o ~p)))
+      run (fun t -> Prng.binomial t ~n ~p) = oracle (fun o -> Oracle.binomial o ~n ~p))
 
 (* ---------------- on-off kernel sampler ---------------- *)
 
@@ -665,7 +648,6 @@ let suite =
     Alcotest.test_case "binomial moments" `Slow test_binomial_moments;
     Alcotest.test_case "binomial reflected" `Slow test_binomial_reflected;
     Alcotest.test_case "binomial edges" `Quick test_binomial_edges;
-    Alcotest.test_case "geometric mean" `Slow test_geometric_mean;
     Alcotest.test_case "tiny p saturates the gap" `Quick test_tiny_p_saturates;
     QCheck_alcotest.to_alcotest prop_sampler_matches_oracle;
     Alcotest.test_case "sampler allocates nothing" `Quick test_sampler_allocates_nothing;

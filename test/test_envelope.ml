@@ -3,7 +3,6 @@
 module Ebb = Envelope.Ebb
 module Mmpp = Envelope.Mmpp
 module Exp = Envelope.Exponential
-module Curve = Minplus.Curve
 
 let check_float ?(tol = 1e-9) name expected got =
   let ok =
@@ -14,26 +13,12 @@ let check_float ?(tol = 1e-9) name expected got =
 
 (* ---------------- EBB ---------------- *)
 
-let test_ebb_aggregate () =
-  let f1 = Ebb.v ~m:1. ~rho:2. ~alpha:1. in
-  let f2 = Ebb.v ~m:1. ~rho:3. ~alpha:1. in
-  let agg = Ebb.aggregate [ f1; f2 ] in
-  check_float "rates add" 5. agg.Ebb.rho;
-  check_float "decay halves (equal rates)" 0.5 agg.Ebb.alpha;
-  check_float "prefactor" 2. agg.Ebb.m
-
 let test_ebb_sample_path () =
   let f = Ebb.v ~m:1. ~rho:2. ~alpha:0.8 in
   let sp = Ebb.sample_path_envelope f ~gamma:0.5 in
   check_float "envelope rate" 2.5 sp.Ebb.envelope_rate;
   check_float "bound prefactor" (1. /. (1. -. exp (-0.4))) sp.Ebb.bound.Exp.m;
   check_float "bound rate" 0.8 sp.Ebb.bound.Exp.a
-
-let test_ebb_to_curve () =
-  let f = Ebb.v ~m:1. ~rho:2. ~alpha:0.8 in
-  let c = Ebb.to_curve f ~gamma:0.5 in
-  check_float "affine through origin" 0. (Curve.eval c 0.);
-  check_float "slope" 2.5 (Curve.eval c 1.)
 
 (* ---------------- MMPP ---------------- *)
 
@@ -82,10 +67,6 @@ let test_mmpp_validation () =
     (Invalid_argument "Mmpp.v: requires p12 + p21 <= 1 (positively correlated states)")
     (fun () -> ignore (Mmpp.v ~p_stay_off:0.2 ~p_stay_on:0.2 ~peak:1.))
 
-let test_autocovariance () =
-  check_float "second eigenvalue" (0.989 +. 0.9 -. 1.)
-    (Mmpp.autocovariance_decay Mmpp.paper_source)
-
 (* A direct Monte-Carlo check that the EBB bound holds for the MMPP
    aggregate: P(A(0,t) > rho t + sigma) <= e^{-s sigma}. *)
 let test_ebb_bound_holds_empirically () =
@@ -116,15 +97,12 @@ let test_ebb_bound_holds_empirically () =
 
 let suite =
   [
-    Alcotest.test_case "ebb aggregate" `Quick test_ebb_aggregate;
     Alcotest.test_case "ebb sample path" `Quick test_ebb_sample_path;
-    Alcotest.test_case "ebb to curve" `Quick test_ebb_to_curve;
     Alcotest.test_case "paper source rates" `Quick test_paper_source_rates;
     Alcotest.test_case "eb limits" `Quick test_eb_limits;
     Alcotest.test_case "eb monotone" `Quick test_eb_monotone;
     Alcotest.test_case "eb in [mean, peak]" `Quick test_eb_between_mean_and_peak;
     Alcotest.test_case "ebb of aggregate" `Quick test_ebb_of_aggregate;
     Alcotest.test_case "mmpp validation" `Quick test_mmpp_validation;
-    Alcotest.test_case "autocovariance decay" `Quick test_autocovariance;
     Alcotest.test_case "EBB bound holds empirically" `Slow test_ebb_bound_holds_empirically;
   ]

@@ -1,11 +1,27 @@
-(* The AST lint engine: for each rule a triggering, a non-triggering and a
-   suppressed fixture, all run through [Lint.Engine.lint_string] so no file
-   I/O is involved, plus a golden test of the machine-readable output. *)
+(* The analyzer's per-identifier rules (lib/analysis/idents.ml): for each
+   rule a triggering, a non-triggering and a suppressed case.  Each case's
+   source is type-checked in process against the stdlib and run through
+   [Analysis.Engine.check_structure] under a file name that sets its zone,
+   so no file I/O is involved; plus a golden test of the machine-readable
+   output.  The group is built where the analysis library is (dune's
+   select in test/dune). *)
 
 open Alcotest
 
-let rules ~file src =
-  Lint.Engine.lint_string ~file src |> List.map (fun f -> f.Lint.Finding.rule)
+let typecheck ~file src =
+  ignore (Warnings.parse_options false "-a");
+  Compmisc.init_path ();
+  let lexbuf = Lexing.from_string src in
+  Location.init lexbuf file;
+  let str, _, _, _, _ =
+    Typemod.type_structure (Compmisc.initial_env ()) (Parse.implementation lexbuf)
+  in
+  str
+
+let findings ?warn_unused_allow ~file src =
+  Analysis.Engine.check_structure ?warn_unused_allow ~file (typecheck ~file src)
+
+let rules ~file src = findings ~file src |> List.map (fun f -> f.Analysis.Finding.rule)
 
 let fires name ~file src rule () =
   check bool
@@ -33,8 +49,8 @@ let test_float_equal_operators () =
     [ "="; "<>"; "=="; "!=" ]
 
 let test_float_equal_heuristic () =
-  (* Plain idents are not syntactically float-looking; Float.compare
-     returns an int, so comparing it with 0 is fine. *)
+  (* A polymorphic [a = b] is not at float; Float.compare returns an
+     int, so comparing it with 0 is fine. *)
   List.iter
     (fun src ->
       check bool (src ^ " does not fire") false
@@ -45,7 +61,9 @@ let test_float_equal_heuristic () =
       "let f a b = Float.equal a b";
       "let n = 1 = 2";
     ];
-  (* ... but arithmetic, nan idents and Float constants are. *)
+  (* ... but every comparison at float is, however its operands are
+     written: arithmetic, nan, Float constants, annotated variables, an
+     abbreviation of float, and compare. *)
   List.iter
     (fun src ->
       check bool (src ^ " fires") true
@@ -55,6 +73,10 @@ let test_float_equal_heuristic () =
       "let f x = x = nan";
       "let f x = x = Float.infinity";
       "let f x = sqrt x = x";
+      "let f (a : float) b = a = b";
+      "let f (a : float) b = a != b";
+      "type t = float\nlet f (a : t) b = a <> b";
+      "let f (a : float) b = compare a b";
     ]
 
 let test_float_equal_suppressed =
@@ -84,25 +106,35 @@ let test_poly_compare_suppressed =
   silent "poly-compare" ~file:"lib/foo/a.ml"
     "let f xs = List.sort compare xs [@@lint.allow \"poly-compare\"]" "poly-compare"
 
+(* A variant that is not immediate: one constructor carries a payload. *)
+let delta = "type delta = Neg_inf | Pos_inf | Fin of float\n"
+
 let test_poly_compare_constructor_literal () =
-  (* = / <> against a nullary constructor literal degrades to polymorphic
-     compare on the whole variant; both orders and qualified names fire. *)
+  (* = / <> against a nullary constructor is polymorphic compare on the
+     whole variant; both orders and qualified names fire, and so does a
+     constructor with a payload. *)
   List.iter
     (fun src ->
       check bool (src ^ " fires") true
         (List.mem "poly-compare" (rules ~file:"lib/foo/a.ml" src)))
     [
-      "let f d = d <> Neg_inf";
-      "let f d = d = Pos_inf";
-      "let f d = Neg_inf = d";
-      "let f nd = nd.delta <> Delta.Neg_inf";
-      "let f nd = nd.delta <> Scheduler.Delta.Neg_inf";
+      delta ^ "let f d = d <> Neg_inf";
+      delta ^ "let f d = d = Pos_inf";
+      delta ^ "let f d = Neg_inf = d";
+      "module Delta = struct type t = Neg_inf | Fin of float end\n\
+       type nd = { delta : Delta.t }\n\
+       let f nd = nd.delta <> Delta.Neg_inf";
+      "module Scheduler = struct\n\
+       module Delta = struct type t = Neg_inf | Fin of float end end\n\
+       type nd = { delta : Scheduler.Delta.t }\n\
+       let f nd = nd.delta <> Scheduler.Delta.Neg_inf";
+      delta ^ "let f x = x = Fin 0.";
     ]
 
 let test_poly_compare_constructor_exemptions () =
-  (* The built-in structural constructors stay idiomatic, constructors with
-     a payload are not literals, == / != are physical-equality checks the
-     rule leaves alone, and bin/ is out of scope. *)
+  (* The built-in structural constructors stay idiomatic, == / != are
+     physical-equality checks the rule leaves alone, and bin/ is out of
+     scope. *)
   List.iter
     (fun (file, src) ->
       check bool (src ^ " does not fire") false
@@ -112,14 +144,30 @@ let test_poly_compare_constructor_exemptions () =
       ("lib/foo/a.ml", "let f x = x <> []");
       ("lib/foo/a.ml", "let f x = x = true");
       ("lib/foo/a.ml", "let f x = x = ()");
-      ("lib/foo/a.ml", "let f x = x = Fin 0.");
-      ("lib/foo/a.ml", "let f d = d == Neg_inf");
-      ("bin/a.ml", "let f d = d <> Neg_inf");
+      ("lib/foo/a.ml", delta ^ "let f d = d == Neg_inf");
+      ("bin/a.ml", delta ^ "let f d = d <> Neg_inf");
     ]
 
 let test_poly_compare_constructor_suppressed =
   silent "poly-compare" ~file:"lib/foo/a.ml"
-    "let f d = (d <> Neg_inf) [@lint.allow \"poly-compare\"]" "poly-compare"
+    (delta ^ "let f d = (d <> Neg_inf) [@lint.allow \"poly-compare\"]")
+    "poly-compare"
+
+(* The typed rule: any = / <> / compare in lib/ at a type that is not
+   immediate, and nothing at an immediate one. *)
+let test_poly_compare_typed () =
+  List.iter
+    (fun (src, fires) ->
+      check bool (src ^ if fires then " fires" else " does not fire") fires
+        (List.mem "poly-compare" (rules ~file:"lib/foo/a.ml" src)))
+    [
+      ("let f (s : string) t = s = t", true);
+      ("let f (a : int list) b = a <> b", true);
+      ("let f xs = xs = []", false);
+      ("let f (r : int ref) r' = r == r'", false);
+      ("let f (a : int) b = compare a b", false);
+      ("type c = Red | Green\nlet f (a : c) b = a = b", false);
+    ]
 
 (* ---------------- banned-ident ---------------- *)
 
@@ -128,6 +176,10 @@ let test_banned_obj_magic =
 
 let test_banned_random_outside_prng =
   fires "banned-ident" ~file:"lib/netsim/a.ml" "let x () = Random.float 1." "banned-ident"
+
+let test_banned_random_alias =
+  fires "banned-ident" ~file:"lib/netsim/a.ml"
+    "module R = Random\nlet x () = R.int 3" "banned-ident"
 
 let test_banned_random_in_prng_ok =
   silent "banned-ident" ~file:"lib/desim/prng.ml" "let x () = Random.float 1."
@@ -231,14 +283,14 @@ let test_domain_spawn_other_functions_ok =
 
 let test_domain_spawn_suppressed =
   silent "domain-spawn" ~file:"lib/core/a.ml"
-    "let d = (Domain.spawn f) [@lint.allow \"domain-spawn\"]" "domain-spawn"
+    "let d f = (Domain.spawn f) [@lint.allow \"domain-spawn\"]" "domain-spawn"
 
 (* ---------------- suppression semantics ---------------- *)
 
 let test_allow_all () =
   check (list string) "bare [@lint.allow] silences everything" []
     (rules ~file:"lib/core/a.ml"
-       "let f xs = (List.sort compare (List.hd xs) = nan) [@lint.allow]")
+       "let f xs = (List.sort compare (List.hd xs) = [ nan ]) [@lint.allow]")
 
 let test_allow_is_scoped () =
   (* The attribute silences its subtree only; a sibling still fires. *)
@@ -256,8 +308,8 @@ let test_allow_space_separated () =
 (* ---------------- unused-allow ---------------- *)
 
 let rules_w ~file src =
-  Lint.Engine.lint_string ~warn_unused_allow:true ~file src
-  |> List.map (fun f -> f.Lint.Finding.rule)
+  findings ~warn_unused_allow:true ~file src
+  |> List.map (fun f -> f.Analysis.Finding.rule)
 
 let test_unused_allow_fires () =
   check (list string) "an allow that suppresses nothing is stale"
@@ -278,23 +330,24 @@ let test_unused_allow_bare () =
     (rules_w ~file:"lib/core/a.ml" "let a = 1 [@lint.allow]")
 
 let test_unused_allow_foreign_rule () =
-  (* zero-alloc belongs to the typed analyzer: the untyped lint must not
-     call it stale, or the two drivers would fight over the attribute. *)
-  check (list string) "typed-analyzer rule ids are not this tool's business"
+  (* unreachable-module and unused-export belong to the whole-set pass:
+     the per-file pass must not call them stale. *)
+  check (list string) "whole-set rule ids are not the per-file pass's business"
     []
-    (rules_w ~file:"lib/core/a.ml" "let a = 1 [@lint.allow \"zero-alloc\"]")
+    (rules_w ~file:"lib/core/a.ml"
+       "let a = 1 [@lint.allow \"unreachable-module unused-export\"]")
 
 let test_unused_allow_partial_payload () =
   (* One id of the payload is used, the other is stale: report only the
      stale one, in the message. *)
   match
-    Lint.Engine.lint_string ~warn_unused_allow:true ~file:"lib/core/a.ml"
+    findings ~warn_unused_allow:true ~file:"lib/core/a.ml"
       "let a = nan [@lint.allow \"nan-literal float-equal\"]"
   with
   | [ f ] ->
-    check string "rule" "unused-allow" f.Lint.Finding.rule;
+    check string "rule" "unused-allow" f.Analysis.Finding.rule;
     check bool "names only the stale id" true
-      (let m = f.Lint.Finding.message in
+      (let m = f.Analysis.Finding.message in
        let has sub =
          let lm = String.length m and ls = String.length sub in
          let rec at i =
@@ -305,12 +358,7 @@ let test_unused_allow_partial_payload () =
        has "float-equal" && not (has "nan-literal"))
   | fs -> failf "expected one unused-allow finding, got %d" (List.length fs)
 
-(* ---------------- parse errors and output format ---------------- *)
-
-let test_parse_error () =
-  match Lint.Engine.lint_string ~file:"lib/foo/bad.ml" "let = = (" with
-  | [ f ] -> check string "rule" "parse-error" f.Lint.Finding.rule
-  | fs -> failf "expected one parse-error finding, got %d" (List.length fs)
+(* ---------------- output format ---------------- *)
 
 let test_golden_output () =
   let src =
@@ -323,8 +371,7 @@ let test_golden_output () =
       ]
   in
   let got =
-    Lint.Engine.lint_string ~file:"lib/core/sample.ml" src
-    |> List.map Lint.Finding.to_string
+    findings ~file:"lib/core/sample.ml" src |> List.map Analysis.Finding.to_string
   in
   check (list string) "machine-readable output"
     [
@@ -339,12 +386,12 @@ let test_golden_output () =
     got
 
 let test_catalogue_covers_rules () =
-  let ids = List.map fst Lint.Engine.catalogue in
+  let ids = List.map fst Analysis.Engine.catalogue in
   List.iter
     (fun r -> check bool (r ^ " is catalogued") true (List.mem r ids))
     [
       "float-equal"; "poly-compare"; "banned-ident"; "raw-exit"; "nan-literal";
-      "unsafe-partial"; "domain-spawn"; "parse-error"; "unused-allow";
+      "unsafe-partial"; "domain-spawn"; "unused-allow";
     ]
 
 let suite =
@@ -365,8 +412,10 @@ let suite =
       test_poly_compare_constructor_exemptions;
     test_case "poly-compare constructor suppressed" `Quick
       test_poly_compare_constructor_suppressed;
+    test_case "poly-compare by immediacy" `Quick test_poly_compare_typed;
     test_case "banned: Obj.magic" `Quick test_banned_obj_magic;
     test_case "banned: Random outside prng" `Quick test_banned_random_outside_prng;
+    test_case "banned: Random through a module alias" `Quick test_banned_random_alias;
     test_case "banned: Random inside prng ok" `Quick test_banned_random_in_prng_ok;
     test_case "banned: print_endline in lib" `Quick test_banned_print_in_lib;
     test_case "banned: Printf.printf in lib" `Quick test_banned_printf_in_lib;
@@ -404,11 +453,10 @@ let suite =
     test_case "unused-allow off by default" `Quick
       test_unused_allow_off_by_default;
     test_case "unused-allow on a bare allow" `Quick test_unused_allow_bare;
-    test_case "unused-allow ignores typed-analyzer rule ids" `Quick
+    test_case "unused-allow ignores whole-set rule ids" `Quick
       test_unused_allow_foreign_rule;
     test_case "unused-allow reports only the stale ids" `Quick
       test_unused_allow_partial_payload;
-    test_case "parse error becomes a finding" `Quick test_parse_error;
     test_case "golden machine-readable output" `Quick test_golden_output;
     test_case "catalogue covers every rule" `Quick test_catalogue_covers_rules;
   ]

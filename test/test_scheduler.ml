@@ -71,11 +71,6 @@ let test_bmux_matrix () =
     (Delta.equal (Classes.delta m 0 1) Delta.Neg_inf);
   Alcotest.(check bool) "others fifo" true (Delta.equal (Classes.delta m 0 2) (Delta.Fin 0.))
 
-let test_precedence_set () =
-  let m = Classes.static_priority ~priorities:[| 2; 1 |] in
-  Alcotest.(check (list int)) "high priority ignores low" [ 0 ] (Classes.precedence_set m ~j:0);
-  Alcotest.(check (list int)) "low priority fears both" [ 0; 1 ] (Classes.precedence_set m ~j:1)
-
 let test_two_class_deltas () =
   Alcotest.(check bool) "fifo" true
     (Delta.equal (Classes.delta_through_cross Classes.Fifo) (Delta.Fin 0.));
@@ -245,7 +240,6 @@ let suite =
     Alcotest.test_case "sp matrix" `Quick test_sp_matrix;
     Alcotest.test_case "edf matrix" `Quick test_edf_matrix;
     Alcotest.test_case "bmux matrix" `Quick test_bmux_matrix;
-    Alcotest.test_case "precedence set" `Quick test_precedence_set;
     Alcotest.test_case "two-class deltas" `Quick test_two_class_deltas;
     Alcotest.test_case "policy fifo order" `Quick test_policy_fifo_order;
     Alcotest.test_case "policy sp order" `Quick test_policy_sp_order;
